@@ -50,32 +50,27 @@ def flood_lookup(
 
     telemetry = current_telemetry()
     spans = telemetry.spans  # None unless the run opted into tracing
-    # span ids of the sends that delivered each frontier entry, in lockstep
-    # with ``frontier`` (only when tracing is on)
-    span_parents: collections.deque[int] = collections.deque()
     trace_id = ""
+    sid: Optional[int] = None
     if spans is not None:
         trace_id = spans.begin_trace("flood-lookup")
-        span_parents.append(
-            spans.emit(
-                trace_id,
-                "flood-lookup",
-                node=origin,
-                start=0.0,
-                object=str(object_id),
-                ttl=ttl,
-            )
+        sid = spans.emit(
+            trace_id,
+            "flood-lookup",
+            node=origin,
+            start=0.0,
+            object=str(object_id),
+            ttl=ttl,
         )
 
     replies: list[tuple[int, int]] = []
     traffic = 0
     seen = {origin}
-    frontier: collections.deque[tuple[int, int, int]] = collections.deque()
-    # (node, hop, parent)
-    frontier.append((origin, 0, -1))
+    frontier: collections.deque[tuple[int, int, int, Optional[int]]] = collections.deque()
+    # (node, hop, parent, span id of the send that delivered the copy)
+    frontier.append((origin, 0, -1, sid))
     while frontier:
-        node, hop, parent = frontier.popleft()
-        parent_sid = span_parents.popleft() if spans is not None else None
+        node, hop, parent, parent_sid = frontier.popleft()
         if directory.has(node, object_id):
             replies.append((node, hop))
             if spans is not None:
@@ -105,19 +100,17 @@ def flood_lookup(
                     )
                 continue
             seen.add(neighbor)
-            frontier.append((neighbor, hop + 1, node))
             if spans is not None:
-                span_parents.append(
-                    spans.emit(
-                        trace_id,
-                        "send",
-                        node=node,
-                        start=float(hop),
-                        end=float(hop + 1),
-                        parent_id=parent_sid,
-                        to=neighbor,
-                    )
+                sid = spans.emit(
+                    trace_id,
+                    "send",
+                    node=node,
+                    start=float(hop),
+                    end=float(hop + 1),
+                    parent_id=parent_sid,
+                    to=neighbor,
                 )
+            frontier.append((neighbor, hop + 1, node, sid))
     replies.sort(key=lambda item: item[1])
     telemetry.metrics.inc("flood_lookups_total")
     telemetry.metrics.inc("flood_messages_total", traffic)

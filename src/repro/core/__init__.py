@@ -7,6 +7,8 @@ Public surface:
   representation"; the evaluation uses 160-bit IDs with b = 4).
 - :class:`repro.core.config.MPILConfig` — algorithm parameters
   (``max_flows``, ``per_flow_replicas``, duplicate suppression, ...).
+- :class:`repro.core.protocol.MPILRequest` — the per-message step of
+  Figure 5, the one implementation both drivers schedule.
 - :class:`repro.core.network.MPILNetwork` — synchronous message-level driver
   for static overlays (paper Section 6.1).
 - :class:`repro.core.timed.TimedMPILNetwork` — event-driven driver for

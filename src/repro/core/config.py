@@ -52,8 +52,11 @@ class MPILConfig:
         Routing metric name: ``"common-digits"`` (MPIL), ``"prefix"`` or
         ``"suffix"`` (Section 4.2 ablations).
     max_hops:
-        Optional safety valve for timed simulations; ``None`` disables it.
-        Static propagation terminates without it because routes only grow.
+        Hop limit of the timed (event-driven) schedule: a copy that has
+        travelled this many hops is dropped instead of forwarded.  ``None``
+        selects the default of four hops per identifier digit.  The
+        lockstep schedule of :class:`~repro.core.network.MPILNetwork`
+        applies no limit; propagation terminates because routes only grow.
     """
 
     max_flows: int = 10

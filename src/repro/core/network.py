@@ -7,12 +7,10 @@ online; message propagation is hop-ordered (a FIFO queue gives exact
 breadth-first timing, equivalent to unit per-hop latency), which is all the
 static experiments of Section 6.1 measure.
 
-The driver owns:
-
-- the overlay graph and node identifiers;
-- the vectorised :class:`~repro.core.metric.NeighborMetricTable`;
-- the global :class:`~repro.core.replicas.ReplicaDirectory`;
-- traffic/duplicate/flow accounting per request.
+The driver owns the overlay graph and node identifiers, the vectorised
+:class:`~repro.core.metric.NeighborMetricTable`, the global
+:class:`~repro.core.replicas.ReplicaDirectory` and the lockstep queue;
+what a node does with a delivered copy is :mod:`repro.core.protocol`.
 """
 
 from __future__ import annotations
@@ -24,14 +22,14 @@ from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.messages import KIND_INSERT, KIND_LOOKUP, MPILMessage
 from repro.core.metric import NeighborMetricTable, metric_by_name
+from repro.core.protocol import Forwarded, MPILRequest
 from repro.core.replicas import ReplicaDirectory
 from repro.core.results import InsertResult, LookupResult
-from repro.core.routing import decide_forwarding
+from repro.core.routing import decide_forwarding  # noqa: F401  (bench/tests look it up here)
 from repro.errors import ConfigurationError, RoutingError
 from repro.overlay.graph import OverlayGraph
 from repro.sim.engine import add_events_processed
 from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import current as current_telemetry
 from repro.util.cache import BoundedCache
 
@@ -91,13 +89,11 @@ class MPILNetwork:
         ids: Optional[Sequence[Identifier]] = None,
         config: MPILConfig = MPILConfig(),
         seed: object = 0,
-        trace: Optional[TraceRecorder] = None,
     ):
         self.overlay = overlay
         self.space = space
         self.config = config
         self.seed = seed
-        self.trace = trace
         if ids is None:
             self.ids: tuple[Identifier, ...] = _cached_node_ids(space, overlay.n, seed)
             share_table = True
@@ -124,22 +120,10 @@ class MPILNetwork:
                 overlay, self.ids, metric=metric_by_name(config.metric)
             )
         self.directory = ReplicaDirectory()
-        self._next_request_id = 0
+        #: monotonic request id; each request's RNG stream derives from it
+        self.next_request_id = 0
 
     # -- public API ---------------------------------------------------------
-
-    @property
-    def request_counter(self) -> int:
-        """Monotonic request id; each request's RNG stream derives from it.
-
-        Callers that replay workloads on a shared network (the service
-        drivers) snapshot and restore this so repeats see identical noise.
-        """
-        return self._next_request_id
-
-    @request_counter.setter
-    def request_counter(self, value: int) -> None:
-        self._next_request_id = int(value)
 
     def random_object_id(self, rng) -> Identifier:
         """Draw a fresh object identifier from the network's id space."""
@@ -158,29 +142,19 @@ class MPILNetwork:
         ``owner`` identifies the node that actually holds the object (the
         pointer target); it defaults to the origin.
         """
-        self._check_node(origin)
         owner = origin if owner is None else owner
-        run = self._run_request(
-            kind=KIND_INSERT,
-            origin=origin,
-            object_id=object_id,
-            owner=owner,
-            max_flows=max_flows if max_flows is not None else self.config.max_flows,
-            per_flow_replicas=(
-                per_flow_replicas
-                if per_flow_replicas is not None
-                else self.config.per_flow_replicas
-            ),
+        request, _ = self._run_request(
+            KIND_INSERT, origin, object_id, owner, max_flows, per_flow_replicas
         )
         return InsertResult(
             object_id=object_id,
             origin=origin,
             owner=owner,
-            replicas=tuple(sorted(run["stored"])),
-            traffic=run["traffic"],
-            duplicates=run["duplicates"],
-            flows_created=run["flows"],
-            max_hop=run["max_hop"],
+            replicas=tuple(sorted(request.stored)),
+            traffic=request.counters.messages_sent,
+            duplicates=request.counters.duplicates,
+            flows_created=request.flows,
+            max_hop=request.max_hop,
         )
 
     def lookup(
@@ -191,30 +165,19 @@ class MPILNetwork:
         per_flow_replicas: Optional[int] = None,
     ) -> LookupResult:
         """Query for ``object_id`` starting from ``origin``."""
-        self._check_node(origin)
-        run = self._run_request(
-            kind=KIND_LOOKUP,
-            origin=origin,
-            object_id=object_id,
-            owner=origin,
-            max_flows=max_flows if max_flows is not None else self.config.max_flows,
-            per_flow_replicas=(
-                per_flow_replicas
-                if per_flow_replicas is not None
-                else self.config.per_flow_replicas
-            ),
+        request, replies = self._run_request(
+            KIND_LOOKUP, origin, object_id, origin, max_flows, per_flow_replicas
         )
-        replies = tuple(run["replies"])
         return LookupResult(
             object_id=object_id,
             origin=origin,
             success=bool(replies),
             first_reply_hop=replies[0][1] if replies else None,
-            replies=replies,
-            traffic=run["traffic"],
-            traffic_at_first_reply=run["traffic_at_first_reply"],
-            duplicates=run["duplicates"],
-            flows_created=run["flows"],
+            replies=tuple(replies),
+            traffic=request.counters.messages_sent,
+            traffic_at_first_reply=request.traffic_at_first_reply,
+            duplicates=request.counters.duplicates,
+            flows_created=request.flows,
         )
 
     def delete(self, object_id: Identifier) -> int:
@@ -228,9 +191,34 @@ class MPILNetwork:
 
     # -- request propagation -------------------------------------------------
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.overlay.n:
-            raise RoutingError(f"node index {node} out of range (n={self.overlay.n})")
+    def first_message(
+        self,
+        kind: str,
+        request_id: int,
+        origin: int,
+        object_id: Identifier,
+        owner: int,
+        max_flows: Optional[int],
+        per_flow_replicas: Optional[int],
+    ) -> MPILMessage:
+        """The copy a request's originator processes; ``None`` budgets take
+        the network config's."""
+        if not 0 <= origin < self.overlay.n:
+            raise RoutingError(f"node index {origin} out of range (n={self.overlay.n})")
+        cfg = self.config
+        return MPILMessage(
+            kind=kind,
+            request_id=request_id,
+            object_id=object_id,
+            origin=origin,
+            owner=owner,
+            at=origin,
+            route=(),
+            max_flows=cfg.max_flows if max_flows is None else max_flows,
+            replicas_left=(
+                cfg.per_flow_replicas if per_flow_replicas is None else per_flow_replicas
+            ),
+        )
 
     def _run_request(
         self,
@@ -238,197 +226,49 @@ class MPILNetwork:
         origin: int,
         object_id: Identifier,
         owner: int,
-        max_flows: int,
-        per_flow_replicas: int,
-    ) -> dict:
-        """Propagate one request to quiescence and return its accounting."""
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        rng = derive_rng(self.seed, "request", request_id)
-        cfg = self.config
-
-        telemetry = current_telemetry()
-        spans = telemetry.spans  # None unless the run opted into tracing
-
-        queue: collections.deque[MPILMessage] = collections.deque()
-        queue.append(
-            MPILMessage(
-                kind=kind,
-                request_id=request_id,
-                object_id=object_id,
-                origin=origin,
-                owner=owner,
-                at=origin,
-                route=(),
-                max_flows=max_flows,
-                replicas_left=per_flow_replicas,
-                hop=0,
-                given_flows=0,
-            )
+        max_flows: Optional[int],
+        per_flow_replicas: Optional[int],
+    ) -> tuple[MPILRequest, list[tuple[int, int]]]:
+        """Propagate one request to quiescence, hop-lockstep: a FIFO queue
+        delivers copies in breadth-first order and the hop index is the
+        clock.  Returns the request's accounting and its ``(holder, hop)``
+        replies."""
+        first = self.first_message(
+            kind, self.next_request_id, origin, object_id, owner, max_flows, per_flow_replicas
         )
-        # span ids of the "send" spans that delivered each queued message,
-        # kept in lockstep with ``queue`` (only when tracing is on)
-        parents: collections.deque[Optional[int]] = collections.deque()
-        trace_id = ""
-        if spans is not None:
-            trace_id = spans.begin_trace(kind)
-            parents.append(
-                spans.emit(
-                    trace_id,
-                    kind,
-                    node=origin,
-                    start=0.0,
-                    request=request_id,
-                    object=str(object_id),
-                )
-            )
-
-        processed: set[int] = set()
-        received: set[int] = set()
-        stored: list[int] = []
+        self.next_request_id += 1
+        telemetry = current_telemetry()
+        queue: collections.deque[Forwarded] = collections.deque()
         replies: list[tuple[int, int]] = []
-        traffic = 0
-        traffic_at_first_reply: Optional[int] = None
-        duplicates = 0
-        flows = 0
-        max_hop = 0
-        events = 0
-        metric_table = self.metric_table
-        scores_with_self = metric_table.scores_with_self
-        neighbor_list = metric_table.neighbor_list
-        directory = self.directory
-        is_lookup = kind == KIND_LOOKUP
-        suppress = cfg.duplicate_suppression
-
+        request = MPILRequest(
+            self,
+            first,
+            rng=derive_rng(self.seed, "request", first.request_id),
+            suppress=self.config.duplicate_suppression,
+            forward=queue.append,
+            reply=replies.append,
+            spans=telemetry.spans,
+            trace_name=kind,
+            start=0.0,
+            hop_time=1.0,
+        )
+        step = request.step
+        queue.append((first, request.root_span))
         while queue:
-            msg = queue.popleft()
-            node = msg.at
-            events += 1
-            if msg.hop > max_hop:
-                max_hop = msg.hop
-            parent_id = parents.popleft() if spans is not None else None
+            msg, parent_span = queue.popleft()
+            step(msg, float(msg.hop), parent_span)
 
-            if node in received:
-                duplicates += 1
-                if spans is not None:
-                    spans.emit(
-                        trace_id,
-                        "dup-drop" if suppress else "dup",
-                        node=node,
-                        start=float(msg.hop),
-                        parent_id=parent_id,
-                        request=request_id,
-                    )
-                if suppress:
-                    continue
-            received.add(node)
-            if suppress and node in processed:
-                continue
-            processed.add(node)
-
-            if is_lookup and directory.has(node, object_id):
-                # "each recipient node checks to see it has the object; if it
-                # does, it stops forwarding the query and replies back
-                # directly to the querying node."
-                replies.append((node, msg.hop))
-                if traffic_at_first_reply is None:
-                    traffic_at_first_reply = traffic
-                if self.trace is not None:
-                    self.trace.emit(msg.hop, "reply", node, request=request_id)
-                if spans is not None:
-                    spans.emit(
-                        trace_id,
-                        "reply",
-                        node=node,
-                        start=float(msg.hop),
-                        parent_id=parent_id,
-                        request=request_id,
-                        hop=msg.hop,
-                    )
-                continue
-
-            scores = scores_with_self(node, object_id)
-            excluded = set(msg.route)
-            excluded.add(node)
-            decision = decide_forwarding(
-                self_score=scores[0],
-                neighbor_ids=neighbor_list(node),
-                neighbor_scores=scores[1:],
-                excluded=excluded,
-                max_flows=msg.max_flows,
-                given_flows=msg.given_flows,
-                rng=rng,
-                tie_break=cfg.tie_break,
-                local_max_rule=cfg.local_max_rule,
-            )
-
-            replicas_left = msg.replicas_left
-            if decision.is_local_max:
-                if not is_lookup:
-                    directory.store(node, object_id, owner, hop=msg.hop)
-                    if node not in stored:
-                        stored.append(node)
-                    if self.trace is not None:
-                        self.trace.emit(msg.hop, "store", node, request=request_id)
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "store",
-                            node=node,
-                            start=float(msg.hop),
-                            parent_id=parent_id,
-                            request=request_id,
-                        )
-                replicas_left -= 1
-                if replicas_left <= 0:
-                    continue
-
-            if not decision.next_hops:
-                continue
-
-            flows += decision.new_flows
-            for next_node, budget in zip(decision.next_hops, decision.budgets):
-                traffic += 1
-                child = msg.child(next_node, budget)
-                child.replicas_left = replicas_left
-                queue.append(child)
-                if self.trace is not None:
-                    self.trace.emit(
-                        msg.hop, "send", node, to=next_node, request=request_id
-                    )
-                if spans is not None:
-                    parents.append(
-                        spans.emit(
-                            trace_id,
-                            "send",
-                            node=node,
-                            start=float(msg.hop),
-                            end=float(msg.hop + 1),
-                            parent_id=parent_id,
-                            to=next_node,
-                            request=request_id,
-                        )
-                    )
-
-        add_events_processed(events)
+        counters = request.counters
+        add_events_processed(1 + counters.messages_sent)  # every copy is popped once
         metrics = telemetry.metrics
         metrics.inc("mpil_requests_total", kind=kind)
-        if traffic:
-            metrics.inc("mpil_messages_total", traffic, kind=kind)
-        if duplicates:
-            metrics.inc("mpil_duplicates_total", duplicates, kind=kind)
-        if is_lookup:
-            if replies:
-                metrics.inc("mpil_replies_total", len(replies))
-        elif stored:
-            metrics.inc("mpil_replicas_stored_total", len(stored))
-        metrics.histogram("mpil_request_max_hop", kind=kind).observe(max_hop)
-        return {
-            "stored": stored,
-            "replies": replies,
-            "traffic": traffic,
-            "traffic_at_first_reply": traffic_at_first_reply,
-            "duplicates": duplicates,
-            "flows": flows,
-            "max_hop": max_hop,
-        }
+        if counters.messages_sent:
+            metrics.inc("mpil_messages_total", counters.messages_sent, kind=kind)
+        if counters.duplicates:
+            metrics.inc("mpil_duplicates_total", counters.duplicates, kind=kind)
+        if replies:
+            metrics.inc("mpil_replies_total", len(replies))
+        if request.stored:
+            metrics.inc("mpil_replicas_stored_total", len(request.stored))
+        metrics.histogram("mpil_request_max_hop", kind=kind).observe(request.max_hop)
+        return request, replies

@@ -11,8 +11,11 @@ with the duplicate suppression" under perturbation.
 
 Insertions for the perturbation experiments happen in stage 1 on the static
 overlay ("1000 insertion requests are generated to the static overlay"), so
-this driver reuses the synchronous :class:`~repro.core.network.MPILNetwork`
-logic for inserts and adds a timed ``lookup_at``.
+this driver wraps a synchronous :class:`~repro.core.network.MPILNetwork`
+for inserts and adds a timed ``lookup_at``.  Both run the one per-message
+step of :mod:`repro.core.protocol`; this module only schedules it: the
+availability check on arrival, per-hop latency, reply delivery and
+completion tracking.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.messages import KIND_LOOKUP, MPILMessage
 from repro.core.network import MPILNetwork
-from repro.core.routing import decide_forwarding
-from repro.errors import RoutingError
+from repro.core.protocol import Forwarded, MPILRequest
+from repro.core.routing import decide_forwarding  # noqa: F401  (bench/tests look it up here)
 from repro.overlay.graph import OverlayGraph
 from repro.sim.availability import AlwaysOnline, AvailabilityModel
 from repro.sim.counters import TrafficCounters
@@ -79,11 +82,13 @@ class PendingLookup:
         "done",
     )
 
-    def __init__(self, object_id: Identifier, origin: int, start_time: float):
+    def __init__(
+        self, object_id: Identifier, origin: int, start_time: float, counters: TrafficCounters
+    ):
         self.object_id = object_id
         self.origin = origin
         self.start_time = start_time
-        self.counters = TrafficCounters()
+        self.counters = counters
         self.replies: list[tuple[int, int]] = []
         self.first_reply_time: Optional[float] = None
         self.first_reply_hop: Optional[int] = None
@@ -145,19 +150,21 @@ class TimedMPILNetwork:
         self.config = config
         self.seed = seed
         self._request_counter = 0
+        self._max_hops = (
+            config.max_hops if config.max_hops is not None else 4 * len(self.ids[0].digits)
+        )
 
-    @property
-    def request_counter(self) -> int:
-        """Monotonic request id; each lookup's RNG stream derives from it.
-
-        Service drivers snapshot and restore this around a run so a
-        testbed shared across runs replays identical per-request noise.
+    def snapshot(self) -> tuple:
+        """The state a borrowed run mutates besides the replica directory:
+        the availability model and both request counters (each request's
+        RNG stream derives from its counter).  Service drivers pass it back
+        to :meth:`restore` so a testbed shared across runs replays identical
+        per-request noise.
         """
-        return self._request_counter
+        return self.availability, self._request_counter, self.static.next_request_id
 
-    @request_counter.setter
-    def request_counter(self, value: int) -> None:
-        self._request_counter = int(value)
+    def restore(self, snapshot: tuple) -> None:
+        self.availability, self._request_counter, self.static.next_request_id = snapshot
 
     # Convenience passthroughs ------------------------------------------------
 
@@ -205,53 +212,20 @@ class TimedMPILNetwork:
         ``on_complete(pending)`` is invoked (inside the scheduler run) once
         every message copy has been delivered, lost, or suppressed.
         """
-        n = self.overlay.n
-        if not 0 <= origin < n:
-            raise RoutingError(f"origin {origin} out of range (n={n})")
-        cfg = self.config
-        suppress = (
-            cfg.duplicate_suppression
-            if duplicate_suppression is None
-            else duplicate_suppression
-        )
-        flows = max_flows if max_flows is not None else cfg.max_flows
-        replicas = (
-            per_flow_replicas if per_flow_replicas is not None else cfg.per_flow_replicas
-        )
         launch_time = engine.now if start_time is None else float(start_time)
-        request_id = self._request_counter
-        self._request_counter += 1
-        rng = derive_rng(self.seed, "timed-request", request_id)
-        pending = PendingLookup(object_id, origin, launch_time)
-        counters = pending.counters
-        processed: set[int] = set()
-        received: set[int] = set()
-        metric_table = self.static.metric_table
-        directory = self.static.directory
-        max_hops = cfg.max_hops if cfg.max_hops is not None else 4 * len(
-            self.ids[0].digits
+        first = self.static.first_message(
+            KIND_LOOKUP,
+            self._request_counter,
+            origin,
+            object_id,
+            origin,
+            max_flows,
+            per_flow_replicas,
         )
-
+        self._request_counter += 1
         telemetry = current_telemetry()
-        spans = telemetry.spans  # None unless the run opted into tracing
         metrics = telemetry.metrics
-        # span id of the "send" that will deliver each in-flight message,
-        # keyed by message identity (the scheduler keeps the message alive
-        # until ``process`` pops the entry); never iterated, so id() keys
-        # cannot perturb ordering
-        span_parent: dict[int, int] = {}
-        trace_id = ""
-        root_sid: Optional[int] = None
-        if spans is not None:
-            trace_id = spans.begin_trace("timed-lookup")
-            root_sid = spans.emit(
-                trace_id,
-                "timed-lookup",
-                node=origin,
-                start=launch_time,
-                request=request_id,
-                object=str(object_id),
-            )
+        latency = self.latency.latency
 
         def finish_event() -> None:
             """Retire one executed message/reply event; the request is
@@ -267,154 +241,67 @@ class TimedMPILNetwork:
                     metrics.inc("timed_lost_offline_total", counters.lost_offline)
                 if counters.duplicates:
                     metrics.inc("timed_duplicates_total", counters.duplicates)
-                if spans is not None:
-                    spans.emit(
-                        trace_id,
+                if request.spans is not None:
+                    request.spans.emit(
+                        request.trace_id,
                         "complete",
                         node=origin,
                         start=launch_time,
                         end=engine.now,
-                        parent_id=root_sid,
+                        parent_id=request.root_span,
                         success=pending.success,
                         messages=counters.messages_sent,
                     )
                 if on_complete is not None:
                     on_complete(pending)
 
-        def deliver_reply(holder: int, hop: int) -> None:
-            arrival = engine.now + self.latency.latency(holder, origin)
-            counters.replies_sent += 1
+        def send_reply(reply: tuple[int, int]) -> None:
             pending.outstanding += 1
-            engine.post(arrival, on_reply, holder, hop)
+            engine.post(engine.now + latency(reply[0], origin), on_reply, reply)
 
-        def on_reply(holder: int, hop: int) -> None:
+        def on_reply(reply: tuple[int, int]) -> None:
             counters.replies_received += 1
-            pending.replies.append((holder, hop))
+            pending.replies.append(reply)
             if pending.first_reply_time is None:
                 pending.first_reply_time = engine.now
-                pending.first_reply_hop = hop
+                pending.first_reply_hop = reply[1]
             finish_event()
 
-        def send(msg: MPILMessage, sender: int) -> None:
-            counters.messages_sent += 1
-            arrival = engine.now + self.latency.latency(sender, msg.at)
+        def send(forwarded: Forwarded) -> None:
+            child = forwarded[0]
             pending.outstanding += 1
-            engine.post(arrival, process, msg)
+            engine.post(engine.now + latency(child.route[-1], child.at), deliver, *forwarded)
 
-        def process(msg: MPILMessage) -> None:
-            parent_id = span_parent.pop(id(msg), root_sid) if spans is not None else None
-            try:
-                node = msg.at
-                if not self.availability.is_online(node, engine.now):
-                    counters.lost_offline += 1
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "lost-offline",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                        )
-                    return
-                if node in received:
-                    counters.duplicates += 1
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "dup-drop" if suppress else "dup",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                        )
-                    if suppress:
-                        return
-                received.add(node)
-                if suppress and node in processed:
-                    return
-                processed.add(node)
+        def deliver(msg: MPILMessage, parent_span: Optional[int]) -> None:
+            now = engine.now
+            if self.availability.is_online(msg.at, now):
+                request.step(msg, now, parent_span)
+            else:
+                counters.lost_offline += 1
+                if request.spans is not None:
+                    request.span("lost-offline", msg.at, now, parent_span)
+            finish_event()
 
-                if directory.has(node, object_id):
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "reply",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                            hop=msg.hop,
-                        )
-                    deliver_reply(node, msg.hop)
-                    return
-                if msg.hop >= max_hops:
-                    counters.drops_hop_limit += 1
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "drop",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                            reason="hop-limit",
-                        )
-                    return
-
-                scores = metric_table.scores_with_self(node, object_id)
-                excluded = set(msg.route)
-                excluded.add(node)
-                decision = decide_forwarding(
-                    self_score=scores[0],
-                    neighbor_ids=metric_table.neighbor_list(node),
-                    neighbor_scores=scores[1:],
-                    excluded=excluded,
-                    max_flows=msg.max_flows,
-                    given_flows=msg.given_flows,
-                    rng=rng,
-                    tie_break=cfg.tie_break,
-                    local_max_rule=cfg.local_max_rule,
-                )
-                replicas_left = msg.replicas_left
-                if decision.is_local_max:
-                    replicas_left -= 1
-                    if replicas_left <= 0:
-                        return
-                for next_node, budget in zip(decision.next_hops, decision.budgets):
-                    child = msg.child(next_node, budget)
-                    child.replicas_left = replicas_left
-                    if spans is not None:
-                        span_parent[id(child)] = spans.emit(
-                            trace_id,
-                            "send",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            to=next_node,
-                            request=request_id,
-                        )
-                    send(child, node)
-            finally:
-                finish_event()
-
-        initial = MPILMessage(
-            kind=KIND_LOOKUP,
-            request_id=request_id,
-            object_id=object_id,
-            origin=origin,
-            owner=origin,
-            at=origin,
-            route=(),
-            max_flows=flows,
-            replicas_left=replicas,
-            hop=0,
-            given_flows=0,
+        request = MPILRequest(
+            self.static,
+            first,
+            rng=derive_rng(self.seed, "timed-request", first.request_id),
+            suppress=(
+                self.config.duplicate_suppression
+                if duplicate_suppression is None
+                else duplicate_suppression
+            ),
+            forward=send,
+            reply=send_reply,
+            spans=telemetry.spans,
+            trace_name="timed-lookup",
+            start=launch_time,
+            max_hops=self._max_hops,
         )
+        counters = request.counters
+        pending = PendingLookup(object_id, origin, launch_time, counters)
         pending.outstanding += 1
-        if spans is not None and root_sid is not None:
-            span_parent[id(initial)] = root_sid
-        engine.post(launch_time, process, initial)
+        engine.post(launch_time, deliver, first, request.root_span)
         return pending
 
     def lookup_at(

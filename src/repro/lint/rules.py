@@ -53,8 +53,8 @@ class FileContext:
         #: child node id -> parent node (for wrapped-in-sorted checks)
         self.parents: dict[int, ast.AST] = {}
         for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                self.parents[id(child)] = parent
+            for node in ast.iter_child_nodes(parent):
+                self.parents[id(node)] = parent
 
     def _collect_imports(self) -> None:
         for node in ast.walk(self.tree):

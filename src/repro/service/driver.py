@@ -21,8 +21,9 @@ Inserts issued at service time use the static insertion path (the
 paper's stage-1 method) and are rolled back from the replica directory
 after the run, so a testbed shared across sweep cells is returned to its
 stage-1 state — without that, cell N+1 would find cell N's objects.  The
-MPIL request counter (which feeds each lookup's RNG stream) and
-availability model are likewise restored on exit.
+MPIL request counters (which feed each request's RNG stream) and
+availability model are likewise restored on exit — also when the run
+raises, because the testbed is memoized and outlives it.
 """
 
 from __future__ import annotations
@@ -195,9 +196,8 @@ def run_service(
     engine = EventScheduler()
     records: list[QueryRecord] = []
     inserted: list = []
-
-    def restore() -> None:
-        pass
+    mpil = testbed.mpil
+    saved = mpil.snapshot()  # unchanged by the Pastry variants; restoring is then a no-op
 
     if variant in PASTRY_VARIANTS:
         pastry = testbed.pastry
@@ -221,28 +221,19 @@ def run_service(
                 record.latency = outcome.elapsed
 
         def issue_insert(record: QueryRecord, origin_draw: int, object_id) -> None:
+            inserted.append(object_id)
             pastry.insert_static(
                 origin_draw % pastry.n, object_id, replicate_on_route=replicate
             )
-            inserted.append(object_id)
             pool.append(object_id)
             record.success = True
             record.completion = record.arrival
 
     else:
-        mpil = testbed.mpil
         directory = mpil.directory
-        saved_availability = mpil.availability
-        saved_counter = mpil.request_counter
-        saved_static_counter = mpil.static.request_counter
         mpil.availability = availability
         suppress = variant == "mpil-ds"
         pool = list(testbed.objects_mpil)
-
-        def restore() -> None:  # noqa: F811 — variant-specific rebinding
-            mpil.availability = saved_availability
-            mpil.request_counter = saved_counter
-            mpil.static.request_counter = saved_static_counter
 
         def issue_lookup(record: QueryRecord, key_draw: int) -> None:
             def complete(pending) -> None:
@@ -260,8 +251,8 @@ def run_service(
             )
 
         def issue_insert(record: QueryRecord, origin_draw: int, object_id) -> None:
-            mpil.insert_static(origin_draw % mpil.overlay.n, object_id)
             inserted.append(object_id)
+            mpil.insert_static(origin_draw % mpil.overlay.n, object_id)
             pool.append(object_id)
             record.success = True
             record.completion = record.arrival
@@ -276,14 +267,17 @@ def run_service(
 
     for entry in plan:
         engine.post(entry[1], issue, entry)
-    # Run to quiescence: arrivals stop at `duration` but in-flight MPIL
-    # copies may complete after it; their records stay charged to their
-    # arrival windows.
-    engine.run()
-
-    for object_id in inserted:
-        directory.remove_object(object_id)
-    restore()
+    try:
+        # Run to quiescence: arrivals stop at `duration` but in-flight MPIL
+        # copies may complete after it; their records stay charged to their
+        # arrival windows.
+        engine.run()
+    finally:
+        # hand the memoized testbed back in its stage-1 state even when
+        # the stream dies mid-run
+        for object_id in inserted:
+            directory.remove_object(object_id)
+        mpil.restore(saved)
 
     telemetry = current_telemetry()
     spans = telemetry.spans

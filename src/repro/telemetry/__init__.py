@@ -23,9 +23,9 @@ runs, so a handle captured at construction time would go stale; the
 ambient lookup always observes the run in progress.
 
 Zero-overhead-when-disabled contract: ``current().spans`` is ``None``
-unless a caller opted into tracing, and drivers hoist it into a local
-and guard every emission with ``if spans is not None`` (the same idiom
-as the existing ``TraceRecorder`` hooks).  Metrics are always-on but
+unless a caller opted into tracing, and drivers hoist it once per
+request and guard every emission with ``if spans is not None``.
+Metrics are always-on but
 O(1) integer bumps at request granularity, outside the per-event hot
 paths.  Determinism contract: telemetry draws no RNG and reads no wall
 clock outside the DET003 allowlist (see

@@ -14,10 +14,9 @@ seed therefore produce byte-identical span streams — the property the
 JSONL exporter (:mod:`repro.telemetry.sinks`) and the on/on determinism
 test rely on.
 
-Like :class:`~repro.sim.trace.TraceRecorder`, the recorder is bounded:
-past ``max_spans`` new spans are counted in :attr:`SpanRecorder.dropped`
-rather than silently discarded, so a truncated trace is never mistaken
-for a complete one.
+The recorder is bounded: past ``max_spans`` new spans are counted in
+:attr:`SpanRecorder.dropped` rather than silently discarded, so a
+truncated trace is never mistaken for a complete one.
 """
 
 from __future__ import annotations

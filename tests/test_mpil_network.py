@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from repro.core.config import MPILConfig
 from repro.core.identifiers import IdSpace
 from repro.core.network import MPILNetwork
+from repro.core.timed import TimedMPILNetwork
 from repro.errors import ConfigurationError, RoutingError
 from repro.overlay.complete import complete_graph
 from repro.overlay.random_graphs import (
     fixed_degree_random_graph,
     ring_lattice_graph,
 )
+from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceRecorder
+from repro.telemetry import Telemetry, use
 
 SPACE = IdSpace(bits=32, digit_bits=4)
 
@@ -138,19 +140,78 @@ class TestAccounting:
         assert total_dups > 0
 
     def test_traffic_matches_trace_sends(self):
-        overlay = ring_lattice_graph(30, k=2)
-        trace = TraceRecorder()
-        net = MPILNetwork(
-            overlay,
+        """Every counter the shared step bumps has exactly one span kind
+        behind it, whichever schedule drove the request."""
+        timed = TimedMPILNetwork(
+            ring_lattice_graph(30, k=2),
             space=SPACE,
             config=MPILConfig(max_flows=5, per_flow_replicas=2),
             seed=8,
-            trace=trace,
         )
         rng = derive_rng(8, "objects")
-        result = net.insert(0, net.random_object_id(rng))
-        assert result.traffic == len(trace.of_kind("send"))
-        assert len(trace.of_kind("store")) == result.replica_count
+        obj = timed.random_object_id(rng)
+
+        def traced(request):
+            telemetry = Telemetry.with_spans()
+            with use(telemetry):
+                result = request()
+            spans = telemetry.spans
+            ids = {span.span_id for span in spans}
+            roots = [span for span in spans if span.parent_id is None]
+            assert len(roots) == 1
+            assert all(span.parent_id in ids for span in spans if span.parent_id is not None)
+            return result, lambda name: len(spans.spans(name=name))
+
+        inserted, count = traced(lambda: timed.static.insert(0, obj))
+        assert inserted.traffic == count("send") > 0
+        assert inserted.replica_count == count("store") > 0
+        assert inserted.duplicates == count("dup-drop")
+
+        found, count = traced(lambda: timed.static.lookup(0, obj))
+        assert found.traffic == count("send")
+        assert len(found.replies) == count("reply") > 0
+
+        found, count = traced(lambda: timed.lookup_at(0, obj, start_time=0.0))
+        assert found.counters.messages_sent == count("send")
+        assert found.counters.replies_sent == count("reply") > 0
+        assert count("store") == 0
+
+    @pytest.mark.parametrize("suppress", [True, False])
+    def test_span_counts_match_counters_under_flapping(self, suppress):
+        n = 60
+        timed = TimedMPILNetwork(
+            fixed_degree_random_graph(n, degree=8, seed=3),
+            space=SPACE,
+            config=MPILConfig(
+                max_flows=8, per_flow_replicas=4, duplicate_suppression=suppress
+            ),
+            seed=3,
+        )
+        rng = derive_rng(3, "objects")
+        keys = [timed.random_object_id(rng) for _ in range(20)]
+        for key in keys:
+            timed.insert_static(rng.randrange(n), key)
+        timed.availability = FlappingSchedule(
+            FlappingConfig(30, 30, 0.5), n, seed=4, always_online={0}
+        )
+        telemetry = Telemetry.with_spans()
+        with use(telemetry):
+            results = [
+                timed.lookup_at(0, key, start_time=100.0 + 60.0 * i)
+                for i, key in enumerate(keys)
+            ]
+        spans = telemetry.spans
+
+        def total(field):
+            return sum(getattr(result.counters, field) for result in results)
+
+        assert len(spans.spans(name="send")) == total("messages_sent")
+        assert len(spans.spans(name="lost-offline")) == total("lost_offline") > 0
+        assert len(spans.spans(name="dup-drop" if suppress else "dup")) == total("duplicates") > 0
+        assert len(spans.spans(name="dup" if suppress else "dup-drop")) == 0
+        assert len(spans.spans(name="reply")) == total("replies_sent") > 0
+        ids = {span.span_id for span in spans}
+        assert all(span.parent_id in ids for span in spans if span.parent_id is not None)
 
     def test_lookup_traffic_at_first_reply_le_total(self):
         overlay = fixed_degree_random_graph(60, degree=8, seed=9)

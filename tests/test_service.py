@@ -279,6 +279,33 @@ class TestRunService:
         assert any(record.kind == "insert" for record in report.records)
         assert len(directory) == before
 
+    @pytest.mark.parametrize("variant", ["pastry", "mpil-ds", "mpil-nods"])
+    def test_exception_mid_stream_leaves_testbed_reusable(self, testbed, variant):
+        """Fault injection: the testbed is memoized across runs, so a run
+        that dies mid-stream must hand it back exactly as a fresh one."""
+
+        class Exploding:
+            """Online until the stream is well under way, then raises."""
+
+            def is_online(self, node, time):
+                if time > 60.0:
+                    raise RuntimeError("availability model blew up")
+                return True
+
+        config = _config(insert_fraction=0.5)
+        expected = run_service(
+            build_testbed(60, 20, seed=0), variant, AlwaysOnline(), config, seed=6
+        )
+        mpil = testbed.mpil
+        directory = testbed.pastry.directory if variant == "pastry" else mpil.directory
+        before = (len(directory), mpil.snapshot())
+        with pytest.raises(RuntimeError, match="blew up"):
+            run_service(testbed, variant, Exploding(), config, seed=6)
+        assert (len(directory), mpil.snapshot()) == before
+        after = run_service(testbed, variant, AlwaysOnline(), config, seed=6)
+        assert after.records == expected.records
+        assert after.windows == expected.windows
+
     def test_perturbation_degrades_success(self, testbed):
         flapping = FlappingSchedule(
             FlappingConfig(30, 30, 1.0), testbed.pastry.n, seed=1, always_online={0}

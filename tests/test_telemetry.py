@@ -25,7 +25,6 @@ from repro.sim.engine import (
     events_processed_total,
     reset_events_processed,
 )
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import (
     MetricsRegistry,
     SpanRecorder,
@@ -128,31 +127,6 @@ class TestEngineCounterShims:
         previous = events_processed_total()
         assert reset_events_processed() == previous
         assert events_processed_total() == 0
-
-
-class TestTraceRecorderDrops:
-    def test_overflow_counted_not_silent(self):
-        recorder = TraceRecorder(max_records=2)
-        for i in range(5):
-            recorder.emit(float(i), "send", node=i)
-        assert len(recorder) == 2
-        assert recorder.dropped == 3
-        assert str(recorder) == "TraceRecorder(2 records, 3 dropped)"
-
-    def test_clear_resets_drop_count(self):
-        recorder = TraceRecorder(max_records=1)
-        recorder.emit(0.0, "send", node=0)
-        recorder.emit(1.0, "send", node=1)
-        recorder.clear()
-        assert recorder.dropped == 0
-        assert str(recorder) == "TraceRecorder(0 records)"
-
-    def test_unbounded_never_drops(self):
-        recorder = TraceRecorder()
-        for i in range(10):
-            recorder.emit(float(i), "send", node=i)
-        assert recorder.dropped == 0
-        assert str(recorder) == "TraceRecorder(10 records)"
 
 
 class TestSpanRecorder:

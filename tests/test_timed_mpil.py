@@ -8,10 +8,12 @@ from repro.core.config import MPILConfig
 from repro.core.identifiers import IdSpace
 from repro.core.timed import TimedMPILNetwork
 from repro.errors import RoutingError
+from repro.overlay.power_law import power_law_graph
 from repro.overlay.random_graphs import fixed_degree_random_graph, ring_lattice_graph
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import derive_rng
+from repro.telemetry import Telemetry, use
 
 SPACE = IdSpace(bits=16, digit_bits=4)
 
@@ -25,16 +27,31 @@ def _timed(overlay, seed=0, **config_kwargs):
 
 class TestStaticEquivalence:
     def test_always_online_matches_static_success(self):
-        overlay = fixed_degree_random_graph(50, degree=6, seed=1)
-        timed = _timed(overlay, seed=1)
-        rng = derive_rng(1, "keys")
-        for _ in range(10):
-            key = SPACE.random_identifier(rng)
-            origin = rng.randrange(50)
-            timed.insert_static(origin, key)
-            static_result = timed.static.lookup(origin, key)
-            timed_result = timed.lookup_at(origin, key, start_time=0.0)
-            assert timed_result.success == static_result.success
+        """Differential: with no tie-break noise, everyone online and one
+        constant latency, the event heap delivers copies in the lockstep
+        queue's order, so both schedules must produce the same request."""
+        overlays = {
+            "power-law": power_law_graph(80, seed=1),
+            "fixed-degree": fixed_degree_random_graph(80, degree=6, seed=1),
+        }
+        for name, overlay in overlays.items():
+            for suppress in (True, False):
+                timed = _timed(
+                    overlay, seed=1, tie_break="lowest-id", duplicate_suppression=suppress
+                )
+                rng = derive_rng(1, "keys", name)
+                keys = [SPACE.random_identifier(rng) for _ in range(15)]
+                for key in keys:
+                    timed.insert_static(rng.randrange(overlay.n), key)
+                for key in keys:
+                    origin = rng.randrange(overlay.n)
+                    static_result = timed.static.lookup(origin, key)
+                    timed_result = timed.lookup_at(origin, key, start_time=0.0)
+                    where = f"{name} suppress={suppress} key={key} origin={origin}"
+                    assert timed_result.replies == static_result.replies, where
+                    assert timed_result.first_reply_hop == static_result.first_reply_hop, where
+                    assert timed_result.counters.messages_sent == static_result.traffic, where
+                    assert timed_result.counters.duplicates == static_result.duplicates, where
 
     def test_latency_accumulates_per_hop(self):
         overlay = ring_lattice_graph(20, k=1)
@@ -125,8 +142,9 @@ class TestStartLookup:
 
     def test_matches_lookup_at_on_private_engine(self):
         timed, keys = self._setup()
+        fresh = timed.snapshot()
         baseline = [timed.lookup_at(0, key, start_time=0.0) for key in keys]
-        timed.request_counter = 0  # replay the same per-request RNG streams
+        timed.restore(fresh)  # replay the same per-request RNG streams
         from repro.sim.engine import EventScheduler
 
         results = []
@@ -180,7 +198,24 @@ class TestStartLookup:
 
     def test_request_counter_snapshot_restores_noise_stream(self):
         timed, keys = self._setup()
+        before = timed.snapshot()
         first = timed.lookup_at(0, keys[0], start_time=0.0)
-        timed.request_counter -= 1
+        assert timed.snapshot() != before
+        timed.restore(before)
         replay = timed.lookup_at(0, keys[0], start_time=0.0)
         assert replay == first
+
+    def test_hop_limit_drops_and_traces(self):
+        # a ring forces long routes; two hops cannot reach the far side
+        timed = _timed(ring_lattice_graph(40, k=1), seed=4, max_hops=2)
+        rng = derive_rng(4, "keys")
+        telemetry = Telemetry.with_spans()
+        dropped = 0
+        with use(telemetry):
+            for _ in range(10):
+                result = timed.lookup_at(0, SPACE.random_identifier(rng), start_time=0.0)
+                dropped += result.counters.drops_hop_limit
+        assert dropped > 0
+        drops = telemetry.spans.spans(name="drop")
+        assert len(drops) == dropped
+        assert all(dict(span.attrs)["reason"] == "hop-limit" for span in drops)
