@@ -29,7 +29,6 @@ from repro.experiments.compose import compose_spec, load_spec_file
 from repro.experiments.registry import (
     all_experiment_ids,
     experiment,
-    get_experiment,
     get_spec,
     list_experiments,
     register,
@@ -39,12 +38,8 @@ from repro.experiments.registry import (
 from repro.experiments.runner import SweepReport, SweepSpec, parse_seeds, run_sweep
 from repro.experiments.scales import (
     SCALES,
-    AnalysisSpec,
     BudgetSpec,
-    PerturbSpec,
     Scale,
-    ServiceSpec,
-    StaticSpec,
     all_scales,
     available_scales,
     get_scale,
@@ -55,19 +50,15 @@ from repro.experiments.spec import ExperimentSpec, Pipeline, RunContext
 from repro.experiments.store import ResultStore, aggregate_results
 
 __all__ = [
-    "AnalysisSpec",
     "BudgetGuard",
     "BudgetSpec",
     "ExperimentResult",
     "ExperimentSpec",
-    "PerturbSpec",
     "Pipeline",
     "ResultStore",
     "RunContext",
     "SCALES",
     "Scale",
-    "ServiceSpec",
-    "StaticSpec",
     "SweepReport",
     "SweepSpec",
     "aggregate_results",
@@ -76,7 +67,6 @@ __all__ = [
     "available_scales",
     "compose_spec",
     "experiment",
-    "get_experiment",
     "get_scale",
     "get_spec",
     "list_experiments",

@@ -101,23 +101,16 @@ import json
 import pathlib
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised only on 3.10
-    tomllib = None  # type: ignore[assignment]
-
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.perturbed import (
-    PASTRY_VARIANTS,
     VARIANT_LABELS,
     PerturbationTestbed,
     build_testbed,
     iter_stage2_lookups,
+    variant_views,
 )
 from repro.experiments.scales import BudgetSpec, Scale, get_scale
 from repro.experiments.spec import ExperimentSpec, Pipeline, RunContext
-from repro.pastry.rejoin import IntervalRejoinAvailability
-from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.adversarial import AdversarialRemoval, AdversarialRemovalConfig
 from repro.perturbation.churn import ChurnConfig, ChurnSchedule
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
@@ -133,6 +126,7 @@ from repro.service.driver import (
     service_rows,
 )
 from repro.service.windows import SLOPolicy
+from repro.util.toml import tomllib
 
 DEFAULT_VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
 DEFAULT_SPACING = 60.0
@@ -297,11 +291,6 @@ def load_spec_file(path: Union[str, pathlib.Path]) -> dict[str, Any]:
             return json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ExperimentError(f"malformed JSON in {str(path)!r}: {exc}") from None
-    if tomllib is None:  # pragma: no cover - exercised only on 3.10
-        raise ExperimentError(
-            f"parsing {str(path)!r} needs tomllib (Python 3.11+); on older "
-            f"interpreters write the spec as .json instead"
-        )
     try:
         return tomllib.loads(path.read_text())
     except tomllib.TOMLDecodeError as exc:
@@ -629,23 +618,16 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
         indices = _lookup_indices(ctx.scale.perturbed_lookups)
         row: list[Any] = [cell]
         for variant in variants:
-            availability: Any = schedule
-            views: Optional[ProbedViewOracle] = None
-            if variant in PASTRY_VARIANTS:
-                if rejoin:
-                    availability = IntervalRejoinAvailability(
-                        schedule,
-                        testbed.pastry.config,
-                        seed=(ctx.seed, "compose", "rejoin", variant),
-                    )
-                views = ProbedViewOracle(
-                    availability,
-                    testbed.pastry.config,
-                    seed=(ctx.seed, "compose", "views", variant),
-                )
+            availability, views = variant_views(
+                testbed,
+                variant,
+                schedule,
+                (ctx.seed, "compose", "views", variant),
+                rejoin_seed=(ctx.seed, "compose", "rejoin", variant) if rejoin else None,
+            )
             successes = sum(
-                success
-                for _i, success in iter_stage2_lookups(
+                outcome.success
+                for _i, outcome in iter_stage2_lookups(
                     testbed, variant, indices, spacing, availability, views
                 )
             )

@@ -16,7 +16,7 @@ routes around them with redundant flows and no maintenance at all.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.experiments.perturbed import (
     MPIL_MAX_FLOWS,
@@ -24,10 +24,10 @@ from repro.experiments.perturbed import (
     PerturbationTestbed,
     build_testbed,
     iter_stage2_lookups,
+    variant_views,
 )
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.adversarial import (
     AdversarialRemoval,
     AdversarialRemovalConfig,
@@ -47,17 +47,16 @@ def _run_variant(
     variant: str,
     num_lookups: int,
 ) -> float:
-    views: Optional[ProbedViewOracle] = None
-    if variant == "pastry":
-        views = ProbedViewOracle(
-            schedule,
-            testbed.pastry.config,
-            seed=(testbed.seed, "adv-views", schedule.config.targeting),
-        )
+    availability, views = variant_views(
+        testbed,
+        variant,
+        schedule,
+        (testbed.seed, "adv-views", schedule.config.targeting),
+    )
     successes = sum(
-        success
-        for _i, success in iter_stage2_lookups(
-            testbed, variant, range(num_lookups), LOOKUP_SPACING, schedule, views
+        outcome.success
+        for _i, outcome in iter_stage2_lookups(
+            testbed, variant, range(num_lookups), LOOKUP_SPACING, availability, views
         )
     )
     return 100.0 * successes / num_lookups

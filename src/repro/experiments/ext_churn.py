@@ -22,12 +22,12 @@ from repro.experiments.perturbed import (
     MPIL_PER_FLOW_REPLICAS,
     PerturbationTestbed,
     build_testbed,
+    iter_stage2_lookups,
+    variant_views,
 )
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.churn import ChurnConfig, ChurnSchedule
-from repro.sim.counters import TrafficCounters
 
 EXPERIMENT_ID = "ext-churn"
 TITLE = "Extension: success under continuous-time churn (50% availability)"
@@ -44,35 +44,15 @@ def _run_variant(
     variant: str,
     num_lookups: int,
 ) -> float:
-    successes = 0
-    if variant == "pastry":
-        oracle = ProbedViewOracle(
-            schedule, testbed.pastry.config, seed=(testbed.seed, "churn-views")
+    availability, views = variant_views(
+        testbed, variant, schedule, (testbed.seed, "churn-views")
+    )
+    successes = sum(
+        outcome.success
+        for _i, outcome in iter_stage2_lookups(
+            testbed, variant, range(num_lookups), LOOKUP_SPACING, availability, views
         )
-        counters = TrafficCounters()
-        for i in range(num_lookups):
-            key = testbed.objects_plain[i % len(testbed.objects_plain)]
-            outcome = testbed.pastry.lookup(
-                testbed.client,
-                key,
-                start_time=LOOKUP_SPACING * (i + 1),
-                availability=schedule,
-                views=oracle,
-                counters=counters,
-            )
-            successes += int(outcome.success)
-    else:
-        suppress = variant == "mpil-ds"
-        testbed.mpil.availability = schedule
-        for i in range(num_lookups):
-            key = testbed.objects_mpil[i % len(testbed.objects_mpil)]
-            outcome = testbed.mpil.lookup_at(
-                testbed.client,
-                key,
-                start_time=LOOKUP_SPACING * (i + 1),
-                duplicate_suppression=suppress,
-            )
-            successes += int(outcome.success)
+    )
     return 100.0 * successes / num_lookups
 
 

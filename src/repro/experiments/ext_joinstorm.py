@@ -19,7 +19,7 @@ storm), ``recovery`` (the third right after it), and ``steady`` (the rest).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Optional
+from typing import Iterable
 
 from repro.errors import ExperimentError
 from repro.experiments.perturbed import (
@@ -28,11 +28,10 @@ from repro.experiments.perturbed import (
     PerturbationTestbed,
     build_testbed,
     iter_stage2_lookups,
+    variant_views,
 )
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.pastry.rejoin import IntervalRejoinAvailability
-from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 from repro.perturbation.storms import JoinStormConfig, JoinStormSchedule
 from repro.perturbation.timeline import ScenarioTimeline
@@ -70,22 +69,20 @@ def _run_variant(
     bounds: dict[str, tuple[int, int]],
 ) -> dict[str, float]:
     """Per-phase success rates in percent."""
-    availability: Any = schedule
-    views: Optional[ProbedViewOracle] = None
-    if variant == "pastry":
-        availability = IntervalRejoinAvailability(
-            schedule, testbed.pastry.config, seed=(testbed.seed, "storm-rejoin")
-        )
-        views = ProbedViewOracle(
-            availability, testbed.pastry.config, seed=(testbed.seed, "storm-views")
-        )
+    availability, views = variant_views(
+        testbed,
+        variant,
+        schedule,
+        (testbed.seed, "storm-views"),
+        rejoin_seed=(testbed.seed, "storm-rejoin"),
+    )
     successes = {phase: 0 for phase in PHASES}
-    for i, success in iter_stage2_lookups(
+    for i, outcome in iter_stage2_lookups(
         testbed, variant, range(num_lookups), LOOKUP_SPACING, availability, views
     ):
         for phase, (lo, hi) in bounds.items():
             if lo <= i < hi:
-                successes[phase] += int(success)
+                successes[phase] += int(outcome.success)
     return {
         phase: 100.0 * successes[phase] / (bounds[phase][1] - bounds[phase][0])
         for phase in PHASES

@@ -18,7 +18,7 @@ regions pay the rejoin cost; MPIL runs with no maintenance, as always.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Optional
+from typing import Iterable
 
 from repro.experiments.perturbed import (
     MPIL_MAX_FLOWS,
@@ -26,11 +26,10 @@ from repro.experiments.perturbed import (
     PerturbationTestbed,
     build_testbed,
     iter_stage2_lookups,
+    variant_views,
 )
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.pastry.rejoin import IntervalRejoinAvailability
-from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 from repro.perturbation.outage import RegionalOutage, RegionalOutageConfig
 from repro.perturbation.timeline import ScenarioTimeline
@@ -55,7 +54,6 @@ def _run_variant(
     testbed: PerturbationTestbed,
     schedule: ScenarioTimeline,
     variant: str,
-    num_lookups: int,
     window: tuple[int, int],
 ) -> float:
     """Success rate (percent) over the lookups issued during the outage.
@@ -64,18 +62,16 @@ def _run_variant(
     in-window indices are executed; the rest would not affect the rate.
     """
     lo, hi = window
-    availability: Any = schedule
-    views: Optional[ProbedViewOracle] = None
-    if variant == "pastry":
-        availability = IntervalRejoinAvailability(
-            schedule, testbed.pastry.config, seed=(testbed.seed, "outage-rejoin")
-        )
-        views = ProbedViewOracle(
-            availability, testbed.pastry.config, seed=(testbed.seed, "outage-views")
-        )
+    availability, views = variant_views(
+        testbed,
+        variant,
+        schedule,
+        (testbed.seed, "outage-views"),
+        rejoin_seed=(testbed.seed, "outage-rejoin"),
+    )
     successes = sum(
-        success
-        for _i, success in iter_stage2_lookups(
+        outcome.success
+        for _i, outcome in iter_stage2_lookups(
             testbed, variant, range(lo, hi), LOOKUP_SPACING, availability, views
         )
     )
@@ -132,14 +128,13 @@ def _measure(ctx: RunContext, built: _OutageTestbed, severity: float) -> Iterabl
         always_online={testbed.client},
     )
     schedule = ScenarioTimeline([built.flapping, outage])
-    num_lookups = ctx.scale.perturbed_lookups
     window = built.window
     return [
         (
             severity,
-            round(_run_variant(testbed, schedule, "pastry", num_lookups, window), 1),
-            round(_run_variant(testbed, schedule, "mpil-ds", num_lookups, window), 1),
-            round(_run_variant(testbed, schedule, "mpil-nods", num_lookups, window), 1),
+            round(_run_variant(testbed, schedule, "pastry", window), 1),
+            round(_run_variant(testbed, schedule, "mpil-ds", window), 1),
+            round(_run_variant(testbed, schedule, "mpil-nods", window), 1),
         )
     ]
 

@@ -15,7 +15,7 @@ rejoin model (view staleness isolated); MPIL runs with no maintenance.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.experiments.perturbed import (
     MPIL_MAX_FLOWS,
@@ -23,10 +23,10 @@ from repro.experiments.perturbed import (
     PerturbationTestbed,
     build_testbed,
     iter_stage2_lookups,
+    variant_views,
 )
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.waves import ChurnWaveConfig, ChurnWaveSchedule
 
 EXPERIMENT_ID = "ext-wave"
@@ -50,19 +50,17 @@ def _run_variant(
     num_lookups: int,
 ) -> tuple[float, float]:
     """(overall, in-wave) success rates in percent."""
-    views: Optional[ProbedViewOracle] = None
-    if variant == "pastry":
-        views = ProbedViewOracle(
-            schedule, testbed.pastry.config, seed=(testbed.seed, "wave-views")
-        )
+    availability, views = variant_views(
+        testbed, variant, schedule, (testbed.seed, "wave-views")
+    )
     successes = in_wave_successes = in_wave_total = 0
-    for i, success in iter_stage2_lookups(
-        testbed, variant, range(num_lookups), LOOKUP_SPACING, schedule, views
+    for i, outcome in iter_stage2_lookups(
+        testbed, variant, range(num_lookups), LOOKUP_SPACING, availability, views
     ):
-        successes += int(success)
+        successes += int(outcome.success)
         if _in_wave(LOOKUP_SPACING * (i + 1)):
             in_wave_total += 1
-            in_wave_successes += int(success)
+            in_wave_successes += int(outcome.success)
     overall = 100.0 * successes / num_lookups
     in_wave = 100.0 * in_wave_successes / in_wave_total if in_wave_total else 0.0
     return overall, in_wave

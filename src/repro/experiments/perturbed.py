@@ -19,7 +19,7 @@ stage-1 state, same ground-truth schedules):
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier
@@ -29,7 +29,7 @@ from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry.config import PastryConfig
 from repro.pastry.mpil_on_pastry import make_mpil_over_pastry
 from repro.pastry.protocol import PastryNetwork
-from repro.pastry.rejoin import RejoinAdjustedAvailability
+from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
 from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 from repro.perturbation.outage import regions_from_attachment
@@ -135,6 +135,32 @@ def build_testbed(
     )
 
 
+def variant_views(
+    testbed: PerturbationTestbed,
+    variant: str,
+    schedule,
+    views_seed: object,
+    rejoin_seed: object = None,
+):
+    """``(availability, views)`` as ``variant`` should see ``schedule``.
+
+    MPIL runs no maintenance and sees the raw schedule.  Pastry sees it
+    through a :class:`ProbedViewOracle` — and, when ``rejoin_seed`` is
+    given, through interval-based eviction/rejoin underneath that.  Callers
+    own the seed labels so each experiment's streams stay distinct.
+    """
+    if variant not in PASTRY_VARIANTS:
+        return schedule, None
+    availability = schedule
+    if rejoin_seed is not None:
+        availability = IntervalRejoinAvailability(
+            schedule, testbed.pastry.config, seed=rejoin_seed
+        )
+    return availability, ProbedViewOracle(
+        availability, testbed.pastry.config, seed=views_seed
+    )
+
+
 def iter_stage2_lookups(
     testbed: PerturbationTestbed,
     variant: str,
@@ -142,40 +168,52 @@ def iter_stage2_lookups(
     spacing: float,
     availability,
     views=None,
+    counters: Optional[TrafficCounters] = None,
 ):
-    """Yield ``(lookup_index, success)`` for one variant's stage-2 lookups.
+    """Yield ``(lookup_index, outcome)`` for one variant's stage-2 lookups.
 
-    The shared harness behind the scenario (``ext_*``) experiments: lookup
-    ``i`` is issued at ``spacing * (i + 1)`` for the ``i``-th stage-1
-    object.  ``availability`` is whatever the variant should see — the raw
-    scenario schedule for MPIL (no maintenance), a view-oracle'd and
-    possibly rejoin-adjusted model for Pastry; callers own that wiring
-    (and its seed labels) so each experiment's streams stay distinct.
+    The one stage-2 loop: lookup ``i`` is issued at ``spacing * (i + 1)``
+    for the ``i``-th stage-1 object, and each lookup's traffic is added to
+    ``counters`` when given.  ``availability``/``views`` are what the
+    variant should see — see :func:`variant_views`.
     """
     if variant not in ALL_VARIANTS:
         raise ExperimentError(f"unknown variant {variant!r}")
-    if variant in PASTRY_VARIANTS:
-        objects = testbed.objects_plain if variant == "pastry" else testbed.objects_rr
-        for i in indices:
+    objects = {
+        "pastry": testbed.objects_plain,
+        "pastry-rr": testbed.objects_rr,
+    }.get(variant, testbed.objects_mpil)
+    indices = tuple(indices)
+    if not indices or not objects:
+        raise ExperimentError(
+            f"stage 2 needs at least one lookup and one inserted object "
+            f"(perturbed_lookups / perturbed_inserts), got {len(indices)} "
+            f"lookup(s) over {len(objects)} object(s)"
+        )
+    is_pastry = variant in PASTRY_VARIANTS
+    if not is_pastry:
+        testbed.mpil.availability = availability
+    for i in indices:
+        key = objects[i % len(objects)]
+        if is_pastry:
             outcome = testbed.pastry.lookup(
                 testbed.client,
-                objects[i % len(objects)],
+                key,
                 start_time=spacing * (i + 1),
                 availability=availability,
                 views=views,
+                counters=counters,
             )
-            yield i, bool(outcome.success)
-    else:
-        testbed.mpil.availability = availability
-        suppress = variant == "mpil-ds"
-        for i in indices:
+        else:
             outcome = testbed.mpil.lookup_at(
                 testbed.client,
-                testbed.objects_mpil[i % len(testbed.objects_mpil)],
+                key,
                 start_time=spacing * (i + 1),
-                duplicate_suppression=suppress,
+                duplicate_suppression=variant == "mpil-ds",
             )
-            yield i, bool(outcome.success)
+            if counters is not None:
+                counters.merge(outcome.counters)
+        yield i, outcome
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,80 +271,52 @@ def run_cell(
         seed=(testbed.seed, "views", period_label, probability),
     )
     cycle = flap_config.cycle
-    start = cycle  # every node has entered its flapping period (phases < cycle)
+    # lookup i starts at cycle * (i + 1): every node has entered its
+    # flapping period by then (phases < cycle)
     duration = num_lookups * cycle
     results: list[CellResult] = []
 
     for variant in variants:
-        if variant in PASTRY_VARIANTS:
-            objects = (
-                testbed.objects_plain if variant == "pastry" else testbed.objects_rr
+        is_pastry = variant in PASTRY_VARIANTS
+        counters = TrafficCounters()
+        outcomes = [
+            outcome
+            for _i, outcome in iter_stage2_lookups(
+                testbed,
+                variant,
+                range(num_lookups),
+                cycle,
+                pastry_availability if is_pastry else schedule,
+                oracle if is_pastry else None,
+                counters,
             )
-            counters = TrafficCounters()
-            successes = 0
-            misdeliveries = 0
-            drops = 0
-            for i in range(num_lookups):
-                key = objects[i % len(objects)]
-                outcome = testbed.pastry.lookup(
-                    testbed.client,
-                    key,
-                    start_time=start + i * cycle,
-                    availability=pastry_availability,
-                    views=oracle,
-                    counters=counters,
-                )
-                successes += int(outcome.success)
-                misdeliveries += int(outcome.misdelivered)
-                drops += int(outcome.dropped)
+        ]
+        if is_pastry:
+            misdeliveries = sum(int(outcome.misdelivered) for outcome in outcomes)
+            drops = sum(int(outcome.dropped) for outcome in outcomes)
             maintenance = oracle.expected_maintenance_messages(
                 duration,
                 testbed.pastry.average_leafset_size(),
                 testbed.pastry.average_table_entries(),
             )
-            results.append(
-                CellResult(
-                    period_label=period_label,
-                    probability=probability,
-                    variant=variant,
-                    lookups=num_lookups,
-                    success_rate=100.0 * successes / num_lookups,
-                    lookup_messages=counters.messages_sent,
-                    retransmissions=counters.retransmissions,
-                    misdeliveries=misdeliveries,
-                    drops=drops,
-                    maintenance_messages=maintenance,
-                    duration=duration,
-                )
-            )
         else:
-            suppress = variant == "mpil-ds"
-            testbed.mpil.availability = schedule
-            counters = TrafficCounters()
-            successes = 0
-            for i in range(num_lookups):
-                key = testbed.objects_mpil[i % len(testbed.objects_mpil)]
-                outcome = testbed.mpil.lookup_at(
-                    testbed.client,
-                    key,
-                    start_time=start + i * cycle,
-                    duplicate_suppression=suppress,
-                )
-                successes += int(outcome.success)
-                counters.merge(outcome.counters)
-            results.append(
-                CellResult(
-                    period_label=period_label,
-                    probability=probability,
-                    variant=variant,
-                    lookups=num_lookups,
-                    success_rate=100.0 * successes / num_lookups,
-                    lookup_messages=counters.messages_sent,
-                    retransmissions=0,
-                    misdeliveries=0,
-                    drops=counters.drops_hop_limit,
-                    maintenance_messages=0.0,  # MPIL runs no maintenance
-                    duration=duration,
-                )
+            misdeliveries = 0
+            drops = counters.drops_hop_limit
+            maintenance = 0.0  # MPIL runs no maintenance
+        successes = sum(int(outcome.success) for outcome in outcomes)
+        results.append(
+            CellResult(
+                period_label=period_label,
+                probability=probability,
+                variant=variant,
+                lookups=num_lookups,
+                success_rate=100.0 * successes / num_lookups,
+                lookup_messages=counters.messages_sent,
+                retransmissions=counters.retransmissions,
+                misdeliveries=misdeliveries,
+                drops=drops,
+                maintenance_messages=maintenance,
+                duration=duration,
             )
+        )
     return results

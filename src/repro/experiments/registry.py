@@ -30,8 +30,6 @@ from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import ExperimentSpec, Pipeline
 
-RunFunction = Callable[..., ExperimentResult]
-
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 #: built-in experiment modules, in catalogue order; importing one runs its
@@ -187,12 +185,6 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; choose from {all_experiment_ids()}"
         ) from None
-
-
-def get_experiment(experiment_id: str) -> tuple[str, RunFunction]:
-    """(title, run function) for an experiment id."""
-    spec = get_spec(experiment_id)
-    return spec.title, spec.run
 
 
 def run_experiment(

@@ -53,7 +53,7 @@ from typing import Callable, Optional
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.ledger import TaskKey, file_checksum
-from repro.experiments.registry import get_experiment
+from repro.experiments.registry import get_spec
 from repro.experiments.runtime import (
     RuntimeConfig,
     SkippedTask,
@@ -74,10 +74,6 @@ __all__ = [
     "run_and_store",
     "run_sweep",
 ]
-
-#: kept for callers that imported the task executor from its old home
-_execute_task = execute_task
-
 
 def parse_seeds(text: str) -> tuple[int, ...]:
     """Parse a seed specification into an ascending tuple of ints.
@@ -133,7 +129,7 @@ class SweepSpec:
                 raise ExperimentError(f"seed must be an int, got {seed!r}")
         object.__setattr__(self, "seeds", tuple(dict.fromkeys(self.seeds)))
         for experiment_id in self.experiment_ids:
-            get_experiment(experiment_id)  # raises on unknown ids
+            get_spec(experiment_id)  # raises on unknown ids
         get_scale(self.scale)  # raises on unknown scales
 
     def tasks(self) -> list[TaskKey]:

@@ -13,11 +13,10 @@ one-line :class:`~repro.errors.ExperimentError` (see
 ``BENCH_<id>.json`` the profiler writes.  EXPERIMENTS.md records which
 scale produced each reported number.
 
-A :class:`Scale` is a named bundle of grouped frozen sub-specs —
-``static``, ``analysis``, ``perturb``, ``service``, and ``budget``.  Every
-historical flat spelling (``scale.pastry_nodes``, ``scale.static_ops``, …)
-keeps working through pass-through properties, and the constructor accepts
-either grouped sub-specs or the legacy flat keywords.
+A :class:`Scale` is one frozen dataclass of flat fields
+(``scale.pastry_nodes``, ``scale.static_ops``, …) — the names every
+experiment module reads and a ``[scale]`` table writes — plus ``name`` and
+one nested :class:`BudgetSpec`, which owns the ceilings' validation.
 
 Custom rungs register through :func:`register_scale` (or
 :func:`repro.api.register_scale`, or a ``[scale]`` table in a composed
@@ -30,50 +29,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import ExperimentError
-
-
-@dataclasses.dataclass(frozen=True)
-class StaticSpec:
-    """Static-overlay experiment knobs (fig9, fig10, tab1-3)."""
-
-    node_counts: tuple[int, ...]
-    graphs: int  #: independent overlay samples per (family, n) setting
-    ops: int  #: insert/lookup pairs per graph
-
-
-@dataclasses.dataclass(frozen=True)
-class AnalysisSpec:
-    """Closed-form / Monte-Carlo analysis knobs (fig7, fig8)."""
-
-    node_counts: tuple[int, ...]
-    degrees: tuple[int, ...]
-    complete_node_counts: tuple[int, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class PerturbSpec:
-    """Perturbation-experiment knobs (fig1, fig11, fig12, ext-*)."""
-
-    pastry_nodes: int
-    inserts: int
-    lookups: int
-    flap_probabilities: tuple[float, ...]
-    # scenario-engine extension sweeps; defaulted so hand-rolled specs
-    # predating the scenario engine keep working
-    outage_severities: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    wave_intensities: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-    storm_fractions: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
-    removal_fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4)
-
-
-@dataclasses.dataclass(frozen=True)
-class ServiceSpec:
-    """Sustained-traffic service-mode knobs (svc-steady, svc-outage)."""
-
-    duration: float = 600.0  #: simulated seconds of traffic
-    rate: float = 1.0  #: baseline arrivals per simulated second
-    window: float = 60.0  #: latency-percentile window length
-    loads: tuple[float, ...] = (0.5, 1.0, 2.0)  #: rate multipliers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,215 +60,62 @@ class BudgetSpec:
         return self.max_rss_mb is None and self.max_wall_s is None
 
 
-#: flat legacy spelling -> (sub-spec attribute, field inside it)
-_FLAT_FIELDS: dict[str, tuple[str, str]] = {
-    "static_node_counts": ("static", "node_counts"),
-    "static_graphs": ("static", "graphs"),
-    "static_ops": ("static", "ops"),
-    "analysis_node_counts": ("analysis", "node_counts"),
-    "analysis_degrees": ("analysis", "degrees"),
-    "complete_node_counts": ("analysis", "complete_node_counts"),
-    "pastry_nodes": ("perturb", "pastry_nodes"),
-    "perturbed_inserts": ("perturb", "inserts"),
-    "perturbed_lookups": ("perturb", "lookups"),
-    "flap_probabilities": ("perturb", "flap_probabilities"),
-    "outage_severities": ("perturb", "outage_severities"),
-    "wave_intensities": ("perturb", "wave_intensities"),
-    "storm_fractions": ("perturb", "storm_fractions"),
-    "removal_fractions": ("perturb", "removal_fractions"),
-    "service_duration": ("service", "duration"),
-    "service_rate": ("service", "rate"),
-    "service_window": ("service", "window"),
-    "service_loads": ("service", "loads"),
-    "max_rss_mb": ("budget", "max_rss_mb"),
-    "max_wall_s": ("budget", "max_wall_s"),
-}
-
-_GROUP_TYPES: dict[str, type] = {
-    "static": StaticSpec,
-    "analysis": AnalysisSpec,
-    "perturb": PerturbSpec,
-    "service": ServiceSpec,
-    "budget": BudgetSpec,
-}
-
-
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True)
 class Scale:
-    """All size knobs used by the experiment modules, grouped by subsystem.
+    """All size knobs used by the experiment modules, one flat field each.
 
-    Construct with grouped sub-specs::
-
-        Scale(name="mine", static=StaticSpec((500,), 1, 20), ...)
-
-    or with the legacy flat keywords (both spellings build the same frozen
-    sub-specs; mixing a sub-spec and flat fields of the same group is
-    rejected)::
+    The scenario-engine sweeps and the service-traffic knobs are defaulted
+    so a custom rung only has to spell the sizes it cares about::
 
         Scale(name="mine", static_node_counts=(500,), static_graphs=1, ...)
     """
 
     name: str
-    static: StaticSpec
-    analysis: AnalysisSpec
-    perturb: PerturbSpec
-    service: ServiceSpec
-    budget: BudgetSpec
-
-    def __init__(
-        self,
-        name: str,
-        static: StaticSpec | None = None,
-        analysis: AnalysisSpec | None = None,
-        perturb: PerturbSpec | None = None,
-        service: ServiceSpec | None = None,
-        budget: BudgetSpec | None = None,
-        **flat,
-    ):
-        groups: dict[str, object] = {
-            "static": static,
-            "analysis": analysis,
-            "perturb": perturb,
-            "service": service,
-            "budget": budget,
-        }
-        flat_by_group: dict[str, dict[str, object]] = {g: {} for g in _GROUP_TYPES}
-        for key, value in flat.items():
-            try:
-                group, field = _FLAT_FIELDS[key]
-            except KeyError:
-                raise TypeError(
-                    f"Scale() got an unexpected keyword argument {key!r}"
-                ) from None
-            if groups[group] is not None:
-                raise TypeError(
-                    f"Scale() got both a {group}= sub-spec and the flat field {key!r}"
-                )
-            flat_by_group[group][field] = value
-        object.__setattr__(self, "name", name)
-        for group, spec_type in _GROUP_TYPES.items():
-            spec = groups[group]
-            if spec is None:
-                spec = spec_type(**flat_by_group[group])
-            elif not isinstance(spec, spec_type):
-                raise TypeError(
-                    f"Scale() {group}= must be a {spec_type.__name__}, "
-                    f"got {type(spec).__name__}"
-                )
-            object.__setattr__(self, group, spec)
+    # static-overlay experiments (fig9, fig10, tab1-3)
+    static_node_counts: tuple[int, ...]
+    static_graphs: int  #: independent overlay samples per (family, n) setting
+    static_ops: int  #: insert/lookup pairs per graph
+    # closed-form / Monte-Carlo analysis (fig7, fig8)
+    analysis_node_counts: tuple[int, ...]
+    analysis_degrees: tuple[int, ...]
+    complete_node_counts: tuple[int, ...]
+    # perturbation experiments (fig1, fig11, fig12, ext-*)
+    pastry_nodes: int
+    perturbed_inserts: int
+    perturbed_lookups: int
+    flap_probabilities: tuple[float, ...]
+    outage_severities: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    wave_intensities: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
+    storm_fractions: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
+    removal_fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4)
+    # sustained-traffic service mode (svc-steady, svc-outage)
+    service_duration: float = 600.0  #: simulated seconds of traffic
+    service_rate: float = 1.0  #: baseline arrivals per simulated second
+    service_window: float = 60.0  #: latency-percentile window length
+    service_loads: tuple[float, ...] = (0.5, 1.0, 2.0)  #: rate multipliers
+    budget: BudgetSpec = BudgetSpec()
 
     def evolve(self, **changes) -> "Scale":
-        """A copy with flat fields and/or whole sub-specs replaced.
+        """A copy with the named fields replaced.
 
-        Accepts any legacy flat spelling (``pastry_nodes=...``), any group
-        name with a sub-spec instance (``budget=BudgetSpec(...)``), and
-        ``name=``.  Unknown fields raise a one-line
+        ``max_rss_mb=`` / ``max_wall_s=`` are shorthand for replacing that
+        one ceiling inside ``budget``.  Unknown fields raise a one-line
         :class:`~repro.errors.ExperimentError` listing the valid ones.
         """
-        groups: dict[str, object] = {g: getattr(self, g) for g in _GROUP_TYPES}
-        name = changes.pop("name", self.name)
-        per_group: dict[str, dict[str, object]] = {g: {} for g in _GROUP_TYPES}
-        for key, value in changes.items():
-            if key in _GROUP_TYPES:
-                spec_type = _GROUP_TYPES[key]
-                if not isinstance(value, spec_type):
-                    raise ExperimentError(
-                        f"scale field {key!r} must be a {spec_type.__name__}, "
-                        f"got {type(value).__name__}"
-                    )
-                groups[key] = value
-            elif key in _FLAT_FIELDS:
-                group, field = _FLAT_FIELDS[key]
-                per_group[group][field] = value
-            else:
+        ceiling_names = [field.name for field in dataclasses.fields(BudgetSpec)]
+        ceilings = {key: changes.pop(key) for key in ceiling_names if key in changes}
+        if ceilings:
+            changes["budget"] = dataclasses.replace(
+                changes.get("budget", self.budget), **ceilings
+            )
+        fields = [field.name for field in dataclasses.fields(self)]
+        for key in changes:
+            if key not in fields:
                 raise ExperimentError(
                     f"unknown scale field {key!r}; choose from "
-                    f"{sorted(_FLAT_FIELDS) + sorted(_GROUP_TYPES)}"
+                    f"{sorted(fields + ceiling_names)}"
                 )
-        resolved = {
-            group: (
-                dataclasses.replace(groups[group], **per_group[group])
-                if per_group[group]
-                else groups[group]
-            )
-            for group in _GROUP_TYPES
-        }
-        return Scale(name=name, **resolved)
-
-    # -- flat pass-through views (the legacy spelling every experiment
-    #    module reads; each simply hops into its sub-spec) ------------------
-
-    @property
-    def static_node_counts(self) -> tuple[int, ...]:
-        return self.static.node_counts
-
-    @property
-    def static_graphs(self) -> int:
-        return self.static.graphs
-
-    @property
-    def static_ops(self) -> int:
-        return self.static.ops
-
-    @property
-    def analysis_node_counts(self) -> tuple[int, ...]:
-        return self.analysis.node_counts
-
-    @property
-    def analysis_degrees(self) -> tuple[int, ...]:
-        return self.analysis.degrees
-
-    @property
-    def complete_node_counts(self) -> tuple[int, ...]:
-        return self.analysis.complete_node_counts
-
-    @property
-    def pastry_nodes(self) -> int:
-        return self.perturb.pastry_nodes
-
-    @property
-    def perturbed_inserts(self) -> int:
-        return self.perturb.inserts
-
-    @property
-    def perturbed_lookups(self) -> int:
-        return self.perturb.lookups
-
-    @property
-    def flap_probabilities(self) -> tuple[float, ...]:
-        return self.perturb.flap_probabilities
-
-    @property
-    def outage_severities(self) -> tuple[float, ...]:
-        return self.perturb.outage_severities
-
-    @property
-    def wave_intensities(self) -> tuple[float, ...]:
-        return self.perturb.wave_intensities
-
-    @property
-    def storm_fractions(self) -> tuple[float, ...]:
-        return self.perturb.storm_fractions
-
-    @property
-    def removal_fractions(self) -> tuple[float, ...]:
-        return self.perturb.removal_fractions
-
-    @property
-    def service_duration(self) -> float:
-        return self.service.duration
-
-    @property
-    def service_rate(self) -> float:
-        return self.service.rate
-
-    @property
-    def service_window(self) -> float:
-        return self.service.window
-
-    @property
-    def service_loads(self) -> tuple[float, ...]:
-        return self.service.loads
+        return dataclasses.replace(self, **changes)
 
 
 _FULL_PROBS = tuple(round(0.1 * i, 1) for i in range(1, 11))

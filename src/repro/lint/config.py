@@ -27,15 +27,10 @@ from __future__ import annotations
 import dataclasses
 import fnmatch
 import pathlib
-import re
 from typing import Mapping, Optional, Union
 
 from repro.errors import ConfigurationError
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised only on 3.10
-    tomllib = None  # type: ignore[assignment]
+from repro.util.toml import tomllib
 
 #: the pyproject table the analyzer reads
 CONFIG_TABLE = "repro-lint"
@@ -136,92 +131,6 @@ def find_pyproject(start: Union[str, pathlib.Path]) -> Optional[pathlib.Path]:
     return None
 
 
-# The self-hosted fallback for Python 3.10 (no tomllib): enough TOML to
-# read the [tool.repro-lint] table — bare tables, string keys, strings,
-# and (possibly multi-line) arrays of strings.  3.11+ always uses tomllib.
-_TABLE_RE = re.compile(r"^\[(?P<name>[^\]]+)\]\s*$")
-_KEY_RE = re.compile(
-    r"^(?P<key>[A-Za-z0-9_\-\"\']+)\s*=\s*(?P<value>.*)$"
-)
-
-
-def _strip_comment(line: str) -> str:
-    in_string: Optional[str] = None
-    for index, char in enumerate(line):
-        if in_string:
-            if char == in_string:
-                in_string = None
-        elif char in "\"'":
-            in_string = char
-        elif char == "#":
-            return line[:index]
-    return line
-
-
-def _parse_string_array(text: str, context: str) -> list[str]:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ConfigurationError(f"{context}: expected a TOML array, got {text!r}")
-    items = []
-    for chunk in body[1:-1].split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if len(chunk) < 2 or chunk[0] not in "\"'" or chunk[-1] != chunk[0]:
-            raise ConfigurationError(
-                f"{context}: expected a quoted string, got {chunk!r}"
-            )
-        items.append(chunk[1:-1])
-    return items
-
-
-def _parse_minimal_toml(text: str, wanted_table: str) -> dict:
-    """Extract one pyproject table with a TOML subset parser (3.10 path)."""
-    sections: dict[str, dict] = {}
-    current: Optional[dict] = None
-    pending_key: Optional[str] = None
-    pending_value = ""
-    for raw_line in text.splitlines():
-        line = _strip_comment(raw_line).strip()
-        if not line:
-            continue
-        if pending_key is not None:
-            pending_value += " " + line
-            if line.endswith("]"):
-                assert current is not None
-                current[pending_key] = _parse_string_array(
-                    pending_value, pending_key
-                )
-                pending_key, pending_value = None, ""
-            continue
-        table = _TABLE_RE.match(line)
-        if table:
-            current = sections.setdefault(table.group("name").strip(), {})
-            continue
-        if current is None:
-            continue
-        pair = _KEY_RE.match(line)
-        if not pair:
-            continue
-        key = pair.group("key").strip("\"'")
-        value = pair.group("value").strip()
-        if value.startswith("[") and not value.endswith("]"):
-            pending_key, pending_value = key, value
-            continue
-        if value.startswith("["):
-            current[key] = _parse_string_array(value, key)
-        elif value[:1] in "\"'" and value[-1:] == value[:1]:
-            current[key] = value[1:-1]
-        # other value kinds (ints, booleans, inline tables) are not part
-        # of the repro-lint schema and are ignored by the fallback parser
-    result: dict = dict(sections.get(f"tool.{wanted_table}", {}))
-    prefix = f"tool.{wanted_table}."
-    for name, table_dict in sections.items():
-        if name.startswith(prefix):
-            result[name[len(prefix):]] = dict(table_dict)
-    return result
-
-
 def load_config(
     start: Union[str, pathlib.Path, None] = None,
     pyproject: Union[str, pathlib.Path, None] = None,
@@ -242,12 +151,8 @@ def load_config(
         if found is None:
             return LintConfig()
         path = found
-    text = path.read_text()
-    if tomllib is not None:
-        try:
-            table = tomllib.loads(text).get("tool", {}).get(CONFIG_TABLE, {})
-        except tomllib.TOMLDecodeError as exc:
-            raise ConfigurationError(f"invalid TOML in {path}: {exc}") from exc
-    else:  # pragma: no cover - exercised only on 3.10
-        table = _parse_minimal_toml(text, CONFIG_TABLE)
+    try:
+        table = tomllib.loads(path.read_text()).get("tool", {}).get(CONFIG_TABLE, {})
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigurationError(f"invalid TOML in {path}: {exc}") from exc
     return LintConfig.from_dict(table, root=path.parent)

@@ -34,7 +34,7 @@ from typing import Any, Mapping, Optional, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.budget import current_rss_mb
-from repro.experiments.registry import get_experiment, run_experiment
+from repro.experiments.registry import get_spec, run_experiment
 from repro.experiments.scales import Scale, get_scale
 from repro.experiments.store import git_revision
 from repro.sim.engine import events_processed_total, reset_events_processed
@@ -192,7 +192,7 @@ def profile_experiment(
     resident set observed across the timed repeats land in the result so
     the bench gate can check measurements against the budget.
     """
-    get_experiment(experiment_id)  # raises on unknown ids
+    get_spec(experiment_id)  # raises on unknown ids
     resolved = get_scale(scale)  # raises on unknown scales
     if repeats < 1:
         raise ExperimentError(f"repeats must be >= 1, got {repeats}")

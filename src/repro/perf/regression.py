@@ -15,10 +15,9 @@ reshape what a run executes); they are surfaced on the report entry so a
 reviewer can see when baseline and measurement are counting different
 work.
 
-Baselines are keyed per rung: schema version 2 stores entries under
+Baselines are keyed per rung: entries sit under
 ``<experiment_id>@<scale>`` so one file can gate several ladder rungs at
-once (``fig9@smoke`` and ``fig9@large`` hold different floors).  Version-1
-files (bare-id keys) still load and gate every rung with the same floor.
+once (``fig9@smoke`` and ``fig9@large`` hold different floors).
 Separately from throughput floors, :func:`check_budgets` compares each
 measurement against the budget its scale declared — a budgeted rung whose
 measured wall clock or peak RSS exceeds the ceiling fails the bench gate
@@ -36,8 +35,7 @@ from repro.errors import ExperimentError
 from repro.perf.profiler import BenchResult
 
 #: bumped on any incompatible baseline.json layout change; version 2
-#: introduced per-rung ``<id>@<scale>`` entry keys (version-1 files with
-#: bare-id keys still load)
+#: introduced per-rung ``<id>@<scale>`` entry keys
 BASELINE_SCHEMA_VERSION = 2
 
 
@@ -81,20 +79,17 @@ class Regression:
 
 
 def load_baseline(path: Union[str, pathlib.Path]) -> dict[str, BaselineEntry]:
-    """Read a committed baseline file into per-entry reference numbers.
-
-    Keys are ``<id>@<scale>`` in version-2 files and bare experiment ids
-    in version-1 files; :func:`check_regressions` resolves both.
-    """
+    """Read a committed baseline file into per-entry reference numbers,
+    keyed ``<id>@<scale>``."""
     path = pathlib.Path(path)
     if not path.exists():
         raise ExperimentError(f"no baseline file at {path}")
     payload = json.loads(path.read_text())
     version = int(payload.get("schema_version", 0))
-    if not 1 <= version <= BASELINE_SCHEMA_VERSION:
+    if version != BASELINE_SCHEMA_VERSION:
         raise ExperimentError(
             f"baseline schema version {version} unsupported "
-            f"(this build reads versions 1..{BASELINE_SCHEMA_VERSION})"
+            f"(this build reads version {BASELINE_SCHEMA_VERSION})"
         )
     entries: dict[str, BaselineEntry] = {}
     for experiment_id, entry in payload["entries"].items():
@@ -153,10 +148,7 @@ def check_regressions(
         baseline = load_baseline(baseline)
     regressions: list[Regression] = []
     for result in results:
-        # per-rung entry first (schema v2), bare id as the v1 fallback
         entry = baseline.get(f"{result.experiment_id}@{result.scale}")
-        if entry is None:
-            entry = baseline.get(result.experiment_id)
         if entry is None:
             continue
         floor = entry.events_per_sec * (1.0 - tolerance)

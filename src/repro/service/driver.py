@@ -37,9 +37,8 @@ from repro.experiments.perturbed import (
     ALL_VARIANTS,
     PASTRY_VARIANTS,
     VARIANT_LABELS,
+    variant_views,
 )
-from repro.pastry.rejoin import IntervalRejoinAvailability
-from repro.pastry.views import ProbedViewOracle
 from repro.service.arrivals import ARRIVAL_KINDS, generate_arrivals
 from repro.service.windows import SLOPolicy, WindowStats, summarize_windows
 from repro.sim.engine import EventScheduler
@@ -184,10 +183,9 @@ def run_service(
 
     ``testbed`` is :class:`~repro.experiments.perturbed.PerturbationTestbed`
     -shaped (``pastry``, ``mpil``, ``client``, per-variant object lists).
-    ``availability`` is whatever the variant should see — the raw scenario
-    schedule for MPIL, a rejoin-adjusted model for Pastry, exactly as in
-    :func:`~repro.experiments.perturbed.iter_stage2_lookups`; ``views``
-    supplies Pastry's per-hop beliefs and is ignored for MPIL.
+    ``availability`` and ``views`` are what the variant should see of the
+    scenario schedule, as :func:`~repro.experiments.perturbed.variant_views`
+    wires them; ``views`` is ignored for MPIL.
     """
     if variant not in ALL_VARIANTS:
         raise ExperimentError(f"unknown variant {variant!r}")
@@ -346,19 +344,13 @@ def service_rows(
     """
     rows: list[tuple] = []
     for variant in variants:
-        availability: Any = schedule
-        views: Optional[ProbedViewOracle] = None
-        if variant in PASTRY_VARIANTS:
-            availability = IntervalRejoinAvailability(
-                schedule,
-                testbed.pastry.config,
-                seed=(rejoin_seed, "rejoin", variant),
-            )
-            views = ProbedViewOracle(
-                availability,
-                testbed.pastry.config,
-                seed=(rejoin_seed, "views", variant),
-            )
+        availability, views = variant_views(
+            testbed,
+            variant,
+            schedule,
+            (rejoin_seed, "views", variant),
+            rejoin_seed=(rejoin_seed, "rejoin", variant),
+        )
         report = run_service(
             testbed, variant, availability, config, seed=seed, views=views
         )

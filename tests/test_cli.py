@@ -237,7 +237,6 @@ severity = "$severity"
 
 class TestComposeMain:
     def _write_spec(self, tmp_path, experiment_id):
-        pytest.importorskip("tomllib")
         path = tmp_path / "sweep.toml"
         path.write_text(SPEC_TOML.format(experiment_id=experiment_id))
         return path
@@ -280,6 +279,22 @@ class TestComposeMain:
         err = capsys.readouterr().err
         assert "already registered" in err
         assert "Traceback" not in err
+
+    def test_compose_zero_lookups_is_one_line_error(self, tmp_path, capsys):
+        """``[scale] perturbed_lookups = 0`` used to escape the error
+        handler as a ZeroDivisionError traceback."""
+        path = tmp_path / "zero.toml"
+        path.write_text(
+            SPEC_TOML.format(experiment_id="cli-zero-lookups")
+            + "\n[scale]\nperturbed_lookups = 0\n"
+        )
+        try:
+            assert main(["compose", str(path), "--scale", "smoke"]) == 2
+        finally:
+            self._unregister("cli-zero-lookups")
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "at least one lookup" in err
 
     def test_compose_rejects_registered_id_in_fresh_process(self, tmp_path):
         """The shadow check must hold even when compose is the process's

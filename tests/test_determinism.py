@@ -8,15 +8,39 @@ randomness must derive from the ``(experiment, scale, seed)`` triple via
 named streams — no hidden global RNG, no dict-ordering or wall-clock
 leakage into results.  Byte-level comparison of the ``to_dict`` JSON is
 exactly what the sweep runner's jobs-parity guarantee rests on.
+
+The same bytes are also the repository's specification (ROADMAP aim 2), so
+one of the two runs is compared with ``tests/goldens/smoke_seed1.json``:
+the sha256 of each experiment's canonical JSON at ``smoke`` seed 1.  The
+goldens carry the python/numpy/networkx versions they were taken under
+(graph generation and RNG streams are only pinned per version); elsewhere
+the comparison is skipped with the reason.  After an *intended* change of
+results, regenerate the file as :func:`_golden_document` describes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.metadata
 import json
+import pathlib
+import platform
 
 import pytest
 
 from repro.experiments import all_experiment_ids, run_experiment
+
+GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "smoke_seed1.json").read_text()
+)
+
+
+def _fingerprint() -> dict[str, str]:
+    return {
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "networkx": importlib.metadata.version("networkx"),
+    }
 
 
 def _payload(experiment_id: str, seed: int) -> bytes:
@@ -24,9 +48,36 @@ def _payload(experiment_id: str, seed: int) -> bytes:
     return json.dumps(result.to_dict(), sort_keys=True).encode("utf-8")
 
 
+def _golden_document() -> dict:
+    """What ``tests/goldens/smoke_seed1.json`` holds; to regenerate it::
+
+        PYTHONPATH=src:tests python -c "import json, test_determinism as t; \\
+            print(json.dumps(t._golden_document(), indent=2, sort_keys=True))" \\
+            > /tmp/goldens.json && mv /tmp/goldens.json tests/goldens/smoke_seed1.json
+    """
+    return {
+        "fingerprint": _fingerprint(),
+        "digests": {
+            experiment_id: hashlib.sha256(_payload(experiment_id, seed=1)).hexdigest()
+            for experiment_id in all_experiment_ids()
+        },
+    }
+
+
 @pytest.mark.parametrize("experiment_id", all_experiment_ids())
 def test_rerun_is_byte_identical(experiment_id):
-    assert _payload(experiment_id, seed=1) == _payload(experiment_id, seed=1)
+    first = _payload(experiment_id, seed=1)
+    assert first == _payload(experiment_id, seed=1)
+    if GOLDENS["fingerprint"] != _fingerprint():
+        pytest.skip(
+            f"goldens were taken under {GOLDENS['fingerprint']}, "
+            f"this is {_fingerprint()}"
+        )
+    assert hashlib.sha256(first).hexdigest() == GOLDENS["digests"][experiment_id]
+
+
+def test_goldens_cover_every_registered_experiment():
+    assert sorted(GOLDENS["digests"]) == sorted(all_experiment_ids())
 
 
 def test_distinct_seeds_change_some_output():

@@ -9,8 +9,8 @@ from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentResult,
     all_experiment_ids,
-    get_experiment,
     get_scale,
+    get_spec,
     run_experiment,
 )
 from repro.experiments.base import mean
@@ -65,7 +65,7 @@ class TestRegistry:
 
     def test_unknown_experiment(self):
         with pytest.raises(ExperimentError):
-            get_experiment("fig99")
+            get_spec("fig99")
         with pytest.raises(ExperimentError):
             run_experiment("fig99")
 

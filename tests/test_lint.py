@@ -4,8 +4,7 @@ Structure:
 
 - one bad/good fixture pair per rule (flagged snippet, clean rewrite);
 - suppression semantics (right id silences, wrong id does not);
-- config semantics (path allowlists, excludes, TOML loading — including
-  the 3.10 fallback parser cross-validated against tomllib);
+- config semantics (path allowlists, excludes, TOML loading);
 - JSON report schema round-trip;
 - the CLI ``lint`` command's exit codes and output formats;
 - a seeded fixture *tree* with one violation per rule (the acceptance
@@ -32,7 +31,7 @@ from repro.lint import (
     lint_paths,
     load_config,
 )
-from repro.lint.config import _parse_minimal_toml, find_pyproject
+from repro.lint.config import find_pyproject
 from repro.lint.engine import SYNTAX_RULE_ID, suppressions_by_line
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -399,15 +398,6 @@ class TestConfig:
             LintConfig.from_dict({"allow": {"DET001": [1, 2]}})
         with pytest.raises(ConfigurationError):
             LintConfig.from_dict({"exclude": 7})
-
-    def test_minimal_toml_parser_matches_tomllib(self):
-        """The 3.10 fallback parser reads the repo's real config the same
-        way tomllib does (multi-line arrays, comments, sub-tables)."""
-        tomllib = pytest.importorskip("tomllib")
-        text = (REPO_ROOT / "pyproject.toml").read_text()
-        expected = tomllib.loads(text).get("tool", {}).get("repro-lint", {})
-        assert _parse_minimal_toml(text, "repro-lint") == expected
-        assert "DET001" in _parse_minimal_toml(text, "repro-lint")["allow"]
 
 
 class TestReportSchema:

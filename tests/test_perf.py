@@ -152,12 +152,12 @@ class TestProfiler:
 
 class TestRegressionGate:
     def test_within_tolerance_passes(self):
-        baseline = {"fig9": BaselineEntry(1000.0, 500, 0.5)}
+        baseline = {"fig9@smoke": BaselineEntry(1000.0, 500, 0.5)}
         measured = [make_bench(events_per_sec=850.0)]  # -15% with 20% tolerance
         assert check_regressions(measured, baseline, tolerance=0.2) == []
 
     def test_regression_detected_and_described(self):
-        baseline = {"fig9": BaselineEntry(1000.0, 400, 0.5)}
+        baseline = {"fig9@smoke": BaselineEntry(1000.0, 400, 0.5)}
         measured = [make_bench(events_per_sec=700.0)]  # -30%
         found = check_regressions(measured, baseline, tolerance=0.2)
         assert len(found) == 1
@@ -169,7 +169,7 @@ class TestRegressionGate:
         assert "fig9" in text and "30.0%" in text and "event count changed" in text
 
     def test_experiments_missing_from_baseline_are_skipped(self):
-        baseline = {"other": BaselineEntry(1e9, 1, 1.0)}
+        baseline = {"other@smoke": BaselineEntry(1e9, 1, 1.0)}
         assert check_regressions([make_bench()], baseline) == []
 
     def test_baseline_round_trip(self, tmp_path):
@@ -184,9 +184,10 @@ class TestRegressionGate:
         with pytest.raises(ExperimentError, match="no baseline"):
             load_baseline(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema_version": 99, "entries": {}}))
-        with pytest.raises(ExperimentError, match="schema version"):
-            load_baseline(bad)
+        for version in (1, 99):  # bare-id v1 files are no longer read
+            bad.write_text(json.dumps({"schema_version": version, "entries": {}}))
+            with pytest.raises(ExperimentError, match="schema version"):
+                load_baseline(bad)
         with pytest.raises(ExperimentError, match="zero bench"):
             write_baseline([], tmp_path / "b.json", "smoke")
         with pytest.raises(ExperimentError, match="tolerance"):
@@ -250,10 +251,10 @@ class TestPerfCLI:
         baseline.write_text(
             json.dumps(
                 {
-                    "schema_version": 1,
+                    "schema_version": 2,
                     "scale": "smoke",
                     "entries": {
-                        "tab1": {
+                        "tab1@smoke": {
                             "events_per_sec": 1e12,  # unreachable old floor
                             "events_processed": 1,
                             "wall_clock_best": 1.0,
@@ -271,7 +272,6 @@ class TestPerfCLI:
         # the same file was refreshed afterwards
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().err
-        # the refreshed file is schema v2, keyed per rung
         assert load_baseline(baseline)["tab1@smoke"].events_per_sec < 1e12
 
 

@@ -11,8 +11,14 @@ from repro.experiments.perturbed import (
     MPIL_PER_FLOW_REPLICAS,
     VARIANT_LABELS,
     build_testbed,
+    iter_stage2_lookups,
     run_cell,
+    variant_views,
 )
+from repro.pastry.rejoin import IntervalRejoinAvailability
+from repro.pastry.views import ProbedViewOracle
+from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
+from repro.sim.counters import TrafficCounters
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +91,116 @@ class TestRunCell:
         b = run_cell(testbed, "30:30", 0.7, 8, variants=("pastry",))
         assert a[0].success_rate == b[0].success_rate
         assert a[0].lookup_messages == b[0].lookup_messages
+
+
+@pytest.fixture(scope="module")
+def schedule(testbed):
+    return FlappingSchedule(
+        FlappingConfig.from_label("30:30", 0.5),
+        testbed.pastry.n,
+        seed=(0, "harness-flap"),
+        always_online={testbed.client},
+    )
+
+
+class TestVariantViews:
+    @pytest.mark.parametrize("variant", ("mpil-ds", "mpil-nods"))
+    def test_mpil_sees_the_raw_schedule(self, testbed, schedule, variant):
+        assert variant_views(testbed, variant, schedule, (0, "v"), rejoin_seed=(0, "r")) == (
+            schedule,
+            None,
+        )
+
+    @pytest.mark.parametrize("variant", ("pastry", "pastry-rr"))
+    def test_pastry_sees_it_through_probed_views(self, testbed, schedule, variant):
+        availability, views = variant_views(testbed, variant, schedule, (0, "v"))
+        assert availability is schedule
+        assert isinstance(views, ProbedViewOracle)
+        assert views.schedule is schedule
+
+    @pytest.mark.parametrize("variant", ("pastry", "pastry-rr"))
+    def test_rejoin_seed_puts_interval_rejoin_underneath(
+        self, testbed, schedule, variant
+    ):
+        availability, views = variant_views(
+            testbed, variant, schedule, (0, "v"), rejoin_seed=(0, "r")
+        )
+        assert isinstance(availability, IntervalRejoinAvailability)
+        assert isinstance(views, ProbedViewOracle)
+        assert views.schedule is availability
+
+
+class TestStage2Loop:
+    INDICES = (0, 3, 7, 21)  # 21 wraps around the 20 stage-1 objects
+    SPACING = 45.0
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_outcomes_equal_direct_calls(self, schedule, variant):
+        # two identically built testbeds: a timed MPIL network's reply
+        # order depends on its own call history, so each side gets its own
+        loop_bed = build_testbed(num_nodes=70, num_inserts=20, seed=0)
+        direct_bed = build_testbed(num_nodes=70, num_inserts=20, seed=0)
+        seeds = {"views_seed": (0, "harness-views"), "rejoin_seed": (0, "rejoin")}
+        counters = TrafficCounters()
+        got = list(
+            iter_stage2_lookups(
+                loop_bed,
+                variant,
+                self.INDICES,
+                self.SPACING,
+                *variant_views(loop_bed, variant, schedule, **seeds),
+                counters,
+            )
+        )
+        availability, views = variant_views(direct_bed, variant, schedule, **seeds)
+        direct = TrafficCounters()
+        expected = []
+        for i in self.INDICES:
+            start = self.SPACING * (i + 1)
+            if variant.startswith("pastry"):
+                objects = (
+                    direct_bed.objects_plain
+                    if variant == "pastry"
+                    else direct_bed.objects_rr
+                )
+                outcome = direct_bed.pastry.lookup(
+                    direct_bed.client,
+                    objects[i % 20],
+                    start_time=start,
+                    availability=availability,
+                    views=views,
+                    counters=direct,
+                )
+            else:
+                direct_bed.mpil.availability = schedule
+                outcome = direct_bed.mpil.lookup_at(
+                    direct_bed.client,
+                    direct_bed.objects_mpil[i % 20],
+                    start_time=start,
+                    duplicate_suppression=variant == "mpil-ds",
+                )
+                direct.merge(outcome.counters)
+            expected.append((i, outcome))
+        assert got == expected
+        assert counters == direct
+        assert counters.messages_sent > 0
+
+    def test_unknown_variant_rejected(self, testbed, schedule):
+        with pytest.raises(ExperimentError, match="unknown variant"):
+            next(iter_stage2_lookups(testbed, "chord", (0,), 60.0, schedule))
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_no_lookups_is_one_line_error(self, testbed, schedule, variant):
+        with pytest.raises(ExperimentError, match="at least one lookup") as info:
+            next(iter_stage2_lookups(testbed, variant, range(0), 60.0, schedule))
+        assert "\n" not in str(info.value)
+
+    def test_empty_stage1_pool_is_one_line_error(self, schedule):
+        empty = build_testbed(num_nodes=70, num_inserts=0, seed=0)
+        for variant in ALL_VARIANTS:
+            with pytest.raises(ExperimentError, match="0 object"):
+                next(iter_stage2_lookups(empty, variant, range(3), 60.0, schedule))
+        with pytest.raises(ExperimentError, match="0 object"):
+            run_cell(empty, "30:30", 0.5, 3)
+        with pytest.raises(ExperimentError, match="0 lookup"):
+            run_cell(build_testbed(num_nodes=70, num_inserts=5, seed=0), "30:30", 0.5, 0)

@@ -1,4 +1,4 @@
-"""Tests for the scale ladder: grouped Scale sub-specs, the rung
+"""Tests for the scale ladder: the flat Scale dataclass, the rung
 registry, run budgets, the SoA node-array core, bulk availability
 bitmaps, and the multi-rung perf plumbing."""
 
@@ -25,7 +25,6 @@ from repro.experiments.registry import run_experiment
 from repro.experiments.scales import (
     BudgetSpec,
     Scale,
-    ServiceSpec,
     available_scales,
     get_scale,
     register_scale,
@@ -61,77 +60,57 @@ def scratch_rungs():
 
 
 # ---------------------------------------------------------------------------
-# Scale: grouped sub-specs with the flat legacy spelling
+# Scale: one frozen dataclass of flat fields plus the budget
 # ---------------------------------------------------------------------------
 
 
 class TestScaleStructure:
-    def test_flat_and_grouped_constructions_are_equal(self):
-        flat = Scale(
-            name="x",
-            static_node_counts=(120,),
-            static_graphs=1,
-            static_ops=4,
-            analysis_node_counts=(1000,),
-            analysis_degrees=(10,),
-            complete_node_counts=(1000,),
-            pastry_nodes=50,
-            perturbed_inserts=5,
-            perturbed_lookups=5,
-            flap_probabilities=(0.5,),
-        )
-        grouped = Scale(
-            name="x",
-            static=flat.static,
-            analysis=flat.analysis,
-            perturb=flat.perturb,
-            service=flat.service,
-            budget=flat.budget,
-        )
-        assert flat == grouped
-
-    def test_every_flat_passthrough_reads_its_subspec(self):
-        smoke = SMOKE
-        assert smoke.static_node_counts == smoke.static.node_counts
-        assert smoke.static_graphs == smoke.static.graphs
-        assert smoke.static_ops == smoke.static.ops
-        assert smoke.analysis_node_counts == smoke.analysis.node_counts
-        assert smoke.analysis_degrees == smoke.analysis.degrees
-        assert smoke.complete_node_counts == smoke.analysis.complete_node_counts
-        assert smoke.pastry_nodes == smoke.perturb.pastry_nodes
-        assert smoke.perturbed_inserts == smoke.perturb.inserts
-        assert smoke.perturbed_lookups == smoke.perturb.lookups
-        assert smoke.flap_probabilities == smoke.perturb.flap_probabilities
-        assert smoke.outage_severities == smoke.perturb.outage_severities
-        assert smoke.wave_intensities == smoke.perturb.wave_intensities
-        assert smoke.storm_fractions == smoke.perturb.storm_fractions
-        assert smoke.removal_fractions == smoke.perturb.removal_fractions
-        assert smoke.service_duration == smoke.service.duration
-        assert smoke.service_rate == smoke.service.rate
-        assert smoke.service_window == smoke.service.window
-        assert smoke.service_loads == smoke.service.loads
-
-    def test_mixing_subspec_and_flat_field_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            Scale(name="x", service=ServiceSpec(), service_rate=2.0)
+    def test_fields_are_name_the_flat_knobs_and_budget(self):
+        assert [field.name for field in dataclasses.fields(Scale)] == [
+            "name",
+            "static_node_counts",
+            "static_graphs",
+            "static_ops",
+            "analysis_node_counts",
+            "analysis_degrees",
+            "complete_node_counts",
+            "pastry_nodes",
+            "perturbed_inserts",
+            "perturbed_lookups",
+            "flap_probabilities",
+            "outage_severities",
+            "wave_intensities",
+            "storm_fractions",
+            "removal_fractions",
+            "service_duration",
+            "service_rate",
+            "service_window",
+            "service_loads",
+            "budget",
+        ]
+        # one spelling: plain fields, no hand-written __init__, no views
+        assert not [v for v in vars(Scale).values() if isinstance(v, property)]
 
     def test_unknown_flat_field_rejected(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
+        with pytest.raises(TypeError, match="unexpected keyword") as info:
             Scale(name="x", warp_factor=9)
+        assert "\n" not in str(info.value)
 
     def test_evolve_flat_field(self):
         evolved = SMOKE.evolve(pastry_nodes=123)
         assert evolved.pastry_nodes == 123
-        assert evolved.name == "smoke"
-        assert evolved.static == SMOKE.static
-        assert evolved.service == SMOKE.service
+        assert evolved == dataclasses.replace(SMOKE, pastry_nodes=123)
 
     def test_evolve_whole_subspec_and_name(self):
         budget = BudgetSpec(max_wall_s=60.0)
         evolved = SMOKE.evolve(name="capped", budget=budget)
-        assert evolved.name == "capped"
         assert evolved.budget is budget
-        assert evolved.perturb == SMOKE.perturb
+        assert evolved == dataclasses.replace(SMOKE, name="capped", budget=budget)
+
+    def test_evolve_budget_shorthand_keeps_the_other_ceiling(self):
+        capped = SMOKE.evolve(max_rss_mb=512.0).evolve(max_wall_s=60.0)
+        assert capped.budget == BudgetSpec(max_rss_mb=512.0, max_wall_s=60.0)
+        assert dataclasses.replace(capped, budget=SMOKE.budget) == SMOKE
 
     def test_evolve_unknown_field_is_one_line_error(self):
         with pytest.raises(ExperimentError, match="unknown scale field") as info:

@@ -323,6 +323,20 @@ class TestCompose:
         with pytest.raises(ExperimentError, match=fragment):
             compose_spec(source)
 
+    @pytest.mark.parametrize(
+        "field, fragment",
+        [("perturbed_lookups", "0 lookup"), ("perturbed_inserts", "0 object")],
+    )
+    def test_empty_stage2_is_a_one_line_error(self, field, fragment):
+        """A ``[scale]`` table is outside input: zero lookups (or an empty
+        stage-1 pool) used to die with a ZeroDivisionError traceback."""
+        source = _composed_source()
+        del source["workload"]["window"]  # a window always keeps one lookup
+        source["scale"] = {field: 0}
+        with pytest.raises(ExperimentError, match=fragment) as info:
+            api.run(api.compose(source), scale="smoke")
+        assert "\n" not in str(info.value)
+
 
 def _service_source(experiment_id: str = "composed-service") -> dict:
     source = _composed_source(experiment_id)
@@ -450,7 +464,6 @@ class TestApiFacade:
         assert "composed-registered" not in all_experiment_ids()
 
     def test_compose_from_toml_file(self, tmp_path):
-        tomllib = pytest.importorskip("tomllib")  # noqa: F841 - 3.11+ only
         toml_text = """
 [experiment]
 id = "composed-from-file"
