@@ -30,7 +30,8 @@ import pytest
 
 from repro.experiments.registry import run_experiment
 from repro.experiments.store import ResultStore
-from repro.sim.engine import events_processed_total, reset_events_processed
+from repro.sim.engine import events_processed_total
+from repro.telemetry import reset_runtime_metrics
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +56,7 @@ def run_and_print(benchmark, bench_scale, bench_seed, bench_store):
     the result store, and print the table reloaded from the artifact."""
 
     def runner(experiment_id: str):
-        reset_events_processed()
+        reset_runtime_metrics()
         started = time.perf_counter()
         fresh = benchmark.pedantic(
             run_experiment,

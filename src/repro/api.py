@@ -108,7 +108,7 @@ def scales() -> list[Scale]:
 
     >>> from repro import api
     >>> [s.name for s in api.scales()][:3]
-    ['default', 'large', 'massive']
+    ['default', 'large', 'paper']
     """
     return list(all_scales())
 

@@ -1,6 +1,6 @@
 """Run budgets: the scale ladder's wall-clock and memory guard rails.
 
-The ``large`` and ``massive`` rungs carry a
+The ``large`` rung (and any registered rung that sets one) carries a
 :class:`~repro.experiments.scales.BudgetSpec`; a run that blows past it
 should fail fast with a one-line :class:`~repro.errors.ExperimentError`
 instead of grinding the machine for hours or getting OOM-killed halfway

@@ -103,7 +103,8 @@ from repro.lint import all_rules, get_rule, lint_paths, load_config
 from repro.perf.profiler import profile_experiment, write_bench
 from repro.perf.regression import check_budgets, check_regressions, write_baseline
 from repro.perturbation.scenario import get_family, scenario_families, scenarios_for
-from repro.telemetry import Telemetry
+from repro.sim.engine import events_processed_total
+from repro.telemetry import Telemetry, reset_runtime_metrics
 from repro.telemetry.progress import ProgressMeter, service_window_line
 from repro.telemetry.sinks import render_hop_tree, write_jsonl
 from repro.util.cache import clear_all_caches
@@ -560,10 +561,17 @@ def _make_store(out: pathlib.Path) -> ResultStore:
 def _persist_replicate(
     store: ResultStore, result, seed: int, elapsed: float, text: str
 ) -> None:
-    """``--out`` behaviour shared by ``run`` and ``compose``: store the
-    replicate JSON (+ manifest) plus a legacy seed-qualified table file
-    (seed in the name so replicates never overwrite each other)."""
-    store.save(result, seed=seed, wall_clock=elapsed)
+    """``--out`` behaviour shared by ``run``, ``compose`` and ``serve``:
+    store the replicate JSON (+ manifest) plus a legacy seed-qualified
+    table file (seed in the name so replicates never overwrite each other).
+    The handler zeroed the runtime metrics before the run, so the process
+    event total is this run's count."""
+    store.save(
+        result,
+        seed=seed,
+        wall_clock=elapsed,
+        events_processed=events_processed_total(),
+    )
     path = store.root / f"{result.experiment_id}_{result.scale}_seed{seed}.txt"
     path.write_text(text + "\n")
 
@@ -587,6 +595,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry = (
             Telemetry.with_spans() if args.trace is not None else Telemetry()
         )
+        reset_runtime_metrics()
         started = time.perf_counter()
         result = run_experiment(
             experiment_id, scale=args.scale, seed=args.seed, telemetry=telemetry
@@ -619,6 +628,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     # this process (duplicate ids fail with a one-line error, which also
     # stops a spec file from shadowing a registered experiment).
     register(spec)
+    reset_runtime_metrics()
     started = time.perf_counter()
     result = spec.run(scale=args.scale, seed=args.seed)
     elapsed = time.perf_counter() - started
@@ -642,6 +652,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.scale, rate=args.rate, duration=args.duration, window=args.window
     )
     telemetry = Telemetry()
+    reset_runtime_metrics()
     started = time.perf_counter()
     result = spec.run(scale=scale, seed=args.seed, telemetry=telemetry)
     elapsed = time.perf_counter() - started

@@ -99,7 +99,9 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from functools import partial
+from math import inf
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.perturbed import (
@@ -118,7 +120,6 @@ from repro.perturbation.outage import RegionalOutage, RegionalOutageConfig
 from repro.perturbation.storms import JoinStormConfig, JoinStormSchedule
 from repro.perturbation.timeline import ScenarioTimeline
 from repro.perturbation.waves import ChurnWaveConfig, ChurnWaveSchedule
-from repro.service.arrivals import ARRIVAL_KINDS
 from repro.service.driver import (
     SERVICE_COLUMNS,
     SERVICE_STAT_SUFFIXES,
@@ -131,154 +132,136 @@ from repro.util.toml import tomllib
 DEFAULT_VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
 DEFAULT_SPACING = 60.0
 
-#: scenario families composable from a spec: family -> (builder, parameter
-#: names).  Builders return an interval-reporting
-#: :class:`~repro.perturbation.base.AvailabilityProcess`; the loose return
-#: annotation mirrors the untyped ``availability`` parameter of the
-#: stage-2 drivers they feed.
-ScenarioBuilder = Callable[[Mapping[str, Any], PerturbationTestbed, object], Any]
 
+def _population_schedule(
+    schedule: Callable[..., Any],
+) -> Callable[[Any, PerturbationTestbed, object], Any]:
+    """Builder for the families whose process is one per-node schedule over
+    the whole Pastry population (the client never goes offline)."""
 
-def _build_flapping(
-    params: Mapping[str, Any], testbed: PerturbationTestbed, seed: object
-) -> FlappingSchedule:
-    config = FlappingConfig.from_label(
-        str(params["period"]), float(params["probability"])
-    )
-    return FlappingSchedule(
-        config, testbed.pastry.n, seed=seed, always_online={testbed.client}
-    )
+    def build(config: Any, testbed: PerturbationTestbed, seed: object) -> Any:
+        return schedule(
+            config, testbed.pastry.n, seed=seed, always_online={testbed.client}
+        )
 
-
-def _build_churn(
-    params: Mapping[str, Any], testbed: PerturbationTestbed, seed: object
-) -> ChurnSchedule:
-    config = ChurnConfig(
-        mean_session=float(params["mean_session"]),
-        mean_downtime=float(params["mean_downtime"]),
-    )
-    return ChurnSchedule(
-        config, testbed.pastry.n, seed=seed, always_online={testbed.client}
-    )
-
-
-def _build_wave(
-    params: Mapping[str, Any], testbed: PerturbationTestbed, seed: object
-) -> ChurnWaveSchedule:
-    config = ChurnWaveConfig(
-        mean_session=float(params["mean_session"]),
-        mean_downtime=float(params["mean_downtime"]),
-        wave_period=float(params["wave_period"]),
-        wave_duration=float(params["wave_duration"]),
-        intensity=float(params["intensity"]),
-    )
-    return ChurnWaveSchedule(
-        config, testbed.pastry.n, seed=seed, always_online={testbed.client}
-    )
-
-
-def _build_storm(
-    params: Mapping[str, Any], testbed: PerturbationTestbed, seed: object
-) -> JoinStormSchedule:
-    config = JoinStormConfig(
-        arrival_time=float(params["arrival_time"]),
-        late_fraction=float(params["late_fraction"]),
-    )
-    return JoinStormSchedule(
-        config, testbed.pastry.n, seed=seed, always_online={testbed.client}
-    )
+    return build
 
 
 def _build_outage(
-    params: Mapping[str, Any], testbed: PerturbationTestbed, seed: object
+    config: RegionalOutageConfig, testbed: PerturbationTestbed, seed: object
 ) -> RegionalOutage:
-    config = RegionalOutageConfig(
-        start=float(params["start"]),
-        duration=float(params["duration"]),
-        severity=float(params["severity"]),
-    )
     return RegionalOutage(
         testbed.regions, config, seed=seed, always_online={testbed.client}
     )
 
 
 def _build_adversarial(
-    params: Mapping[str, Any], testbed: PerturbationTestbed, seed: object
+    config: AdversarialRemovalConfig, testbed: PerturbationTestbed, seed: object
 ) -> AdversarialRemoval:
-    config = AdversarialRemovalConfig(
-        fraction=float(params["fraction"]),
-        start=float(params["start"]),
-        targeting=str(params.get("targeting", "degree")),
-    )
     return AdversarialRemoval.from_overlay(
         testbed.mpil.overlay, config, seed=seed, always_online={testbed.client}
     )
 
 
-SCENARIO_BUILDERS: dict[str, ScenarioBuilder] = {
-    "flapping": _build_flapping,
-    "churn": _build_churn,
-    "churn-wave": _build_wave,
-    "join-storm": _build_storm,
-    "regional-outage": _build_outage,
-    "adversarial-removal": _build_adversarial,
-}
+class _Family(NamedTuple):
+    """One composable scenario family.
 
-#: per-family parameter schema: name -> kind ("float" or "str"); every
-#: parameter is required unless listed in ``_OPTIONAL_PARAMS``
-_FAMILY_PARAMS: dict[str, dict[str, str]] = {
-    "flapping": {"period": "str", "probability": "float"},
-    "churn": {"mean_session": "float", "mean_downtime": "float"},
-    "churn-wave": {
-        "mean_session": "float",
-        "mean_downtime": "float",
-        "wave_period": "float",
-        "wave_duration": "float",
-        "intensity": "float",
-    },
-    "join-storm": {"arrival_time": "float", "late_fraction": "float"},
-    "regional-outage": {"start": "float", "duration": "float", "severity": "float"},
-    "adversarial-removal": {"fraction": "float", "start": "float", "targeting": "str"},
-}
+    ``schema`` maps parameter name to the type it is coerced to (``float``
+    or ``str``); every parameter is required unless listed in ``optional``.  ``config``
+    takes the coerced parameters as keywords and returns the family's
+    validated config object (raising ``ConfigurationError`` on a bad
+    range); ``build`` turns that config into an interval-reporting
+    :class:`~repro.perturbation.base.AvailabilityProcess` — its loose
+    return annotation mirrors the untyped ``availability`` parameter of
+    the stage-2 drivers it feeds.
+    """
 
-_OPTIONAL_PARAMS: dict[str, frozenset[str]] = {
-    "adversarial-removal": frozenset({"targeting"}),
+    schema: Mapping[str, type]
+    config: Callable[..., Any]
+    build: Callable[[Any, PerturbationTestbed, object], Any]
+    optional: frozenset[str] = frozenset()
+
+
+SCENARIO_FAMILIES: dict[str, _Family] = {
+    "flapping": _Family(
+        {"period": str, "probability": float},
+        lambda period, probability: FlappingConfig.from_label(period, probability),
+        _population_schedule(FlappingSchedule),
+    ),
+    "churn": _Family(
+        {"mean_session": float, "mean_downtime": float},
+        ChurnConfig,
+        _population_schedule(ChurnSchedule),
+    ),
+    "churn-wave": _Family(
+        {
+            "mean_session": float,
+            "mean_downtime": float,
+            "wave_period": float,
+            "wave_duration": float,
+            "intensity": float,
+        },
+        ChurnWaveConfig,
+        _population_schedule(ChurnWaveSchedule),
+    ),
+    "join-storm": _Family(
+        {"arrival_time": float, "late_fraction": float},
+        JoinStormConfig,
+        _population_schedule(JoinStormSchedule),
+    ),
+    "regional-outage": _Family(
+        {"start": float, "duration": float, "severity": float},
+        RegionalOutageConfig,
+        _build_outage,
+    ),
+    "adversarial-removal": _Family(
+        {"fraction": float, "start": float, "targeting": str},
+        AdversarialRemovalConfig,
+        _build_adversarial,
+        optional=frozenset({"targeting"}),
+    ),
 }
 
 #: the [service] table's parameter schema; every parameter is optional
 #: (scale presets supply rate/duration/window, :class:`ServiceConfig` /
 #: :class:`SLOPolicy` defaults cover the rest)
-_SERVICE_PARAMS: dict[str, str] = {
-    "rate": "float",
-    "duration": "float",
-    "window": "float",
-    "arrival": "str",
-    "insert_fraction": "float",
-    "slo_latency": "float",
-    "slo_availability": "float",
+_SERVICE_PARAMS: dict[str, type] = {
+    "rate": float,
+    "duration": float,
+    "window": float,
+    "arrival": str,
+    "insert_fraction": float,
+    "slo_latency": float,
+    "slo_availability": float,
 }
 
 
-def _validate_period(value: Any) -> None:
-    try:
-        FlappingConfig.from_label(str(value), 0.5)
-    except ConfigurationError as exc:
-        raise ExperimentError(str(exc)) from None
+def _service_config(scale: Optional[Scale], **params: Any) -> ServiceConfig:
+    """The ``[service]`` table's config object.
 
-
-def _validate_targeting(value: Any) -> None:
-    if value not in ("degree", "random"):
-        raise ExperimentError(
-            f"targeting must be 'degree' or 'random', got {value!r}"
-        )
-
-
-#: compose-time validators for str-kind parameters, so bad values (or bad
-#: axis substitutions) fail before the testbed is built
-_STR_VALIDATORS: dict[tuple[str, str], Callable[[Any], None]] = {
-    ("flapping", "period"): _validate_period,
-    ("adversarial-removal", "targeting"): _validate_targeting,
-}
+    ``scale`` supplies the run's rate/duration/window defaults.  At compose
+    time there is no scale yet (``None``): a missing one of the three then
+    takes a value that cannot fail, so only what the table says is judged.
+    """
+    if scale is None:
+        duration = params.get("duration", inf)
+        rate, window = params.get("rate", 1.0), params.get("window", duration)
+    else:
+        duration = params.get("duration", float(scale.service_duration))
+        rate = params.get("rate", float(scale.service_rate))
+        window = params.get("window", float(scale.service_window))
+    defaults = SLOPolicy()
+    return ServiceConfig(
+        duration=duration,
+        rate=rate,
+        window=window,
+        arrival=params.get("arrival", "poisson"),
+        insert_fraction=params.get("insert_fraction", 0.0),
+        slo=SLOPolicy(
+            latency_p99=params.get("slo_latency", defaults.latency_p99),
+            availability=params.get("slo_availability", defaults.availability),
+        ),
+    )
 
 
 def load_spec_file(path: Union[str, pathlib.Path]) -> dict[str, Any]:
@@ -325,107 +308,63 @@ def _require_table(source: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     return value
 
 
-def _substitute(value: Any, column: str, cell: Any, family: str) -> Any:
-    """Replace ``"$<column>"`` placeholders with the sweep cell's value."""
-    if isinstance(value, str) and value.startswith("$"):
-        if value[1:] != column:
-            raise ExperimentError(
-                f"scenario {family!r} references unknown sweep axis {value!r}; "
-                f"the sweep column is {column!r}"
-            )
-        return cell
-    return value
-
-
-def _check_params(
-    family: str,
+def _cell_config(
+    schema: Mapping[str, type],
+    config: Callable[..., Any],
     table: Mapping[str, Any],
+    what: str,
+    column: str,
+    cell: Any,
+) -> Any:
+    """One sweep cell's config object from a parameter table:
+    ``"$<column>"`` placeholders take the cell's value, each parameter is
+    coerced to its schema type, and ``config`` validates the ranges."""
+    params: dict[str, Any] = {}
+    for name, value in table.items():
+        if isinstance(value, str) and value.startswith("$"):
+            if value[1:] != column:
+                raise ExperimentError(
+                    f"{what} references unknown sweep axis {value!r}; "
+                    f"the sweep column is {column!r}"
+                )
+            value = cell
+        if schema[name] is float:
+            params[name] = _require_float(value, f"parameter {name!r} of {what}")
+        else:
+            params[name] = str(value)
+    try:
+        return config(**params)
+    except ConfigurationError as exc:
+        raise ExperimentError(str(exc)) from None
+
+
+def _check_table(
+    schema: Mapping[str, type],
+    optional: frozenset[str],
+    config: Callable[..., Any],
+    table: Mapping[str, Any],
+    what: str,
     column: str,
     axis_values: Sequence[Any],
 ) -> None:
-    """Validate one scenario table fully at compose time: parameter names,
-    required parameters, axis references, and numeric coercibility — so a
-    bad description never gets as far as building a testbed."""
-    schema = _FAMILY_PARAMS[family]
-    optional = _OPTIONAL_PARAMS.get(family, frozenset())
-    provided = set(table) - {"family"}
-    unknown = provided - set(schema)
+    """Validate one parameter table fully at compose time: parameter names,
+    required parameters, axis references, numeric coercibility and value
+    ranges, the last three for *every* sweep value — so a bad description
+    never gets as far as building a testbed, let alone measuring the cells
+    before the bad one."""
+    unknown = set(table) - set(schema)
     if unknown:
         raise ExperimentError(
-            f"unknown parameter(s) {sorted(unknown)} for scenario family "
-            f"{family!r}; allowed: {sorted(schema)}"
+            f"unknown parameter(s) {sorted(unknown)} for {what}; "
+            f"allowed: {sorted(schema)}"
         )
-    missing = set(schema) - optional - provided
+    missing = set(schema) - optional - set(table)
     if missing:
         raise ExperimentError(
-            f"missing required parameter(s) {sorted(missing)} for scenario "
-            f"family {family!r}"
+            f"missing required parameter(s) {sorted(missing)} for {what}"
         )
-    for name in sorted(provided):
-        value = table[name]
-        # axis references fail here, not mid-sweep; a placeholder must also
-        # coerce for *every* sweep value, not just the first
-        candidates = (
-            list(axis_values)
-            if isinstance(value, str) and value.startswith("$")
-            else [value]
-        )
-        _substitute(value, column, axis_values[0], family)
-        if schema[name] == "float":
-            for candidate in candidates:
-                try:
-                    float(candidate)
-                except (TypeError, ValueError):
-                    raise ExperimentError(
-                        f"parameter {name!r} of scenario family {family!r} "
-                        f"must be a number, got {candidate!r}"
-                    ) from None
-        else:
-            validator = _STR_VALIDATORS.get((family, name))
-            if validator is not None:
-                for candidate in candidates:
-                    validator(candidate)
-
-
-def _validate_arrival(value: Any) -> None:
-    if value not in ARRIVAL_KINDS:
-        raise ExperimentError(
-            f"service arrival must be one of {list(ARRIVAL_KINDS)}, got {value!r}"
-        )
-
-
-def _check_service_params(
-    table: Mapping[str, Any], column: str, axis_values: Sequence[Any]
-) -> None:
-    """Validate a [service] table fully at compose time, mirroring
-    :func:`_check_params`: unknown keys, axis references, and numeric
-    coercibility for every sweep value."""
-    unknown = set(table) - set(_SERVICE_PARAMS)
-    if unknown:
-        raise ExperimentError(
-            f"unknown parameter(s) {sorted(unknown)} in the [service] table; "
-            f"allowed: {sorted(_SERVICE_PARAMS)}"
-        )
-    for name in sorted(table):
-        value = table[name]
-        candidates = (
-            list(axis_values)
-            if isinstance(value, str) and value.startswith("$")
-            else [value]
-        )
-        _substitute(value, column, axis_values[0], "service")
-        if _SERVICE_PARAMS[name] == "float":
-            for candidate in candidates:
-                try:
-                    float(candidate)
-                except (TypeError, ValueError):
-                    raise ExperimentError(
-                        f"parameter {name!r} of the [service] table must be "
-                        f"a number, got {candidate!r}"
-                    ) from None
-        else:
-            for candidate in candidates:
-                _validate_arrival(candidate)
+    for cell in axis_values:
+        _cell_config(schema, config, table, what, column, cell)
 
 
 _BUDGET_KEYS = ("max_rss_mb", "max_wall_s")
@@ -502,18 +441,29 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
     scenarios = source.get("scenario")
     if not _is_list(scenarios) or not scenarios:
         raise ExperimentError("spec needs at least one [[scenario]] table")
-    scenario_tables: list[Mapping[str, Any]] = []
+    #: (family name, its parameter table) per [[scenario]], in file order
+    scenario_tables: list[tuple[str, Mapping[str, Any]]] = []
     for table in scenarios:
         if not isinstance(table, Mapping) or "family" not in table:
             raise ExperimentError("every [[scenario]] table needs a 'family' key")
-        family = str(table["family"])
-        if family not in SCENARIO_BUILDERS:
+        name = str(table["family"])
+        if name not in SCENARIO_FAMILIES:
             raise ExperimentError(
-                f"unknown scenario family {family!r}; "
-                f"choose from {sorted(SCENARIO_BUILDERS)}"
+                f"unknown scenario family {name!r}; "
+                f"choose from {sorted(SCENARIO_FAMILIES)}"
             )
-        _check_params(family, table, column, axis_values)
-        scenario_tables.append(table)
+        family = SCENARIO_FAMILIES[name]
+        params = {key: value for key, value in table.items() if key != "family"}
+        _check_table(
+            family.schema,
+            family.optional,
+            family.config,
+            params,
+            f"scenario family {name!r}",
+            column,
+            axis_values,
+        )
+        scenario_tables.append((name, params))
 
     variants_table = source.get("variants", {})
     if not isinstance(variants_table, Mapping):
@@ -567,21 +517,24 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
             raise ExperimentError("[scale] must be a table")
         scale_transform = _compose_scale_transform(raw_scale)
 
-    raw_service = source.get("service")
-    service_table: Optional[Mapping[str, Any]] = None
-    if raw_service is not None:
-        if not isinstance(raw_service, Mapping):
+    service_table = source.get("service")
+    if service_table is not None:
+        if not isinstance(service_table, Mapping):
             raise ExperimentError("[service] must be a table")
         if isinstance(workload, Mapping) and workload:
             raise ExperimentError(
                 "give either a [workload] table (spaced lookups) or a "
                 "[service] table (open-loop traffic), not both"
             )
-        _check_service_params(raw_service, column, axis_values)
-        service_table = raw_service
-    # measure_service is only wired into the pipeline when the table
-    # exists; the empty fallback just keeps its closure total
-    service_params: Mapping[str, Any] = service_table if service_table is not None else {}
+        _check_table(
+            _SERVICE_PARAMS,
+            frozenset(_SERVICE_PARAMS),
+            partial(_service_config, None),
+            service_table,
+            "the [service] table",
+            column,
+            axis_values,
+        )
 
     def build(ctx: RunContext) -> PerturbationTestbed:
         return build_testbed(
@@ -600,16 +553,18 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
 
     def _cell_schedule(ctx: RunContext, testbed: PerturbationTestbed, cell: Any) -> Any:
         processes: list[Any] = []
-        for index, table in enumerate(scenario_tables):
-            family = str(table["family"])
-            params = {
-                key: _substitute(value, column, cell, family)
-                for key, value in table.items()
-                if key != "family"
-            }
-            builder = SCENARIO_BUILDERS[family]
+        for index, (name, params) in enumerate(scenario_tables):
+            family = SCENARIO_FAMILIES[name]
+            config = _cell_config(
+                family.schema,
+                family.config,
+                params,
+                f"scenario family {name!r}",
+                column,
+                cell,
+            )
             processes.append(
-                builder(params, testbed, (ctx.seed, "compose", index, family))
+                family.build(config, testbed, (ctx.seed, "compose", index, name))
             )
         return processes[0] if len(processes) == 1 else ScenarioTimeline(processes)
 
@@ -637,24 +592,16 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
     def measure_service(
         ctx: RunContext, testbed: PerturbationTestbed, cell: Any
     ) -> Iterable[tuple]:
+        # only wired into the pipeline when the [service] table exists
+        assert service_table is not None
         schedule = _cell_schedule(ctx, testbed, cell)
-        params = {
-            key: _substitute(value, column, cell, "service")
-            for key, value in service_params.items()
-        }
-        defaults = SLOPolicy()
-        config = ServiceConfig(
-            duration=float(params.get("duration", ctx.scale.service_duration)),
-            rate=float(params.get("rate", ctx.scale.service_rate)),
-            window=float(params.get("window", ctx.scale.service_window)),
-            arrival=str(params.get("arrival", "poisson")),
-            insert_fraction=float(params.get("insert_fraction", 0.0)),
-            slo=SLOPolicy(
-                latency_p99=float(params.get("slo_latency", defaults.latency_p99)),
-                availability=float(
-                    params.get("slo_availability", defaults.availability)
-                ),
-            ),
+        config = _cell_config(
+            _SERVICE_PARAMS,
+            partial(_service_config, ctx.scale),
+            service_table,
+            "the [service] table",
+            column,
+            cell,
         )
         # one arrival plan for every cell (the sweep varies only the
         # perturbation or substituted service parameters), per-cell
@@ -670,11 +617,8 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
         return [(cell, *row) for row in rows]
 
     summary = " + ".join(
-        "{}({})".format(
-            table["family"],
-            ", ".join(f"{k}={v}" for k, v in table.items() if k != "family"),
-        )
-        for table in scenario_tables
+        "{}({})".format(name, ", ".join(f"{k}={v}" for k, v in params.items()))
+        for name, params in scenario_tables
     )
     if service_table is not None:
         service_summary = (

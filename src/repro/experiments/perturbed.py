@@ -69,6 +69,12 @@ class PerturbationTestbed:
     #: region key for correlated outages (``ext-outage``)
     regions: list[int] = dataclasses.field(default_factory=list)
 
+    def objects_for(self, variant: str) -> list[Identifier]:
+        """The stage-1 objects ``variant`` looks up."""
+        return {"pastry": self.objects_plain, "pastry-rr": self.objects_rr}.get(
+            variant, self.objects_mpil
+        )
+
 
 #: the underlay, attachment, latency model, and region map are pure
 #: functions of (num_nodes, seed); stable latency identity here is also
@@ -179,10 +185,7 @@ def iter_stage2_lookups(
     """
     if variant not in ALL_VARIANTS:
         raise ExperimentError(f"unknown variant {variant!r}")
-    objects = {
-        "pastry": testbed.objects_plain,
-        "pastry-rr": testbed.objects_rr,
-    }.get(variant, testbed.objects_mpil)
+    objects = testbed.objects_for(variant)
     indices = tuple(indices)
     if not indices or not objects:
         raise ExperimentError(

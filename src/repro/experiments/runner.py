@@ -71,7 +71,6 @@ __all__ = [
     "SweepSpec",
     "TaskOutcome",
     "parse_seeds",
-    "run_and_store",
     "run_sweep",
 ]
 
@@ -289,23 +288,3 @@ def run_sweep(
         skipped=skipped,
         failures=failures,
     )
-
-
-def run_and_store(
-    experiment_id: str, scale: str, seed: int, store: ResultStore
-) -> ExperimentResult:
-    """Run one experiment through the store (the ``run`` command's path).
-
-    Equivalent to a one-task sweep without aggregation: the replicate is
-    persisted as ``seed_<n>.json`` with manifest provenance, and the fresh
-    result is returned.
-    """
-    outcome = execute_task((experiment_id, scale, seed))
-    store.save(
-        outcome.result,
-        seed=seed,
-        wall_clock=outcome.wall_clock,
-        events_processed=outcome.events_processed,
-        metrics=outcome.metrics,
-    )
-    return outcome.result

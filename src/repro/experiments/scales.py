@@ -4,14 +4,13 @@
 10 graphs per setting, 100 insert/lookup pairs each; 1000-node Pastry with
 1000 inserts + 1000 lookups).  ``default`` keeps every sweep dimension but
 shrinks sizes so the full benchmark suite finishes in minutes on a laptop;
-``smoke`` is for tests.  Above the paper sit the scale-ladder rungs:
-``large`` (10^5-node static overlays) and ``massive`` (10^6, opt-in — it is
-never a default and a single cell can run for hours on one core).  Both
-carry an explicit :class:`BudgetSpec`; exceeding it aborts the run with a
-one-line :class:`~repro.errors.ExperimentError` (see
-:mod:`repro.experiments.budget`) and the budget is recorded in every
-``BENCH_<id>.json`` the profiler writes.  EXPERIMENTS.md records which
-scale produced each reported number.
+``smoke`` is for tests.  Above the paper sits the scale-ladder rung
+``large`` (10^5-node static overlays).  It carries an explicit
+:class:`BudgetSpec`; exceeding it aborts the run with a one-line
+:class:`~repro.errors.ExperimentError` (see :mod:`repro.experiments.budget`)
+and the budget is recorded in every ``BENCH_<id>.json`` the profiler
+writes.  Anything bigger is registered from ``get_scale("large").evolve(...)``.
+EXPERIMENTS.md records which scale produced each reported number.
 
 A :class:`Scale` is one frozen dataclass of flat fields
 (``scale.pastry_nodes``, ``scale.static_ops``, …) — the names every
@@ -179,10 +178,10 @@ SCALES: dict[str, Scale] = {
         service_window=300.0,
         service_loads=(0.5, 1.0, 2.0, 4.0),
     ),
-    # -- the scale ladder (ROADMAP: 10^5-10^6 nodes on one machine).  Both
-    #    rungs carry enforced budgets; generation cost is dominated by the
-    #    pure-Python networkx pairing model (~75 s at 10^5 nodes, degree
-    #    100), everything after it runs on the struct-of-arrays core.
+    # -- the scale ladder (10^5 nodes on one machine), with an enforced
+    #    budget; generation cost is dominated by the pure-Python networkx
+    #    pairing model (~75 s at 10^5 nodes, degree 100), everything after
+    #    it runs on the struct-of-arrays core.
     "large": Scale(
         name="large",
         static_node_counts=(100_000,),
@@ -200,27 +199,6 @@ SCALES: dict[str, Scale] = {
         service_window=120.0,
         service_loads=(1.0, 2.0),
         budget=BudgetSpec(max_rss_mb=16384.0, max_wall_s=1800.0),
-    ),
-    # Opt-in: never a default, and a single static cell generates a
-    # 10^6-node overlay in pure-Python networkx first — expect hours on one
-    # core.  The budget is the guard rail, not a promise of comfort.
-    "massive": Scale(
-        name="massive",
-        static_node_counts=(1_000_000,),
-        static_graphs=1,
-        static_ops=50,
-        analysis_node_counts=(1_000_000,),
-        analysis_degrees=(10, 40, 100),
-        complete_node_counts=(200_000, 1_000_000),
-        pastry_nodes=20_000,
-        perturbed_inserts=500,
-        perturbed_lookups=500,
-        flap_probabilities=(0.2, 0.6, 1.0),
-        service_duration=1200.0,
-        service_rate=2.0,
-        service_window=120.0,
-        service_loads=(1.0,),
-        budget=BudgetSpec(max_rss_mb=98304.0, max_wall_s=21600.0),
     ),
 }
 

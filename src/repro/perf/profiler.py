@@ -37,7 +37,8 @@ from repro.experiments.budget import current_rss_mb
 from repro.experiments.registry import get_spec, run_experiment
 from repro.experiments.scales import Scale, get_scale
 from repro.experiments.store import git_revision
-from repro.sim.engine import events_processed_total, reset_events_processed
+from repro.sim.engine import events_processed_total
+from repro.telemetry import reset_runtime_metrics
 from repro.util.cache import clear_all_caches
 
 #: bumped on any incompatible BENCH_<id>.json layout change; version 2
@@ -208,7 +209,7 @@ def profile_experiment(
     for _ in range(repeats):
         if not warm:
             clear_all_caches()
-        reset_events_processed()
+        reset_runtime_metrics()
         started = time.perf_counter()
         run_experiment(experiment_id, scale=resolved, seed=seed)
         walls.append(time.perf_counter() - started)

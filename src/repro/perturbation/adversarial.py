@@ -55,7 +55,7 @@ class AdversarialRemovalConfig:
             raise ConfigurationError(f"removal start must be >= 0, got {self.start}")
         if self.targeting not in TARGETING_MODES:
             raise ConfigurationError(
-                f"unknown targeting {self.targeting!r}; choose from {TARGETING_MODES}"
+                f"targeting must be one of {TARGETING_MODES}, got {self.targeting!r}"
             )
 
     @property

@@ -189,6 +189,12 @@ def run_service(
     """
     if variant not in ALL_VARIANTS:
         raise ExperimentError(f"unknown variant {variant!r}")
+    pool = list(testbed.objects_for(variant))
+    if not pool:
+        raise ExperimentError(
+            "service mode needs at least one stage-1 object to look up "
+            "(perturbed_inserts), got an empty pool"
+        )
     plan = _build_plan(testbed, config, seed)
     client = testbed.client
     engine = EventScheduler()
@@ -201,9 +207,6 @@ def run_service(
         pastry = testbed.pastry
         directory = pastry.directory
         replicate = variant == "pastry-rr"
-        pool = list(
-            testbed.objects_plain if variant == "pastry" else testbed.objects_rr
-        )
 
         def issue_lookup(record: QueryRecord, key_draw: int) -> None:
             outcome = pastry.lookup(
@@ -231,7 +234,6 @@ def run_service(
         directory = mpil.directory
         mpil.availability = availability
         suppress = variant == "mpil-ds"
-        pool = list(testbed.objects_mpil)
 
         def issue_lookup(record: QueryRecord, key_draw: int) -> None:
             def complete(pending) -> None:

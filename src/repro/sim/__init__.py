@@ -22,7 +22,6 @@ from repro.sim.engine import (
     EventScheduler,
     add_events_processed,
     events_processed_total,
-    reset_events_processed,
 )
 from repro.sim.latency import ConstantLatency, LatencyModel, UnderlayLatency
 from repro.sim.rng import derive_rng, derive_seed
@@ -40,5 +39,4 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "events_processed_total",
-    "reset_events_processed",
 ]

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.experiments.cli import build_parser, main
+from repro.experiments.registry import run_experiment
+from repro.experiments.store import ResultStore
 
 
 class TestParser:
@@ -37,7 +39,7 @@ class TestParser:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown scale 'galactic'" in err
-        assert "large" in err and "massive" in err
+        assert "['default', 'large', 'paper', 'smoke']" in err
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep", "fig9"])
@@ -141,6 +143,16 @@ class TestMain:
         stored = tmp_path / "fig8" / "smoke" / "seed_2.json"
         assert stored.exists()
         assert (tmp_path / "fig8" / "smoke" / "manifest.json").exists()
+
+    def test_run_out_stores_result_and_event_count(self, tmp_path, capsys):
+        """``run --out`` used to record ``events_processed: 0``."""
+        assert main(["run", "fig9", "--scale", "smoke", "--seed", "4", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        store = ResultStore(tmp_path)
+        assert store.load("fig9", "smoke", 4) == run_experiment("fig9", scale="smoke", seed=4)
+        run = store.manifest("fig9", "smoke")["runs"]["seed_4"]
+        assert run["events_processed"] > 0
+        assert run["events_per_sec"] > 0
 
     def test_run_different_seeds_do_not_overwrite(self, tmp_path, capsys):
         assert main(["run", "fig7", "--scale", "smoke", "--seed", "0", "--out", str(tmp_path)]) == 0
@@ -271,6 +283,8 @@ class TestComposeMain:
         capsys.readouterr()
         assert (out / "cli-composed-out" / "smoke" / "seed_2.json").exists()
         assert (out / "cli-composed-out_smoke_seed2.txt").exists()
+        manifest = ResultStore(out).manifest("cli-composed-out", "smoke")
+        assert manifest["runs"]["seed_2"]["events_processed"] > 0
 
     def test_compose_rejects_registered_id(self, tmp_path, capsys):
         """A spec file cannot shadow a built-in experiment id."""
@@ -295,6 +309,23 @@ class TestComposeMain:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "at least one lookup" in err
+
+    def test_compose_service_empty_pool_is_one_line_error(self, tmp_path, capsys):
+        """A ``[service]`` spec at ``[scale] perturbed_inserts = 0`` used to
+        escape as ``ZeroDivisionError: integer modulo by zero``."""
+        path = tmp_path / "empty-pool.toml"
+        path.write_text(
+            SPEC_TOML.format(experiment_id="cli-empty-pool")
+            + "\n[service]\nrate = 0.5\nduration = 60.0\nwindow = 60.0\n"
+            + "\n[scale]\nperturbed_inserts = 0\n"
+        )
+        try:
+            assert main(["compose", str(path), "--scale", "smoke"]) == 2
+        finally:
+            self._unregister("cli-empty-pool")
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "perturbed_inserts" in err
 
     def test_compose_rejects_registered_id_in_fresh_process(self, tmp_path):
         """The shadow check must hold even when compose is the process's
@@ -742,3 +773,5 @@ class TestServeMain:
                      "--rate", "0.5", "--seed", "4", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert (tmp_path / "svc-steady" / "smoke" / "seed_4.json").exists()
+        manifest = ResultStore(tmp_path).manifest("svc-steady", "smoke")
+        assert manifest["runs"]["seed_4"]["events_processed"] > 0

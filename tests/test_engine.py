@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import weakref
+from math import inf
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import (
     EventScheduler,
     add_events_processed,
     events_processed_total,
-    reset_events_processed,
 )
+from repro.telemetry import reset_runtime_metrics
 
 
 class TestScheduling:
@@ -74,12 +79,16 @@ class TestCancellation:
         assert engine.run() == 0
         assert fired == []
 
-    def test_peek_skips_cancelled(self):
+    def test_step_skips_cancelled_head(self):
         engine = EventScheduler()
-        first = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
+        fired = []
+        first = engine.schedule(1.0, fired.append, "first")
+        engine.schedule(2.0, fired.append, "second")
         engine.cancel(first)
-        assert engine.peek_time() == 2.0
+        assert engine.step() is True
+        assert fired == ["second"]
+        assert engine.now == 2.0  # the skipped head never touched the clock
+        assert engine.pending == 0
 
 
 class TestRunBounds:
@@ -125,13 +134,13 @@ class TestBatchedRunUntil:
         fired = []
         for t in (1.0, 2.0, 3.0):
             engine.schedule_at(t, fired.append, t)
-        assert engine.run_until(2.0) == 2
+        assert engine.run(until=2.0) == 2
         assert fired == [1.0, 2.0]
         assert engine.now == 2.0
 
     def test_advances_clock_past_drained_queue(self):
         engine = EventScheduler()
-        assert engine.run_until(7.5) == 0
+        assert engine.run(until=7.5) == 0
         assert engine.now == 7.5
 
     def test_skips_cancelled_in_batch(self):
@@ -140,7 +149,7 @@ class TestBatchedRunUntil:
         keep = engine.schedule_at(1.0, fired.append, "keep")
         drop = engine.schedule_at(2.0, fired.append, "drop")
         engine.cancel(drop)
-        assert engine.run_until(10.0) == 1
+        assert engine.run(until=10.0) == 1
         assert fired == ["keep"]
         assert keep.cancelled is False
         assert drop.cancelled is True
@@ -155,7 +164,7 @@ class TestBatchedRunUntil:
                 engine.schedule(1.0, chain, depth + 1)
 
         engine.schedule(0.0, chain, 0)
-        assert engine.run_until(2.0) == 3  # depths 0, 1, 2; depth 3 at t=3.0
+        assert engine.run(until=2.0) == 3  # depths 0, 1, 2; depth 3 at t=3.0
         assert engine.pending == 1
 
 
@@ -165,9 +174,9 @@ class TestBackwardsClock:
 
     def test_run_until_rejects_backwards_bound(self):
         engine = EventScheduler()
-        engine.run_until(10.0)
+        engine.run(until=10.0)
         with pytest.raises(SimulationError, match="never moves backwards"):
-            engine.run_until(5.0)
+            engine.run(until=5.0)
         assert engine.now == 10.0  # clock untouched by the failed call
 
     def test_run_rejects_backwards_until(self):
@@ -182,20 +191,46 @@ class TestBackwardsClock:
 
     def test_equal_bound_is_a_no_op(self):
         engine = EventScheduler()
-        engine.run_until(3.0)
-        assert engine.run_until(3.0) == 0
+        engine.run(until=3.0)
         assert engine.run(until=3.0) == 0
         assert engine.now == 3.0
 
 
+class _Payload:
+    """Something weakref-able to pass as an event argument."""
+
+
 class TestFreelist:
-    def test_slots_are_recycled(self):
+    """``post`` and what the scheduler keeps once an event is gone (the
+    class name predates the plain heap: there is no freelist any more)."""
+
+    def test_nothing_pending_after_post_run_rounds(self):
         engine = EventScheduler()
         for _ in range(100):
             engine.post(engine.now + 1.0, lambda: None)
             engine.run()
-        # one live event at a time: the slot arrays must not grow per event
-        assert len(engine._callbacks) == 1
+        assert engine.pending == 0
+        assert engine.processed == 100
+
+    def test_fired_event_releases_its_arguments(self):
+        engine = EventScheduler()
+        payload = _Payload()
+        ref = weakref.ref(payload)
+        engine.post(1.0, lambda obj: None, payload)
+        del payload
+        assert ref() is not None  # the heap entry keeps it alive
+        engine.run()
+        assert ref() is None
+
+    def test_popped_cancelled_event_releases_its_arguments(self):
+        engine = EventScheduler()
+        payload = _Payload()
+        ref = weakref.ref(payload)
+        event = engine.schedule(1.0, lambda obj: None, payload)
+        del payload
+        engine.cancel(event)
+        assert engine.run() == 0
+        assert ref() is None
 
     def test_post_rejects_past_times(self):
         engine = EventScheduler(start_time=5.0)
@@ -208,8 +243,11 @@ class TestFreelist:
         engine.run()
         for event in events:
             engine.cancel(event)  # all already fired
-        assert engine._cancelled == set()
-        assert engine._pending_seqs == set()
+        fired = []
+        engine.schedule(1.0, fired.append, "after")
+        assert engine.run() == 1
+        assert fired == ["after"]
+        assert engine.processed == 51
 
     def test_post_behaves_like_schedule_at(self):
         engine = EventScheduler()
@@ -221,19 +259,116 @@ class TestFreelist:
 
 
 class TestProcessCounter:
-    def test_reset_returns_previous_total(self):
-        reset_events_processed()
+    def test_reset_zeroes_total(self):
+        reset_runtime_metrics()
         engine = EventScheduler()
         engine.schedule(1.0, lambda: None)
         engine.run()
         add_events_processed(5)
         assert events_processed_total() == 6
-        assert reset_events_processed() == 6
+        reset_runtime_metrics()
         assert events_processed_total() == 0
 
     def test_step_counts_into_process_total(self):
-        reset_events_processed()
+        reset_runtime_metrics()
         engine = EventScheduler()
         engine.schedule(1.0, lambda: None)
         assert engine.step() is True
         assert events_processed_total() == 1
+
+
+class _ModelScheduler:
+    """Reference model: a list scanned for its ``(time, seq)`` minimum."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []  # [time, seq, label, child_delay, cancelled]
+        self.seq = 0
+        self.processed = 0
+        self.fired = []
+
+    def add(self, time, label, child_delay):
+        entry = [time, self.seq, label, child_delay, False]
+        self.seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def run(self, until=inf, limit=inf):
+        executed = 0
+        while self.entries and executed < limit:
+            entry = min(self.entries, key=lambda e: (e[0], e[1]))
+            if entry[0] > until:
+                break
+            self.entries.remove(entry)
+            if entry[4]:
+                continue
+            self.now = entry[0]
+            executed += 1
+            self.fired.append(entry[2])
+            if entry[3] is not None:
+                self.add(self.now + entry[3], entry[2] + "'", None)
+        self.processed += executed
+        if until != inf and until > self.now:
+            self.now = until
+        return executed
+
+
+#: sums of these are exact in binary floating point, so ties are frequent
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 4.0])
+_OPS = st.one_of(
+    st.tuples(st.just("post"), _DELAYS, st.none() | _DELAYS),
+    st.tuples(st.just("schedule"), _DELAYS, st.none() | _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 1000)),
+    st.tuples(st.just("run-until"), _DELAYS),
+    st.tuples(st.just("run-max"), st.integers(0, 4)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run")),
+)
+
+
+class TestAgainstReferenceModel:
+    """Differential pin for the pop loop: whatever the heap layout, the
+    scheduler must behave like a list popped in ``(time, seq)`` order."""
+
+    @settings(max_examples=200)
+    @given(st.lists(_OPS, max_size=40))
+    def test_random_programs_agree(self, program):
+        engine = EventScheduler()
+        model = _ModelScheduler()
+        fired = []
+        handles = []  # (Event, model entry) per schedule() call
+
+        def fire(label, child_delay):
+            fired.append(label)
+            if child_delay is not None:
+                engine.post(engine.now + child_delay, fire, label + "'", None)
+
+        for index, op in enumerate(program):
+            label = str(index)
+            if op[0] == "post":
+                engine.post(engine.now + op[1], fire, label, op[2])
+                model.add(model.now + op[1], label, op[2])
+            elif op[0] == "schedule":
+                event = engine.schedule(op[1], fire, label, op[2])
+                entry = model.add(model.now + op[1], label, op[2])
+                assert (event.time, event.seq) == (entry[0], entry[1])
+                handles.append((event, entry))
+            elif op[0] == "cancel":
+                if handles:
+                    event, entry = handles[op[1] % len(handles)]
+                    engine.cancel(event)
+                    entry[4] = True
+                    assert event.cancelled is True
+            elif op[0] == "run-until":
+                bound = engine.now + op[1]
+                assert engine.run(until=bound) == model.run(until=bound)
+            elif op[0] == "run-max":
+                assert engine.run(max_events=op[1]) == model.run(limit=op[1])
+            elif op[0] == "step":
+                assert engine.step() is (model.run(limit=1) == 1)
+            else:
+                assert engine.run() == model.run()
+            assert fired == model.fired
+            assert engine.now == model.now
+            assert engine.pending == len(model.entries)
+            assert engine.processed == model.processed

@@ -36,7 +36,7 @@ PERTURBED_IDS = ["fig1", "fig11", "fig12", "ext-churn"]
 
 class TestScales:
     def test_known_scales(self):
-        assert set(SCALES) == {"smoke", "default", "paper", "large", "massive"}
+        assert set(SCALES) == {"smoke", "default", "paper", "large"}
         assert get_scale("smoke").name == "smoke"
 
     def test_scale_passthrough(self):

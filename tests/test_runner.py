@@ -7,12 +7,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import run_experiment
-from repro.experiments.runner import (
-    SweepSpec,
-    parse_seeds,
-    run_and_store,
-    run_sweep,
-)
+from repro.experiments.runner import SweepSpec, parse_seeds, run_sweep
 from repro.experiments.store import ResultStore
 
 
@@ -225,12 +220,3 @@ class TestResume:
         assert all(
             row.checksum is not None and row.worker is not None for row in rows
         )
-
-
-class TestRunAndStore:
-    def test_persists_and_returns_result(self, tmp_path):
-        store = ResultStore(tmp_path)
-        result = run_and_store("fig7", "smoke", 4, store)
-        assert store.load("fig7", "smoke", 4) == result
-        manifest = store.manifest("fig7", "smoke")
-        assert "seed_4" in manifest["runs"]

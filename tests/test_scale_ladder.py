@@ -137,9 +137,6 @@ class TestScaleRegistry:
         assert large.static_node_counts == (100_000,)
         assert large.budget.max_wall_s is not None
         assert large.budget.max_rss_mb is not None
-        massive = get_scale("massive")
-        assert massive.static_node_counts == (1_000_000,)
-        assert not massive.budget.unlimited
         # smoke..paper stay unbudgeted (the historical behaviour)
         for name in ("smoke", "default", "paper"):
             assert get_scale(name).budget.unlimited
@@ -149,7 +146,13 @@ class TestScaleRegistry:
             get_scale("gigantic")
         message = str(info.value)
         assert "\n" not in message
-        assert "massive" in message and "smoke" in message
+        assert "smoke" in message
+        # the never-run 10^6 rung is gone; its name fails like any other
+        with pytest.raises(
+            ExperimentError,
+            match=r"choose from \['default', 'large', 'paper', 'smoke'\]",
+        ):
+            get_scale("massive")
 
     def test_register_resolve_unregister(self, scratch_rungs):
         rung = SMOKE.evolve(name="ladder-test-rung", pastry_nodes=60)
@@ -181,7 +184,7 @@ class TestScaleRegistry:
     def test_api_facade(self, scratch_rungs):
         names = [scale.name for scale in api.scales()]
         assert names == sorted(names)
-        assert {"smoke", "default", "paper", "large", "massive"} <= set(names)
+        assert {"smoke", "default", "paper", "large"} <= set(names)
         assert api.get_scale("large").name == "large"
         rung = api.get_scale("smoke").evolve(name="ladder-api-rung")
         api.register_scale(rung)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.errors import ExperimentError
 from repro.experiments.base import p50, p95, p99, percentile, t_critical_95
 from repro.experiments.perturbed import build_testbed
@@ -229,6 +230,14 @@ class TestRunService:
     def test_unknown_variant_rejected(self, testbed):
         with pytest.raises(ExperimentError, match="variant"):
             run_service(testbed, "chord", AlwaysOnline(), _config())
+
+    def test_empty_stage1_pool_is_a_one_line_error(self):
+        """``svc-*`` at ``perturbed_inserts = 0`` used to die with
+        ``ZeroDivisionError`` on the first lookup's ``pool[draw % 0]``."""
+        scale = api.get_scale("smoke").evolve(name="svc-empty", perturbed_inserts=0)
+        with pytest.raises(ExperimentError, match="perturbed_inserts") as info:
+            api.serve("svc-steady", scale=scale)
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("variant", ["pastry", "pastry-rr", "mpil-ds", "mpil-nods"])
     def test_same_seed_runs_are_identical(self, testbed, variant):

@@ -306,6 +306,17 @@ class TestCompose:
                 ),
                 "targeting must be",
             ),
+            # ranges, not just names and types, are compose-time errors:
+            # these used to build the testbed (and, for the axis case,
+            # measure the good cells) before dying
+            (
+                lambda s: s["scenario"][0].update(probability=1.5),
+                "probability must be in",
+            ),
+            (
+                lambda s: s["sweep"].update(values=[0.5, 1.5]),
+                "severity must be in",
+            ),
             (lambda s: s["workload"].update(spacing=-1.0), "spacing"),
             (lambda s: s["workload"].update(spacing="fast"), "must be a number"),
             (lambda s: s["workload"].update(window=[0.9, 0.1]), "window"),
@@ -404,9 +415,16 @@ class TestComposeService:
             (lambda s: s["service"].update(arrival="burst"), "arrival"),
             (lambda s: s["service"].update(rate="fast"), "must be a number"),
             (
-                lambda s: s["service"].update(duration="$severity"),
+                lambda s: s["service"].update(slo_availability="$severity"),
                 None,  # axis substitution is allowed; no error
             ),
+            # ... but every axis value must be in range: 0 s of traffic
+            (
+                lambda s: s["service"].update(duration="$severity"),
+                "duration must be positive",
+            ),
+            (lambda s: s["service"].update(window=600.0), r"window must be in"),
+            (lambda s: s["service"].update(slo_latency=0.0), "SLO latency"),
         ],
     )
     def test_service_table_validation(self, mutate, fragment):

@@ -20,16 +20,13 @@ from repro.experiments.registry import run_experiment
 from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.store import ResultStore
 from repro.lint import LintConfig, lint_paths, load_config
-from repro.sim.engine import (
-    add_events_processed,
-    events_processed_total,
-    reset_events_processed,
-)
+from repro.sim.engine import add_events_processed, events_processed_total
 from repro.telemetry import (
     MetricsRegistry,
     SpanRecorder,
     Telemetry,
     current,
+    reset_runtime_metrics,
     runtime_registry,
     use,
 )
@@ -122,10 +119,10 @@ class TestEngineCounterShims:
             == events_processed_total()
         )
 
-    def test_reset_returns_previous_total(self):
+    def test_reset_zeroes_total(self):
         add_events_processed(3)
-        previous = events_processed_total()
-        assert reset_events_processed() == previous
+        assert events_processed_total() >= 3
+        reset_runtime_metrics()
         assert events_processed_total() == 0
 
 

@@ -184,7 +184,7 @@ class TestStartLookup:
         from repro.sim.engine import EventScheduler
 
         engine = EventScheduler()
-        engine.run_until(10.0)
+        engine.run(until=10.0)
         with pytest.raises(SimulationError):
             timed.start_lookup(engine, 0, keys[0], start_time=5.0)
             engine.run()
