@@ -302,7 +302,7 @@ def get(experiment_id: str) -> ExperimentSpec:
 
 
 def lint(
-    paths: Iterable[Union[str, pathlib.Path]] = ("src", "benchmarks"),
+    paths: Iterable[Union[str, pathlib.Path]] = ("src",),
     config: Optional[LintConfig] = None,
     rules: Optional[Iterable[str]] = None,
 ) -> LintReport:

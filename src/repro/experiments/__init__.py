@@ -25,7 +25,6 @@ through :class:`~repro.experiments.store.ResultStore` (see
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.budget import BudgetGuard
-from repro.experiments.compose import compose_spec, load_spec_file
 from repro.experiments.registry import (
     all_experiment_ids,
     experiment,
@@ -65,12 +64,10 @@ __all__ = [
     "all_experiment_ids",
     "all_scales",
     "available_scales",
-    "compose_spec",
     "experiment",
     "get_scale",
     "get_spec",
     "list_experiments",
-    "load_spec_file",
     "parse_seeds",
     "register",
     "register_scale",

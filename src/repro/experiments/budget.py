@@ -48,14 +48,12 @@ class BudgetGuard:
     """Enforces one :class:`BudgetSpec` over one experiment run.
 
     Construct when the run starts (the guard timestamps itself), then call
-    :meth:`check` at stage boundaries.  ``peak_rss_mb`` records the largest
-    RSS any check observed, for the profiler's BENCH payload.
+    :meth:`check` at stage boundaries.
     """
 
     def __init__(self, scale_name: str, budget: BudgetSpec):
         self.scale_name = scale_name
         self.budget = budget
-        self.peak_rss_mb: float | None = None
         self._started = time.monotonic()
 
     def elapsed(self) -> float:
@@ -77,12 +75,9 @@ class BudgetGuard:
                 )
         if budget.max_rss_mb is not None:
             rss = current_rss_mb()
-            if rss is not None:
-                if self.peak_rss_mb is None or rss > self.peak_rss_mb:
-                    self.peak_rss_mb = rss
-                if rss > budget.max_rss_mb:
-                    raise ExperimentError(
-                        f"scale {self.scale_name!r} memory budget exceeded "
-                        f"after {stage}: {rss:.1f} MiB resident > max_rss_mb="
-                        f"{budget.max_rss_mb:g} MiB"
-                    )
+            if rss is not None and rss > budget.max_rss_mb:
+                raise ExperimentError(
+                    f"scale {self.scale_name!r} memory budget exceeded "
+                    f"after {stage}: {rss:.1f} MiB resident > max_rss_mb="
+                    f"{budget.max_rss_mb:g} MiB"
+                )

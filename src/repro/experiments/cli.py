@@ -1,6 +1,6 @@
-"""Command-line interface: ``mpil-experiments list|scenarios|run|sweep|status|trace|compose|serve|perf|lint``.
+"""Command-line interface: ``mpil-experiments list|scenarios|run|sweep|status|trace|compose|serve|lint``.
 
-Ten commands:
+Nine commands:
 
 - ``list`` — show every registered experiment id and title, with
   ``--tags`` filtering on the registry metadata (``list --tags ext``);
@@ -32,14 +32,8 @@ Ten commands:
   arrivals, per-window latency percentiles and SLO verdicts; see
   :mod:`repro.service`), with ``--rate/--duration/--window`` overriding
   the scale's traffic knobs and ``--format json`` for scripted callers;
-- ``perf`` — profile experiments (events/sec, wall clock, cProfile top-k)
-  into ``BENCH_<id>.json`` files, optionally gating against a committed
-  ``benchmarks/baseline.json`` (see :mod:`repro.perf`); ``--scale`` takes
-  a comma-separated rung list (``smoke,large``) profiled in turn with the
-  construction caches cleared between rungs, and budgeted rungs
-  additionally gate on their declared wall-clock/RSS ceilings;
 - ``lint`` — run the determinism-contract static analyzer
-  (:mod:`repro.lint`) over source trees (default ``src benchmarks``):
+  (:mod:`repro.lint`) over source trees (default ``src``):
   exit 0 when clean, 1 when any rule fires, 2 on usage errors;
   ``--format json`` emits the versioned report, ``--report FILE`` also
   writes it to disk (the CI artifact), ``--list-rules`` names every rule,
@@ -67,8 +61,7 @@ Examples::
     mpil-experiments trace ext-outage --scale smoke --kind lookup --out spans.jsonl
     mpil-experiments compose my-sweep.toml --scale smoke --seed 1
     mpil-experiments serve svc-outage --scale smoke --rate 2 --format json
-    mpil-experiments perf fig9 ext-outage --scale smoke --check benchmarks/baseline.json
-    mpil-experiments lint src benchmarks
+    mpil-experiments lint src
     mpil-experiments lint --explain DET003
     mpil-experiments lint src --format json --report repro-lint-report.json
 
@@ -96,18 +89,15 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.experiments.runner import SweepSpec, TaskOutcome, parse_seeds, run_sweep
-from repro.experiments.scales import available_scales, get_scale, with_service_overrides
+from repro.experiments.scales import available_scales, with_service_overrides
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore, result_to_csv
 from repro.lint import all_rules, get_rule, lint_paths, load_config
-from repro.perf.profiler import profile_experiment, write_bench
-from repro.perf.regression import check_budgets, check_regressions, write_baseline
 from repro.perturbation.scenario import get_family, scenario_families, scenarios_for
 from repro.sim.engine import events_processed_total
 from repro.telemetry import Telemetry, reset_runtime_metrics
 from repro.telemetry.progress import ProgressMeter, service_window_line
 from repro.telemetry.sinks import render_hop_tree, write_jsonl
-from repro.util.cache import clear_all_caches
 
 
 def _scale_help(extra: str = "") -> str:
@@ -371,69 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-store root (same layout as `run --out`)",
     )
 
-    perf_parser = sub.add_parser(
-        "perf",
-        help="profile experiments (events/sec, hotspots) and gate regressions",
-    )
-    perf_parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (or 'all')",
-    )
-    perf_parser.add_argument(
-        "--scale",
-        default="smoke",
-        metavar="SCALE[,SCALE...]",
-        help=_scale_help(
-            "; comma-separate rungs to profile each in turn, e.g. 'smoke,large'"
-        ),
-    )
-    perf_parser.add_argument("--seed", type=int, default=0, help="root seed")
-    perf_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed repeats per experiment; events/sec uses the best",
-    )
-    perf_parser.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="hotspot entries to keep from the cProfile pass (0 disables it)",
-    )
-    perf_parser.add_argument(
-        "--cold",
-        action="store_true",
-        help="clear construction caches before every repeat (measure "
-        "end-to-end cost instead of steady-state throughput)",
-    )
-    perf_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("benchmarks"),
-        help="directory receiving one BENCH_<id>.json per experiment",
-    )
-    perf_parser.add_argument(
-        "--check",
-        type=pathlib.Path,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline.json; exit 1 on regression",
-    )
-    perf_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed events/sec drop before --check fails (default: 0.2)",
-    )
-    perf_parser.add_argument(
-        "--write-baseline",
-        type=pathlib.Path,
-        default=None,
-        metavar="BASELINE",
-        help="rewrite a baseline.json from this run's measurements",
-    )
-
     lint_parser = sub.add_parser(
         "lint",
         help="run the determinism-contract static analyzer (repro.lint)",
@@ -441,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "benchmarks"],
-        help="files/directories to analyze (default: src benchmarks)",
+        default=["src"],
+        help="files/directories to analyze (default: src)",
     )
     lint_parser.add_argument(
         "--format",
@@ -882,61 +809,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    rungs = [name.strip() for name in args.scale.split(",") if name.strip()]
-    if not rungs:
-        raise ExperimentError(f"no scale rungs in --scale {args.scale!r}")
-    for rung in rungs:
-        get_scale(rung)  # unknown rungs get the one-line error up front
-    results = []
-    for index, rung in enumerate(rungs):
-        if index:
-            # a smaller rung's BoundedCache hits must not inflate the next
-            # rung's events/sec, so every rung starts construction-cold
-            clear_all_caches()
-        for experiment_id in _requested_ids(args.experiments):
-            result = profile_experiment(
-                experiment_id,
-                scale=rung,
-                seed=args.seed,
-                repeats=args.repeats,
-                top=args.top,
-                warm=not args.cold,
-            )
-            results.append(result)
-            # multi-rung runs get one BENCH_<id>@<scale>.json per rung so
-            # rungs don't overwrite each other (both names match BENCH_*)
-            path = write_bench(result, args.out, qualify_scale=len(rungs) > 1)
-            print(result.summary())
-            print(f"  -> {path}", file=sys.stderr)
-    # gate against the *existing* baseline before any refresh, so pairing
-    # --check with --write-baseline (same file) still compares against the
-    # previously committed floor instead of this run's own numbers
-    failed = False
-    if args.check is not None:
-        regressions = check_regressions(results, args.check, tolerance=args.tolerance)
-        if regressions:
-            failed = True
-            for regression in regressions:
-                print(f"REGRESSION {regression.describe()}", file=sys.stderr)
-        else:
-            print(
-                f"no regressions vs {args.check} "
-                f"(tolerance {args.tolerance * 100:.0f}%)",
-                file=sys.stderr,
-            )
-    # budgeted rungs also gate on their declared ceilings
-    violations = check_budgets(results)
-    if violations:
-        failed = True
-        for violation in violations:
-            print(f"BUDGET {violation.describe()}", file=sys.stderr)
-    if args.write_baseline is not None:
-        baseline_path = write_baseline(results, args.write_baseline, scale=args.scale)
-        print(f"baseline written: {baseline_path}", file=sys.stderr)
-    return 1 if failed else 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     if args.explain is not None:
         print(get_rule(args.explain).explain())
@@ -978,8 +850,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_compose(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "perf":
-            return _cmd_perf(args)
         if args.command == "lint":
             return _cmd_lint(args)
         if args.command == "status":

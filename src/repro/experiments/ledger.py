@@ -150,7 +150,8 @@ class TaskLedger:
             with self._conn:
                 self._conn.executescript(_SCHEMA)
             self._migrate()
-        except sqlite3.OperationalError as exc:
+        except sqlite3.DatabaseError as exc:
+            # also covers a file that is not a sqlite database at all
             raise LedgerError(f"cannot open ledger at {self.path}: {exc}") from None
 
     def _migrate(self) -> None:

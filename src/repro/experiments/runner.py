@@ -236,6 +236,9 @@ def run_sweep(
             )
         outcomes = _run_sweep_in_memory(tasks, jobs, progress)
     else:
+        for experiment_id in spec.experiment_ids:
+            # a corrupt manifest fails here, before any task is claimed
+            store.manifest(experiment_id, spec.scale)
         ledger = store.ledger
         to_run, skipped = plan_tasks(
             ledger, tasks, resume=resume, verify=store.verify_artifact

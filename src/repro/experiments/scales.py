@@ -7,9 +7,8 @@ shrinks sizes so the full benchmark suite finishes in minutes on a laptop;
 ``smoke`` is for tests.  Above the paper sits the scale-ladder rung
 ``large`` (10^5-node static overlays).  It carries an explicit
 :class:`BudgetSpec`; exceeding it aborts the run with a one-line
-:class:`~repro.errors.ExperimentError` (see :mod:`repro.experiments.budget`)
-and the budget is recorded in every ``BENCH_<id>.json`` the profiler
-writes.  Anything bigger is registered from ``get_scale("large").evolve(...)``.
+:class:`~repro.errors.ExperimentError` (see :mod:`repro.experiments.budget`).
+Anything bigger is registered from ``get_scale("large").evolve(...)``.
 EXPERIMENTS.md records which scale produced each reported number.
 
 A :class:`Scale` is one frozen dataclass of flat fields
@@ -37,8 +36,7 @@ class BudgetSpec:
     ``None`` means unlimited (the historical behaviour; ``smoke`` through
     ``paper`` carry no budget).  The scale-ladder rungs set both so a
     regression that blows the envelope fails fast instead of thrashing the
-    machine, and the profiler records them in ``BENCH_<id>.json`` where the
-    bench gate checks measured wall clock and peak RSS against them.
+    machine.
     """
 
     max_rss_mb: float | None = None  #: peak resident set, mebibytes
@@ -219,7 +217,7 @@ def all_scales() -> tuple[Scale, ...]:
 
 def register_scale(scale: Scale, replace: bool = False) -> Scale:
     """Register a custom rung so name-based lookups (CLI ``--scale``,
-    :func:`get_scale`, the profiler) resolve it.
+    :func:`get_scale`, ``api.run(scale="name")``) resolve it.
 
     Built-in names are immutable; re-registering a custom name requires
     ``replace=True``.  Returns the scale for chaining.

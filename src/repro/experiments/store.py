@@ -221,6 +221,8 @@ class ResultStore:
         committed the same way to ``seed_<n>.telemetry.json`` and mirrored
         into the index.
         """
+        # read first: a corrupt manifest must fail before any byte is written
+        manifest = self.manifest(result.experiment_id, result.scale)
         payload = result.to_dict()
         payload["seed"] = seed
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -236,6 +238,7 @@ class ResultStore:
             )
         written_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self._record_run(
+            manifest,
             result.experiment_id,
             result.scale,
             RunRecord(
@@ -265,9 +268,9 @@ class ResultStore:
         )
         return path
 
-    def _record_run(self, experiment_id: str, scale: str, record: RunRecord) -> None:
-        manifest_path = self.manifest_path(experiment_id, scale)
-        manifest = self.manifest(experiment_id, scale)
+    def _record_run(
+        self, manifest: Optional[dict], experiment_id: str, scale: str, record: RunRecord
+    ) -> None:
         if manifest is None:
             manifest = {
                 "experiment_id": experiment_id,
@@ -278,7 +281,8 @@ class ResultStore:
         manifest["updated_at"] = record.written_at
         manifest["runs"][f"seed_{record.seed}"] = dataclasses.asdict(record)
         _atomic_write_text(
-            manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+            self.manifest_path(experiment_id, scale),
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
         )
 
     def write_aggregate(
@@ -300,11 +304,22 @@ class ResultStore:
     # ------------------------------------------------------------------- read
 
     def manifest(self, experiment_id: str, scale: str) -> Optional[dict]:
-        """The cell's manifest dict, or None if nothing was saved yet."""
+        """The cell's manifest dict, or None if nothing was saved yet.
+
+        A manifest that does not parse is a one-line
+        :class:`~repro.errors.ExperimentError` naming the file; no read
+        depends on it, so deleting it is always safe.
+        """
         path = self.manifest_path(experiment_id, scale)
         if not path.exists():
             return None
-        return json.loads(path.read_text())
+        try:
+            return json.loads(path.read_text())
+        except ValueError as exc:
+            raise ExperimentError(
+                f"manifest at {path} is not valid JSON ({exc}); delete it and "
+                f"the next save regenerates it"
+            ) from None
 
     def seeds(self, experiment_id: str, scale: str) -> list[int]:
         """Seeds with a persisted artifact for this cell, ascending."""

@@ -8,10 +8,10 @@ package encodes those conventions as named AST rules and runs them as a
 repo-wide gate::
 
     from repro.lint import lint_paths
-    report = lint_paths(["src", "benchmarks"])
+    report = lint_paths(["src"])
     assert report.ok, report.render_text()
 
-or from the shell: ``mpil-experiments lint src benchmarks``.
+or from the shell: ``mpil-experiments lint src``.
 
 Rules (``mpil-experiments lint --explain RULE`` for rationale and fix):
 

@@ -3,7 +3,7 @@
 The analyzer's rules are absolute statements of the determinism contract;
 the *config* records where the contract deliberately does not apply — the
 one module allowed to construct ``random.Random`` (``sim/rng.py``), the
-provenance/profiling modules allowed to read wall clocks, the entry points
+provenance/budget modules allowed to read wall clocks, the entry points
 allowed to read the environment.  Keeping those carve-outs in
 ``pyproject.toml`` (not in the rules) makes every exemption reviewable in
 one place::
@@ -13,7 +13,7 @@ one place::
 
     [tool.repro-lint.allow]
     DET001 = ["src/repro/sim/rng.py"]
-    DET003 = ["src/repro/perf", "src/repro/experiments/budget.py"]
+    DET003 = ["src/repro/experiments/store.py", "src/repro/experiments/budget.py"]
 
 Entries are paths relative to the directory holding ``pyproject.toml``:
 an exact file path, a directory prefix (everything under it), or an

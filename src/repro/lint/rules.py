@@ -280,14 +280,14 @@ class _Det003WallClock(Rule):
         "datetime.now, ...) that feeds simulation state or artifacts "
         "makes outputs depend on host speed and load.  Wall clocks are "
         "legitimate only for provenance and profiling — manifests, the "
-        "task ledger, perf timing, budget guards — which the "
+        "task ledger, CLI elapsed reporting, budget guards — which the "
         "[tool.repro-lint] DET003 allowlist enumerates."
     )
     fix_pattern = (
         "inside simulation/analysis code, take the current time from the "
         "scheduler (engine.now) or thread it in as a parameter; timing "
         "for provenance belongs in the allowlisted modules "
-        "(experiments/store.py, experiments/ledger.py, perf/, ...)."
+        "(experiments/store.py, experiments/ledger.py, ...)."
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:

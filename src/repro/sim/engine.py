@@ -33,9 +33,10 @@ from repro.telemetry.metrics import runtime_registry
 #: synchronous drivers (see :func:`add_events_processed`).  Experiments
 #: create many short-lived schedulers (one per timed lookup), so
 #: per-instance ``processed`` undercounts a whole run; the sweep runtime and
-#: the perf profiler zero it (``telemetry.reset_runtime_metrics``) before
-#: each task and snapshot it after, to record event counts and events/sec
-#: in manifests and BENCH files.  The count lives on the process-wide
+#: the CLI's ``run``/``compose``/``serve`` zero it
+#: (``telemetry.reset_runtime_metrics``) before each task and snapshot it
+#: after, to record event counts and events/sec in manifests.  The count
+#: lives on the process-wide
 #: :class:`~repro.telemetry.metrics.MetricsRegistry` (series
 #: ``sim_events_processed_total``).  Registry resets zero the counter in
 #: place, so holding the handle here stays correct across sweep tasks.

@@ -33,7 +33,7 @@ def clear_all_caches() -> None:
 
     Used by the test suite between tests (a monkeypatched constructor must
     not leak its products into later tests through a construction cache)
-    and by the perf profiler's cold mode.
+    and by cold-start measurements.
     """
     for cache in list(_REGISTRY):
         cache.clear()

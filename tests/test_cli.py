@@ -77,6 +77,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "fig9", "--format", "xml"])
 
+    def test_perf_is_not_a_command(self, capsys):
+        # cost is measured by bench/run.py; the subcommand is gone for good
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
 
 class TestMain:
     def test_list_prints_experiments(self, capsys):

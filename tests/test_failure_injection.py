@@ -1,11 +1,16 @@
 """Failure-injection tests: extreme availability patterns against both
-protocol stacks."""
+protocol stacks, and corrupted store files against the CLI."""
 
 from __future__ import annotations
+
+import json
+
+import pytest
 
 from repro.core.config import MPILConfig
 from repro.core.identifiers import IdSpace
 from repro.core.timed import TimedMPILNetwork
+from repro.experiments.cli import main
 from repro.overlay.random_graphs import fixed_degree_random_graph
 from repro.pastry.protocol import PastryNetwork
 from repro.sim.rng import derive_rng
@@ -107,3 +112,65 @@ class TestPastryUnderTotalFailure:
         origin = next(v for v in range(40) if v not in down)
         outcome = net.lookup(origin, key, availability=NeighborhoodDown())
         assert not outcome.success
+
+
+class TestCorruptStoreFiles:
+    """A ledger or manifest that does not parse is one stderr line naming
+    the file and exit 2 — and the store is left byte for byte as it was."""
+
+    @pytest.fixture()
+    def swept(self, tmp_path, capsys):
+        assert main(self._sweep(tmp_path, "0..1")) == 0
+        capsys.readouterr()
+        return tmp_path
+
+    @staticmethod
+    def _sweep(root, seeds, *flags):
+        return ["sweep", "fig7", "--scale", "smoke", "--seeds", seeds,
+                "--out", str(root), *flags]
+
+    @staticmethod
+    def _snapshot(root):
+        return {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+
+    def _fails_in_one_line(self, argv, root, capsys) -> str:
+        """Run ``argv``; assert exit 2, one stderr line, store unchanged
+        (ledger.sqlite included: no row added, claimed or released)."""
+        before = self._snapshot(root)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert self._snapshot(root) == before
+        return err
+
+    def test_garbage_ledger(self, swept, capsys):
+        ledger = swept / "ledger.sqlite"
+        ledger.write_text("garbage\n")
+        for argv in (
+            ["status", "fig7", "--out", str(swept)],
+            self._sweep(swept, "0..1", "--resume"),
+        ):
+            assert str(ledger) in self._fails_in_one_line(argv, swept, capsys)
+
+    def test_truncated_manifest_stops_sweep_before_any_claim(self, swept, capsys):
+        manifest = swept / "fig7" / "smoke" / "manifest.json"
+        manifest.write_text(manifest.read_text()[:100])
+        resume = self._sweep(swept, "0..2", "--resume")
+        err = self._fails_in_one_line(resume, swept, capsys)
+        assert str(manifest) in err and "delete it" in err
+        manifest.unlink()
+        assert main(resume) == 0
+        assert main(["status", "fig7", "--out", str(swept)]) == 0
+        assert "3 done" in capsys.readouterr().out
+        assert sorted(json.loads(manifest.read_text())["runs"]) == ["seed_2"]
+
+    def test_truncated_manifest_stops_run_before_any_write(self, swept, capsys):
+        manifest = swept / "fig7" / "smoke" / "manifest.json"
+        manifest.write_text("{")
+        run = ["run", "fig7", "--scale", "smoke", "--seed", "5", "--out", str(swept)]
+        err = self._fails_in_one_line(run, swept, capsys)
+        assert str(manifest) in err and "delete it" in err

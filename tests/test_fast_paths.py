@@ -1,21 +1,16 @@
-"""Tests for the ``repro.perf`` subsystem and the hot-path rewrites.
+"""Tests for the hot-path rewrites, against their reference implementations.
 
-Three concerns:
-
-- the profiler: deterministic event counts across repeats, BENCH JSON
-  schema round-trip, the CLI ``perf`` command and its regression gate;
-- the regression module: baseline round-trip and the >tolerance rule;
-- the optimisations themselves: the rewritten ``pastry_next_hop``,
-  ``decide_forwarding``, and ``build_routing_tables`` are pinned against
-  straightforward reference implementations (the pre-optimisation
-  algorithms, kept verbatim here) on seeded random instances, and the new
-  cached views (scores-with-self, degrees, CSR adjacency) are pinned
-  against their unbatched counterparts.
+The rewritten ``pastry_next_hop``, ``decide_forwarding``, and
+``build_routing_tables`` are pinned against straightforward reference
+implementations (the pre-optimisation algorithms, kept verbatim here) on
+seeded random instances; the cached views (scores-with-self, degrees, CSR
+adjacency), the batched latency rows and :class:`BoundedCache` are pinned
+against their unbatched counterparts; and the events/sec plumbing through
+the result store and :class:`TaskOutcome` is checked end to end.
 """
 
 from __future__ import annotations
 
-import json
 import random
 
 import numpy as np
@@ -25,254 +20,16 @@ from repro.core.config import MPILConfig
 from repro.core.identifiers import IdSpace
 from repro.core.network import MPILNetwork
 from repro.core.routing import decide_forwarding
-from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.cli import main
+from repro.errors import ConfigurationError
 from repro.experiments.runner import TaskOutcome
 from repro.experiments.store import ResultStore
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.random_graphs import gnp_random_graph
 from repro.pastry.routing import pastry_next_hop
 from repro.pastry.state import PastryRing, build_leaf_sets, build_routing_tables
-from repro.perf.profiler import (
-    SCHEMA_VERSION,
-    BenchResult,
-    HotSpot,
-    bench_path,
-    load_bench,
-    profile_experiment,
-    write_bench,
-)
-from repro.perf.regression import (
-    BaselineEntry,
-    check_regressions,
-    load_baseline,
-    write_baseline,
-)
 from repro.sim.latency import UniformRandomLatency
 from repro.sim.rng import derive_rng
 from repro.util.cache import BoundedCache, clear_all_caches
-
-
-def make_bench(
-    experiment_id: str = "fig9",
-    events_per_sec: float = 1000.0,
-    events_processed: int = 500,
-) -> BenchResult:
-    return BenchResult(
-        experiment_id=experiment_id,
-        scale="smoke",
-        seed=0,
-        repeats=3,
-        warm=True,
-        wall_clock_best=events_processed / events_per_sec,
-        wall_clock_mean=events_processed / events_per_sec,
-        events_processed=events_processed,
-        events_per_sec=events_per_sec,
-        hotspots=(
-            HotSpot(
-                location="repro/x.py:1(f)", calls=3, total_time=0.1, cumulative_time=0.2
-            ),
-        ),
-        git_rev="deadbeef",
-    )
-
-
-class TestProfiler:
-    def test_event_counts_deterministic_across_repeats_and_calls(self):
-        first = profile_experiment(
-            "fig9", scale="smoke", seed=0, repeats=2, with_profile=False
-        )
-        second = profile_experiment(
-            "fig9", scale="smoke", seed=0, repeats=1, with_profile=False
-        )
-        assert first.events_processed == second.events_processed
-        assert first.events_processed > 0
-        assert first.events_per_sec > 0
-        assert first.wall_clock_best <= first.wall_clock_mean
-
-    def test_cold_mode_measures_same_events(self):
-        warm = profile_experiment(
-            "tab1", scale="smoke", seed=0, repeats=1, with_profile=False
-        )
-        cold = profile_experiment(
-            "tab1", scale="smoke", seed=0, repeats=1, warm=False, with_profile=False
-        )
-        assert warm.events_processed == cold.events_processed
-        assert cold.warm is False
-
-    def test_profile_pass_collects_hotspots(self):
-        result = profile_experiment(
-            "tab1", scale="smoke", seed=0, repeats=1, top=5
-        )
-        assert 0 < len(result.hotspots) <= 5
-        spot = result.hotspots[0]
-        assert spot.calls >= 1
-        assert ":" in spot.location
-        # top-k is cumulative-time ordered
-        cumulatives = [s.cumulative_time for s in result.hotspots]
-        assert cumulatives == sorted(cumulatives, reverse=True)
-
-    def test_validation_errors(self):
-        with pytest.raises(ExperimentError):
-            profile_experiment("no-such-experiment")
-        with pytest.raises(ExperimentError):
-            profile_experiment("fig9", scale="no-such-scale")
-        with pytest.raises(ExperimentError):
-            profile_experiment("fig9", repeats=0)
-        with pytest.raises(ExperimentError):
-            profile_experiment("fig9", top=-1)
-
-    def test_bench_round_trip(self, tmp_path):
-        result = make_bench()
-        path = write_bench(result, tmp_path)
-        assert path == bench_path(tmp_path, "fig9")
-        assert path.name == "BENCH_fig9.json"
-        assert load_bench(path) == result
-
-    def test_bench_schema_version_guard(self, tmp_path):
-        result = make_bench()
-        path = write_bench(result, tmp_path)
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == SCHEMA_VERSION
-        payload["schema_version"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ExperimentError, match="schema version"):
-            load_bench(path)
-
-    def test_load_bench_missing_file(self, tmp_path):
-        with pytest.raises(ExperimentError, match="no BENCH file"):
-            load_bench(tmp_path / "BENCH_missing.json")
-
-    def test_summary_is_one_line_with_throughput(self):
-        summary = make_bench().summary()
-        assert "\n" not in summary
-        assert "events/s" in summary
-        assert "fig9" in summary
-
-
-class TestRegressionGate:
-    def test_within_tolerance_passes(self):
-        baseline = {"fig9@smoke": BaselineEntry(1000.0, 500, 0.5)}
-        measured = [make_bench(events_per_sec=850.0)]  # -15% with 20% tolerance
-        assert check_regressions(measured, baseline, tolerance=0.2) == []
-
-    def test_regression_detected_and_described(self):
-        baseline = {"fig9@smoke": BaselineEntry(1000.0, 400, 0.5)}
-        measured = [make_bench(events_per_sec=700.0)]  # -30%
-        found = check_regressions(measured, baseline, tolerance=0.2)
-        assert len(found) == 1
-        regression = found[0]
-        assert regression.experiment_id == "fig9"
-        assert regression.ratio == pytest.approx(0.7)
-        assert regression.events_count_changed is True  # 500 != 400
-        text = regression.describe()
-        assert "fig9" in text and "30.0%" in text and "event count changed" in text
-
-    def test_experiments_missing_from_baseline_are_skipped(self):
-        baseline = {"other@smoke": BaselineEntry(1e9, 1, 1.0)}
-        assert check_regressions([make_bench()], baseline) == []
-
-    def test_baseline_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline([make_bench(), make_bench("ext-outage", 2000.0)], path, "smoke")
-        entries = load_baseline(path)
-        assert set(entries) == {"fig9@smoke", "ext-outage@smoke"}
-        assert entries["fig9@smoke"].events_per_sec == 1000.0
-        assert entries["ext-outage@smoke"].events_processed == 500
-
-    def test_baseline_errors(self, tmp_path):
-        with pytest.raises(ExperimentError, match="no baseline"):
-            load_baseline(tmp_path / "missing.json")
-        bad = tmp_path / "bad.json"
-        for version in (1, 99):  # bare-id v1 files are no longer read
-            bad.write_text(json.dumps({"schema_version": version, "entries": {}}))
-            with pytest.raises(ExperimentError, match="schema version"):
-                load_baseline(bad)
-        with pytest.raises(ExperimentError, match="zero bench"):
-            write_baseline([], tmp_path / "b.json", "smoke")
-        with pytest.raises(ExperimentError, match="tolerance"):
-            check_regressions([make_bench()], {}, tolerance=1.5)
-
-    def test_committed_baseline_is_readable(self):
-        entries = load_baseline("benchmarks/baseline.json")
-        assert {"fig9@smoke", "ext-outage@smoke"} <= set(entries)
-
-
-class TestPerfCLI:
-    def test_perf_writes_bench_files(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        code = main(
-            ["perf", "tab1", "--scale", "smoke", "--repeats", "1", "--top", "0",
-             "--out", str(out)]
-        )
-        assert code == 0
-        payload = json.loads((out / "BENCH_tab1.json").read_text())
-        assert payload["experiment_id"] == "tab1"
-        assert payload["events_per_sec"] > 0
-        assert "events/s" in capsys.readouterr().out
-
-    def test_perf_check_gates_and_write_baseline(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        baseline = tmp_path / "baseline.json"
-        code = main(
-            ["perf", "tab1", "--scale", "smoke", "--repeats", "1", "--top", "0",
-             "--out", str(out), "--write-baseline", str(baseline)]
-        )
-        assert code == 0
-        assert load_baseline(baseline)["tab1@smoke"].events_per_sec > 0
-        # measured vs its own baseline: trivially within tolerance
-        code = main(
-            ["perf", "tab1", "--scale", "smoke", "--repeats", "2", "--top", "0",
-             "--out", str(out), "--check", str(baseline), "--tolerance", "0.9"]
-        )
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().err
-        # an absurdly fast baseline must trip the gate
-        payload = json.loads(baseline.read_text())
-        payload["entries"]["tab1@smoke"]["events_per_sec"] = 1e12
-        baseline.write_text(json.dumps(payload))
-        code = main(
-            ["perf", "tab1", "--scale", "smoke", "--repeats", "1", "--top", "0",
-             "--out", str(out), "--check", str(baseline)]
-        )
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_perf_unknown_experiment_is_one_line_error(self, capsys):
-        code = main(["perf", "nope", "--scale", "smoke"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_check_gates_against_old_floor_when_rewriting_same_file(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "bench"
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema_version": 2,
-                    "scale": "smoke",
-                    "entries": {
-                        "tab1@smoke": {
-                            "events_per_sec": 1e12,  # unreachable old floor
-                            "events_processed": 1,
-                            "wall_clock_best": 1.0,
-                        }
-                    },
-                }
-            )
-        )
-        code = main(
-            ["perf", "tab1", "--scale", "smoke", "--repeats", "1", "--top", "0",
-             "--out", str(out), "--check", str(baseline),
-             "--write-baseline", str(baseline)]
-        )
-        # the gate compared against the OLD floor (and failed), even though
-        # the same file was refreshed afterwards
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
-        assert load_baseline(baseline)["tab1@smoke"].events_per_sec < 1e12
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,14 @@ verbatim."""
 from __future__ import annotations
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 TOP_LEVEL_EXPORTS = [
     "FlappingConfig",
@@ -50,6 +55,21 @@ def test_top_level_exports_exist():
         assert hasattr(repro, name), name
         assert name in repro.__all__
     assert repro.__version__
+
+
+@pytest.mark.parametrize(
+    "package", ["service", "experiments", "core", "pastry", "telemetry", "lint", "api"]
+)
+def test_package_imports_first_in_a_fresh_interpreter(package):
+    """No package may depend on another having been imported before it
+    (``repro.service`` used to die on a cycle through ``experiments``)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import repro.{package}"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module_name", sorted(SUBPACKAGE_EXPORTS))

@@ -1,11 +1,10 @@
 """Tests for the scale ladder: the flat Scale dataclass, the rung
-registry, run budgets, the SoA node-array core, bulk availability
-bitmaps, and the multi-rung perf plumbing."""
+registry, run budgets, the SoA node-array core and bulk availability
+bitmaps."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -32,8 +31,6 @@ from repro.experiments.scales import (
 )
 from repro.overlay.random_graphs import fixed_degree_random_graph
 from repro.pastry import state as pastry_state
-from repro.perf.profiler import BenchResult, profile_experiment
-from repro.perf.regression import check_budgets
 from repro.perturbation.adversarial import AdversarialRemoval, AdversarialRemovalConfig
 from repro.perturbation.churn import ChurnConfig, ChurnSchedule
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
@@ -449,57 +446,3 @@ class TestOnlineMasks:
         assert timeline.online_mask(62.0) is not first
 
 
-# ---------------------------------------------------------------------------
-# BENCH schema v2: budgets and peak RSS in the bench gate
-# ---------------------------------------------------------------------------
-
-
-class TestBenchBudgets:
-    def test_profile_records_budget_and_rss(self):
-        rung = SMOKE.evolve(
-            name="smoke-budgeted", max_wall_s=3600.0, max_rss_mb=1 << 20
-        )
-        result = profile_experiment(
-            "fig7", scale=rung, seed=0, repeats=1, with_profile=False
-        )
-        assert result.scale == "smoke-budgeted"
-        assert result.budget_max_wall_s == 3600.0
-        assert result.budget_max_rss_mb == float(1 << 20)
-        assert result.peak_rss_mb is None or result.peak_rss_mb > 0
-        assert check_budgets([result]) == []
-
-    def test_check_budgets_flags_violations(self):
-        rung = SMOKE.evolve(
-            name="smoke-budgeted", max_wall_s=3600.0, max_rss_mb=1 << 20
-        )
-        result = profile_experiment(
-            "fig7", scale=rung, seed=0, repeats=1, with_profile=False
-        )
-        slow = dataclasses.replace(result, wall_clock_mean=7200.0)
-        fat = dataclasses.replace(result, peak_rss_mb=float(1 << 21))
-        violations = check_budgets([slow, fat])
-        resources = {v.resource for v in violations}
-        assert resources == {"wall clock", "peak RSS"}
-        for violation in violations:
-            assert "\n" not in violation.describe()
-            assert "smoke-budgeted" in violation.describe()
-
-    def test_v1_bench_payload_still_loads(self):
-        payload = {
-            "experiment_id": "fig9",
-            "scale": "smoke",
-            "seed": 0,
-            "repeats": 1,
-            "warm": True,
-            "wall_clock_best": 0.5,
-            "wall_clock_mean": 0.5,
-            "events_processed": 100,
-            "events_per_sec": 200.0,
-            "hotspots": [],
-            "git_rev": "deadbeef",
-            "schema_version": 1,
-        }
-        result = BenchResult.from_dict(json.loads(json.dumps(payload)))
-        assert result.peak_rss_mb is None
-        assert result.budget_max_wall_s is None
-        assert check_budgets([result]) == []
