@@ -81,6 +81,39 @@ _METRICS = {
 }
 
 
+#: One memo entry of :meth:`NeighborMetricTable.ranked_neighbors`:
+#: ``(self_score, ids_by_rank, tier_ends, tier_scores)``.
+RankedNeighbors = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def rank_by_score(
+    ids: Sequence[int], scores: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(ids_by_rank, tier_ends, tier_scores)`` of aligned id/score sequences.
+
+    ``ids_by_rank`` is ``ids`` stable-sorted by score, highest first, so
+    equal-score ids keep their input order; tier ``t`` — the ids sharing
+    ``tier_scores[t]`` — is ``ids_by_rank[tier_ends[t - 1]:tier_ends[t]]``
+    (from 0 for the top tier).
+
+    >>> rank_by_score((10, 11, 12, 13), (2, 5, 2, -1))
+    ((11, 10, 12, 13), (1, 3, 4), (5, 2, -1))
+    """
+    tiers: dict[int, list[int]] = {}
+    for peer, score in zip(ids, scores):
+        if score in tiers:
+            tiers[score].append(peer)
+        else:
+            tiers[score] = [peer]
+    tier_scores = tuple(sorted(tiers, reverse=True))
+    ranked: list[int] = []
+    ends: list[int] = []
+    for score in tier_scores:
+        ranked += tiers[score]
+        ends.append(len(ranked))
+    return tuple(ranked), tuple(ends), tier_scores
+
+
 def metric_by_name(name: str):
     """Instantiate a metric from its configuration name."""
     try:
@@ -105,7 +138,10 @@ class NeighborMetricTable:
     (:meth:`scores_all`); every node's forwarding decision then gathers its
     ``[self, *neighbors]`` slice from that vector.  Results are integer-exact
     and byte-identical to scoring each node's matrix separately, because all
-    three metrics are row-wise independent.
+    three metrics are row-wise independent.  What the forwarding decision
+    reads is that slice *ranked* (:meth:`ranked_neighbors`), memoised per
+    ``(node, target)``: the ranking is a pure function of the pair, and the
+    experiments route the same objects through the same nodes many times.
 
     Parameters
     ----------
@@ -118,8 +154,12 @@ class NeighborMetricTable:
         A metric object (default :class:`CommonDigitsMetric`).
     """
 
-    #: cap on the per-table (node, target) score memo; one routing decision
-    #: list per entry, so this bounds memory at a few hundred MB worst case
+    #: cap on the per-table (node, target) memo of :meth:`ranked_neighbors`.
+    #: An entry is its key and four tuples — 248 B + 8 B a neighbor + 16 B a
+    #: score tier, and ~40 B of dict slot; the ids are ``neighbor_list``'s
+    #: own int objects.  Measured on the 4000-node ``static`` overlays: 536 B
+    #: a mean entry on the power-law graph (copies pass nodes of mean degree
+    #: 23), 1.2 KB at degree 100 — a full memo is ~100 MB and ~245 MB there
     SCORE_CACHE_LIMIT = 200_000
 
     def __init__(self, overlay, ids: Sequence[Identifier], metric=None):
@@ -128,7 +168,7 @@ class NeighborMetricTable:
         self.ids = self.arrays.ids
         self.metric = metric if metric is not None else CommonDigitsMetric()
         self._neighbor_tuples: dict[int, tuple[int, ...]] = {}
-        self._score_cache: dict[tuple[int, int], list[int]] = {}
+        self._score_cache: dict[tuple[int, int], RankedNeighbors] = {}
         # Full-population score vectors, keyed by target value.  Each entry
         # is 4n bytes, so the bound scales inversely with population size to
         # keep the cache's worst case in the same ballpark as the memo above.
@@ -142,9 +182,9 @@ class NeighborMetricTable:
         return self.arrays.neighbors(node)
 
     def neighbor_list(self, node: int) -> tuple[int, ...]:
-        """Neighbor indices of ``node`` as plain Python ints (the form the
-        forwarding decision consumes without per-element numpy casts).
-        Materialised lazily per node from the CSR slice."""
+        """Neighbor indices of ``node`` as plain Python ints (what
+        :meth:`ranked_neighbors` ranks; every entry of a node shares these
+        int objects).  Materialised lazily per node from the CSR slice."""
         cached = self._neighbor_tuples.get(node)
         if cached is None:
             cached = tuple(self.arrays.neighbors(node).tolist())
@@ -170,20 +210,29 @@ class NeighborMetricTable:
         return self.scores_all(target)[self.arrays.neighbors(node)]
 
     def scores_with_self(self, node: int, target: Identifier) -> list[int]:
-        """``[self_score, *neighbor_scores]`` as one memoised Python list.
+        """``[self_score, *neighbor_scores]`` as a fresh Python list, aligned
+        with ``[node, *neighbor_list(node)]`` and gathered from the batched
+        per-target vector (:meth:`scores_all`)."""
+        return self.scores_all(target)[self.arrays.rows_ws(node)].tolist()
 
-        Gathered from the batched per-target vector (:meth:`scores_all`);
-        results are cached per ``(node, target)`` because the perturbation
-        experiments re-route the same objects across many scenario cells and
-        protocol variants.  Callers must treat the returned list as
-        read-only.
+    def ranked_neighbors(self, node: int, target: Identifier) -> RankedNeighbors:
+        """``(self_score, ids_by_rank, tier_ends, tier_scores)``: the
+        neighbors of ``node`` ranked by their score against ``target``
+        (:func:`rank_by_score` over :meth:`neighbor_list` and
+        :meth:`scores_with_self`), which is what
+        :func:`repro.core.routing.decide_forwarding` consumes.
+
+        Memoised per ``(node, target)`` because the experiments re-route the
+        same objects across many lookups, scenario cells and protocol
+        variants; the entry is immutable all the way down.
         """
         key = (node, target.value)
         cached = self._score_cache.get(key)
         if cached is None:
             if len(self._score_cache) >= self.SCORE_CACHE_LIMIT:
                 self._score_cache.clear()
-            cached = self.scores_all(target)[self.arrays.rows_ws(node)].tolist()
+            scores = self.scores_with_self(node, target)
+            cached = (scores[0], *rank_by_score(self.neighbor_list(node), scores[1:]))
             self._score_cache[key] = cached
         return cached
 

@@ -134,24 +134,20 @@ class MPILRequest:
                 self.span("drop", node, now, parent_span, reason="hop-limit")
             return
 
-        table = self.table
-        scores = table.scores_with_self(node, object_id)
         excluded = set(msg.route)
         excluded.add(node)
-        decision = decide_forwarding(
-            self_score=scores[0],
-            neighbor_ids=table.neighbor_list(node),
-            neighbor_scores=scores[1:],
-            excluded=excluded,
-            max_flows=msg.max_flows,
-            given_flows=msg.given_flows,
-            rng=self.rng,
-            tie_break=self.tie_break,
-            local_max_rule=self.local_max_rule,
+        is_local_max, next_hops, budgets, new_flows = decide_forwarding(
+            self.table.ranked_neighbors(node, object_id),
+            excluded,
+            msg.max_flows,
+            msg.given_flows,
+            self.rng,
+            self.tie_break,
+            self.local_max_rule,
         )
 
         replicas_left = msg.replicas_left
-        if decision.is_local_max:
+        if is_local_max:
             if not is_lookup:
                 directory.store(node, object_id, msg.owner, hop=hop)
                 if node not in self.stored:
@@ -162,10 +158,10 @@ class MPILRequest:
             if replicas_left <= 0:
                 return
 
-        self.flows += decision.new_flows
+        self.flows += new_flows
         forward = self.forward
         send_span: Optional[int] = None
-        for next_node, budget in zip(decision.next_hops, decision.budgets):
+        for next_node, budget in zip(next_hops, budgets):
             counters.messages_sent += 1
             child = msg.child(next_node, budget)
             child.replicas_left = replicas_left

@@ -1,7 +1,7 @@
 """The MPIL forwarding decision (Figure 5's pseudo-code, as a pure function).
 
-Given the metric scores of a node's neighbors against the message's object
-ID, :func:`decide_forwarding` determines:
+Given a node's neighbors ranked by their metric score against the
+message's object ID, :func:`decide_forwarding` determines:
 
 - whether the current node is a *local maximum* ("an object is inserted at
   a node when none of its neighbor nodes have a higher MPIL routing metric
@@ -17,35 +17,24 @@ and makes property testing straightforward.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from typing import AbstractSet, Optional, Sequence
-
-import numpy as np
+from typing import AbstractSet, NamedTuple, Optional
 
 from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
+from repro.core.metric import RankedNeighbors
 
 
-@dataclasses.dataclass(frozen=True)
-class ForwardDecision:
+class ForwardDecision(NamedTuple):
     """Outcome of one node's handling of one message copy."""
 
     is_local_max: bool
     next_hops: tuple[int, ...]
     budgets: tuple[int, ...]
-    self_score: int
-    best_candidate_score: Optional[int]
     new_flows: int
-
-    @property
-    def fanout(self) -> int:
-        return len(self.next_hops)
 
 
 def decide_forwarding(
-    self_score: int,
-    neighbor_ids: "np.ndarray | Sequence[int]",
-    neighbor_scores: "np.ndarray | Sequence[int]",
+    ranked: RankedNeighbors,
     excluded: AbstractSet[int],
     max_flows: int,
     given_flows: int,
@@ -57,11 +46,13 @@ def decide_forwarding(
 
     Parameters
     ----------
-    self_score:
-        Metric value of the current node against the object ID.
-    neighbor_ids / neighbor_scores:
-        Aligned arrays (or plain sequences) of neighbor indices and their
-        metric values.
+    ranked:
+        ``(self_score, ids_by_rank, tier_ends, tier_scores)`` — the current
+        node's metric value against the object ID and its neighbors grouped
+        into equal-score tiers, best first, in the layout of
+        :func:`repro.core.metric.rank_by_score`
+        (:meth:`~repro.core.metric.NeighborMetricTable.ranked_neighbors`
+        keeps one per ``(node, object)``).
     excluded:
         Nodes that may not be chosen as next hops: the message's route plus
         the current node ("Choosing next_hop_list is dependent only on peers
@@ -77,84 +68,38 @@ def decide_forwarding(
         (the pseudo-code's "all nodes in neighbor list"); ``"unvisited-only"``
         tests only against the unvisited candidates (ablation).
     """
-    # Plain-Python fast path: numpy arrays are converted to lists once, then
-    # a single ascending pass finds the best unvisited score and collects the
-    # tied positions — same candidate order (and therefore the same RNG
-    # consumption) as the original max-then-filter formulation.
-    ids_list: Sequence[int] = (
-        neighbor_ids if isinstance(neighbor_ids, (list, tuple)) else neighbor_ids.tolist()
-    )
-    scores_list: Sequence[int] = (
-        neighbor_scores
-        if isinstance(neighbor_scores, (list, tuple))
-        else neighbor_scores.tolist()
-    )
-    n = len(ids_list)
-    best: Optional[int] = None
-    best_positions: list[int] = []
-    for i, neighbor in enumerate(ids_list):
-        if neighbor in excluded:
-            continue
-        score = scores_list[i]
-        if best is None or score > best:
-            best = score
-            best_positions = [i]
-        elif score == best:
-            best_positions.append(i)
-    best_candidate_score: Optional[int] = best
+    self_score, ids_by_rank, tier_ends, tier_scores = ranked
+    # next_hop_list is the best tier that still has an unvisited member.  A
+    # route holds the few nodes this copy visited, so that is nearly always
+    # the first tier; the candidates keep the tier's stored order, which
+    # fixes what ``rng.sample`` draws.
+    candidates: list[int] = []
+    best_candidate_score: Optional[int] = None
+    start = 0
+    for end, score in zip(tier_ends, tier_scores):
+        candidates = [peer for peer in ids_by_rank[start:end] if peer not in excluded]
+        if candidates:
+            best_candidate_score = score
+            break
+        start = end
 
     if local_max_rule == "all-neighbors":
-        reference = max(scores_list) if n else None
+        reference = tier_scores[0] if tier_scores else None
     else:
         reference = best_candidate_score
     is_local_max = reference is None or self_score >= reference
 
-    fanout = allowed_fanout(max_flows, given_flows, len(best_positions))
+    fanout = allowed_fanout(max_flows, given_flows, len(candidates))
     if fanout == 0:
-        return ForwardDecision(
-            is_local_max=is_local_max,
-            next_hops=(),
-            budgets=(),
-            self_score=self_score,
-            best_candidate_score=best_candidate_score,
-            new_flows=0,
-        )
-
-    if fanout < len(best_positions):
+        return ForwardDecision(is_local_max, (), (), 0)
+    if fanout < len(candidates):
         if tie_break == "random":
-            chosen = rng.sample(best_positions, fanout)
+            candidates = rng.sample(candidates, fanout)
         else:
-            by_id = sorted(best_positions, key=ids_list.__getitem__)
-            chosen = by_id[:fanout]
-    else:
-        chosen = best_positions
-
-    next_hops = tuple(ids_list[i] for i in chosen)
-    budgets = tuple(split_flow_budget(max_flows, given_flows, fanout))
+            candidates = sorted(candidates)[:fanout]
     return ForwardDecision(
-        is_local_max=is_local_max,
-        next_hops=next_hops,
-        budgets=budgets,
-        self_score=self_score,
-        best_candidate_score=best_candidate_score,
-        new_flows=flows_consumed(given_flows, fanout),
+        is_local_max,
+        tuple(candidates),
+        tuple(split_flow_budget(max_flows, given_flows, fanout)),
+        flows_consumed(given_flows, fanout),
     )
-
-
-def scores_for_node(
-    table, node: int, target
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Convenience: (neighbor_ids, neighbor_scores, self_score) for a node."""
-    return (
-        table.neighbor_array(node),
-        table.scores(node, target),
-        table.self_score(node, target),
-    )
-
-
-def best_neighbor_scores(
-    neighbor_scores: Sequence[int],
-) -> Optional[int]:
-    """Maximum of a (possibly empty) score sequence."""
-    values = list(neighbor_scores)
-    return max(values) if values else None

@@ -269,15 +269,24 @@ def load_spec_file(path: Union[str, pathlib.Path]) -> dict[str, Any]:
     path = pathlib.Path(path)
     if not path.exists():
         raise ExperimentError(f"spec file {str(path)!r} does not exist")
-    if path.suffix == ".json":
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"malformed JSON in {str(path)!r}: {exc}") from None
     try:
-        return tomllib.loads(path.read_text())
+        # TOML is UTF-8 by definition and JSON by convention; the locale
+        # must not decide how a spec reads
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ExperimentError(f"cannot read spec file {str(path)!r}: {exc}") from None
+    try:
+        source = json.loads(text) if path.suffix == ".json" else tomllib.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"malformed JSON in {str(path)!r}: {exc}") from None
     except tomllib.TOMLDecodeError as exc:
         raise ExperimentError(f"malformed TOML in {str(path)!r}: {exc}") from None
+    if not isinstance(source, dict):
+        raise ExperimentError(
+            f"spec file {str(path)!r} must hold a table at top level, "
+            f"found a {type(source).__name__}"
+        )
+    return source
 
 
 def _is_list(value: Any) -> bool:

@@ -16,23 +16,36 @@ goldens carry the python/numpy/networkx versions they were taken under
 (graph generation and RNG streams are only pinned per version); elsewhere
 the comparison is skipped with the reason.  After an *intended* change of
 results, regenerate the file as :func:`_golden_document` describes.
+
+Beside the bytes, ``tests/goldens/work_counts_smoke_seed0.json`` pins how
+much *work* three experiments do for them — forwarding decisions, derived
+RNG streams, events — because a hosted runner can gate on a count where a
+time means nothing.  A change of cost per call leaves the file alone; a
+change that lowers a count re-pins it on purpose
+(:func:`_work_counts_document`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.metadata
 import json
 import pathlib
 import platform
+import sys
 
 import pytest
 
+import repro.core.protocol
+import repro.sim.rng
 from repro.experiments import all_experiment_ids, run_experiment
+from repro.sim.engine import events_processed_total
+from repro.util.cache import clear_all_caches
 
-GOLDENS = json.loads(
-    (pathlib.Path(__file__).parent / "goldens" / "smoke_seed1.json").read_text()
-)
+_GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
+GOLDENS = json.loads((_GOLDEN_DIR / "smoke_seed1.json").read_text())
+WORK_COUNTS = json.loads((_GOLDEN_DIR / "work_counts_smoke_seed0.json").read_text())
 
 
 def _fingerprint() -> dict[str, str]:
@@ -90,3 +103,63 @@ def test_distinct_seeds_change_some_output():
         if _payload(experiment_id, 0) != _payload(experiment_id, 2)
     ]
     assert differing
+
+
+#: synchronous inserts, synchronous lookups, and timed MPIL beside MSPastry
+#: under flapping (the one with most ``derive_rng`` streams)
+_WORK_COUNT_EXPERIMENTS = ("fig9", "tab1", "fig11")
+
+
+def _count_calls(patch: pytest.MonkeyPatch, function) -> list[int]:
+    """Rebind ``function`` to a counting wrapper in every loaded ``repro``
+    module that holds it (``from x import f`` copies included) until
+    ``patch`` is undone; the count so far is element 0 of the result."""
+    calls = [0]
+
+    @functools.wraps(function)
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "repro":
+            for name, value in list(vars(module).items()):
+                if value is function:
+                    patch.setattr(module, name, wrapper)
+    return calls
+
+
+def _work_counts(experiment_id: str) -> dict[str, int]:
+    """Calls and events of one cold ``smoke`` seed-0 run."""
+    clear_all_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        decide_calls = _count_calls(patch, repro.core.protocol.decide_forwarding)
+        derive_calls = _count_calls(patch, repro.sim.rng.derive_rng)
+        events_before = events_processed_total()
+        run_experiment(experiment_id, scale="smoke", seed=0)
+        return {
+            "decide_forwarding_calls": decide_calls[0],
+            "derive_rng_calls": derive_calls[0],
+            "events_processed": events_processed_total() - events_before,
+        }
+
+
+def _work_counts_document() -> dict:
+    """What ``tests/goldens/work_counts_smoke_seed0.json`` holds; regenerate
+    it like ``smoke_seed1.json``, with ``t._work_counts_document()``."""
+    return {
+        "fingerprint": _fingerprint(),
+        "counts": {
+            experiment_id: _work_counts(experiment_id)
+            for experiment_id in _WORK_COUNT_EXPERIMENTS
+        },
+    }
+
+
+def test_work_counts_match_the_golden():
+    if WORK_COUNTS["fingerprint"] != _fingerprint():
+        pytest.skip(
+            f"work counts were taken under {WORK_COUNTS['fingerprint']}, "
+            f"this is {_fingerprint()}"
+        )
+    assert _work_counts_document() == WORK_COUNTS

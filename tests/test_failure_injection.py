@@ -1,5 +1,6 @@
 """Failure-injection tests: extreme availability patterns against both
-protocol stacks, and corrupted store files against the CLI."""
+protocol stacks, and corrupted store files and hostile spec files against
+the CLI."""
 
 from __future__ import annotations
 
@@ -174,3 +175,33 @@ class TestCorruptStoreFiles:
         run = ["run", "fig7", "--scale", "smoke", "--seed", "5", "--out", str(swept)]
         err = self._fails_in_one_line(run, swept, capsys)
         assert str(manifest) in err and "delete it" in err
+
+
+class TestHostileSpecFiles:
+    """A spec file that cannot be read as a table is one stderr line naming
+    the file and exit 2 — before anything is built or written."""
+
+    def _fails_in_one_line(self, spec, tmp_path, capsys) -> str:
+        out = tmp_path / "store"
+        argv = ["compose", str(spec), "--scale", "smoke", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1, captured.err
+        assert str(spec) in captured.err
+        assert captured.out == "" and not out.exists()
+        return captured.err
+
+    def test_non_utf8_bytes(self, tmp_path, capsys):
+        spec = tmp_path / "latin.toml"
+        spec.write_bytes(b'[experiment]\nid = "caf\xe9"\n')
+        assert "cannot read" in self._fails_in_one_line(spec, tmp_path, capsys)
+
+    def test_directory_path(self, tmp_path, capsys):
+        spec = tmp_path / "spec.toml"
+        spec.mkdir()
+        assert "cannot read" in self._fails_in_one_line(spec, tmp_path, capsys)
+
+    def test_json_list_at_top_level(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"experiment": {"id": "x"}}]')
+        assert "found a list" in self._fails_in_one_line(spec, tmp_path, capsys)

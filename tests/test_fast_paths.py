@@ -3,7 +3,7 @@
 The rewritten ``pastry_next_hop``, ``decide_forwarding``, and
 ``build_routing_tables`` are pinned against straightforward reference
 implementations (the pre-optimisation algorithms, kept verbatim here) on
-seeded random instances; the cached views (scores-with-self, degrees, CSR
+seeded random instances; the cached views (ranked neighbors, degrees, CSR
 adjacency), the batched latency rows and :class:`BoundedCache` are pinned
 against their unbatched counterparts; and the events/sec plumbing through
 the result store and :class:`TaskOutcome` is checked end to end.
@@ -15,9 +15,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import MPILConfig
+from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
 from repro.core.identifiers import IdSpace
+from repro.core.metric import NeighborMetricTable, metric_by_name, rank_by_score
 from repro.core.network import MPILNetwork
 from repro.core.routing import decide_forwarding
 from repro.errors import ConfigurationError
@@ -89,6 +93,59 @@ def reference_next_hop(node, key, ring, leaf_set, table, alive):
     if best_candidate is not None:
         return ("forward", best_candidate, "fallback")
     return ("deliver", node, "self")
+
+
+def reference_decide(
+    self_score,
+    neighbor_ids,
+    neighbor_scores,
+    excluded,
+    max_flows,
+    given_flows,
+    rng,
+    tie_break="random",
+    local_max_rule="all-neighbors",
+):
+    """The forwarding rule as a scan over *unranked*, aligned id/score
+    sequences: ``(is_local_max, next_hops, budgets, new_flows)``."""
+    ids_list = list(neighbor_ids)
+    scores_list = list(neighbor_scores)
+    n = len(ids_list)
+    best = None
+    best_positions: list[int] = []
+    for i, neighbor in enumerate(ids_list):
+        if neighbor in excluded:
+            continue
+        score = scores_list[i]
+        if best is None or score > best:
+            best = score
+            best_positions = [i]
+        elif score == best:
+            best_positions.append(i)
+    best_candidate_score = best
+
+    if local_max_rule == "all-neighbors":
+        reference = max(scores_list) if n else None
+    else:
+        reference = best_candidate_score
+    is_local_max = reference is None or self_score >= reference
+
+    fanout = allowed_fanout(max_flows, given_flows, len(best_positions))
+    if fanout == 0:
+        return (is_local_max, (), (), 0)
+
+    if fanout < len(best_positions):
+        if tie_break == "random":
+            chosen = rng.sample(best_positions, fanout)
+        else:
+            by_id = sorted(best_positions, key=ids_list.__getitem__)
+            chosen = by_id[:fanout]
+    else:
+        chosen = best_positions
+
+    next_hops = tuple(ids_list[i] for i in chosen)
+    budgets = tuple(split_flow_budget(max_flows, given_flows, fanout))
+    return (is_local_max, next_hops, budgets, flows_consumed(given_flows, fanout))
 
 
 def reference_routing_tables(ring, latency=None, seed: object = 0):
@@ -190,6 +247,10 @@ class TestOptimizedRoutingMatchesReference:
             assert ring.prefix_len(node, key) == ring.ids[node].prefix_match_len(key)
 
 
+def _ranked(self_score, neighbor_ids, neighbor_scores):
+    return (self_score, *rank_by_score(neighbor_ids, neighbor_scores))
+
+
 class TestDecideForwardingParity:
     def test_list_and_array_inputs_agree(self):
         rng = derive_rng(11, "decide")
@@ -198,42 +259,104 @@ class TestDecideForwardingParity:
             neighbor_ids = rng.sample(range(100), n)
             neighbor_scores = [rng.randrange(0, 6) for _ in range(n)]
             excluded = set(rng.sample(neighbor_ids, rng.randrange(0, n)))
+            self_score = rng.randrange(0, 6)
             kwargs = dict(
-                self_score=rng.randrange(0, 6),
                 excluded=excluded,
                 max_flows=rng.randrange(0, 5),
                 given_flows=rng.randrange(0, 2),
                 tie_break=rng.choice(["random", "lowest-id"]),
                 local_max_rule=rng.choice(["all-neighbors", "unvisited-only"]),
             )
+            # the gather hands out numpy-derived lists, the tests bare tuples
             from_arrays = decide_forwarding(
-                neighbor_ids=np.asarray(neighbor_ids, dtype=np.int64),
-                neighbor_scores=np.asarray(neighbor_scores, dtype=np.int32),
+                _ranked(
+                    self_score,
+                    np.asarray(neighbor_ids, dtype=np.int64).tolist(),
+                    np.asarray(neighbor_scores, dtype=np.int32).tolist(),
+                ),
                 rng=random.Random(trial),
                 **kwargs,
             )
             from_lists = decide_forwarding(
-                neighbor_ids=tuple(neighbor_ids),
-                neighbor_scores=list(neighbor_scores),
+                _ranked(self_score, tuple(neighbor_ids), list(neighbor_scores)),
                 rng=random.Random(trial),
                 **kwargs,
             )
-            assert from_arrays == from_lists
+            scanned = reference_decide(
+                self_score, neighbor_ids, neighbor_scores, rng=random.Random(trial), **kwargs
+            )
+            assert from_arrays == from_lists == scanned
             assert all(isinstance(hop, int) for hop in from_arrays.next_hops)
 
-    def test_negative_scores_still_select_a_candidate(self):
-        # custom metrics may return negative scores; the single-pass rewrite
-        # must not treat them as worse-than-no-candidate
+    @given(
+        neighbors=st.lists(
+            st.tuples(st.integers(0, 400), st.integers(-6, 6)),
+            max_size=24,
+            unique_by=lambda pair: pair[0],
+        ),
+        score_span=st.sampled_from([1, 3, 13]),
+        self_score=st.integers(-6, 6),
+        excluded_share=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        max_flows=st.integers(0, 5),
+        given_flows=st.integers(0, 1),
+        tie_break=st.sampled_from(["random", "lowest-id"]),
+        local_max_rule=st.sampled_from(["all-neighbors", "unvisited-only"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ranked_decision_is_the_scan_on_any_input(
+        self,
+        neighbors,
+        score_span,
+        self_score,
+        excluded_share,
+        max_flows,
+        given_flows,
+        tie_break,
+        local_max_rule,
+        seed,
+    ):
+        """Same four fields *and* the same RNG state afterwards, over ids in
+        arbitrary order, negative and all-equal scores (``score_span`` 1),
+        no neighbors, and everything excluded (``excluded_share`` 1)."""
+        neighbor_ids = [peer for peer, _ in neighbors]
+        neighbor_scores = [score % score_span - score_span // 2 for _, score in neighbors]
+        picker = random.Random(seed)
+        excluded = {peer for peer in neighbor_ids if picker.random() < excluded_share}
+        excluded.add(401)  # the deciding node itself is never a neighbor
+        ranked_rng = random.Random(seed)
+        scan_rng = random.Random(seed)
         decision = decide_forwarding(
-            self_score=-10,
-            neighbor_ids=(1, 2, 3),
-            neighbor_scores=[-5, -2, -7],
+            _ranked(self_score, neighbor_ids, neighbor_scores),
+            excluded,
+            max_flows,
+            given_flows,
+            ranked_rng,
+            tie_break,
+            local_max_rule,
+        )
+        assert decision == reference_decide(
+            self_score,
+            neighbor_ids,
+            neighbor_scores,
+            excluded,
+            max_flows,
+            given_flows,
+            scan_rng,
+            tie_break,
+            local_max_rule,
+        )
+        assert ranked_rng.getstate() == scan_rng.getstate()
+
+    def test_negative_scores_still_select_a_candidate(self):
+        # custom metrics may return negative scores; the tier walk must not
+        # treat them as worse-than-no-candidate
+        decision = decide_forwarding(
+            _ranked(-10, (1, 2, 3), [-5, -2, -7]),
             excluded={3},
             max_flows=2,
             given_flows=0,
             rng=random.Random(0),
         )
-        assert decision.best_candidate_score == -2
         assert decision.next_hops == (2,)
         assert decision.is_local_max is False
 
@@ -253,8 +376,46 @@ class TestCachedViews:
                 assert table.neighbor_list(node) == tuple(
                     int(v) for v in table.neighbor_array(node)
                 )
-                # memoised: the same list object comes back
-                assert table.scores_with_self(node, target) is combined
+                # not memoised itself: the one memo holds the ranked form
+                assert table.scores_with_self(node, target) is not combined
+
+    @pytest.mark.parametrize("metric_name", ["common-digits", "prefix", "suffix"])
+    def test_ranked_neighbors_is_the_ranked_gather(self, metric_name):
+        overlay = gnp_random_graph(30, 0.2, seed=3)
+        ids = MPILNetwork(overlay, seed=3).ids
+        table = NeighborMetricTable(overlay, ids, metric=metric_by_name(metric_name))
+        rng = derive_rng(3, "targets")
+        for _ in range(10):
+            target = ids[0].space.random_identifier(rng)
+            for node in range(overlay.n):
+                scores = table.scores_with_self(node, target)
+                entry = table.ranked_neighbors(node, target)
+                assert entry == _ranked(scores[0], table.neighbor_list(node), scores[1:])
+                # memoised: the same immutable entry comes back
+                assert table.ranked_neighbors(node, target) is entry
+                assert type(entry) is tuple
+                assert all(type(member) is tuple for member in entry[1:])
+
+    def test_ranked_neighbors_survives_memo_overflow(self, monkeypatch):
+        overlay = gnp_random_graph(30, 0.2, seed=3)
+        network = MPILNetwork(overlay, config=MPILConfig(), seed=3)
+        table = network.metric_table
+        target = network.space.random_identifier(derive_rng(3, "targets"))
+        expected = [table.ranked_neighbors(node, target) for node in range(overlay.n)]
+        monkeypatch.setattr(NeighborMetricTable, "SCORE_CACHE_LIMIT", 8)
+        table._score_cache.clear()
+        for _ in range(2):
+            for node in range(overlay.n):
+                assert table.ranked_neighbors(node, target) == expected[node]
+                assert len(table._score_cache) <= 8
+
+    def test_rank_by_score_keeps_input_order_inside_a_tier(self):
+        assert rank_by_score((7, 3, 9, 1, 5), (2, -1, 2, 4, -1)) == (
+            (1, 7, 9, 3, 5),
+            (1, 3, 5),
+            (4, 2, -1),
+        )
+        assert rank_by_score((), ()) == ((), (), ())
 
     def test_graph_degree_views(self):
         overlay = gnp_random_graph(25, 0.15, seed=8)

@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
+from repro.core.metric import rank_by_score
 from repro.core.routing import ForwardDecision, decide_forwarding
 
 
 def _decide(self_score, ids, scores, excluded=(), max_flows=10, given=0, tie="lowest-id", rule="all-neighbors", seed=0):
     return decide_forwarding(
-        self_score=self_score,
-        neighbor_ids=np.asarray(ids, dtype=np.int64),
-        neighbor_scores=np.asarray(scores, dtype=np.int32),
+        (self_score, *rank_by_score(ids, scores)),
         excluded=set(excluded),
         max_flows=max_flows,
         given_flows=given,
@@ -28,7 +26,7 @@ class TestCandidateSelection:
     def test_forwards_to_single_best(self):
         decision = _decide(1, [10, 11, 12], [3, 1, 2])
         assert decision.next_hops == (10,)
-        assert decision.best_candidate_score == 3
+        assert not decision.is_local_max  # the chosen hop scores 3 > self 1
 
     def test_ties_create_multiple_next_hops(self):
         decision = _decide(1, [10, 11, 12], [3, 3, 2])
@@ -41,7 +39,19 @@ class TestCandidateSelection:
     def test_all_excluded_means_no_forwarding(self):
         decision = _decide(1, [10, 11], [3, 1], excluded={10, 11})
         assert decision.next_hops == ()
-        assert decision.best_candidate_score is None
+        assert decision.budgets == ()
+        assert decision.new_flows == 0
+
+    def test_all_excluded_leaves_no_candidate_to_compare_with(self):
+        # nothing unvisited: "unvisited-only" has no reference score at all,
+        # "all-neighbors" still sees the visited 3 above self
+        assert _decide(1, [10, 11], [3, 1], excluded={10, 11}, rule="unvisited-only").is_local_max
+        assert not _decide(1, [10, 11], [3, 1], excluded={10, 11}).is_local_max
+
+    def test_excluded_top_tiers_fall_through_to_the_next(self):
+        decision = _decide(1, [10, 11, 12, 13], [5, 5, 4, 2], excluded={10, 11, 12})
+        assert decision.next_hops == (13,)
+        assert not decision.is_local_max
 
     def test_downhill_forwarding_continues(self):
         """Continuous forwarding: the best candidate is used even when its
@@ -94,12 +104,12 @@ class TestBudgets:
 
     def test_fanout_capped_by_budget(self):
         decision = _decide(1, [10, 11, 12, 13], [3, 3, 3, 3], max_flows=1, given=1)
-        assert decision.fanout == 2  # min(4 candidates, 1 + 1)
+        assert len(decision.next_hops) == 2  # min(4 candidates, 1 + 1)
         assert decision.budgets == (0, 0)
 
     def test_zero_budget_relay_keeps_one_path(self):
         decision = _decide(1, [10, 11], [3, 3], max_flows=0, given=1)
-        assert decision.fanout == 1
+        assert len(decision.next_hops) == 1
         assert decision.budgets == (0,)
         assert decision.new_flows == 0
 
@@ -128,5 +138,6 @@ class TestTieBreaking:
 def test_decision_is_frozen():
     decision = _decide(1, [10], [2])
     assert isinstance(decision, ForwardDecision)
+    assert decision == (False, (10,), (9,), 1)
     with pytest.raises(AttributeError):
         decision.next_hops = ()
