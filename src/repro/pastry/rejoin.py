@@ -8,7 +8,9 @@ offline period exceeds the failure-detection horizon: a node that vanishes
 for several probe rounds is evicted, and on recovery it is effectively
 absent until its rejoin completes.  Rejoin attempts are retried each probe
 period and succeed only when the (hash-chosen) bootstrap contacts are all
-online — through a heavily perturbed network, rejoins thrash, which is what
+online — each attempt's contact stream is derived on first use, when a
+query at or after that attempt's time first needs its outcome — and
+through a heavily perturbed network, rejoins thrash, which is what
 collapses the paper's 300:300 curve at high flapping probability while
 leaving 1:1 / 30:30 / 45:15 (whose offline windows are shorter than the
 detection horizon) untouched.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from typing import Optional
 
 from repro.pastry.config import PastryConfig
 from repro.perturbation.flapping import FlappingSchedule
@@ -47,40 +50,59 @@ def detection_horizon(config: PastryConfig) -> float:
     )
 
 
-def _attempt_rejoins(
-    is_online,
-    num_nodes: int,
-    seed: object,
-    stream: str,
-    node: int,
-    episode_key: object,
-    recovery: float,
-    period: float,
-    join_contacts: int,
-    max_attempts: int,
-) -> float:
-    """Completion time of a rejoin starting at ``recovery``.
+class _RejoinModel:
+    """What both rejoin models share: the parameters and the one attempt
+    loop, evaluated only as far as a query needs it."""
 
-    Attempts run every ``period`` from recovery; each draws
-    ``join_contacts`` hash-chosen bootstrap contacts from the named stream
-    and succeeds when all are online under ``is_online``.  Shared by both
-    rejoin models; ``stream``/``episode_key`` keep their RNG label paths
-    distinct and stable.
-    """
-    for attempt in range(max_attempts):
-        at = recovery + attempt * period
-        rng = derive_rng(seed, stream, node, episode_key, attempt)
-        contacts: list[int] = []
-        while len(contacts) < min(join_contacts, num_nodes - 1):
-            candidate = rng.randrange(num_nodes)
-            if candidate != node and candidate not in contacts:
-                contacts.append(candidate)
-        if all(is_online(c, at) for c in contacts):
-            return at
-    return recovery + max_attempts * period  # pessimistic cap
+    def __init__(self, config: PastryConfig, seed: object, join_contacts: int, max_attempts: int):
+        validate_seed(seed)
+        self.pastry_config = config
+        self.seed = seed
+        self.join_contacts = join_contacts
+        self.max_attempts = max_attempts
+        self.eviction_threshold = detection_horizon(config)
+        #: (node, episode key) -> (attempts evaluated, completion or None)
+        self._rejoin_cache: dict[tuple[int, object], tuple[int, Optional[float]]] = {}
+
+    def _rejoined_by(
+        self, raw, stream: str, node: int, episode_key: object, recovery: float, time: float
+    ) -> bool:
+        """Has the rejoin that started at ``recovery`` completed by ``time``?
+
+        Attempts run every leafset probe period from recovery; each draws
+        ``join_contacts`` hash-chosen bootstrap contacts from its own
+        stream (``stream``/``episode_key`` keep the label paths of the two
+        models distinct and stable) and succeeds when all are online under
+        ``raw``.  Only attempts due by ``time`` are evaluated and their
+        streams derived; a later query resumes where this one stopped.
+        """
+        key = (node, episode_key)
+        attempts, completion = self._rejoin_cache.get(key, (0, None))
+        if completion is not None:
+            return time >= completion
+        period = self.pastry_config.leafset_probe_period
+        num_nodes = raw.num_nodes
+        while completion is None:
+            at = recovery + attempts * period
+            if at > time:
+                break
+            if attempts == self.max_attempts:
+                completion = at  # pessimistic cap
+                break
+            rng = derive_rng(self.seed, stream, node, episode_key, attempts)
+            contacts: list[int] = []
+            while len(contacts) < min(self.join_contacts, num_nodes - 1):
+                candidate = rng.randrange(num_nodes)
+                if candidate != node and candidate not in contacts:
+                    contacts.append(candidate)
+            if all(raw.is_online(c, at) for c in contacts):
+                completion = at
+            attempts += 1
+        self._rejoin_cache[key] = (attempts, completion)
+        return completion is not None
 
 
-class RejoinAdjustedAvailability:
+class RejoinAdjustedAvailability(_RejoinModel):
     """Flapping availability adjusted for eviction + rejoin delays."""
 
     def __init__(
@@ -92,18 +114,13 @@ class RejoinAdjustedAvailability:
         max_attempts: int = 64,
         scan_cycles: int = 64,
     ):
+        super().__init__(config, seed, join_contacts, max_attempts)
         self.schedule = schedule
-        self.pastry_config = config
-        self.seed = seed
-        self.join_contacts = join_contacts
-        self.max_attempts = max_attempts
         self.scan_cycles = scan_cycles
-        self.eviction_threshold = detection_horizon(config)
         flap = schedule.config
         self._evictions_possible = (
             flap.probability > 0 and flap.offline_period >= self.eviction_threshold
         )
-        self._rejoin_cache: dict[tuple[int, int], float] = {}
 
     # passthroughs so the probed-view oracle can wrap this object
     @property
@@ -123,15 +140,14 @@ class RejoinAdjustedAvailability:
         episode = self._last_completed_offline_episode(node, time)
         if episode is None:
             return True
-        rejoin_time = self._rejoin_completion(node, episode)
-        return time >= rejoin_time
+        return self._rejoined_by(self.schedule, "rejoin", node, *episode, time)
 
     # -- internals -------------------------------------------------------------
 
     def _last_completed_offline_episode(self, node: int, time: float):
-        """Index of the most recent cycle whose offline part the node took
-        and which ended at or before ``time`` (None if none in the scan
-        window)."""
+        """``(index, end time)`` of the most recent cycle whose offline part
+        the node took and which ended at or before ``time`` (None if none in
+        the scan window)."""
         flap = self.schedule.config
         cycle = flap.cycle
         phase = self.schedule.phase(node)
@@ -146,36 +162,11 @@ class RejoinAdjustedAvailability:
             if episode_end > time:
                 continue
             if self.schedule.goes_offline(node, k):
-                return k
+                return k, episode_end
         return None
 
-    def _rejoin_completion(self, node: int, episode: int) -> float:
-        """Time at which the node's rejoin after the given offline episode
-        completes.  Attempts run every leafset probe period from recovery;
-        an attempt succeeds when all bootstrap contacts are online."""
-        key = (node, episode)
-        cached = self._rejoin_cache.get(key)
-        if cached is not None:
-            return cached
-        flap = self.schedule.config
-        recovery = self.schedule.phase(node) + (episode + 1) * flap.cycle
-        completion = _attempt_rejoins(
-            self.schedule.is_online,
-            self.schedule.num_nodes,
-            self.seed,
-            "rejoin",
-            node,
-            episode,
-            recovery,
-            self.pastry_config.leafset_probe_period,
-            self.join_contacts,
-            self.max_attempts,
-        )
-        self._rejoin_cache[key] = completion
-        return completion
 
-
-class IntervalRejoinAvailability:
+class IntervalRejoinAvailability(_RejoinModel):
     """Eviction + rejoin semantics over any interval-reporting process.
 
     A node whose offline window lasted at least the failure-detection
@@ -197,17 +188,11 @@ class IntervalRejoinAvailability:
         join_contacts: int = 3,
         max_attempts: int = 64,
     ):
-        validate_seed(seed)
+        super().__init__(config, seed, join_contacts, max_attempts)
         self.process = process
-        self.pastry_config = config
-        self.seed = seed
-        self.join_contacts = join_contacts
-        self.max_attempts = max_attempts
-        self.eviction_threshold = detection_horizon(config)
         #: node -> (horizon, sorted finite end times of eviction-length
         #: windows with start < horizon); see _recoveries_until
         self._recovery_cache: dict[int, tuple[float, list[float]]] = {}
-        self._rejoin_cache: dict[tuple[int, float], float] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -251,28 +236,7 @@ class IntervalRejoinAvailability:
         index = bisect.bisect_right(recoveries, time) - 1
         if index < 0:
             return True
-        return time >= self._rejoin_completion(node, recoveries[index])
-
-    def _rejoin_completion(self, node: int, recovery: float) -> float:
-        """Time the node's rejoin after the offline window ending at
-        ``recovery`` completes.  Attempts run every leafset probe period
-        from recovery; an attempt succeeds when all bootstrap contacts are
-        online."""
-        key = (node, recovery)
-        cached = self._rejoin_cache.get(key)
-        if cached is not None:
-            return cached
-        completion = _attempt_rejoins(
-            self.process.is_online,
-            self.process.num_nodes,
-            self.seed,
-            "interval-rejoin",
-            node,
-            recovery,
-            recovery,
-            self.pastry_config.leafset_probe_period,
-            self.join_contacts,
-            self.max_attempts,
+        recovery = recoveries[index]
+        return self._rejoined_by(
+            self.process, "interval-rejoin", node, recovery, recovery, time
         )
-        self._rejoin_cache[key] = completion
-        return completion

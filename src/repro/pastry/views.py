@@ -23,7 +23,12 @@ Belief rules (per observer ``y``, target ``x``, time ``t``):
 - With no decisive interaction in the scan window, the initial belief
   (alive — the overlay was built on a static, fully-online stage) stands.
 
-The most recent decisive event before ``t`` wins.
+The most recent decisive event before ``t`` wins.  An announcement can only
+say *alive*, so that rule is evaluated from the observer's side: the belief
+is *dead* iff the observer's own latest verdict is dead and no announcement
+lands at or after it (an announcement at the same instant wins the tie).
+The target's announcements are therefore scanned only behind a dead verdict,
+and only back to the epoch whose last attempt precedes it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.pastry.config import PastryConfig
 from repro.perturbation.flapping import FlappingSchedule
-from repro.sim.rng import derive_rng
+from repro.sim.rng import derive_rng, validate_seed
 
 LEAFSET = "leafset"
 TABLE = "table"
@@ -49,6 +54,7 @@ class ProbedViewOracle:
         seed: object = 0,
         scan_limit: int = 120,
     ):
+        validate_seed(seed)
         if scan_limit < 1:
             raise ConfigurationError(f"scan_limit must be >= 1, got {scan_limit}")
         self.schedule = schedule
@@ -65,9 +71,11 @@ class ProbedViewOracle:
         ]
 
     def probe_phase(self, node: int, kind: str) -> float:
-        return (
-            self._leafset_phase[node] if kind == LEAFSET else self._table_phase[node]
-        )
+        if kind == LEAFSET:
+            return self._leafset_phase[node]
+        if kind == TABLE:
+            return self._table_phase[node]
+        raise ConfigurationError(f"unknown probe kind {kind!r}")
 
     def probe_period(self, kind: str) -> float:
         if kind == LEAFSET:
@@ -125,20 +133,24 @@ class ProbedViewOracle:
         now: float,
         kind: str,
         incoming: bool,
+        since: float = float("-inf"),
     ) -> Optional[tuple[float, bool]]:
+        """Newest decisive probe event, scanning the prober's epochs back
+        from ``now``; an epoch whose last attempt falls before ``since``
+        ends the scan, because nothing that old can outrank ``since``."""
         period = self.probe_period(kind)
-        prober = target if incoming else observer
-        phase = self.probe_phase(prober, kind)
+        phase = self.probe_phase(target if incoming else observer, kind)
         if now < phase:
             return None
+        probe_event = self._incoming_probe_event if incoming else self._own_probe_event
+        last_attempt = self.config.probe_retries * self.config.probe_timeout
         max_epoch = int((now - phase) // period)
         min_epoch = max(0, max_epoch - self.scan_limit + 1)
         for epoch in range(max_epoch, min_epoch - 1, -1):
             start = phase + epoch * period
-            if incoming:
-                event = self._incoming_probe_event(observer, target, start, now)
-            else:
-                event = self._own_probe_event(observer, target, start, now)
+            if start + last_attempt < since:
+                return None
+            event = probe_event(observer, target, start, now)
             if event is not None:
                 return event
         return None
@@ -151,18 +163,15 @@ class ProbedViewOracle:
         """Does ``observer`` currently believe ``target`` is alive?"""
         if observer == target:
             return True
-        events = []
         own = self._latest_event(observer, target, now, kind, incoming=False)
-        if own is not None:
-            events.append(own)
-        if kind == LEAFSET:
-            incoming = self._latest_event(observer, target, now, kind, incoming=True)
-            if incoming is not None:
-                events.append(incoming)
-        if not events:
-            return True  # initial belief: the overlay was built fully online
-        events.sort()
-        return events[-1][1]
+        if own is None or own[1]:
+            return True  # initial belief (built fully online), or x answered
+        if kind != LEAFSET:
+            return False
+        announced = self._latest_event(
+            observer, target, now, kind, incoming=True, since=own[0]
+        )
+        return announced is not None and announced[0] >= own[0]
 
     # -- maintenance traffic accounting ---------------------------------------
 

@@ -12,14 +12,16 @@ Semantics (paper Section 3):
   otherwise it stays online through that cycle's offline part.
 
 The schedule is *deterministic given the seed*: per-cycle decisions are
-generated lazily from a per-node stream, so ``is_online(node, t)`` can be
-queried in any order and still agree with an event-driven replay.
+generated lazily from a per-node stream — itself derived on first use, when
+a cycle of that node first has to be drawn — so ``is_online(node, t)`` can
+be queried in any order and still agree with an event-driven replay.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 
@@ -115,10 +117,8 @@ class FlappingSchedule(ProcessBase):
         self.always_online = frozenset(always_online)
         phase_rng = derive_rng(seed, "flap-phases", num_nodes, config.label)
         self._phases = [phase_rng.uniform(0.0, config.cycle) for _ in range(num_nodes)]
-        self._decision_rngs = [
-            derive_rng(seed, "flap-decisions", node, config.label)
-            for node in range(num_nodes)
-        ]
+        #: node -> its "flap-decisions" stream, derived on the first draw
+        self._decision_rngs: dict[int, random.Random] = {}
         self._decisions: list[list[bool]] = [[] for _ in range(num_nodes)]
         # hot-path copies of the config scalars: ``is_online`` is called for
         # every hop of every perturbed lookup, where the attribute hops
@@ -137,10 +137,15 @@ class FlappingSchedule(ProcessBase):
         if cycle_index < 0:
             return False
         decisions = self._decisions[node]
-        rng = self._decision_rngs[node]
-        p = self.config.probability
-        while len(decisions) <= cycle_index:
-            decisions.append(rng.random() < p)
+        if len(decisions) <= cycle_index:
+            rng = self._decision_rngs.get(node)
+            if rng is None:
+                rng = self._decision_rngs[node] = derive_rng(
+                    self.seed, "flap-decisions", node, self.config.label
+                )
+            p = self.config.probability
+            while len(decisions) <= cycle_index:
+                decisions.append(rng.random() < p)
         return decisions[cycle_index]
 
     def is_online(self, node: int, time: float) -> bool:

@@ -18,11 +18,11 @@ the comparison is skipped with the reason.  After an *intended* change of
 results, regenerate the file as :func:`_golden_document` describes.
 
 Beside the bytes, ``tests/goldens/work_counts_smoke_seed0.json`` pins how
-much *work* three experiments do for them — forwarding decisions, derived
-RNG streams, events — because a hosted runner can gate on a count where a
-time means nothing.  A change of cost per call leaves the file alone; a
-change that lowers a count re-pins it on purpose
-(:func:`_work_counts_document`).
+much *work* five experiments do for them — forwarding decisions, derived
+RNG streams, probed-view beliefs, Pastry-layer liveness queries, events —
+because a hosted runner can gate on a count where a time means nothing.
+A change of cost per call leaves the file alone; a change that lowers a
+count re-pins it on purpose (:func:`_work_counts_document`).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ import pytest
 import repro.core.protocol
 import repro.sim.rng
 from repro.experiments import all_experiment_ids, run_experiment
+from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
+from repro.pastry.views import ProbedViewOracle
 from repro.sim.engine import events_processed_total
 from repro.util.cache import clear_all_caches
 
@@ -105,9 +107,21 @@ def test_distinct_seeds_change_some_output():
     assert differing
 
 
-#: synchronous inserts, synchronous lookups, and timed MPIL beside MSPastry
-#: under flapping (the one with most ``derive_rng`` streams)
-_WORK_COUNT_EXPERIMENTS = ("fig9", "tab1", "fig11")
+#: synchronous inserts, synchronous lookups, timed MPIL beside MSPastry under
+#: flapping (the one with most ``derive_rng`` streams), and the two routes
+#: into the Pastry liveness path: four period labels through
+#: ``RejoinAdjustedAvailability``, a composed timeline through
+#: ``IntervalRejoinAvailability``
+_WORK_COUNT_EXPERIMENTS = ("fig9", "tab1", "fig11", "fig1", "ext-outage")
+
+
+def _counting(function, calls: list[int]):
+    @functools.wraps(function)
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
 
 
 def _count_calls(patch: pytest.MonkeyPatch, function) -> list[int]:
@@ -115,17 +129,20 @@ def _count_calls(patch: pytest.MonkeyPatch, function) -> list[int]:
     module that holds it (``from x import f`` copies included) until
     ``patch`` is undone; the count so far is element 0 of the result."""
     calls = [0]
-
-    @functools.wraps(function)
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        return function(*args, **kwargs)
-
+    wrapper = _counting(function, calls)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "repro":
             for name, value in list(vars(module).items()):
                 if value is function:
                     patch.setattr(module, name, wrapper)
+    return calls
+
+
+def _count_method_calls(patch: pytest.MonkeyPatch, name: str, *classes: type) -> list[int]:
+    """The same for the method ``name`` of each class, into one count."""
+    calls = [0]
+    for cls in classes:
+        patch.setattr(cls, name, _counting(getattr(cls, name), calls))
     return calls
 
 
@@ -135,11 +152,17 @@ def _work_counts(experiment_id: str) -> dict[str, int]:
     with pytest.MonkeyPatch.context() as patch:
         decide_calls = _count_calls(patch, repro.core.protocol.decide_forwarding)
         derive_calls = _count_calls(patch, repro.sim.rng.derive_rng)
+        believes_calls = _count_method_calls(patch, "believes_alive", ProbedViewOracle)
+        pastry_online_calls = _count_method_calls(
+            patch, "is_online", RejoinAdjustedAvailability, IntervalRejoinAvailability
+        )
         events_before = events_processed_total()
         run_experiment(experiment_id, scale="smoke", seed=0)
         return {
             "decide_forwarding_calls": decide_calls[0],
             "derive_rng_calls": derive_calls[0],
+            "believes_alive_calls": believes_calls[0],
+            "pastry_is_online_calls": pastry_online_calls[0],
             "events_processed": events_processed_total() - events_before,
         }
 

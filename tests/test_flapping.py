@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.perturbation.flapping
 from repro.errors import ConfigurationError
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 from repro.perturbation.scenario import (
@@ -14,6 +17,7 @@ from repro.perturbation.scenario import (
     PerturbationScenario,
     scenarios_for,
 )
+from repro.sim.rng import derive_rng
 
 
 class TestFlappingConfig:
@@ -115,6 +119,50 @@ class TestFlappingSchedule:
     def test_online_fraction_diagnostic(self):
         schedule = FlappingSchedule(FlappingConfig(1, 1, 0.0), 10, seed=10)
         assert schedule.online_fraction(50.0) == 1.0
+
+
+class TestDecisionStreamsOnFirstUse:
+    """A node's ``"flap-decisions"`` stream exists once a cycle of that node
+    has to be drawn, and not before; the draws are the eager ones."""
+
+    @staticmethod
+    def _derived(monkeypatch):
+        derived: list[tuple] = []
+
+        def recording(seed, *labels):
+            derived.append(labels)
+            return derive_rng(seed, *labels)
+
+        monkeypatch.setattr(repro.perturbation.flapping, "derive_rng", recording)
+        return derived
+
+    def test_shuffled_queries_read_the_eager_streams_draws(self):
+        config = FlappingConfig(30, 30, 0.5)
+        schedule = FlappingSchedule(config, 8, seed=(11, "flap"))
+        queries = [(node, k) for node in range(8) for k in range(25)]
+        random.Random(0).shuffle(queries)  # test-local order, not a library stream
+        got = {query: schedule.goes_offline(*query) for query in queries}
+        for node in range(8):
+            stream = derive_rng((11, "flap"), "flap-decisions", node, "30:30")
+            for k in range(25):
+                assert got[node, k] == (stream.random() < 0.5), (node, k)
+
+    def test_construction_derives_the_phase_stream_only(self, monkeypatch):
+        derived = self._derived(monkeypatch)
+        FlappingSchedule(FlappingConfig(30, 30, 1.0), 50, seed=12)
+        assert derived == [("flap-phases", 50, "30:30")]
+
+    def test_idle_part_queries_derive_no_decision_stream(self, monkeypatch):
+        derived = self._derived(monkeypatch)
+        schedule = FlappingSchedule(FlappingConfig(30, 30, 1.0), 6, seed=13)
+        for node in range(6):
+            phase = schedule.phase(node)
+            assert schedule.is_online(node, phase - 1.0)  # before the first period
+            assert all(schedule.is_online(node, phase + 60.0 * k + 29.0) for k in range(5))
+        assert len(derived) == 1
+        assert not schedule.is_online(2, schedule.phase(2) + 31.0)  # an offline part
+        assert not schedule.is_online(2, schedule.phase(2) + 91.0)  # same stream again
+        assert derived[1:] == [("flap-decisions", 2, "30:30")]
 
 
 class TestScenarios:
