@@ -186,10 +186,12 @@ def sweep(
     ``"7"``) or an iterable of ints; ``store`` may be a
     :class:`~repro.experiments.store.ResultStore`, a directory path, or
     ``None`` to keep results in memory only.  With a store the sweep is
-    durable (sqlite task ledger, crash-tolerant workers, atomic artifact
+    durable (sqlite task ledger, up to ``jobs`` crash-tolerant worker
+    processes that are reused from task to task, atomic artifact
     commits): ``resume=True`` skips verified-complete tasks from an
     earlier interrupted call, ``max_retries``/``task_timeout`` bound
-    crashed and hung workers.
+    crashed and hung workers.  Workers are forked where the platform
+    forks, so scales and specs registered in this process reach them.
     """
     if isinstance(experiments, str):
         experiments = (experiments,)

@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (1 = run inline)",
+        help="worker processes, reused from task to task (default: 1)",
     )
     sweep_parser.add_argument(
         "--out",
@@ -639,15 +639,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    report = run_sweep(
-        spec,
-        store,
-        jobs=args.jobs,
-        progress=progress,
-        resume=args.resume,
-        max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
-    )
+    try:
+        report = run_sweep(
+            spec,
+            store,
+            jobs=args.jobs,
+            progress=progress,
+            resume=args.resume,
+            max_retries=args.max_retries,
+            task_timeout=args.task_timeout,
+        )
+    except KeyboardInterrupt:
+        # the runtime has already retired its workers and released their
+        # claims; committed artifacts stay, so --resume picks up from here
+        print(
+            f"mpil-experiments sweep: interrupted after {meter.done} of "
+            f"{meter.total_tasks} tasks; re-run with --resume",
+            file=sys.stderr,
+        )
+        return 130
     for entry in report.skipped:
         print(
             f"[{entry.experiment_id} seed={entry.seed}] skipped "

@@ -9,20 +9,22 @@ writing one aggregate (mean/stdev/ci95) table per experiment.
 
 Sweeps that run against a store are *durable*: every task is tracked in a
 sqlite ledger (:mod:`repro.experiments.ledger`) and executed by the
-crash-tolerant runtime (:mod:`repro.experiments.runtime`) — one worker
-process per attempt, per-task timeouts, bounded retry with backoff, and
+crash-tolerant runtime (:mod:`repro.experiments.runtime`) — up to ``jobs``
+long-lived worker processes fed one task at a time and replaced when they
+die, hang or raise, per-task timeouts, bounded retry with backoff, and
 atomic write-then-rename artifact commits.  ``resume=True`` makes an
 interrupted sweep pick up where it stopped: verified-``done`` tasks are
 skipped (reported in :attr:`SweepReport.skipped`), orphaned ``running``
 claims are reclaimed, and ``failed`` tasks get a fresh retry budget.
-Storeless sweeps (``store=None``) keep the original lightweight in-memory
-path over a ``multiprocessing`` pool.
+Storeless sweeps (``store=None``) run on the same workers without the
+ledger, or in this process with ``jobs=1``.
 
 Determinism is preserved under parallelism, retries, and resumption: each
 task re-derives all of its randomness from its own ``(experiment_id,
-scale, seed)`` triple via :func:`repro.sim.rng.derive_rng`, workers share
-no state, and per-seed JSON plus aggregates are byte-identical however —
-and in however many runs — the sweep was executed.
+scale, seed)`` triple via :func:`repro.sim.rng.derive_rng`, a worker
+carries nothing from one task into the next that could reach a result,
+and per-seed JSON plus aggregates are byte-identical however — and in
+however many runs — the sweep was executed.
 
 Examples::
 
@@ -46,7 +48,6 @@ or, from the shell::
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import time
 from typing import Callable, Optional
 
@@ -62,6 +63,7 @@ from repro.experiments.runtime import (
     drain_ledger,
     execute_task,
     plan_tasks,
+    run_in_workers,
 )
 from repro.experiments.scales import get_scale
 from repro.experiments.store import ResultStore, aggregate_results
@@ -171,7 +173,8 @@ def _run_sweep_in_memory(
     jobs: int,
     progress: Optional[Callable[[TaskOutcome], None]],
 ) -> list[TaskOutcome]:
-    """The storeless path: no ledger, no durability, results in memory."""
+    """The storeless path: no ledger, no durability, results in memory,
+    consumed in task order whatever the worker count."""
     outcomes: list[TaskOutcome] = []
 
     def consume(outcome: TaskOutcome) -> None:
@@ -183,11 +186,7 @@ def _run_sweep_in_memory(
         for task in tasks:
             consume(execute_task(task))
     else:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            # imap preserves task order while yielding each result as soon
-            # as its (in-order) predecessor has been consumed.
-            for outcome in pool.imap(execute_task, tasks):
-                consume(outcome)
+        run_in_workers(tasks, jobs, consume)
     return outcomes
 
 
@@ -204,9 +203,11 @@ def run_sweep(
 ) -> SweepReport:
     """Execute a sweep, persist replicates, and aggregate each experiment.
 
-    With a store, tasks run through the durable ledger runtime: one child
-    process per attempt (``jobs`` at a time), crashed/hung workers retried
-    up to ``max_retries`` times (``task_timeout`` bounds each attempt),
+    With a store, tasks run through the durable ledger runtime: at most
+    ``jobs`` worker processes (``jobs=1`` is one worker, not this
+    process), each task claimed in the ledger before a worker receives
+    it, crashed/hung/raising attempts retried up to ``max_retries`` times
+    (``task_timeout`` bounds each attempt) on a replacement worker,
     artifacts committed atomically, and — with ``resume=True`` —
     verified-complete tasks skipped instead of recomputed.  Tasks whose
     retry budget runs out are recorded as ``failed`` in the ledger and
@@ -214,8 +215,10 @@ def run_sweep(
     poisoned seed cannot discard an otherwise-complete sweep.
 
     Without a store there is nothing to resume from (``resume=True`` is
-    rejected): tasks run in this process (``jobs=1``) or a
-    ``multiprocessing`` pool, and exceptions propagate.
+    rejected): tasks run in this process (``jobs=1``, exceptions
+    propagate as raised) or on the same kind of workers with no ledger
+    and no retry, where the first raising or dying task stops the sweep
+    with an :class:`~repro.errors.ExperimentError` naming it.
     """
     config = RuntimeConfig(
         jobs=jobs,

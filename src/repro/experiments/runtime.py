@@ -4,20 +4,26 @@ This is the execution half of the resumable sweep runtime (the persistence
 half is :mod:`repro.experiments.ledger`).  It provides:
 
 - :func:`execute_task` — run one ``(experiment_id, scale, seed)`` task and
-  package the outcome (moved here from ``runner.py`` so the runner can
-  stay a thin orchestration layer);
+  package the outcome;
 - :func:`plan_tasks` — the resume planner: decide, from ledger states and
   artifact checksums, which tasks still need to run and which verified
   ``done`` tasks can be skipped;
-- :func:`drain_ledger` — the executor: one child process per task attempt,
-  per-task timeouts, bounded retry with exponential backoff, and checked
-  ledger transitions around every attempt.
+- :class:`WorkerPool` — the worker mechanics: at most ``jobs`` long-lived
+  worker processes, each looping *receive task → run → send result* on its
+  own pipe, spawned on demand and replaced when they die, overrun a
+  deadline or report an exception.  It knows nothing about ledgers;
+- :func:`drain_ledger` — the durable policy over a pool: claim in the
+  ledger, send, commit the result, complete; per-task timeouts and bounded
+  retry with exponential backoff;
+- :func:`run_in_workers` — the storeless policy over the same pool: no
+  ledger, no retry, the first failure raises.
 
 Fault model
 -----------
 
 Workers may raise, hang, or die outright (SIGKILL); the parent may itself
-be killed between any two operations.  The design holds up because
+be killed or interrupted between any two operations.  The design holds up
+because
 
 - every artifact commit is *atomic* (the store writes to a temp file and
   ``os.replace``\\ s it into place) and is followed — not preceded — by the
@@ -25,43 +31,51 @@ be killed between any two operations.  The design holds up because
   a crash at any point leaves either no artifact, or an uncommitted
   artifact that the next resume re-verifies and rewrites;
 - all ledger and store writes happen in the parent, so a worker crash can
-  never corrupt shared state — the parent observes it (dead process, or a
-  deadline breach for hung workers, which get SIGTERM-then-SIGKILLed) and
-  either re-queues the task or marks it ``failed`` once the retry budget
-  is exhausted;
+  never corrupt shared state — the parent observes it (EOF on the dead
+  worker's pipe, or a deadline breach for hung workers, which get
+  SIGTERM-then-SIGKILLed) and either re-queues the task or marks it
+  ``failed`` once the retry budget is exhausted; the worker is gone either
+  way and a replacement is spawned when a task next needs one;
+- a task is claimed *before* it is sent, and leaving the pool — by return
+  or by any exception, ``KeyboardInterrupt`` included — retires every
+  worker, so no process outlives the sweep and none computes an unclaimed
+  task;
 - a parent crash strands ``running`` rows, which the next resume reclaims
-  (``release``) before execution.
+  (``release``) before execution, and orphans the workers, which read EOF
+  on their pipes and exit.
 
-Determinism is unaffected: each attempt runs in a fresh child with the
-task's own derived RNG, so retries and worker counts change *when* a
-replicate is computed, never its bytes.
+Determinism survives worker reuse: a task draws all of its randomness
+from RNGs derived from its own ``(experiment_id, scale, seed)``,
+:func:`execute_task` resets the process-wide metrics registry at task
+start, and the only other state a worker carries from task to task is the
+construction caches, which are keyed by seed, hold pure functions of their
+keys, and are emptied whenever the next task's ``(scale, seed)`` differs
+from the last.  So retries, worker counts and the task → worker history
+change *when* and *where* a replicate is computed, never its bytes.  A
+retry after a reported exception still gets a fresh process: the worker
+that raised is retired.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
+import signal
 import time
+from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from multiprocessing.queues import Queue as ResultQueue
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, LedgerError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.ledger import TaskKey, TaskLedger
 from repro.experiments.registry import run_experiment
 from repro.sim.engine import events_processed_total
 from repro.telemetry import reset_runtime_metrics
-
-#: grace period between observing a dead worker and declaring it crashed,
-#: so a result the child queued just before exiting is not misread as a
-#: crash (the queue feeder flushes on normal interpreter shutdown)
-_DEAD_WORKER_GRACE = 0.25
-
-#: parent-side poll interval while waiting on worker results
-_POLL_INTERVAL = 0.05
+from repro.util.cache import clear_all_caches
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,14 +183,13 @@ def backoff_delay(config: RuntimeConfig, attempts_used: int) -> float:
 
 
 def execute_task(task: TaskKey) -> TaskOutcome:
-    """Run one (experiment_id, scale, seed) task; must stay module-level
-    (and therefore picklable) so worker processes can receive it.
+    """Run one (experiment_id, scale, seed) task in this process.
 
     The process-wide metrics registry (which carries the event counter) is
     *reset* at task start (in whichever worker process executes the task),
     so the recorded count is exactly this task's events — a before/after
     subtraction would silently fold in any events a library callback or
-    atexit hook ran between tasks.
+    an earlier task in the same worker ran.
     """
     experiment_id, scale, seed = task
     reset_runtime_metrics()
@@ -244,29 +257,196 @@ def plan_tasks(
     return to_run, skipped
 
 
-def _worker_main(task: TaskKey, results: "ResultQueue") -> None:
-    """Child-process entry: execute one task, report through the queue.
+def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
+    """Worker-process entry: serve tasks from ``conn`` until it closes.
 
-    Exceptions are reported as ``("error", ...)`` rather than raised, so
-    the parent can distinguish an experiment bug (retryable, eventually
-    ``failed``) from a dead worker.  A SIGKILLed child reports nothing —
-    the parent notices the corpse instead.
+    Exceptions are reported as ``("error", "Type: message")`` rather than
+    raised, so the parent can tell an experiment bug (retryable,
+    eventually ``failed``) from a dead worker.  A SIGKILLed worker reports
+    nothing — the parent reads EOF on its end of the pipe instead.
+
+    ``inherited`` are the parent's ends of every worker pipe open at fork
+    time, this worker's own included: a forked child holds copies, and
+    while any copy is open a dead parent is not an EOF.  Closed here, a
+    closed or broken pipe means "parent gone (or done with me)": exit.
     """
-    try:
-        outcome = execute_task(task)
-    except Exception as exc:  # noqa: BLE001 - reported to the parent verbatim
-        results.put(("error", task, f"{type(exc).__name__}: {exc}"))
-    else:
-        results.put(("ok", task, dataclasses.asdict(outcome)))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    for parent_end in inherited:
+        parent_end.close()
+    cached_for = None
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task[1:] != cached_for:
+            # every construction cache is keyed by seed: nothing reusable is
+            # dropped, and a worker never holds more than one seed's structures
+            clear_all_caches()
+            cached_for = task[1:]
+        try:
+            message = ("ok", execute_task(task))
+        except Exception as exc:  # noqa: BLE001 - reported to the parent verbatim
+            message = ("error", f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(message)
+        except OSError:  # BrokenPipeError included
+            return
 
 
-@dataclasses.dataclass
-class _Attempt:
-    """Parent-side bookkeeping for one in-flight worker process."""
+@dataclasses.dataclass(eq=False)
+class _Worker:
+    """Parent-side handle of one worker process."""
 
     process: BaseProcess
-    started: float  #: monotonic launch time
-    dead_since: Optional[float] = None  #: first time the corpse was seen
+    conn: Connection  #: the parent's end of the worker's duplex pipe
+    task: Optional[TaskKey] = None  #: the task in flight; None while idle
+    deadline: Optional[float] = None  #: monotonic time the task must beat
+
+
+class WorkerPool:
+    """At most ``jobs`` long-lived worker processes, fed tasks over pipes.
+
+    The mechanics only — spawn, assign, wait, retire, close; which task
+    runs next and what its outcome means (claim, commit, retry, raise) is
+    the caller's policy: :func:`drain_ledger` or :func:`run_in_workers`.
+    A pool lives inside one ``with`` block; leaving it — normally or by
+    exception — retires every worker, killing the busy ones.
+
+    Workers come from ``multiprocessing.get_context().Process`` so a
+    forked worker inherits runtime registrations (``register(...)``,
+    ``api.register_scale``) made in the parent.
+    """
+
+    def __init__(self, jobs: int, task_timeout: Optional[float] = None):
+        self._ctx = multiprocessing.get_context()
+        self._jobs = jobs
+        self._task_timeout = task_timeout
+        self._workers: list[_Worker] = []
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    @property
+    def busy(self) -> bool:
+        return any(worker.task is not None for worker in self._workers)
+
+    def acquire(self) -> Optional[_Worker]:
+        """An idle worker — spawned only if none is idle and fewer than
+        ``jobs`` exist — or None when every slot is busy."""
+        for worker in self._workers:
+            if worker.task is None:
+                return worker
+        if len(self._workers) >= self._jobs:
+            return None
+        parent_end, child_end = self._ctx.Pipe()
+        inherited = [worker.conn for worker in self._workers] + [parent_end]
+        process = self._ctx.Process(
+            target=_worker_main, args=(child_end, inherited), daemon=True
+        )
+        process.start()
+        # the worker's death must read as EOF here, so no copy of its end
+        # may stay open in this process (or be inherited by the next fork)
+        child_end.close()
+        worker = _Worker(process, parent_end)
+        self._workers.append(worker)
+        return worker
+
+    def assign(self, worker: _Worker, task: TaskKey) -> None:
+        """Send ``task`` to an idle worker and start its deadline clock."""
+        worker.task = task
+        if self._task_timeout is not None:
+            worker.deadline = time.monotonic() + self._task_timeout
+        worker.conn.send(task)
+
+    def wait(self, until: Optional[float] = None) -> list[tuple[str, TaskKey, Any]]:
+        """Block until a busy worker reports, dies or overruns its deadline,
+        or until monotonic time ``until``; return what happened as ``(kind,
+        task, body)``: ``("ok", task, TaskOutcome)`` or ``("error", task,
+        message)``.  A worker behind an ``"error"`` is already retired —
+        dead ones and overrunners because they are gone, one that reported
+        an exception so a retry never runs in the process that raised.
+        """
+        busy = {w.conn: w for w in self._workers if w.task is not None}
+        wakes = [w.deadline for w in busy.values() if w.deadline is not None]
+        if until is not None:
+            wakes.append(until)
+        timeout = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+        events: list[tuple[str, TaskKey, Any]] = []
+        for conn in multiprocessing.connection.wait(list(busy), timeout):
+            worker = busy.pop(conn)
+            task = worker.task
+            assert task is not None
+            try:
+                kind, body = worker.conn.recv()
+            except (EOFError, OSError):
+                code = self._retire(worker)
+                kind, body = "error", f"worker died (exit code {code})"
+            else:
+                worker.task = worker.deadline = None
+                if kind == "error":
+                    self._retire(worker)
+            events.append((kind, task, body))
+        now = time.monotonic()
+        for worker in busy.values():
+            if worker.deadline is not None and now > worker.deadline:
+                assert worker.task is not None
+                worker.process.terminate()
+                worker.process.join(0.5)
+                self._retire(worker, kill=True)
+                events.append((
+                    "error",
+                    worker.task,
+                    f"timed out after {self._task_timeout:g}s (worker killed)",
+                ))
+        return events
+
+    def _retire(self, worker: _Worker, kill: bool = False) -> Optional[int]:
+        """Forget ``worker`` and reap it; returns its exit code.  Closing
+        the pipe is an idle worker's cue to exit; a busy one needs ``kill``.
+        """
+        self._workers.remove(worker)
+        worker.conn.close()
+        if kill:
+            worker.process.kill()
+        worker.process.join()
+        code = worker.process.exitcode
+        worker.process.close()
+        return code
+
+    def close(self) -> None:
+        """Retire every worker: idle ones exit on EOF, busy ones are killed."""
+        for worker in self._workers:
+            worker.conn.close()  # all first, so the idle workers exit together
+        for worker in list(self._workers):
+            self._retire(worker, kill=worker.task is not None)
+
+
+def run_in_workers(
+    tasks: list[TaskKey], jobs: int, consume: Callable[[TaskOutcome], None]
+) -> None:
+    """The ledger-less policy over a :class:`WorkerPool`: run ``tasks`` on
+    up to ``jobs`` workers and hand each outcome to ``consume`` in task
+    order.  Nothing is retried: the first reported exception or dead worker
+    raises one :class:`ExperimentError` naming the task.
+    """
+    done: dict[TaskKey, TaskOutcome] = {}
+    unsent = collections.deque(tasks)
+    consumed = 0
+    with WorkerPool(jobs) as pool:
+        while consumed < len(tasks):
+            while unsent and (worker := pool.acquire()) is not None:
+                pool.assign(worker, unsent.popleft())
+            for kind, task, body in pool.wait():
+                if kind != "ok":
+                    raise ExperimentError(f"task {task!r} failed: {body}")
+                done[task] = body
+            while consumed < len(tasks) and tasks[consumed] in done:
+                consume(done.pop(tasks[consumed]))
+                consumed += 1
 
 
 def drain_ledger(
@@ -278,22 +458,36 @@ def drain_ledger(
 ) -> tuple[list[TaskOutcome], list[TaskFailure]]:
     """Execute ``tasks`` through a crash-tolerant worker pool.
 
-    Each attempt is one child process (claimed in the ledger before it can
-    produce output).  ``commit(outcome)`` runs in the parent and must
-    atomically persist the artifact, returning its checksum — only then is
-    the task marked ``done``.  Crashed or hung workers are retried up to
+    The claim/commit/retry policy over a :class:`WorkerPool`: a task is
+    claimed in the ledger *before* it is sent to a worker, so no worker
+    ever computes an unclaimed task.  ``commit(outcome)`` runs in the
+    parent and must atomically persist the artifact, returning its
+    checksum — only then is the task marked ``done``.  Attempts that
+    raise, die or overrun ``config.task_timeout`` are retried up to
     ``config.max_retries`` times with exponential backoff, then marked
     ``failed``.  Returns completion-ordered outcomes plus permanent
     failures; with ``jobs=1`` tasks launch strictly in the given order.
+
+    An exception out of the ledger or ``commit`` propagates unchanged
+    after every worker has been retired.  ``KeyboardInterrupt``
+    additionally releases the in-flight claims (``"sweep interrupted"``),
+    so an interrupted sweep strands no ``running`` row.
     """
-    ctx = multiprocessing.get_context()
-    results: "ResultQueue" = ctx.Queue()
     pending: "collections.deque[TaskKey]" = collections.deque(tasks)
     not_before: dict[TaskKey, float] = {}
     attempts_used: dict[TaskKey, int] = {}
-    running: dict[TaskKey, _Attempt] = {}
+    claimed: set[TaskKey] = set()  #: claim attempted, not yet done/released/failed
     outcomes: list[TaskOutcome] = []
     failures: list[TaskFailure] = []
+
+    def next_eligible(now: float) -> Optional[TaskKey]:
+        """Pop the first task not backing off, rotating past those that are."""
+        for _ in range(len(pending)):
+            task = pending.popleft()
+            if not_before.get(task, 0.0) <= now:
+                return task
+            pending.append(task)
+        return None
 
     def retry_or_fail(task: TaskKey, error: str) -> None:
         """After a raised/crashed/hung attempt: re-queue or mark failed."""
@@ -306,90 +500,42 @@ def drain_ledger(
             not_before[task] = time.monotonic() + backoff_delay(config, used)
             pending.append(task)
 
-    def reap(task: TaskKey, attempt: _Attempt, error: str) -> None:
-        """Retire a dead or killed worker and route its task."""
-        attempt.process.join()
-        attempt.process.close()
-        del running[task]
-        retry_or_fail(task, error)
+    with WorkerPool(config.jobs, config.task_timeout) as pool:
+        try:
+            while pending or pool.busy:
+                # -- assign: eligible tasks, in queue order, to free workers
+                wake = None  # when the first backing-off task falls due
+                while True:
+                    task = next_eligible(time.monotonic())
+                    if task is None:
+                        wake = min((not_before[t] for t in pending), default=None)
+                        break
+                    worker = pool.acquire()
+                    if worker is None:
+                        pending.appendleft(task)
+                        break
+                    claimed.add(task)
+                    ledger.claim(task, worker=f"pid:{worker.process.pid}")
+                    attempts_used[task] = attempts_used.get(task, 0) + 1
+                    pool.assign(worker, task)
 
-    while pending or running:
-        now = time.monotonic()
-        # -- launch: fill free slots with eligible tasks, in queue order
-        launched = True
-        while launched and pending and len(running) < config.jobs:
-            launched = False
-            for _ in range(len(pending)):
-                task = pending.popleft()
-                if not_before.get(task, 0.0) > now:
-                    pending.append(task)  # still backing off; rotate past it
-                    continue
-                process = ctx.Process(
-                    target=_worker_main, args=(task, results), daemon=True
-                )
-                process.start()
-                ledger.claim(task, worker=f"pid:{process.pid}")
-                attempts_used[task] = attempts_used.get(task, 0) + 1
-                running[task] = _Attempt(process=process, started=now)
-                launched = True
-                break
-
-        # -- collect: block briefly for results, then drain without blocking
-        block = bool(running)
-        while True:
-            try:
-                kind, task, body = results.get(
-                    timeout=_POLL_INTERVAL if block else 0
-                )
-            except queue_module.Empty:
-                break
-            block = False
-            attempt = running.pop(task, None)
-            if attempt is None:
-                continue  # late message from a worker already killed/reaped
-            attempt.process.join()
-            attempt.process.close()
-            if kind == "ok":
-                outcome = TaskOutcome(**body)
-                checksum = commit(outcome)
-                ledger.complete(task, checksum)
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(outcome)
-            else:
-                retry_or_fail(task, body)
-
-        # -- reap: enforce timeouts, notice corpses (after a short grace so
-        #    an already-queued result is not misread as a crash)
-        now = time.monotonic()
-        for task, attempt in list(running.items()):
-            if (
-                config.task_timeout is not None
-                and now - attempt.started > config.task_timeout
-            ):
-                attempt.process.terminate()
-                attempt.process.join(0.5)
-                if attempt.process.is_alive():
-                    attempt.process.kill()
-                reap(
-                    task,
-                    attempt,
-                    f"timed out after {config.task_timeout:g}s (worker killed)",
-                )
-            elif not attempt.process.is_alive():
-                if attempt.dead_since is None:
-                    attempt.dead_since = now
-                elif now - attempt.dead_since > _DEAD_WORKER_GRACE:
-                    code = attempt.process.exitcode
-                    reap(task, attempt, f"worker died (exit code {code})")
-
-        # -- idle: everything is backing off; sleep until the first is due
-        if not running and pending:
-            wake = min(not_before.get(task, 0.0) for task in pending)
-            delay = wake - time.monotonic()
-            if delay > 0:
-                time.sleep(min(delay, 1.0))
-
-    results.close()
-    results.join_thread()
+                # -- collect: sleep until a worker has news, a deadline
+                #    passes, or a backed-off task may be retried
+                for kind, task, body in pool.wait(until=wake):
+                    if kind == "ok":
+                        ledger.complete(task, commit(body))
+                        outcomes.append(body)
+                        if progress is not None:
+                            progress(body)
+                    else:
+                        retry_or_fail(task, body)
+                    claimed.discard(task)
+        except KeyboardInterrupt:
+            pool.close()
+            for task in claimed:
+                # the interrupt may have landed before the claim did, or
+                # after the completion: those rows are not ours to release
+                with contextlib.suppress(LedgerError):
+                    ledger.release(task, "sweep interrupted")
+            raise
     return outcomes, failures
