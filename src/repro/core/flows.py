@@ -11,9 +11,12 @@ When a node holding a message with budget ``max_flows`` forwards it to
 3. divides the remainder among the ``m`` children, distributing any residue
    one by one in round-robin fashion.
 
-These small pure functions are property-tested for the conservation
-invariant: the total number of flows a request can ever create is bounded
-by the originator's ``max_flows``.
+The three small pure functions below are that algorithm step by step, and
+are property-tested for the conservation invariant: the total number of
+flows a request can ever create is bounded by the originator's
+``max_flows``.  :func:`fan_out` is all three in one validated call — what
+:func:`repro.core.routing.decide_forwarding` pays once per message copy —
+and is property-tested against them.
 """
 
 from __future__ import annotations
@@ -76,3 +79,34 @@ def flows_consumed(given_flows: int, fanout: int) -> int:
     if fanout <= 0:
         return 0
     return fanout - given_flows if given_flows else fanout
+
+
+def fan_out(
+    max_flows: int, given_flows: int, num_candidates: int
+) -> tuple[int, tuple[int, ...], int]:
+    """``(fanout, budgets, new_flows)`` of one forwarding decision:
+    :func:`allowed_fanout`, then :func:`split_flow_budget` and
+    :func:`flows_consumed` at that fan-out, with the arguments checked once.
+
+    >>> fan_out(2, 0, 1)   # the originator's single send starts a flow
+    (1, (1,), 1)
+    >>> fan_out(7, 1, 3)
+    (3, (2, 2, 1), 2)
+    >>> fan_out(0, 0, 4)   # nothing to spend, nothing sent
+    (0, (), 0)
+    """
+    if given_flows not in (0, 1):
+        raise RoutingError(f"given_flows must be 0 or 1, got {given_flows}")
+    if max_flows < 0:
+        raise RoutingError(f"max_flows must be non-negative, got {max_flows}")
+    if num_candidates < 0:
+        raise RoutingError(f"num_candidates must be non-negative, got {num_candidates}")
+    allowance = max_flows + given_flows
+    fanout = num_candidates if num_candidates < allowance else allowance
+    if fanout == 1:
+        # four decisions in five: one next hop inherits the whole remainder
+        return 1, (allowance - 1,), 1 - given_flows
+    if fanout == 0:
+        return 0, (), 0
+    base, residue = divmod(allowance - fanout, fanout)
+    return fanout, (base + 1,) * residue + (base,) * (fanout - residue), fanout - given_flows

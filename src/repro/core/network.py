@@ -20,13 +20,13 @@ from typing import Optional, Sequence
 
 from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier, IdSpace
-from repro.core.messages import KIND_INSERT, KIND_LOOKUP, MPILMessage
+from repro.core.messages import KIND_INSERT, KIND_LOOKUP
 from repro.core.metric import NeighborMetricTable, metric_by_name
 from repro.core.protocol import Forwarded, MPILRequest
 from repro.core.replicas import ReplicaDirectory
 from repro.core.results import InsertResult, LookupResult
 from repro.core.routing import decide_forwarding  # noqa: F401  (bench/tests look it up here)
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError
 from repro.overlay.graph import OverlayGraph
 from repro.sim.engine import add_events_processed
 from repro.sim.rng import derive_rng
@@ -191,35 +191,6 @@ class MPILNetwork:
 
     # -- request propagation -------------------------------------------------
 
-    def first_message(
-        self,
-        kind: str,
-        request_id: int,
-        origin: int,
-        object_id: Identifier,
-        owner: int,
-        max_flows: Optional[int],
-        per_flow_replicas: Optional[int],
-    ) -> MPILMessage:
-        """The copy a request's originator processes; ``None`` budgets take
-        the network config's."""
-        if not 0 <= origin < self.overlay.n:
-            raise RoutingError(f"node index {origin} out of range (n={self.overlay.n})")
-        cfg = self.config
-        return MPILMessage(
-            kind=kind,
-            request_id=request_id,
-            object_id=object_id,
-            origin=origin,
-            owner=owner,
-            at=origin,
-            route=(),
-            max_flows=cfg.max_flows if max_flows is None else max_flows,
-            replicas_left=(
-                cfg.per_flow_replicas if per_flow_replicas is None else per_flow_replicas
-            ),
-        )
-
     def _run_request(
         self,
         kind: str,
@@ -233,17 +204,17 @@ class MPILNetwork:
         delivers copies in breadth-first order and the hop index is the
         clock.  Returns the request's accounting and its ``(holder, hop)``
         replies."""
-        first = self.first_message(
-            kind, self.next_request_id, origin, object_id, owner, max_flows, per_flow_replicas
-        )
-        self.next_request_id += 1
         telemetry = current_telemetry()
         queue: collections.deque[Forwarded] = collections.deque()
         replies: list[tuple[int, int]] = []
         request = MPILRequest(
             self,
-            first,
-            rng=derive_rng(self.seed, "request", first.request_id),
+            kind,
+            self.next_request_id,
+            object_id,
+            origin,
+            owner,
+            stream=(self.seed, "request", self.next_request_id),
             suppress=self.config.duplicate_suppression,
             forward=queue.append,
             reply=replies.append,
@@ -252,11 +223,12 @@ class MPILNetwork:
             start=0.0,
             hop_time=1.0,
         )
+        self.next_request_id += 1
         step = request.step
-        queue.append((first, request.root_span))
+        queue.append((request.first_copy(max_flows, per_flow_replicas), request.root_span))
         while queue:
             msg, parent_span = queue.popleft()
-            step(msg, float(msg.hop), parent_span)
+            step(msg, float(len(msg.route)), parent_span)
 
         counters = request.counters
         add_events_processed(1 + counters.messages_sent)  # every copy is popped once

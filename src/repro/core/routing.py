@@ -17,10 +17,9 @@ and makes property testing straightforward.
 
 from __future__ import annotations
 
-import random
-from typing import AbstractSet, NamedTuple, Optional
+from typing import Callable, Container, NamedTuple, Optional, Sequence
 
-from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
+from repro.core.flows import fan_out
 from repro.core.metric import RankedNeighbors
 
 
@@ -35,10 +34,10 @@ class ForwardDecision(NamedTuple):
 
 def decide_forwarding(
     ranked: RankedNeighbors,
-    excluded: AbstractSet[int],
+    excluded: Container[int],
     max_flows: int,
     given_flows: int,
-    rng: random.Random,
+    draw: Callable[[Sequence[int], int], Sequence[int]],
     tie_break: str = "random",
     local_max_rule: str = "all-neighbors",
 ) -> ForwardDecision:
@@ -56,11 +55,18 @@ def decide_forwarding(
     excluded:
         Nodes that may not be chosen as next hops: the message's route plus
         the current node ("Choosing next_hop_list is dependent only on peers
-        in neighbor_list, excluding the nodes in M.route and N").
+        in neighbor_list, excluding the nodes in M.route and N").  Only
+        membership is asked of it, a tier member at a time, so the route
+        tuple itself serves: it holds the few nodes one copy visited.
     max_flows / given_flows:
         Flow-budget state of the message copy being processed.
+    draw:
+        ``draw(candidates, fanout)`` picks ``fanout`` of the tied
+        ``candidates`` when ``tie_break`` is ``"random"`` — the ``sample``
+        of a ``random.Random``, or a request's lazily derived stream
+        (:meth:`repro.core.protocol.MPILRequest.draw`).
     tie_break:
-        ``"random"`` samples which equal-metric candidates are used when
+        ``"random"`` draws which equal-metric candidates are used when
         there are more than the budget allows; ``"lowest-id"`` picks
         deterministically.
     local_max_rule:
@@ -72,15 +78,24 @@ def decide_forwarding(
     # next_hop_list is the best tier that still has an unvisited member.  A
     # route holds the few nodes this copy visited, so that is nearly always
     # the first tier; the candidates keep the tier's stored order, which
-    # fixes what ``rng.sample`` draws.
-    candidates: list[int] = []
+    # fixes what ``draw`` picks.
+    candidates: Sequence[int] = ()
     best_candidate_score: Optional[int] = None
     start = 0
     for end, score in zip(tier_ends, tier_scores):
-        candidates = [peer for peer in ids_by_rank[start:end] if peer not in excluded]
-        if candidates:
-            best_candidate_score = score
-            break
+        if end - start == 1:
+            # the top tier is one neighbor in about two decisions of three:
+            # test it where it lies, no slice and no list
+            peer = ids_by_rank[start]
+            if peer not in excluded:
+                candidates = (peer,)
+                best_candidate_score = score
+                break
+        else:
+            candidates = [peer for peer in ids_by_rank[start:end] if peer not in excluded]
+            if candidates:
+                best_candidate_score = score
+                break
         start = end
 
     if local_max_rule == "all-neighbors":
@@ -89,17 +104,12 @@ def decide_forwarding(
         reference = best_candidate_score
     is_local_max = reference is None or self_score >= reference
 
-    fanout = allowed_fanout(max_flows, given_flows, len(candidates))
-    if fanout == 0:
-        return ForwardDecision(is_local_max, (), (), 0)
+    fanout, budgets, new_flows = fan_out(max_flows, given_flows, len(candidates))
     if fanout < len(candidates):
-        if tie_break == "random":
-            candidates = rng.sample(candidates, fanout)
+        if fanout == 0:
+            candidates = ()
+        elif tie_break == "random":
+            candidates = draw(candidates, fanout)
         else:
             candidates = sorted(candidates)[:fanout]
-    return ForwardDecision(
-        is_local_max,
-        tuple(candidates),
-        tuple(split_flow_budget(max_flows, given_flows, fanout)),
-        flows_consumed(given_flows, fanout),
-    )
+    return ForwardDecision(is_local_max, tuple(candidates), budgets, new_flows)

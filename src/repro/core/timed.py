@@ -29,12 +29,12 @@ from repro.core.messages import KIND_LOOKUP, MPILMessage
 from repro.core.network import MPILNetwork
 from repro.core.protocol import Forwarded, MPILRequest
 from repro.core.routing import decide_forwarding  # noqa: F401  (bench/tests look it up here)
+from repro.errors import SimulationError
 from repro.overlay.graph import OverlayGraph
 from repro.sim.availability import AlwaysOnline, AvailabilityModel
 from repro.sim.counters import TrafficCounters
 from repro.sim.engine import EventScheduler
 from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.rng import derive_rng
 from repro.telemetry import current as current_telemetry
 
 
@@ -213,16 +213,12 @@ class TimedMPILNetwork:
         every message copy has been delivered, lost, or suppressed.
         """
         launch_time = engine.now if start_time is None else float(start_time)
-        first = self.static.first_message(
-            KIND_LOOKUP,
-            self._request_counter,
-            origin,
-            object_id,
-            origin,
-            max_flows,
-            per_flow_replicas,
-        )
-        self._request_counter += 1
+        if launch_time < engine.now:
+            # refused before the request takes a number or opens a trace: a
+            # retried call must draw the stream the refused one would have
+            raise SimulationError(
+                f"cannot start a lookup at t={launch_time} before current time t={engine.now}"
+            )
         telemetry = current_telemetry()
         metrics = telemetry.metrics
         latency = self.latency.latency
@@ -284,8 +280,12 @@ class TimedMPILNetwork:
 
         request = MPILRequest(
             self.static,
-            first,
-            rng=derive_rng(self.seed, "timed-request", first.request_id),
+            KIND_LOOKUP,
+            self._request_counter,
+            object_id,
+            origin,
+            origin,
+            stream=(self.seed, "timed-request", self._request_counter),
             suppress=(
                 self.config.duplicate_suppression
                 if duplicate_suppression is None
@@ -298,10 +298,16 @@ class TimedMPILNetwork:
             start=launch_time,
             max_hops=self._max_hops,
         )
+        self._request_counter += 1
         counters = request.counters
         pending = PendingLookup(object_id, origin, launch_time, counters)
         pending.outstanding += 1
-        engine.post(launch_time, deliver, first, request.root_span)
+        engine.post(
+            launch_time,
+            deliver,
+            request.first_copy(max_flows, per_flow_replicas),
+            request.root_span,
+        )
         return pending
 
     def lookup_at(

@@ -99,8 +99,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 from functools import partial
-from math import inf
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ExperimentError
@@ -241,10 +241,11 @@ def _service_config(scale: Optional[Scale], **params: Any) -> ServiceConfig:
 
     ``scale`` supplies the run's rate/duration/window defaults.  At compose
     time there is no scale yet (``None``): a missing one of the three then
-    takes a value that cannot fail, so only what the table says is judged.
+    takes a value that cannot fail (the largest finite duration holds any
+    finite window), so only what the table says is judged.
     """
     if scale is None:
-        duration = params.get("duration", inf)
+        duration = params.get("duration", sys.float_info.max)
         rate, window = params.get("rate", 1.0), params.get("window", duration)
     else:
         duration = params.get("duration", float(scale.service_duration))

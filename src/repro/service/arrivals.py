@@ -22,9 +22,19 @@ from repro.errors import ExperimentError
 ARRIVAL_KINDS = ("poisson", "fixed")
 
 
+def check_finite(**values: float) -> None:
+    """One error for a traffic knob that is ``inf`` or ``nan``: an infinite
+    rate makes every exponential gap 0.0 and an infinite duration never
+    ends, so either would generate arrivals until memory runs out."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ExperimentError(f"service {name} must be finite, got {value!r}")
+
+
 def _check_positive(rate: float, duration: float) -> tuple[float, float]:
     rate = float(rate)
     duration = float(duration)
+    check_finite(rate=rate, duration=duration)
     if not rate > 0:
         raise ExperimentError(f"arrival rate must be positive, got {rate!r}")
     if not duration > 0:

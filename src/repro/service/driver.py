@@ -39,7 +39,7 @@ from repro.experiments.perturbed import (
     VARIANT_LABELS,
     variant_views,
 )
-from repro.service.arrivals import ARRIVAL_KINDS, generate_arrivals
+from repro.service.arrivals import ARRIVAL_KINDS, check_finite, generate_arrivals
 from repro.service.windows import SLOPolicy, WindowStats, summarize_windows
 from repro.sim.engine import EventScheduler
 from repro.sim.rng import derive_rng
@@ -85,6 +85,7 @@ class ServiceConfig:
     slo: SLOPolicy = SLOPolicy()
 
     def __post_init__(self) -> None:
+        check_finite(duration=self.duration, rate=self.rate, window=self.window)
         if not self.duration > 0:
             raise ExperimentError(
                 f"service duration must be positive, got {self.duration!r}"

@@ -23,6 +23,14 @@ RNG streams, probed-view beliefs, Pastry-layer liveness queries, events —
 because a hosted runner can gate on a count where a time means nothing.
 A change of cost per call leaves the file alone; a change that lowers a
 count re-pins it on purpose (:func:`_work_counts_document`).
+
+``tests/goldens/span_streams_smoke_seed1.json`` pins the third thing a run
+leaves behind: the exported span stream of one experiment per driver
+(synchronous MPIL, timed MPIL beside MSPastry, the composed-timeline
+Pastry path, the service driver).  ``MPILRequest.step`` is every MPIL
+span's only emission site, so a refactor of the per-copy path that keeps
+the artifact bytes can still reorder, drop or re-parent spans; this file
+is what notices (:func:`_span_streams_document`).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib.metadata
+import io
 import json
 import pathlib
 import platform
@@ -39,15 +48,18 @@ import pytest
 
 import repro.core.protocol
 import repro.sim.rng
+from repro import api
 from repro.experiments import all_experiment_ids, run_experiment
 from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
 from repro.pastry.views import ProbedViewOracle
 from repro.sim.engine import events_processed_total
+from repro.telemetry.sinks import write_jsonl
 from repro.util.cache import clear_all_caches
 
 _GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 GOLDENS = json.loads((_GOLDEN_DIR / "smoke_seed1.json").read_text())
 WORK_COUNTS = json.loads((_GOLDEN_DIR / "work_counts_smoke_seed0.json").read_text())
+SPAN_STREAMS = json.loads((_GOLDEN_DIR / "span_streams_smoke_seed1.json").read_text())
 
 
 def _fingerprint() -> dict[str, str]:
@@ -186,3 +198,44 @@ def test_work_counts_match_the_golden():
             f"this is {_fingerprint()}"
         )
     assert _work_counts_document() == WORK_COUNTS
+
+
+#: one experiment per span-emitting driver: synchronous MPIL, timed MPIL
+#: beside MSPastry under flapping (DS and no-DS), the Pastry figure,
+#: a composed outage timeline, and the open-loop service driver
+_SPAN_STREAM_EXPERIMENTS = ("fig9", "fig10", "fig11", "ext-outage", "svc-outage")
+
+
+def _span_stream(experiment_id: str) -> dict:
+    """Span count and sha256 of the JSONL export of one traced ``smoke``
+    seed-1 run (what ``cli run ... --trace FILE`` writes)."""
+    traced = api.telemetry(experiment_id, scale="smoke", seed=1)
+    assert traced.spans.dropped == 0
+    buffer = io.StringIO()
+    count = write_jsonl(traced.spans, buffer)
+    return {
+        "spans": count,
+        "sha256": hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest(),
+    }
+
+
+def _span_streams_document() -> dict:
+    """What ``tests/goldens/span_streams_smoke_seed1.json`` holds; regenerate
+    it like ``smoke_seed1.json``, with ``t._span_streams_document()``."""
+    return {
+        "fingerprint": _fingerprint(),
+        "streams": {
+            experiment_id: _span_stream(experiment_id)
+            for experiment_id in _SPAN_STREAM_EXPERIMENTS
+        },
+    }
+
+
+@pytest.mark.parametrize("experiment_id", _SPAN_STREAM_EXPERIMENTS)
+def test_span_stream_matches_the_golden(experiment_id):
+    if SPAN_STREAMS["fingerprint"] != _fingerprint():
+        pytest.skip(
+            f"span streams were taken under {SPAN_STREAMS['fingerprint']}, "
+            f"this is {_fingerprint()}"
+        )
+    assert _span_stream(experiment_id) == SPAN_STREAMS["streams"][experiment_id]

@@ -274,12 +274,12 @@ class TestDecideForwardingParity:
                     np.asarray(neighbor_ids, dtype=np.int64).tolist(),
                     np.asarray(neighbor_scores, dtype=np.int32).tolist(),
                 ),
-                rng=random.Random(trial),
+                draw=random.Random(trial).sample,
                 **kwargs,
             )
             from_lists = decide_forwarding(
                 _ranked(self_score, tuple(neighbor_ids), list(neighbor_scores)),
-                rng=random.Random(trial),
+                draw=random.Random(trial).sample,
                 **kwargs,
             )
             scanned = reference_decide(
@@ -317,45 +317,49 @@ class TestDecideForwardingParity:
     ):
         """Same four fields *and* the same RNG state afterwards, over ids in
         arbitrary order, negative and all-equal scores (``score_span`` 1),
-        no neighbors, and everything excluded (``excluded_share`` 1)."""
+        no neighbors, and everything excluded (``excluded_share`` 1) — with
+        the exclusion as the route tuple ``MPILRequest.step`` passes and as
+        a set."""
         neighbor_ids = [peer for peer, _ in neighbors]
         neighbor_scores = [score % score_span - score_span // 2 for _, score in neighbors]
         picker = random.Random(seed)
-        excluded = {peer for peer in neighbor_ids if picker.random() < excluded_share}
-        excluded.add(401)  # the deciding node itself is never a neighbor
-        ranked_rng = random.Random(seed)
+        # the deciding node itself (401) is never a neighbor
+        route = (*(peer for peer in neighbor_ids if picker.random() < excluded_share), 401)
         scan_rng = random.Random(seed)
-        decision = decide_forwarding(
-            _ranked(self_score, neighbor_ids, neighbor_scores),
-            excluded,
-            max_flows,
-            given_flows,
-            ranked_rng,
-            tie_break,
-            local_max_rule,
-        )
-        assert decision == reference_decide(
+        scanned = reference_decide(
             self_score,
             neighbor_ids,
             neighbor_scores,
-            excluded,
+            set(route),
             max_flows,
             given_flows,
             scan_rng,
             tie_break,
             local_max_rule,
         )
-        assert ranked_rng.getstate() == scan_rng.getstate()
+        for excluded in (route, set(route)):
+            ranked_rng = random.Random(seed)
+            decision = decide_forwarding(
+                _ranked(self_score, neighbor_ids, neighbor_scores),
+                excluded,
+                max_flows,
+                given_flows,
+                ranked_rng.sample,
+                tie_break,
+                local_max_rule,
+            )
+            assert decision == scanned
+            assert ranked_rng.getstate() == scan_rng.getstate()
 
     def test_negative_scores_still_select_a_candidate(self):
         # custom metrics may return negative scores; the tier walk must not
         # treat them as worse-than-no-candidate
         decision = decide_forwarding(
             _ranked(-10, (1, 2, 3), [-5, -2, -7]),
-            excluded={3},
+            excluded=(3,),
             max_flows=2,
             given_flows=0,
-            rng=random.Random(0),
+            draw=random.Random(0).sample,
         )
         assert decision.next_hops == (2,)
         assert decision.is_local_max is False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
+from repro.core.flows import allowed_fanout, fan_out, flows_consumed, split_flow_budget
 from repro.errors import RoutingError
 
 
@@ -109,3 +109,31 @@ def test_recursive_splitting_never_exceeds_total_budget(max_flows, st_depth, dat
                 next_frontier.append((child_budget, 1))
         frontier = next_frontier
     assert total_flows <= max_flows
+
+
+class TestFanOut:
+    """The one call ``decide_forwarding`` makes is the three steps above."""
+
+    @given(
+        max_flows=st.integers(0, 50),
+        given=st.integers(0, 1),
+        candidates=st.integers(0, 60),
+    )
+    def test_equals_the_three_steps(self, max_flows, given, candidates):
+        fanout = allowed_fanout(max_flows, given, candidates)
+        budgets = tuple(split_flow_budget(max_flows, given, fanout)) if fanout else ()
+        assert fan_out(max_flows, given, candidates) == (
+            fanout,
+            budgets,
+            flows_consumed(given, fanout),
+        )
+
+    @pytest.mark.parametrize(
+        "max_flows,given,candidates", [(1, 2, 1), (1, -1, 1), (-1, 0, 1), (-1, 1, 3), (1, 0, -1)]
+    )
+    def test_rejects_what_allowed_fanout_rejects(self, max_flows, given, candidates):
+        with pytest.raises(RoutingError) as expected:
+            allowed_fanout(max_flows, given, candidates)
+        with pytest.raises(RoutingError) as raised:
+            fan_out(max_flows, given, candidates)
+        assert str(raised.value) == str(expected.value)

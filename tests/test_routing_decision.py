@@ -10,16 +10,35 @@ from repro.core.metric import rank_by_score
 from repro.core.routing import ForwardDecision, decide_forwarding
 
 
-def _decide(self_score, ids, scores, excluded=(), max_flows=10, given=0, tie="lowest-id", rule="all-neighbors", seed=0):
-    return decide_forwarding(
-        (self_score, *rank_by_score(ids, scores)),
-        excluded=set(excluded),
-        max_flows=max_flows,
-        given_flows=given,
-        rng=random.Random(seed),
-        tie_break=tie,
-        local_max_rule=rule,
-    )
+def _decide(
+    self_score,
+    ids,
+    scores,
+    excluded=(),
+    max_flows=10,
+    given=0,
+    tie="lowest-id",
+    rule="all-neighbors",
+    seed=0,
+):
+    """The decision with the exclusion given as a set and — the form
+    ``MPILRequest.step`` passes, the route itself — as a tuple; only
+    membership is asked of it, so the two must agree."""
+    ranked = (self_score, *rank_by_score(ids, scores))
+    decisions = [
+        decide_forwarding(
+            ranked,
+            excluded=container(excluded),
+            max_flows=max_flows,
+            given_flows=given,
+            draw=random.Random(seed).sample,
+            tie_break=tie,
+            local_max_rule=rule,
+        )
+        for container in (set, tuple)
+    ]
+    assert decisions[0] == decisions[1]
+    return decisions[0]
 
 
 class TestCandidateSelection:

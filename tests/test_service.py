@@ -122,6 +122,15 @@ class TestArrivals:
         with pytest.raises(ExperimentError, match="duration"):
             poisson_arrivals(derive_rng(0, "a"), 1.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_rate_and_duration_rejected(self, bad):
+        # an infinite rate draws 0.0 gaps for ever; reject, do not loop
+        for kind in ("poisson", "fixed"):
+            with pytest.raises(ExperimentError, match="rate must be finite"):
+                generate_arrivals(kind, derive_rng(0, "a"), bad, 10.0)
+            with pytest.raises(ExperimentError, match="duration must be finite"):
+                generate_arrivals(kind, derive_rng(0, "a"), 1.0, bad)
+
 
 class TestWindows:
     def test_num_windows_and_window_of(self):
@@ -206,11 +215,62 @@ class TestServiceConfig:
             ({"window": 700.0, "duration": 600.0}, "window"),
             ({"arrival": "burst"}, "arrival"),
             ({"insert_fraction": 1.0}, "insert_fraction"),
+            ({"rate": float("inf")}, "rate must be finite"),
+            ({"duration": float("inf")}, "duration must be finite"),
+            ({"window": float("inf"), "duration": float("inf")}, "must be finite"),
+            ({"window": float("nan")}, "window must be finite"),
         ],
     )
     def test_validation(self, kwargs, match):
         with pytest.raises(ExperimentError, match=match):
             ServiceConfig(**kwargs)
+
+
+class TestNonFiniteTrafficKnobs:
+    """``inf`` parses as a float on the command line and in TOML; every
+    front door answers it with one error instead of generating arrivals
+    until memory runs out."""
+
+    @pytest.mark.parametrize("knob", ["rate", "duration", "window"])
+    def test_api_serve(self, knob):
+        with pytest.raises(ExperimentError, match=f"{knob} must be finite"):
+            api.serve("svc-steady", scale="smoke", **{knob: float("inf")})
+
+    @pytest.mark.parametrize("knob", ["rate", "duration", "window"])
+    def test_cli_serve_exits_2_with_one_line(self, knob, capsys):
+        from repro.experiments.cli import main
+
+        assert main(["serve", "svc-steady", "--scale", "smoke", f"--{knob}", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{knob} must be finite" in captured.err
+
+    @pytest.mark.parametrize("knob", ["rate", "duration", "window"])
+    def test_compose_rejects_before_any_testbed_is_built(self, knob, tmp_path, monkeypatch):
+        import repro.experiments.compose as compose_module
+
+        def no_testbed(*args, **kwargs):
+            raise AssertionError("validation must come before construction")
+
+        monkeypatch.setattr(compose_module, "build_testbed", no_testbed)
+        spec_file = tmp_path / "hostile.toml"
+        spec_file.write_text(
+            "[experiment]\n"
+            'id = "hostile-service"\n'
+            'title = "inf is a valid TOML float"\n'
+            "[sweep]\n"
+            'column = "probability"\n'
+            "values = [0.5]\n"
+            "[[scenario]]\n"
+            'family = "flapping"\n'
+            'period = "30:30"\n'
+            'probability = "$probability"\n'
+            "[service]\n"
+            f"{knob} = inf\n"
+        )
+        with pytest.raises(ExperimentError, match=f"{knob} must be finite"):
+            api.compose(spec_file)
 
 
 @pytest.fixture(scope="module")

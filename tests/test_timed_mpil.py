@@ -196,6 +196,31 @@ class TestStartLookup:
         with pytest.raises(RoutingError):
             timed.start_lookup(EventScheduler(), 99, keys[0])
 
+    def test_rejected_start_changes_nothing(self):
+        """A refused call takes no request number, opens no trace and posts
+        nothing, so the retried call draws the stream a first-time call
+        would have."""
+        timed, keys = self._setup()
+        from repro.errors import SimulationError
+        from repro.sim.engine import EventScheduler
+
+        engine = EventScheduler()
+        engine.run(until=10.0)
+        before = timed.snapshot()
+        telemetry = Telemetry.with_spans()
+        with use(telemetry):
+            with pytest.raises(SimulationError, match="before current time"):
+                timed.start_lookup(engine, 0, keys[0], start_time=5.0)
+            with pytest.raises(RoutingError):
+                timed.start_lookup(engine, 99, keys[0], start_time=10.0)
+            assert timed.snapshot() == before
+            assert engine.pending == 0
+            assert len(telemetry.spans) == 0
+            retried = timed.start_lookup(engine, 0, keys[0], start_time=10.0)
+            engine.run()
+        timed.restore(before)
+        assert timed.lookup_at(0, keys[0], start_time=10.0) == retried.result()
+
     def test_request_counter_snapshot_restores_noise_stream(self):
         timed, keys = self._setup()
         before = timed.snapshot()
