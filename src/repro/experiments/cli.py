@@ -6,8 +6,8 @@ Nine commands:
   ``--tags`` filtering on the registry metadata (``list --tags ext``);
 - ``scenarios`` — show the perturbation-scenario catalogue (one line per
   availability-process family with the experiments that sweep it, joined
-  from the registry metadata), one family's details, or a figure's
-  flapping sweep cells;
+  from the registry metadata), one family's details (process class,
+  parameters, experiments), or a figure's flapping sweep cells;
 - ``run``  — run experiments one seed at a time, print their tables, and
   (with ``--out``) persist each replicate through the result store plus a
   legacy ``<id>_<scale>_seed<seed>.txt`` table;
@@ -462,7 +462,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         family = get_family(args.family)
         experiment_ids = by_family.get(family.name, [])
         print(f"{family.name}: {family.summary}")
-        print(f"  process:    repro.perturbation.{family.process}")
+        print(f"  process:    {family.process}")
+        for name, kind in family.schema.items():
+            need = "optional" if name in family.optional else "required"
+            print(f"  parameter:  {name} ({kind.__name__}, {need})")
         for experiment_id in experiment_ids:
             print(f"  experiment: {experiment_id} (run it via "
                   f"`sweep {experiment_id} --seeds 0..9`)")

@@ -84,9 +84,12 @@ then::
 
 or, from the shell, ``mpil-experiments compose severity-sweep.toml``.
 
-Scenario families and their parameters mirror the catalogue in
-:mod:`repro.perturbation.scenario`; multiple ``[[scenario]]`` tables
-compose through :class:`~repro.perturbation.timeline.ScenarioTimeline`
+Scenario families and their parameters are those of the one table
+:data:`repro.perturbation.scenario.SCENARIO_FAMILIES` (``mpil-experiments
+scenarios <family>`` prints a family's parameters), and
+:meth:`~repro.experiments.perturbed.PerturbationTestbed.process` lays each
+over the testbed; multiple ``[[scenario]]`` tables compose through
+:class:`~repro.perturbation.timeline.ScenarioTimeline`
 (a node is online iff online under every composed process).  Any
 parameter may be the string ``"$<sweep column>"`` to take the sweep
 cell's value.  Scenario seeds derive from ``(seed, "compose", index,
@@ -98,28 +101,24 @@ one at 0.75) and curves read monotonically.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 from functools import partial
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.perturbed import (
     VARIANT_LABELS,
     PerturbationTestbed,
     build_testbed,
-    iter_stage2_lookups,
-    variant_views,
+    stage2_successes,
+    success_percent,
 )
 from repro.experiments.scales import BudgetSpec, Scale, get_scale
 from repro.experiments.spec import ExperimentSpec, Pipeline, RunContext
-from repro.perturbation.adversarial import AdversarialRemoval, AdversarialRemovalConfig
-from repro.perturbation.churn import ChurnConfig, ChurnSchedule
-from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
-from repro.perturbation.outage import RegionalOutage, RegionalOutageConfig
-from repro.perturbation.storms import JoinStormConfig, JoinStormSchedule
+from repro.perturbation.scenario import ScenarioFamily, get_family
 from repro.perturbation.timeline import ScenarioTimeline
-from repro.perturbation.waves import ChurnWaveConfig, ChurnWaveSchedule
 from repro.service.driver import (
     SERVICE_COLUMNS,
     SERVICE_STAT_SUFFIXES,
@@ -132,95 +131,6 @@ from repro.util.toml import tomllib
 DEFAULT_VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
 DEFAULT_SPACING = 60.0
 
-
-def _population_schedule(
-    schedule: Callable[..., Any],
-) -> Callable[[Any, PerturbationTestbed, object], Any]:
-    """Builder for the families whose process is one per-node schedule over
-    the whole Pastry population (the client never goes offline)."""
-
-    def build(config: Any, testbed: PerturbationTestbed, seed: object) -> Any:
-        return schedule(
-            config, testbed.pastry.n, seed=seed, always_online={testbed.client}
-        )
-
-    return build
-
-
-def _build_outage(
-    config: RegionalOutageConfig, testbed: PerturbationTestbed, seed: object
-) -> RegionalOutage:
-    return RegionalOutage(
-        testbed.regions, config, seed=seed, always_online={testbed.client}
-    )
-
-
-def _build_adversarial(
-    config: AdversarialRemovalConfig, testbed: PerturbationTestbed, seed: object
-) -> AdversarialRemoval:
-    return AdversarialRemoval.from_overlay(
-        testbed.mpil.overlay, config, seed=seed, always_online={testbed.client}
-    )
-
-
-class _Family(NamedTuple):
-    """One composable scenario family.
-
-    ``schema`` maps parameter name to the type it is coerced to (``float``
-    or ``str``); every parameter is required unless listed in ``optional``.  ``config``
-    takes the coerced parameters as keywords and returns the family's
-    validated config object (raising ``ConfigurationError`` on a bad
-    range); ``build`` turns that config into an interval-reporting
-    :class:`~repro.perturbation.base.AvailabilityProcess` — its loose
-    return annotation mirrors the untyped ``availability`` parameter of
-    the stage-2 drivers it feeds.
-    """
-
-    schema: Mapping[str, type]
-    config: Callable[..., Any]
-    build: Callable[[Any, PerturbationTestbed, object], Any]
-    optional: frozenset[str] = frozenset()
-
-
-SCENARIO_FAMILIES: dict[str, _Family] = {
-    "flapping": _Family(
-        {"period": str, "probability": float},
-        lambda period, probability: FlappingConfig.from_label(period, probability),
-        _population_schedule(FlappingSchedule),
-    ),
-    "churn": _Family(
-        {"mean_session": float, "mean_downtime": float},
-        ChurnConfig,
-        _population_schedule(ChurnSchedule),
-    ),
-    "churn-wave": _Family(
-        {
-            "mean_session": float,
-            "mean_downtime": float,
-            "wave_period": float,
-            "wave_duration": float,
-            "intensity": float,
-        },
-        ChurnWaveConfig,
-        _population_schedule(ChurnWaveSchedule),
-    ),
-    "join-storm": _Family(
-        {"arrival_time": float, "late_fraction": float},
-        JoinStormConfig,
-        _population_schedule(JoinStormSchedule),
-    ),
-    "regional-outage": _Family(
-        {"start": float, "duration": float, "severity": float},
-        RegionalOutageConfig,
-        _build_outage,
-    ),
-    "adversarial-removal": _Family(
-        {"fraction": float, "start": float, "targeting": str},
-        AdversarialRemovalConfig,
-        _build_adversarial,
-        optional=frozenset({"targeting"}),
-    ),
-}
 
 #: the [service] table's parameter schema; every parameter is optional
 #: (scale presets supply rate/duration/window, :class:`ServiceConfig` /
@@ -303,10 +213,16 @@ def _require_list(value: Any, what: str) -> Sequence[Any]:
 
 
 def _require_float(value: Any, what: str) -> float:
+    """``value`` as a finite float: ``nan`` and ``inf`` are TOML literals,
+    and no parameter of a scenario, workload or service table means
+    anything at either."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ExperimentError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ExperimentError(f"{what} must be finite, got {number!r}")
+    return number
 
 
 def _require_table(source: Mapping[str, Any], key: str) -> Mapping[str, Any]:
@@ -318,17 +234,16 @@ def _require_table(source: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     return value
 
 
-def _cell_config(
+def _cell_params(
     schema: Mapping[str, type],
-    config: Callable[..., Any],
     table: Mapping[str, Any],
     what: str,
     column: str,
     cell: Any,
-) -> Any:
-    """One sweep cell's config object from a parameter table:
-    ``"$<column>"`` placeholders take the cell's value, each parameter is
-    coerced to its schema type, and ``config`` validates the ranges."""
+) -> dict[str, Any]:
+    """One sweep cell's parameters from a parameter table: ``"$<column>"``
+    placeholders take the cell's value and each parameter is coerced to its
+    schema type."""
     params: dict[str, Any] = {}
     for name, value in table.items():
         if isinstance(value, str) and value.startswith("$"):
@@ -339,13 +254,10 @@ def _cell_config(
                 )
             value = cell
         if schema[name] is float:
-            params[name] = _require_float(value, f"parameter {name!r} of {what}")
+            params[name] = _require_float(value, f"{what}: {name}")
         else:
             params[name] = str(value)
-    try:
-        return config(**params)
-    except ConfigurationError as exc:
-        raise ExperimentError(str(exc)) from None
+    return params
 
 
 def _check_table(
@@ -374,7 +286,10 @@ def _check_table(
             f"missing required parameter(s) {sorted(missing)} for {what}"
         )
     for cell in axis_values:
-        _cell_config(schema, config, table, what, column, cell)
+        try:
+            config(**_cell_params(schema, table, what, column, cell))
+        except ConfigurationError as exc:
+            raise ExperimentError(str(exc)) from None
 
 
 _BUDGET_KEYS = ("max_rss_mb", "max_wall_s")
@@ -451,18 +366,16 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
     scenarios = source.get("scenario")
     if not _is_list(scenarios) or not scenarios:
         raise ExperimentError("spec needs at least one [[scenario]] table")
-    #: (family name, its parameter table) per [[scenario]], in file order
-    scenario_tables: list[tuple[str, Mapping[str, Any]]] = []
+    #: (family, its parameter table) per [[scenario]], in file order
+    scenario_tables: list[tuple[ScenarioFamily, Mapping[str, Any]]] = []
     for table in scenarios:
         if not isinstance(table, Mapping) or "family" not in table:
             raise ExperimentError("every [[scenario]] table needs a 'family' key")
         name = str(table["family"])
-        if name not in SCENARIO_FAMILIES:
-            raise ExperimentError(
-                f"unknown scenario family {name!r}; "
-                f"choose from {sorted(SCENARIO_FAMILIES)}"
-            )
-        family = SCENARIO_FAMILIES[name]
+        try:
+            family = get_family(name)
+        except ConfigurationError as exc:
+            raise ExperimentError(str(exc)) from None
         params = {key: value for key, value in table.items() if key != "family"}
         _check_table(
             family.schema,
@@ -473,7 +386,7 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
             column,
             axis_values,
         )
-        scenario_tables.append((name, params))
+        scenario_tables.append((family, params))
 
     variants_table = source.get("variants", {})
     if not isinstance(variants_table, Mapping):
@@ -494,7 +407,11 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
             f"unknown variant(s) {sorted(unknown_variants)}; "
             f"choose from {sorted(VARIANT_LABELS)}"
         )
-    rejoin = bool(variants_table.get("rejoin", False))
+    rejoin = variants_table.get("rejoin", False)
+    if not isinstance(rejoin, bool):
+        raise ExperimentError(
+            f"variants.rejoin must be true or false, got {rejoin!r}"
+        )
 
     workload = source.get("workload", {})
     if not isinstance(workload, Mapping):
@@ -562,42 +479,40 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
         return range(lo, hi)
 
     def _cell_schedule(ctx: RunContext, testbed: PerturbationTestbed, cell: Any) -> Any:
-        processes: list[Any] = []
-        for index, (name, params) in enumerate(scenario_tables):
-            family = SCENARIO_FAMILIES[name]
-            config = _cell_config(
-                family.schema,
-                family.config,
-                params,
-                f"scenario family {name!r}",
-                column,
-                cell,
+        processes = [
+            testbed.process(
+                family.name,
+                (ctx.seed, "compose", index, family.name),
+                **_cell_params(
+                    family.schema,
+                    table,
+                    f"scenario family {family.name!r}",
+                    column,
+                    cell,
+                ),
             )
-            processes.append(
-                family.build(config, testbed, (ctx.seed, "compose", index, name))
-            )
+            for index, (family, table) in enumerate(scenario_tables)
+        ]
         return processes[0] if len(processes) == 1 else ScenarioTimeline(processes)
 
     def measure(ctx: RunContext, testbed: PerturbationTestbed, cell: Any) -> Iterable[tuple]:
         schedule = _cell_schedule(ctx, testbed, cell)
         indices = _lookup_indices(ctx.scale.perturbed_lookups)
-        row: list[Any] = [cell]
-        for variant in variants:
-            availability, views = variant_views(
-                testbed,
-                variant,
-                schedule,
-                (ctx.seed, "compose", "views", variant),
-                rejoin_seed=(ctx.seed, "compose", "rejoin", variant) if rejoin else None,
-            )
-            successes = sum(
-                outcome.success
-                for _i, outcome in iter_stage2_lookups(
-                    testbed, variant, indices, spacing, availability, views
+        rates = (
+            success_percent(
+                stage2_successes(
+                    testbed,
+                    variant,
+                    schedule,
+                    indices,
+                    spacing,
+                    (ctx.seed, "compose", "views", variant),
+                    (ctx.seed, "compose", "rejoin", variant) if rejoin else None,
                 )
             )
-            row.append(round(100.0 * successes / len(indices), 1))
-        return [tuple(row)]
+            for variant in variants
+        )
+        return [(cell, *rates)]
 
     def measure_service(
         ctx: RunContext, testbed: PerturbationTestbed, cell: Any
@@ -605,13 +520,11 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
         # only wired into the pipeline when the [service] table exists
         assert service_table is not None
         schedule = _cell_schedule(ctx, testbed, cell)
-        config = _cell_config(
-            _SERVICE_PARAMS,
-            partial(_service_config, ctx.scale),
-            service_table,
-            "the [service] table",
-            column,
-            cell,
+        config = _service_config(
+            ctx.scale,
+            **_cell_params(
+                _SERVICE_PARAMS, service_table, "the [service] table", column, cell
+            ),
         )
         # one arrival plan for every cell (the sweep varies only the
         # perturbation or substituted service parameters), per-cell
@@ -627,8 +540,8 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
         return [(cell, *row) for row in rows]
 
     summary = " + ".join(
-        "{}({})".format(name, ", ".join(f"{k}={v}" for k, v in params.items()))
-        for name, params in scenario_tables
+        "{}({})".format(family.name, ", ".join(f"{k}={v}" for k, v in params.items()))
+        for family, params in scenario_tables
     )
     if service_table is not None:
         service_summary = (

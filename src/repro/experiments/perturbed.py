@@ -19,7 +19,7 @@ stage-1 state, same ground-truth schedules):
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier
@@ -31,8 +31,9 @@ from repro.pastry.mpil_on_pastry import make_mpil_over_pastry
 from repro.pastry.protocol import PastryNetwork
 from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
 from repro.pastry.views import ProbedViewOracle
-from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
-from repro.perturbation.outage import regions_from_attachment
+from repro.perturbation.adversarial import AdversarialRemoval
+from repro.perturbation.outage import RegionalOutage, regions_from_attachment
+from repro.perturbation.scenario import get_family
 from repro.sim.counters import TrafficCounters
 from repro.sim.latency import UnderlayLatency
 from repro.sim.rng import derive_rng
@@ -73,6 +74,31 @@ class PerturbationTestbed:
         """The stage-1 objects ``variant`` looks up."""
         return {"pastry": self.objects_plain, "pastry-rr": self.objects_rr}.get(
             variant, self.objects_mpil
+        )
+
+    def process(self, family: str, seed: object, **params: Any):
+        """One scenario family's availability process laid over this testbed.
+
+        ``params`` are the family's parameters as
+        :data:`repro.perturbation.scenario.SCENARIO_FAMILIES` names them.
+        The process covers what the family perturbs — the transit-stub
+        regions for an outage, the Pastry neighbor graph's total (in + out)
+        degrees for adversarial removal, the whole population otherwise —
+        and always exempts the client, so request generation never stalls.
+        """
+        entry = get_family(family)
+        covers: dict[str, Any]
+        if entry.process_class is RegionalOutage:
+            covers = {"regions": self.regions}
+        elif entry.process_class is AdversarialRemoval:
+            covers = {"degrees": self.mpil.overlay.total_degrees}
+        else:
+            covers = {"num_nodes": self.pastry.n}
+        return entry.process_class(
+            config=entry.config(**params),
+            seed=seed,
+            always_online={self.client},
+            **covers,
         )
 
 
@@ -219,6 +245,40 @@ def iter_stage2_lookups(
         yield i, outcome
 
 
+def stage2_successes(
+    testbed: PerturbationTestbed,
+    variant: str,
+    schedule,
+    indices,
+    spacing: float,
+    views_seed: object,
+    rejoin_seed: object = None,
+) -> list[bool]:
+    """One variant's per-lookup success flags under ``schedule``, in the
+    order of ``indices``.
+
+    The stage-2 success loop every scenario experiment shares:
+    :func:`variant_views` decides what the variant sees of the schedule
+    (the seed labels are the caller's), :func:`iter_stage2_lookups` issues
+    the lookups.  Lookups are pure functions of (schedule, key, start
+    time), so a caller measuring a window passes only its indices.
+    """
+    availability, views = variant_views(
+        testbed, variant, schedule, views_seed, rejoin_seed
+    )
+    return [
+        bool(outcome.success)
+        for _i, outcome in iter_stage2_lookups(
+            testbed, variant, indices, spacing, availability, views
+        )
+    ]
+
+
+def success_percent(flags: Sequence[bool]) -> float:
+    """Success rate of ``flags`` in percent, to one decimal (0.0 for none)."""
+    return round(100.0 * sum(flags) / len(flags), 1) if flags else 0.0
+
+
 @dataclasses.dataclass(frozen=True)
 class CellResult:
     """One variant's outcome for one (period, probability) cell."""
@@ -252,13 +312,11 @@ def run_cell(
     unknown = set(variants) - set(ALL_VARIANTS)
     if unknown:
         raise ExperimentError(f"unknown variants {sorted(unknown)}")
-    flap_config = FlappingConfig.from_label(period_label, probability)
-    num_nodes = testbed.pastry.n
-    schedule = FlappingSchedule(
-        flap_config,
-        num_nodes,
-        seed=(testbed.seed, "flap", period_label, probability),
-        always_online={testbed.client},
+    schedule = testbed.process(
+        "flapping",
+        (testbed.seed, "flap", period_label, probability),
+        period=period_label,
+        probability=probability,
     )
     # The Pastry layer sees availability through MSPastry's declared-failure
     # eviction + rejoin semantics; MPIL (no maintenance) sees the raw
@@ -273,7 +331,7 @@ def run_cell(
         testbed.pastry.config,
         seed=(testbed.seed, "views", period_label, probability),
     )
-    cycle = flap_config.cycle
+    cycle = schedule.config.cycle
     # lookup i starts at cycle * (i + 1): every node has entered its
     # flapping period by then (phases < cycle)
     duration = num_lookups * cycle

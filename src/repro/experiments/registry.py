@@ -46,11 +46,7 @@ _EXPERIMENT_MODULES: tuple[str, ...] = (
     "repro.experiments.table3_flows",
     "repro.experiments.ablations",
     "repro.experiments.baseline_comparison",
-    "repro.experiments.ext_churn",
-    "repro.experiments.ext_outage",
-    "repro.experiments.ext_wave",
-    "repro.experiments.ext_joinstorm",
-    "repro.experiments.ext_adversarial",
+    "repro.experiments.ext_scenarios",
     "repro.experiments.svc_service",
 )
 
@@ -59,7 +55,7 @@ _loading = False
 
 #: presentation order per id: (module rank, registration sequence).  Ids from
 #: built-in modules rank by catalogue position regardless of which module
-#: happened to be imported first (a test importing ``ext_outage`` directly
+#: happened to be imported first (a test importing ``ext_scenarios`` directly
 #: must not reshuffle ``list``); runtime registrations sort after them.
 _ORDER: dict[str, tuple[int, int]] = {}
 _RUNTIME_RANK = len(_EXPERIMENT_MODULES)

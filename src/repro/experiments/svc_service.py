@@ -24,8 +24,7 @@ from typing import Iterable
 from repro.experiments.perturbed import PerturbationTestbed, build_testbed
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
-from repro.perturbation.outage import RegionalOutage, RegionalOutageConfig
+from repro.perturbation.flapping import FlappingSchedule
 from repro.perturbation.timeline import ScenarioTimeline
 from repro.service.driver import (
     SERVICE_COLUMNS,
@@ -56,15 +55,6 @@ def service_config(ctx: RunContext, rate: float) -> ServiceConfig:
     )
 
 
-def _background_flapping(ctx: RunContext, testbed: PerturbationTestbed) -> FlappingSchedule:
-    return FlappingSchedule(
-        FlappingConfig.from_label(FLAP_LABEL, FLAP_PROBABILITY),
-        testbed.pastry.n,
-        seed=(ctx.seed, "svc-flap"),
-        always_online={testbed.client},
-    )
-
-
 @dataclasses.dataclass
 class _ServiceTestbed:
     """Built state shared by every service cell."""
@@ -77,7 +67,10 @@ def _build(ctx: RunContext) -> _ServiceTestbed:
     testbed = build_testbed(
         ctx.scale.pastry_nodes, ctx.scale.perturbed_inserts, seed=ctx.seed
     )
-    return _ServiceTestbed(testbed=testbed, flapping=_background_flapping(ctx, testbed))
+    flapping = testbed.process(
+        "flapping", (ctx.seed, "svc-flap"), period=FLAP_LABEL, probability=FLAP_PROBABILITY
+    )
+    return _ServiceTestbed(testbed=testbed, flapping=flapping)
 
 
 # --- svc-steady ---------------------------------------------------------------
@@ -138,13 +131,12 @@ def _measure_outage(
     duration = ctx.scale.service_duration
     # outage covers the middle third of the run; its seed must not depend
     # on severity so the affected-region set stays nested along the sweep
-    outage = RegionalOutage(
-        testbed.regions,
-        RegionalOutageConfig(
-            start=duration / 3.0, duration=duration / 3.0, severity=severity
-        ),
-        seed=(ctx.seed, "svc-outage"),
-        always_online={testbed.client},
+    outage = testbed.process(
+        "regional-outage",
+        (ctx.seed, "svc-outage"),
+        start=duration / 3.0,
+        duration=duration / 3.0,
+        severity=severity,
     )
     schedule = ScenarioTimeline([built.flapping, outage])
     config = service_config(ctx, ctx.scale.service_rate)

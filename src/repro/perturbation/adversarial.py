@@ -69,9 +69,12 @@ class AdversarialRemoval(ProcessBase):
     Parameters
     ----------
     degrees:
-        Per-node coverage scores the adversary ranks by — typically total
-        (in + out) degree in the overlay graph; length defines
-        ``num_nodes``.  Ignored (but still sized) under random targeting.
+        Per-node coverage scores the adversary ranks by — typically an
+        :class:`~repro.overlay.graph.OverlayGraph`'s ``total_degrees`` (for
+        directed overlays such as Pastry neighbor lists, in-edges measure
+        how much routing state *points at* a node, which is the coverage an
+        adversary wants gone); length defines ``num_nodes``.  Ignored (but
+        still sized) under random targeting.
     """
 
     def __init__(
@@ -101,23 +104,6 @@ class AdversarialRemoval(ProcessBase):
         self.removed = frozenset(removed)
         self._removed_array = np.fromiter(
             sorted(self.removed), dtype=np.int64, count=len(self.removed)
-        )
-
-    @classmethod
-    def from_overlay(
-        cls,
-        overlay,
-        config: AdversarialRemovalConfig,
-        seed: int | tuple = 0,
-        always_online: frozenset[int] | set[int] = frozenset(),
-    ) -> "AdversarialRemoval":
-        """Rank by total degree (out + in) of an
-        :class:`~repro.overlay.graph.OverlayGraph` — for directed overlays
-        (Pastry neighbor lists) in-edges measure how much routing state
-        *points at* a node, which is the coverage an adversary wants gone.
-        """
-        return cls(
-            overlay.total_degrees, config, seed=seed, always_online=always_online
         )
 
     def is_online(self, node: int, time: float) -> bool:

@@ -77,6 +77,10 @@ class FlappingConfig:
             raise ConfigurationError(
                 f"flapping label must look like '30:30', got {label!r}"
             ) from None
+        if not (math.isfinite(idle) and math.isfinite(offline)):
+            raise ConfigurationError(
+                f"flapping periods must be finite, got {label!r}"
+            )
         return cls(idle_period=idle, offline_period=offline, probability=probability)
 
     @property

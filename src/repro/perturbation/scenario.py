@@ -6,8 +6,14 @@ Two things live here:
   Figure 1/11 flapping sweeps (probability 0.1..1.0 for four idle:offline
   configurations in Figure 1: 1:1, 45:15, 30:30, 300:300; three in
   Figures 11–12: 1:1, 30:30, 300:300);
-- the **scenario-family catalogue** — one entry per availability-process
-  family the engine implements.
+- the **scenario-family table** :data:`SCENARIO_FAMILIES` — one entry per
+  availability-process family the engine implements, and the only place a
+  family is described: its name and summary (what ``mpil-experiments
+  scenarios`` prints), its parameter schema and config constructor (what
+  :mod:`repro.experiments.compose` validates a ``[[scenario]]`` table
+  against), and its process class (what
+  :meth:`repro.experiments.perturbed.PerturbationTestbed.process` lays
+  over the testbed).
 
 Which *experiments* sweep a family is not recorded here: experiment specs
 declare their ``scenario_family`` in the registry
@@ -19,9 +25,15 @@ catalogue listing.
 from __future__ import annotations
 
 import dataclasses
+from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError
+from repro.perturbation.adversarial import AdversarialRemoval, AdversarialRemovalConfig
+from repro.perturbation.churn import ChurnConfig, ChurnSchedule
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
+from repro.perturbation.outage import RegionalOutage, RegionalOutageConfig
+from repro.perturbation.storms import JoinStormConfig, JoinStormSchedule
+from repro.perturbation.waves import ChurnWaveConfig, ChurnWaveSchedule
 
 #: The idle:offline configurations used in the paper, by figure.
 PERIOD_CONFIGS: dict[str, tuple[str, ...]] = {
@@ -83,14 +95,34 @@ def scenarios_for(figure: str, probabilities=FLAP_PROBABILITIES):
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioFamily:
-    """One availability-process family the scenario engine implements."""
+    """One availability-process family the scenario engine implements.
+
+    ``schema`` maps each parameter name to the type a spec file's value is
+    coerced to (``float`` or ``str``); every parameter is required unless
+    listed in ``optional``.  ``config`` takes the coerced parameters as
+    keywords and returns the family's validated config object (raising
+    :class:`~repro.errors.ConfigurationError` on a bad range), which
+    ``process_class`` — an interval-reporting
+    :class:`~repro.perturbation.base.AvailabilityProcess` — is built from.
+    """
 
     name: str
     summary: str
-    process: str  #: the implementing class, dotted from repro.perturbation
+    schema: Mapping[str, type]
+    config: Callable[..., Any]
+    process_class: type
+    optional: frozenset[str] = frozenset()
+
+    @property
+    def process(self) -> str:
+        """The implementing class, dotted from the package root."""
+        return f"{self.process_class.__module__}.{self.process_class.__qualname__}"
 
 
-#: Every scenario family, in catalogue order.  Families compose freely via
+#: Every scenario family, in catalogue order: what ``scenarios`` prints,
+#: what ``compose`` validates a ``[[scenario]]`` table against, and what
+#: :meth:`repro.experiments.perturbed.PerturbationTestbed.process` builds.
+#: Families compose freely via
 #: :class:`~repro.perturbation.timeline.ScenarioTimeline`.
 SCENARIO_FAMILIES: dict[str, ScenarioFamily] = {
     family.name: family
@@ -98,32 +130,53 @@ SCENARIO_FAMILIES: dict[str, ScenarioFamily] = {
         ScenarioFamily(
             name="flapping",
             summary="the paper's synchronized idle/offline cycles (figs 1, 11, 12)",
-            process="flapping.FlappingSchedule",
+            schema={"period": str, "probability": float},
+            config=lambda period, probability: FlappingConfig.from_label(
+                period, probability
+            ),
+            process_class=FlappingSchedule,
         ),
         ScenarioFamily(
             name="churn",
             summary="exponential on/off renewal sessions (Overnet/Napster-style)",
-            process="churn.ChurnSchedule",
+            schema={"mean_session": float, "mean_downtime": float},
+            config=ChurnConfig,
+            process_class=ChurnSchedule,
         ),
         ScenarioFamily(
             name="regional-outage",
             summary="correlated outage of whole transit-stub domains",
-            process="outage.RegionalOutage",
+            schema={"start": float, "duration": float, "severity": float},
+            config=RegionalOutageConfig,
+            process_class=RegionalOutage,
         ),
         ScenarioFamily(
             name="churn-wave",
             summary="churn with periodically surging join/leave rates",
-            process="waves.ChurnWaveSchedule",
+            schema={
+                "mean_session": float,
+                "mean_downtime": float,
+                "wave_period": float,
+                "wave_duration": float,
+                "intensity": float,
+            },
+            config=ChurnWaveConfig,
+            process_class=ChurnWaveSchedule,
         ),
         ScenarioFamily(
             name="join-storm",
             summary="mass simultaneous arrivals rejoining through a perturbed net",
-            process="storms.JoinStormSchedule",
+            schema={"arrival_time": float, "late_fraction": float},
+            config=JoinStormConfig,
+            process_class=JoinStormSchedule,
         ),
         ScenarioFamily(
             name="adversarial-removal",
             summary="permanent deletion of the highest-degree overlay nodes",
-            process="adversarial.AdversarialRemoval",
+            schema={"fraction": float, "start": float, "targeting": str},
+            config=AdversarialRemovalConfig,
+            process_class=AdversarialRemoval,
+            optional=frozenset({"targeting"}),
         ),
     )
 }

@@ -3,12 +3,50 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import all_experiment_ids, run_experiment
 from repro.experiments.store import ResultStore
+from repro.perturbation import scenario_families
+
+
+#: stdout of the catalogue commands at PR 20 (the parent of the PR that made
+#: the two ``SCENARIO_FAMILIES`` tables one), generated there
+CATALOGUE_AT_PR20 = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "cli_catalogue_pr20.json").read_text()
+)["stdout"]
+
+
+class TestCatalogueOutput:
+    """One family table and one ``ext_scenarios`` module must not move a
+    byte of what ``list`` and ``scenarios`` print — ids, titles, tags, the
+    catalogue order, the derived ``process:`` path — except for the
+    ``parameter:`` lines ``scenarios <family>`` gained from the table."""
+
+    @pytest.mark.parametrize("command", sorted(CATALOGUE_AT_PR20))
+    def test_byte_identical_but_for_the_parameter_lines(self, command, capsys):
+        assert main(command.split()) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("  parameter:")]
+        assert "".join(kept) == CATALOGUE_AT_PR20[command]
+        is_family = command.startswith("scenarios ") and "--figure" not in command
+        assert (len(kept) < len(lines)) == is_family
+
+    def test_family_details_list_the_table_s_parameters(self, capsys):
+        assert main(["scenarios", "adversarial-removal"]) == 0
+        parameters = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  parameter:")
+        ]
+        assert parameters == [
+            "parameter:  fraction (float, required)",
+            "parameter:  start (float, required)",
+            "parameter:  targeting (str, optional)",
+        ]
 
 
 class TestParser:
@@ -374,6 +412,135 @@ class TestComposeMain:
         assert proc.returncode == 2, proc.stderr
         assert "already registered" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+#: a valid parameter table per scenario family, to poison one value at a time
+VALID_FAMILY_PARAMS = {
+    "flapping": {"period": "30:30", "probability": 0.5},
+    "churn": {"mean_session": 300.0, "mean_downtime": 120.0},
+    "churn-wave": {
+        "mean_session": 300.0,
+        "mean_downtime": 300.0,
+        "wave_period": 600.0,
+        "wave_duration": 150.0,
+        "intensity": 4.0,
+    },
+    "join-storm": {"arrival_time": 200.0, "late_fraction": 0.4},
+    "regional-outage": {"start": 90.0, "duration": 600.0, "severity": 0.5},
+    "adversarial-removal": {"fraction": 0.1, "start": 30.0},
+}
+
+#: (family, parameter, the TOML literal that poisons it): every float
+#: parameter of every family at ``nan`` and ``inf``, plus the flapping label
+HOSTILE_SCENARIO_VALUES = [
+    (family.name, name, literal)
+    for family in scenario_families()
+    for name, kind in family.schema.items()
+    if kind is float
+    for literal in ("nan", "inf")
+] + [("flapping", "period", '"nan:30"'), ("flapping", "period", '"30:inf"')]
+
+
+class TestComposeRejectsHostileValues:
+    """``nan`` and ``inf`` are TOML float literals and ``"no"`` is a truthy
+    string: each is one stderr line and exit 2 at compose time — before a
+    testbed is built, with nothing registered and nothing stored."""
+
+    def _toml(self, scenario: dict, extra: str = "") -> str:
+        lines = [
+            "[experiment]",
+            'id = "hostile"',
+            'title = "hostile values"',
+            "[sweep]",
+            'column = "x"',
+            "values = [0.5]",
+            "[[scenario]]",
+            *(f"{name} = {value}" for name, value in scenario.items()),
+            extra,
+        ]
+        return "\n".join(lines) + "\n"
+
+    def _assert_rejected(self, tmp_path, capsys, monkeypatch, text, fragment):
+        import repro.experiments.compose as compose_module
+
+        def no_testbed(*args, **kwargs):
+            raise AssertionError("validation must come before construction")
+
+        monkeypatch.setattr(compose_module, "build_testbed", no_testbed)
+        path = tmp_path / "hostile.toml"
+        path.write_text(text)
+        out = tmp_path / "store"
+        assert main(["compose", str(path), "--scale", "smoke", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert fragment in captured.err
+        assert not out.exists()
+        assert "hostile" not in all_experiment_ids()
+
+    def _scenario(self, family: str, **poison: str) -> dict:
+        table = {
+            "family": json.dumps(family),
+            **{name: json.dumps(value) for name, value in VALID_FAMILY_PARAMS[family].items()},
+        }
+        table.update(poison)
+        return table
+
+    def test_the_valid_tables_are_valid(self, tmp_path):
+        """The poison is what is rejected, not the table around it."""
+        from repro.experiments.compose import compose_spec, load_spec_file
+
+        for family in VALID_FAMILY_PARAMS:
+            path = tmp_path / f"{family}.toml"
+            path.write_text(self._toml(self._scenario(family)))
+            compose_spec(load_spec_file(path))
+
+    @pytest.mark.parametrize("family, parameter, literal", HOSTILE_SCENARIO_VALUES)
+    def test_non_finite_scenario_parameter(
+        self, family, parameter, literal, tmp_path, capsys, monkeypatch
+    ):
+        text = self._toml(self._scenario(family, **{parameter: literal}))
+        self._assert_rejected(tmp_path, capsys, monkeypatch, text, "must be finite")
+
+    def test_non_finite_sweep_value_reaches_the_same_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        text = self._toml(self._scenario("churn", mean_session='"$x"')).replace(
+            "values = [0.5]", "values = [300.0, inf]"
+        )
+        self._assert_rejected(
+            tmp_path, capsys, monkeypatch, text, "mean_session must be finite, got inf"
+        )
+
+    @pytest.mark.parametrize(
+        "workload, fragment",
+        [
+            ("spacing = inf", "workload spacing must be finite"),
+            ("spacing = nan", "workload spacing must be finite"),
+            ("window = [nan, 0.5]", "workload window must be finite"),
+        ],
+    )
+    def test_non_finite_workload(self, workload, fragment, tmp_path, capsys, monkeypatch):
+        text = self._toml(self._scenario("flapping"), f"[workload]\n{workload}")
+        self._assert_rejected(tmp_path, capsys, monkeypatch, text, fragment)
+
+    @pytest.mark.parametrize("value", ['"no"', '"false"', '"true"', "0", "1", '""'])
+    def test_rejoin_takes_a_real_boolean_only(self, value, tmp_path, capsys, monkeypatch):
+        text = self._toml(self._scenario("flapping"), f"[variants]\nrejoin = {value}")
+        self._assert_rejected(
+            tmp_path, capsys, monkeypatch, text, "variants.rejoin must be true or false"
+        )
+
+    @pytest.mark.parametrize("value, noted", [("true", True), ("false", False)])
+    def test_rejoin_booleans_still_mean_what_they_say(self, value, noted, tmp_path):
+        from repro.experiments.compose import compose_spec, load_spec_file
+
+        path = tmp_path / "rejoin.toml"
+        path.write_text(
+            self._toml(self._scenario("flapping"), f"[variants]\nrejoin = {value}")
+        )
+        notes = compose_spec(load_spec_file(path)).pipeline.notes
+        assert ("interval-based eviction/rejoin" in notes) == noted
 
 
 class TestErrorPaths:

@@ -31,6 +31,12 @@ Pastry path, the service driver).  ``MPILRequest.step`` is every MPIL
 span's only emission site, so a refactor of the per-copy path that keeps
 the artifact bytes can still reorder, drop or re-parent spans; this file
 is what notices (:func:`_span_streams_document`).
+
+Everything above runs under whatever ``PYTHONHASHSEED`` the test process
+got.  :func:`test_nothing_written_depends_on_string_hashing` is the one
+place the variable is *set*: it drives the CLI in subprocesses under two
+hash seeds and compares what they write (CI's "Hash-seed determinism" step
+is a call of it).
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ import hashlib
 import importlib.metadata
 import io
 import json
+import os
 import pathlib
 import platform
+import subprocess
 import sys
 
 import pytest
@@ -239,3 +247,58 @@ def test_span_stream_matches_the_golden(experiment_id):
             f"this is {_fingerprint()}"
         )
     assert _span_stream(experiment_id) == SPAN_STREAMS["streams"][experiment_id]
+
+
+def _cli_under_hash_seed(hash_seed: int, *args: str) -> None:
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"),
+        PYTHONHASHSEED=str(hash_seed),
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.cli", *args],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_nothing_written_depends_on_string_hashing(tmp_path):
+    """Set/dict iteration order, ``hash()``-derived seeds and scheduler
+    tie-breaks all move with ``PYTHONHASHSEED``; nothing a run writes may.
+
+    Every experiment is swept under hash seed 1 with two workers and under
+    hash seed 2 with one — so the comparison also crosses two task-to-worker
+    histories — and every replicate, telemetry blob and aggregate must be
+    byte-identical (manifests and the ledger carry timestamps).  The span
+    stream gets the same treatment: one traced ``fig11`` (timed MPIL beside
+    MSPastry) under each hash seed.
+    """
+    for hash_seed, jobs in ((1, "2"), (2, "1")):
+        _cli_under_hash_seed(
+            hash_seed, "sweep", "all", "--seeds", "0", "--scale", "smoke",
+            "--jobs", jobs, "--out", str(tmp_path / f"store{hash_seed}"),
+        )  # fmt: skip
+        _cli_under_hash_seed(
+            hash_seed, "run", "fig11", "--scale", "smoke", "--seed", "1",
+            "--trace", str(tmp_path / f"trace{hash_seed}.jsonl"),
+        )  # fmt: skip
+    first, second = tmp_path / "store1", tmp_path / "store2"
+    written = sorted(
+        path.relative_to(first)
+        for pattern in ("seed_*.json", "aggregate.*")
+        for path in first.glob(f"*/smoke/{pattern}")
+    )
+    # per experiment: the replicate, its telemetry blob, aggregate.json/.csv
+    assert len(written) == 4 * len(all_experiment_ids())
+    differing = [
+        str(name)
+        for name in written
+        if (first / name).read_bytes() != (second / name).read_bytes()
+    ]
+    assert differing == []
+    trace = (tmp_path / "trace1.jsonl").read_bytes()
+    assert trace and trace == (tmp_path / "trace2.jsonl").read_bytes()

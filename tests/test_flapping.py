@@ -38,6 +38,13 @@ class TestFlappingConfig:
         with pytest.raises(ConfigurationError):
             FlappingConfig.from_label("a:b", 0.5)
 
+    @pytest.mark.parametrize("label", ["nan:30", "30:nan", "inf:30", "30:inf"])
+    def test_non_finite_labels(self, label):
+        # float() parses these; a nan period breaks the cycle arithmetic and
+        # an infinite one never flaps
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            FlappingConfig.from_label(label, 0.5)
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             FlappingConfig(0, 10, 0.5)

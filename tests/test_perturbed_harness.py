@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.perturbed import (
     ALL_VARIANTS,
     MPIL_MAX_FLOWS,
@@ -13,11 +13,27 @@ from repro.experiments.perturbed import (
     build_testbed,
     iter_stage2_lookups,
     run_cell,
+    stage2_successes,
+    success_percent,
     variant_views,
 )
 from repro.pastry.rejoin import IntervalRejoinAvailability
 from repro.pastry.views import ProbedViewOracle
-from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
+from repro.perturbation import (
+    AdversarialRemoval,
+    AdversarialRemovalConfig,
+    ChurnConfig,
+    ChurnSchedule,
+    ChurnWaveConfig,
+    ChurnWaveSchedule,
+    FlappingConfig,
+    FlappingSchedule,
+    JoinStormConfig,
+    JoinStormSchedule,
+    RegionalOutage,
+    RegionalOutageConfig,
+    scenario_families,
+)
 from repro.sim.counters import TrafficCounters
 
 
@@ -204,3 +220,140 @@ class TestStage2Loop:
             run_cell(empty, "30:30", 0.5, 3)
         with pytest.raises(ExperimentError, match="0 lookup"):
             run_cell(build_testbed(num_nodes=70, num_inserts=5, seed=0), "30:30", 0.5, 0)
+
+
+def reference_process(testbed, family, seed, **params):
+    """What the experiment layer spelled out by hand, 12 times over nine
+    modules, before ``PerturbationTestbed.process``: each family's config
+    and constructor, laid over the population, the regions or the neighbor
+    graph's total degrees, with the client exempt.  Kept as the oracle."""
+    client = {testbed.client}
+    n = testbed.pastry.n
+    if family == "flapping":
+        config = FlappingConfig.from_label(params["period"], params["probability"])
+        return FlappingSchedule(config, n, seed=seed, always_online=client)
+    if family == "churn":
+        return ChurnSchedule(ChurnConfig(**params), n, seed=seed, always_online=client)
+    if family == "churn-wave":
+        return ChurnWaveSchedule(
+            ChurnWaveConfig(**params), n, seed=seed, always_online=client
+        )
+    if family == "join-storm":
+        return JoinStormSchedule(
+            JoinStormConfig(**params), n, seed=seed, always_online=client
+        )
+    if family == "regional-outage":
+        return RegionalOutage(
+            testbed.regions, RegionalOutageConfig(**params), seed=seed, always_online=client
+        )
+    assert family == "adversarial-removal"
+    return AdversarialRemoval(
+        testbed.mpil.overlay.total_degrees,
+        AdversarialRemovalConfig(**params),
+        seed=seed,
+        always_online=client,
+    )
+
+
+#: one parameter set per family (two for the family with an optional one)
+PROCESS_CASES = [
+    ("flapping", {"period": "30:30", "probability": 0.5}),
+    ("churn", {"mean_session": 120.0, "mean_downtime": 60.0}),
+    (
+        "churn-wave",
+        {
+            "mean_session": 300.0,
+            "mean_downtime": 300.0,
+            "wave_period": 600.0,
+            "wave_duration": 150.0,
+            "intensity": 4.0,
+        },
+    ),
+    ("join-storm", {"arrival_time": 200.0, "late_fraction": 0.4}),
+    ("regional-outage", {"start": 90.0, "duration": 300.0, "severity": 0.5}),
+    ("adversarial-removal", {"fraction": 0.2, "start": 30.0}),
+    ("adversarial-removal", {"fraction": 0.2, "start": 30.0, "targeting": "random"}),
+]
+
+
+class TestProcess:
+    HORIZON = 1200.0
+
+    def test_cases_cover_every_family(self):
+        assert {name for name, _ in PROCESS_CASES} == {
+            family.name for family in scenario_families()
+        }
+
+    @pytest.mark.parametrize("seed", [3, (1, "cell", 0.5)])
+    @pytest.mark.parametrize("family, params", PROCESS_CASES)
+    def test_agrees_with_the_hand_written_construction(
+        self, testbed, family, params, seed
+    ):
+        got = testbed.process(family, seed, **params)
+        expected = reference_process(testbed, family, seed, **params)
+        assert type(got) is type(expected)
+        assert got.config == expected.config
+        assert got.always_online == expected.always_online == {testbed.client}
+        assert got.num_nodes == expected.num_nodes == testbed.pastry.n
+        times = [0.0, 29.9, 31.0, 95.0, 150.5, 200.0, 389.9, 601.0, 1199.0]
+        for node in range(0, testbed.pastry.n, 3):
+            assert got.offline_intervals(node, self.HORIZON) == expected.offline_intervals(
+                node, self.HORIZON
+            )
+            for time in times:
+                assert got.is_online(node, time) == expected.is_online(node, time)
+        # the perturbation is real: someone besides the client goes offline
+        assert any(
+            got.offline_intervals(node, self.HORIZON) for node in range(testbed.pastry.n)
+        )
+
+    def test_client_never_goes_offline(self, testbed):
+        for family, params in PROCESS_CASES:
+            process = testbed.process(family, 0, **params)
+            assert process.offline_intervals(testbed.client, self.HORIZON) == []
+
+    def test_unknown_family_and_bad_range_are_configuration_errors(self, testbed):
+        with pytest.raises(ConfigurationError, match="unknown scenario family"):
+            testbed.process("meteor-strike", 0)
+        with pytest.raises(ConfigurationError, match="severity must be in"):
+            testbed.process(
+                "regional-outage", 0, start=0.0, duration=60.0, severity=1.5
+            )
+
+
+class TestStage2Successes:
+    INDICES = range(4, 12)
+
+    @pytest.mark.parametrize("rejoin_seed", [None, (0, "rejoin")])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_flags_are_the_outcomes_of_the_loop_it_replaced(
+        self, schedule, variant, rejoin_seed
+    ):
+        # the loop five ``_run_variant`` functions and ``compose`` each
+        # spelled out: variant_views, iter_stage2_lookups, outcome.success
+        helper_bed = build_testbed(num_nodes=70, num_inserts=20, seed=0)
+        loop_bed = build_testbed(num_nodes=70, num_inserts=20, seed=0)
+        flags = stage2_successes(
+            helper_bed, variant, schedule, self.INDICES, 60.0, (0, "views"), rejoin_seed
+        )
+        availability, views = variant_views(
+            loop_bed, variant, schedule, (0, "views"), rejoin_seed=rejoin_seed
+        )
+        expected = [
+            outcome.success
+            for _i, outcome in iter_stage2_lookups(
+                loop_bed, variant, self.INDICES, 60.0, availability, views
+            )
+        ]
+        assert flags == expected
+        assert all(type(flag) is bool for flag in flags)
+        assert len(flags) == len(self.INDICES)
+
+    def test_no_lookups_is_the_loop_s_one_line_error(self, testbed, schedule):
+        with pytest.raises(ExperimentError, match="at least one lookup"):
+            stage2_successes(testbed, "pastry", schedule, range(0), 60.0, (0, "v"))
+
+    def test_percent(self):
+        assert success_percent([True, False, True]) == 66.7
+        assert success_percent([False]) == 0.0
+        assert success_percent([]) == 0.0  # e.g. no lookup fell inside a wave

@@ -3,7 +3,7 @@
 Covers the four new availability-process families (regional outage, churn
 wave, join storm, adversarial removal), their composition through
 ``ScenarioTimeline``, the interval-based rejoin model, the scenario
-catalogue, seed validation, and the registered ``ext_*`` experiments —
+catalogue, seed validation, and the registered ``ext-*`` experiments —
 including the integration property the issue pins: composed flapping +
 regional-outage lookups degrade monotonically with outage severity.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
-from repro.experiments.ext_outage import run as run_outage
+from repro.experiments.ext_scenarios import outage_spec
 from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry.config import PastryConfig
 from repro.pastry.rejoin import IntervalRejoinAvailability
@@ -282,13 +282,13 @@ class TestAdversarialRemoval:
         assert 1 not in removal.removed
         assert removal.removed == frozenset(set(range(10)) - {1})
 
-    def test_from_overlay_counts_in_edges_for_directed(self):
+    def test_total_degrees_count_in_edges_for_directed(self):
         from repro.overlay.graph import OverlayGraph
 
         # 0 -> 1, 2 -> 1: node 1 has out-degree 0 but total degree 2
         overlay = OverlayGraph([[1], [], [1]], directed=True)
-        removal = AdversarialRemoval.from_overlay(
-            overlay, AdversarialRemovalConfig(fraction=0.34), seed=0
+        removal = AdversarialRemoval(
+            overlay.total_degrees, AdversarialRemovalConfig(fraction=0.34), seed=0
         )
         assert removal.removed == frozenset({1})
 
@@ -443,6 +443,33 @@ class TestScenarioCatalogue:
         with pytest.raises(ConfigurationError):
             get_family("meteor-strike")
 
+    def test_the_table_is_single(self):
+        """What ``scenarios`` prints, what ``compose`` accepts and what
+        ``PerturbationTestbed.process`` builds are one table: compose keeps
+        none of its own, and the families it offers are the catalogue's."""
+        import repro.experiments.compose as compose_module
+        import repro.perturbation.scenario as scenario_module
+        from repro.errors import ExperimentError
+
+        assert not hasattr(compose_module, "SCENARIO_FAMILIES")
+        assert compose_module.get_family is scenario_module.get_family
+        source = {
+            "experiment": {"id": "single-table", "title": "single table"},
+            "sweep": {"column": "x", "values": [0.5]},
+            "scenario": [{"family": "meteor-strike"}],
+        }
+        with pytest.raises(ExperimentError) as info:
+            compose_module.compose_spec(source)
+        offered = str(info.value).split("choose from ")[1]
+        assert offered == str(sorted(f.name for f in scenario_families()))
+        for family in scenario_families():
+            assert family.process_class.__name__ in family.process
+            assert family.optional <= set(family.schema)
+            with pytest.raises(ExperimentError, match="missing required parameter"):
+                compose_module.compose_spec(
+                    {**source, "scenario": [{"family": family.name}]}
+                )
+
 
 class TestScenarioExperiments:
     NEW_IDS = ("ext-outage", "ext-wave", "ext-joinstorm", "ext-adversarial")
@@ -472,7 +499,7 @@ class TestScenarioExperiments:
         """The issue's integration property: composed flapping + regional
         outage lookup success is non-increasing in outage severity, for
         every protocol variant."""
-        result = run_outage(scale="smoke", seed=seed)
+        result = outage_spec.run(scale="smoke", seed=seed)
         severities = result.column("outage_severity")
         assert severities == sorted(severities)
         for column in ("MSPastry", "MPIL with DS", "MPIL without DS"):
@@ -489,7 +516,7 @@ class TestScenarioExperiments:
             TransitStubUnderlay, "for_size", classmethod(lambda cls, n, seed=0: single)
         )
         with pytest.raises(ConfigurationError, match="domain structure"):
-            run_outage(scale="smoke", seed=0)
+            outage_spec.run(scale="smoke", seed=0)
 
     def test_joinstorm_pre_storm_success_drops_with_fraction(self):
         result = run_experiment("ext-joinstorm", scale="smoke", seed=0)
