@@ -59,7 +59,7 @@ from repro.experiments.registry import (
     run_experiment,
     unregister,
 )
-from repro.experiments.runner import SweepReport, SweepSpec, parse_seeds, run_sweep
+from repro.experiments.runner import SweepReport, SweepSpec, run_sweep
 from repro.experiments.scales import (
     Scale,
     all_scales,
@@ -128,10 +128,34 @@ def run(
     scale: Union[str, Scale] = "default",
     seed: int = 0,
 ) -> ExperimentResult:
-    """Run one experiment — a registered id or a composed spec."""
-    if isinstance(experiment, ExperimentSpec):
-        return experiment.run(scale=scale, seed=seed)
+    """Run one experiment — a registered id or a composed spec.
+
+    The process-wide metrics registry is left as it was, so a caller's own
+    before/after reading of ``events_processed_total()`` around this call
+    stays meaningful (the measured path that zeroes it is
+    :func:`repro.experiments.runtime.execute_task`).
+    """
     return run_experiment(experiment, scale=scale, seed=seed)
+
+
+def service_run(
+    experiment: Union[str, ExperimentSpec],
+    scale: Union[str, Scale],
+    rate: Optional[float],
+    duration: Optional[float],
+    window: Optional[float],
+) -> tuple[ExperimentSpec, Scale]:
+    """What ``serve`` runs — here and in the CLI: the spec, which must be
+    tagged ``service``, and the scale with the traffic overrides applied."""
+    spec = get_spec(experiment)
+    if "service" not in spec.tags:
+        raise ExperimentError(
+            f"{spec.experiment_id!r} is not a service-mode experiment; pick one "
+            f"tagged 'service' (`list --tags service`, api.list_experiments(('service',)))"
+        )
+    return spec, with_service_overrides(
+        scale, rate=rate, duration=duration, window=window
+    )
 
 
 def serve(
@@ -156,18 +180,8 @@ def serve(
     >>> "latency_p99" in result.columns
     True
     """
-    spec = get_spec(experiment) if isinstance(experiment, str) else experiment
-    if "service" not in spec.tags:
-        raise ExperimentError(
-            f"{spec.experiment_id!r} is not a service-mode experiment; "
-            f"pick one tagged 'service' (api.list_experiments(('service',)))"
-        )
-    return spec.run(
-        scale=with_service_overrides(
-            scale, rate=rate, duration=duration, window=window
-        ),
-        seed=seed,
-    )
+    spec, scale = service_run(experiment, scale, rate, duration, window)
+    return spec.run(scale=scale, seed=seed)
 
 
 def sweep(
@@ -193,19 +207,10 @@ def sweep(
     crashed and hung workers.  Workers are forked where the platform
     forks, so scales and specs registered in this process reach them.
     """
-    if isinstance(experiments, str):
-        experiments = (experiments,)
-    if isinstance(seeds, str):
-        seed_tuple = parse_seeds(seeds)
-    else:
-        seed_tuple = tuple(seeds)
     if isinstance(store, (str, pathlib.Path)):
         store = ResultStore(store)
-    spec = SweepSpec(
-        experiment_ids=tuple(experiments), seeds=seed_tuple, scale=scale
-    )
     return run_sweep(
-        spec,
+        SweepSpec.parse(experiments, seeds, scale),
         store,
         jobs=jobs,
         resume=resume,
@@ -223,10 +228,17 @@ def sweep_status(
 
     Each :class:`~repro.experiments.ledger.TaskRow` carries the task's
     state (``pending/running/done/failed``), attempt count, worker id,
-    committed-artifact checksum, and last error.
+    committed-artifact checksum, and last error.  A store no sweep has
+    run against has no ledger: that is an
+    :class:`~repro.errors.ExperimentError`, and nothing is created.
     """
     if isinstance(store, (str, pathlib.Path)):
         store = ResultStore(store)
+    if not store.ledger_path.exists():
+        raise ExperimentError(
+            f"no sweep ledger at {store.ledger_path}; "
+            f"run `sweep --out {store.root}` first"
+        )
     return store.ledger.rows(experiment_id=experiment, scale=scale)
 
 
@@ -267,8 +279,7 @@ def telemetry(
     True
     """
     handle = Telemetry.with_spans(max_spans=max_spans)
-    spec = get_spec(experiment) if isinstance(experiment, str) else experiment
-    result = spec.run(scale=scale, seed=seed, telemetry=handle)
+    result = run_experiment(experiment, scale=scale, seed=seed, telemetry=handle)
     assert handle.spans is not None
     return TelemetryRun(
         result=result, spans=handle.spans, metrics=handle.metrics.snapshot()

@@ -1,46 +1,38 @@
 """Command-line interface: ``mpil-experiments list|scenarios|run|sweep|status|trace|compose|serve|lint``.
 
-Nine commands:
+Nine commands (``<command> --help`` has each one's options):
 
-- ``list`` — show every registered experiment id and title, with
-  ``--tags`` filtering on the registry metadata (``list --tags ext``);
-- ``scenarios`` — show the perturbation-scenario catalogue (one line per
-  availability-process family with the experiments that sweep it, joined
-  from the registry metadata), one family's details (process class,
-  parameters, experiments), or a figure's flapping sweep cells;
-- ``run``  — run experiments one seed at a time, print their tables, and
-  (with ``--out``) persist each replicate through the result store plus a
-  legacy ``<id>_<scale>_seed<seed>.txt`` table;
-- ``sweep`` — run experiments over a *set* of seeds across a
-  crash-tolerant worker pool, persisting per-seed JSON artifacts, a
-  durable sqlite task ledger, and a mean/stdev/ci95 aggregate per
-  experiment; ``--resume`` re-runs only what an interrupted sweep left
-  unfinished, ``--max-retries``/``--task-timeout`` bound crashed and hung
-  workers (see :mod:`repro.experiments.runner`,
-  :mod:`repro.experiments.runtime`, :mod:`repro.experiments.store`);
-- ``status`` — render one experiment's ledger progress (done/running/
-  failed/pending per seed, attempts, errors) without running anything,
-  plus the per-task telemetry summary indexed in the ledger;
-- ``trace`` — re-run one experiment with span recording on and print a
-  parent-linked hop tree for a recorded trace (every send/forward/
-  dup-drop/reply of one lookup or insert, in causal order); ``--kind``/
-  ``--node`` select which traces, ``--out`` exports them as sorted JSONL
-  (see :mod:`repro.telemetry`);
+- ``list`` — registered experiment ids and titles, ``--tags``-filtered;
+- ``scenarios`` — the perturbation-scenario catalogue, one family's
+  details (process class, parameters, experiments), or a figure's cells;
+- ``run`` — experiments at one seed: print their tables, and with ``--out``
+  persist each replicate exactly as a sweep's commit does;
+- ``sweep`` — experiments over a *set* of seeds on a crash-tolerant worker
+  pool: per-seed artifacts, a durable sqlite task ledger, one
+  mean/stdev/ci95 aggregate per experiment; ``--resume`` re-runs only what
+  an interrupted sweep left unfinished (:mod:`repro.experiments.runner`);
+- ``status`` — a sweep's ledger progress for one experiment, plus one line
+  from each replicate's ``seed_<n>.telemetry.json``; runs nothing;
+- ``trace`` — run with span recording on and print parent-linked hop
+  trees; ``--out`` exports the spans as sorted JSONL (:mod:`repro.telemetry`);
 - ``compose`` — build an experiment from a declarative TOML/JSON spec
-  (see :mod:`repro.experiments.compose`) and run it, no module required;
-- ``serve`` — run a sustained-traffic service experiment (open-loop
-  arrivals, per-window latency percentiles and SLO verdicts; see
-  :mod:`repro.service`), with ``--rate/--duration/--window`` overriding
-  the scale's traffic knobs and ``--format json`` for scripted callers;
-- ``lint`` — run the determinism-contract static analyzer
-  (:mod:`repro.lint`) over source trees (default ``src``):
-  exit 0 when clean, 1 when any rule fires, 2 on usage errors;
-  ``--format json`` emits the versioned report, ``--report FILE`` also
-  writes it to disk (the CI artifact), ``--list-rules`` names every rule,
-  and ``--explain DET001`` prints one rule's rationale and fix pattern.
+  (:mod:`repro.experiments.compose`) and run it, no module required;
+- ``serve`` — a sustained-traffic service experiment: open-loop arrivals,
+  per-window latency percentiles and SLO verdicts (:mod:`repro.service`);
+- ``lint`` — the determinism-contract static analyzer (:mod:`repro.lint`):
+  exit 0 when clean, 1 when any rule fires, 2 on usage errors.
 
-The sweep store layout is ``<out>/<experiment>/<scale>/seed_<n>.json`` with
-a ``manifest.json`` (git revision, timestamps, wall-clock, event counts)
+This module is argument parsing and printing.  Every replicate that
+``run``/``compose``/``serve``/``trace`` measure goes through
+:func:`repro.experiments.runtime.execute_task` (the one place a run is timed
+and its events counted) and is recorded by
+:func:`repro.experiments.runner.save_outcome`; each rule shared with
+:mod:`repro.api` (service-tag check, compose + register, ledger rows, the
+lint pass, seeds → ``SweepSpec``) is stated there or in the runner, once.
+Expected errors are one stderr line and exit 2, never a traceback.
+
+The store layout is ``<out>/<experiment>/<scale>/seed_<n>.json`` with a
+``manifest.json`` (git revision, timestamps, wall-clock, event counts)
 and ``aggregate.json``/``aggregate.csv`` alongside.  Per-seed JSON is
 byte-identical across reruns of the same spec, regardless of ``--jobs``.
 
@@ -72,39 +64,63 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import pathlib
 import sys
-import time
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from repro import api
 from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.compose import compose_spec, load_spec_file
 from repro.experiments.ledger import TASK_STATES
-from repro.experiments.registry import (
-    all_experiment_ids,
-    get_spec,
-    list_experiments,
-    register,
-    run_experiment,
-)
-from repro.experiments.runner import SweepSpec, TaskOutcome, parse_seeds, run_sweep
-from repro.experiments.scales import available_scales, with_service_overrides
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.registry import all_experiment_ids, get_spec, list_experiments
+from repro.experiments.runner import SweepSpec, TaskOutcome, run_sweep, save_outcome
+from repro.experiments.runtime import execute_task
+from repro.experiments.scales import available_scales
 from repro.experiments.store import ResultStore, result_to_csv
-from repro.lint import all_rules, get_rule, lint_paths, load_config
+from repro.lint import all_rules, get_rule, load_config
 from repro.perturbation.scenario import get_family, scenario_families, scenarios_for
-from repro.sim.engine import events_processed_total
-from repro.telemetry import Telemetry, reset_runtime_metrics
+from repro.telemetry import Span, Telemetry
 from repro.telemetry.progress import ProgressMeter, service_window_line
 from repro.telemetry.sinks import render_hop_tree, write_jsonl
 
 
-def _scale_help(extra: str = "") -> str:
-    """The ``--scale`` help line: built-in rungs plus registered ones."""
-    return (
-        f"experiment scale rung ({', '.join(available_scales())}, "
-        f"or a rung registered via repro.api.register_scale){extra}"
+def _add_experiments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("experiments", nargs="+", help="experiment ids (or 'all')")
+
+
+def _add_scale(
+    parser: argparse.ArgumentParser,
+    default: Optional[str] = "default",
+    help: Optional[str] = None,
+) -> None:
+    """``--scale``: the built-in rungs plus registered ones, unless ``help``
+    says the option means something else for this command."""
+    note = "" if default == "default" else f" (default: {default})"
+    parser.add_argument(
+        "--scale",
+        default=default,
+        metavar="SCALE",
+        help=help
+        or (
+            f"experiment scale rung ({', '.join(available_scales())}, "
+            f"or a rung registered via repro.api.register_scale){note}"
+        ),
+    )
+
+
+def _add_seed(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="root seed")
+
+
+def _add_out(
+    parser: argparse.ArgumentParser,
+    help: str,
+    default: Optional[pathlib.Path] = None,
+    metavar: Optional[str] = None,
+) -> None:
+    parser.add_argument(
+        "--out", type=pathlib.Path, default=default, metavar=metavar, help=help
     )
 
 
@@ -115,7 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = sub.add_parser("list", help="list available experiments")
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        """One subcommand; ``main`` dispatches on the handler set here."""
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    list_parser = command("list", _cmd_list, "list available experiments")
     list_parser.add_argument(
         "--tags",
         default=None,
@@ -127,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also show each experiment's tags and paper figure",
     )
 
-    scenarios_parser = sub.add_parser(
-        "scenarios", help="show the perturbation-scenario catalogue"
+    scenarios_parser = command(
+        "scenarios", _cmd_scenarios, "show the perturbation-scenario catalogue"
     )
     scenarios_parser.add_argument(
         "family",
@@ -142,27 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the paper's flapping sweep cells for a figure (fig1, fig11)",
     )
 
-    run_parser = sub.add_parser("run", help="run one or more experiments")
-    run_parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (or 'all')",
-    )
-    run_parser.add_argument(
-        "--scale",
-        default="default",
-        metavar="SCALE",
-        help=_scale_help(),
-    )
-    run_parser.add_argument("--seed", type=int, default=0, help="root seed")
-    run_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help=(
-            "result-store root: writes <out>/<id>/<scale>/seed_<n>.json plus "
-            "one <id>_<scale>_seed<n>.txt table per experiment"
-        ),
+    run_parser = command("run", _cmd_run, "run one or more experiments")
+    _add_experiments(run_parser)
+    _add_scale(run_parser)
+    _add_seed(run_parser)
+    _add_out(
+        run_parser,
+        "result-store root: writes <out>/<id>/<scale>/seed_<n>.json, its "
+        "telemetry blob and a manifest.json entry per experiment",
     )
     run_parser.add_argument(
         "--trace",
@@ -175,20 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    sweep_parser = sub.add_parser(
-        "sweep", help="run experiments over many seeds, in parallel"
+    sweep_parser = command(
+        "sweep", _cmd_sweep, "run experiments over many seeds, in parallel"
     )
-    sweep_parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (or 'all')",
-    )
-    sweep_parser.add_argument(
-        "--scale",
-        default="default",
-        metavar="SCALE",
-        help=_scale_help(),
-    )
+    _add_experiments(sweep_parser)
+    _add_scale(sweep_parser)
     sweep_parser.add_argument(
         "--seeds",
         default="0..9",
@@ -200,11 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes, reused from task to task (default: 1)",
     )
-    sweep_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("results"),
-        help="result-store root directory (default: results/)",
+    _add_out(
+        sweep_parser,
+        "result-store root directory (default: results/)",
+        pathlib.Path("results"),
     )
     sweep_parser.add_argument(
         "--format",
@@ -234,35 +233,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill and retry any task attempt running longer than this",
     )
 
-    status_parser = sub.add_parser(
-        "status", help="show a sweep's ledger progress for one experiment"
+    status_parser = command(
+        "status", _cmd_status, "show a sweep's ledger progress for one experiment"
     )
     status_parser.add_argument("experiment", help="experiment id")
-    status_parser.add_argument(
-        "--scale",
+    _add_scale(
+        status_parser,
         default=None,
-        metavar="SCALE",
         help="only this scale's tasks (default: every scale in the ledger)",
     )
-    status_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("results"),
-        help="result-store root holding the ledger (default: results/)",
+    _add_out(
+        status_parser,
+        "result-store root holding the ledger (default: results/)",
+        pathlib.Path("results"),
     )
 
-    trace_parser = sub.add_parser(
+    trace_parser = command(
         "trace",
-        help="run one experiment with span recording and print a hop tree",
+        _cmd_trace,
+        "run one experiment with span recording and print a hop tree",
     )
     trace_parser.add_argument("experiment", help="experiment id")
-    trace_parser.add_argument(
-        "--scale",
-        default="smoke",
-        metavar="SCALE",
-        help=_scale_help(" (default: smoke)"),
-    )
-    trace_parser.add_argument("--seed", type=int, default=0, help="root seed")
+    _add_scale(trace_parser, default="smoke")
+    _add_seed(trace_parser)
     trace_parser.add_argument(
         "--kind",
         default=None,
@@ -281,40 +274,28 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="hop trees to print from the matching traces (default: 1)",
     )
-    trace_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        metavar="JSONL",
-        help="also export every matching span as sorted JSONL",
+    _add_out(
+        trace_parser, "also export every matching span as sorted JSONL", metavar="JSONL"
     )
 
-    compose_parser = sub.add_parser(
+    compose_parser = command(
         "compose",
-        help="build an experiment from a TOML/JSON spec file and run it",
+        _cmd_compose,
+        "build an experiment from a TOML/JSON spec file and run it",
     )
     compose_parser.add_argument(
         "spec",
         type=pathlib.Path,
         help="declarative spec file (.toml or .json; see repro.experiments.compose)",
     )
-    compose_parser.add_argument(
-        "--scale",
-        default="default",
-        metavar="SCALE",
-        help=_scale_help(),
-    )
-    compose_parser.add_argument("--seed", type=int, default=0, help="root seed")
-    compose_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="result-store root (same layout as `run --out`)",
-    )
+    _add_scale(compose_parser)
+    _add_seed(compose_parser)
+    _add_out(compose_parser, "result-store root (same layout as `run --out`)")
 
-    serve_parser = sub.add_parser(
+    serve_parser = command(
         "serve",
-        help="run a sustained-traffic service experiment (latency percentiles)",
+        _cmd_serve,
+        "run a sustained-traffic service experiment (latency percentiles)",
     )
     serve_parser.add_argument(
         "experiment",
@@ -323,13 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="a service-mode experiment id (default: svc-steady; "
         "see `list --tags service`)",
     )
-    serve_parser.add_argument(
-        "--scale",
-        default="default",
-        metavar="SCALE",
-        help=_scale_help(),
-    )
-    serve_parser.add_argument("--seed", type=int, default=0, help="root seed")
+    _add_scale(serve_parser)
+    _add_seed(serve_parser)
     serve_parser.add_argument(
         "--rate",
         type=float,
@@ -354,16 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="print the per-window result as a table or as JSON",
     )
-    serve_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="result-store root (same layout as `run --out`)",
-    )
+    _add_out(serve_parser, "result-store root (same layout as `run --out`)")
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="run the determinism-contract static analyzer (repro.lint)",
+    lint_parser = command(
+        "lint", _cmd_lint, "run the determinism-contract static analyzer (repro.lint)"
     )
     lint_parser.add_argument(
         "paths",
@@ -412,14 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_tags(text: Optional[str]) -> tuple[str, ...]:
+def _comma_list(text: Optional[str]) -> Optional[list[str]]:
+    """``"a, b,"`` -> ``["a", "b"]``; an option left out stays ``None``."""
     if text is None:
-        return ()
-    return tuple(tag.strip() for tag in text.split(",") if tag.strip())
+        return None
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    tags = _parse_tags(args.tags)
+    tags = tuple(_comma_list(args.tags) or ())
     specs = list_experiments(tags)
     if not specs:
         raise ExperimentError(
@@ -483,122 +454,74 @@ def _requested_ids(experiments: Sequence[str]) -> list[str]:
     return requested
 
 
-def _make_store(out: pathlib.Path) -> ResultStore:
-    out.mkdir(parents=True, exist_ok=True)
-    return ResultStore(out)
+def _save(out: Optional[pathlib.Path], outcome: TaskOutcome) -> None:
+    """``--out`` of ``run``, ``compose`` and ``serve``: record the replicate
+    the way a sweep's commit does (no ledger — that is a sweep's)."""
+    if out is not None:
+        save_outcome(ResultStore(out), outcome)
 
 
-def _persist_replicate(
-    store: ResultStore, result, seed: int, elapsed: float, text: str
+def _export_spans(
+    spans: Iterable[Span], dropped: int, destination: pathlib.Path
 ) -> None:
-    """``--out`` behaviour shared by ``run``, ``compose`` and ``serve``:
-    store the replicate JSON (+ manifest) plus a legacy seed-qualified
-    table file (seed in the name so replicates never overwrite each other).
-    The handler zeroed the runtime metrics before the run, so the process
-    event total is this run's count."""
-    store.save(
-        result,
-        seed=seed,
-        wall_clock=elapsed,
-        events_processed=events_processed_total(),
-    )
-    path = store.root / f"{result.experiment_id}_{result.scale}_seed{seed}.txt"
-    path.write_text(text + "\n")
-
-
-def _trace_destination(
-    trace: pathlib.Path, experiment_id: str, many: bool
-) -> pathlib.Path:
-    """Where one experiment's spans go: ``--trace`` verbatim for a single
-    experiment, id-qualified for several (so runs never overwrite)."""
-    if not many:
-        return trace
-    return trace.with_name(f"{trace.stem}_{experiment_id}{trace.suffix or '.jsonl'}")
+    """``run --trace`` and ``trace --out``: sorted JSONL, and one stderr line
+    that says so — and says when the recorder filled, so that a truncated
+    file never looks complete."""
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    count = write_jsonl(spans, destination)
+    suffix = f" ({dropped} dropped)" if dropped else ""
+    print(f"({count} spans{suffix} -> {destination})", file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    store = _make_store(args.out) if args.out is not None else None
     experiment_ids = _requested_ids(args.experiments)
     for experiment_id in experiment_ids:
         # one handle per experiment so metrics blobs and trace files never
         # mix counts or spans across experiments in a multi-id invocation
-        telemetry = (
-            Telemetry.with_spans() if args.trace is not None else Telemetry()
-        )
-        reset_runtime_metrics()
-        started = time.perf_counter()
-        result = run_experiment(
-            experiment_id, scale=args.scale, seed=args.seed, telemetry=telemetry
-        )
-        elapsed = time.perf_counter() - started
-        text = result.table()
-        print(text)
-        print(f"({experiment_id} completed in {elapsed:.1f}s)\n")
-        if args.trace is not None and telemetry.spans is not None:
-            destination = _trace_destination(
-                args.trace, experiment_id, many=len(experiment_ids) > 1
-            )
-            destination.parent.mkdir(parents=True, exist_ok=True)
-            count = write_jsonl(telemetry.spans, destination)
-            dropped = telemetry.spans.dropped
-            suffix = f" ({dropped} dropped)" if dropped else ""
-            print(
-                f"({count} spans{suffix} -> {destination})", file=sys.stderr
-            )
-        if store is not None:
-            # store.save falls back to result.metrics, so the telemetry
-            # blob rides along without an extra argument here
-            _persist_replicate(store, result, args.seed, elapsed, text)
+        telemetry = Telemetry.with_spans() if args.trace is not None else Telemetry()
+        outcome = execute_task(experiment_id, args.scale, args.seed, telemetry=telemetry)
+        print(outcome.result.table())
+        print(f"({experiment_id} completed in {outcome.wall_clock:.1f}s)\n")
+        if telemetry.spans is not None:
+            destination = args.trace
+            if len(experiment_ids) > 1:  # id-qualified, so runs never overwrite
+                destination = args.trace.with_name(
+                    f"{args.trace.stem}_{experiment_id}{args.trace.suffix or '.jsonl'}"
+                )
+            _export_spans(telemetry.spans, telemetry.spans.dropped, destination)
+        _save(args.out, outcome)
     return 0
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    spec: ExperimentSpec = compose_spec(load_spec_file(args.spec))
-    # Register so the composed id resolves like a built-in for the rest of
-    # this process (duplicate ids fail with a one-line error, which also
-    # stops a spec file from shadowing a registered experiment).
-    register(spec)
-    reset_runtime_metrics()
-    started = time.perf_counter()
-    result = spec.run(scale=args.scale, seed=args.seed)
-    elapsed = time.perf_counter() - started
-    text = result.table()
-    print(text)
+    # registered, so the composed id resolves like a built-in for the rest
+    # of this process — and a spec file cannot shadow a registered id
+    spec = api.compose(args.spec, register_spec=True)
+    outcome = execute_task(spec, args.scale, args.seed)
+    print(outcome.result.table())
     print(f"({spec.experiment_id} composed from {args.spec} "
-          f"and completed in {elapsed:.1f}s)\n")
-    if args.out is not None:
-        _persist_replicate(_make_store(args.out), result, args.seed, elapsed, text)
+          f"and completed in {outcome.wall_clock:.1f}s)\n")
+    _save(args.out, outcome)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    spec = get_spec(args.experiment)
-    if "service" not in spec.tags:
-        raise ExperimentError(
-            f"{args.experiment!r} is not a service-mode experiment; "
-            f"pick one tagged 'service' (see `list --tags service`)"
-        )
-    scale = with_service_overrides(
-        args.scale, rate=args.rate, duration=args.duration, window=args.window
+    spec, scale = api.service_run(
+        args.experiment, args.scale, args.rate, args.duration, args.window
     )
     telemetry = Telemetry()
-    reset_runtime_metrics()
-    started = time.perf_counter()
-    result = spec.run(scale=scale, seed=args.seed, telemetry=telemetry)
-    elapsed = time.perf_counter() - started
+    outcome = execute_task(spec, scale, args.seed, telemetry=telemetry)
     for line in _service_window_lines(telemetry):
         print(line, file=sys.stderr)
     if args.format == "json":
-        # pure JSON on stdout so scripted callers (e.g. the CI smoke step)
-        # can parse it directly
-        print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
+        # pure JSON on stdout so scripted callers can parse it directly
+        print(json.dumps(outcome.payload, sort_keys=True, indent=2))
     else:
-        print(result.table())
-    print(f"({spec.experiment_id} served in {elapsed:.1f}s)", file=sys.stderr)
-    if args.out is not None:
-        _persist_replicate(
-            _make_store(args.out), result, args.seed, elapsed, result.table()
-        )
+        print(outcome.result.table())
+    print(
+        f"({spec.experiment_id} served in {outcome.wall_clock:.1f}s)", file=sys.stderr
+    )
+    _save(args.out, outcome)
     return 0
 
 
@@ -625,11 +548,7 @@ def _service_window_lines(telemetry: Telemetry) -> list[str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec(
-        experiment_ids=tuple(_requested_ids(args.experiments)),
-        seeds=parse_seeds(args.seeds),
-        scale=args.scale,
-    )
+    spec = SweepSpec.parse(_requested_ids(args.experiments), args.seeds, args.scale)
     store = ResultStore(args.out)
     meter = ProgressMeter(total_tasks=len(spec.tasks()))
 
@@ -701,12 +620,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_status(args: argparse.Namespace) -> int:
     store = ResultStore(args.out)
-    if not store.ledger_path.exists():
-        raise ExperimentError(
-            f"no sweep ledger at {store.ledger_path}; "
-            f"run `sweep --out {args.out}` first"
-        )
-    rows = store.ledger.rows(experiment_id=args.experiment, scale=args.scale)
+    rows = api.sweep_status(store, args.experiment, args.scale)
     if not rows:
         get_spec(args.experiment)  # unknown ids get the one-line error
         where = f"scale {args.scale!r} of " if args.scale else ""
@@ -714,19 +628,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
             f"no ledger entries for {where}experiment {args.experiment!r} "
             f"under {args.out}"
         )
-    records = {
-        (record.scale, record.seed): record
-        for record in store.ledger.query_results(
-            experiment_id=args.experiment, scale=args.scale
-        )
-    }
     by_scale: dict[str, list] = {}
     for row in rows:
         by_scale.setdefault(row.scale, []).append(row)
     for scale, scale_rows in by_scale.items():
-        counts = {state: 0 for state in TASK_STATES}
-        for row in scale_rows:
-            counts[row.state] += 1
+        counts = collections.Counter(row.state for row in scale_rows)
         attempts = sum(row.attempts for row in scale_rows)
         summary = ", ".join(f"{counts[state]} {state}" for state in TASK_STATES)
         print(
@@ -739,17 +645,19 @@ def _cmd_status(args: argparse.Namespace) -> int:
                 f"  seed {row.seed:<6d} {row.state:<8s} "
                 f"attempts={row.attempts}  {detail}"
             )
-            record = records.get((row.scale, row.seed))
-            if record is not None and record.metrics:
-                line = _metrics_status_line(record.metrics)
-                if line:
-                    print(f"    metrics: {line}")
+            line = _metrics_status_line(
+                store.telemetry(row.experiment_id, row.scale, row.seed)
+            )
+            if line:
+                print(f"    metrics: {line}")
     return 0
 
 
 def _metrics_status_line(metrics: dict) -> str:
-    """One compact line from a replicate's indexed telemetry summary:
-    series count plus the largest scalar series (histograms elided)."""
+    """One compact line from a replicate's telemetry blob — series count plus
+    the largest scalar series (histograms elided) — or ``""`` without one."""
+    if not metrics:
+        return ""
     final = metrics.get("final") or {}
     scalars = {
         key: value
@@ -767,11 +675,7 @@ def _metrics_status_line(metrics: dict) -> str:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     telemetry = Telemetry.with_spans()
-    started = time.perf_counter()
-    run_experiment(
-        args.experiment, scale=args.scale, seed=args.seed, telemetry=telemetry
-    )
-    elapsed = time.perf_counter() - started
+    outcome = execute_task(args.experiment, args.scale, args.seed, telemetry=telemetry)
     recorder = telemetry.spans
     assert recorder is not None
     all_trace_ids = recorder.trace_ids()
@@ -804,21 +708,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(
         f"{args.experiment} scale={args.scale} seed={args.seed}: "
         f"{len(recorder)} spans in {len(all_trace_ids)} traces{dropped}; "
-        f"{len(selected)} traces match ({elapsed:.1f}s)",
+        f"{len(selected)} traces match ({outcome.wall_clock:.1f}s)",
         file=sys.stderr,
     )
     for trace_id in selected[: max(args.trees, 0)]:
         print()
         print(render_hop_tree(recorder.spans(trace_id=trace_id), trace_id=trace_id))
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
         spans = [
             span
             for trace_id in selected
             for span in recorder.spans(trace_id=trace_id)
         ]
-        count = write_jsonl(spans, args.out)
-        print(f"({count} spans -> {args.out})", file=sys.stderr)
+        _export_spans(spans, recorder.dropped, args.out)
     return 0
 
 
@@ -830,15 +732,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule in all_rules():
             print(f"{rule.rule_id:8s} {rule.title}")
         return 0
-    config = (
-        load_config(pyproject=args.config) if args.config is not None else None
-    )
-    rules = None
-    if args.rules is not None:
-        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
-        for rule_id in rules:
-            get_rule(rule_id)  # unknown ids get the one-line error up front
-    report = lint_paths(args.paths, config=config, rules=rules)
+    config = load_config(pyproject=args.config) if args.config is not None else None
+    # unknown rule ids are the analyzer's one-line error, before any file is read
+    report = api.lint(args.paths, config=config, rules=_comma_list(args.rules))
     if args.report is not None:
         args.report.parent.mkdir(parents=True, exist_ok=True)
         args.report.write_text(report.to_json())
@@ -853,23 +749,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "scenarios":
-            return _cmd_scenarios(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compose":
-            return _cmd_compose(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        return _cmd_sweep(args)
+        return args.handler(args)
     except (ExperimentError, ConfigurationError) as exc:
         # one line per expected user-facing error (unknown ids/scenarios,
         # bad seed specs, invalid scenario compositions), never a traceback;

@@ -2,15 +2,16 @@
 
 The ledger is the persistence half of the resumable sweep runtime (the
 executor half lives in :mod:`repro.experiments.runtime`).  It keeps one
-sqlite database — ``<store root>/ledger.sqlite`` — with two tables:
-
-- ``tasks``: one row per ``(experiment_id, scale, seed)`` task, carrying a
-  state machine (``pending -> running -> done | failed``), a monotone
-  attempt counter, the claiming worker id, the committed artifact's
-  checksum, and the last error message;
-- ``results``: a queryable index over every persisted replicate (path,
-  checksum, row count, wall clock, event count) so 10^4-task sweeps can be
-  aggregated or inspected without re-reading every ``seed_<n>.json``.
+sqlite database — ``<store root>/ledger.sqlite``, created by the first sweep
+against the store — with one table, ``tasks``: one row per
+``(experiment_id, scale, seed)`` task, carrying a state machine
+(``pending -> running -> done | failed``), a monotone attempt counter, the
+claiming worker id, the committed artifact's checksum, and the last error
+message.  What a replicate *measured* is not here: its provenance is the
+``runs`` entry of the cell's ``manifest.json`` and its telemetry the
+``seed_<n>.telemetry.json`` beside the artifact (see
+:mod:`repro.experiments.store`).  A database written before that — one
+that still has a ``results`` table — opens unchanged; the table is ignored.
 
 State machine
 -------------
@@ -39,13 +40,13 @@ locked") rather than a traceback.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime
 import hashlib
-import json
 import pathlib
 import sqlite3
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import LedgerError
 
@@ -68,21 +69,7 @@ CREATE TABLE IF NOT EXISTS tasks (
     updated_at    TEXT,
     PRIMARY KEY (experiment_id, scale, seed)
 );
-CREATE TABLE IF NOT EXISTS results (
-    experiment_id    TEXT NOT NULL,
-    scale            TEXT NOT NULL,
-    seed             INTEGER NOT NULL,
-    path             TEXT NOT NULL,
-    checksum         TEXT NOT NULL,
-    rows             INTEGER NOT NULL,
-    wall_clock       REAL NOT NULL,
-    events_processed INTEGER NOT NULL,
-    written_at       TEXT NOT NULL,
-    metrics          TEXT NOT NULL DEFAULT '{}',
-    PRIMARY KEY (experiment_id, scale, seed)
-);
 CREATE INDEX IF NOT EXISTS idx_tasks_state ON tasks (state);
-CREATE INDEX IF NOT EXISTS idx_results_cell ON results (experiment_id, scale);
 """
 
 
@@ -115,24 +102,6 @@ class TaskRow:
         return (self.experiment_id, self.scale, self.seed)
 
 
-@dataclasses.dataclass(frozen=True)
-class ResultRecord:
-    """One results-index row: a persisted replicate's metadata."""
-
-    experiment_id: str
-    scale: str
-    seed: int
-    path: str  #: artifact path relative to the store root
-    checksum: str
-    rows: int
-    wall_clock: float
-    events_processed: int
-    written_at: str
-    #: compact telemetry summary (final metrics snapshot + span counts);
-    #: empty for replicates saved before telemetry existed
-    metrics: dict = dataclasses.field(default_factory=dict)
-
-
 class TaskLedger:
     """Checked-state-machine task ledger backed by one sqlite file.
 
@@ -149,24 +118,9 @@ class TaskLedger:
             self._conn.row_factory = sqlite3.Row
             with self._conn:
                 self._conn.executescript(_SCHEMA)
-            self._migrate()
         except sqlite3.DatabaseError as exc:
             # also covers a file that is not a sqlite database at all
             raise LedgerError(f"cannot open ledger at {self.path}: {exc}") from None
-
-    def _migrate(self) -> None:
-        """Add columns newer code expects to databases created by older
-        code (``CREATE TABLE IF NOT EXISTS`` never alters an existing
-        table).  Idempotent; pre-migration rows get the declared default."""
-        columns = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(results)").fetchall()
-        }
-        if "metrics" not in columns:
-            with self._conn:
-                self._conn.execute(
-                    "ALTER TABLE results ADD COLUMN metrics TEXT NOT NULL DEFAULT '{}'"
-                )
 
     def close(self) -> None:
         self._conn.close()
@@ -179,16 +133,23 @@ class TaskLedger:
 
     # -------------------------------------------------------------- internals
 
-    def _execute(self, sql: str, params: Sequence[object] = ()) -> sqlite3.Cursor:
+    @contextlib.contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """One short transaction; sqlite's operational errors (a lock held
+        by another process above all) leave as one-line ``LedgerError``."""
         try:
             with self._conn:
-                return self._conn.execute(sql, params)
+                yield self._conn
         except sqlite3.OperationalError as exc:
             if "locked" in str(exc):
                 raise LedgerError(
                     f"ledger at {self.path} is locked by another process"
                 ) from None
             raise LedgerError(f"ledger at {self.path}: {exc}") from None
+
+    def _execute(self, sql: str, params: Sequence[object] = ()) -> sqlite3.Cursor:
+        with self._transaction() as conn:
+            return conn.execute(sql, params)
 
     def _transition(
         self,
@@ -247,20 +208,13 @@ class TaskLedger:
 
     def ensure(self, tasks: Iterable[TaskKey]) -> None:
         """Insert missing tasks as ``pending``; existing rows are untouched."""
-        try:
-            with self._conn:
-                self._conn.executemany(
-                    "INSERT OR IGNORE INTO tasks "
-                    "(experiment_id, scale, seed, state, updated_at) "
-                    "VALUES (?, ?, ?, 'pending', ?)",
-                    [(e, s, n, _utc_now()) for (e, s, n) in tasks],
-                )
-        except sqlite3.OperationalError as exc:
-            if "locked" in str(exc):
-                raise LedgerError(
-                    f"ledger at {self.path} is locked by another process"
-                ) from None
-            raise LedgerError(f"ledger at {self.path}: {exc}") from None
+        with self._transaction() as conn:
+            conn.executemany(
+                "INSERT OR IGNORE INTO tasks "
+                "(experiment_id, scale, seed, state, updated_at) "
+                "VALUES (?, ?, ?, 'pending', ?)",
+                [(e, s, n, _utc_now()) for (e, s, n) in tasks],
+            )
 
     def claim(self, task: TaskKey, worker: str) -> None:
         """``pending -> running``; increments the attempt counter."""
@@ -304,20 +258,13 @@ class TaskLedger:
         Used by non-resume sweeps, which semantically start a fresh run
         over the same store — the one operation allowed to rewind the
         attempt counter."""
-        try:
-            with self._conn:
-                self._conn.executemany(
-                    "UPDATE tasks SET state = 'pending', attempts = 0, worker = NULL, "
-                    "checksum = NULL, error = NULL, updated_at = ? "
-                    "WHERE experiment_id = ? AND scale = ? AND seed = ?",
-                    [(_utc_now(), e, s, n) for (e, s, n) in tasks],
-                )
-        except sqlite3.OperationalError as exc:
-            if "locked" in str(exc):
-                raise LedgerError(
-                    f"ledger at {self.path} is locked by another process"
-                ) from None
-            raise LedgerError(f"ledger at {self.path}: {exc}") from None
+        with self._transaction() as conn:
+            conn.executemany(
+                "UPDATE tasks SET state = 'pending', attempts = 0, worker = NULL, "
+                "checksum = NULL, error = NULL, updated_at = ? "
+                "WHERE experiment_id = ? AND scale = ? AND seed = ?",
+                [(_utc_now(), e, s, n) for (e, s, n) in tasks],
+            )
 
     # ------------------------------------------------------------- task reads
 
@@ -346,74 +293,6 @@ class TaskLedger:
             params,
         )
         return [_task_row(row) for row in cursor.fetchall()]
-
-    def counts(
-        self, experiment_id: Optional[str] = None, scale: Optional[str] = None
-    ) -> dict[str, int]:
-        """``state -> row count`` over the (optionally filtered) ledger."""
-        clauses, params = _filters(experiment_id=experiment_id, scale=scale)
-        cursor = self._execute(
-            f"SELECT state, COUNT(*) AS n FROM tasks{clauses} GROUP BY state",
-            params,
-        )
-        counts = {state: 0 for state in TASK_STATES}
-        for row in cursor.fetchall():
-            counts[row["state"]] = row["n"]
-        return counts
-
-    # ---------------------------------------------------------- results index
-
-    def record_result(self, record: ResultRecord) -> None:
-        """Upsert one replicate's metadata into the queryable index."""
-        self._execute(
-            "INSERT OR REPLACE INTO results "
-            "(experiment_id, scale, seed, path, checksum, rows, wall_clock, "
-            " events_processed, written_at, metrics) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                record.experiment_id,
-                record.scale,
-                record.seed,
-                record.path,
-                record.checksum,
-                record.rows,
-                record.wall_clock,
-                record.events_processed,
-                record.written_at,
-                json.dumps(record.metrics, sort_keys=True),
-            ),
-        )
-
-    def query_results(
-        self,
-        experiment_id: Optional[str] = None,
-        scale: Optional[str] = None,
-        seeds: Optional[Iterable[int]] = None,
-    ) -> list[ResultRecord]:
-        """Indexed replicate metadata, without reading any JSON file."""
-        clauses, params = _filters(experiment_id=experiment_id, scale=scale)
-        sql = f"SELECT * FROM results{clauses}"
-        seed_set = None if seeds is None else sorted(set(seeds))
-        if seed_set is not None:
-            joiner = " AND" if clauses else " WHERE"
-            sql += f"{joiner} seed IN ({','.join('?' for _ in seed_set)})"
-            params = [*params, *seed_set]
-        cursor = self._execute(sql + " ORDER BY experiment_id, scale, seed", params)
-        return [
-            ResultRecord(
-                experiment_id=row["experiment_id"],
-                scale=row["scale"],
-                seed=row["seed"],
-                path=row["path"],
-                checksum=row["checksum"],
-                rows=row["rows"],
-                wall_clock=row["wall_clock"],
-                events_processed=row["events_processed"],
-                written_at=row["written_at"],
-                metrics=json.loads(row["metrics"] or "{}"),
-            )
-            for row in cursor.fetchall()
-        ]
 
 
 def _filters(**columns: Optional[str]) -> tuple[str, list[object]]:

@@ -24,10 +24,11 @@ extensions; anything else (e.g. a spec composed from TOML via
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
+from repro.experiments.scales import Scale
 from repro.experiments.spec import ExperimentSpec, Pipeline
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
@@ -172,21 +173,27 @@ def all_experiment_ids() -> list[str]:
     return _ordered_ids()
 
 
-def get_spec(experiment_id: str) -> ExperimentSpec:
-    """The registered spec for an experiment id."""
+def get_spec(experiment: Union[str, ExperimentSpec]) -> ExperimentSpec:
+    """The registered spec for an experiment id; a spec (composed specs need
+    not be registered) passes through, so callers resolve either one way."""
+    if isinstance(experiment, ExperimentSpec):
+        return experiment
     _ensure_loaded()
     try:
-        return _REGISTRY[experiment_id]
+        return _REGISTRY[experiment]
     except KeyError:
         raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; choose from {all_experiment_ids()}"
+            f"unknown experiment {experiment!r}; choose from {all_experiment_ids()}"
         ) from None
 
 
 def run_experiment(
-    experiment_id: str, scale: str = "default", seed: int = 0, telemetry=None
+    experiment: Union[str, ExperimentSpec],
+    scale: Union[str, Scale] = "default",
+    seed: int = 0,
+    telemetry=None,
 ) -> ExperimentResult:
-    """Run one experiment by id.
+    """Run one experiment — a registered id, or a spec (composed, unregistered).
 
     Seed validation (ints only; bools rejected) happens in
     :meth:`ExperimentSpec.run <repro.experiments.spec.ExperimentSpec.run>`,
@@ -194,4 +201,4 @@ def run_experiment(
     :class:`repro.telemetry.Telemetry`) is passed through to it; ``None``
     runs with spans off.
     """
-    return get_spec(experiment_id).run(scale=scale, seed=seed, telemetry=telemetry)
+    return get_spec(experiment).run(scale=scale, seed=seed, telemetry=telemetry)

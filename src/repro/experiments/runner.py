@@ -28,10 +28,10 @@ however many runs — the sweep was executed.
 
 Examples::
 
-    from repro.experiments.runner import SweepSpec, parse_seeds, run_sweep
+    from repro.experiments.runner import SweepSpec, run_sweep
     from repro.experiments.store import ResultStore
 
-    spec = SweepSpec(("fig9", "tab1"), seeds=parse_seeds("0..3"), scale="smoke")
+    spec = SweepSpec.parse(("fig9", "tab1"), "0..3", scale="smoke")
     report = run_sweep(spec, ResultStore("results"), jobs=2)
     # ... interrupted?  The second call re-runs only what is missing:
     report = run_sweep(spec, ResultStore("results"), jobs=2, resume=True)
@@ -48,8 +48,9 @@ or, from the shell::
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 import time
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
@@ -74,7 +75,9 @@ __all__ = [
     "TaskOutcome",
     "parse_seeds",
     "run_sweep",
+    "save_outcome",
 ]
+
 
 def parse_seeds(text: str) -> tuple[int, ...]:
     """Parse a seed specification into an ascending tuple of ints.
@@ -133,6 +136,20 @@ class SweepSpec:
             get_spec(experiment_id)  # raises on unknown ids
         get_scale(self.scale)  # raises on unknown scales
 
+    @classmethod
+    def parse(
+        cls,
+        experiments: Union[str, Iterable[str]],
+        seeds: Union[str, Iterable[int]],
+        scale: str,
+    ) -> "SweepSpec":
+        """The spec for what a caller typed: one id or several, and a seed
+        spec string (:func:`parse_seeds`) or the seeds themselves."""
+        if isinstance(experiments, str):
+            experiments = (experiments,)
+        seed_tuple = parse_seeds(seeds) if isinstance(seeds, str) else tuple(seeds)
+        return cls(tuple(experiments), seed_tuple, scale)
+
     def tasks(self) -> list[TaskKey]:
         """All (experiment_id, scale, seed) tasks, in deterministic order."""
         return [
@@ -168,6 +185,18 @@ class SweepReport:
         raise ExperimentError(f"no outcome for {experiment_id!r} seed {seed}")
 
 
+def save_outcome(store: ResultStore, outcome: TaskOutcome) -> pathlib.Path:
+    """Record one measured replicate — artifact, telemetry blob, manifest
+    entry — the same way whoever ran it: a sweep's commit or the CLI's
+    ``run``/``compose``/``serve --out``.  Returns the artifact's path."""
+    return store.save(
+        outcome.result,
+        seed=outcome.seed,
+        wall_clock=outcome.wall_clock,
+        events_processed=outcome.events_processed,
+    )
+
+
 def _run_sweep_in_memory(
     tasks: list[TaskKey],
     jobs: int,
@@ -184,7 +213,7 @@ def _run_sweep_in_memory(
 
     if jobs == 1:
         for task in tasks:
-            consume(execute_task(task))
+            consume(execute_task(*task))
     else:
         run_in_workers(tasks, jobs, consume)
     return outcomes
@@ -248,14 +277,9 @@ def run_sweep(
         )
 
         def commit(outcome: TaskOutcome) -> str:
-            path = store.save(
-                outcome.result,
-                seed=outcome.seed,
-                wall_clock=outcome.wall_clock,
-                events_processed=outcome.events_processed,
-                metrics=outcome.metrics,
-            )
-            return file_checksum(path)
+            # the one hash of the artifact: what the ledger records as done
+            # and what a resume verifies the bytes on disk against
+            return file_checksum(save_outcome(store, outcome))
 
         outcomes, failures = drain_ledger(
             to_run, ledger, config, commit, progress=progress

@@ -3,8 +3,10 @@
 This is the execution half of the resumable sweep runtime (the persistence
 half is :mod:`repro.experiments.ledger`).  It provides:
 
-- :func:`execute_task` — run one ``(experiment_id, scale, seed)`` task and
-  package the outcome;
+- :func:`execute_task` — the one measured run: zero the process-wide
+  metrics registry, run one replicate, time it, read the event total and
+  package the outcome.  The sweep workers, the in-process sweep and the
+  CLI's ``run``/``compose``/``serve``/``trace`` all go through it;
 - :func:`plan_tasks` — the resume planner: decide, from ledger states and
   artifact checksums, which tasks still need to run and which verified
   ``done`` tasks can be skipped;
@@ -61,20 +63,23 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import math
 import multiprocessing
 import multiprocessing.connection
 import signal
 import time
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ExperimentError, LedgerError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.ledger import TaskKey, TaskLedger
 from repro.experiments.registry import run_experiment
+from repro.experiments.scales import Scale
+from repro.experiments.spec import ExperimentSpec
 from repro.sim.engine import events_processed_total
-from repro.telemetry import reset_runtime_metrics
+from repro.telemetry import Telemetry, reset_runtime_metrics
 from repro.util.cache import clear_all_caches
 
 
@@ -102,7 +107,10 @@ class TaskOutcome:
 
     @property
     def result(self) -> ExperimentResult:
-        return ExperimentResult.from_dict(self.payload)
+        """The replicate, its telemetry blob back where ``ExperimentSpec.run`` put it."""
+        result = ExperimentResult.from_dict(self.payload)
+        result.metrics = self.metrics or None
+        return result
 
     @property
     def task(self) -> TaskKey:
@@ -169,6 +177,15 @@ class RuntimeConfig:
             raise ExperimentError(
                 f"retry-backoff-cap must be positive, got {self.retry_backoff_cap}"
             )
+        # inf overflows the pool's select() timeout after the first claim;
+        # nan passes every comparison above and is never enforced
+        for name, value in (
+            ("task-timeout", self.task_timeout),
+            ("retry-backoff", self.retry_backoff),
+            ("retry-backoff-cap", self.retry_backoff_cap),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ExperimentError(f"{name} must be finite, got {value!r}")
 
 
 def backoff_delay(config: RuntimeConfig, attempts_used: int) -> float:
@@ -182,26 +199,32 @@ def backoff_delay(config: RuntimeConfig, attempts_used: int) -> float:
     )
 
 
-def execute_task(task: TaskKey) -> TaskOutcome:
-    """Run one (experiment_id, scale, seed) task in this process.
+def execute_task(
+    experiment: Union[str, ExperimentSpec],
+    scale: Union[str, Scale],
+    seed: int,
+    telemetry: Optional[Telemetry] = None,
+) -> TaskOutcome:
+    """Run one replicate in this process and measure it — the arguments are
+    :func:`~repro.experiments.registry.run_experiment`'s.
 
     The process-wide metrics registry (which carries the event counter) is
-    *reset* at task start (in whichever worker process executes the task),
-    so the recorded count is exactly this task's events — a before/after
+    *reset* at task start (in whichever process executes the task), so the
+    recorded count is exactly this task's events — a before/after
     subtraction would silently fold in any events a library callback or
-    an earlier task in the same worker ran.
+    an earlier task in the same worker ran.  This is the only function
+    that resets it; callers that must leave the registry alone
+    (:func:`repro.api.run`) call ``run_experiment`` directly.
     """
-    experiment_id, scale, seed = task
     reset_runtime_metrics()
     started = time.perf_counter()
-    result = run_experiment(experiment_id, scale=scale, seed=seed)
+    result = run_experiment(experiment, scale=scale, seed=seed, telemetry=telemetry)
     wall_clock = time.perf_counter() - started
-    payload = result.to_dict()
     return TaskOutcome(
-        experiment_id=experiment_id,
+        experiment_id=result.experiment_id,
         scale=result.scale,
         seed=seed,
-        payload=payload,
+        payload=result.to_dict(),
         wall_clock=wall_clock,
         events_processed=events_processed_total(),
         metrics=result.metrics or {},
@@ -285,7 +308,7 @@ def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
             clear_all_caches()
             cached_for = task[1:]
         try:
-            message = ("ok", execute_task(task))
+            message = ("ok", execute_task(*task))
         except Exception as exc:  # noqa: BLE001 - reported to the parent verbatim
             message = ("error", f"{type(exc).__name__}: {exc}")
         try:

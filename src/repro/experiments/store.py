@@ -4,6 +4,7 @@ A :class:`ResultStore` persists every :class:`~repro.experiments.base.Experiment
 as JSON under a stable layout::
 
     <root>/<experiment_id>/<scale>/seed_<n>.json    one file per replicate
+    <root>/<experiment_id>/<scale>/seed_<n>.telemetry.json  its metrics snapshots
     <root>/<experiment_id>/<scale>/manifest.json    provenance + run stats
     <root>/<experiment_id>/<scale>/aggregate.json   merged replicate table
     <root>/<experiment_id>/<scale>/aggregate.csv    same table as CSV
@@ -19,12 +20,11 @@ All volatile provenance (git revision, timestamps, wall-clock seconds,
 Every artifact (seed JSON, manifest, aggregates) is committed atomically:
 the bytes go to a temp file in the same directory and are renamed into
 place with ``os.replace``, so a crash — even SIGKILL — mid-write can never
-leave a truncated ``seed_<n>.json`` behind.  Alongside the JSON tree the
-store keeps a sqlite database (``<root>/ledger.sqlite``, shared with the
-sweep task ledger — see :mod:`repro.experiments.ledger`) holding a
-queryable index of every saved replicate, so :meth:`ResultStore.query`
-answers "which seeds of which cells exist, with what checksums and run
-stats" without re-reading thousands of files.
+leave a truncated ``seed_<n>.json`` behind.  A replicate is recorded once:
+its ``runs`` entry in the cell's manifest.  ``<root>/ledger.sqlite`` is the
+sweep runtime's task ledger (:mod:`repro.experiments.ledger`), opened only
+through :attr:`ResultStore.ledger` — saving a replicate never touches it,
+so a store that no sweep has used has none.
 
 :func:`aggregate_results` merges replicate rows into a new table where
 every column that varies across seeds is replaced by ``_mean`` / ``_stdev``
@@ -46,19 +46,16 @@ Examples::
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime
-import hashlib
 import io
 import json
 import os
 import pathlib
 import subprocess
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.base import (
-    DEFAULT_STAT_SUFFIXES,
     ExperimentResult,
     ci95,
     mean,
@@ -67,16 +64,7 @@ from repro.experiments.base import (
     p99,
     stdev,
 )
-from repro.experiments.ledger import (
-    ResultRecord,
-    TaskKey,
-    TaskLedger,
-    file_checksum,
-)
-
-#: statistic columns appended, in order, for every varying numeric column
-#: (the default set; a result's ``stat_suffixes`` may extend it)
-STAT_SUFFIXES = DEFAULT_STAT_SUFFIXES
+from repro.experiments.ledger import TaskKey, TaskLedger, file_checksum
 
 #: every aggregation statistic a result may request, suffix -> reducer
 STAT_FUNCTIONS = {
@@ -90,11 +78,13 @@ STAT_FUNCTIONS = {
 
 
 def git_revision(cwd: Union[str, pathlib.Path, None] = None) -> str:
-    """The current git commit hash, or ``"unknown"`` outside a checkout."""
+    """The commit hash of the checkout holding ``cwd`` — by default this
+    package's own directory, not the process's working directory, which
+    may sit in some other repository — or ``"unknown"`` outside a checkout."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
+            cwd=cwd if cwd is not None else pathlib.Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,
@@ -104,33 +94,6 @@ def git_revision(cwd: Union[str, pathlib.Path, None] = None) -> str:
     if proc.returncode != 0:
         return "unknown"
     return proc.stdout.strip()
-
-
-@dataclasses.dataclass(frozen=True)
-class RunRecord:
-    """Provenance for one persisted replicate (one manifest entry)."""
-
-    seed: int
-    wall_clock: float  #: seconds spent inside run_experiment
-    events_processed: int  #: simulation events executed by the run
-    events_per_sec: float  #: events_processed / wall_clock (0.0 if untimed)
-    rows: int  #: number of table rows in the artifact
-    written_at: str  #: ISO-8601 UTC timestamp of the save
-
-
-def _metrics_summary(metrics: Optional[dict]) -> dict:
-    """Compact index form of a telemetry blob: the final cumulative
-    snapshot plus span accounting, without the per-cell history (the full
-    blob lives in ``seed_<n>.telemetry.json``)."""
-    if not metrics:
-        return {}
-    summary: dict = {
-        "cells": metrics.get("cells", 0),
-        "final": metrics.get("final", {}),
-    }
-    if "spans" in metrics:
-        summary["spans"] = metrics["spans"]
-    return summary
 
 
 def _atomic_write_text(path: pathlib.Path, text: str) -> None:
@@ -169,7 +132,7 @@ class ResultStore:
 
     @property
     def ledger_path(self) -> pathlib.Path:
-        """The store's sqlite database (task ledger + results index)."""
+        """The sweep task ledger's sqlite file (absent until a sweep runs)."""
         return self.root / "ledger.sqlite"
 
     @property
@@ -207,19 +170,16 @@ class ResultStore:
         seed: int,
         wall_clock: float = 0.0,
         events_processed: int = 0,
-        metrics: Optional[dict] = None,
     ) -> pathlib.Path:
-        """Persist one replicate and record its provenance in the manifest
-        and the queryable sqlite index.
+        """Persist one replicate and record its provenance in the manifest.
 
         The JSON artifact is deterministic (sorted keys, fixed indent, no
         timestamps) and committed atomically (write-then-rename), so an
         interrupted save leaves either the old artifact or the new one,
         never a truncated file; wall-clock and event counts go only to the
-        manifest and the index.  ``metrics`` (the run's telemetry
-        snapshots — sim-derived values only, so deterministic too) is
-        committed the same way to ``seed_<n>.telemetry.json`` and mirrored
-        into the index.
+        manifest.  ``result.metrics`` (the run's telemetry snapshots —
+        sim-derived values only, so deterministic too) is committed the
+        same way to ``seed_<n>.telemetry.json``.
         """
         # read first: a corrupt manifest must fail before any byte is written
         manifest = self.manifest(result.experiment_id, result.scale)
@@ -229,61 +189,36 @@ class ResultStore:
         path = self.seed_path(result.experiment_id, result.scale, seed)
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(path, text)
-        if metrics is None:
-            metrics = result.metrics
-        if metrics:
+        if result.metrics:
             _atomic_write_text(
                 self.telemetry_path(result.experiment_id, result.scale, seed),
-                json.dumps(metrics, sort_keys=True, indent=2) + "\n",
+                json.dumps(result.metrics, sort_keys=True, indent=2) + "\n",
             )
-        written_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        self._record_run(
-            manifest,
-            result.experiment_id,
-            result.scale,
-            RunRecord(
-                seed=seed,
-                wall_clock=round(wall_clock, 6),
-                events_processed=events_processed,
-                events_per_sec=(
-                    round(events_processed / wall_clock, 3) if wall_clock > 0 else 0.0
-                ),
-                rows=len(result.rows),
-                written_at=written_at,
-            ),
-        )
-        self.ledger.record_result(
-            ResultRecord(
-                experiment_id=result.experiment_id,
-                scale=result.scale,
-                seed=seed,
-                path=str(path.relative_to(self.root)),
-                checksum="sha256:" + hashlib.sha256(text.encode()).hexdigest(),
-                rows=len(result.rows),
-                wall_clock=round(wall_clock, 6),
-                events_processed=events_processed,
-                written_at=written_at,
-                metrics=_metrics_summary(metrics),
-            )
-        )
-        return path
-
-    def _record_run(
-        self, manifest: Optional[dict], experiment_id: str, scale: str, record: RunRecord
-    ) -> None:
+        # the replicate's one record: its ``runs`` entry in the cell's manifest
         if manifest is None:
             manifest = {
-                "experiment_id": experiment_id,
-                "scale": scale,
+                "experiment_id": result.experiment_id,
+                "scale": result.scale,
                 "runs": {},
             }
+        written_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
         manifest["git_rev"] = self.git_rev
-        manifest["updated_at"] = record.written_at
-        manifest["runs"][f"seed_{record.seed}"] = dataclasses.asdict(record)
+        manifest["updated_at"] = written_at
+        manifest["runs"][f"seed_{seed}"] = {
+            "seed": seed,
+            "wall_clock": round(wall_clock, 6),  # seconds inside the run
+            "events_processed": events_processed,
+            "events_per_sec": (
+                round(events_processed / wall_clock, 3) if wall_clock > 0 else 0.0
+            ),
+            "rows": len(result.rows),
+            "written_at": written_at,
+        }
         _atomic_write_text(
-            self.manifest_path(experiment_id, scale),
+            self.manifest_path(result.experiment_id, result.scale),
             json.dumps(manifest, sort_keys=True, indent=2) + "\n",
         )
+        return path
 
     def write_aggregate(
         self, aggregate: ExperimentResult, seeds: Sequence[int]
@@ -320,6 +255,15 @@ class ResultStore:
                 f"manifest at {path} is not valid JSON ({exc}); delete it and "
                 f"the next save regenerates it"
             ) from None
+
+    def telemetry(self, experiment_id: str, scale: str, seed: int) -> dict:
+        """One replicate's telemetry blob — ``{}`` when the file is missing
+        or does not parse: it is run metadata, and no read depends on it."""
+        try:
+            blob = json.loads(self.telemetry_path(experiment_id, scale, seed).read_text())
+        except (OSError, ValueError):
+            return {}
+        return blob if isinstance(blob, dict) else {}
 
     def seeds(self, experiment_id: str, scale: str) -> list[int]:
         """Seeds with a persisted artifact for this cell, ascending."""
@@ -364,23 +308,6 @@ class ResultStore:
         if not path.exists():
             return False
         return file_checksum(path) == checksum
-
-    def query(
-        self,
-        experiment_id: Optional[str] = None,
-        scale: Optional[str] = None,
-        seeds: Optional[Iterable[int]] = None,
-    ) -> list[ResultRecord]:
-        """Indexed metadata for saved replicates, without touching JSON.
-
-        Backed by the store's sqlite index (filled on every
-        :meth:`save`), so a 10^4-task sweep can answer "which replicates
-        exist, with what run stats" in one query instead of ~10^4 file
-        reads.  Returns rows ordered by (experiment, scale, seed).
-        """
-        return self.ledger.query_results(
-            experiment_id=experiment_id, scale=scale, seeds=seeds
-        )
 
 
 def _is_number(value: object) -> bool:

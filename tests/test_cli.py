@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
 
+from repro import api
+from repro.experiments.base import ExperimentResult
 from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import all_experiment_ids, run_experiment
 from repro.experiments.store import ResultStore
 from repro.perturbation import scenario_families
+from repro.sim.engine import add_events_processed, events_processed_total
 
 
 #: stdout of the catalogue commands at PR 20 (the parent of the PR that made
@@ -47,6 +51,51 @@ class TestCatalogueOutput:
             "parameter:  start (float, required)",
             "parameter:  targeting (str, optional)",
         ]
+
+
+#: ``--help`` of the program and of all nine subcommands at PR 21 (the parent
+#: of the PR that declared the shared options through helpers and dispatched
+#: through ``set_defaults``), generated there with ``COLUMNS=80``
+HELP_AT_PR21 = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "cli_help_pr21.json").read_text()
+)
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != HELP_AT_PR21["python"],
+    reason="argparse lays help out differently from one python minor to the next",
+)
+class TestHelpOutput:
+    """Shared option helpers must not move a byte of any ``--help`` — except
+    the ``run --out`` paragraph, which described the ``.txt`` table."""
+
+    @staticmethod
+    def _without_option(text: str, option: str) -> str:
+        """``text`` minus the help paragraph of ``option`` (its line and
+        the more-indented continuation lines under it)."""
+        kept, skipping = [], False
+        for line in text.splitlines(keepends=True):
+            if line.startswith(f"  {option} "):
+                skipping = True
+            elif skipping and not line.startswith("      "):
+                skipping = False
+            if not skipping:
+                kept.append(line)
+        return "".join(kept)
+
+    @pytest.mark.parametrize("argv", sorted(HELP_AT_PR21["stdout"]))
+    def test_byte_identical_but_for_run_out(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 0
+        printed, golden = capsys.readouterr().out, HELP_AT_PR21["stdout"][argv]
+        if argv == "run --help":
+            assert ".txt" in golden and ".txt" not in printed
+            printed = self._without_option(printed, "--out")
+            golden = self._without_option(golden, "--out")
+            assert "--trace" in printed and "--seed" in printed
+        assert printed == golden
 
 
 class TestParser:
@@ -180,14 +229,27 @@ class TestMain:
 
     def test_run_writes_seeded_artifacts(self, tmp_path, capsys):
         assert main(["run", "fig8", "--scale", "smoke", "--seed", "2", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        written = tmp_path / "fig8_smoke_seed2.txt"
-        assert written.exists()
-        assert "expected_replicas" in written.read_text()
-        # the run also went through the result store
+        printed = capsys.readouterr().out
         stored = tmp_path / "fig8" / "smoke" / "seed_2.json"
         assert stored.exists()
         assert (tmp_path / "fig8" / "smoke" / "manifest.json").exists()
+        # no second copy of the stdout table: the artifact regenerates it
+        assert not list(tmp_path.rglob("*.txt"))
+        table = ExperimentResult.from_dict(json.loads(stored.read_text())).table()
+        assert "expected_replicas" in table
+        assert printed.startswith(table + "\n")
+
+    def test_run_out_opens_no_ledger(self, tmp_path, capsys):
+        """The ledger is a sweep's: one replicate saved is one manifest
+        entry, and ``status`` there says no sweep ran — in one line."""
+        assert main(["run", "fig7", "--scale", "smoke", "--out", str(tmp_path)]) == 0
+        assert not (tmp_path / "ledger.sqlite").exists()
+        capsys.readouterr()
+        assert main(["status", "fig7", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "no sweep ledger" in captured.err
+        assert not (tmp_path / "ledger.sqlite").exists()
 
     def test_run_out_stores_result_and_event_count(self, tmp_path, capsys):
         """``run --out`` used to record ``events_processed: 0``."""
@@ -203,35 +265,37 @@ class TestMain:
         assert main(["run", "fig7", "--scale", "smoke", "--seed", "0", "--out", str(tmp_path)]) == 0
         assert main(["run", "fig7", "--scale", "smoke", "--seed", "1", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert (tmp_path / "fig7_smoke_seed0.txt").exists()
-        assert (tmp_path / "fig7_smoke_seed1.txt").exists()
+        store = ResultStore(tmp_path)
+        assert store.seeds("fig7", "smoke") == [0, 1]
+        assert sorted(store.manifest("fig7", "smoke")["runs"]) == ["seed_0", "seed_1"]
 
 
 class TestSweepMain:
     def test_sweep_writes_store_and_prints_aggregate(self, tmp_path, capsys):
+        """CI's "Smoke sweep" step is this test: two experiments (one static,
+        one from the scenario engine), two seeds, two workers, and the seven
+        files the step used to ``test -f``."""
         code = main(
-            [
-                "sweep",
-                "fig7",
-                "--seeds",
-                "0..2",
-                "--scale",
-                "smoke",
-                "--out",
-                str(tmp_path),
-                "--format",
-                "json",
-            ]
+            ["sweep", "fig9", "ext-outage", "--seeds", "0..1", "--scale", "smoke",
+             "--jobs", "2", "--out", str(tmp_path), "--format", "json"]
         )
         assert code == 0
         captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert payload["experiment_id"] == "fig7"
-        assert "swept 3 tasks" in captured.err
-        for seed in range(3):
-            assert (tmp_path / "fig7" / "smoke" / f"seed_{seed}.json").exists()
-        assert (tmp_path / "fig7" / "smoke" / "aggregate.json").exists()
-        assert (tmp_path / "fig7" / "smoke" / "aggregate.csv").exists()
+        first, end = json.JSONDecoder().raw_decode(captured.out)
+        second = json.loads(captured.out[end:])
+        assert [first["experiment_id"], second["experiment_id"]] == ["fig9", "ext-outage"]
+        assert "swept 4 tasks" in captured.err
+        for name in (
+            "fig9/smoke/seed_0.json",
+            "fig9/smoke/seed_1.json",
+            "fig9/smoke/manifest.json",
+            "fig9/smoke/aggregate.json",
+            "fig9/smoke/aggregate.csv",
+            "ext-outage/smoke/seed_0.json",
+            "ext-outage/smoke/aggregate.json",
+        ):
+            assert (tmp_path / name).is_file(), name
+        assert (tmp_path / "ledger.sqlite").is_file()
 
     def test_sweep_table_format(self, tmp_path, capsys):
         assert (
@@ -272,6 +336,71 @@ class TestSweepMain:
         )
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("nodes,") or "," in lines[0]
+
+
+def _cell_files(root: pathlib.Path, experiment_id: str, seed: int) -> dict[str, bytes]:
+    cell = root / experiment_id / "smoke"
+    return {
+        name: (cell / name).read_bytes()
+        for name in (f"seed_{seed}.json", f"seed_{seed}.telemetry.json")
+    }
+
+
+def _measured(root: pathlib.Path, experiment_id: str, seed: int) -> tuple[int, int]:
+    run = ResultStore(root).manifest(experiment_id, "smoke")["runs"][f"seed_{seed}"]
+    return run["events_processed"], run["rows"]
+
+
+class TestOneMeasuredPath:
+    """A replicate is run one way and recorded one way, whoever asked:
+    ``run``/``compose``/``serve --out`` leave what a sweep's commit (or a
+    save of the facade's result) leaves."""
+
+    def test_run_out_matches_sweep(self, tmp_path, capsys):
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert main(["run", "fig9", "--scale", "smoke", "--seed", "4", "--out", str(a)]) == 0
+        assert main(["sweep", "fig9", "--seeds", "4", "--scale", "smoke", "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert _cell_files(a, "fig9", 4) == _cell_files(b, "fig9", 4)
+        assert _measured(a, "fig9", 4) == _measured(b, "fig9", 4)
+        assert _measured(a, "fig9", 4)[0] > 0
+
+    def test_compose_out_matches_api_run(self, tmp_path, capsys):
+        path = tmp_path / "sweep.toml"
+        path.write_text(SPEC_TOML.format(experiment_id="cli-one-path"))
+        a, b = tmp_path / "A", tmp_path / "B"
+        try:
+            assert main(["compose", str(path), "--scale", "smoke", "--seed", "2",
+                         "--out", str(a)]) == 0
+        finally:
+            api.unregister("cli-one-path")
+        capsys.readouterr()
+        result = api.run(api.compose(path), scale="smoke", seed=2)
+        ResultStore(b).save(result, seed=2)
+        assert _cell_files(a, "cli-one-path", 2) == _cell_files(b, "cli-one-path", 2)
+        assert _measured(a, "cli-one-path", 2)[1] == len(result.rows)
+
+    def test_serve_out_matches_api_serve(self, tmp_path, capsys):
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert main(["serve", "svc-steady", "--scale", "smoke", "--duration", "60",
+                     "--rate", "0.5", "--seed", "4", "--out", str(a)]) == 0
+        capsys.readouterr()
+        result = api.serve("svc-steady", scale="smoke", seed=4, rate=0.5, duration=60.0)
+        ResultStore(b).save(result, seed=4)
+        assert _cell_files(a, "svc-steady", 4) == _cell_files(b, "svc-steady", 4)
+        assert _measured(a, "svc-steady", 4)[1] == len(result.rows)
+
+    def test_api_run_leaves_the_runtime_registry_alone(self):
+        """Only ``execute_task`` zeroes it; a caller's before/after reading
+        around the facade (``bench/workloads.py``) keeps working."""
+        add_events_processed(1000)
+        before = events_processed_total()
+        api.run("fig9", scale="smoke", seed=1)
+        first = events_processed_total() - before
+        assert before >= 1000 and first > 0
+        api.serve("svc-steady", scale="smoke", rate=0.5, duration=60.0)
+        api.telemetry("fig9", scale="smoke", seed=1)
+        assert events_processed_total() > before + 2 * first
 
 
 SPEC_TOML = """
@@ -327,7 +456,7 @@ class TestComposeMain:
         assert code == 0
         capsys.readouterr()
         assert (out / "cli-composed-out" / "smoke" / "seed_2.json").exists()
-        assert (out / "cli-composed-out_smoke_seed2.txt").exists()
+        assert sorted(path.name for path in out.iterdir()) == ["cli-composed-out"]
         manifest = ResultStore(out).manifest("cli-composed-out", "smoke")
         assert manifest["runs"]["seed_2"]["events_processed"] > 0
 

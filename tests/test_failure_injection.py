@@ -1,6 +1,6 @@
 """Failure-injection tests: extreme availability patterns against both
-protocol stacks, and corrupted store files and hostile spec files against
-the CLI."""
+protocol stacks, and corrupted store files, hostile spec files, non-finite
+runtime knobs and a full span recorder against the CLI."""
 
 from __future__ import annotations
 
@@ -175,6 +175,83 @@ class TestCorruptStoreFiles:
         run = ["run", "fig7", "--scale", "smoke", "--seed", "5", "--out", str(swept)]
         err = self._fails_in_one_line(run, swept, capsys)
         assert str(manifest) in err and "delete it" in err
+
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob.unlink(),
+            lambda blob: blob.write_text(blob.read_text()[:40]),
+            lambda blob: blob.write_bytes(b"\xff\xfe not utf-8"),
+            lambda blob: blob.write_text("[1, 2]\n"),
+        ],
+        ids=["missing", "truncated", "not-utf8", "not-a-table"],
+    )
+    def test_status_without_a_readable_telemetry_blob(self, swept, capsys, damage):
+        """``status`` reads its metrics line from ``seed_<n>.telemetry.json``:
+        without one it prints the row and no metrics line — no traceback."""
+        damage(swept / "fig7" / "smoke" / "seed_0.telemetry.json")
+        before = self._snapshot(swept)
+        assert main(["status", "fig7", "--out", str(swept)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        seed_0 = next(i for i, line in enumerate(lines) if line.startswith("  seed 0 "))
+        assert lines[seed_0 + 1].startswith("  seed 1 ")
+        assert lines[seed_0 + 2].startswith("    metrics: ")
+        assert self._snapshot(swept) == before
+
+
+class TestNonFiniteRuntimeKnobs:
+    """``--task-timeout inf`` used to die in ``OverflowError`` out of
+    ``selectors`` after the first claim (a ``running`` row stranded);
+    ``nan`` was accepted, never enforced, and made the pool's wait a
+    zero-timeout busy loop.  Both are one stderr line and exit 2 before the
+    ledger is touched."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_task_timeout(self, value, tmp_path, capsys):
+        out = tmp_path / "store"
+        argv = ["sweep", "fig7", "--scale", "smoke", "--seeds", "0", "--out", str(out),
+                "--task-timeout", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert f"task-timeout must be finite, got {value}" in captured.err
+        assert not out.exists()  # no ledger, so no row left running
+
+    @pytest.mark.parametrize("knob", ["task_timeout", "retry_backoff", "retry_backoff_cap"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_runtime_config_rejects_it_for_every_float_knob(self, knob, value):
+        from repro.errors import ExperimentError
+        from repro.experiments.runtime import RuntimeConfig
+
+        with pytest.raises(ExperimentError, match="must be finite"):
+            RuntimeConfig(**{knob: value})
+
+
+class TestFullSpanRecorder:
+    def test_trace_out_reports_dropped_spans(self, tmp_path, capsys, monkeypatch):
+        """``trace --out`` writes through the helper ``run --trace`` uses, so
+        a recorder that filled says ``(N dropped)`` on both — a truncated
+        export must not look complete."""
+        from repro.telemetry import SpanRecorder, Telemetry
+
+        monkeypatch.setattr(
+            Telemetry,
+            "with_spans",
+            classmethod(lambda cls, max_spans=None: cls(spans=SpanRecorder(max_spans=40))),
+        )
+        for argv, out in (
+            (["trace", "fig9", "--scale", "smoke", "--out"], tmp_path / "trace.jsonl"),
+            (["run", "fig9", "--scale", "smoke", "--trace"], tmp_path / "run.jsonl"),
+        ):
+            assert main(argv + [str(out)]) == 0
+            err = capsys.readouterr().err
+            export_line = next(line for line in err.splitlines() if "->" in line)
+            assert export_line.startswith("(40 spans (") and " dropped) -> " in export_line
+            assert len(out.read_text().splitlines()) == 40
 
 
 class TestHostileSpecFiles:

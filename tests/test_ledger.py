@@ -1,6 +1,6 @@
-"""Unit tests for the sqlite task ledger and the store's queryable index:
-checked state transitions, attempt accounting, lock errors, checksums,
-atomic artifact commits, and `ResultStore.query`."""
+"""Unit tests for the sqlite task ledger and the store beside it: checked
+state transitions, attempt accounting, lock errors, checksums, atomic
+artifact commits, and a replicate recorded once (manifest, no sqlite)."""
 
 from __future__ import annotations
 
@@ -10,11 +10,7 @@ import pytest
 
 from repro.errors import ExperimentError, LedgerError
 from repro.experiments import run_experiment
-from repro.experiments.ledger import (
-    ResultRecord,
-    TaskLedger,
-    file_checksum,
-)
+from repro.experiments.ledger import TaskLedger, file_checksum
 from repro.experiments.store import ResultStore
 
 TASKS = [("fig7", "smoke", 0), ("fig7", "smoke", 1), ("fig9", "smoke", 0)]
@@ -29,9 +25,7 @@ def ledger(tmp_path):
 
 class TestTransitions:
     def test_ensure_inserts_pending(self, ledger):
-        assert ledger.counts() == {
-            "pending": 3, "running": 0, "done": 0, "failed": 0
-        }
+        assert [row.state for row in ledger.rows()] == ["pending"] * 3
         row = ledger.row(TASKS[0])
         assert row.state == "pending"
         assert row.attempts == 0
@@ -41,7 +35,7 @@ class TestTransitions:
         ledger.claim(TASKS[0], worker="w0")
         ledger.ensure(TASKS)  # must not reset the running row
         assert ledger.row(TASKS[0]).state == "running"
-        assert ledger.counts()["pending"] == 2
+        assert len(ledger.rows(state="pending")) == 2
 
     def test_happy_path_claim_complete(self, ledger):
         ledger.claim(TASKS[0], worker="pid:123")
@@ -148,71 +142,55 @@ class TestReads:
         assert len(ledger.rows(state="pending")) == 2
         assert len(ledger.rows(scale="smoke")) == 3
 
-    def test_counts_filter(self, ledger):
+    def test_rows_filters_combine(self, ledger):
         ledger.claim(TASKS[0], worker="w")
-        counts = ledger.counts(experiment_id="fig7")
-        assert counts == {"pending": 1, "running": 1, "done": 0, "failed": 0}
+        states = [row.state for row in ledger.rows(experiment_id="fig7")]
+        assert states == ["running", "pending"]
+        assert ledger.rows(experiment_id="fig7", state="done") == []
 
     def test_row_missing_is_none(self, ledger):
         assert ledger.row(("fig7", "smoke", 99)) is None
 
 
 class TestLocking:
-    def test_locked_ledger_is_one_line_error(self, tmp_path):
-        path = tmp_path / "ledger.sqlite"
-        with TaskLedger(path) as ledger:
-            ledger.ensure(TASKS)
-        blocker = sqlite3.connect(path)
-        blocker.execute("BEGIN EXCLUSIVE")
-        try:
-            with pytest.raises(LedgerError, match="locked"):
-                with TaskLedger(path, timeout=0.1) as contender:
-                    contender.claim(TASKS[0], worker="w")
-        finally:
-            blocker.rollback()
-            blocker.close()
-
-
-class TestResultsIndex:
-    RECORD = ResultRecord(
-        experiment_id="fig7",
-        scale="smoke",
-        seed=0,
-        path="fig7/smoke/seed_0.json",
-        checksum="sha256:abc",
-        rows=3,
-        wall_clock=1.25,
-        events_processed=42,
-        written_at="2026-01-01T00:00:00+00:00",
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda ledger: ledger.claim(TASKS[0], worker="w"),
+            lambda ledger: ledger.ensure(TASKS),
+            lambda ledger: ledger.reset_all(TASKS),
+        ],
+        ids=["claim", "ensure", "reset_all"],
     )
-
-    def test_record_and_query(self, ledger):
-        ledger.record_result(self.RECORD)
-        assert ledger.query_results(experiment_id="fig7") == [self.RECORD]
-        assert ledger.query_results(experiment_id="fig9") == []
-        assert ledger.query_results(seeds=[0]) == [self.RECORD]
-        assert ledger.query_results(seeds=[1]) == []
-
-    def test_record_upserts(self, ledger):
-        ledger.record_result(self.RECORD)
-        import dataclasses
-
-        updated = dataclasses.replace(self.RECORD, checksum="sha256:def")
-        ledger.record_result(updated)
-        (found,) = ledger.query_results(experiment_id="fig7")
-        assert found.checksum == "sha256:def"
+    def test_locked_ledger_is_one_line_error(self, tmp_path, write):
+        """Single statements and both bulk writes share one translation."""
+        path = tmp_path / "ledger.sqlite"
+        with TaskLedger(path, timeout=0.1) as contender:
+            contender.ensure(TASKS)
+            blocker = sqlite3.connect(path)
+            blocker.execute("BEGIN EXCLUSIVE")
+            try:
+                with pytest.raises(LedgerError) as excinfo:
+                    write(contender)
+                # opening under the lock fails too, at the schema statement
+                with pytest.raises(LedgerError, match="locked"):
+                    TaskLedger(path, timeout=0.1)
+            finally:
+                blocker.rollback()
+                blocker.close()
+        assert str(excinfo.value) == f"ledger at {path} is locked by another process"
 
 
 class TestStoreIntegration:
-    def test_save_indexes_and_checksums(self, tmp_path):
+    def test_save_records_the_replicate_once_and_opens_no_sqlite(self, tmp_path):
         store = ResultStore(tmp_path)
         result = run_experiment("fig7", scale="smoke", seed=0)
         path = store.save(result, seed=0, wall_clock=1.0, events_processed=7)
-        (record,) = store.query("fig7", "smoke")
-        assert record.path == "fig7/smoke/seed_0.json"
-        assert record.events_processed == 7
-        # the indexed checksum is the hash of the bytes on disk
-        assert record.checksum == file_checksum(path)
+        assert path == tmp_path / "fig7" / "smoke" / "seed_0.json"
+        run = store.manifest("fig7", "smoke")["runs"]["seed_0"]
+        assert run["events_processed"] == 7 and run["rows"] == len(result.rows)
+        # the manifest entry is the one record: the ledger is a sweep's
+        assert not store.ledger_path.exists()
 
     def test_verify_artifact(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -232,6 +210,3 @@ class TestStoreIntegration:
         result = run_experiment("fig7", scale="smoke", seed=0)
         store.save(result, seed=0)
         assert not list(tmp_path.rglob("*.tmp"))
-
-    def test_query_empty_store(self, tmp_path):
-        assert ResultStore(tmp_path).query() == []

@@ -136,11 +136,17 @@ def test_api_sweep_resume_and_status(tmp_path):
     ]
     assert api.sweep_status(tmp_path, experiment="fig7", scale="paper") == []
 
-    # the queryable store index answers without reading JSON artifacts
+    # each replicate is recorded once, in its cell's manifest
+    from repro.errors import ExperimentError
     from repro.experiments.store import ResultStore
 
-    records = ResultStore(tmp_path).query("fig7", "smoke")
-    assert [record.seed for record in records] == [0, 1, 2]
+    manifest = ResultStore(tmp_path).manifest("fig7", "smoke")
+    assert sorted(manifest["runs"]) == ["seed_0", "seed_1", "seed_2"]
+
+    # a store no sweep has used has no ledger, and asking does not make one
+    with pytest.raises(ExperimentError, match="no sweep ledger"):
+        api.sweep_status(tmp_path / "absent")
+    assert not (tmp_path / "absent").exists()
 
 
 def test_api_serve_facade():

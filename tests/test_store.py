@@ -122,6 +122,35 @@ class TestStoreLayout:
         rev = git_revision()
         assert rev == "unknown" or len(rev) == 40
 
+    def test_manifest_records_the_code_s_repository_not_the_cwd_s(
+        self, tmp_path, monkeypatch
+    ):
+        """``git rev-parse HEAD`` used to run in the process's working
+        directory: saving from inside some other checkout wrote that
+        repository's HEAD into the manifest as the code's ``git_rev``."""
+        import subprocess
+
+        def git(*argv, cwd):
+            proc = subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *argv],
+                cwd=cwd, capture_output=True, text=True,
+            )
+            return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+        other = tmp_path / "other-checkout"
+        other.mkdir()
+        git("init", "-q", cwd=other)
+        git("commit", "-q", "--allow-empty", "-m", "unrelated", cwd=other)
+        others_head = git("rev-parse", "HEAD", cwd=other)
+        assert len(others_head) == 40
+        monkeypatch.chdir(other)
+        store = ResultStore(tmp_path / "store")
+        store.save(make_result(), seed=0)
+        recorded = store.manifest("figx", "smoke")["git_rev"]
+        assert recorded != others_head
+        here = pathlib.Path(__file__).resolve().parent
+        assert recorded == git("rev-parse", "HEAD", cwd=here)
+
 
 class TestAggregation:
     def test_key_columns_pass_through_and_stats_expand(self):

@@ -293,31 +293,31 @@ class TestSweepTelemetry:
                 == hashlib.sha256(pooled_blob).hexdigest()
             )
 
-    def test_ledger_indexes_metrics_summary(self, tmp_path):
+    def test_store_reads_back_each_replicate_s_telemetry(self, tmp_path):
+        """The blob beside the artifact is the one copy (``status`` reads it)."""
         store = self._sweep(tmp_path, "indexed", jobs=1)
-        records = store.ledger.query_results(experiment_id="fig9")
-        assert len(records) == 2
-        for record in records:
-            assert record.metrics["cells"] >= 1
+        for seed in (0, 1):
+            blob = store.telemetry("fig9", "smoke", seed)
+            assert blob["cells"] >= 1
             assert any(
-                key.startswith("mpil_requests_total") for key in record.metrics["final"]
+                key.startswith("mpil_requests_total") for key in blob["final"]
             )
+        assert store.telemetry("fig9", "smoke", 99) == {}
 
 
 class TestLedgerMigration:
-    def test_old_database_gains_metrics_column(self, tmp_path):
-        path = tmp_path / "ledger.sqlite"
-        conn = sqlite3.connect(path)
+    def test_database_with_a_results_table_opens_renders_and_resumes(
+        self, tmp_path, capsys
+    ):
+        """A store written before the results index went: its ``ledger.sqlite``
+        still has the table (with the ``metrics`` column or without).  Nothing
+        reads it, nothing trips over it."""
+        sweep = ["sweep", "fig7", "--scale", "smoke", "--out", str(tmp_path)]
+        assert main(sweep + ["--seeds", "0..1"]) == 0
+        conn = sqlite3.connect(tmp_path / "ledger.sqlite")
         with conn:
             conn.executescript(
                 """
-                CREATE TABLE tasks (
-                    experiment_id TEXT NOT NULL, scale TEXT NOT NULL,
-                    seed INTEGER NOT NULL, state TEXT NOT NULL DEFAULT 'pending',
-                    attempts INTEGER NOT NULL DEFAULT 0, worker TEXT,
-                    checksum TEXT, error TEXT, updated_at TEXT,
-                    PRIMARY KEY (experiment_id, scale, seed)
-                );
                 CREATE TABLE results (
                     experiment_id TEXT NOT NULL, scale TEXT NOT NULL,
                     seed INTEGER NOT NULL, path TEXT NOT NULL,
@@ -326,17 +326,23 @@ class TestLedgerMigration:
                     written_at TEXT NOT NULL,
                     PRIMARY KEY (experiment_id, scale, seed)
                 );
+                CREATE INDEX idx_results_cell ON results (experiment_id, scale);
                 INSERT INTO results VALUES
-                    ('fig9', 'smoke', 0, 'fig9/smoke/seed_0.json',
+                    ('fig7', 'smoke', 0, 'fig7/smoke/seed_0.json',
                      'sha256:abc', 3, 1.5, 100, '2026-01-01T00:00:00+00:00');
                 """
             )
         conn.close()
-        with TaskLedger(path) as ledger:
-            (record,) = ledger.query_results(experiment_id="fig9")
-            assert record.metrics == {}  # pre-migration rows get the default
-        with TaskLedger(path) as ledger:  # migration is idempotent
-            assert len(ledger.query_results()) == 1
+        with TaskLedger(tmp_path / "ledger.sqlite") as ledger:
+            assert [row.state for row in ledger.rows()] == ["done", "done"]
+        capsys.readouterr()
+        assert main(["status", "fig7", "--out", str(tmp_path)]) == 0
+        assert "2 done" in capsys.readouterr().out
+        assert main(sweep + ["--seeds", "0..2", "--resume"]) == 0
+        assert "swept 1 tasks, skipped 2, failed 0" in capsys.readouterr().err
+        conn = sqlite3.connect(tmp_path / "ledger.sqlite")
+        assert conn.execute("SELECT COUNT(*) FROM results").fetchone() == (1,)
+        conn.close()
 
 
 class TestLintRegression:
