@@ -21,8 +21,8 @@ Quickstart::
     lookup = net.lookup(origin=42, object_id=obj)
     assert lookup.success
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-results versus the paper.
+See docs/ARCHITECTURE.md for the system inventory and README.md for running
+the experiments that regenerate the paper's figures and tables.
 """
 
 from repro.core import (
@@ -46,6 +46,7 @@ from repro.overlay import (
 from repro.pastry import PastryConfig, PastryNetwork, ProbedViewOracle
 from repro.perturbation import FlappingConfig, FlappingSchedule
 
+#: the one version: ``pyproject.toml`` states the same value (tier-1 tested)
 __version__ = "1.0.0"
 
 __all__ = [

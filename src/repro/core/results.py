@@ -47,7 +47,3 @@ class LookupResult:
     traffic_at_first_reply: Optional[int]
     duplicates: int
     flows_created: int
-
-    @property
-    def reply_count(self) -> int:
-        return len(self.replies)

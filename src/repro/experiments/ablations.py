@@ -1,4 +1,4 @@
-"""Ablation experiments beyond the paper's tables (DESIGN.md §3).
+"""Ablation experiments beyond the paper's tables.
 
 - ``ablation-metric``: the Section 4.2 claim that the common-digits metric
   distinguishes neighbors better than prefix/suffix routing over arbitrary
@@ -14,42 +14,28 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.core.config import MPILConfig
-from repro.experiments.base import mean
+from repro.experiments.base import mean, success_percent
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.experiments.workloads import StaticRun, run_inserts, run_lookups
+from repro.experiments.workloads import StaticRun, run_lookups, static_runs, static_sizes
 
 METRICS = ("common-digits", "prefix", "suffix")
 
 
 def _metric_measure(ctx: RunContext, built: None, metric: str) -> Iterable[tuple]:
     config = MPILConfig(max_flows=10, per_flow_replicas=5, metric=metric)
-    successes = 0
-    total = 0
-    traffic: list[float] = []
-    replicas: list[float] = []
-    n = ctx.scale.static_node_counts[0]
-    for graph_index in range(ctx.scale.static_graphs):
-        run_data = run_inserts(
-            "power-law",
-            n,
-            graph_index,
-            ctx.scale.static_ops,
-            (ctx.seed, "metric", metric),
-            config=config,
-        )
-        for result in run_data.insert_results:
-            replicas.append(result.replica_count)
-        for lookup in run_lookups(run_data, 10, 5, (ctx.seed, "metric", metric)):
-            successes += int(lookup.success)
-            total += 1
-            traffic.append(lookup.traffic)
+    seed = (ctx.seed, "metric", metric)
+    replicas: list[int] = []
+    lookups = []
+    for run in static_runs(ctx, "power-law", static_sizes(ctx)[0], seed, config):
+        replicas.extend(result.replica_count for result in run.insert_results)
+        lookups.extend(run_lookups(run, 10, 5, seed))
     return [
         (
             metric,
-            round(100.0 * successes / total, 1) if total else 0.0,
+            success_percent([lookup.success for lookup in lookups]),
             round(mean(replicas), 2),
-            round(mean(traffic), 2),
+            round(mean([lookup.traffic for lookup in lookups]), 2),
         )
     ]
 
@@ -83,30 +69,20 @@ def _ds_cells(ctx: RunContext, built: None) -> Iterator[tuple[str, bool]]:
 def _ds_measure(ctx: RunContext, built: None, cell: tuple[str, bool]) -> Iterable[tuple]:
     family, suppress = cell
     config = MPILConfig(max_flows=30, per_flow_replicas=5, duplicate_suppression=suppress)
-    replicas: list[float] = []
-    traffic: list[float] = []
-    duplicates: list[float] = []
-    n = ctx.scale.static_node_counts[0]
-    for graph_index in range(ctx.scale.static_graphs):
-        run_data = run_inserts(
-            family,
-            n,
-            graph_index,
-            ctx.scale.static_ops,
-            (ctx.seed, "ds", suppress),
-            config=config,
+    inserts = [
+        result
+        for run in static_runs(
+            ctx, family, static_sizes(ctx)[0], (ctx.seed, "ds", suppress), config
         )
-        for result in run_data.insert_results:
-            replicas.append(result.replica_count)
-            traffic.append(result.traffic)
-            duplicates.append(result.duplicates)
+        for result in run.insert_results
+    ]
     return [
         (
             family,
             "on" if suppress else "off",
-            round(mean(replicas), 2),
-            round(mean(traffic), 2),
-            round(mean(duplicates), 2),
+            round(mean([result.replica_count for result in inserts]), 2),
+            round(mean([result.traffic for result in inserts]), 2),
+            round(mean([result.duplicates for result in inserts]), 2),
         )
     ]
 
@@ -127,32 +103,23 @@ def ds_spec() -> Pipeline:
 
 
 def _flows_build(ctx: RunContext) -> list[StaticRun]:
-    n = ctx.scale.static_node_counts[0]
-    return [
-        run_inserts("power-law", n, graph_index, ctx.scale.static_ops, ctx.seed)
-        for graph_index in range(ctx.scale.static_graphs)
-    ]
+    return list(static_runs(ctx, "power-law", static_sizes(ctx)[0], ctx.seed))
 
 
 def _flows_measure(
     ctx: RunContext, runs: list[StaticRun], max_flows: int
 ) -> Iterable[tuple]:
-    successes = 0
-    total = 0
-    traffic: list[float] = []
-    flows: list[float] = []
-    for run_data in runs:
-        for lookup in run_lookups(run_data, max_flows, 3, (ctx.seed, "flows")):
-            successes += int(lookup.success)
-            total += 1
-            traffic.append(lookup.traffic)
-            flows.append(lookup.flows_created)
+    lookups = [
+        lookup
+        for run in runs
+        for lookup in run_lookups(run, max_flows, 3, (ctx.seed, "flows"))
+    ]
     return [
         (
             max_flows,
-            round(100.0 * successes / total, 1) if total else 0.0,
-            round(mean(traffic), 2),
-            round(mean(flows), 2),
+            success_percent([lookup.success for lookup in lookups]),
+            round(mean([lookup.traffic for lookup in lookups]), 2),
+            round(mean([lookup.flows_created for lookup in lookups]), 2),
         )
     ]
 
@@ -175,28 +142,17 @@ def flows_spec() -> Pipeline:
 
 def _tiebreak_measure(ctx: RunContext, built: None, tie_break: str) -> Iterable[tuple]:
     config = MPILConfig(max_flows=10, per_flow_replicas=5, tie_break=tie_break)
-    successes = 0
-    total = 0
-    traffic: list[float] = []
-    n = ctx.scale.static_node_counts[0]
-    for graph_index in range(ctx.scale.static_graphs):
-        run_data = run_inserts(
-            "power-law",
-            n,
-            graph_index,
-            ctx.scale.static_ops,
-            (ctx.seed, "tiebreak", tie_break),
-            config=config,
-        )
-        for lookup in run_lookups(run_data, 10, 5, (ctx.seed, "tiebreak", tie_break)):
-            successes += int(lookup.success)
-            total += 1
-            traffic.append(lookup.traffic)
+    seed = (ctx.seed, "tiebreak", tie_break)
+    lookups = [
+        lookup
+        for run in static_runs(ctx, "power-law", static_sizes(ctx)[0], seed, config)
+        for lookup in run_lookups(run, 10, 5, seed)
+    ]
     return [
         (
             tie_break,
-            round(100.0 * successes / total, 1) if total else 0.0,
-            round(mean(traffic), 2),
+            success_percent([lookup.success for lookup in lookups]),
+            round(mean([lookup.traffic for lookup in lookups]), 2),
         )
     ]
 
@@ -214,9 +170,3 @@ def tiebreak_spec() -> Pipeline:
         measure=_tiebreak_measure,
         notes="success should be insensitive to the tie-break policy",
     )
-
-
-run_metric_ablation = metric_spec.run
-run_ds_ablation = ds_spec.run
-run_flows_ablation = flows_spec.run
-run_tiebreak_ablation = tiebreak_spec.run

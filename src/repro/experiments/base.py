@@ -139,6 +139,11 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
+def success_percent(flags: Sequence[bool]) -> float:
+    """Success rate of ``flags`` in percent, to one decimal (0.0 for none)."""
+    return round(100.0 * sum(flags) / len(flags), 1) if flags else 0.0
+
+
 def stdev(values: Sequence[float]) -> float:
     """Sample standard deviation (0.0 for fewer than two values)."""
     values = list(values)

@@ -14,14 +14,11 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.baselines import flood_lookup, random_walk_lookup
-from repro.experiments.base import mean
+from repro.experiments.base import mean, success_percent
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.experiments.workloads import run_inserts, run_lookups
+from repro.experiments.workloads import run_lookups, static_runs, static_sizes
 from repro.sim.rng import derive_rng
-
-EXPERIMENT_ID = "baseline-comparison"
-TITLE = "Lookup strategies on equal footing: MPIL vs flooding vs random walks"
 
 FLOOD_TTL = 4
 WALKERS = 10
@@ -29,26 +26,19 @@ WALK_STEPS = 50
 
 
 def _measure(ctx: RunContext, built: None, family: str) -> Iterable[tuple]:
-    n = ctx.scale.static_node_counts[0]
     seed = ctx.seed
-    runs = [
-        run_inserts(family, n, graph_index, ctx.scale.static_ops, seed)
-        for graph_index in range(ctx.scale.static_graphs)
-    ]
-    strategies: dict[str, tuple[int, list[float]]] = {}
+    runs = list(static_runs(ctx, family, static_sizes(ctx)[0], seed))
 
+    # Each strategy collects one (found, messages) pair per lookup.
     # MPIL lookups (10, 5), the paper's saturating setting.
-    successes, traffic = 0, []
-    total = 0
-    for run_data in runs:
-        for result in run_lookups(run_data, 10, 5, seed):
-            successes += int(result.success)
-            traffic.append(result.traffic)
-            total += 1
-    strategies["mpil(10,5)"] = (successes, traffic)
+    mpil = [
+        (result.success, result.traffic)
+        for run_data in runs
+        for result in run_lookups(run_data, 10, 5, seed)
+    ]
 
     # Flooding with a Gnutella-ish TTL.
-    successes, traffic = 0, []
+    flood: list[tuple[bool, int]] = []
     for run_data in runs:
         rng = derive_rng(seed, "flood", family, run_data.graph_index)
         for object_id in run_data.objects:
@@ -60,12 +50,10 @@ def _measure(ctx: RunContext, built: None, family: str) -> Iterable[tuple]:
                 object_id,
                 ttl=FLOOD_TTL,
             )
-            successes += int(outcome.success)
-            traffic.append(outcome.traffic)
-    strategies[f"flood(ttl={FLOOD_TTL})"] = (successes, traffic)
+            flood.append((outcome.success, outcome.traffic))
 
     # Independent random walks.
-    successes, traffic = 0, []
+    walks: list[tuple[bool, int]] = []
     for run_data in runs:
         rng = derive_rng(seed, "walks", family, run_data.graph_index)
         for object_id in run_data.objects:
@@ -79,19 +67,26 @@ def _measure(ctx: RunContext, built: None, family: str) -> Iterable[tuple]:
                 max_steps=WALK_STEPS,
                 rng=rng,
             )
-            successes += int(outcome.success)
-            traffic.append(outcome.traffic)
-    strategies[f"walks({WALKERS}x{WALK_STEPS})"] = (successes, traffic)
+            walks.append((outcome.success, outcome.traffic))
 
     return [
-        (family, name, round(100.0 * wins / total, 1), round(mean(msgs), 1))
-        for name, (wins, msgs) in strategies.items()
+        (
+            family,
+            name,
+            success_percent([found for found, _messages in outcomes]),
+            round(mean([messages for _found, messages in outcomes]), 1),
+        )
+        for name, outcomes in (
+            ("mpil(10,5)", mpil),
+            (f"flood(ttl={FLOOD_TTL})", flood),
+            (f"walks({WALKERS}x{WALK_STEPS})", walks),
+        )
     ]
 
 
 @experiment(
-    id=EXPERIMENT_ID,
-    title=TITLE,
+    id="baseline-comparison",
+    title="Lookup strategies on equal footing: MPIL vs flooding vs random walks",
     tags=("baseline", "static", "lookup"),
 )
 def spec() -> Pipeline:
@@ -106,6 +101,3 @@ def spec() -> Pipeline:
             "its traffic — the paper's 'best of both worlds' point"
         ),
     )
-
-
-run = spec.run

@@ -108,12 +108,12 @@ from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments.base import success_percent
 from repro.experiments.perturbed import (
     VARIANT_LABELS,
     PerturbationTestbed,
-    build_testbed,
+    build_stage,
     stage2_successes,
-    success_percent,
 )
 from repro.experiments.scales import BudgetSpec, Scale, get_scale
 from repro.experiments.spec import ExperimentSpec, Pipeline, RunContext
@@ -463,11 +463,6 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
             axis_values,
         )
 
-    def build(ctx: RunContext) -> PerturbationTestbed:
-        return build_testbed(
-            ctx.scale.pastry_nodes, ctx.scale.perturbed_inserts, seed=ctx.seed
-        )
-
     def cells(ctx: RunContext, testbed: PerturbationTestbed) -> Iterable[Any]:
         return axis_values
 
@@ -556,7 +551,7 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
         pipeline = Pipeline(
             columns=(column, *SERVICE_COLUMNS),
             key_columns=(column, "variant", "window"),
-            build=build,
+            build=build_stage,
             cells=cells,
             measure=measure_service,
             notes=notes,
@@ -571,7 +566,7 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
         pipeline = Pipeline(
             columns=(column, *(VARIANT_LABELS[v] for v in variants)),
             key_columns=(column,),
-            build=build,
+            build=build_stage,
             cells=cells,
             measure=measure,
             notes=notes,

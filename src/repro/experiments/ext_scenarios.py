@@ -46,22 +46,23 @@ rejoin.  MPIL runs with no maintenance at all, as always.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.errors import ExperimentError
+from repro.experiments.base import success_percent
 from repro.experiments.perturbed import (
+    BACKGROUND_PERIOD,
     MPIL_MAX_FLOWS,
     MPIL_PER_FLOW_REPLICAS,
     VARIANT_LABELS,
+    OverFlapping,
     PerturbationTestbed,
-    build_testbed,
+    build_stage,
+    over_flapping,
     stage2_successes,
-    success_percent,
 )
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.perturbation.flapping import FlappingSchedule
 from repro.perturbation.timeline import ScenarioTimeline
 
 VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
@@ -80,18 +81,11 @@ WAVE_PERIOD = 600.0
 WAVE_DURATION = 150.0
 
 #: background flapping of the two composed experiments
-FLAP_LABEL = "30:30"
 OUTAGE_FLAP_PROBABILITY = 0.5
 STORM_FLAP_PROBABILITY = 0.3
 
 #: ext-adversarial: removal happens after stage 1, before the first lookup
 REMOVAL_START = 30.0
-
-
-def _build(ctx: RunContext) -> PerturbationTestbed:
-    return build_testbed(
-        ctx.scale.pastry_nodes, ctx.scale.perturbed_inserts, seed=ctx.seed
-    )
 
 
 def _flags(
@@ -138,7 +132,7 @@ def churn_spec() -> Pipeline:
     return Pipeline(
         columns=("mean_session_s", *LABELS),
         key_columns=("mean_session_s",),
-        build=_build,
+        build=build_stage,
         cells=lambda ctx, built: MEAN_SESSIONS,
         measure=_measure_churn,
         notes=(
@@ -148,49 +142,21 @@ def churn_spec() -> Pipeline:
     )
 
 
-# --- the two composed experiments: a family over background flapping ----------
+# --- ext-outage (composed: a family over background flapping) ------------------
 
 
-@dataclasses.dataclass
-class _OverFlapping:
-    """Built state shared by every cell of a composed experiment."""
-
-    testbed: PerturbationTestbed
-    flapping: FlappingSchedule
-    #: the lookup-index windows ``[lo, hi)`` the experiment reports, by name
-    windows: dict[str, tuple[int, int]]
-
-
-def _build_over_flapping(
-    probability: float,
-    seed_label: str,
-    windows: Callable[[int], dict[str, tuple[int, int]]],
-) -> Callable[[RunContext], _OverFlapping]:
-    def build(ctx: RunContext) -> _OverFlapping:
-        testbed = _build(ctx)
-        reported = windows(ctx.scale.perturbed_lookups)
-        flapping = testbed.process(
-            "flapping", (ctx.seed, seed_label), period=FLAP_LABEL, probability=probability
-        )
-        return _OverFlapping(testbed, flapping, reported)
-
-    return build
-
-
-# --- ext-outage ---------------------------------------------------------------
-
-
-def _outage_window(num_lookups: int) -> dict[str, tuple[int, int]]:
-    """Lookup indices issued while the outage is in force: the middle third."""
-    lo = num_lookups // 3
-    return {"outage": (lo, max(lo + 1, (2 * num_lookups) // 3))}
+def _outage_window(ctx: RunContext) -> tuple[int, int]:
+    """Lookup indices ``[lo, hi)`` issued while the outage is in force: the
+    middle third."""
+    lo = ctx.scale.perturbed_lookups // 3
+    return lo, max(lo + 1, (2 * ctx.scale.perturbed_lookups) // 3)
 
 
 def _measure_outage(
-    ctx: RunContext, built: _OverFlapping, severity: float
+    ctx: RunContext, built: OverFlapping, severity: float
 ) -> Iterable[tuple]:
     testbed = built.testbed
-    lo, hi = built.windows["outage"]
+    lo, hi = _outage_window(ctx)
     # The outage covers exactly the [lo, hi) lookups, including their
     # in-flight hops: lookup i starts at spacing*(i+1).  Its seed must not
     # depend on severity — the affected set is a prefix of one per-seed
@@ -213,10 +179,10 @@ def _measure_outage(
     return [(severity, *map(success_percent, flags))]
 
 
-def _notes_outage(ctx: RunContext, built: _OverFlapping) -> str:
-    lo, hi = built.windows["outage"]
+def _notes_outage(ctx: RunContext, built: OverFlapping) -> str:
+    lo, hi = _outage_window(ctx)
     return (
-        f"success during the outage window over {FLAP_LABEL} flapping at "
+        f"success during the outage window over {BACKGROUND_PERIOD} flapping at "
         f"p={OUTAGE_FLAP_PROBABILITY}; outage hits round(severity x regions) transit "
         f"domains for lookups [{lo}, {hi}) of {ctx.scale.perturbed_lookups}; "
         f"{MPIL_AT}; MSPastry with interval-based eviction/rejoin"
@@ -233,7 +199,7 @@ def outage_spec() -> Pipeline:
     return Pipeline(
         columns=("outage_severity", *LABELS),
         key_columns=("outage_severity",),
-        build=_build_over_flapping(OUTAGE_FLAP_PROBABILITY, "outage-flap", _outage_window),
+        build=over_flapping(OUTAGE_FLAP_PROBABILITY, "outage-flap"),
         cells=lambda ctx, built: ctx.scale.outage_severities,
         measure=_measure_outage,
         notes=_notes_outage,
@@ -283,7 +249,7 @@ def wave_spec() -> Pipeline:
             *(f"{label} (in wave)" for label in LABELS),
         ),
         key_columns=("wave_intensity",),
-        build=_build,
+        build=build_stage,
         cells=lambda ctx, built: ctx.scale.wave_intensities,
         measure=_measure_wave,
         notes=(
@@ -295,11 +261,12 @@ def wave_spec() -> Pipeline:
     )
 
 
-# --- ext-joinstorm ------------------------------------------------------------
+# --- ext-joinstorm (composed likewise) ------------------------------------------
 
 
-def _storm_phases(num_lookups: int) -> dict[str, tuple[int, int]]:
-    """Lookup-index windows of the three phases."""
+def _storm_phases(ctx: RunContext) -> dict[str, tuple[int, int]]:
+    """Lookup-index windows ``[lo, hi)`` of the three phases."""
+    num_lookups = ctx.scale.perturbed_lookups
     if num_lookups < 3:
         raise ExperimentError(
             f"ext-joinstorm needs at least 3 lookups to form pre/recovery/"
@@ -310,19 +277,19 @@ def _storm_phases(num_lookups: int) -> dict[str, tuple[int, int]]:
     return {"pre": (0, n1), "recovery": (n1, n2), "steady": (n2, num_lookups)}
 
 
-def _storm_arrival(built: _OverFlapping) -> float:
+def _storm_arrival(ctx: RunContext) -> float:
     """The storm lands just before the first ``recovery`` lookup."""
-    return LOOKUP_SPACING * (built.windows["recovery"][0] + 0.5)
+    return LOOKUP_SPACING * (_storm_phases(ctx)["recovery"][0] + 0.5)
 
 
 def _measure_storm(
-    ctx: RunContext, built: _OverFlapping, fraction: float
+    ctx: RunContext, built: OverFlapping, fraction: float
 ) -> Iterable[tuple]:
     testbed = built.testbed
     storm = testbed.process(
         "join-storm",
         (ctx.seed, "storm", fraction),
-        arrival_time=_storm_arrival(built),
+        arrival_time=_storm_arrival(ctx),
         late_fraction=fraction,
     )
     flags = _flags(
@@ -334,14 +301,14 @@ def _measure_storm(
     )
     return [
         (fraction, phase, *map(success_percent, [variant[lo:hi] for variant in flags]))
-        for phase, (lo, hi) in built.windows.items()
+        for phase, (lo, hi) in _storm_phases(ctx).items()
     ]
 
 
-def _notes_storm(ctx: RunContext, built: _OverFlapping) -> str:
+def _notes_storm(ctx: RunContext, built: OverFlapping) -> str:
     return (
-        f"storm_fraction of nodes absent until t={_storm_arrival(built):g}s, "
-        f"arriving at once over {FLAP_LABEL} flapping at "
+        f"storm_fraction of nodes absent until t={_storm_arrival(ctx):g}s, "
+        f"arriving at once over {BACKGROUND_PERIOD} flapping at "
         f"p={STORM_FLAP_PROBABILITY}; MSPastry arrivals rejoin through flapping "
         f"contacts; {MPIL_AT}; lookups every {LOOKUP_SPACING:g}s"
     )
@@ -357,7 +324,7 @@ def joinstorm_spec() -> Pipeline:
     return Pipeline(
         columns=("storm_fraction", "phase", *LABELS),
         key_columns=("storm_fraction", "phase"),
-        build=_build_over_flapping(STORM_FLAP_PROBABILITY, "storm-flap", _storm_phases),
+        build=over_flapping(STORM_FLAP_PROBABILITY, "storm-flap"),
         cells=lambda ctx, built: ctx.scale.storm_fractions,
         measure=_measure_storm,
         notes=_notes_storm,
@@ -403,7 +370,7 @@ def adversarial_spec() -> Pipeline:
             *(f"{label} (random)" for label in LABELS),
         ),
         key_columns=("removed_fraction",),
-        build=_build,
+        build=build_stage,
         cells=lambda ctx, built: ctx.scale.removal_fractions,
         measure=_measure_adversarial,
         notes=(

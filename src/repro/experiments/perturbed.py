@@ -25,6 +25,7 @@ from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier
 from repro.core.timed import TimedMPILNetwork
 from repro.errors import ExperimentError
+from repro.experiments.spec import BuildStage, CellsStage, RunContext
 from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry.config import PastryConfig
 from repro.pastry.mpil_on_pastry import make_mpil_over_pastry
@@ -32,8 +33,9 @@ from repro.pastry.protocol import PastryNetwork
 from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
 from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.adversarial import AdversarialRemoval
+from repro.perturbation.flapping import FlappingSchedule
 from repro.perturbation.outage import RegionalOutage, regions_from_attachment
-from repro.perturbation.scenario import get_family
+from repro.perturbation.scenario import get_family, scenarios_for
 from repro.sim.counters import TrafficCounters
 from repro.sim.latency import UnderlayLatency
 from repro.sim.rng import derive_rng
@@ -42,6 +44,9 @@ from repro.util.cache import BoundedCache
 #: MPIL parameters for the MSPastry-overlay experiments (paper Section 6.2)
 MPIL_MAX_FLOWS = 10
 MPIL_PER_FLOW_REPLICAS = 5
+
+#: the flapping cycle laid under a composed timeline or service traffic
+BACKGROUND_PERIOD = "30:30"
 
 PASTRY_VARIANTS = ("pastry", "pastry-rr")
 MPIL_VARIANTS = ("mpil-ds", "mpil-nods")
@@ -167,6 +172,45 @@ def build_testbed(
     )
 
 
+def build_stage(ctx: RunContext) -> PerturbationTestbed:
+    """The build stage of every experiment over the perturbed testbed: the
+    scale's Pastry overlay with stage 1 done."""
+    return build_testbed(
+        ctx.scale.pastry_nodes, ctx.scale.perturbed_inserts, seed=ctx.seed
+    )
+
+
+def flapping_grid(figure: str) -> CellsStage:
+    """The sweep stage of a flapping figure: one cell per ``(idle:offline,
+    probability)`` of ``figure``'s panels at the scale's probabilities."""
+    return lambda ctx, testbed: scenarios_for(figure, ctx.scale.flap_probabilities)
+
+
+@dataclasses.dataclass
+class OverFlapping:
+    """The testbed with its background flapping, shared by every cell."""
+
+    testbed: PerturbationTestbed
+    flapping: FlappingSchedule
+
+
+def over_flapping(probability: float, seed_label: str) -> BuildStage:
+    """A build stage: the testbed plus background flapping at ``probability``
+    (the paper's 30:30 cycle) for a cell's own family or traffic to run over."""
+
+    def build(ctx: RunContext) -> OverFlapping:
+        testbed = build_stage(ctx)
+        flapping = testbed.process(
+            "flapping",
+            (ctx.seed, seed_label),
+            period=BACKGROUND_PERIOD,
+            probability=probability,
+        )
+        return OverFlapping(testbed, flapping)
+
+    return build
+
+
 def variant_views(
     testbed: PerturbationTestbed,
     variant: str,
@@ -274,11 +318,6 @@ def stage2_successes(
     ]
 
 
-def success_percent(flags: Sequence[bool]) -> float:
-    """Success rate of ``flags`` in percent, to one decimal (0.0 for none)."""
-    return round(100.0 * sum(flags) / len(flags), 1) if flags else 0.0
-
-
 @dataclasses.dataclass(frozen=True)
 class CellResult:
     """One variant's outcome for one (period, probability) cell."""
@@ -306,9 +345,9 @@ def run_cell(
     probability: float,
     num_lookups: int,
     variants: Sequence[str] = ALL_VARIANTS,
-    seed: object = 0,
 ) -> list[CellResult]:
-    """Run stage 2 for every requested variant under one flapping setting."""
+    """Run stage 2 for every requested variant under one flapping setting
+    (every stream derives from the testbed's seed)."""
     unknown = set(variants) - set(ALL_VARIANTS)
     if unknown:
         raise ExperimentError(f"unknown variants {sorted(unknown)}")

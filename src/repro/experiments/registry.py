@@ -3,11 +3,11 @@
 Experiment modules register themselves with the :func:`experiment`
 decorator instead of being enumerated in a hand-maintained dict::
 
-    @experiment(id="fig9", title=TITLE, tags=("figure", "static"), figure="Figure 9")
-    def spec() -> Pipeline:
+    @experiment(id="fig9", title="...", tags=("figure", "static"), figure="Figure 9")
+    def fig9() -> Pipeline:
         return Pipeline(columns=..., cells=..., measure=...)
 
-    run = spec.run  # the decorated name is the registered ExperimentSpec
+    fig9.run(scale="smoke")  # the decorated name is the registered ExperimentSpec
 
 The decorator builds an :class:`~repro.experiments.spec.ExperimentSpec`
 from the metadata plus the factory's :class:`~repro.experiments.spec.Pipeline`,
@@ -36,15 +36,7 @@ _REGISTRY: dict[str, ExperimentSpec] = {}
 #: built-in experiment modules, in catalogue order; importing one runs its
 #: ``@experiment`` decorators, which is what populates the registry
 _EXPERIMENT_MODULES: tuple[str, ...] = (
-    "repro.experiments.fig01_pastry_perturbation",
-    "repro.experiments.fig07_local_maxima",
-    "repro.experiments.fig08_complete_replicas",
-    "repro.experiments.fig09_insertion",
-    "repro.experiments.fig10_lookup",
-    "repro.experiments.fig11_robustness",
-    "repro.experiments.fig12_traffic",
-    "repro.experiments.tables12_success",
-    "repro.experiments.table3_flows",
+    "repro.experiments.paper",
     "repro.experiments.ablations",
     "repro.experiments.baseline_comparison",
     "repro.experiments.ext_scenarios",

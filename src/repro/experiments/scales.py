@@ -9,7 +9,7 @@ shrinks sizes so the full benchmark suite finishes in minutes on a laptop;
 :class:`BudgetSpec`; exceeding it aborts the run with a one-line
 :class:`~repro.errors.ExperimentError` (see :mod:`repro.experiments.budget`).
 Anything bigger is registered from ``get_scale("large").evolve(...)``.
-EXPERIMENTS.md records which scale produced each reported number.
+Every result records the scale that produced it (``ExperimentResult.scale``).
 
 A :class:`Scale` is one frozen dataclass of flat fields
 (``scale.pastry_nodes``, ``scale.static_ops``, …) — the names every

@@ -18,13 +18,11 @@ alongside the usual mean/stdev/ci95.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable
 
-from repro.experiments.perturbed import PerturbationTestbed, build_testbed
+from repro.experiments.perturbed import BACKGROUND_PERIOD, OverFlapping, over_flapping
 from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
-from repro.perturbation.flapping import FlappingSchedule
 from repro.perturbation.timeline import ScenarioTimeline
 from repro.service.driver import (
     SERVICE_COLUMNS,
@@ -36,8 +34,9 @@ from repro.service.windows import SLOPolicy
 
 #: background perturbation both experiments share (light flapping; the
 #: paper's 30:30 cycle at a low probability)
-FLAP_LABEL = "30:30"
 FLAP_PROBABILITY = 0.2
+#: ... and the build stage that lays it over the testbed
+_build = over_flapping(FLAP_PROBABILITY, "svc-flap")
 
 #: fraction of service arrivals that are inserts of fresh objects
 INSERT_FRACTION = 0.1
@@ -55,29 +54,11 @@ def service_config(ctx: RunContext, rate: float) -> ServiceConfig:
     )
 
 
-@dataclasses.dataclass
-class _ServiceTestbed:
-    """Built state shared by every service cell."""
-
-    testbed: PerturbationTestbed
-    flapping: FlappingSchedule
-
-
-def _build(ctx: RunContext) -> _ServiceTestbed:
-    testbed = build_testbed(
-        ctx.scale.pastry_nodes, ctx.scale.perturbed_inserts, seed=ctx.seed
-    )
-    flapping = testbed.process(
-        "flapping", (ctx.seed, "svc-flap"), period=FLAP_LABEL, probability=FLAP_PROBABILITY
-    )
-    return _ServiceTestbed(testbed=testbed, flapping=flapping)
-
-
 # --- svc-steady ---------------------------------------------------------------
 
 
 def _measure_steady(
-    ctx: RunContext, built: _ServiceTestbed, load: float
+    ctx: RunContext, built: OverFlapping, load: float
 ) -> Iterable[tuple]:
     config = service_config(ctx, ctx.scale.service_rate * load)
     # arrivals derive from the load cell (the rate differs anyway), the
@@ -93,10 +74,10 @@ def _measure_steady(
     return [(load, *row) for row in rows]
 
 
-def _notes_steady(ctx: RunContext, built: _ServiceTestbed) -> str:
+def _notes_steady(ctx: RunContext, built: OverFlapping) -> str:
     return (
         f"open-loop Poisson traffic at load x {ctx.scale.service_rate:g}/s for "
-        f"{ctx.scale.service_duration:g}s over {FLAP_LABEL} flapping at "
+        f"{ctx.scale.service_duration:g}s over {BACKGROUND_PERIOD} flapping at "
         f"p={FLAP_PROBABILITY}; {ctx.scale.service_window:g}s windows keyed by "
         f"arrival; latency is first-reply discovery time; insert fraction "
         f"{INSERT_FRACTION:g} (rolled back after each variant)"
@@ -125,7 +106,7 @@ def steady_spec() -> Pipeline:
 
 
 def _measure_outage(
-    ctx: RunContext, built: _ServiceTestbed, severity: float
+    ctx: RunContext, built: OverFlapping, severity: float
 ) -> Iterable[tuple]:
     testbed = built.testbed
     duration = ctx.scale.service_duration
@@ -152,12 +133,12 @@ def _measure_outage(
     return [(severity, *row) for row in rows]
 
 
-def _notes_outage(ctx: RunContext, built: _ServiceTestbed) -> str:
+def _notes_outage(ctx: RunContext, built: OverFlapping) -> str:
     duration = ctx.scale.service_duration
     return (
         f"open-loop Poisson traffic at {ctx.scale.service_rate:g}/s for "
         f"{duration:g}s; a regional outage of swept severity covers "
-        f"[{duration / 3.0:g}, {2.0 * duration / 3.0:g})s over {FLAP_LABEL} "
+        f"[{duration / 3.0:g}, {2.0 * duration / 3.0:g})s over {BACKGROUND_PERIOD} "
         f"flapping at p={FLAP_PROBABILITY}; {ctx.scale.service_window:g}s "
         f"windows keyed by arrival; SLO: p99 <= {SLOPolicy().latency_p99:g}s "
         f"and availability >= {SLOPolicy().availability:g}"
@@ -181,6 +162,3 @@ def outage_spec() -> Pipeline:
         stat_suffixes=SERVICE_STAT_SUFFIXES,
     )
 
-
-run_steady = steady_spec.run
-run_outage = outage_spec.run

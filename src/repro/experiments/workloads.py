@@ -10,12 +10,14 @@ table.  Duplicate suppression is on for all static runs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.network import MPILNetwork
 from repro.core.results import InsertResult, LookupResult
+from repro.errors import ExperimentError
+from repro.experiments.spec import RunContext
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.power_law import power_law_graph
 from repro.overlay.random_graphs import fixed_degree_random_graph
@@ -128,16 +130,58 @@ def run_lookups(
     return results
 
 
-def static_runs_for(
-    scale,
-    seed: object,
-    families: Sequence[str] = ("power-law", "random"),
-    space: IdSpace = IdSpace(),
-):
-    """Yield the insertion-stage runs for every (family, n, graph) cell."""
+def static_sizes(ctx: RunContext) -> tuple[int, ...]:
+    """The scale's static overlay sizes, once a static cell is known to be
+    non-empty.
+
+    A scale with no size, no sample graph or no operation (a ``[scale]``
+    table or ``Scale.evolve`` can spell one) would otherwise print an empty
+    table or a "0 % success" for lookups that were never issued; it is one
+    error naming the field, before any overlay is built.
+    """
+    scale = ctx.scale
+    if not scale.static_node_counts:
+        raise ExperimentError(
+            f"scale {scale.name!r} has no static_node_counts; a static "
+            f"experiment needs at least one overlay size"
+        )
+    for field in ("static_graphs", "static_ops"):
+        value = getattr(scale, field)
+        if not isinstance(value, int) or value < 1:
+            raise ExperimentError(
+                f"scale {scale.name!r} has {field}={value!r}; a static "
+                f"experiment needs a positive integer"
+            )
+    return scale.static_node_counts
+
+
+def static_grid(
+    ctx: RunContext, built: object = None, families: Sequence[str] = tuple(FAMILIES)
+) -> Iterator[tuple[str, int]]:
+    """The ``(family, nodes)`` cells of Section 6.1 — a sweep stage as it
+    stands, or through ``partial(static_grid, families=...)`` for a table
+    that covers one family."""
+    sizes = static_sizes(ctx)
     for family in families:
-        for n in scale.static_node_counts:
-            for graph_index in range(scale.static_graphs):
-                yield run_inserts(
-                    family, n, graph_index, scale.static_ops, seed, space=space
-                )
+        for n in sizes:
+            yield family, n
+
+
+def static_runs(
+    ctx: RunContext,
+    family: str,
+    n: int,
+    seed: object,
+    config: MPILConfig | None = None,
+) -> Iterator[StaticRun]:
+    """One insertion-stage run per sample graph of the ``(family, n)`` cell.
+
+    Lazy on purpose: a caller that looks its objects up again does so
+    before the next graph's inserts start, which is the request order the
+    artifacts and span streams record.
+    """
+    static_sizes(ctx)
+    for graph_index in range(ctx.scale.static_graphs):
+        yield run_inserts(
+            family, n, graph_index, ctx.scale.static_ops, seed, config=config
+        )

@@ -5,7 +5,8 @@ random graphs where "each node has 100 neighbors, equally", complete
 topologies (analysis), and the structured overlay of MSPastry; the MSPastry
 simulations sit on a GT-ITM transit-stub Internet topology.  This package
 provides all of them (Inet and GT-ITM are replaced by synthetic equivalents
-— see DESIGN.md §2 for the substitution notes).
+— ``docs/ARCHITECTURE.md``, "Packages, bottom up", says what stands in for
+what).
 """
 
 from repro.overlay.complete import complete_graph

@@ -15,7 +15,7 @@ models AS-level Internet topologies with a power-law degree distribution
    whose degree fell below the minimum during simplification.
 
 The properties MPIL's behaviour depends on — many low-degree nodes, a
-heavy tail, a dense core — are preserved (see DESIGN.md §2).
+heavy tail, a dense core — are preserved.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ configuration b=4, l=8, leafset probing 30 s, routing-table maintenance
 12000 s, routing-table probing 90 s, probe timeout 3 s, probe retries 2.
 
 MSPastry is closed source, so this package implements Pastry from the
-published algorithm plus those mechanisms (see DESIGN.md §2 for the
-substitution notes):
+published algorithm plus those mechanisms:
 
 - :mod:`repro.pastry.state` — identifier ring, leaf sets, routing tables;
 - :mod:`repro.pastry.routing` — the per-hop routing rule;

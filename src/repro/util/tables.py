@@ -2,7 +2,7 @@
 
 The experiment harness prints the same rows/series the paper reports;
 ``render_table`` produces aligned, pipe-delimited ASCII suitable for both
-terminals and EXPERIMENTS.md code blocks.
+terminals and Markdown code blocks.
 """
 
 from __future__ import annotations

@@ -589,12 +589,13 @@ class TestComposeRejectsHostileValues:
         return "\n".join(lines) + "\n"
 
     def _assert_rejected(self, tmp_path, capsys, monkeypatch, text, fragment):
-        import repro.experiments.compose as compose_module
+        import repro.experiments.perturbed as perturbed_module
 
         def no_testbed(*args, **kwargs):
             raise AssertionError("validation must come before construction")
 
-        monkeypatch.setattr(compose_module, "build_testbed", no_testbed)
+        # what ``perturbed.build_stage`` -- compose's build stage -- calls
+        monkeypatch.setattr(perturbed_module, "build_testbed", no_testbed)
         path = tmp_path / "hostile.toml"
         path.write_text(text)
         out = tmp_path / "store"

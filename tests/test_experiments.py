@@ -153,6 +153,39 @@ class TestWorkloads:
         assert result.rows
 
 
+class TestEmptyStaticCell:
+    """A scale with no static size, sample graph or operation used to be an
+    ``IndexError`` traceback (ablations, baseline-comparison), an empty table
+    (fig9, fig10, tab1-tab3) or rows of a "0 % success" that never issued a
+    lookup.  It is one error naming the field, before any overlay is built."""
+
+    #: one static experiment of each shape: the (family, nodes) grid, a
+    #: one-family table, the first size only, and runs made in ``build``
+    SHAPES = ["fig9", "fig10", "tab1", "tab3", "ablation-metric", "ablation-flows",
+              "baseline-comparison"]
+
+    @pytest.mark.parametrize("experiment_id", SHAPES)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("static_node_counts", ()), ("static_graphs", 0), ("static_ops", 0)],
+    )
+    def test_is_one_error_naming_the_field(self, experiment_id, field, value, monkeypatch):
+        import repro.experiments.workloads as workloads
+
+        def no_overlay(*args, **kwargs):
+            raise AssertionError("the scale is checked before any overlay is built")
+
+        monkeypatch.setattr(workloads, "make_overlay", no_overlay)
+        hollow = get_scale("smoke").evolve(name="hollow", **{field: value})
+        with pytest.raises(ExperimentError, match=f"'hollow' has (no )?{field}"):
+            run_experiment(experiment_id, scale=hollow, seed=0)
+
+    def test_a_fractional_count_is_the_same_error(self):
+        hollow = get_scale("smoke").evolve(static_graphs=1.5)
+        with pytest.raises(ExperimentError, match="static_graphs=1.5"):
+            run_experiment("ablation-ds", scale=hollow, seed=0)
+
+
 class TestServiceExperiments:
     """The sustained-traffic service modes (svc-*)."""
 

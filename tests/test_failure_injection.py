@@ -1,6 +1,7 @@
 """Failure-injection tests: extreme availability patterns against both
-protocol stacks, and corrupted store files, hostile spec files, non-finite
-runtime knobs and a full span recorder against the CLI."""
+protocol stacks, and corrupted store files, hostile spec files, a hostile
+``[scale]`` table, non-finite runtime knobs and a full span recorder against
+the CLI."""
 
 from __future__ import annotations
 
@@ -282,3 +283,33 @@ class TestHostileSpecFiles:
         spec = tmp_path / "spec.json"
         spec.write_text('[{"experiment": {"id": "x"}}]')
         assert "found a list" in self._fails_in_one_line(spec, tmp_path, capsys)
+
+
+class TestHostileScaleTable:
+    def test_a_rung_without_static_operations_is_one_line(self, tmp_path, capsys):
+        """A ``[scale]`` table may spell ``static_ops = 0``; the rung it
+        defines used to run the static experiments into an ``IndexError``
+        traceback or a table of 0.0 % for lookups never issued.  Now: one
+        stderr line naming the field, exit 2, nothing printed or stored."""
+        from repro import api
+
+        spec = api.compose(
+            {
+                "experiment": {"id": "hollow-rung", "title": "a hollow rung"},
+                "sweep": {"column": "p", "values": [0.5]},
+                "scenario": [{"family": "flapping", "period": "30:30", "probability": "$p"}],
+                "scale": {"name": "hollow", "static_ops": 0},
+            }
+        )
+        api.register_scale(spec.scale_transform(api.get_scale("smoke")))
+        try:
+            for experiment_id in ("fig10", "tab2", "ablation-tiebreak", "baseline-comparison"):
+                out = tmp_path / experiment_id
+                argv = ["run", experiment_id, "--scale", "hollow", "--out", str(out)]
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and not out.exists()
+                assert len(captured.err.strip().splitlines()) == 1, captured.err
+                assert "static_ops=0" in captured.err and "Traceback" not in captured.err
+        finally:
+            api.unregister_scale("hollow")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments.base import success_percent
 from repro.experiments.perturbed import (
     ALL_VARIANTS,
     MPIL_MAX_FLOWS,
@@ -14,7 +15,6 @@ from repro.experiments.perturbed import (
     iter_stage2_lookups,
     run_cell,
     stage2_successes,
-    success_percent,
     variant_views,
 )
 from repro.pastry.rejoin import IntervalRejoinAvailability

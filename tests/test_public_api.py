@@ -54,7 +54,16 @@ def test_top_level_exports_exist():
     for name in TOP_LEVEL_EXPORTS:
         assert hasattr(repro, name), name
         assert name in repro.__all__
-    assert repro.__version__
+
+
+def test_version_is_one_value():
+    """What an installed distribution reports and what the library reports."""
+    import repro
+    from repro.util.toml import tomllib
+
+    pyproject = pathlib.Path(SRC).parent / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["version"]
+    assert repro.__version__ == declared
 
 
 @pytest.mark.parametrize(

@@ -248,12 +248,13 @@ class TestNonFiniteTrafficKnobs:
 
     @pytest.mark.parametrize("knob", ["rate", "duration", "window"])
     def test_compose_rejects_before_any_testbed_is_built(self, knob, tmp_path, monkeypatch):
-        import repro.experiments.compose as compose_module
+        import repro.experiments.perturbed as perturbed_module
 
         def no_testbed(*args, **kwargs):
             raise AssertionError("validation must come before construction")
 
-        monkeypatch.setattr(compose_module, "build_testbed", no_testbed)
+        # what ``perturbed.build_stage`` -- compose's build stage -- calls
+        monkeypatch.setattr(perturbed_module, "build_testbed", no_testbed)
         spec_file = tmp_path / "hostile.toml"
         spec_file.write_text(
             "[experiment]\n"

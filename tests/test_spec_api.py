@@ -4,7 +4,9 @@ decorator registry and its metadata, the TOML/dict compose path, and the
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -185,6 +187,33 @@ class TestRegistryMetadata:
         with pytest.raises(ExperimentError, match="built in"):
             unregister("fig9")
         assert "fig9" in all_experiment_ids()
+
+    def test_every_module_that_registers_is_in_the_catalogue(self):
+        """The registry imports exactly the modules it lists, so a module
+        with an ``@experiment(`` call that is not listed would drop its
+        experiments from ``list`` without a word."""
+        from repro.experiments import registry
+
+        package = pathlib.Path(registry.__file__).parent
+        registering = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(decorator, ast.Call)
+                    and getattr(decorator.func, "id", None) == "experiment"
+                    for decorator in node.decorator_list
+                ):
+                    registering.add(f"repro.experiments.{path.stem}")
+        assert registering == set(registry._EXPERIMENT_MODULES)
+        assert len(registry._EXPERIMENT_MODULES) == 5
+
+    def test_the_perturbed_testbed_has_one_build_stage(self):
+        from repro.experiments.perturbed import build_stage
+
+        ids = ("fig1", "fig11", "fig12", "ext-churn", "ext-wave", "ext-adversarial")
+        for experiment_id in ids:
+            assert get_spec(experiment_id).pipeline.build is build_stage, experiment_id
+        assert compose_spec(_composed_source()).pipeline.build is build_stage
 
 
 def _composed_source(experiment_id: str = "composed-test") -> dict:
