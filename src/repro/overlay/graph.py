@@ -160,14 +160,28 @@ class OverlayGraph:
         return self
 
     @classmethod
-    def from_networkx(cls, graph, name: str = "overlay") -> "OverlayGraph":
-        """Convert a networkx graph whose nodes are 0..n-1."""
+    def from_networkx(
+        cls, graph, name: str = "overlay", order: Sequence[int] | None = None
+    ) -> "OverlayGraph":
+        """Convert a networkx graph whose nodes are 0..n-1.
+
+        ``order`` (a permutation of the nodes; default ``range(n)``) relabels
+        on the way: node ``order[i]`` becomes overlay node ``i``.  With
+        ``order=list(graph.nodes)`` the result is that of
+        ``nx.convert_node_labels_to_integers(graph)`` without the copy.
+        """
         import numpy as np
 
         n = graph.number_of_nodes()
         nodes = set(graph.nodes)
         if nodes != set(range(n)):
             raise OverlayError("networkx graph nodes must be exactly 0..n-1")
+        identity = np.arange(n, dtype=np.int64)
+        order = identity if order is None else np.fromiter(order, dtype=np.int64)
+        if not np.array_equal(np.sort(order), identity):
+            raise OverlayError("order must list each of the nodes 0..n-1 once")
+        label = np.empty(n, dtype=np.int64)
+        label[order] = identity
         adj = graph.adj
         degrees = np.fromiter(
             (len(adj[u]) for u in range(n)), dtype=np.int64, count=n
@@ -176,10 +190,11 @@ class OverlayGraph:
         indices = np.fromiter(
             (v for u in range(n) for v in adj[u]), dtype=np.int64, count=total
         )
-        owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        order = np.lexsort((indices, owners))
-        indices = indices[order]
-        owners = owners[order]
+        owners = np.repeat(label, degrees)
+        indices = label[indices]
+        by_edge = np.lexsort((indices, owners))
+        indices = indices[by_edge]
+        owners = owners[by_edge]
         # drop duplicate stubs (multigraphs); self-loops are rejected below
         if total:
             keep = np.empty(total, dtype=bool)

@@ -47,8 +47,8 @@ def sample_power_law_degrees(
         raise OverlayError(
             f"max_degree ({max_degree}) must be >= min_degree ({min_degree})"
         )
-    if exponent <= 1.0:
-        raise OverlayError(f"power-law exponent must be > 1, got {exponent}")
+    if not 1.0 < exponent < math.inf:
+        raise OverlayError(f"power-law exponent must be finite and > 1, got {exponent}")
     rng = derive_rng(seed, "power-law-degrees", n, exponent, min_degree, max_degree)
     weights = [d ** (-exponent) for d in range(min_degree, max_degree + 1)]
     total = sum(weights)

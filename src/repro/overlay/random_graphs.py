@@ -26,15 +26,15 @@ def random_regular_graph(
     """
     import networkx as nx
 
-    if degree >= n:
-        raise OverlayError(f"degree {degree} must be < n ({n})")
+    if not 0 <= degree < n:
+        raise OverlayError(f"degree {degree} must be in [0, n) (n={n})")
     if (n * degree) % 2 != 0:
         raise OverlayError(f"n*degree must be even, got n={n}, degree={degree}")
     for attempt in range(max_attempts):
         nx_seed = derive_seed(seed, "random-regular", n, degree, attempt) % (2**32)
         graph = nx.random_regular_graph(degree, n, seed=nx_seed)
         overlay = OverlayGraph.from_networkx(
-            nx.convert_node_labels_to_integers(graph), name=f"random-regular-{degree}"
+            graph, name=f"random-regular-{degree}", order=list(graph.nodes)
         )
         if overlay.is_connected():
             return overlay

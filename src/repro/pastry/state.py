@@ -22,9 +22,11 @@ from repro.core.soa import pack_digit_matrix
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_rng
 
-#: memory ceiling for one vectorised table-build pass; results are
-#: identical for any value >= 1 (tests shrink it to force multi-block runs)
-_BUILD_BLOCK_BYTES = 48 << 20
+#: bytes of ``(B, n, M)`` mismatch tensor per table-build pass; 2 MiB keeps
+#: a block's temporaries in cache (3000 nodes: 0.56 s, 167 MiB peak; 1.5 s,
+#: 316 MiB at 48 MiB).  Results are identical for any value >= 1 (tests
+#: shrink it to force multi-block runs)
+_BUILD_BLOCK_BYTES = 2 << 20
 
 
 class PastryRing:
@@ -143,21 +145,23 @@ def build_routing_tables(
     """Routing tables for every node.
 
     Cell ``(r, c)`` of node ``i``'s table holds a node sharing exactly an
-    ``r``-digit prefix with ``i`` and whose digit ``r`` is ``c``.  Among the
-    candidates we keep the lowest-latency one when a latency model is given
-    (proximity neighbor selection); otherwise the scan order is shuffled
-    per node so the pick is pseudo-random but deterministic.
+    ``r``-digit prefix with ``i`` and whose digit ``r`` is ``c``.  A
+    candidate's cost is its latency from ``i`` when a latency model is given
+    (proximity neighbor selection), otherwise its position in a per-owner
+    shuffle (pseudo-random but deterministic); a cell keeps its lowest-cost
+    candidate, the lowest node index among equals — an ascending scan that
+    replaces on strict ``<``.
 
-    Fully vectorised and blocked: owners are processed in blocks sized to a
-    fixed broadcast budget.  One ``(B, n, M)`` comparison against the shared
-    digit matrix yields every candidate's (prefix length, next digit) cell
-    for the whole block, and a single cross-owner ``lexsort`` realises the
-    selection rule — first hit per (owner, cell) in scan order, which for
-    the latency path (ascending stable scan, strict-``<`` replacement) is
-    exactly "lowest latency, earliest index on ties".  The per-owner
-    ``rng.shuffle`` draws happen in owner order before each block's
-    broadcast pass, so the RNG stream — and therefore every table — is
-    byte-identical to the per-owner implementation.
+    Owners are processed in blocks sized to a fixed broadcast budget.  One
+    ``(B, n, M)`` comparison against the shared digit matrix yields every
+    candidate's cell; one scatter-min over the block's ``(B, n)`` costs
+    finds each ``(owner, cell)``'s lowest cost, and a second, over the flat
+    positions that attain it, the lowest index.  Costs come from
+    ``latency.latency_block(start, stop, n)`` where the model has one, else
+    from per-pair ``latency(i, j)``; one that is not finite is a
+    :class:`ConfigurationError`.  Shuffle draws happen in owner order, and
+    each table is filled in ascending ``(r, c)`` order (``pastry_next_hop``'s
+    fallback scans ``table.values()``).
     """
     n = ring.n
     rng = derive_rng(seed, "pastry-tables", n)
@@ -169,52 +173,51 @@ def build_routing_tables(
     block = max(1, min(n, _BUILD_BLOCK_BYTES // max(1, n * num_digits)))
     arange_n = np.arange(n, dtype=np.int64)
     sentinel = num_digits * base  # parks each owner's self row off-table
-    latency_row = getattr(latency, "latency_row", None) if latency is not None else None
+    latency_block = getattr(latency, "latency_block", None)
     tables: list[dict[tuple[int, int], int]] = []
     for start in range(0, n, block):
         stop = min(n, start + block)
         width = stop - start
         if latency is None:
-            orders = np.empty((width, n), dtype=np.int64)
+            costs = np.empty((width, n), dtype=np.float64)
             for k in range(width):
                 order = list(range(n))
                 rng.shuffle(order)
-                orders[k] = order
+                costs[k, order] = arange_n
+        elif latency_block is not None:
+            costs = latency_block(start, stop, n)
         else:
-            latencies = np.asarray([
-                latency_row(i, n) if latency_row is not None
-                else [latency.latency(i, j) for j in range(n)]
-                for i in range(start, stop)
-            ])
-            orders = np.argsort(latencies, axis=1, kind="stable")
-        # rank[k, j] = position of candidate j in owner (start+k)'s scan
-        ranks = np.empty((width, n), dtype=np.int64)
-        ranks[np.arange(width)[:, None], orders] = arange_n[None, :]
+            costs = np.array(
+                [[latency.latency(i, j) for j in range(n)] for i in range(start, stop)],
+                dtype=np.float64,
+            )
+        if not np.isfinite(costs).all():  # a nan would never win its cell
+            k, j = np.argwhere(~np.isfinite(costs))[0].tolist()
+            raise ConfigurationError(
+                f"latency from node {start + k} to node {j} is "
+                f"{costs[k, j]}; routing tables need finite latencies"
+            )
         mismatch = digit_matrix[None, :, :] != digit_matrix[start:stop, None, :]
         prefix = mismatch.argmax(axis=2)  # identifiers are unique, so every
         # j != owner has a mismatch; each owner's own row is all-False
         # (prefix 0) and is parked on the sentinel cell below
         cells = prefix * np.int64(base) + digit_matrix[arange_n[None, :], prefix]
         cells[np.arange(width), np.arange(start, stop)] = sentinel
-        # first hit per (owner, cell): sort by cell then rank, keep the
-        # first row of every run — min rank == earliest in scan order
         keys = (cells + np.int64(sentinel + 1) * np.arange(width)[:, None]).ravel()
-        flat_ranks = ranks.ravel()
-        by_cell = np.lexsort((flat_ranks, keys))
-        sorted_keys = keys[by_cell]
-        is_first = np.empty(sorted_keys.shape[0], dtype=bool)
-        if sorted_keys.shape[0]:
-            is_first[0] = True
-            is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        winners = by_cell[is_first]
-        winner_cells = (keys[winners] % np.int64(sentinel + 1)).tolist()
-        block_tables = [
-            {} for _ in range(width)
-        ]  # type: list[dict[tuple[int, int], int]]
-        for flat, cell in zip(winners.tolist(), winner_cells):
-            if cell == sentinel:
-                continue
-            block_tables[flat // n][divmod(cell, base)] = flat % n
+        flat_costs = costs.ravel()
+        best = np.full(width * (sentinel + 1), np.inf)
+        np.minimum.at(best, keys, flat_costs)
+        hits = np.flatnonzero(flat_costs == best[keys])
+        first = np.full(width * (sentinel + 1), width * n, dtype=np.int64)
+        np.minimum.at(first, keys[hits], hits)
+        # row-major over (owner, cell) is ascending (r, c) within each owner
+        first = first.reshape(width, sentinel + 1)[:, :sentinel]
+        owners, filled = np.nonzero(first < width * n)
+        block_tables: list[dict[tuple[int, int], int]] = [{} for _ in range(width)]
+        for owner, cell, flat in zip(
+            owners.tolist(), filled.tolist(), first[owners, filled].tolist()
+        ):
+            block_tables[owner][divmod(cell, base)] = flat % n
         tables.extend(block_tables)
     return tables
 

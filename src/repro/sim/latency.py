@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_rng
 
@@ -64,10 +66,16 @@ class UniformRandomLatency:
 class UnderlayLatency:
     """Overlay latency derived from an underlay's all-pairs delays.
 
+    The overlay-level matrix is never held: :meth:`latency_block` gathers a
+    rectangle of it as an array for the routing-table builder, and
+    :meth:`latency_row` / :meth:`latency` fill a per-source row the first
+    time that source sends a message.
+
     Parameters
     ----------
     underlay:
-        Object exposing ``pairwise_latency(u, v) -> float`` (see
+        Object exposing ``pairwise_latency(u, v) -> float`` and, optionally,
+        ``latency_matrix() -> ndarray`` (see
         :class:`repro.overlay.transit_stub.TransitStubUnderlay`).
     attachment:
         Sequence mapping overlay node index -> underlay node index.
@@ -82,34 +90,49 @@ class UnderlayLatency:
                 raise ConfigurationError(
                     f"attachment point {a} outside underlay of size {n_under}"
                 )
+        self._attached = np.array(self.attachment, dtype=np.intp)
         #: lazily materialised per-source rows of the overlay-level latency
         #: matrix, as plain float lists (dict/list indexing beats a numpy
         #: scalar read per message by an order of magnitude)
         self._rows: dict[int, list[float]] = {}
 
+    def _check_range(self, start: int, stop: int, n: int) -> None:
+        attached = len(self.attachment)
+        if not (0 <= start <= stop <= attached and 0 <= n <= attached):
+            raise ConfigurationError(
+                f"latencies from overlay nodes [{start}, {stop}) to the first {n} "
+                f"requested, but {attached} nodes are attached to the underlay"
+            )
+
     def latency_row(self, src: int, n: int) -> list[float]:
         """Latencies from overlay node ``src`` to overlay nodes ``0..n-1``.
 
-        ``n`` must not exceed the attachment size; rows are cached, so the
-        routing-table builder and the per-message hot path share them.
+        ``src`` and ``n`` must lie within the attachment; rows are cached
+        for the per-message hot path.
         """
-        if n > len(self.attachment):
-            raise ConfigurationError(
-                f"latency row for {n} overlay nodes requested, but only "
-                f"{len(self.attachment)} nodes are attached to the underlay"
-            )
+        self._check_range(src, src + 1, n)
         row = self._rows.get(src)
         if row is None:
             matrix = getattr(self.underlay, "latency_matrix", None)
             if matrix is not None:
-                attached = list(self.attachment)
-                row = matrix()[self.attachment[src], attached].tolist()
+                row = matrix()[self.attachment[src], self._attached].tolist()
             else:
                 pairwise = self.underlay.pairwise_latency
                 source = self.attachment[src]
                 row = [pairwise(source, a) for a in self.attachment]
             self._rows[src] = row
         return row[:n] if n < len(row) else row
+
+    def latency_block(self, start: int, stop: int, n: int) -> np.ndarray:
+        """Latencies from overlay nodes ``start..stop-1`` to overlay nodes
+        ``0..n-1`` as one ``(stop - start, n)`` array: the stacked
+        :meth:`latency_row`s, gathered without materialising them."""
+        self._check_range(start, stop, n)
+        matrix = getattr(self.underlay, "latency_matrix", None)
+        if matrix is None:
+            rows = [self.latency_row(src, n) for src in range(start, stop)]
+            return np.array(rows, dtype=np.float64).reshape(stop - start, n)
+        return matrix()[np.ix_(self._attached[start:stop], self._attached[:n])]
 
     def latency(self, src: int, dst: int) -> float:
         if src == dst:

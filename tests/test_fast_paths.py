@@ -11,11 +11,13 @@ the result store and :class:`TaskOutcome` is checked end to end.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MPILConfig
@@ -29,9 +31,11 @@ from repro.experiments.runner import TaskOutcome
 from repro.experiments.store import ResultStore
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.random_graphs import gnp_random_graph
+from repro.overlay.transit_stub import TransitStubUnderlay
+from repro.pastry import state as pastry_state
 from repro.pastry.routing import pastry_next_hop
 from repro.pastry.state import PastryRing, build_leaf_sets, build_routing_tables
-from repro.sim.latency import UniformRandomLatency
+from repro.sim.latency import ConstantLatency, UnderlayLatency, UniformRandomLatency
 from repro.sim.rng import derive_rng
 from repro.util.cache import BoundedCache, clear_all_caches
 
@@ -148,7 +152,10 @@ def reference_decide(
     return (is_local_max, next_hops, budgets, flows_consumed(given_flows, fanout))
 
 
-def reference_routing_tables(ring, latency=None, seed: object = 0):
+def reference_routing_tables(ring, latency=None, seed: object = 0, replaces=operator.lt):
+    """The per-owner scan ``build_routing_tables`` replaced: candidates in
+    ascending index order (shuffled when there is no latency model), a cell
+    replaced when the newcomer's latency ``replaces`` the holder's."""
     ids = ring.ids
     n = ring.n
     rng = derive_rng(seed, "pastry-tables", n)
@@ -170,7 +177,9 @@ def reference_routing_tables(ring, latency=None, seed: object = 0):
             current = table.get(cell)
             if current is None:
                 table[cell] = j
-            elif latency is not None and latency.latency(i, j) < latency.latency(i, current):
+            elif latency is not None and replaces(
+                latency.latency(i, j), latency.latency(i, current)
+            ):
                 table[cell] = j
         tables.append(table)
     return tables
@@ -236,6 +245,19 @@ class TestOptimizedRoutingMatchesReference:
             ring, latency=latency, seed=6
         ) == reference_routing_tables(ring, latency=latency, seed=6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_latency_is_rejected_before_any_table(self, bad):
+        """A min-based selection would silently empty the cell a ``nan``
+        lands in; the builder names the pair instead."""
+
+        class OneBadPair:
+            def latency(self, src, dst):
+                return bad if (src, dst) == (4, 9) else 0.05
+
+        ring = _random_ring(12, seed=6)
+        with pytest.raises(ConfigurationError, match="node 4 to node 9"):
+            build_routing_tables(ring, latency=OneBadPair(), seed=6)
+
     def test_prefix_len_memo_matches_identifier(self):
         ring = _random_ring(12, seed=7)
         rng = derive_rng(7, "keys")
@@ -245,6 +267,89 @@ class TestOptimizedRoutingMatchesReference:
             assert ring.prefix_len(node, key) == ring.ids[node].prefix_match_len(key)
             # second call hits the memo
             assert ring.prefix_len(node, key) == ring.ids[node].prefix_match_len(key)
+
+
+class TwoValuedLatency:
+    """Latencies quantised to two values: every cell with three candidates
+    holds a tie."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def latency(self, src: int, dst: int) -> float:
+        return 0.02 if (src * 31 + dst * 17 + self.seed) % 3 else 0.07
+
+
+@functools.lru_cache(maxsize=None)
+def _small_underlay() -> TransitStubUnderlay:
+    return TransitStubUnderlay.for_size(40, seed=3)
+
+
+def _tie_forcing_latency(kind: str, n: int, seed: int):
+    if kind == "shuffle":
+        return None
+    if kind == "constant":
+        return ConstantLatency(0.05)
+    if kind == "two-valued":
+        return TwoValuedLatency(seed)
+    if kind == "uniform":
+        return UniformRandomLatency(0.01, 0.09, seed=seed)
+    # several overlay nodes per attachment point: exact ties, zeros included
+    underlay = _small_underlay()
+    rng = derive_rng(seed, "shared-attachment")
+    points = rng.sample(list(underlay.stub_nodes), max(1, n // 4))
+    return UnderlayLatency(underlay, [rng.choice(points) for _ in range(n)])
+
+
+def assert_tables_are_the_scan(build, ring, latency, seed):
+    """``build``'s tables equal the reference scan's, and each is filled in
+    ascending cell order (``pastry_next_hop``'s fallback walks
+    ``table.values()``, so the order is behaviour)."""
+    tables = build(ring, latency=latency, seed=seed)
+    assert tables == reference_routing_tables(ring, latency=latency, seed=seed)
+    for table in tables:
+        assert list(table.items()) == sorted(table.items())
+
+
+class TestRoutingTableSelection:
+    """The scatter-min selection against the scan it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 36),
+        id_bits=st.sampled_from([(8, 2), (16, 4)]),
+        owners_per_block=st.integers(1, 36),
+        kind=st.sampled_from(["shuffle", "constant", "two-valued", "uniform", "underlay"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tables_are_the_scan_on_any_ring_block_and_tie(
+        self, n, id_bits, owners_per_block, kind, seed
+    ):
+        bits, digit_bits = id_bits
+        space = IdSpace(bits=bits, digit_bits=digit_bits)
+        ring = PastryRing(space.random_unique_identifiers(n, derive_rng(seed, "ids")))
+        # from one owner per (B, n, M) pass up to the whole ring in one
+        block_bytes = min(owners_per_block, n) * n * space.num_digits
+        saved = pastry_state._BUILD_BLOCK_BYTES
+        pastry_state._BUILD_BLOCK_BYTES = block_bytes
+        try:
+            assert_tables_are_the_scan(
+                build_routing_tables, ring, _tie_forcing_latency(kind, n, seed), seed
+            )
+        finally:
+            pastry_state._BUILD_BLOCK_BYTES = saved
+
+    @pytest.mark.parametrize("kind", ["constant", "two-valued", "underlay"])
+    def test_mutant_last_index_on_ties_fails_the_differential(self, kind):
+        """Mutant: ``<=`` for strict ``<`` — a tie goes to the last index,
+        not the first.  The check above must tell the two apart on each
+        tie-forcing latency model."""
+        last_on_ties = functools.partial(reference_routing_tables, replaces=operator.le)
+        ring = _random_ring(30, seed=6)
+        latency = _tie_forcing_latency(kind, ring.n, 6)
+        with pytest.raises(AssertionError):
+            assert_tables_are_the_scan(last_on_ties, ring, latency, 6)
+        assert_tables_are_the_scan(build_routing_tables, ring, latency, 6)
 
 
 def _ranked(self_score, neighbor_ids, neighbor_scores):
@@ -441,10 +546,6 @@ class TestCachedViews:
 
 class TestUnderlayLatencyRows:
     def test_row_matches_pairwise_and_validates_size(self):
-        from repro.errors import ConfigurationError
-        from repro.overlay.transit_stub import TransitStubUnderlay
-        from repro.sim.latency import UnderlayLatency
-
         underlay = TransitStubUnderlay.for_size(60, seed=1)
         attachment = underlay.random_attachment(10, seed=2)
         model = UnderlayLatency(underlay, attachment)
@@ -455,6 +556,43 @@ class TestUnderlayLatencyRows:
                 assert row[dst] == pytest.approx(model.latency(3, dst))
         with pytest.raises(ConfigurationError, match="attached"):
             model.latency_row(0, 11)
+
+    @pytest.mark.parametrize("matrix", [True, False])
+    def test_block_is_the_stacked_rows_bit_for_bit(self, matrix):
+        """Before any row was materialised and after all were — over an
+        underlay with a ``latency_matrix`` and one exposing only
+        ``pairwise_latency``."""
+
+        class PairwiseOnly:
+            def __init__(self, underlay):
+                self.num_nodes = underlay.num_nodes
+                self.pairwise_latency = underlay.pairwise_latency
+
+        underlay = TransitStubUnderlay.for_size(60, seed=1)
+        attachment = underlay.random_attachment(10, seed=2)
+        model = UnderlayLatency(underlay if matrix else PairwiseOnly(underlay), attachment)
+        ranges = [(0, 10, 10), (3, 7, 10), (2, 9, 6), (4, 4, 10), (0, 10, 0)]
+        before = [model.latency_block(*r) for r in ranges]
+        assert (len(model._rows) == 0) == matrix  # the matrix gather fills no row
+        for (start, stop, n), block in zip(ranges, before):
+            rows = [model.latency_row(src, n) for src in range(start, stop)]
+            assert block.shape == (stop - start, n)
+            assert block.dtype == np.float64
+            assert block.tolist() == rows
+        assert len(model._rows) == 10
+        for r, block in zip(ranges, before):
+            assert np.array_equal(model.latency_block(*r), block)
+
+    def test_source_or_width_out_of_range_is_a_configuration_error(self):
+        underlay = TransitStubUnderlay.for_size(60, seed=1)
+        model = UnderlayLatency(underlay, underlay.random_attachment(3, seed=2))
+        for src, n in [(7, 3), (3, 3), (-1, 3), (0, -1), (0, 4)]:
+            with pytest.raises(ConfigurationError, match="attached"):
+                model.latency_row(src, n)  # (7, 3) was an IndexError, (0, -1) a short row
+        for start, stop, n in [(0, 4, 3), (2, 1, 3), (-1, 2, 3), (0, 3, -1), (0, 3, 4)]:
+            with pytest.raises(ConfigurationError, match="attached"):
+                model.latency_block(start, stop, n)
+        assert not model._rows
 
 
 class TestBoundedCache:

@@ -65,6 +65,35 @@ class TestOverlayGraph:
         back = OverlayGraph.from_networkx(g.to_networkx())
         assert [back.neighbors(i) for i in range(8)] == [g.neighbors(i) for i in range(8)]
 
+    def test_networkx_order_is_the_integer_relabel(self):
+        """``order=list(graph.nodes)`` gives what
+        ``convert_node_labels_to_integers`` gives, array for array.  The
+        installed networkx builds ``random_regular_graph`` on
+        ``empty_graph(n)``, for which that relabel is the identity, so the
+        scrambled insertion order is constructed by hand."""
+        import networkx as nx
+        import numpy as np
+
+        scrambled = [4, 0, 6, 2, 5, 1, 3]
+        graph = nx.Graph()
+        graph.add_nodes_from(scrambled)
+        graph.add_edges_from([(4, 0), (0, 6), (6, 2), (2, 5), (5, 1), (1, 3), (3, 4), (0, 5)])
+        assert list(graph.nodes) == scrambled
+        relabelled = OverlayGraph.from_networkx(
+            nx.convert_node_labels_to_integers(graph)
+        )
+        ordered = OverlayGraph.from_networkx(graph, order=list(graph.nodes))
+        for got, expected in zip(ordered.adjacency_arrays(), relabelled.adjacency_arrays()):
+            assert np.array_equal(got, expected)
+        assert ordered.neighbors(0) == (1, 6)  # node 4 -> index 0; {0, 3} -> {1, 6}
+        plain = OverlayGraph.from_networkx(graph)
+        assert not np.array_equal(
+            plain.adjacency_arrays()[1], ordered.adjacency_arrays()[1]
+        )
+        for bad in ([0, 1, 2], [0, 0, 1, 2, 3, 4, 5], list(range(1, 8))):
+            with pytest.raises(OverlayError, match="order"):
+                OverlayGraph.from_networkx(graph, order=bad)
+
     def test_edges_listed_once(self):
         g = ring_lattice_graph(6, k=1)
         edges = list(g.edges())
@@ -89,6 +118,8 @@ class TestGenerators:
             random_regular_graph(7, 3, seed=0)
         with pytest.raises(OverlayError):
             random_regular_graph(5, 5, seed=0)
+        with pytest.raises(OverlayError, match="degree -2"):
+            random_regular_graph(10, -2)  # was a networkx.NetworkXError
 
     def test_fixed_degree_random_is_regular(self):
         g = fixed_degree_random_graph(30, degree=4, seed=2)
@@ -145,6 +176,9 @@ class TestPowerLaw:
             sample_power_law_degrees(10, 2.2, 0, 10, seed=0)
         with pytest.raises(OverlayError):
             sample_power_law_degrees(10, 2.2, 5, 4, seed=0)
+        for exponent in (float("nan"), float("inf")):
+            with pytest.raises(OverlayError, match="exponent"):
+                power_law_graph(50, exponent=exponent)
 
     def test_small_n_rejected(self):
         with pytest.raises(OverlayError):

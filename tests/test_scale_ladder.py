@@ -219,6 +219,29 @@ class TestBudgetEnforcement:
         assert result.rows
         assert result.scale == "roomy"
 
+    def test_large_rung_recipe_runs_inside_its_budget(self, scratch_rungs):
+        """A bounded taste of ``large`` (CI's bench job calls this node id):
+        the rung's recipe — one graph per family, degree-100 random overlay,
+        the struct-of-arrays core — at a node count that fits a test, under
+        ceilings a regression of the generators or the core would cross."""
+        capped = (5_000,)
+        api.register_scale(
+            api.get_scale("large").evolve(
+                name="large-ci",
+                static_node_counts=capped,
+                analysis_node_counts=capped,
+                complete_node_counts=capped,
+                pastry_nodes=1_000,
+                max_wall_s=60.0,
+                max_rss_mb=2048.0,
+            )
+        )
+        scratch_rungs.append("large-ci")
+        result = api.run("fig9", scale="large-ci")
+        assert result.scale == "large-ci"
+        assert [row[:2] for row in result.rows] == [("power-law", 5_000), ("random", 5_000)]
+        assert all(0 < row[2] <= 150 for row in result.rows)  # replicas under the cap
+
     def test_budget_abort_leaves_no_partial_artifacts(
         self, tmp_path, capsys, scratch_rungs
     ):
