@@ -130,7 +130,7 @@ def run(
 ) -> ExperimentResult:
     """Run one experiment — a registered id or a composed spec.
 
-    The process-wide metrics registry is left as it was, so a caller's own
+    The process-wide event total is left as it was, so a caller's own
     before/after reading of ``events_processed_total()`` around this call
     stays meaningful (the measured path that zeroes it is
     :func:`repro.experiments.runtime.execute_task`).
@@ -269,7 +269,8 @@ def telemetry(
     Tracing never perturbs the run: the result is byte-identical to
     :func:`run` with the same arguments.  ``max_spans`` bounds the
     recorder (excess spans are counted in ``spans.dropped``, not silently
-    lost); ``None`` removes the cap.
+    lost); ``None`` removes the cap, and anything but a non-negative int
+    or ``None`` is a :class:`~repro.errors.ConfigurationError`.
 
     >>> from repro import api
     >>> traced = api.telemetry("fig9", scale="smoke", seed=1)

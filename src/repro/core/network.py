@@ -234,13 +234,9 @@ class MPILNetwork:
         add_events_processed(1 + counters.messages_sent)  # every copy is popped once
         metrics = telemetry.metrics
         metrics.inc("mpil_requests_total", kind=kind)
-        if counters.messages_sent:
-            metrics.inc("mpil_messages_total", counters.messages_sent, kind=kind)
-        if counters.duplicates:
-            metrics.inc("mpil_duplicates_total", counters.duplicates, kind=kind)
-        if replies:
-            metrics.inc("mpil_replies_total", len(replies))
-        if request.stored:
-            metrics.inc("mpil_replicas_stored_total", len(request.stored))
+        metrics.inc("mpil_messages_total", counters.messages_sent, kind=kind)
+        metrics.inc("mpil_duplicates_total", counters.duplicates, kind=kind)
+        metrics.inc("mpil_replies_total", len(replies))
+        metrics.inc("mpil_replicas_stored_total", len(request.stored))
         metrics.histogram("mpil_request_max_hop", kind=kind).observe(request.max_hop)
         return request, replies

@@ -233,10 +233,8 @@ class TimedMPILNetwork:
                 if pending.replies:
                     metrics.inc("timed_lookups_success_total")
                 metrics.inc("timed_messages_total", counters.messages_sent)
-                if counters.lost_offline:
-                    metrics.inc("timed_lost_offline_total", counters.lost_offline)
-                if counters.duplicates:
-                    metrics.inc("timed_duplicates_total", counters.duplicates)
+                metrics.inc("timed_lost_offline_total", counters.lost_offline)
+                metrics.inc("timed_duplicates_total", counters.duplicates)
                 if request.spans is not None:
                     request.spans.emit(
                         request.trace_id,

@@ -72,6 +72,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro import api
 from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments.base import ExperimentResult
 from repro.experiments.ledger import TASK_STATES
 from repro.experiments.registry import all_experiment_ids, get_spec, list_experiments
 from repro.experiments.runner import SweepSpec, TaskOutcome, run_sweep, save_outcome
@@ -80,6 +81,7 @@ from repro.experiments.scales import available_scales
 from repro.experiments.store import ResultStore, result_to_csv
 from repro.lint import all_rules, get_rule, load_config
 from repro.perturbation.scenario import get_family, scenario_families, scenarios_for
+from repro.service.driver import SERVICE_COLUMNS
 from repro.telemetry import Span, Telemetry
 from repro.telemetry.progress import ProgressMeter, service_window_line
 from repro.telemetry.sinks import render_hop_tree, write_jsonl
@@ -509,9 +511,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     spec, scale = api.service_run(
         args.experiment, args.scale, args.rate, args.duration, args.window
     )
-    telemetry = Telemetry()
-    outcome = execute_task(spec, scale, args.seed, telemetry=telemetry)
-    for line in _service_window_lines(telemetry):
+    outcome = execute_task(spec, scale, args.seed)
+    for line in _service_window_lines(outcome.result):
         print(line, file=sys.stderr)
     if args.format == "json":
         # pure JSON on stdout so scripted callers can parse it directly
@@ -525,26 +526,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_window_lines(telemetry: Telemetry) -> list[str]:
-    """Per-window service lines rendered from the run's registry gauges."""
-    by_window: dict[tuple[str, int], dict[str, float]] = {}
-    for gauge in telemetry.metrics.series(kind="gauge"):
-        if not gauge.name.startswith("svc_window_"):
-            continue
-        labels = dict(gauge.labels)
-        key = (str(labels.get("variant", "?")), int(str(labels.get("window", 0))))
-        by_window.setdefault(key, {})[gauge.name] = float(gauge.value)
-    return [
-        service_window_line(
-            variant=variant,
-            window_index=window,
-            arrivals=int(values.get("svc_window_arrivals", 0)),
-            success_rate=values.get("svc_window_success_rate", 0.0),
-            p99=values.get("svc_window_p99", 0.0),
-            in_flight=int(values.get("svc_window_in_flight", 0)),
+def _service_window_lines(result: ExperimentResult) -> list[str]:
+    """One line per row of a service result — columns ``(cell,
+    *SERVICE_COLUMNS)``, the shape every service pipeline emits — naming
+    the row's cell; none for a result of another shape."""
+    cell_column, *columns = result.columns
+    if tuple(columns) != SERVICE_COLUMNS:
+        return []
+    lines = []
+    for cell, *values in result.rows:
+        row = dict(zip(SERVICE_COLUMNS, values))
+        lines.append(
+            service_window_line(
+                cell=f"{cell_column}={cell}",
+                variant=row["variant"],
+                window_index=row["window"],
+                arrivals=row["arrivals"],
+                success_rate=row["success_rate"],
+                p99=row["latency_p99"],
+                in_flight=row["peak_in_flight"],
+            )
         )
-        for (variant, window), values in sorted(by_window.items())
-    ]
+    return lines
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -553,7 +556,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     meter = ProgressMeter(total_tasks=len(spec.tasks()))
 
     def progress(outcome: TaskOutcome) -> None:
-        meter.task_finished(ok=True, events_processed=outcome.events_processed)
+        meter.task_finished(outcome.events_processed)
         print(
             f"{meter.line(label=f'{outcome.experiment_id} seed={outcome.seed}')} "
             f"({outcome.wall_clock:.1f}s) -> "

@@ -4,7 +4,7 @@ This is the execution half of the resumable sweep runtime (the persistence
 half is :mod:`repro.experiments.ledger`).  It provides:
 
 - :func:`execute_task` — the one measured run: zero the process-wide
-  metrics registry, run one replicate, time it, read the event total and
+  event total, run one replicate, time it, read the event total and
   package the outcome.  The sweep workers, the in-process sweep and the
   CLI's ``run``/``compose``/``serve``/``trace`` all go through it;
 - :func:`plan_tasks` — the resume planner: decide, from ledger states and
@@ -48,7 +48,7 @@ because
 
 Determinism survives worker reuse: a task draws all of its randomness
 from RNGs derived from its own ``(experiment_id, scale, seed)``,
-:func:`execute_task` resets the process-wide metrics registry at task
+:func:`execute_task` zeroes the process-wide event total at task
 start, and the only other state a worker carries from task to task is the
 construction caches, which are keyed by seed, hold pure functions of their
 keys, and are emptied whenever the next task's ``(scale, seed)`` differs
@@ -78,8 +78,8 @@ from repro.experiments.ledger import TaskKey, TaskLedger
 from repro.experiments.registry import run_experiment
 from repro.experiments.scales import Scale
 from repro.experiments.spec import ExperimentSpec
-from repro.sim.engine import events_processed_total
-from repro.telemetry import Telemetry, reset_runtime_metrics
+from repro.sim.engine import events_processed_total, reset_events_processed
+from repro.telemetry import Telemetry
 from repro.util.cache import clear_all_caches
 
 
@@ -97,13 +97,6 @@ class TaskOutcome:
     #: (``ExperimentResult.metrics``); sim-derived values only, so the blob
     #: is byte-identical across reruns and worker counts
     metrics: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def events_per_sec(self) -> float:
-        """Task throughput (0.0 when the clock resolution rounds to zero)."""
-        if self.wall_clock <= 0:
-            return 0.0
-        return self.events_processed / self.wall_clock
 
     @property
     def result(self) -> ExperimentResult:
@@ -159,6 +152,11 @@ class RuntimeConfig:
     retry_backoff_cap: float = 30.0
 
     def __post_init__(self) -> None:
+        # a float passes the comparisons below: jobs=2.5 would let the
+        # pool spawn a third worker (2 >= 2.5 is false)
+        for name, count in (("jobs", self.jobs), ("max-retries", self.max_retries)):
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ExperimentError(f"{name} must be an integer, got {count!r}")
         if self.jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
         if self.max_retries < 0:
@@ -208,15 +206,14 @@ def execute_task(
     """Run one replicate in this process and measure it — the arguments are
     :func:`~repro.experiments.registry.run_experiment`'s.
 
-    The process-wide metrics registry (which carries the event counter) is
-    *reset* at task start (in whichever process executes the task), so the
-    recorded count is exactly this task's events — a before/after
-    subtraction would silently fold in any events a library callback or
-    an earlier task in the same worker ran.  This is the only function
-    that resets it; callers that must leave the registry alone
-    (:func:`repro.api.run`) call ``run_experiment`` directly.
+    The process-wide event total is zeroed at task start (in whichever
+    process executes the task), so the recorded count is exactly this
+    task's events — a before/after subtraction would silently fold in any
+    events a library callback or an earlier task in the same worker ran.
+    This is the only function that zeroes it; callers that must leave the
+    total alone (:func:`repro.api.run`) call ``run_experiment`` directly.
     """
-    reset_runtime_metrics()
+    reset_events_processed()
     started = time.perf_counter()
     result = run_experiment(experiment, scale=scale, seed=seed, telemetry=telemetry)
     wall_clock = time.perf_counter() - started

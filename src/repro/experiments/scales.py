@@ -25,6 +25,7 @@ lists every known rung in its one-line error for unknown names.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import ExperimentError
 
@@ -47,9 +48,16 @@ class BudgetSpec:
             value = getattr(self, field)
             if value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+            # a nan or inf ceiling would never be enforced: ``rss > nan``
+            # and ``rss > inf`` are both false
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 < value < math.inf
+            ):
                 raise ExperimentError(
-                    f"budget {field} must be a positive number or None, got {value!r}"
+                    f"budget {field} must be a positive finite number or None, "
+                    f"got {value!r}"
                 )
 
     @property

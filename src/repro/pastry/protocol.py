@@ -385,8 +385,7 @@ class PastryNetwork:
         if outcome.success:
             metrics.inc("pastry_lookups_success_total")
         metrics.inc("pastry_messages_total", messages)
-        if retransmissions:
-            metrics.inc("pastry_retransmissions_total", retransmissions)
+        metrics.inc("pastry_retransmissions_total", retransmissions)
         if counters is not None:
             counters.messages_sent += messages
             counters.retransmissions += retransmissions

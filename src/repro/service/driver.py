@@ -357,32 +357,19 @@ def service_rows(
         report = run_service(
             testbed, variant, availability, config, seed=seed, views=views
         )
-        metrics = current_telemetry().metrics
-        for window in report.windows:
-            metrics.gauge(
-                "svc_window_arrivals", variant=variant, window=window.index
-            ).set(window.arrivals)
-            metrics.gauge(
-                "svc_window_p99", variant=variant, window=window.index
-            ).set(round(window.p99, 6))
-            metrics.gauge(
-                "svc_window_in_flight", variant=variant, window=window.index
-            ).set(window.peak_in_flight)
-            metrics.gauge(
-                "svc_window_success_rate", variant=variant, window=window.index
-            ).set(round(100.0 * window.success_rate, 1))
-            rows.append(
-                (
-                    VARIANT_LABELS[variant],
-                    window.index,
-                    window.arrivals,
-                    round(100.0 * window.success_rate, 1),
-                    round(window.p50, 6),
-                    round(window.p95, 6),
-                    round(window.p99, 6),
-                    round(window.throughput, 6),
-                    window.peak_in_flight,
-                    int(window.slo_ok),
-                )
+        rows.extend(
+            (
+                VARIANT_LABELS[variant],
+                window.index,
+                window.arrivals,
+                round(100.0 * window.success_rate, 1),
+                round(window.p50, 6),
+                round(window.p95, 6),
+                round(window.p99, 6),
+                round(window.throughput, 6),
+                window.peak_in_flight,
+                int(window.slo_ok),
             )
+            for window in report.windows
+        )
     return rows

@@ -3,7 +3,9 @@
 The paper reports several message-count metrics (insertion traffic, lookup
 traffic, duplicate messages, maintenance traffic).  ``TrafficCounters``
 gives them one home with explicit names so experiment code never invents
-ad-hoc dictionaries.
+ad-hoc dictionaries.  A request's block is the source of its counts; the
+drivers publish them to the run's :class:`~repro.telemetry.MetricsRegistry`,
+whose series are running sums of these blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class TrafficCounters:
     replies_sent: int = 0
     replies_received: int = 0
     retransmissions: int = 0
-    probes_sent: int = 0
     drops_hop_limit: int = 0
 
     def merge(self, other: "TrafficCounters") -> None:
@@ -34,19 +35,5 @@ class TrafficCounters:
         for field in dataclasses.fields(self):
             setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
-    def copy(self) -> "TrafficCounters":
-        return dataclasses.replace(self)
-
     def as_dict(self) -> dict[str, int]:
         return dataclasses.asdict(self)
-
-    @property
-    def total(self) -> int:
-        """Sum of all message-like counters (excludes duplicates, which are
-        a classification of received messages, not extra sends)."""
-        return (
-            self.messages_sent
-            + self.replies_sent
-            + self.retransmissions
-            + self.probes_sent
-        )

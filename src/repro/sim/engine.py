@@ -8,8 +8,8 @@ flags the handle and the loop skips a flagged entry when it pops it.
 
 :meth:`EventScheduler.post` is the hot-path entry: it schedules a callback
 without materialising an :class:`Event` handle.  The process-wide event
-counter is credited once per :meth:`EventScheduler.run`/``step`` call, not
-once per event.
+total (:func:`events_processed_total`) is credited once per
+:meth:`EventScheduler.run`/``step`` call, not once per event.
 
 An earlier version kept callbacks and arguments in freelist-recycled slot
 arrays beside ``(time, seq, slot)`` heap entries, with two sequence-number
@@ -27,31 +27,24 @@ from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.telemetry.metrics import runtime_registry
 
-#: process-wide count of events executed by *all* scheduler instances and
-#: synchronous drivers (see :func:`add_events_processed`).  Experiments
-#: create many short-lived schedulers (one per timed lookup), so
-#: per-instance ``processed`` undercounts a whole run; the sweep runtime and
-#: the CLI's ``run``/``compose``/``serve`` zero it
-#: (``telemetry.reset_runtime_metrics``) before each task and snapshot it
-#: after, to record event counts and events/sec in manifests.  The count
-#: lives on the process-wide
-#: :class:`~repro.telemetry.metrics.MetricsRegistry` (series
-#: ``sim_events_processed_total``).  Registry resets zero the counter in
-#: place, so holding the handle here stays correct across sweep tasks.
-_EVENTS = runtime_registry().counter("sim_events_processed_total")
+#: events executed in this process by *all* scheduler instances and
+#: synchronous drivers since start or the last :func:`reset_events_processed`.
+#: Experiments create many short-lived schedulers (one per timed lookup), so
+#: per-instance ``processed`` undercounts a whole run;
+#: :func:`repro.experiments.runtime.execute_task` zeroes this before each
+#: measured run and reads it after, for the manifest's event count.
+_events_processed = 0
 
 
 def events_processed_total() -> int:
     """Events executed in this process, summed over every scheduler and
-    synchronous driver, since start or the last
-    :func:`~repro.telemetry.reset_runtime_metrics`."""
-    return int(_EVENTS.value)
+    synchronous driver, since start or the last :func:`reset_events_processed`."""
+    return _events_processed
 
 
 def add_events_processed(count: int) -> None:
-    """Credit ``count`` simulation events to the process-wide counter.
+    """Credit ``count`` simulation events to the process-wide total.
 
     The synchronous drivers (static MPIL message propagation, per-hop
     Pastry routing) do discrete-event work without an
@@ -59,7 +52,14 @@ def add_events_processed(count: int) -> None:
     per request so ``events_processed_total`` reflects *all* simulation
     work, not only scheduler callbacks.
     """
-    _EVENTS.inc(count)
+    global _events_processed
+    _events_processed += count
+
+
+def reset_events_processed() -> None:
+    """Zero the process-wide event total."""
+    global _events_processed
+    _events_processed = 0
 
 
 class Event:

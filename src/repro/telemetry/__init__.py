@@ -5,10 +5,9 @@ The observability layer for the whole stack, in three parts:
 - **spans** (:mod:`repro.telemetry.spans`) — parent-linked causal spans
   keyed by *simulation* time, so one lookup's full hop tree
   (send → forward → dup-drop → reply) is reconstructable;
-- **metrics** (:mod:`repro.telemetry.metrics`) — one
-  :class:`MetricsRegistry` of named counters/gauges/histograms absorbing
-  the old module-global events counter and the drivers'
-  ``TrafficCounters`` totals as labeled series;
+- **metrics** (:mod:`repro.telemetry.metrics`) — one run's
+  :class:`MetricsRegistry` of named counters and histograms, into which
+  the drivers publish their ``TrafficCounters`` as labeled series;
 - **sinks** (:mod:`repro.telemetry.sinks`) — deterministic JSONL span
   export and hop-tree rendering behind ``mpil-experiments trace`` and
   ``api.telemetry()``.
@@ -39,27 +38,17 @@ import contextlib
 import dataclasses
 from typing import Iterator, Optional
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    reset_runtime_metrics,
-    runtime_registry,
-)
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.spans import Span, SpanRecorder
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",
     "SpanRecorder",
     "Telemetry",
     "current",
-    "reset_runtime_metrics",
-    "runtime_registry",
     "use",
 ]
 
@@ -80,16 +69,6 @@ class Telemetry:
     def with_spans(cls, max_spans: Optional[int] = 200_000) -> "Telemetry":
         """A handle with tracing enabled."""
         return cls(spans=SpanRecorder(max_spans=max_spans))
-
-    def snapshot(self) -> dict:
-        """Metrics snapshot plus span accounting (for blobs and display)."""
-        out = {"metrics": self.metrics.snapshot()}
-        if self.spans is not None:
-            out["spans"] = {
-                "recorded": len(self.spans),
-                "dropped": self.spans.dropped,
-            }
-        return out
 
 
 #: the ambient handle drivers observe; the default drops no counter bumps

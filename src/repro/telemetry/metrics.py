@@ -1,10 +1,13 @@
-"""Unified metrics registry: named counters, gauges, and histograms.
+"""One run's metrics registry: named, labeled counters and histograms.
 
-One :class:`MetricsRegistry` replaces the ad-hoc accounting scattered
-across the stack — the module-global events counter in
-:mod:`repro.sim.engine` (now a registry-backed :class:`Counter`, see the
-shims there) and the per-run :class:`~repro.sim.counters.TrafficCounters`
-totals, which the drivers publish here as labeled series.
+The drivers publish their per-request accounting here as labeled series
+(``mpil_messages_total{kind=lookup}``, ``timed_lookups_success_total``,
+...); the :class:`~repro.sim.counters.TrafficCounters` block of a request
+is the source, a series is its running sum over the run.
+
+Publication rule: :meth:`MetricsRegistry.inc` ignores a zero amount, so a
+series exists once it has counted something and never snapshots at 0.
+A histogram exists once it has been asked for.
 
 Determinism contract
 --------------------
@@ -16,72 +19,38 @@ by name then labels), so a snapshot serialised with ``sort_keys=True`` is
 byte-identical across reruns and worker counts — the property the
 per-task telemetry blobs rely on.
 
-Two registry scopes exist:
-
-- the **runtime registry** (:func:`runtime_registry`) is process-wide and
-  backs process counters such as the simulation event total; sweep
-  workers reset it at task start so pooled processes never leak counts
-  across tasks;
-- a **run registry** lives on each :class:`~repro.telemetry.Telemetry`
-  handle installed by :meth:`ExperimentSpec.run
-  <repro.experiments.spec.ExperimentSpec.run>`, collecting one
-  experiment run's driver metrics with per-cell snapshots.
+A registry lives on each :class:`~repro.telemetry.Telemetry` handle
+installed by :meth:`ExperimentSpec.run
+<repro.experiments.spec.ExperimentSpec.run>`, collecting one experiment
+run's driver metrics with per-cell snapshots.  The process-wide
+simulation event total is not a series: it is a plain int in
+:mod:`repro.sim.engine`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
-
-from repro.errors import ConfigurationError
+from typing import Union
 
 Number = Union[int, float]
 
-#: default histogram bucket upper bounds (values are counted in the first
-#: bucket whose bound is >= the observation; one overflow bucket catches
-#: the rest).  Chosen for hop counts and sub-minute latencies alike.
-DEFAULT_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0)
+#: histogram bucket upper bounds (values are counted in the first bucket
+#: whose bound is >= the observation; one overflow bucket catches the
+#: rest).  Chosen for hop counts and sub-minute latencies alike.
+BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0)
 
 #: labels are stored as a sorted tuple of (key, value) pairs so a series
 #: identity never depends on keyword order at the call site
 LabelItems = tuple[tuple[str, object], ...]
 
 
-def _label_items(labels: dict[str, object]) -> LabelItems:
-    return tuple(sorted(labels.items()))
-
-
 @dataclasses.dataclass
 class Counter:
-    """A monotonically increasing accumulator (resettable between tasks)."""
+    """A monotonically increasing accumulator."""
 
     name: str
     labels: LabelItems = ()
     value: Number = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    def _reset(self) -> None:
-        self.value = 0
-
-    def _snapshot_value(self) -> Number:
-        return self.value
-
-
-@dataclasses.dataclass
-class Gauge:
-    """A point-in-time value (in-flight depth, window percentile, ...)."""
-
-    name: str
-    labels: LabelItems = ()
-    value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def _reset(self) -> None:
-        self.value = 0
 
     def _snapshot_value(self) -> Number:
         return self.value
@@ -89,31 +58,23 @@ class Gauge:
 
 @dataclasses.dataclass
 class Histogram:
-    """Bucketed distribution of observations (hop counts, latencies).
-
-    ``bounds`` are inclusive upper bounds; observations above the last
-    bound land in the overflow bucket.  ``count`` and ``sum`` track the
-    full stream so means survive bucketing.
+    """Bucketed distribution of observations (hop counts, latencies) over
+    :data:`BUCKETS`; observations above the last bound land in the
+    overflow bucket.  ``count`` and ``sum`` track the full stream so means
+    survive bucketing.
     """
 
     name: str
     labels: LabelItems = ()
-    bounds: tuple[float, ...] = DEFAULT_BUCKETS
-    buckets: list[int] = dataclasses.field(default_factory=list)
+    buckets: list[int] = dataclasses.field(
+        default_factory=lambda: [0] * (len(BUCKETS) + 1)
+    )
     count: int = 0
     sum: float = 0.0
 
-    def __post_init__(self) -> None:
-        if tuple(self.bounds) != tuple(sorted(self.bounds)):
-            raise ConfigurationError(
-                f"histogram {self.name!r} bounds must be ascending, got {self.bounds!r}"
-            )
-        if not self.buckets:
-            self.buckets = [0] * (len(self.bounds) + 1)
-
     def observe(self, value: Number) -> None:
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
+        index = len(BUCKETS)
+        for i, bound in enumerate(BUCKETS):
             if value <= bound:
                 index = i
                 break
@@ -121,31 +82,25 @@ class Histogram:
         self.count += 1
         self.sum += value
 
-    def _reset(self) -> None:
-        for i in range(len(self.buckets)):
-            self.buckets[i] = 0
-        self.count = 0
-        self.sum = 0.0
-
     def _snapshot_value(self) -> dict:
         return {
-            "bounds": list(self.bounds),
+            "bounds": list(BUCKETS),
             "buckets": list(self.buckets),
             "count": self.count,
             "sum": round(self.sum, 9),
         }
 
 
-Series = Union[Counter, Gauge, Histogram]
+Series = Union[Counter, Histogram]
 
 
 def _snapshot_order(
     item: tuple[tuple[str, str, LabelItems], "Series"]
 ) -> tuple[str, tuple[tuple[str, str], ...], str]:
-    """Snapshot/series ordering: name, then labels, then kind — matching
-    the sorted-key order of a ``sort_keys=True`` JSON dump of the
-    snapshot.  Labels compare by their string forms so mixed-type label
-    values (node ids, window indices) never raise."""
+    """Snapshot ordering: name, then labels, then kind — matching the
+    sorted-key order of a ``sort_keys=True`` JSON dump of the snapshot.
+    Labels compare by their string forms so mixed-type label values (node
+    ids, window indices) never raise."""
     (kind, name, labels) = item[0]
     return (name, tuple((key, str(value)) for key, value in labels), kind)
 
@@ -153,79 +108,36 @@ def _snapshot_order(
 class MetricsRegistry:
     """Named, labeled metric series with deterministic snapshots.
 
-    Series are created on first use and live for the registry's lifetime;
-    :meth:`reset` zeroes every series *in place* so handles cached by hot
-    paths (e.g. the engine's event counter) stay valid across sweep-task
-    resets.
+    :meth:`inc` and :meth:`histogram` create a series on first use, and
+    :meth:`snapshot` reads them all; nothing else does either.
     """
 
     def __init__(self) -> None:
         self._series: dict[tuple[str, str, LabelItems], Series] = {}
 
-    def _get_or_create(
-        self, kind: str, name: str, labels: dict[str, object], factory
-    ) -> Series:
-        key = (kind, name, _label_items(labels))
-        found = self._series.get(key)
-        if found is None:
-            found = factory(key[2])
-            self._series[key] = found
-        return found
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        """The counter for ``(name, labels)``, created on first use."""
-        series = self._get_or_create(
-            "counter", name, labels, lambda items: Counter(name, items)
-        )
+    def inc(self, name: str, amount: Number = 1, **labels: object) -> None:
+        """Add ``amount`` to the counter ``(name, labels)``; a zero amount
+        is ignored, so it creates no series."""
+        if not amount:
+            return
+        key = ("counter", name, tuple(sorted(labels.items())))
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = Counter(name, key[2])
         assert isinstance(series, Counter)
-        return series
+        series.value += amount
 
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        """The gauge for ``(name, labels)``, created on first use."""
-        series = self._get_or_create(
-            "gauge", name, labels, lambda items: Gauge(name, items)
-        )
-        assert isinstance(series, Gauge)
-        return series
-
-    def histogram(
-        self,
-        name: str,
-        bounds: tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels: object,
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: object) -> Histogram:
         """The histogram for ``(name, labels)``, created on first use."""
-        series = self._get_or_create(
-            "histogram",
-            name,
-            labels,
-            lambda items: Histogram(name, items, bounds=tuple(bounds)),
-        )
+        key = ("histogram", name, tuple(sorted(labels.items())))
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = Histogram(name, key[2])
         assert isinstance(series, Histogram)
         return series
 
-    def inc(self, name: str, amount: Number = 1, **labels: object) -> None:
-        """Increment a counter in one call (the driver-side convenience)."""
-        self.counter(name, **labels).inc(amount)
-
     def __len__(self) -> int:
         return len(self._series)
-
-    def series(self, kind: Optional[str] = None, name: Optional[str] = None) -> list[Series]:
-        """Existing series in snapshot order, optionally filtered.
-
-        Read-only introspection for presentation surfaces (the ``serve``
-        window lines, :func:`repro.api.telemetry`); series identity and
-        ordering match :meth:`snapshot`.
-        """
-        return [
-            series
-            for (series_kind, series_name, _), series in sorted(
-                self._series.items(), key=_snapshot_order
-            )
-            if (kind is None or series_kind == kind)
-            and (name is None or series_name == name)
-        ]
 
     def snapshot(self) -> dict[str, object]:
         """All series as ``{"name{k=v,...}": value}`` with sorted keys.
@@ -245,24 +157,3 @@ class MetricsRegistry:
                 key = name
             out[key] = series._snapshot_value()
         return out
-
-    def reset(self) -> None:
-        """Zero every series in place (handles stay valid)."""
-        for series in self._series.values():
-            series._reset()
-
-
-#: the process-wide registry backing cross-cutting process counters (the
-#: simulation event total); reset per sweep task in whichever worker runs it
-_RUNTIME_REGISTRY = MetricsRegistry()
-
-
-def runtime_registry() -> MetricsRegistry:
-    """The process-wide metrics registry."""
-    return _RUNTIME_REGISTRY
-
-
-def reset_runtime_metrics() -> None:
-    """Zero the process-wide registry (sweep workers call this per task so
-    counts from earlier tasks in a pooled process can never leak)."""
-    _RUNTIME_REGISTRY.reset()

@@ -24,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterator, Optional
 
+from repro.errors import ConfigurationError
+
 
 @dataclasses.dataclass(frozen=True)
 class Span:
@@ -87,6 +89,12 @@ class SpanRecorder:
     """
 
     def __init__(self, max_spans: Optional[int] = 200_000) -> None:
+        if max_spans is not None and (
+            isinstance(max_spans, bool) or not isinstance(max_spans, int) or max_spans < 0
+        ):
+            raise ConfigurationError(
+                f"max_spans must be a non-negative integer or None, got {max_spans!r}"
+            )
         self._spans: list[Span] = []
         self._max_spans = max_spans
         self._dropped = 0

@@ -391,8 +391,9 @@ class TestOneMeasuredPath:
         assert _measured(a, "svc-steady", 4)[1] == len(result.rows)
 
     def test_api_run_leaves_the_runtime_registry_alone(self):
-        """Only ``execute_task`` zeroes it; a caller's before/after reading
-        around the facade (``bench/workloads.py``) keeps working."""
+        """Only ``execute_task`` zeroes the process-wide event total; a
+        caller's before/after reading around the facade
+        (``bench/workloads.py``) keeps working."""
         add_events_processed(1000)
         before = events_processed_total()
         api.run("fig9", scale="smoke", seed=1)
@@ -1067,6 +1068,22 @@ class TestServeMain:
         p99_index = columns.index("latency_p99")
         assert any(row[p99_index] > 0 for row in payload["rows"])
         assert "_p99" in payload["stat_suffixes"]
+
+    def test_window_lines_cover_every_row(self, capsys):
+        """One stderr line per result row, in row order, naming its cell —
+        every severity's windows, not one set that could belong to any."""
+        assert main(["serve", "svc-outage", "--scale", "smoke", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        columns, rows = payload["columns"], payload["rows"]
+        lines = [line for line in captured.err.splitlines() if line.startswith("window ")]
+        assert len(rows) == len(lines) == 36
+        for row, line in zip(rows, lines):
+            values = dict(zip(columns, row))
+            assert f"outage_severity={values['outage_severity']}" in line.split()
+            assert line.startswith(f"window {values['window']:>3d}  ")
+            assert values["variant"] in line
+            assert f"arrivals={values['arrivals']}" in line
 
     def test_serve_rejects_non_service_experiment(self, capsys):
         assert main(["serve", "fig7"]) == 2  # one-line error, no traceback

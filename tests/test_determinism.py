@@ -32,6 +32,12 @@ span's only emission site, so a refactor of the per-copy path that keeps
 the artifact bytes can still reorder, drop or re-parent spans; this file
 is what notices (:func:`_span_streams_document`).
 
+``tests/goldens/telemetry_smoke_seed1.json`` holds the fourth: every
+experiment's telemetry blob (``seed_1.telemetry.json``, the run registry's
+per-cell snapshots) at ``smoke`` seed 1, so a change to what the drivers
+count or when a series appears shows up as a diff of named series
+(:func:`_telemetry_document`).
+
 Everything above runs under whatever ``PYTHONHASHSEED`` the test process
 got.  :func:`test_nothing_written_depends_on_string_hashing` is the one
 place the variable is *set*: it drives the CLI in subprocesses under two
@@ -68,6 +74,7 @@ _GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 GOLDENS = json.loads((_GOLDEN_DIR / "smoke_seed1.json").read_text())
 WORK_COUNTS = json.loads((_GOLDEN_DIR / "work_counts_smoke_seed0.json").read_text())
 SPAN_STREAMS = json.loads((_GOLDEN_DIR / "span_streams_smoke_seed1.json").read_text())
+TELEMETRY = json.loads((_GOLDEN_DIR / "telemetry_smoke_seed1.json").read_text())
 
 
 def _fingerprint() -> dict[str, str]:
@@ -247,6 +254,35 @@ def test_span_stream_matches_the_golden(experiment_id):
             f"this is {_fingerprint()}"
         )
     assert _span_stream(experiment_id) == SPAN_STREAMS["streams"][experiment_id]
+
+
+def _telemetry_blob(experiment_id: str) -> dict:
+    """The telemetry blob of one ``smoke`` seed-1 run (what a store writes
+    to ``seed_1.telemetry.json``)."""
+    return run_experiment(experiment_id, scale="smoke", seed=1).metrics
+
+
+def _telemetry_document() -> dict:
+    """What ``tests/goldens/telemetry_smoke_seed1.json`` holds; regenerate
+    it like ``smoke_seed1.json``, with ``t._telemetry_document()``."""
+    return {
+        "fingerprint": _fingerprint(),
+        "blobs": {
+            experiment_id: _telemetry_blob(experiment_id)
+            for experiment_id in all_experiment_ids()
+        },
+    }
+
+
+@pytest.mark.parametrize("experiment_id", all_experiment_ids())
+def test_telemetry_blob_matches_the_golden(experiment_id):
+    if TELEMETRY["fingerprint"] != _fingerprint():
+        pytest.skip(
+            f"telemetry blobs were taken under {TELEMETRY['fingerprint']}, "
+            f"this is {_fingerprint()}"
+        )
+    blob = json.dumps(_telemetry_blob(experiment_id), sort_keys=True, indent=2)
+    assert blob == json.dumps(TELEMETRY["blobs"][experiment_id], sort_keys=True, indent=2)
 
 
 def _cli_under_hash_seed(hash_seed: int, *args: str) -> None:

@@ -14,8 +14,8 @@ from repro.sim.engine import (
     EventScheduler,
     add_events_processed,
     events_processed_total,
+    reset_events_processed,
 )
-from repro.telemetry import reset_runtime_metrics
 
 
 class TestScheduling:
@@ -260,17 +260,17 @@ class TestFreelist:
 
 class TestProcessCounter:
     def test_reset_zeroes_total(self):
-        reset_runtime_metrics()
+        reset_events_processed()
         engine = EventScheduler()
         engine.schedule(1.0, lambda: None)
         engine.run()
         add_events_processed(5)
         assert events_processed_total() == 6
-        reset_runtime_metrics()
+        reset_events_processed()
         assert events_processed_total() == 0
 
     def test_step_counts_into_process_total(self):
-        reset_runtime_metrics()
+        reset_events_processed()
         engine = EventScheduler()
         engine.schedule(1.0, lambda: None)
         assert engine.step() is True

@@ -1,7 +1,7 @@
 """Failure-injection tests: extreme availability patterns against both
 protocol stacks, and corrupted store files, hostile spec files, a hostile
-``[scale]`` table, non-finite runtime knobs and a full span recorder against
-the CLI."""
+``[scale]`` table, non-finite runtime knobs and budgets, non-integer counts
+and a full span recorder against the CLI and the API."""
 
 from __future__ import annotations
 
@@ -230,6 +230,76 @@ class TestNonFiniteRuntimeKnobs:
 
         with pytest.raises(ExperimentError, match="must be finite"):
             RuntimeConfig(**{knob: value})
+
+
+class TestNonIntegerCounts:
+    """Caps and counts that arrive from outside the program must be ints:
+    ``api.sweep(jobs=2.5)`` let the pool spawn a third worker (``2 >= 2.5``
+    is false), and ``max_spans=-3`` recorded nothing and counted every span
+    as dropped — both without an error."""
+
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_sweep_jobs(self, value):
+        from repro import api
+        from repro.errors import ExperimentError
+
+        with pytest.raises(ExperimentError, match="jobs must be an integer"):
+            api.sweep("fig7", seeds="0", scale="smoke", jobs=value)
+
+    @pytest.mark.parametrize("value", [1.5, False, None])
+    def test_runtime_config_max_retries(self, value):
+        from repro.errors import ExperimentError
+        from repro.experiments.runtime import RuntimeConfig
+
+        with pytest.raises(ExperimentError, match="max-retries must be an integer"):
+            RuntimeConfig(max_retries=value)
+
+    @pytest.mark.parametrize("value", [-3, True, 2.5, "10"])
+    def test_span_recorder_max_spans(self, value):
+        from repro.errors import ConfigurationError
+        from repro.telemetry import SpanRecorder
+
+        with pytest.raises(ConfigurationError, match="max_spans must be a non-negative"):
+            SpanRecorder(max_spans=value)
+
+    def test_api_telemetry_max_spans(self):
+        from repro import api
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="got -3"):
+            api.telemetry("fig7", scale="smoke", max_spans=-3)
+
+
+class TestNonFiniteBudget:
+    """A ``nan`` or ``inf`` ceiling used to compose, run and exit 0 with the
+    ceiling never enforced (``rss > nan`` and ``nan <= 0`` are both
+    false).  Now it is one stderr line naming the field, exit 2."""
+
+    @pytest.mark.parametrize("field", ["max_wall_s", "max_rss_mb"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_compose_scale_budget(self, field, value, tmp_path, capsys):
+        spec = tmp_path / "budget.toml"
+        spec.write_text(
+            '[experiment]\nid = "non-finite-budget"\ntitle = "a budget never enforced"\n'
+            '[sweep]\ncolumn = "p"\nvalues = [0.5]\n'
+            '[[scenario]]\nfamily = "flapping"\nperiod = "30:30"\nprobability = "$p"\n'
+            f"[scale.budget]\n{field} = {value}\n"
+        )
+        out = tmp_path / "store"
+        assert main(["compose", str(spec), "--scale", "smoke", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.strip().splitlines()) == 1, captured.err
+        assert f"budget {field} must be a positive finite number" in captured.err
+
+    @pytest.mark.parametrize("field", ["max_wall_s", "max_rss_mb"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_scale_evolve(self, field, value):
+        from repro.errors import ExperimentError
+        from repro.experiments.scales import get_scale
+
+        with pytest.raises(ExperimentError, match=f"budget {field} must be"):
+            get_scale("smoke").evolve(**{field: value})
 
 
 class TestFullSpanRecorder:

@@ -5,8 +5,8 @@ The rewritten ``pastry_next_hop``, ``decide_forwarding``, and
 implementations (the pre-optimisation algorithms, kept verbatim here) on
 seeded random instances; the cached views (ranked neighbors, degrees, CSR
 adjacency), the batched latency rows and :class:`BoundedCache` are pinned
-against their unbatched counterparts; and the events/sec plumbing through
-the result store and :class:`TaskOutcome` is checked end to end.
+against their unbatched counterparts; and the result store's events/sec
+manifest entry is checked.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.core.metric import NeighborMetricTable, metric_by_name, rank_by_score
 from repro.core.network import MPILNetwork
 from repro.core.routing import decide_forwarding
 from repro.errors import ConfigurationError
-from repro.experiments.runner import TaskOutcome
 from repro.experiments.store import ResultStore
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.random_graphs import gnp_random_graph
@@ -647,9 +646,3 @@ class TestEventsPerSecPlumbing:
         result = ExperimentResult("fig0", "t", ("a",), [(1,)], scale="smoke")
         store.save(result, seed=1)
         assert store.manifest("fig0", "smoke")["runs"]["seed_1"]["events_per_sec"] == 0.0
-
-    def test_task_outcome_events_per_sec(self):
-        outcome = TaskOutcome("fig9", "smoke", 0, {}, wall_clock=2.0, events_processed=50)
-        assert outcome.events_per_sec == 25.0
-        zero = TaskOutcome("fig9", "smoke", 0, {}, wall_clock=0.0, events_processed=50)
-        assert zero.events_per_sec == 0.0

@@ -35,18 +35,6 @@ class TestCounters:
         assert a.duplicates == 1
         assert a.retransmissions == 4
 
-    def test_copy_is_independent(self):
-        a = TrafficCounters(messages_sent=1)
-        b = a.copy()
-        b.messages_sent += 1
-        assert a.messages_sent == 1
-
-    def test_total_excludes_duplicates(self):
-        c = TrafficCounters(
-            messages_sent=2, duplicates=9, replies_sent=1, retransmissions=1, probes_sent=1
-        )
-        assert c.total == 5
-
     def test_as_dict(self):
         assert TrafficCounters(messages_sent=2).as_dict()["messages_sent"] == 2
 
