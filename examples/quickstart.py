@@ -44,9 +44,9 @@ def main() -> None:
         f"messages ({lookup.traffic} total, {lookup.flows_created} flows)"
     )
 
-    # 5. Delete the object everywhere (directory-level primitive; see
-    #    examples in tests/test_replicas_and_heartbeats.py for the full
-    #    heartbeat-based deletion protocol of Section 4.4).
+    # 5. Delete the object everywhere.  This clears the replica directory
+    #    directly; the heartbeat-based deletion protocol of Section 4.4 is
+    #    not modelled (the paper evaluates no deletion).
     removed = net.delete(object_id)
     print(f"delete: removed {removed} replicas")
     assert not net.lookup(250, object_id).success

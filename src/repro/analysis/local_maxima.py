@@ -124,10 +124,3 @@ def expected_replicas_complete(space: IdSpace, n: int) -> float:
         log_d = np.log(d, out=np.full_like(d, -np.inf), where=d > 0)
     powered = np.exp((n - 1) * log_d)
     return float(n * np.sum(a * powered))
-
-
-def degree_distribution_of(overlay) -> dict[int, float]:
-    """Empirical degree distribution of an overlay graph."""
-    histogram = overlay.degree_histogram()
-    n = overlay.n
-    return {degree: count / n for degree, count in histogram.items()}

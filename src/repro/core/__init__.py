@@ -13,8 +13,11 @@ Public surface:
   for static overlays (paper Section 6.1).
 - :class:`repro.core.timed.TimedMPILNetwork` — event-driven driver for
   perturbed overlays (paper Section 6.2).
-- :class:`repro.core.heartbeats.HeartbeatService` — the deletion protocol of
-  Section 4.4 (periodic replica heartbeats + explicit delete).
+- :class:`repro.core.replicas.ReplicaDirectory` — which nodes hold a
+  pointer for which object, shared by both drivers.
+
+Section 4.4's deletion protocol (replica heartbeats to the owner, explicit
+delete messages) is not modelled: the paper evaluates no deletion.
 """
 
 from repro.core.config import MPILConfig

@@ -142,14 +142,13 @@ class MPILNetwork:
         ``owner`` identifies the node that actually holds the object (the
         pointer target); it defaults to the origin.
         """
-        owner = origin if owner is None else owner
         request, _ = self._run_request(
-            KIND_INSERT, origin, object_id, owner, max_flows, per_flow_replicas
+            KIND_INSERT, origin, object_id, max_flows, per_flow_replicas
         )
         return InsertResult(
             object_id=object_id,
             origin=origin,
-            owner=owner,
+            owner=origin if owner is None else owner,
             replicas=tuple(sorted(request.stored)),
             traffic=request.counters.messages_sent,
             duplicates=request.counters.duplicates,
@@ -166,7 +165,7 @@ class MPILNetwork:
     ) -> LookupResult:
         """Query for ``object_id`` starting from ``origin``."""
         request, replies = self._run_request(
-            KIND_LOOKUP, origin, object_id, origin, max_flows, per_flow_replicas
+            KIND_LOOKUP, origin, object_id, max_flows, per_flow_replicas
         )
         return LookupResult(
             object_id=object_id,
@@ -181,11 +180,10 @@ class MPILNetwork:
         )
 
     def delete(self, object_id: Identifier) -> int:
-        """Remove every replica of an object from the directory.
-
-        The full deletion *protocol* (heartbeats + explicit delete messages,
-        Section 4.4) lives in :class:`repro.core.heartbeats.HeartbeatService`;
-        this method is the directory-level primitive it uses.
+        """Remove every replica of an object from the directory and return
+        how many there were.  This is a directory operation, not Section
+        4.4's deletion protocol (heartbeats and explicit delete messages),
+        which the paper does not evaluate and this library does not model.
         """
         return self.directory.remove_object(object_id)
 
@@ -196,7 +194,6 @@ class MPILNetwork:
         kind: str,
         origin: int,
         object_id: Identifier,
-        owner: int,
         max_flows: Optional[int],
         per_flow_replicas: Optional[int],
     ) -> tuple[MPILRequest, list[tuple[int, int]]]:
@@ -213,7 +210,6 @@ class MPILNetwork:
             self.next_request_id,
             object_id,
             origin,
-            owner,
             stream=(self.seed, "request", self.next_request_id),
             suppress=self.config.duplicate_suppression,
             forward=queue.append,

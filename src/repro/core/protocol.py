@@ -1,7 +1,7 @@
 """The MPIL per-message protocol (paper Figure 5), independent of any schedule.
 
 One :class:`MPILRequest` holds what is fixed for a request — its kind, id,
-object, origin, owner, the network's ranking of neighbors and the label of
+object, origin, the network's ranking of neighbors and the label of
 its tie-break stream — and everything the request accumulates while its
 message copies propagate; :meth:`MPILRequest.step` processes one delivered
 copy: check duplicate, answer if holder, pick the best unvisited neighbors,
@@ -39,7 +39,7 @@ Forwarded = tuple[MPILMessage, Optional[int]]
 class MPILRequest:
     """Protocol state of one in-flight insertion or lookup.
 
-    ``kind`` … ``owner`` are the request's constants; a driver enqueues
+    ``kind`` … ``origin`` are the request's constants; a driver enqueues
     :meth:`first_copy` and hands every delivered copy to :meth:`step`.
     ``stream`` is the label path of the request's tie-break stream
     (``derive_rng(*stream)``), derived by :meth:`draw` on the first tie.
@@ -61,7 +61,6 @@ class MPILRequest:
         request_id: int,
         object_id: Identifier,
         origin: int,
-        owner: int,
         stream: tuple,
         suppress: bool,
         forward: Callable[[Forwarded], object],
@@ -83,7 +82,6 @@ class MPILRequest:
         self.request_id = request_id
         self.object_id = object_id
         self.origin = origin
-        self.owner = owner
         self.stream = stream
         self.rng: Optional[random.Random] = None
         self.suppress = suppress
@@ -201,7 +199,7 @@ class MPILRequest:
         replicas_left = msg.replicas_left
         if is_local_max:
             if not is_lookup:
-                directory.store(node, object_id, self.owner, hop=hop)
+                directory.store(node, object_id)
                 if node not in self.stored:
                     self.stored.append(node)
                 if tracing:

@@ -8,100 +8,39 @@ update it as insertions land and consult it as lookups propagate.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterator, Optional
-
 from repro.core.identifiers import Identifier
 
 
-@dataclasses.dataclass(frozen=True)
-class ReplicaRecord:
-    """One stored pointer replica."""
-
-    node: int
-    object_id: Identifier
-    owner: int
-    stored_hop: int
-    stored_time: float = 0.0
-
-
 class ReplicaDirectory:
-    """Global map object-id -> replica holders.
-
-    Keyed by the identifier's integer value; the identifier objects are kept
-    on the records for reporting.
-    """
+    """Global map object-id -> replica holders, keyed by the identifier's
+    integer value."""
 
     def __init__(self) -> None:
-        self._by_object: dict[int, dict[int, ReplicaRecord]] = {}
-        self._by_node: dict[int, set[int]] = {}
+        self._holders: dict[int, set[int]] = {}
 
-    def store(
-        self,
-        node: int,
-        object_id: Identifier,
-        owner: int,
-        hop: int = 0,
-        time: float = 0.0,
-    ) -> bool:
+    def store(self, node: int, object_id: Identifier) -> bool:
         """Record a replica.  Returns True if this is a new (node, object)
         pair, False if the node already held the pointer (idempotent)."""
-        holders = self._by_object.setdefault(object_id.value, {})
+        holders = self._holders.setdefault(object_id.value, set())
         if node in holders:
             return False
-        holders[node] = ReplicaRecord(
-            node=node, object_id=object_id, owner=owner, stored_hop=hop, stored_time=time
-        )
-        self._by_node.setdefault(node, set()).add(object_id.value)
-        return True
-
-    def remove(self, node: int, object_id: Identifier) -> bool:
-        """Remove one replica.  Returns True if it existed."""
-        holders = self._by_object.get(object_id.value)
-        if not holders or node not in holders:
-            return False
-        del holders[node]
-        if not holders:
-            del self._by_object[object_id.value]
-        objects = self._by_node.get(node)
-        if objects is not None:
-            objects.discard(object_id.value)
-            if not objects:
-                del self._by_node[node]
+        holders.add(node)
         return True
 
     def remove_object(self, object_id: Identifier) -> int:
         """Remove every replica of an object.  Returns how many existed."""
-        holders = self._by_object.pop(object_id.value, {})
-        for node in holders:
-            objects = self._by_node.get(node)
-            if objects is not None:
-                objects.discard(object_id.value)
-                if not objects:
-                    del self._by_node[node]
-        return len(holders)
+        return len(self._holders.pop(object_id.value, ()))
 
     def has(self, node: int, object_id: Identifier) -> bool:
-        holders = self._by_object.get(object_id.value)
-        return bool(holders) and node in holders
+        holders = self._holders.get(object_id.value)
+        return holders is not None and node in holders
 
     def holders(self, object_id: Identifier) -> frozenset[int]:
-        return frozenset(self._by_object.get(object_id.value, ()))
-
-    def record(self, node: int, object_id: Identifier) -> Optional[ReplicaRecord]:
-        return self._by_object.get(object_id.value, {}).get(node)
-
-    def objects_at(self, node: int) -> frozenset[int]:
-        """Raw object values stored at a node."""
-        return frozenset(self._by_node.get(node, ()))
+        return frozenset(self._holders.get(object_id.value, ()))
 
     def replica_count(self, object_id: Identifier) -> int:
-        return len(self._by_object.get(object_id.value, ()))
+        return len(self._holders.get(object_id.value, ()))
 
     def __len__(self) -> int:
         """Total number of (node, object) replica pairs."""
-        return sum(len(h) for h in self._by_object.values())
-
-    def iter_records(self) -> Iterator[ReplicaRecord]:
-        for holders in self._by_object.values():
-            yield from holders.values()
+        return sum(len(h) for h in self._holders.values())

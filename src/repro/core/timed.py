@@ -207,13 +207,14 @@ class TimedMPILNetwork:
         shared ``engine`` stay in flight simultaneously, their message
         events interleaving in timestamp order — the service drivers issue
         arrivals this way while a perturbation timeline runs concurrently.
-        ``start_time`` defaults to ``engine.now`` and must not precede it;
-        the first message fires when the scheduler reaches that time.
-        ``on_complete(pending)`` is invoked (inside the scheduler run) once
-        every message copy has been delivered, lost, or suppressed.
+        ``start_time`` defaults to ``engine.now`` and must not precede it
+        (nor be ``nan``); the first message fires when the scheduler reaches
+        that time.  ``on_complete(pending)`` is invoked (inside the
+        scheduler run) once every message copy has been delivered, lost, or
+        suppressed.
         """
         launch_time = engine.now if start_time is None else float(start_time)
-        if launch_time < engine.now:
+        if not launch_time >= engine.now:
             # refused before the request takes a number or opens a trace: a
             # retried call must draw the stream the refused one would have
             raise SimulationError(
@@ -281,7 +282,6 @@ class TimedMPILNetwork:
             KIND_LOOKUP,
             self._request_counter,
             object_id,
-            origin,
             origin,
             stream=(self.seed, "timed-request", self._request_counter),
             suppress=(

@@ -222,17 +222,6 @@ class OverlayGraph:
         clone._csr = self._csr
         return clone
 
-    def to_networkx(self):
-        """Export to networkx (imported lazily)."""
-        import networkx as nx
-
-        graph = nx.DiGraph() if self.directed else nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        for u in range(self.n):
-            for v in self._adj[u]:
-                graph.add_edge(u, v)
-        return graph
-
     # -- accessors ----------------------------------------------------------
 
     @property

@@ -13,8 +13,6 @@ published algorithm plus those mechanisms:
 - :mod:`repro.pastry.routing` — the per-hop routing rule;
 - :mod:`repro.pastry.views` — the probed-view oracle deriving each node's
   liveness beliefs from its probe schedule under flapping;
-- :mod:`repro.pastry.maintenance` — an event-driven replay of the probing
-  process used to validate the oracle at small scale;
 - :mod:`repro.pastry.protocol` — insert (root storage or Replication on
   Route) and perturbed lookup with per-hop retransmission and re-routing;
 - :mod:`repro.pastry.mpil_on_pastry` — MPIL running over the Pastry

@@ -186,7 +186,7 @@ class PastryNetwork:
         else:
             replicas = (delivery,)
         for node in replicas:
-            self.directory.store(node, key, owner=origin)
+            self.directory.store(node, key)
         telemetry = current_telemetry()
         spans = telemetry.spans
         if spans is not None:

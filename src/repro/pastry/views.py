@@ -6,8 +6,8 @@ retries.  Simulating every probe message over the 600 000-second 300:300
 runs is infeasible per-message in Python, so the oracle computes, on
 demand, the *outcome* of the most recent probe interaction between an
 observer and a target — which is exactly the observer's current belief.
-An event-driven replay (:mod:`repro.pastry.maintenance`) validates the
-oracle on small cases.
+The tests check it against an event-driven forward replay of the same
+probes on small cases.
 
 Belief rules (per observer ``y``, target ``x``, time ``t``):
 

@@ -188,20 +188,6 @@ class FlappingSchedule(ProcessBase):
             mask[list(self.always_online)] = True
         return mask
 
-    def next_transition_after(self, node: int, time: float) -> float:
-        """The next time at which the node's online state *may* change
-        (cycle boundary or idle/offline boundary).  Diagnostics helper."""
-        offset = time - self._phases[node]
-        cycle = self.config.cycle
-        if offset < 0:
-            return self._phases[node]
-        cycle_index = int(math.floor(offset / cycle))
-        position = offset - cycle_index * cycle
-        base = self._phases[node] + cycle_index * cycle
-        if position < self.config.idle_period:
-            return base + self.config.idle_period
-        return base + cycle
-
     def offline_intervals(self, node: int, until: float) -> list[tuple[float, float]]:
         """Maximal offline windows ``[start, end)`` with ``start < until``.
 

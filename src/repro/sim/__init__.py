@@ -17,12 +17,7 @@ the MSPastry-style timed simulations are driven by the event engine here.
 
 from repro.sim.availability import AlwaysOnline, AvailabilityModel
 from repro.sim.counters import TrafficCounters
-from repro.sim.engine import (
-    Event,
-    EventScheduler,
-    add_events_processed,
-    events_processed_total,
-)
+from repro.sim.engine import EventScheduler, add_events_processed, events_processed_total
 from repro.sim.latency import ConstantLatency, LatencyModel, UnderlayLatency
 from repro.sim.rng import derive_rng, derive_seed
 
@@ -30,7 +25,6 @@ __all__ = [
     "AlwaysOnline",
     "AvailabilityModel",
     "ConstantLatency",
-    "Event",
     "EventScheduler",
     "LatencyModel",
     "TrafficCounters",

@@ -1,14 +1,11 @@
 """A minimal heap-based discrete-event scheduler.
 
-One heap of ``(time, seq, callback, args, handle)`` tuples and one loop that
-pops it.  ``seq`` is unique, so the heap compares ``(time, seq)`` in C and
+One heap of ``(time, seq, callback, args)`` tuples and one loop that pops
+it.  ``seq`` is unique, so the heap compares ``(time, seq)`` in C and
 nothing to the right of it; ties in time are broken by insertion order,
-which makes runs deterministic.  Cancellation is lazy: :meth:`EventScheduler.cancel`
-flags the handle and the loop skips a flagged entry when it pops it.
-
-:meth:`EventScheduler.post` is the hot-path entry: it schedules a callback
-without materialising an :class:`Event` handle.  The process-wide event
-total (:func:`events_processed_total`) is credited once per
+which makes runs deterministic.  :meth:`EventScheduler.post` is the one
+way to schedule; there is no cancellation.  The process-wide event total
+(:func:`events_processed_total`) is credited once per
 :meth:`EventScheduler.run`/``step`` call, not once per event.
 
 An earlier version kept callbacks and arguments in freelist-recycled slot
@@ -23,15 +20,14 @@ gone on purpose.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import inf
+from math import inf, isnan
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 #: events executed in this process by *all* scheduler instances and
 #: synchronous drivers since start or the last :func:`reset_events_processed`.
-#: Experiments create many short-lived schedulers (one per timed lookup), so
-#: per-instance ``processed`` undercounts a whole run;
+#: Experiments create many short-lived schedulers (one per timed lookup);
 #: :func:`repro.experiments.runtime.execute_task` zeroes this before each
 #: measured run and reads it after, for the manifest's event count.
 _events_processed = 0
@@ -62,39 +58,17 @@ def reset_events_processed() -> None:
     _events_processed = 0
 
 
-class Event:
-    """A scheduled callback handle.  Returned by :meth:`EventScheduler.schedule`.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulation time at which the callback fires.
-    seq:
-        Insertion sequence number (the deterministic tie-breaker).
-    cancelled:
-        True once :meth:`EventScheduler.cancel` has been called; cancelled
-        events are skipped when their time arrives.
-    """
-
-    __slots__ = ("time", "seq", "cancelled")
-
-    def __init__(self, time: float, seq: int):
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6g}, seq={self.seq}, {state})"
-
-
 class EventScheduler:
     """Discrete-event scheduler with deterministic tie-breaking.
 
+    Times are compared as ``not time >= now``, so a ``nan`` start time,
+    event time or ``until`` bound is refused like a time in the past
+    instead of stalling the heap.
+
     >>> eng = EventScheduler()
     >>> fired = []
-    >>> _ = eng.schedule(2.0, fired.append, "b")
-    >>> _ = eng.schedule(1.0, fired.append, "a")
+    >>> eng.post(2.0, fired.append, "b")
+    >>> eng.post(1.0, fired.append, "a")
     >>> eng.run()
     2
     >>> fired
@@ -103,19 +77,17 @@ class EventScheduler:
     2.0
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_processed")
+    __slots__ = ("_now", "_heap", "_seq")
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        #: heap of (time, seq, callback, args, handle) — compared
-        #: left-to-right in C; seq is unique, so nothing right of it ever
-        #: participates in a comparison.  ``handle`` is the Event for
-        #: schedule()/schedule_at() entries and None for post() entries.
-        self._heap: List[
-            Tuple[float, int, Callable[..., None], tuple, Optional[Event]]
-        ] = []
+        if isnan(self._now):
+            raise SimulationError("cannot start a scheduler at t=nan")
+        #: heap of (time, seq, callback, args) — compared left-to-right in
+        #: C; seq is unique, so nothing right of it ever participates in a
+        #: comparison
+        self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._processed = 0
 
     @property
     def now(self) -> float:
@@ -124,92 +96,64 @@ class EventScheduler:
 
     @property
     def pending(self) -> int:
-        """Number of events still on the heap (including cancelled ones)."""
+        """Number of events still on the heap."""
         return len(self._heap)
 
-    @property
-    def processed(self) -> int:
-        """Total number of events executed so far."""
-        return self._processed
-
     def post(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` at absolute time ``time`` without
-        creating an :class:`Event` handle (the hot path for fire-and-forget
-        events, which is every message in the timed drivers)."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (float(time), seq, callback, args, None))
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(float(time), seq)
-        heappush(self._heap, (event.time, seq, callback, args, event))
-        return event
+        heappush(self._heap, (float(time), seq, callback, args))
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` after ``delay`` time units."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (no-op if it already fired: the heap
-        entry is gone, so nothing is left to read the flag)."""
-        event.cancelled = True
-
-    def _run(self, until: float, limit: float) -> int:
-        """The one pop loop: execute events in ``(time, seq)`` order while
-        the head's time is ``<= until`` and fewer than ``limit`` have run,
-        skipping cancelled entries.  Returns the number executed and
-        credits it to both counters once."""
+    def _run(self, until: float) -> int:
+        """The pop loop: execute events in ``(time, seq)`` order while the
+        head's time is ``<= until``.  Returns the number executed and
+        credits it to the process-wide total once."""
         heap = self._heap
         executed = 0
-        while heap and executed < limit and heap[0][0] <= until:
-            time, _seq, callback, args, handle = heappop(heap)
-            if handle is not None and handle.cancelled:
-                continue
+        while heap and heap[0][0] <= until:
+            time, _seq, callback, args = heappop(heap)
             self._now = time
             executed += 1
             callback(*args)
-        self._processed += executed
         add_events_processed(executed)
         return executed
 
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
-        return self._run(inf, 1) == 1
+        heap = self._heap
+        if not heap:
+            return False
+        time, _seq, callback, args = heappop(heap)
+        self._now = time
+        callback(*args)
+        add_events_processed(1)
+        return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have executed.  Returns the number executed.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run events until the queue drains or ``until`` is reached.
+        Returns the number executed.
 
         When ``until`` is given, the clock is advanced to ``until`` even if
         the queue drains earlier, so repeated ``run(until=...)`` calls form a
         monotonic timeline.  A long-lived windowed driver calling with
         out-of-order bounds would otherwise silently corrupt its timeline,
-        so a bound earlier than the current time raises
+        so a bound earlier than the current time (or ``nan``) raises
         :class:`~repro.errors.SimulationError` and leaves the clock
         untouched (it never moves backwards).
         """
-        limit = inf if max_events is None else max_events
         if until is None:
-            return self._run(inf, limit)
-        if until < self._now:
+            return self._run(inf)
+        if not until >= self._now:
             raise SimulationError(
                 f"cannot run until t={until} before current time t={self._now}; "
                 f"the simulation clock never moves backwards"
             )
-        executed = self._run(until, limit)
+        executed = self._run(until)
         if until > self._now:
             self._now = float(until)
         return executed

@@ -8,6 +8,7 @@ underlay's shortest-path delay between the endpoints' attachment points.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -28,8 +29,8 @@ class ConstantLatency:
     """Every message takes exactly ``value`` seconds."""
 
     def __init__(self, value: float = 0.05):
-        if value < 0:
-            raise ConfigurationError(f"latency must be non-negative, got {value}")
+        if not 0 <= value < math.inf:
+            raise ConfigurationError(f"latency must be non-negative and finite, got {value}")
         self.value = float(value)
 
     def latency(self, src: int, dst: int) -> float:  # noqa: ARG002
@@ -44,7 +45,7 @@ class UniformRandomLatency:
     """
 
     def __init__(self, lo: float, hi: float, seed: object = 0):
-        if not 0 <= lo <= hi:
+        if not 0 <= lo <= hi < math.inf:
             raise ConfigurationError(f"invalid latency range [{lo}, {hi}]")
         self.lo = float(lo)
         self.hi = float(hi)

@@ -18,7 +18,6 @@ from repro.analysis import (
     prob_local_maximum,
     prob_no_common_digits,
 )
-from repro.analysis.local_maxima import degree_distribution_of
 from repro.core.identifiers import IdSpace
 from repro.errors import ConfigurationError
 from repro.overlay.random_graphs import random_regular_graph
@@ -142,8 +141,3 @@ class TestMonteCarloAgreement:
         empirical = total / trials
         predicted = expected_replicas_complete(SMALL, n)
         assert empirical == pytest.approx(predicted, rel=0.15)
-
-    def test_degree_distribution_of_overlay(self):
-        overlay = random_regular_graph(50, 4, seed=15)
-        dist = degree_distribution_of(overlay)
-        assert dist == {4: 1.0}

@@ -82,7 +82,7 @@ class TestFlooding:
         overlay = ring_lattice_graph(10, k=1)
         net = MPILNetwork(overlay, space=SPACE, seed=5)
         obj = SPACE.identifier(123)
-        net.directory.store(2, obj, owner=2)
+        net.directory.store(2, obj)
         result = flood_lookup(overlay, net.directory, 0, obj, ttl=9)
         assert result.success
         assert (2, 2) in result.replies

@@ -1,7 +1,8 @@
 """Failure-injection tests: extreme availability patterns against both
-protocol stacks, and corrupted store files, hostile spec files, a hostile
-``[scale]`` table, non-finite runtime knobs and budgets, non-integer counts
-and a full span recorder against the CLI and the API."""
+protocol stacks, ``nan`` simulation times against the scheduler, latency
+models and timed driver, and corrupted store files, hostile spec files, a
+hostile ``[scale]`` table, non-finite runtime knobs and budgets,
+non-integer counts and a full span recorder against the CLI and the API."""
 
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ import pytest
 from repro.core.config import MPILConfig
 from repro.core.identifiers import IdSpace
 from repro.core.timed import TimedMPILNetwork
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.cli import main
 from repro.overlay.random_graphs import fixed_degree_random_graph
 from repro.pastry.protocol import PastryNetwork
+from repro.sim.engine import EventScheduler
+from repro.sim.latency import ConstantLatency, UniformRandomLatency
 from repro.sim.rng import derive_rng
 
 SPACE = IdSpace(bits=16, digit_bits=4)
@@ -84,6 +88,65 @@ class TestMPILUnderTotalFailure:
             if origin not in down
         )
         assert successes >= 1
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNanSimulationTime:
+    """A ``nan`` time compares false against everything, so it used to slip
+    past every ``time < now`` guard: one ``post(nan)`` left all pending
+    events on the heap unexecuted, ``ConstantLatency(nan)`` made every timed
+    lookup fail after one message, and ``lookup_at(start_time=nan)``
+    returned a failure with no message sent.  Each is refused now."""
+
+    def test_scheduler_start_time(self):
+        with pytest.raises(SimulationError, match="nan"):
+            EventScheduler(start_time=NAN)
+
+    def test_post_leaves_the_pending_events_runnable(self):
+        engine = EventScheduler()
+        fired = []
+        for time in (1.0, 2.0, 3.0):
+            engine.post(time, fired.append, time)
+        with pytest.raises(SimulationError, match="nan"):
+            engine.post(NAN, fired.append, "never")
+        assert engine.run() == 3
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_run_until(self):
+        engine = EventScheduler()
+        engine.post(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="never moves backwards"):
+            engine.run(until=NAN)
+        assert engine.now == 0.0 and engine.pending == 1
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_constant_latency(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ConstantLatency(value)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, INF), (INF, INF)])
+    def test_uniform_random_latency(self, lo, hi):
+        with pytest.raises(ConfigurationError, match="invalid latency range"):
+            UniformRandomLatency(lo, hi)
+
+    def test_start_lookup_refuses_before_taking_a_number(self):
+        net, obj = _timed_network(seed=4)
+        twin, _ = _timed_network(seed=4)
+        engine = EventScheduler()
+        before = net.snapshot()
+        with pytest.raises(SimulationError, match="nan"):
+            net.start_lookup(engine, 0, obj, start_time=NAN)
+        assert net.snapshot() == before and engine.pending == 0
+        # the retried call draws the stream the refused one would have
+        assert net.lookup_at(0, obj, start_time=1.0) == twin.lookup_at(0, obj, start_time=1.0)
+
+    def test_lookup_at(self):
+        net, obj = _timed_network(seed=5)
+        with pytest.raises(SimulationError, match="nan"):
+            net.lookup_at(0, obj, start_time=NAN)
 
 
 class TestPastryUnderTotalFailure:

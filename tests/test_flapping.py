@@ -115,14 +115,6 @@ class TestFlappingSchedule:
         expected = 1.0 - config.expected_offline_fraction
         assert abs(fraction - expected) < 0.05
 
-    def test_next_transition_after(self):
-        config = FlappingConfig(10, 10, 1.0)
-        schedule = FlappingSchedule(config, 3, seed=9)
-        phase = schedule.phase(0)
-        assert schedule.next_transition_after(0, phase - 5.0) == pytest.approx(phase)
-        assert schedule.next_transition_after(0, phase + 1.0) == pytest.approx(phase + 10.0)
-        assert schedule.next_transition_after(0, phase + 11.0) == pytest.approx(phase + 20.0)
-
     def test_online_fraction_diagnostic(self):
         schedule = FlappingSchedule(FlappingConfig(1, 1, 0.0), 10, seed=10)
         assert schedule.online_fraction(50.0) == 1.0

@@ -2,7 +2,9 @@
 nothing under ``src/repro`` is imported), against what
 ``docs/ARCHITECTURE.md`` states: the same edges, every one pointing to a
 row below, except the one two-way edge the document names.  A new upward or
-cyclic import fails here before it can become a second exception."""
+cyclic import fails here before it can become a second exception.  And the
+module-level graph has no dead end: every module under ``src/repro`` is
+imported, transitively, from something other than a test."""
 
 from __future__ import annotations
 
@@ -82,6 +84,66 @@ def test_every_import_points_down_except_the_one_named_edge():
         (row, name.rstrip("*")) for row, imports in rows for name in imports if name.endswith("*")
     }
     assert upward == starred == {("experiments", "service")}
+
+
+#: what runs the library other than its tests: the package itself, the
+#: facade, the CLI, the registry's experiment modules (loaded by name), the
+#: benchmark and the examples
+ENTRY_MODULES = ("repro", "repro.api", "repro.experiments.cli")
+ENTRY_SCRIPTS = (*sorted((REPO_ROOT / "bench").glob("*.py")),
+                 *sorted((REPO_ROOT / "examples").glob("*.py")))
+
+
+def _dotted_imports(path: pathlib.Path):
+    """Every dotted name an import statement in ``path`` may load: the
+    module, and for ``from m import x`` also ``m.x`` (``x`` may be a
+    submodule)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _registry_modules() -> tuple[str, ...]:
+    """``registry._EXPERIMENT_MODULES``, read from the source."""
+    tree = ast.parse((PACKAGE / "experiments" / "registry.py").read_text())
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.target.id == "_EXPERIMENT_MODULES"
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("registry._EXPERIMENT_MODULES not found")
+
+
+def test_every_module_is_reachable_from_a_non_test_entry_point():
+    modules = {}
+    for path in PACKAGE.rglob("*.py"):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+
+    def loaded(names):
+        """The modules importing ``names`` runs, parent packages included."""
+        for name in names:
+            parts = name.split(".")
+            for end in range(1, len(parts) + 1):
+                prefix = ".".join(parts[:end])
+                if prefix in modules:
+                    yield prefix
+
+    frontier = list(loaded((*ENTRY_MODULES, *_registry_modules())))
+    for script in ENTRY_SCRIPTS:
+        frontier.extend(loaded(_dotted_imports(script)))
+    reached: set[str] = set()
+    while frontier:
+        module = frontier.pop()
+        if module not in reached:
+            reached.add(module)
+            frontier.extend(loaded(_dotted_imports(modules[module])))
+    assert sorted(set(modules) - reached) == []
 
 
 def test_third_party_imports_are_declared_dependencies():

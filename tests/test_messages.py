@@ -39,7 +39,6 @@ def _request(network, origin, object_id, kind=KIND_INSERT, request_id=7):
         request_id,
         object_id,
         origin,
-        origin,
         stream=(network.seed, "request", request_id),
         suppress=network.config.duplicate_suppression,
         forward=lambda item: forwarded.append(item[0]),
@@ -114,8 +113,8 @@ class TestChild:
         assert [field.name for field in dataclasses.fields(MPILMessage)] == [
             "at", "route", "max_flows", "replicas_left",
         ]
-        assert (request.request_id, request.object_id, request.origin, request.owner) == (
-            7, object_id, index["0001"], index["0001"],
+        assert (request.request_id, request.object_id, request.origin) == (
+            7, object_id, index["0001"],
         )
         assert not request.is_lookup
         assert _request(network, 0, object_id, kind=KIND_LOOKUP)[0].is_lookup
@@ -235,7 +234,7 @@ class TestTieBreakStream:
             latency=ConstantLatency(0.05),
         )
         for leaf in range(1, 5):
-            timed.directory.store(leaf, object_id, owner=leaf)
+            timed.directory.store(leaf, object_id)
         for request_id in range(3):
             result = timed.lookup_at(0, object_id, start_time=0.0)
             expected = derive_rng(5, "timed-request", request_id).sample([1, 2, 3, 4], 2)

@@ -103,6 +103,22 @@ class TestEndToEnd:
         assert removed == insert.replica_count
         assert not net.lookup(5, obj).success
 
+    def test_delete_unknown_object_returns_zero(self):
+        net = _network(ring_lattice_graph(20, k=2), seed=6)
+        assert net.delete(net.random_object_id(derive_rng(6, "objects"))) == 0
+        assert len(net.directory) == 0
+
+    def test_delete_leaves_other_objects(self):
+        net = _network(complete_graph(20), seed=7)
+        rng = derive_rng(7, "objects")
+        kept, deleted = net.random_object_id(rng), net.random_object_id(rng)
+        kept_insert = net.insert(0, kept)
+        net.insert(1, deleted)
+        net.delete(deleted)
+        assert net.directory.holders(kept) == set(kept_insert.replicas)
+        assert net.lookup(5, kept).success
+        assert not net.lookup(5, deleted).success
+
 
 class TestValidation:
     def test_origin_out_of_range(self):

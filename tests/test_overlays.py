@@ -60,11 +60,6 @@ class TestOverlayGraph:
         assert g.degree_histogram() == {2: 10}
         assert g.average_degree() == 2.0
 
-    def test_networkx_round_trip(self):
-        g = ring_lattice_graph(8, k=2)
-        back = OverlayGraph.from_networkx(g.to_networkx())
-        assert [back.neighbors(i) for i in range(8)] == [g.neighbors(i) for i in range(8)]
-
     def test_networkx_order_is_the_integer_relabel(self):
         """``order=list(graph.nodes)`` gives what
         ``convert_node_labels_to_integers`` gives, array for array.  The

@@ -3,12 +3,15 @@
 The oracle asks the target's announcements only behind a dead own verdict;
 :func:`reference_believes_alive` is the rule it replaced — both scans to
 the end of the window, then "the latest event wins" by sorting — and stays
-here as the oracle's oracle.
+here as the oracle's oracle, beside :class:`MaintenanceReplay`, an
+event-driven forward replay of the same probe schedule.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.pastry.config import PastryConfig
-from repro.pastry.maintenance import MaintenanceReplay
 from repro.pastry.rejoin import RejoinAdjustedAvailability
 from repro.pastry.views import LEAFSET, TABLE, ProbedViewOracle
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
@@ -62,6 +64,86 @@ def reference_believes_alive(oracle, observer, target, now, kind=LEAFSET):
         return True  # initial belief: the overlay was built fully online
     events.sort()
     return events[-1][1]
+
+
+class MaintenanceReplay:
+    """Forward replay of probe interactions for a set of (observer, target)
+    pairs, producing belief timelines.
+
+    The oracle computes beliefs by scanning *backward* from a query time;
+    this replays the same probe schedule *forward* with explicit events and
+    records belief transitions — an independent implementation to check
+    the oracle against, within its scan window.
+    """
+
+    def __init__(
+        self,
+        oracle: ProbedViewOracle,
+        pairs: Iterable[tuple[int, int]],
+        kind: str = LEAFSET,
+        until: float = 0.0,
+    ):
+        self.oracle = oracle
+        self.kind = kind
+        self.until = until
+        self.pairs = sorted(set(pairs))
+        # timeline per pair: sorted list of (event_time, verdict)
+        self._timeline: dict[tuple[int, int], list[tuple[float, bool]]] = {}
+        for observer, target in self.pairs:
+            self._timeline[(observer, target)] = self._build_timeline(observer, target)
+
+    def _build_timeline(self, observer: int, target: int) -> list[tuple[float, bool]]:
+        oracle = self.oracle
+        period = oracle.probe_period(self.kind)
+        events: list[tuple[float, bool]] = []
+
+        # Observer-initiated probes.
+        phase = oracle.probe_phase(observer, self.kind)
+        epoch = 0
+        while True:
+            start = phase + epoch * period
+            if start > self.until:
+                break
+            event = oracle._own_probe_event(observer, target, start, float("inf"))
+            if event is not None and event[0] <= self.until:
+                events.append(event)
+            epoch += 1
+
+        # Target-initiated probes (leafset symmetry).
+        if self.kind == LEAFSET:
+            phase = oracle.probe_phase(target, self.kind)
+            epoch = 0
+            while True:
+                start = phase + epoch * period
+                if start > self.until:
+                    break
+                event = oracle._incoming_probe_event(
+                    observer, target, start, float("inf")
+                )
+                if event is not None and event[0] <= self.until:
+                    events.append(event)
+                epoch += 1
+
+        events.sort()
+        return events
+
+    def believes_alive(self, observer: int, target: int, now: float) -> bool:
+        """Belief of ``observer`` about ``target`` at ``now`` per the replay."""
+        if observer == target:
+            return True
+        timeline = self._timeline[(observer, target)]
+        index = bisect.bisect_right(timeline, (now, True)) - 1
+        # bisect with (now, True) may land on an event at exactly `now`
+        # with verdict False ordered after (now, False); walk back if needed.
+        while index >= 0 and timeline[index][0] > now:
+            index -= 1
+        if index < 0:
+            return True
+        return timeline[index][1]
+
+    def transitions(self, observer: int, target: int) -> list[tuple[float, bool]]:
+        """Full decisive-event timeline for a pair."""
+        return list(self._timeline[(observer, target)])
 
 
 class TestBasics:
