@@ -204,8 +204,10 @@ def sweep(
     processes that are reused from task to task, atomic artifact
     commits): ``resume=True`` skips verified-complete tasks from an
     earlier interrupted call, ``max_retries``/``task_timeout`` bound
-    crashed and hung workers.  Workers are forked where the platform
-    forks, so scales and specs registered in this process reach them.
+    crashed and hung workers.  Retries and timeouts apply only with a
+    store: without one a ``task_timeout`` is an error.  Workers are forked
+    where the platform forks, so scales and specs registered in this
+    process reach them.
     """
     if isinstance(store, (str, pathlib.Path)):
         store = ResultStore(store)

@@ -7,8 +7,9 @@ with 2^b possible characters."  The evaluation uses m = 160 and b = 4
 Both are instances of :class:`IdSpace`.
 
 ``Identifier`` is immutable and caches its digit string (most-significant
-digit first) both as ``bytes`` (for pure-Python digit loops) and as a NumPy
-``uint8`` array (for the vectorised neighbor-metric tables).
+digit first) as ``bytes``; :func:`pack_digit_matrix` joins a population's
+digit strings into the one ``(n, M)`` ``uint8`` matrix the vectorised
+neighbor-metric tables and Pastry table construction read.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class Identifier:
     require matching spaces and order by numeric value.
     """
 
-    __slots__ = ("_value", "_space", "_digits", "_digits_array")
+    __slots__ = ("_value", "_space", "_digits")
 
     def __init__(self, value: int, space: IdSpace):
         if not 0 <= value <= space.max_value:
@@ -171,7 +172,6 @@ class Identifier:
                 digits[i] = v & mask
                 v >>= digit_bits
             self._digits = bytes(digits)
-        self._digits_array = np.frombuffer(self._digits, dtype=np.uint8)
 
     @property
     def value(self) -> int:
@@ -185,11 +185,6 @@ class Identifier:
     def digits(self) -> bytes:
         """Digit string, most-significant digit first, one digit per byte."""
         return self._digits
-
-    @property
-    def digits_array(self) -> np.ndarray:
-        """Digits as a read-only ``uint8`` NumPy array."""
-        return self._digits_array
 
     def digit(self, index: int) -> int:
         return self._digits[index]
@@ -255,11 +250,6 @@ class Identifier:
             count += 1
         return count
 
-    def distance(self, other: "Identifier") -> int:
-        """Absolute numeric distance."""
-        self._require_same_space(other)
-        return abs(self._value - other._value)
-
     def circular_distance(self, other: "Identifier") -> int:
         """Distance on the identifier ring (used by the Pastry substrate)."""
         self._require_same_space(other)
@@ -301,3 +291,16 @@ class Identifier:
     def __le__(self, other: "Identifier") -> bool:
         self._require_same_space(other)
         return self._value <= other._value
+
+
+def pack_digit_matrix(ids: Sequence[Identifier]) -> np.ndarray:
+    """The shared read-only ``(n, M)`` uint8 digit matrix of an identifier
+    sequence: one join of the cached digit strings and one ``frombuffer``,
+    without stacking ``n`` per-id arrays."""
+    if not ids:
+        return np.empty((0, 0), dtype=np.uint8)
+    num_digits = ids[0].space.num_digits
+    buffer = b"".join(identifier.digits for identifier in ids)
+    matrix = np.frombuffer(buffer, dtype=np.uint8).reshape(len(ids), num_digits)
+    matrix.flags.writeable = False
+    return matrix

@@ -7,10 +7,10 @@ due to the lower distinguishability of their routing metrics") we also
 implement prefix-length and suffix-length metrics behind the same
 interface, so the MPIL drivers can be run with any of the three.
 
-``NeighborMetricTable`` precomputes, per overlay node, the digit matrix of
-its neighbors; evaluating the metric against a target is then one NumPy
-comparison, which is what makes the 16000-node experiments feasible in
-Python.
+``NeighborMetricTable`` keeps the population's digit matrix beside the
+overlay's CSR adjacency; evaluating the metric against a target is then one
+NumPy comparison, which is what makes the 16000-node experiments feasible
+in Python.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.identifiers import Identifier
-from repro.core.soa import NodeArrays
-from repro.errors import ConfigurationError
+from repro.core.identifiers import Identifier, pack_digit_matrix
+from repro.errors import ConfigurationError, RoutingError
 
 
 def common_digits(a: Identifier, b: Identifier) -> int:
@@ -127,11 +126,14 @@ def metric_by_name(name: str):
 class NeighborMetricTable:
     """Struct-of-arrays metric table: batched scoring over one shared matrix.
 
-    The table is a thin façade over :class:`repro.core.soa.NodeArrays` — one
-    shared ``(n, M)`` digit matrix plus the overlay's CSR adjacency.  There
-    are no per-node matrix copies and no per-node construction loop, which
-    is what makes 10^5-node populations affordable: building the table is a
-    handful of vectorised array operations.
+    The table reads the overlay's CSR adjacency
+    (:meth:`repro.overlay.graph.OverlayGraph.adjacency_arrays`) and owns
+    two arrays of its own: the population's ``(n, M)`` digit matrix
+    (:func:`repro.core.identifiers.pack_digit_matrix`) and a
+    ``[self, *neighbors]`` row index per node.  There are no per-node
+    matrix copies and no per-node construction loop, which is what makes
+    10^5-node populations affordable: building the table is a handful of
+    vectorised array operations.
 
     Scoring is batched per *target*: the first query against a target
     evaluates the metric over the whole population in one vectorised pass
@@ -163,23 +165,35 @@ class NeighborMetricTable:
     SCORE_CACHE_LIMIT = 200_000
 
     def __init__(self, overlay, ids: Sequence[Identifier], metric=None):
-        self.arrays = NodeArrays(overlay, ids)
-        self.overlay = overlay
-        self.ids = self.arrays.ids
+        n = overlay.n
+        if len(ids) != n:
+            raise RoutingError(f"identifier list has {len(ids)} entries for {n} nodes")
+        self.ids = tuple(ids)
         self.metric = metric if metric is not None else CommonDigitsMetric()
+        self.digits = pack_digit_matrix(self.ids)
+        self._indptr, self._indices = overlay.adjacency_arrays()
+        # node u's [self, *neighbors] rows are
+        # rows_with_self[indptr_ws[u]:indptr_ws[u + 1]]: the CSR offsets
+        # shifted by one slot per node, self indices scattered into the gaps
+        self.indptr_ws = self._indptr + np.arange(n + 1, dtype=np.int64)
+        rows = np.empty(self._indices.shape[0] + n, dtype=np.int64)
+        rows[self.indptr_ws[:-1]] = np.arange(n, dtype=np.int64)
+        neighbor_slots = np.ones(rows.shape[0], dtype=bool)
+        neighbor_slots[self.indptr_ws[:-1]] = False
+        rows[neighbor_slots] = self._indices
+        rows.flags.writeable = False
+        self.rows_with_self = rows
         self._neighbor_tuples: dict[int, tuple[int, ...]] = {}
         self._score_cache: dict[tuple[int, int], RankedNeighbors] = {}
         # Full-population score vectors, keyed by target value.  Each entry
         # is 4n bytes, so the bound scales inversely with population size to
         # keep the cache's worst case in the same ballpark as the memo above.
         self._target_cache: dict[int, np.ndarray] = {}
-        self._max_cached_targets = max(
-            4, self.SCORE_CACHE_LIMIT // max(1, self.arrays.n)
-        )
+        self._max_cached_targets = max(4, self.SCORE_CACHE_LIMIT // max(1, n))
 
-    def neighbor_array(self, node: int) -> np.ndarray:
-        """Neighbor indices of ``node`` aligned with :meth:`scores`."""
-        return self.arrays.neighbors(node)
+    def _neighbors(self, node: int) -> np.ndarray:
+        """Sorted neighbor indices of ``node`` (a CSR slice, no copy)."""
+        return self._indices[self._indptr[node]:self._indptr[node + 1]]
 
     def neighbor_list(self, node: int) -> tuple[int, ...]:
         """Neighbor indices of ``node`` as plain Python ints (what
@@ -187,7 +201,7 @@ class NeighborMetricTable:
         int objects).  Materialised lazily per node from the CSR slice."""
         cached = self._neighbor_tuples.get(node)
         if cached is None:
-            cached = tuple(self.arrays.neighbors(node).tolist())
+            cached = tuple(self._neighbors(node).tolist())
             self._neighbor_tuples[node] = cached
         return cached
 
@@ -200,20 +214,21 @@ class NeighborMetricTable:
             if len(self._target_cache) >= self._max_cached_targets:
                 self._target_cache.clear()
             vector = self.metric.scores_matrix(
-                target.digits_array, self.arrays.digits
+                np.frombuffer(target.digits, dtype=np.uint8), self.digits
             )
             self._target_cache[target.value] = vector
         return vector
 
     def scores(self, node: int, target: Identifier) -> np.ndarray:
         """Metric scores of every neighbor of ``node`` against ``target``."""
-        return self.scores_all(target)[self.arrays.neighbors(node)]
+        return self.scores_all(target)[self._neighbors(node)]
 
     def scores_with_self(self, node: int, target: Identifier) -> list[int]:
         """``[self_score, *neighbor_scores]`` as a fresh Python list, aligned
         with ``[node, *neighbor_list(node)]`` and gathered from the batched
         per-target vector (:meth:`scores_all`)."""
-        return self.scores_all(target)[self.arrays.rows_ws(node)].tolist()
+        rows = self.rows_with_self[self.indptr_ws[node]:self.indptr_ws[node + 1]]
+        return self.scores_all(target)[rows].tolist()
 
     def ranked_neighbors(self, node: int, target: Identifier) -> RankedNeighbors:
         """``(self_score, ids_by_rank, tier_ends, tier_scores)``: the

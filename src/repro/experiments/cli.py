@@ -740,7 +740,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     report = api.lint(args.paths, config=config, rules=_comma_list(args.rules))
     if args.report is not None:
         args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(report.to_json())
+        args.report.write_text(report.to_json(), encoding="utf-8")
         print(f"report written: {args.report}", file=sys.stderr)
     if args.format == "json":
         print(report.to_json(), end="")

@@ -243,11 +243,12 @@ def run_sweep(
     reported in :attr:`SweepReport.failures` rather than raised, so one
     poisoned seed cannot discard an otherwise-complete sweep.
 
-    Without a store there is nothing to resume from (``resume=True`` is
-    rejected): tasks run in this process (``jobs=1``, exceptions
-    propagate as raised) or on the same kind of workers with no ledger
-    and no retry, where the first raising or dying task stops the sweep
-    with an :class:`~repro.errors.ExperimentError` naming it.
+    Retries and timeouts apply only with a store.  Without one there is
+    nothing to resume from (``resume=True`` is rejected) and nothing to
+    bound (so is ``task_timeout``): tasks run in this process (``jobs=1``,
+    exceptions propagate as raised) or on the same kind of workers with no
+    ledger and no retry, where the first raising or dying task stops the
+    sweep with an :class:`~repro.errors.ExperimentError` naming it.
     """
     config = RuntimeConfig(
         jobs=jobs,
@@ -265,6 +266,10 @@ def run_sweep(
         if resume:
             raise ExperimentError(
                 "resume=True needs a result store to resume from"
+            )
+        if task_timeout is not None:
+            raise ExperimentError(
+                "task_timeout needs a result store; without one no task is timed out"
             )
         outcomes = _run_sweep_in_memory(tasks, jobs, progress)
     else:

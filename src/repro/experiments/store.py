@@ -39,7 +39,7 @@ Examples::
     store = ResultStore("results")
     for seed in range(4):
         store.save(run_experiment("fig9", scale="smoke", seed=seed), seed=seed)
-    replicates = store.load_all("fig9", "smoke")
+    replicates = [store.load("fig9", "smoke", seed) for seed in store.seeds("fig9", "smoke")]
     print(aggregate_results(replicates).table())
 """
 
@@ -105,7 +105,7 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
     absent or complete, never truncated.
     """
     temp = path.with_name(path.name + ".tmp")
-    temp.write_text(text)
+    temp.write_text(text, encoding="utf-8")
     os.replace(temp, path)
 
 
@@ -249,7 +249,7 @@ class ResultStore:
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text())
+            return json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ExperimentError(
                 f"manifest at {path} is not valid JSON ({exc}); delete it and "
@@ -260,7 +260,9 @@ class ResultStore:
         """One replicate's telemetry blob — ``{}`` when the file is missing
         or does not parse: it is run metadata, and no read depends on it."""
         try:
-            blob = json.loads(self.telemetry_path(experiment_id, scale, seed).read_text())
+            blob = json.loads(
+                self.telemetry_path(experiment_id, scale, seed).read_text(encoding="utf-8")
+            )
         except (OSError, ValueError):
             return {}
         return blob if isinstance(blob, dict) else {}
@@ -272,7 +274,7 @@ class ResultStore:
             return []
         # sorted() on the glob: directory enumeration order is
         # filesystem-dependent, and every consumer of this scan (manifest
-        # updates, load_all, aggregation) must see one canonical order;
+        # updates, resume, aggregation) must see one canonical order;
         # the final numeric sort then fixes seed_10 < seed_9 lexicography
         found = []
         for path in sorted(directory.glob("seed_*.json")):
@@ -287,14 +289,7 @@ class ResultStore:
         path = self.seed_path(experiment_id, scale, seed)
         if not path.exists():
             raise ExperimentError(f"no stored result at {path}")
-        return ExperimentResult.from_dict(json.loads(path.read_text()))
-
-    def load_all(self, experiment_id: str, scale: str) -> list[ExperimentResult]:
-        """Reload every replicate of a cell, in ascending seed order."""
-        return [
-            self.load(experiment_id, scale, seed)
-            for seed in self.seeds(experiment_id, scale)
-        ]
+        return ExperimentResult.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
     def verify_artifact(self, task: TaskKey, checksum: str) -> bool:
         """True iff the task's artifact exists and hashes to ``checksum``.

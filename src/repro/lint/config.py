@@ -152,7 +152,7 @@ def load_config(
             return LintConfig()
         path = found
     try:
-        table = tomllib.loads(path.read_text()).get("tool", {}).get(CONFIG_TABLE, {})
+        table = tomllib.loads(path.read_text(encoding="utf-8")).get("tool", {}).get(CONFIG_TABLE, {})
     except tomllib.TOMLDecodeError as exc:
         raise ConfigurationError(f"invalid TOML in {path}: {exc}") from exc
     return LintConfig.from_dict(table, root=path.parent)

@@ -84,7 +84,7 @@ def lint_file(
     """Lint one file: ``(violations, suppressed_count, allowed_count)``."""
     file_path = pathlib.Path(path)
     rel_path = config.relative_path(file_path)
-    source = file_path.read_text()
+    source = file_path.read_text(encoding="utf-8")
     try:
         context = FileContext(rel_path, source)
     except SyntaxError as exc:

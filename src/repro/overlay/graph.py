@@ -1,86 +1,101 @@
 """The overlay graph abstraction.
 
 ``OverlayGraph`` is a frozen adjacency structure: node indices are dense
-integers ``0..n-1`` and each node's neighbor list is a sorted tuple.  MPIL
-treats the overlay as arbitrary and read-only, which is the point of the
-paper ("the overlay underneath can be arbitrary"), so immutability is the
-honest representation.
+integers ``0..n-1`` and the neighbor lists are held as one CSR pair
+``(indptr, indices)`` with each row sorted.  MPIL treats the overlay as
+arbitrary and read-only, which is the point of the paper ("the overlay
+underneath can be arbitrary"), so immutability is the honest
+representation.
 
 Undirected graphs are validated for symmetry; directed graphs (used for the
 MPIL-over-Pastry adapter, where a Pastry node's outgoing neighbor list is
 its leaf set plus routing-table entries) skip that check.
 
-Two construction paths exist.  The sequence-of-neighbor-lists constructor
-normalises per node in Python — fine up to ~10^4 nodes.  :meth:`from_csr`
-takes ``(indptr, indices)`` arrays directly, validates them with vectorised
-array passes, and materialises the per-node tuples lazily; it is the
-struct-of-arrays path the 10^5-10^6-node scale rungs ride on.
+Both constructors end in the same arrays and the same vectorised
+validation: the sequence-of-neighbor-lists constructor normalises each list
+(sorted, duplicates dropped) into CSR, and :meth:`from_csr` takes
+already-normalised ``(indptr, indices)`` arrays.  Per-node neighbor tuples
+are materialised from the arrays lazily, on the first :meth:`neighbors`.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+import copy
+import itertools
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import OverlayError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
 
 class OverlayGraph:
-    """Immutable overlay adjacency structure."""
+    """Immutable overlay adjacency structure over CSR arrays."""
 
     def __init__(
         self,
         adjacency: Sequence[Iterable[int]],
         name: str = "overlay",
         directed: bool = False,
-        validate: bool = True,
     ):
-        self._adj_cache: tuple[tuple[int, ...], ...] | None = tuple(
-            tuple(sorted(set(int(v) for v in neighbors))) for neighbors in adjacency
+        rows = [sorted({int(v) for v in neighbors}) for neighbors in adjacency]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+            out=indptr[1:],
         )
-        self._n = len(self._adj_cache)
+        indices = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        self._init_csr(indptr, indices, name, directed)
+
+    def _init_csr(
+        self, indptr: np.ndarray, indices: np.ndarray, name: str, directed: bool
+    ) -> None:
+        """Adopt ``(indptr, indices)`` after whole-array validation: range,
+        self-loops, sorted duplicate-free rows, and symmetry when
+        undirected."""
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        if indptr.ndim != 1 or indptr.shape[0] == 0:
+            raise OverlayError("indptr must be a 1-d array of n + 1 offsets")
+        n = indptr.shape[0] - 1
+        if int(indptr[0]) != 0 or int(indptr[-1]) != indices.shape[0]:
+            raise OverlayError("indptr does not span the indices array")
+        degrees = np.diff(indptr)
+        if (degrees < 0).any():
+            raise OverlayError("indptr offsets must be non-decreasing")
+        if indices.shape[0]:
+            owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
+            if int(indices.min()) < 0 or int(indices.max()) >= n:
+                bad = int(owners[(indices < 0) | (indices >= n)][0])
+                raise OverlayError(f"node {bad} has an out-of-range neighbor")
+            if (indices == owners).any():
+                bad = int(owners[indices == owners][0])
+                raise OverlayError(f"node {bad} has a self-loop")
+            same_row = owners[1:] == owners[:-1]
+            if (same_row & (indices[1:] <= indices[:-1])).any():
+                bad = int(owners[1:][same_row & (indices[1:] <= indices[:-1])][0])
+                raise OverlayError(
+                    f"node {bad} has unsorted or duplicate neighbors"
+                )
+            if not directed:
+                forward = owners * n + indices
+                backward = indices * n + owners
+                forward.sort()
+                backward.sort()
+                if not np.array_equal(forward, backward):
+                    raise OverlayError("undirected overlay is asymmetric")
+        self._n = n
         self.name = name
         self.directed = directed
+        self._csr = (indptr, indices)
         #: per-node degree, computed once (perturbation families rank and
-        #: re-rank nodes by degree; len() per probe re-scans nothing here)
-        self._degrees: tuple[int, ...] = tuple(len(ns) for ns in self._adj_cache)
+        #: re-rank nodes by degree)
+        self._degrees: tuple[int, ...] = tuple(degrees.tolist())
         self._total_degrees: tuple[int, ...] | None = None
-        self._csr: tuple | None = None
-        if validate:
-            self._validate()
-
-    @property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per-node sorted neighbor tuples, materialised lazily for graphs
-        built from CSR arrays (one ``tolist`` pass, plain Python ints)."""
-        if self._adj_cache is None:
-            indptr, indices = self._csr  # type: ignore[misc]
-            flat = indices.tolist()
-            offsets = indptr.tolist()
-            self._adj_cache = tuple(
-                tuple(flat[offsets[u]:offsets[u + 1]]) for u in range(self._n)
-            )
-        return self._adj_cache
-
-    def _validate(self) -> None:
-        n = self.n
-        for u, neighbors in enumerate(self._adj):
-            for v in neighbors:
-                if not 0 <= v < n:
-                    raise OverlayError(f"node {u} has out-of-range neighbor {v}")
-                if v == u:
-                    raise OverlayError(f"node {u} has a self-loop")
-        if not self.directed:
-            neighbor_sets = [set(ns) for ns in self._adj]
-            for u, neighbors in enumerate(self._adj):
-                for v in neighbors:
-                    if u not in neighbor_sets[v]:
-                        raise OverlayError(
-                            f"undirected overlay is asymmetric: {u}->{v} but not {v}->{u}"
-                        )
+        self._rows: tuple[tuple[int, ...], ...] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -102,61 +117,19 @@ class OverlayGraph:
     @classmethod
     def from_csr(
         cls,
-        indptr: "np.ndarray",
-        indices: "np.ndarray",
+        indptr: np.ndarray,
+        indices: np.ndarray,
         name: str = "overlay",
         directed: bool = False,
-        validate: bool = True,
     ) -> "OverlayGraph":
         """Build an overlay directly from CSR ``(indptr, indices)`` arrays.
 
         Rows must be sorted and duplicate-free (:meth:`from_networkx`
-        normalises before calling this).  Validation — range, self-loops,
-        duplicates, and symmetry for undirected graphs — runs as whole-array
-        passes, so constructing a 10^5-node overlay costs milliseconds
-        instead of the seconds the per-node Python normalisation takes.
+        normalises before calling this).  Validation runs as whole-array
+        passes, so constructing a 10^5-node overlay costs milliseconds.
         """
-        import numpy as np
-
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        if indptr.ndim != 1 or indptr.shape[0] == 0:
-            raise OverlayError("indptr must be a 1-d array of n + 1 offsets")
-        n = indptr.shape[0] - 1
-        if int(indptr[0]) != 0 or int(indptr[-1]) != indices.shape[0]:
-            raise OverlayError("indptr does not span the indices array")
-        degrees = np.diff(indptr)
-        if (degrees < 0).any():
-            raise OverlayError("indptr offsets must be non-decreasing")
         self = cls.__new__(cls)
-        self._adj_cache = None
-        self._n = n
-        self.name = name
-        self.directed = directed
-        self._degrees = tuple(degrees.tolist())
-        self._total_degrees = None
-        self._csr = (indptr, indices)
-        if validate and indices.shape[0]:
-            owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            if int(indices.min()) < 0 or int(indices.max()) >= n:
-                bad = int(owners[(indices < 0) | (indices >= n)][0])
-                raise OverlayError(f"node {bad} has an out-of-range neighbor")
-            if (indices == owners).any():
-                bad = int(owners[indices == owners][0])
-                raise OverlayError(f"node {bad} has a self-loop")
-            same_row = owners[1:] == owners[:-1]
-            if (same_row & (indices[1:] <= indices[:-1])).any():
-                bad = int(owners[1:][same_row & (indices[1:] <= indices[:-1])][0])
-                raise OverlayError(
-                    f"node {bad} has unsorted or duplicate neighbors"
-                )
-            if not directed:
-                forward = owners * n + indices
-                backward = indices * n + owners
-                forward.sort()
-                backward.sort()
-                if not np.array_equal(forward, backward):
-                    raise OverlayError("undirected overlay is asymmetric")
+        self._init_csr(indptr, indices, name, directed)
         return self
 
     @classmethod
@@ -170,8 +143,6 @@ class OverlayGraph:
         ``order=list(graph.nodes)`` the result is that of
         ``nx.convert_node_labels_to_integers(graph)`` without the copy.
         """
-        import numpy as np
-
         n = graph.number_of_nodes()
         nodes = set(graph.nodes)
         if nodes != set(range(n)):
@@ -212,14 +183,8 @@ class OverlayGraph:
     def renamed(self, name: str) -> "OverlayGraph":
         """A copy under a new name sharing every frozen structure (the
         generators' final rename used to re-normalise all n neighbor lists)."""
-        clone = type(self).__new__(type(self))
-        clone._adj_cache = self._adj_cache
-        clone._n = self._n
+        clone = copy.copy(self)
         clone.name = name
-        clone.directed = self.directed
-        clone._degrees = self._degrees
-        clone._total_degrees = self._total_degrees
-        clone._csr = self._csr
         return clone
 
     # -- accessors ----------------------------------------------------------
@@ -227,6 +192,19 @@ class OverlayGraph:
     @property
     def n(self) -> int:
         return self._n
+
+    @property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """Per-node sorted neighbor tuples, materialised from the CSR arrays
+        on first use (one ``tolist`` pass, plain Python ints)."""
+        if self._rows is None:
+            indptr, indices = self._csr
+            flat = indices.tolist()
+            offsets = indptr.tolist()
+            self._rows = tuple(
+                tuple(flat[offsets[u]:offsets[u + 1]]) for u in range(self._n)
+            )
+        return self._rows
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self._adj[node]
@@ -252,57 +230,25 @@ class OverlayGraph:
         if not self.directed:
             return self._degrees
         if self._total_degrees is None:
-            import numpy as np
-
-            _indptr, indices = self.adjacency_arrays()
+            _indptr, indices = self._csr
             incoming = np.bincount(indices, minlength=self.n)
             self._total_degrees = tuple(
                 int(out + inc) for out, inc in zip(self._degrees, incoming)
             )
         return self._total_degrees
 
-    def adjacency_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """CSR-style ``(indptr, indices)`` adjacency view, built lazily.
+    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR ``(indptr, indices)`` adjacency.
 
         ``indices[indptr[u]:indptr[u + 1]]`` are the (sorted) neighbors of
-        ``u``; both arrays are cached, so vectorised consumers (metric
-        tables, perturbation families scoring whole node sets) share one
-        copy instead of re-walking the per-node tuples.
+        ``u``.  Callers must treat both arrays as read-only.
         """
-        if self._csr is None:
-            import numpy as np
-
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self._degrees, out=indptr[1:])
-            indices = np.fromiter(
-                (v for ns in self._adj for v in ns),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
-            self._csr = (indptr, indices)
         return self._csr
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate edges; for undirected graphs each edge appears once."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if self.directed or u < v:
-                    yield (u, v)
 
     @property
     def num_edges(self) -> int:
         total = sum(self._degrees)
         return total if self.directed else total // 2
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Map degree -> number of nodes with that degree."""
-        histogram: dict[int, int] = collections.Counter(self._degrees)
-        return dict(histogram)
-
-    def average_degree(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return sum(self._degrees) / self.n
 
     def is_connected(self) -> bool:
         """Connectivity test (weak connectivity for directed graphs).
@@ -310,28 +256,13 @@ class OverlayGraph:
         Undirected graphs run a vectorised frontier expansion over the CSR
         arrays — whole-frontier neighbor gathers instead of a per-node
         Python BFS — so the generators' connectivity retries stay cheap at
-        10^5+ nodes.
+        10^5+ nodes.  Directed graphs count :meth:`components`.
         """
         if self.n == 0:
             return True
         if self.directed:
-            undirected: list[set[int]] = [set() for _ in range(self.n)]
-            for u in range(self.n):
-                for v in self._adj[u]:
-                    undirected[u].add(v)
-                    undirected[v].add(u)
-            seen = {0}
-            frontier = collections.deque([0])
-            while frontier:
-                u = frontier.popleft()
-                for v in undirected[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            return len(seen) == self.n
-        import numpy as np
-
-        indptr, indices = self.adjacency_arrays()
+            return len(self.components()) == 1
+        indptr, indices = self._csr
         visited = np.zeros(self.n, dtype=bool)
         visited[0] = True
         frontier = np.array([0], dtype=np.int64)

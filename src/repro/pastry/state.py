@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.identifiers import Identifier
-from repro.core.soa import pack_digit_matrix
+from repro.core.identifiers import Identifier, pack_digit_matrix
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_rng
 
@@ -63,7 +62,7 @@ class PastryRing:
     @property
     def digit_matrix(self) -> np.ndarray:
         """The shared ``(n, M)`` uint8 digit matrix of the ring's ids,
-        built once (struct-of-arrays view shared by table construction)."""
+        built once and read by routing-table construction."""
         if self._digit_matrix is None:
             self._digit_matrix = pack_digit_matrix(self.ids)
         return self._digit_matrix

@@ -188,12 +188,12 @@ class ProbedViewOracle:
         total-traffic comparison (magnitudes, not exact counts).
         """
         cfg = self.schedule.config
-        online_fraction = 1.0 - cfg.expected_offline_fraction
+        online_share = 1.0 - cfg.expected_offline_fraction
         offline_fraction = cfg.expected_offline_fraction
         retry_factor = 1.0 + offline_fraction * self.config.probe_retries
         n = self.schedule.num_nodes
         leafset_rounds = duration / self.config.leafset_probe_period
         table_rounds = duration / self.config.routing_table_probe_period
-        return n * online_fraction * retry_factor * (
+        return n * online_share * retry_factor * (
             leafset_rounds * avg_leafset_size + table_rounds * avg_table_entries
         )

@@ -55,11 +55,10 @@ class AvailabilityProcess(Protocol):
 
 
 class ProcessBase:
-    """Shared diagnostics for availability processes.
+    """Shared bulk view for availability processes.
 
-    Subclasses provide ``num_nodes`` and ``is_online``; this base adds the
-    bulk availability bitmap (:meth:`online_mask`) and the fraction-online
-    diagnostic every scenario exposes.
+    Subclasses provide ``num_nodes`` and ``is_online``; this base adds
+    :meth:`online_mask`, every node's availability at one instant.
     """
 
     num_nodes: int
@@ -70,21 +69,16 @@ class ProcessBase:
     def online_mask(self, time: float) -> np.ndarray:
         """Availability of *every* node at ``time`` as one boolean bitmap.
 
-        The bulk view :class:`repro.core.soa.NodeArrays` liveness refreshes
-        and whole-population diagnostics consume.  This default evaluates
-        the point query per node; subclasses override it with vectorised
-        implementations that are exactly equivalent (same floats, same lazy
-        RNG draws).  Callers must treat the returned array as read-only.
+        This default evaluates the point query per node; subclasses
+        override it with vectorised implementations that are exactly
+        equivalent (same floats, same lazy RNG draws).  Callers must treat
+        the returned array as read-only.
         """
         return np.fromiter(
             (self.is_online(node, time) for node in range(self.num_nodes)),
             dtype=bool,
             count=self.num_nodes,
         )
-
-    def online_fraction(self, time: float) -> float:
-        """Fraction of nodes online at ``time`` (diagnostics)."""
-        return int(self.online_mask(time).sum()) / self.num_nodes
 
 
 def merge_intervals(intervals: Sequence[Interval]) -> list[Interval]:

@@ -43,7 +43,7 @@ class RegionalOutageConfig:
         Length of the outage window (seconds).
     severity:
         Fraction of regions affected, in ``[0, 1]``; the number of regions
-        hit is ``round(severity * num_regions)``.
+        hit is ``severity`` times the number of regions, rounded.
     """
 
     start: float
@@ -142,10 +142,6 @@ class RegionalOutage(ProcessBase):
         self._affected_array = np.fromiter(
             sorted(self._affected), dtype=np.int64, count=len(self._affected)
         )
-
-    @property
-    def num_regions(self) -> int:
-        return len(set(self.regions))
 
     def affects(self, node: int) -> bool:
         """Whether ``node`` sits in an affected region (exemptions aside)."""

@@ -47,25 +47,12 @@ class ScenarioTimeline(ProcessBase):
         self.always_online = frozenset.intersection(
             *(frozenset(p.always_online) for p in self.processes)
         )
-        self._mask_memo: tuple[float, np.ndarray] | None = None
 
     def online_mask(self, time: float) -> np.ndarray:
-        """Bulk bitmap: AND of the component bitmaps, computed once per
-        distinct query time.
-
-        Windowed consumers (the :class:`repro.core.soa.NodeArrays` liveness
-        refresh, per-window diagnostics) query the same instant for the
-        whole population, so the timeline memoises the last window's bitmap
-        instead of running ``num_nodes * num_processes`` point queries per
-        refresh.  Callers must treat the returned array as read-only.
-        """
-        memo = self._mask_memo
-        if memo is not None and memo[0] == time:
-            return memo[1]
+        """Bulk bitmap: AND of the component bitmaps."""
         mask = _component_mask(self.processes[0], time, self.num_nodes)
         for process in self.processes[1:]:
             mask &= _component_mask(process, time, self.num_nodes)
-        self._mask_memo = (time, mask)
         return mask
 
     def is_online(self, node: int, time: float) -> bool:

@@ -72,10 +72,6 @@ class TestChurnSchedule:
         with pytest.raises(ConfigurationError):
             ChurnSchedule(ChurnConfig(10, 10), 0)
 
-    def test_online_fraction_diagnostic(self):
-        schedule = ChurnSchedule(ChurnConfig(10, 10), 50, seed=7)
-        assert 0.0 <= schedule.online_fraction(123.0) <= 1.0
-
     def test_faster_churn_means_more_transitions(self):
         slow = ChurnSchedule(ChurnConfig(600, 600), 1, seed=8)
         fast = ChurnSchedule(ChurnConfig(30, 30), 1, seed=8)

@@ -2,11 +2,16 @@
 protocol stacks, ``nan`` simulation times against the scheduler, latency
 models and timed driver, and corrupted store files, hostile spec files, a
 hostile ``[scale]`` table, non-finite runtime knobs and budgets,
-non-integer counts and a full span recorder against the CLI and the API."""
+non-integer counts and a full span recorder against the CLI and the API,
+and a C locale against ``lint`` and the result store."""
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -446,3 +451,58 @@ class TestHostileScaleTable:
                 assert "static_ops=0" in captured.err and "Traceback" not in captured.err
         finally:
             api.unregister_scale("hollow")
+
+
+class TestAsciiLocale:
+    """Under a C locale (no UTF-8 mode, no locale coercion) Python's default
+    text encoding is ASCII.  ``lint src`` died in ``UnicodeDecodeError`` on
+    the first docstring with "Erdős–Rényi" in it, and a sweep whose
+    ``[sweep] column`` is not ASCII died in ``UnicodeEncodeError`` writing
+    ``aggregate.csv``, stranding ``aggregate.csv.tmp`` beside an
+    ``aggregate.json`` with no CSV.  Every text file the program writes or
+    reads back is UTF-8 whatever the locale."""
+
+    REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+    def _run(self, argv, tmp_path):
+        env = {
+            key: value for key, value in os.environ.items() if not key.startswith("LC_")
+        }
+        env.update(
+            LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=str(self.REPO_ROOT / "src"),
+        )
+        return subprocess.run(
+            [sys.executable, *argv], cwd=self.REPO_ROOT, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_lint_reads_non_ascii_sources(self, tmp_path):
+        report = tmp_path / "lint.json"
+        done = self._run(
+            ["-m", "repro.experiments.cli", "lint", "src", "--report", str(report)], tmp_path
+        )
+        assert "Traceback" not in done.stderr, done.stderr
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert json.loads(report.read_text(encoding="utf-8"))["counts"] == {}
+
+    def test_sweep_of_a_non_ascii_column_writes_its_aggregate(self, tmp_path):
+        store = tmp_path / "store"
+        script = (
+            "import sys\n"
+            "from repro import api\n"
+            "api.compose({'experiment': {'id': 'locale-sweep', 'title': 'locale'},\n"
+            "             'sweep': {'column': 'p\\u00e9riode', 'values': [0.5]},\n"
+            "             'scenario': [{'family': 'flapping', 'period': '30:30',\n"
+            "                           'probability': '$p\\u00e9riode'}]},\n"
+            "            register_spec=True)\n"
+            "api.sweep('locale-sweep', seeds=[0], scale='smoke', store=sys.argv[1])\n"
+        )
+        done = self._run(["-c", script, str(store)], tmp_path)
+        assert "Traceback" not in done.stderr, done.stderr
+        assert done.returncode == 0, done.stderr
+        cell = store / "locale-sweep" / "smoke"
+        assert sorted(path.name for path in cell.glob("*.tmp")) == []
+        header = (cell / "aggregate.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header.startswith("période")
+        assert "période" in json.loads((cell / "aggregate.json").read_text(encoding="utf-8"))["columns"]

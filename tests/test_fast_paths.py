@@ -481,9 +481,7 @@ class TestCachedViews:
                 combined = table.scores_with_self(node, target)
                 assert combined[0] == table.self_score(node, target)
                 assert combined[1:] == table.scores(node, target).tolist()
-                assert table.neighbor_list(node) == tuple(
-                    int(v) for v in table.neighbor_array(node)
-                )
+                assert table.neighbor_list(node) == overlay.neighbors(node)
                 # not memoised itself: the one memo holds the ranked form
                 assert table.scores_with_self(node, target) is not combined
 

@@ -115,10 +115,6 @@ class TestFlappingSchedule:
         expected = 1.0 - config.expected_offline_fraction
         assert abs(fraction - expected) < 0.05
 
-    def test_online_fraction_diagnostic(self):
-        schedule = FlappingSchedule(FlappingConfig(1, 1, 0.0), 10, seed=10)
-        assert schedule.online_fraction(50.0) == 1.0
-
 
 class TestDecisionStreamsOnFirstUse:
     """A node's ``"flap-decisions"`` stream exists once a cycle of that node

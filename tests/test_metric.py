@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.identifiers import IdSpace
+from repro.core.identifiers import IdSpace, pack_digit_matrix
 from repro.core.metric import (
     CommonDigitsMetric,
     NeighborMetricTable,
@@ -75,10 +75,10 @@ class TestNeighborMetricTable:
             expected = [metric.score(target, ids[v]) for v in overlay.neighbors(node)]
             assert scores.tolist() == expected
 
-    def test_neighbor_array_alignment(self):
+    def test_neighbor_list_alignment(self):
         overlay, _ids, table = self._table(CommonDigitsMetric())
         for node in range(overlay.n):
-            assert table.neighbor_array(node).tolist() == list(overlay.neighbors(node))
+            assert table.neighbor_list(node) == overlay.neighbors(node)
 
     def test_self_score(self):
         overlay, ids, table = self._table(CommonDigitsMetric())
@@ -102,13 +102,13 @@ class TestNeighborMetricTable:
 def test_prefix_vectorised_equals_scalar(x, y):
     metric = PrefixLengthMetric()
     a, b = SPACE.identifier(x), SPACE.identifier(y)
-    matrix = b.digits_array.reshape(1, -1)
-    assert metric.scores_matrix(a.digits_array, matrix)[0] == metric.score(a, b)
+    matrix = pack_digit_matrix([b])
+    assert metric.scores_matrix(pack_digit_matrix([a])[0], matrix)[0] == metric.score(a, b)
 
 
 @given(st.integers(0, SPACE.max_value), st.integers(0, SPACE.max_value))
 def test_suffix_vectorised_equals_scalar(x, y):
     metric = SuffixLengthMetric()
     a, b = SPACE.identifier(x), SPACE.identifier(y)
-    matrix = b.digits_array.reshape(1, -1)
-    assert metric.scores_matrix(a.digits_array, matrix)[0] == metric.score(a, b)
+    matrix = pack_digit_matrix([b])
+    assert metric.scores_matrix(pack_digit_matrix([a])[0], matrix)[0] == metric.score(a, b)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OverlayError
 from repro.overlay.complete import complete_graph
@@ -55,11 +60,6 @@ class TestOverlayGraph:
         assert sorted(len(c) for c in comps) == [1, 2, 2]
         assert not g.is_connected()
 
-    def test_degree_histogram_and_average(self):
-        g = ring_lattice_graph(10, k=1)
-        assert g.degree_histogram() == {2: 10}
-        assert g.average_degree() == 2.0
-
     def test_networkx_order_is_the_integer_relabel(self):
         """``order=list(graph.nodes)`` gives what
         ``convert_node_labels_to_integers`` gives, array for array.  The
@@ -89,11 +89,115 @@ class TestOverlayGraph:
             with pytest.raises(OverlayError, match="order"):
                 OverlayGraph.from_networkx(graph, order=bad)
 
-    def test_edges_listed_once(self):
-        g = ring_lattice_graph(6, k=1)
-        edges = list(g.edges())
-        assert len(edges) == 6
-        assert len(set(edges)) == 6
+
+# ---------------------------------------------------------------------------
+# One constructor path: per-node lists and CSR arrays build the same graph
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def neighbor_lists(draw, directed):
+    """Per-node neighbor lists, unsorted and with duplicates; symmetric
+    unless ``directed``."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
+    )
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            rows[u].append(v)
+            if not directed:
+                rows[v].append(u)
+    return rows
+
+
+def _csr_of(rows):
+    """``(indptr, indices)`` of already-normalised rows, built by hand."""
+    indptr = np.array([0] + [len(row) for row in rows], dtype=np.int64).cumsum()
+    indices = np.array([v for row in rows for v in row], dtype=np.int64)
+    return indptr, indices
+
+
+def _weakly_connected(rows) -> bool:
+    """Set-based BFS over the undirected view (the oracle for both
+    ``is_connected`` implementations)."""
+    undirected = [set(row) for row in rows]
+    for u, row in enumerate(rows):
+        for v in row:
+            undirected[v].add(u)
+    seen = {0}
+    frontier = collections.deque([0])
+    while frontier:
+        for v in undirected[frontier.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == len(rows)
+
+
+def _assert_same_graph(got: OverlayGraph, expected: OverlayGraph) -> None:
+    for got_array, expected_array in zip(got.adjacency_arrays(), expected.adjacency_arrays()):
+        assert got_array.dtype == expected_array.dtype == np.int64
+        assert np.array_equal(got_array, expected_array)
+    assert got.n == expected.n
+    assert got.directed == expected.directed
+    assert [got.neighbors(u) for u in range(got.n)] == [
+        expected.neighbors(u) for u in range(expected.n)
+    ]
+    assert got.degrees == expected.degrees
+    assert got.total_degrees == expected.total_degrees
+    assert got.num_edges == expected.num_edges
+    assert got.is_connected() == expected.is_connected()
+    assert got.components() == expected.components()
+
+
+class TestOneConstructorPath:
+    @pytest.mark.parametrize("directed", [False, True])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_lists_and_csr_build_the_same_graph(self, directed, data):
+        rows = data.draw(neighbor_lists(directed))
+        normalised = [sorted(set(row)) for row in rows]
+        from_lists = OverlayGraph(rows, directed=directed)
+        from_csr = OverlayGraph.from_csr(*_csr_of(normalised), directed=directed)
+        _assert_same_graph(from_lists, from_csr)
+        assert [list(from_lists.neighbors(u)) for u in range(len(rows))] == normalised
+        assert from_lists.is_connected() == _weakly_connected(normalised)
+        assert sorted(v for c in from_lists.components() for v in c) == list(range(len(rows)))
+
+    @pytest.mark.parametrize(
+        "defect, directed",
+        [(defect, directed) for defect in ("self-loop", "too-large", "negative")
+         for directed in (False, True)] + [("asymmetric", False)],
+    )
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_bad_input_is_rejected_by_both_entry_points(self, defect, directed, data):
+        rows = [sorted(set(row)) for row in data.draw(neighbor_lists(directed))]
+        n = len(rows)
+        u = data.draw(st.integers(0, n - 1))
+        if defect == "self-loop":
+            bad = u
+        elif defect == "too-large":
+            bad = n
+        elif defect == "negative":
+            bad = -1
+        else:
+            strangers = [v for v in range(n) if v != u and v not in rows[u]]
+            assume(strangers)
+            bad = data.draw(st.sampled_from(strangers))
+        rows[u] = sorted(rows[u] + [bad])
+        with pytest.raises(OverlayError):
+            OverlayGraph(rows, directed=directed)
+        with pytest.raises(OverlayError):
+            OverlayGraph.from_csr(*_csr_of(rows), directed=directed)
+
+    def test_complete_graph_is_validated_csr(self):
+        g = complete_graph(5)
+        assert g.neighbors(2) == (0, 1, 3, 4)
+        assert g.num_edges == 10
+        _assert_same_graph(g, OverlayGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u)]))
 
 
 class TestGenerators:

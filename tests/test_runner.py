@@ -150,6 +150,26 @@ class TestRunSweep:
         report = run_sweep(self.SPEC, store=None, jobs=1)
         assert len(report.aggregates) == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_storeless_sweep_rejects_task_timeout(self, jobs, monkeypatch):
+        """Without a store no task is retried or timed out, so a
+        ``task_timeout`` there used to be validated and then ignored.  Now
+        it is one line from both entry points, before any task runs."""
+        from repro import api
+        from repro.experiments import runner
+
+        def no_task_may_run(*args, **kwargs):
+            raise AssertionError("a storeless sweep ran with a task_timeout")
+
+        monkeypatch.setattr(runner, "_run_sweep_in_memory", no_task_may_run)
+        for sweep in (
+            lambda: run_sweep(self.SPEC, store=None, jobs=jobs, task_timeout=5.0),
+            lambda: api.sweep("fig7", seeds=[0], scale="smoke", jobs=jobs, task_timeout=5.0),
+        ):
+            with pytest.raises(ExperimentError, match="task_timeout needs a result store") as info:
+                sweep()
+            assert "\n" not in str(info.value)
+
 
 class TestResume:
     SPEC = SweepSpec(("fig7",), seeds=(0, 1), scale="smoke")

@@ -1,22 +1,22 @@
 """Tests for the scale ladder: the flat Scale dataclass, the rung
-registry, run budgets, the SoA node-array core and bulk availability
-bitmaps."""
+registry, run budgets, the population's shared arrays and bulk
+availability bitmaps."""
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import api
-from repro.core.identifiers import IdSpace
+from repro.core.identifiers import IdSpace, pack_digit_matrix
 from repro.core.metric import (
     CommonDigitsMetric,
     NeighborMetricTable,
     PrefixLengthMetric,
     SuffixLengthMetric,
 )
-from repro.core.soa import NodeArrays, pack_digit_matrix
 from repro.errors import ExperimentError
 from repro.experiments.cli import main
 from repro.experiments.compose import compose_spec
@@ -315,7 +315,7 @@ class TestComposeScaleTable:
 
 
 # ---------------------------------------------------------------------------
-# The struct-of-arrays core
+# The population's shared arrays
 # ---------------------------------------------------------------------------
 
 
@@ -326,34 +326,26 @@ def _arrays_fixture(n=30, degree=6, seed=3):
     return overlay, ids
 
 
-class TestNodeArrays:
+class TestPopulationArrays:
     def test_digit_matrix_matches_identifier_digits(self):
         _overlay, ids = _arrays_fixture()
         matrix = pack_digit_matrix(ids)
+        assert matrix.shape == (len(ids), ids[0].space.num_digits)
+        assert not matrix.flags.writeable
         for row, identifier in zip(matrix, ids):
             assert bytes(row.tolist()) == identifier.digits
+        assert pack_digit_matrix([]).shape == (0, 0)
 
-    def test_neighbors_and_rows_with_self(self):
+    def test_metric_table_rows_with_self(self):
         overlay, ids = _arrays_fixture()
-        arrays = NodeArrays(overlay, ids)
+        table = NeighborMetricTable(overlay, ids)
+        assert np.array_equal(table.digits, pack_digit_matrix(ids))
+        assert not table.rows_with_self.flags.writeable
         for node in range(overlay.n):
-            assert arrays.neighbors(node).tolist() == sorted(overlay.neighbors(node))
-            rows = arrays.rows_ws(node).tolist()
-            assert rows[0] == node
-            assert rows[1:] == sorted(overlay.neighbors(node))
-
-    def test_refresh_alive_matches_point_queries(self):
-        overlay, ids = _arrays_fixture()
-        arrays = NodeArrays(overlay, ids)
-        assert arrays.online_count() == overlay.n
-        process = FlappingSchedule(
-            FlappingConfig(30, 30, 0.7), overlay.n, seed=5
-        )
-        for time in (0.0, 31.0, 45.0, 200.0):
-            mask = arrays.refresh_alive(process, time)
-            expected = [process.is_online(node, time) for node in range(overlay.n)]
-            assert mask.tolist() == expected
-            assert arrays.online_count() == sum(expected)
+            start, end = table.indptr_ws[node], table.indptr_ws[node + 1]
+            rows = table.rows_with_self[start:end].tolist()
+            assert rows == [node, *overlay.neighbors(node)]
+            assert table.neighbor_list(node) == overlay.neighbors(node)
 
 
 class TestMetricTableParity:
@@ -460,12 +452,3 @@ class TestOnlineMasks:
             [a.is_online(node, t) for node in range(n)] for t in times
         ] == masks_first
         assert [b.online_mask(t).tolist() for t in times] == points_first
-
-    def test_timeline_memoises_same_instant(self):
-        processes = _mask_processes(n=30, seed=3)
-        timeline = processes["timeline"]
-        first = timeline.online_mask(61.0)
-        assert timeline.online_mask(61.0) is first
-        assert timeline.online_mask(62.0) is not first
-
-
