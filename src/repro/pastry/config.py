@@ -20,8 +20,18 @@ declared suspect and the message is re-routed around it.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import ConfigurationError
+
+#: the fields that are durations in seconds
+_DURATIONS = (
+    "leafset_probe_period",
+    "routing_table_probe_period",
+    "routing_table_maintenance_period",
+    "probe_timeout",
+    "app_retx_interval",
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,27 +59,21 @@ class PastryConfig:
             raise ConfigurationError(
                 f"leaf_set_size must be a positive even number, got {self.leaf_set_size}"
             )
-        if self.probe_timeout <= 0:
-            raise ConfigurationError(
-                f"probe_timeout must be positive, got {self.probe_timeout}"
-            )
+        # `nan <= 0` is false and `inf` is positive: a sign test alone
+        # lets both through
+        for name in _DURATIONS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
         if self.probe_retries < 0:
             raise ConfigurationError(
                 f"probe_retries must be >= 0, got {self.probe_retries}"
             )
-        if min(
-            self.leafset_probe_period,
-            self.routing_table_probe_period,
-            self.routing_table_maintenance_period,
-        ) <= 0:
-            raise ConfigurationError("maintenance periods must be positive")
         if self.app_retransmissions < 0:
             raise ConfigurationError(
                 f"app_retransmissions must be >= 0, got {self.app_retransmissions}"
-            )
-        if self.app_retx_interval <= 0:
-            raise ConfigurationError(
-                f"app_retx_interval must be positive, got {self.app_retx_interval}"
             )
         if self.max_route_hops < 1:
             raise ConfigurationError(
@@ -82,3 +86,10 @@ class PastryConfig:
 
     def replace(self, **changes) -> "PastryConfig":
         return dataclasses.replace(self, **changes)
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """One :class:`ConfigurationError` naming ``name`` unless ``value`` is
+    an ``int`` (``bool`` is not a count) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -250,6 +250,15 @@ class PastryNetwork:
         learned_dead: set[int] = set()
         root = self.ring.root_of(key)
 
+        def believes(candidate: int, kind: str) -> bool:
+            """The deciding hop's belief: asked only inside
+            ``pastry_next_hop``, while ``node`` and ``time`` are that hop's."""
+            if candidate in learned_dead:
+                return False
+            if views is None:
+                return True
+            return views.believes_alive(node, candidate, time, kind)
+
         telemetry = current_telemetry()
         spans = telemetry.spans  # None unless the run opted into tracing
         trace_id = ""
@@ -289,15 +298,6 @@ class PastryNetwork:
                 break
 
             current = node
-            now = time
-
-            def believes(candidate: int, kind: str) -> bool:
-                if candidate in learned_dead:
-                    return False
-                if views is None:
-                    return True
-                return views.believes_alive(current, candidate, now, kind)
-
             decision = pastry_next_hop(
                 node,
                 key,

@@ -35,7 +35,7 @@ import bisect
 import math
 from typing import Optional
 
-from repro.pastry.config import PastryConfig
+from repro.pastry.config import PastryConfig, check_count
 from repro.perturbation.flapping import FlappingSchedule
 from repro.sim.rng import derive_rng, validate_seed
 
@@ -56,6 +56,8 @@ class _RejoinModel:
 
     def __init__(self, config: PastryConfig, seed: object, join_contacts: int, max_attempts: int):
         validate_seed(seed)
+        check_count("join_contacts", join_contacts)
+        check_count("max_attempts", max_attempts)
         self.pastry_config = config
         self.seed = seed
         self.join_contacts = join_contacts
@@ -115,6 +117,7 @@ class RejoinAdjustedAvailability(_RejoinModel):
         scan_cycles: int = 64,
     ):
         super().__init__(config, seed, join_contacts, max_attempts)
+        check_count("scan_cycles", scan_cycles)
         self.schedule = schedule
         self.scan_cycles = scan_cycles
         flap = schedule.config

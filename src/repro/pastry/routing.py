@@ -12,6 +12,15 @@ algorithm:
    of the key) is used if populated and believed alive;
 3. otherwise the "rare case": any known node that shares at least as long
    a prefix with the key and is numerically closer than the current node.
+
+A hop asks the liveness predicate only the questions whose answer can
+change its decision: the span check asks only the leaves that lie at or
+beyond the key on the key's side and stops at the first believed alive;
+the closest-leaf pick asks the leaves closer to the key than the node, in
+rank order, until one is believed alive; the rare case asks only a
+candidate that passes the prefix and distance filters and beats the best
+believed-alive candidate so far.  A hop asks no question twice.  The
+decision is the one the ask-everything rule makes, for any pure predicate.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from repro.pastry.state import PastryRing
 
 DELIVER = "deliver"
 FORWARD = "forward"
+LEAFSET = "leafset"
+TABLE = "table"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,6 +44,10 @@ class HopDecision:
     action: str  # DELIVER or FORWARD
     node: int  # delivery node or next hop
     source: str  # "self" | "leafset" | "table" | "fallback"
+
+
+def _believed_alive(candidate: int, kind: str) -> bool:
+    return True
 
 
 def pastry_next_hop(
@@ -48,90 +63,119 @@ def pastry_next_hop(
     ``alive(candidate, kind)`` reports whether this node currently believes
     ``candidate`` (known via structure ``kind`` in {"leafset", "table"}) to
     be responsive; ``alive=None`` means every candidate is believed alive
-    (the static-stage fast path — no per-candidate predicate calls).
+    (the static stage).  ``alive`` must be a pure function of its arguments
+    within one call: which questions a hop asks depends on earlier answers.
+
+    The questions a hop asks, in order: ``(m, "leafset")`` for leaves ``m``
+    at or beyond the key's signed ring offset on the key's side (any leaf
+    when the key is the node's own id) until one is believed alive — a key
+    beyond every leaf asks none; if the key is inside that span,
+    ``(m, "leafset")`` for the leaves whose ``(distance, value)`` rank to the
+    key beats the node's own, nearest first, until one is believed alive;
+    otherwise ``(entry, "table")`` for the routing-table cell, then, in the
+    rare case, each leaf or table entry that shares at least the node's
+    prefix with the key, is closer to it than the node, and outranks the
+    best believed-alive candidate found so far.  No question is asked twice
+    in one hop: a leaf's answer is reused, and a cell entry believed dead
+    is not asked again.
 
     This is the inner loop of every lookup: ring offsets and circular
     distances are computed inline on the ring's cached raw values, and the
     shared-prefix digit decomposition goes through the ring's memo
     (:meth:`~repro.pastry.state.PastryRing.prefix_len`).
     """
+    if not leaf_set:
+        # Singleton ring: the node is trivially the root.
+        return HopDecision(DELIVER, node, "self")
+    if alive is None:
+        alive = _believed_alive
     values = ring.values
     node_value = values[node]
     key_value = key.value
     size = ring.space.size
     half = size >> 1
+    # leaf -> this hop's answer to (leaf, "leafset")
+    leaf_answers: dict[int, bool] = {}
 
-    if alive is None:
-        alive_leaves: Sequence[int] = leaf_set
-    else:
-        alive_leaves = [m for m in leaf_set if alive(m, "leafset")]
+    # 1. leaf-set range check: the believed-alive span [lo, hi] of signed
+    # ring offsets (0, the node itself, always inside) covers the key iff
+    # a believed-alive leaf lies at or beyond the key on the key's side
+    key_offset = (key_value - node_value) % size
+    if key_offset > half:
+        key_offset -= size
+    in_span = False
+    for m in leaf_set:
+        offset = (values[m] - node_value) % size
+        if offset > half:
+            offset -= size
+        if 0 <= key_offset <= offset or offset <= key_offset <= 0:
+            in_span = leaf_answers[m] = alive(m, LEAFSET)
+            if in_span:
+                break
 
-    # 1. leaf-set range check
-    if alive_leaves:
-        # signed ring offsets mapped to (-size/2, size/2], with 0 (the node
-        # itself) always inside the span
-        lo = 0
-        hi = 0
-        for m in alive_leaves:
-            offset = (values[m] - node_value) % size
-            if offset > half:
-                offset -= size
-            if offset < lo:
-                lo = offset
-            elif offset > hi:
-                hi = offset
-        key_offset = (key_value - node_value) % size
-        if key_offset > half:
-            key_offset -= size
-        if lo <= key_offset <= hi:
-            best_node = node
-            distance = node_value - key_value if node_value >= key_value else key_value - node_value
+    own_distance = node_value - key_value if node_value >= key_value else key_value - node_value
+    if own_distance > size - own_distance:
+        own_distance = size - own_distance
+    if in_span:
+        # the numerically closest believed-alive leaf, or the node itself
+        own_rank = (own_distance, node_value, node)
+        closer: list[tuple[int, int, int]] = []
+        for m in leaf_set:
+            m_value = values[m]
+            distance = m_value - key_value if m_value >= key_value else key_value - m_value
             if distance > size - distance:
                 distance = size - distance
-            best = (distance, node_value)
-            for m in alive_leaves:
-                m_value = values[m]
-                distance = m_value - key_value if m_value >= key_value else key_value - m_value
-                if distance > size - distance:
-                    distance = size - distance
-                rank = (distance, m_value)
-                if rank < best:
-                    best = rank
-                    best_node = m
-            if best_node == node:
-                return HopDecision(DELIVER, node, "self")
-            return HopDecision(FORWARD, best_node, "leafset")
-    elif not leaf_set:
-        # Singleton ring: the node is trivially the root.
+            rank = (distance, m_value, m)
+            if rank < own_rank:
+                closer.append(rank)
+        closer.sort()
+        for _distance, _value, m in closer:
+            answer = leaf_answers.get(m)
+            if answer is None:
+                answer = leaf_answers[m] = alive(m, LEAFSET)
+            if answer:
+                return HopDecision(FORWARD, m, "leafset")
         return HopDecision(DELIVER, node, "self")
 
     # 2. routing-table cell
     shared = ring.prefix_len(node, key)
+    refused: Optional[int] = None  # the cell's entry, once believed dead
     if shared < key.space.num_digits:
         entry = table.get((shared, key.digit(shared)))
-        if entry is not None and (alive is None or alive(entry, "table")):
-            return HopDecision(FORWARD, entry, "table")
+        if entry is not None:
+            if alive(entry, TABLE):
+                return HopDecision(FORWARD, entry, "table")
+            refused = entry
 
-    # 3. rare case: any known closer node with at least as long a prefix
-    own_distance = ring.circular_distance(node_value, key_value)
+    # 3. rare case: the best-ranked known node, believed alive, with at
+    # least as long a prefix and numerically closer than the current node
     best_candidate: Optional[int] = None
     best_rank: tuple[int, int, int] | None = None
     seen: set[int] = set()
-    for kind, candidates in (("leafset", leaf_set), ("table", table.values())):
+    for kind, candidates in ((LEAFSET, leaf_set), (TABLE, table.values())):
         for candidate in candidates:
             if candidate == node or candidate in seen:
                 continue
             seen.add(candidate)
-            if alive is not None and not alive(candidate, kind):
+            c_value = values[candidate]
+            distance = c_value - key_value if c_value >= key_value else key_value - c_value
+            if distance > size - distance:
+                distance = size - distance
+            if distance >= own_distance:
                 continue
             prefix = ring.prefix_len(candidate, key)
             if prefix < shared:
                 continue
-            distance = ring.circular_distance(values[candidate], key_value)
-            if distance >= own_distance:
+            rank = (-prefix, distance, c_value)
+            if best_rank is not None and rank >= best_rank:
                 continue
-            rank = (-prefix, distance, values[candidate])
-            if best_rank is None or rank < best_rank:
+            if kind is LEAFSET:
+                answer = leaf_answers.get(candidate)
+                if answer is None:
+                    answer = alive(candidate, LEAFSET)
+            else:
+                answer = candidate != refused and alive(candidate, TABLE)
+            if answer:
                 best_rank = rank
                 best_candidate = candidate
     if best_candidate is not None:

@@ -36,12 +36,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.pastry.config import PastryConfig
+from repro.pastry.config import PastryConfig, check_count
+from repro.pastry.routing import LEAFSET, TABLE
 from repro.perturbation.flapping import FlappingSchedule
 from repro.sim.rng import derive_rng, validate_seed
-
-LEAFSET = "leafset"
-TABLE = "table"
 
 
 class ProbedViewOracle:
@@ -55,11 +53,15 @@ class ProbedViewOracle:
         scan_limit: int = 120,
     ):
         validate_seed(seed)
-        if scan_limit < 1:
-            raise ConfigurationError(f"scan_limit must be >= 1, got {scan_limit}")
+        check_count("scan_limit", scan_limit)
         self.schedule = schedule
         self.config = config
         self.scan_limit = scan_limit
+        #: when each probe attempt leaves, after its epoch's start: the
+        #: initial send plus retries, spaced by the probe timeout
+        self._attempt_offsets = tuple(
+            k * config.probe_timeout for k in range(config.probe_retries + 1)
+        )
         n = schedule.num_nodes
         leafset_rng = derive_rng(seed, "probe-phase-leafset", n)
         table_rng = derive_rng(seed, "probe-phase-table", n)
@@ -86,11 +88,6 @@ class ProbedViewOracle:
 
     # -- probe attempt outcomes ---------------------------------------------
 
-    def attempt_times(self, start: float) -> list[float]:
-        """Initial send plus retries, spaced by the probe timeout."""
-        timeout = self.config.probe_timeout
-        return [start + k * timeout for k in range(self.config.probe_retries + 1)]
-
     def _own_probe_event(
         self, observer: int, target: int, start: float, now: float
     ) -> Optional[tuple[float, bool]]:
@@ -100,7 +97,8 @@ class ProbedViewOracle:
         online = self.schedule.is_online
         if not online(observer, start):
             return None  # observer offline: probe skipped
-        for attempt in self.attempt_times(start):
+        for offset in self._attempt_offsets:
+            attempt = start + offset
             if online(target, attempt):
                 if attempt <= now:
                     return (attempt, True)
@@ -119,7 +117,8 @@ class ProbedViewOracle:
         online = self.schedule.is_online
         if not online(target, start):
             return None
-        for attempt in self.attempt_times(start):
+        for offset in self._attempt_offsets:
+            attempt = start + offset
             if attempt > now:
                 return None
             if online(target, attempt) and online(observer, attempt):

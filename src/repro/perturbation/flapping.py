@@ -39,6 +39,10 @@ class FlappingConfig:
     probability: float
 
     def __post_init__(self) -> None:
+        for name in ("idle_period", "offline_period"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"flapping {name} must be finite, got {value!r}")
         if self.idle_period <= 0 or self.offline_period <= 0:
             raise ConfigurationError(
                 f"idle and offline periods must be positive, got "
@@ -77,10 +81,6 @@ class FlappingConfig:
             raise ConfigurationError(
                 f"flapping label must look like '30:30', got {label!r}"
             ) from None
-        if not (math.isfinite(idle) and math.isfinite(offline)):
-            raise ConfigurationError(
-                f"flapping periods must be finite, got {label!r}"
-            )
         return cls(idle_period=idle, offline_period=offline, probability=probability)
 
     @property

@@ -1,7 +1,7 @@
 """Failure-injection tests: extreme availability patterns against both
 protocol stacks, ``nan`` simulation times against the scheduler, latency
 models and timed driver, and corrupted store files, hostile spec files, a
-hostile ``[scale]`` table, non-finite runtime knobs and budgets,
+hostile ``[scale]`` table, non-finite runtime knobs, budgets and periods,
 non-integer counts and a full span recorder against the CLI and the API,
 and a C locale against ``lint`` and the result store."""
 
@@ -21,7 +21,11 @@ from repro.core.timed import TimedMPILNetwork
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.cli import main
 from repro.overlay.random_graphs import fixed_degree_random_graph
+from repro.pastry.config import PastryConfig
 from repro.pastry.protocol import PastryNetwork
+from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
+from repro.pastry.views import ProbedViewOracle
+from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 from repro.sim.engine import EventScheduler
 from repro.sim.latency import ConstantLatency, UniformRandomLatency
 from repro.sim.rng import derive_rng
@@ -300,11 +304,74 @@ class TestNonFiniteRuntimeKnobs:
             RuntimeConfig(**{knob: value})
 
 
+class TestNonFinitePeriods:
+    """``nan <= 0`` is false and ``inf`` is positive, so
+    ``PastryConfig(probe_timeout=nan)``, ``PastryConfig(app_retx_interval=inf)``
+    and ``FlappingConfig(idle_period=nan, ...)`` used to construct; only
+    ``FlappingConfig.from_label`` asked ``isfinite``.  Each is one error
+    naming the field now, and the label goes through the same check."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "leafset_probe_period",
+            "routing_table_probe_period",
+            "routing_table_maintenance_period",
+            "probe_timeout",
+            "app_retx_interval",
+        ],
+    )
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_pastry_config(self, field, value):
+        with pytest.raises(
+            ConfigurationError, match=f"^{field} must be a positive finite number, got {value}$"
+        ):
+            PastryConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["idle_period", "offline_period"])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_flapping_config(self, field, value):
+        periods = {"idle_period": 30.0, "offline_period": 30.0, field: value}
+        with pytest.raises(
+            ConfigurationError, match=f"^flapping {field} must be finite, got {value}$"
+        ):
+            FlappingConfig(probability=0.5, **periods)
+
+    @pytest.mark.parametrize(
+        "label, field", [("nan:30", "idle_period"), ("30:inf", "offline_period")]
+    )
+    def test_flapping_label_reaches_the_same_check(self, label, field):
+        with pytest.raises(ConfigurationError, match=f"flapping {field} must be finite"):
+            FlappingConfig.from_label(label, 0.5)
+
+
 class TestNonIntegerCounts:
     """Caps and counts that arrive from outside the program must be ints:
     ``api.sweep(jobs=2.5)`` let the pool spawn a third worker (``2 >= 2.5``
     is false), and ``max_spans=-3`` recorded nothing and counted every span
-    as dropped — both without an error."""
+    as dropped — both without an error.  ``ProbedViewOracle(scan_limit=2.5)``
+    constructed and raised ``TypeError`` at its first belief, and
+    ``join_contacts=-1`` made every rejoin succeed at its first attempt."""
+
+    @pytest.mark.parametrize("value", [2.5, True, 0, "3"])
+    def test_view_oracle_scan_limit(self, value):
+        schedule = FlappingSchedule(FlappingConfig(30, 30, 0.5), 4, seed=0)
+        with pytest.raises(ConfigurationError, match="scan_limit must be an integer >= 1"):
+            ProbedViewOracle(schedule, PastryConfig(), scan_limit=value)
+
+    @pytest.mark.parametrize("model", [RejoinAdjustedAvailability, IntervalRejoinAvailability])
+    @pytest.mark.parametrize("field", ["join_contacts", "max_attempts"])
+    @pytest.mark.parametrize("value", [-1, 0, 1.5, True])
+    def test_rejoin_model_counts(self, model, field, value):
+        schedule = FlappingSchedule(FlappingConfig(300, 300, 0.5), 4, seed=0)
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer >= 1"):
+            model(schedule, PastryConfig(), seed=0, **{field: value})
+
+    @pytest.mark.parametrize("value", [0, 2.5, False])
+    def test_rejoin_scan_cycles(self, value):
+        schedule = FlappingSchedule(FlappingConfig(300, 300, 0.5), 4, seed=0)
+        with pytest.raises(ConfigurationError, match="scan_cycles must be an integer >= 1"):
+            RejoinAdjustedAvailability(schedule, PastryConfig(), seed=0, scan_cycles=value)
 
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     def test_sweep_jobs(self, value):

@@ -12,12 +12,14 @@ manifest entry is checked.
 from __future__ import annotations
 
 import functools
+import inspect
 import operator
 import random
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MPILConfig
@@ -31,6 +33,7 @@ from repro.experiments.store import ResultStore
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.random_graphs import gnp_random_graph
 from repro.overlay.transit_stub import TransitStubUnderlay
+from repro.pastry import routing as pastry_routing
 from repro.pastry import state as pastry_state
 from repro.pastry.routing import pastry_next_hop
 from repro.pastry.state import PastryRing, build_leaf_sets, build_routing_tables
@@ -190,6 +193,124 @@ def _random_ring(n: int, seed: int) -> PastryRing:
     return PastryRing(space.random_unique_identifiers(n, rng))
 
 
+HOP_SPACE = IdSpace(bits=16, digit_bits=4)
+
+
+@st.composite
+def hop_instances(draw):
+    """One hop's inputs: a ring of 1–40 nodes, the deciding node's leaf set
+    (2–16), its table with cells dropped and junk cells added, a key
+    anywhere, at the midpoint of two of the node's neighbours (so distances
+    tie) or next to one, and a drawn set of dead ``(node, kind)`` pairs."""
+    size = HOP_SPACE.size
+    n = draw(st.integers(1, 40))
+    values = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n, unique=True))
+    ring = PastryRing([HOP_SPACE.identifier(value) for value in values])
+    node = draw(st.integers(0, n - 1))
+    leaf_set = ring.leaf_set(node, 2 * draw(st.integers(1, 8)))
+    built = build_routing_tables(ring, seed=draw(st.integers(0, 3)))[node]
+    kept = draw(st.lists(st.booleans(), min_size=len(built), max_size=len(built)))
+    table = {cell: entry for (cell, entry), keep in zip(built.items(), kept) if keep}
+    cells = st.tuples(st.integers(0, HOP_SPACE.num_digits - 1), st.integers(0, 15))
+    table.update(draw(st.dictionaries(cells, st.integers(0, n - 1), max_size=4)))
+    # the node and its leaves in ring order; a key between two adjacent ones
+    # ties their distances
+    node_value = values[node]
+    around = sorted(
+        [node_value, *(values[m] for m in leaf_set)],
+        key=lambda value: (value - node_value + size // 2) % size,
+    )
+    i = draw(st.integers(0, len(around) - 1))
+    a, b = around[i], around[(i + 1) % len(around)]
+    key_value = draw(
+        st.one_of(
+            st.integers(0, size - 1),
+            st.sampled_from([(a + b) // 2, ((a + b) // 2 + size // 2) % size]),
+            st.integers(-2, 2).map(lambda delta: (a + delta) % size),
+        )
+    )
+    pairs = [(c, kind) for c in range(n) for kind in ("leafset", "table")]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    dead = frozenset(pair for pair, flag in zip(pairs, flags) if flag)
+    return node, HOP_SPACE.identifier(key_value), ring, leaf_set, table, dead
+
+
+def assert_hop_is_the_reference(next_hop, instance):
+    """``next_hop`` decides as ``reference_next_hop`` does, asks only
+    questions the reference asks, and asks none of them twice."""
+    node, key, ring, leaf_set, table, dead = instance
+
+    def recorded(log):
+        def alive(candidate, kind):
+            log.append((candidate, kind))
+            return (candidate, kind) not in dead
+
+        return alive
+
+    asked: list = []
+    asked_by_reference: list = []
+    decision = next_hop(node, key, ring, leaf_set, table, recorded(asked))
+    expected = reference_next_hop(node, key, ring, leaf_set, table, recorded(asked_by_reference))
+    assert (decision.action, decision.node, decision.source) == expected, "decision differs"
+    assert set(asked) <= set(asked_by_reference), "asked what the reference never asks"
+    assert len(asked) == len(set(asked)), "asked a question twice"
+
+
+def _mutant(old: str, new: str):
+    """``pastry_next_hop`` with one block of its source replaced: ``old``
+    and ``new`` are dedented, then indented as ``old``'s first line is."""
+    source = inspect.getsource(pastry_routing.pastry_next_hop)
+    old = textwrap.dedent(old).strip("\n")
+    new = textwrap.dedent(new).strip("\n")
+    first = old.splitlines()[0]
+    lines = [line for line in source.splitlines() if line.strip() == first]
+    assert len(lines) == 1, f"mutation site {first!r} not found once"
+    indent = lines[0][: len(lines[0]) - len(lines[0].lstrip())]
+    old, new = textwrap.indent(old, indent), textwrap.indent(new, indent)
+    assert source.count(old) == 1, f"mutation site {old!r} not found once"
+    namespace = dict(vars(pastry_routing))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace["pastry_next_hop"]
+
+
+#: name -> (old, new) source blocks of ``pastry_next_hop``
+HOP_MUTANTS = {
+    # the span decided by the first believed-alive leaf on either side
+    "span-from-first-alive-leaf": (
+        """
+        if 0 <= key_offset <= offset or offset <= key_offset <= 0:
+            in_span = leaf_answers[m] = alive(m, LEAFSET)
+            if in_span:
+                break
+        """,
+        """
+        leaf_answers[m] = alive(m, LEAFSET)
+        if leaf_answers[m]:
+            in_span = 0 <= key_offset <= offset or offset <= key_offset <= 0
+            break
+        """,
+    ),
+    # the rare case stops at the first believed-alive candidate it walks to
+    "fallback-first-alive": (
+        """
+        best_candidate = candidate
+        """,
+        """
+        return HopDecision(FORWARD, candidate, "fallback")
+        """,
+    ),
+    # the closest leaf ranked by distance alone, index on ties
+    "closest-leaf-without-value": (
+        """
+        rank = (distance, m_value, m)
+        """,
+        """
+        rank = (distance, 0, m)
+        """,
+    ),
+}
+
+
 class TestOptimizedRoutingMatchesReference:
     """Regression pin: optimisation must never change a routing decision."""
 
@@ -214,6 +335,33 @@ class TestOptimizedRoutingMatchesReference:
                 node, key, ring, leaf_sets[node], tables[node], alive
             )
             assert (decision.action, decision.node, decision.source) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=hop_instances())
+    def test_next_hop_asks_less_and_decides_the_same(self, instance):
+        assert_hop_is_the_reference(pastry_next_hop, instance)
+
+    @pytest.mark.parametrize("name", sorted(HOP_MUTANTS))
+    def test_mutant_fails_the_next_hop_differential(self, name):
+        """Each mutant of the lazy rule keeps asking only what the reference
+        asks; the differential above must still catch its decisions."""
+        mutant = _mutant(*HOP_MUTANTS[name])
+
+        # a tie the closest-leaf mutant breaks wrongly is about one draw in
+        # forty; the search stops at the first failure
+        @settings(
+            max_examples=1000,
+            derandomize=True,
+            database=None,
+            phases=[Phase.generate],
+            report_multiple_bugs=False,
+        )
+        @given(instance=hop_instances())
+        def differential(instance):
+            assert_hop_is_the_reference(mutant, instance)
+
+        with pytest.raises(AssertionError, match="decision differs"):
+            differential()
 
     def test_next_hop_all_alive_fast_path_matches_predicate(self):
         ring = _random_ring(17, seed=4)

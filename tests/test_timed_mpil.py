@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.config import MPILConfig
@@ -177,6 +179,20 @@ class TestStartLookup:
         assert all(h.done for h in handles)
         assert sorted(completed, key=id) == sorted(handles, key=id)
         assert any(h.success for h in handles)
+
+    def test_completed_lookups_leave_no_cycle_behind(self):
+        """A request whose last copy is retired is freed by reference
+        counting: its closures, tie-break stream and counters do not wait
+        for the cyclic collector (which would hold a run's peak memory up)."""
+        timed, keys = self._setup()
+        gc.collect()
+        gc.disable()
+        try:
+            for key in keys:
+                timed.lookup_at(0, key, start_time=0.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_start_time_cannot_precede_engine_clock(self):
         timed, keys = self._setup()

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.pastry.config import PastryConfig
 from repro.pastry.rejoin import RejoinAdjustedAvailability
-from repro.pastry.views import LEAFSET, TABLE, ProbedViewOracle
+from repro.pastry.routing import LEAFSET, TABLE
+from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 
 
