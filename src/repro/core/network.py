@@ -76,8 +76,8 @@ class MPILNetwork:
         Optional explicit node identifiers; drawn uniformly at random
         (distinct) when omitted.
     config:
-        :class:`MPILConfig` defaults for insert/lookup operations; individual
-        calls may override ``max_flows`` and ``per_flow_replicas``.
+        :class:`MPILConfig` defaults for insert/lookup operations; a lookup
+        may override ``max_flows`` and ``per_flow_replicas``.
     seed:
         Root seed for identifier generation and tie-break randomness.
     """
@@ -134,17 +134,14 @@ class MPILNetwork:
         origin: int,
         object_id: Identifier,
         owner: Optional[int] = None,
-        max_flows: Optional[int] = None,
-        per_flow_replicas: Optional[int] = None,
     ) -> InsertResult:
-        """Insert a pointer for ``object_id`` starting from ``origin``.
+        """Insert a pointer for ``object_id`` starting from ``origin``,
+        with the config's flow budget.
 
         ``owner`` identifies the node that actually holds the object (the
         pointer target); it defaults to the origin.
         """
-        request, _ = self._run_request(
-            KIND_INSERT, origin, object_id, max_flows, per_flow_replicas
-        )
+        request, _ = self._run_request(KIND_INSERT, origin, object_id, None, None)
         return InsertResult(
             object_id=object_id,
             origin=origin,

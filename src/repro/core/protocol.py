@@ -77,7 +77,6 @@ class MPILRequest:
         self.directory = network.directory
         self.ranked_neighbors = network.metric_table.ranked_neighbors
         self.tie_break = config.tie_break
-        self.local_max_rule = config.local_max_rule
         self.is_lookup = kind == KIND_LOOKUP
         self.request_id = request_id
         self.object_id = object_id
@@ -172,7 +171,6 @@ class MPILRequest:
             # directly to the querying node."
             if self.traffic_at_first_reply is None:
                 self.traffic_at_first_reply = counters.messages_sent
-            counters.replies_sent += 1
             if tracing:
                 self.span("reply", node, now, parent_span, hop=hop)
             self.reply((node, hop))
@@ -193,7 +191,6 @@ class MPILRequest:
             1 if hop else 0,  # only the originator's copy has travelled nowhere
             self.draw,
             self.tie_break,
-            self.local_max_rule,
         )
 
         replicas_left = msg.replicas_left

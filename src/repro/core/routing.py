@@ -17,7 +17,7 @@ and makes property testing straightforward.
 
 from __future__ import annotations
 
-from typing import Callable, Container, NamedTuple, Optional, Sequence
+from typing import Callable, Container, NamedTuple, Sequence
 
 from repro.core.flows import fan_out
 from repro.core.metric import RankedNeighbors
@@ -39,7 +39,6 @@ def decide_forwarding(
     given_flows: int,
     draw: Callable[[Sequence[int], int], Sequence[int]],
     tie_break: str = "random",
-    local_max_rule: str = "all-neighbors",
 ) -> ForwardDecision:
     """Apply the MPIL routing rule at one node.
 
@@ -69,10 +68,10 @@ def decide_forwarding(
         ``"random"`` draws which equal-metric candidates are used when
         there are more than the budget allows; ``"lowest-id"`` picks
         deterministically.
-    local_max_rule:
-        ``"all-neighbors"`` tests the local maximum against every neighbor
-        (the pseudo-code's "all nodes in neighbor list"); ``"unvisited-only"``
-        tests only against the unvisited candidates (ablation).
+
+    The node is a local maximum when no neighbor, visited or not, scores
+    higher (the pseudo-code's "all nodes in neighbor list"): when its own
+    score is at least the top tier's.
     """
     self_score, ids_by_rank, tier_ends, tier_scores = ranked
     # next_hop_list is the best tier that still has an unvisited member.  A
@@ -80,29 +79,22 @@ def decide_forwarding(
     # the first tier; the candidates keep the tier's stored order, which
     # fixes what ``draw`` picks.
     candidates: Sequence[int] = ()
-    best_candidate_score: Optional[int] = None
     start = 0
-    for end, score in zip(tier_ends, tier_scores):
+    for end in tier_ends:
         if end - start == 1:
             # the top tier is one neighbor in about two decisions of three:
             # test it where it lies, no slice and no list
             peer = ids_by_rank[start]
             if peer not in excluded:
                 candidates = (peer,)
-                best_candidate_score = score
                 break
         else:
             candidates = [peer for peer in ids_by_rank[start:end] if peer not in excluded]
             if candidates:
-                best_candidate_score = score
                 break
         start = end
 
-    if local_max_rule == "all-neighbors":
-        reference = tier_scores[0] if tier_scores else None
-    else:
-        reference = best_candidate_score
-    is_local_max = reference is None or self_score >= reference
+    is_local_max = not tier_scores or self_score >= tier_scores[0]
 
     fanout, budgets, new_flows = fan_out(max_flows, given_flows, len(candidates))
     if fanout < len(candidates):

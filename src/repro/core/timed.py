@@ -106,8 +106,8 @@ class PendingLookup:
         return bool(self.replies)
 
     def result(self) -> TimedLookupResult:
-        """Snapshot the request as an immutable result (valid any time; the
-        drivers call it after completion or a deadline cut-off)."""
+        """Snapshot the request as an immutable result (valid any time;
+        :meth:`TimedMPILNetwork.lookup_at` calls it after completion)."""
         return TimedLookupResult(
             object_id=self.object_id,
             origin=self.origin,
@@ -131,8 +131,6 @@ class TimedMPILNetwork:
         Node identifiers (shared with any co-simulated protocol).
     config:
         MPIL parameters; ``duplicate_suppression`` selects DS / no-DS mode.
-    availability:
-        Ground-truth availability model (e.g. a flapping schedule).
     latency:
         Per-hop one-way latency model.
     """
@@ -143,21 +141,22 @@ class TimedMPILNetwork:
         space: IdSpace = IdSpace(),
         ids: Optional[Sequence[Identifier]] = None,
         config: MPILConfig = MPILConfig(),
-        availability: AvailabilityModel = AlwaysOnline(),
         latency: LatencyModel = ConstantLatency(0.05),
         seed: object = 0,
     ):
         self.static = MPILNetwork(
             overlay, space=space, ids=ids, config=config, seed=seed
         )
-        self.availability = availability
+        #: ground-truth availability (e.g. a flapping schedule): everyone is
+        #: online until a driver sets one
+        self.availability: AvailabilityModel = AlwaysOnline()
         self.latency = latency
         self.config = config
         self.seed = seed
         self._request_counter = 0
-        self._max_hops = (
-            config.max_hops if config.max_hops is not None else 4 * len(self.ids[0].digits)
-        )
+        #: a copy that has travelled this many hops is dropped, not
+        #: forwarded: four hops per identifier digit
+        self._max_hops = 4 * len(self.ids[0].digits)
 
     def snapshot(self) -> tuple:
         """The state a borrowed run mutates besides the replica directory:
@@ -201,8 +200,6 @@ class TimedMPILNetwork:
         origin: int,
         object_id: Identifier,
         start_time: Optional[float] = None,
-        max_flows: Optional[int] = None,
-        per_flow_replicas: Optional[int] = None,
         duplicate_suppression: Optional[bool] = None,
         on_complete: Optional[Callable[["PendingLookup"], None]] = None,
     ) -> PendingLookup:
@@ -264,7 +261,6 @@ class TimedMPILNetwork:
             engine.post(engine.now + latency(reply[0], origin), on_reply, reply)
 
         def on_reply(reply: tuple[int, int]) -> None:
-            counters.replies_received += 1
             pending.replies.append(reply)
             if pending.first_reply_time is None:
                 pending.first_reply_time = engine.now
@@ -312,7 +308,7 @@ class TimedMPILNetwork:
         engine.post(
             launch_time,
             deliver,
-            request.first_copy(max_flows, per_flow_replicas),
+            request.first_copy(None, None),
             request.root_span,
         )
         return pending
@@ -322,15 +318,12 @@ class TimedMPILNetwork:
         origin: int,
         object_id: Identifier,
         start_time: float,
-        max_flows: Optional[int] = None,
-        per_flow_replicas: Optional[int] = None,
-        deadline: Optional[float] = None,
         duplicate_suppression: Optional[bool] = None,
     ) -> TimedLookupResult:
         """Issue a lookup at simulation time ``start_time``.
 
         The request runs to quiescence (all message copies delivered, lost,
-        or stopped) or until ``deadline``; replies are direct messages back
+        or stopped); replies are direct messages back
         to the origin, which is assumed reachable (the experiment harness
         exempts the querying client from flapping, matching the paper's
         single always-querying node).  ``duplicate_suppression`` overrides
@@ -346,9 +339,7 @@ class TimedMPILNetwork:
             origin,
             object_id,
             start_time=start_time,
-            max_flows=max_flows,
-            per_flow_replicas=per_flow_replicas,
             duplicate_suppression=duplicate_suppression,
         )
-        engine.run(until=deadline)
+        engine.run()
         return pending.result()

@@ -322,9 +322,7 @@ def _compose_scale_transform(
                 f"unknown parameter(s) {sorted(unknown)} in the "
                 f"[scale.budget] table; allowed: {list(_BUDGET_KEYS)}"
             )
-        overrides["budget"] = BudgetSpec(
-            **{key: float(budget_table[key]) for key in budget_table}
-        )
+        overrides["budget"] = BudgetSpec(**budget_table)
 
     def transform(resolved: Scale) -> Scale:
         start = get_scale(str(base_name)) if base_name is not None else resolved

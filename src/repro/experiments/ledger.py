@@ -35,7 +35,8 @@ All writes go through short transactions on a single connection per
 through the parent process, so worker crashes can never corrupt the
 database — sqlite's journal covers parent crashes.  A ledger held open by
 another process surfaces as a one-line ``LedgerError`` ("ledger is
-locked") rather than a traceback.
+locked") rather than a traceback, once sqlite has waited
+:data:`LOCK_TIMEOUT` seconds for it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ TASK_STATES = ("pending", "running", "done", "failed")
 
 #: one (experiment_id, scale, seed) sweep task
 TaskKey = tuple[str, str, int]
+
+#: seconds sqlite waits on a lock held by another process before the
+#: operation fails with a ``LedgerError``
+LOCK_TIMEOUT = 5.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS tasks (
@@ -103,18 +108,13 @@ class TaskRow:
 
 
 class TaskLedger:
-    """Checked-state-machine task ledger backed by one sqlite file.
+    """Checked-state-machine task ledger backed by one sqlite file."""
 
-    ``timeout`` bounds how long sqlite waits on a lock held by another
-    process before the operation fails with a ``LedgerError`` — keep it
-    small in tests that deliberately contend.
-    """
-
-    def __init__(self, path: Union[str, pathlib.Path], timeout: float = 5.0):
+    def __init__(self, path: Union[str, pathlib.Path]):
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            self._conn = sqlite3.connect(self.path, timeout=timeout)
+            self._conn = sqlite3.connect(self.path, timeout=LOCK_TIMEOUT)
             self._conn.row_factory = sqlite3.Row
             with self._conn:
                 self._conn.executescript(_SCHEMA)
@@ -282,12 +282,9 @@ class TaskLedger:
         self,
         experiment_id: Optional[str] = None,
         scale: Optional[str] = None,
-        state: Optional[str] = None,
     ) -> list[TaskRow]:
         """Ledger rows, optionally filtered, ordered by (id, scale, seed)."""
-        clauses, params = _filters(
-            experiment_id=experiment_id, scale=scale, state=state
-        )
+        clauses, params = _filters(experiment_id=experiment_id, scale=scale)
         cursor = self._execute(
             f"SELECT * FROM tasks{clauses} ORDER BY experiment_id, scale, seed",
             params,

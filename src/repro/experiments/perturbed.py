@@ -27,7 +27,6 @@ from repro.core.timed import TimedMPILNetwork
 from repro.errors import ExperimentError
 from repro.experiments.spec import BuildStage, CellsStage, RunContext
 from repro.overlay.transit_stub import TransitStubUnderlay
-from repro.pastry.config import PastryConfig
 from repro.pastry.mpil_on_pastry import make_mpil_over_pastry
 from repro.pastry.protocol import PastryNetwork
 from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
@@ -128,13 +127,11 @@ def build_testbed(
     num_nodes: int,
     num_inserts: int,
     seed: object = 0,
-    pastry_config: PastryConfig = PastryConfig(),
 ) -> PerturbationTestbed:
-    """Build the Pastry overlay on a transit-stub underlay and run stage 1."""
+    """Build the Pastry overlay, with the paper's MSPastry configuration,
+    on a transit-stub underlay and run stage 1."""
     _underlay, _attachment, latency, regions = _underlay_parts(num_nodes, seed)
-    pastry = PastryNetwork(
-        n=num_nodes, config=pastry_config, latency=latency, seed=seed
-    )
+    pastry = PastryNetwork(n=num_nodes, latency=latency, seed=seed)
     client = 0
     rng = derive_rng(seed, "perturbed-objects")
 

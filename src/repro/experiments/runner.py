@@ -227,8 +227,6 @@ def run_sweep(
     resume: bool = False,
     max_retries: int = 2,
     task_timeout: Optional[float] = None,
-    retry_backoff: float = 0.1,
-    retry_backoff_cap: float = 30.0,
 ) -> SweepReport:
     """Execute a sweep, persist replicates, and aggregate each experiment.
 
@@ -250,13 +248,7 @@ def run_sweep(
     ledger and no retry, where the first raising or dying task stops the
     sweep with an :class:`~repro.errors.ExperimentError` naming it.
     """
-    config = RuntimeConfig(
-        jobs=jobs,
-        max_retries=max_retries,
-        task_timeout=task_timeout,
-        retry_backoff=retry_backoff,
-        retry_backoff_cap=retry_backoff_cap,
-    )
+    config = RuntimeConfig(jobs=jobs, max_retries=max_retries, task_timeout=task_timeout)
     started = time.perf_counter()
     tasks = spec.tasks()
     skipped: list[SkippedTask] = []

@@ -139,6 +139,13 @@ class TaskFailure:
         return (self.experiment_id, self.scale, self.seed)
 
 
+#: seconds before the first retry of a task; attempt n waits base * 2^(n-1)
+RETRY_BACKOFF = 0.1
+#: ceiling on any single backoff delay — unbounded doubling with a high
+#: ``--max-retries`` would otherwise sleep minutes between attempts
+RETRY_BACKOFF_CAP = 30.0
+
+
 @dataclasses.dataclass(frozen=True)
 class RuntimeConfig:
     """Executor knobs (the CLI's ``--jobs/--max-retries/--task-timeout``)."""
@@ -146,10 +153,6 @@ class RuntimeConfig:
     jobs: int = 1
     max_retries: int = 2  #: re-attempts after the first try, per executor run
     task_timeout: Optional[float] = None  #: seconds before a worker is killed
-    retry_backoff: float = 0.1  #: base delay; attempt n waits base * 2^(n-1)
-    #: ceiling on any single backoff delay — unbounded doubling with a high
-    #: ``--max-retries`` would otherwise sleep minutes between attempts
-    retry_backoff_cap: float = 30.0
 
     def __post_init__(self) -> None:
         # a float passes the comparisons below: jobs=2.5 would let the
@@ -163,38 +166,21 @@ class RuntimeConfig:
             raise ExperimentError(
                 f"max-retries must be >= 0, got {self.max_retries}"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ExperimentError(
-                f"task-timeout must be positive, got {self.task_timeout}"
-            )
-        if self.retry_backoff < 0:
-            raise ExperimentError(
-                f"retry-backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.retry_backoff_cap <= 0:
-            raise ExperimentError(
-                f"retry-backoff-cap must be positive, got {self.retry_backoff_cap}"
-            )
+        timeout = self.task_timeout
+        if timeout is not None and timeout <= 0:
+            raise ExperimentError(f"task-timeout must be positive, got {timeout}")
         # inf overflows the pool's select() timeout after the first claim;
-        # nan passes every comparison above and is never enforced
-        for name, value in (
-            ("task-timeout", self.task_timeout),
-            ("retry-backoff", self.retry_backoff),
-            ("retry-backoff-cap", self.retry_backoff_cap),
-        ):
-            if value is not None and not math.isfinite(value):
-                raise ExperimentError(f"{name} must be finite, got {value!r}")
+        # nan passes the comparison above and is never enforced
+        if timeout is not None and not math.isfinite(timeout):
+            raise ExperimentError(f"task-timeout must be finite, got {timeout!r}")
 
 
-def backoff_delay(config: RuntimeConfig, attempts_used: int) -> float:
+def backoff_delay(attempts_used: int) -> float:
     """Seconds to wait before re-queuing a task after its ``attempts_used``-th
     attempt: exponential in the attempt count, capped at
-    ``retry_backoff_cap`` so a generous ``--max-retries`` never turns into
-    minutes of dead air between attempts."""
-    return min(
-        config.retry_backoff_cap,
-        config.retry_backoff * 2 ** (attempts_used - 1),
-    )
+    :data:`RETRY_BACKOFF_CAP` so a generous ``--max-retries`` never turns
+    into minutes of dead air between attempts."""
+    return min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * 2 ** (attempts_used - 1))
 
 
 def execute_task(
@@ -517,7 +503,7 @@ def drain_ledger(
             failures.append(TaskFailure(*task, attempts=used, error=error))
         else:
             ledger.release(task, error)
-            not_before[task] = time.monotonic() + backoff_delay(config, used)
+            not_before[task] = time.monotonic() + backoff_delay(used)
             pending.append(task)
 
     with WorkerPool(config.jobs, config.task_timeout) as pool:

@@ -65,6 +65,27 @@ class BudgetSpec:
         return self.max_rss_mb is None and self.max_wall_s is None
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+#: a flat ``Scale`` field's annotation -> (test of one value, its name)
+_FIELD_TYPES = {
+    "int": (_is_count, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "tuple[int, ...]": (_is_count, "a list of integers"),
+    "tuple[float, ...]": (_is_finite, "a list of finite numbers"),
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class Scale:
     """All size knobs used by the experiment modules, one flat field each.
@@ -99,6 +120,28 @@ class Scale:
     service_window: float = 60.0  #: latency-percentile window length
     service_loads: tuple[float, ...] = (0.5, 1.0, 2.0)  #: rate multipliers
     budget: BudgetSpec = BudgetSpec()
+
+    def __post_init__(self) -> None:
+        """Each flat field holds its annotated type: a count is an ``int``
+        (``bool`` is not a count), a float field a finite real number, a
+        tuple field a tuple of those.  A ``[scale]`` table or
+        ``register_scale`` caller that spells one wrongly gets one error
+        naming the field, not a traceback from deep inside a run.  Ranges
+        are checked where they matter (``static_sizes``, ``BudgetSpec``,
+        ``ServiceConfig``)."""
+        for field in dataclasses.fields(self):
+            if field.type not in _FIELD_TYPES:
+                continue
+            holds, kind = _FIELD_TYPES[field.type]
+            value = getattr(self, field.name)
+            if field.type.startswith("tuple"):
+                valid = isinstance(value, tuple) and all(map(holds, value))
+            else:
+                valid = holds(value)
+            if not valid:
+                raise ExperimentError(
+                    f"scale field {field.name} must be {kind}, got {value!r}"
+                )
 
     def evolve(self, **changes) -> "Scale":
         """A copy with the named fields replaced.

@@ -13,7 +13,7 @@ import dataclasses
 from typing import Callable, Iterator, Sequence
 
 from repro.core.config import MPILConfig
-from repro.core.identifiers import Identifier, IdSpace
+from repro.core.identifiers import Identifier
 from repro.core.network import MPILNetwork
 from repro.core.results import InsertResult, LookupResult
 from repro.errors import ExperimentError
@@ -74,7 +74,6 @@ def run_inserts(
     graph_index: int,
     num_ops: int,
     seed: object,
-    space: IdSpace = IdSpace(),
     config: MPILConfig | None = None,
 ) -> StaticRun:
     """Generate an overlay and perform the insertion stage."""
@@ -85,9 +84,7 @@ def run_inserts(
             per_flow_replicas=INSERT_PER_FLOW_REPLICAS,
             duplicate_suppression=True,
         )
-    network = MPILNetwork(
-        overlay, space=space, config=config, seed=(seed, family, n, graph_index)
-    )
+    network = MPILNetwork(overlay, config=config, seed=(seed, family, n, graph_index))
     rng = derive_rng(seed, "workload", family, n, graph_index)
     objects: list[Identifier] = []
     insert_results: list[InsertResult] = []

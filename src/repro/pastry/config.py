@@ -10,6 +10,9 @@ Defaults mirror the paper's "MSPastry Configuration" list verbatim:
 6. Probe timeout : 3
 7. Probe retries : 2
 
+Item 4 is not modelled: the routing tables are built once on the static
+overlay and never rebuilt, so no field carries it.
+
 The application-level retransmission parameters model MSPastry's per-hop
 acknowledgment/retransmission for *routing* messages, which operates at
 network-RTT scale (unlike the 3-second probe timeout used by failure
@@ -28,7 +31,6 @@ from repro.errors import ConfigurationError
 _DURATIONS = (
     "leafset_probe_period",
     "routing_table_probe_period",
-    "routing_table_maintenance_period",
     "probe_timeout",
     "app_retx_interval",
 )
@@ -40,7 +42,6 @@ class PastryConfig:
     leaf_set_size: int = 8  # l (split half/half around the node)
     leafset_probe_period: float = 30.0
     routing_table_probe_period: float = 90.0
-    routing_table_maintenance_period: float = 12000.0
     probe_timeout: float = 3.0
     probe_retries: int = 2
     # application-level per-hop retransmission (RTT-scale; short enough that
@@ -83,13 +84,3 @@ class PastryConfig:
             raise ConfigurationError(
                 f"failure_eviction_rounds must be >= 1, got {self.failure_eviction_rounds}"
             )
-
-    def replace(self, **changes) -> "PastryConfig":
-        return dataclasses.replace(self, **changes)
-
-
-def check_count(name: str, value: object, minimum: int = 1) -> None:
-    """One :class:`ConfigurationError` naming ``name`` unless ``value`` is
-    an ``int`` (``bool`` is not a count) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -17,8 +17,6 @@ from repro.core.config import MPILConfig
 from repro.core.timed import TimedMPILNetwork
 from repro.overlay.graph import OverlayGraph
 from repro.pastry.protocol import PastryNetwork
-from repro.sim.availability import AlwaysOnline, AvailabilityModel
-from repro.sim.latency import LatencyModel
 from repro.util.cache import BoundedCache
 
 #: the neighbor overlay is a pure function of the Pastry structure; keyed
@@ -48,11 +46,10 @@ def pastry_neighbor_overlay(pastry: PastryNetwork) -> OverlayGraph:
 def make_mpil_over_pastry(
     pastry: PastryNetwork,
     config: MPILConfig = MPILConfig(),
-    availability: AvailabilityModel = AlwaysOnline(),
-    latency: LatencyModel | None = None,
     seed: object = 0,
 ) -> TimedMPILNetwork:
-    """A :class:`TimedMPILNetwork` sharing the Pastry overlay's node IDs.
+    """A :class:`TimedMPILNetwork` sharing the Pastry overlay's node IDs and
+    latency model, everyone online until a caller sets ``availability``.
 
     The returned network has its own replica directory (MPIL replicas are
     placed by MPIL insertion, not at Pastry roots).
@@ -63,7 +60,6 @@ def make_mpil_over_pastry(
         space=pastry.space,
         ids=pastry.ids,
         config=config,
-        availability=availability,
-        latency=latency if latency is not None else pastry.latency,
+        latency=pastry.latency,
         seed=seed,
     )

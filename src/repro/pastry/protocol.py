@@ -391,8 +391,6 @@ class PastryNetwork:
             counters.retransmissions += retransmissions
             if outcome.dropped:
                 counters.drops_hop_limit += 1
-            if outcome.success:
-                counters.replies_received += 1
         return outcome
 
     def _check_node(self, node: int) -> None:

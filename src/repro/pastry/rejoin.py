@@ -35,7 +35,7 @@ import bisect
 import math
 from typing import Optional
 
-from repro.pastry.config import PastryConfig, check_count
+from repro.pastry.config import PastryConfig
 from repro.perturbation.flapping import FlappingSchedule
 from repro.sim.rng import derive_rng, validate_seed
 
@@ -54,14 +54,15 @@ class _RejoinModel:
     """What both rejoin models share: the parameters and the one attempt
     loop, evaluated only as far as a query needs it."""
 
-    def __init__(self, config: PastryConfig, seed: object, join_contacts: int, max_attempts: int):
+    #: bootstrap contacts one rejoin attempt needs online
+    JOIN_CONTACTS = 3
+    #: attempts before a rejoin is pessimistically taken to complete
+    MAX_ATTEMPTS = 64
+
+    def __init__(self, config: PastryConfig, seed: object):
         validate_seed(seed)
-        check_count("join_contacts", join_contacts)
-        check_count("max_attempts", max_attempts)
         self.pastry_config = config
         self.seed = seed
-        self.join_contacts = join_contacts
-        self.max_attempts = max_attempts
         self.eviction_threshold = detection_horizon(config)
         #: (node, episode key) -> (attempts evaluated, completion or None)
         self._rejoin_cache: dict[tuple[int, object], tuple[int, Optional[float]]] = {}
@@ -72,7 +73,7 @@ class _RejoinModel:
         """Has the rejoin that started at ``recovery`` completed by ``time``?
 
         Attempts run every leafset probe period from recovery; each draws
-        ``join_contacts`` hash-chosen bootstrap contacts from its own
+        ``JOIN_CONTACTS`` hash-chosen bootstrap contacts from its own
         stream (``stream``/``episode_key`` keep the label paths of the two
         models distinct and stable) and succeeds when all are online under
         ``raw``.  Only attempts due by ``time`` are evaluated and their
@@ -88,12 +89,12 @@ class _RejoinModel:
             at = recovery + attempts * period
             if at > time:
                 break
-            if attempts == self.max_attempts:
+            if attempts == self.MAX_ATTEMPTS:
                 completion = at  # pessimistic cap
                 break
             rng = derive_rng(self.seed, stream, node, episode_key, attempts)
             contacts: list[int] = []
-            while len(contacts) < min(self.join_contacts, num_nodes - 1):
+            while len(contacts) < min(self.JOIN_CONTACTS, num_nodes - 1):
                 candidate = rng.randrange(num_nodes)
                 if candidate != node and candidate not in contacts:
                     contacts.append(candidate)
@@ -107,19 +108,17 @@ class _RejoinModel:
 class RejoinAdjustedAvailability(_RejoinModel):
     """Flapping availability adjusted for eviction + rejoin delays."""
 
+    #: flapping cycles scanned back for the last completed offline episode
+    SCAN_CYCLES = 64
+
     def __init__(
         self,
         schedule: FlappingSchedule,
         config: PastryConfig = PastryConfig(),
         seed: object = 0,
-        join_contacts: int = 3,
-        max_attempts: int = 64,
-        scan_cycles: int = 64,
     ):
-        super().__init__(config, seed, join_contacts, max_attempts)
-        check_count("scan_cycles", scan_cycles)
+        super().__init__(config, seed)
         self.schedule = schedule
-        self.scan_cycles = scan_cycles
         flap = schedule.config
         self._evictions_possible = (
             flap.probability > 0 and flap.offline_period >= self.eviction_threshold
@@ -160,7 +159,7 @@ class RejoinAdjustedAvailability(_RejoinModel):
         # An episode in cycle k ends at phase + (k+1)*cycle.  The latest
         # cycle that can have *ended* by `time` is current - 1 (or current
         # if we are exactly at/after its end, handled by the loop bound).
-        for k in range(current, max(-1, current - self.scan_cycles), -1):
+        for k in range(current, max(-1, current - self.SCAN_CYCLES), -1):
             episode_end = phase + (k + 1) * cycle
             if episode_end > time:
                 continue
@@ -188,10 +187,8 @@ class IntervalRejoinAvailability(_RejoinModel):
         process,
         config: PastryConfig = PastryConfig(),
         seed: int | tuple = 0,
-        join_contacts: int = 3,
-        max_attempts: int = 64,
     ):
-        super().__init__(config, seed, join_contacts, max_attempts)
+        super().__init__(config, seed)
         self.process = process
         #: node -> (horizon, sorted finite end times of eviction-length
         #: windows with start < horizon); see _recoveries_until

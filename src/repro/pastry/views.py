@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.pastry.config import PastryConfig, check_count
+from repro.pastry.config import PastryConfig
 from repro.pastry.routing import LEAFSET, TABLE
 from repro.perturbation.flapping import FlappingSchedule
 from repro.sim.rng import derive_rng, validate_seed
@@ -45,18 +45,19 @@ from repro.sim.rng import derive_rng, validate_seed
 class ProbedViewOracle:
     """Analytic per-(observer, target, time) liveness beliefs."""
 
+    #: probe epochs a belief scans back from the query time; older probes
+    #: are forgotten and the initial belief (alive) stands
+    SCAN_LIMIT = 120
+
     def __init__(
         self,
         schedule: FlappingSchedule,
         config: PastryConfig = PastryConfig(),
         seed: object = 0,
-        scan_limit: int = 120,
     ):
         validate_seed(seed)
-        check_count("scan_limit", scan_limit)
         self.schedule = schedule
         self.config = config
-        self.scan_limit = scan_limit
         #: when each probe attempt leaves, after its epoch's start: the
         #: initial send plus retries, spaced by the probe timeout
         self._attempt_offsets = tuple(
@@ -144,7 +145,7 @@ class ProbedViewOracle:
         probe_event = self._incoming_probe_event if incoming else self._own_probe_event
         last_attempt = self.config.probe_retries * self.config.probe_timeout
         max_epoch = int((now - phase) // period)
-        min_epoch = max(0, max_epoch - self.scan_limit + 1)
+        min_epoch = max(0, max_epoch - self.SCAN_LIMIT + 1)
         for epoch in range(max_epoch, min_epoch - 1, -1):
             start = phase + epoch * period
             if start + last_attempt < since:

@@ -22,7 +22,7 @@ An overlay with no domain structure (a single region) cannot express a
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,8 +87,6 @@ class RegionalOutage(ProcessBase):
         Root of the deterministic affected-region draw.
     always_online:
         Node indices exempt from the outage (e.g. the measurement client).
-    regions_down:
-        Explicit affected-region set, overriding the severity-based draw.
     """
 
     def __init__(
@@ -97,7 +95,6 @@ class RegionalOutage(ProcessBase):
         config: RegionalOutageConfig,
         seed: int | tuple = 0,
         always_online: frozenset[int] | set[int] = frozenset(),
-        regions_down: Optional[frozenset[int] | set[int]] = None,
     ):
         validate_seed(seed)
         self.regions = tuple(int(r) for r in regions)
@@ -114,21 +111,13 @@ class RegionalOutage(ProcessBase):
                 f"this one has {len(distinct)} region(s) — attach nodes to a "
                 f"transit-stub underlay with >= 2 transit domains"
             )
-        if regions_down is not None:
-            unknown = set(regions_down) - set(distinct)
-            if unknown:
-                raise ConfigurationError(
-                    f"regions_down contains unknown regions {sorted(unknown)}"
-                )
-            self.regions_down = frozenset(regions_down)
-        else:
-            # One severity-independent permutation per (seed, start); the
-            # affected set is its prefix, so higher severity strictly adds
-            # regions and severity sweeps stay nested.
-            count = round(config.severity * len(distinct))
-            rng = derive_rng(seed, "outage-regions", config.start)
-            order = rng.sample(distinct, len(distinct))
-            self.regions_down = frozenset(order[:count])
+        # One severity-independent permutation per (seed, start); the
+        # affected set is its prefix, so higher severity strictly adds
+        # regions and severity sweeps stay nested.
+        count = round(config.severity * len(distinct))
+        rng = derive_rng(seed, "outage-regions", config.start)
+        order = rng.sample(distinct, len(distinct))
+        self.regions_down = frozenset(order[:count])
 
         #: hot-path view: exactly the nodes the window can take offline
         #: (affected region, not exempt), plus the window bounds as floats

@@ -52,30 +52,6 @@ class PerturbationScenario:
     period_label: str
     probability: float
 
-    def config(self) -> FlappingConfig:
-        return FlappingConfig.from_label(self.period_label, self.probability)
-
-    def schedule(
-        self,
-        num_nodes: int,
-        seed: int = 0,
-        always_online: frozenset[int] | set[int] = frozenset(),
-    ) -> FlappingSchedule:
-        """Instantiate the flapping schedule for this cell.
-
-        ``seed`` must be a real int (bools are rejected), matching the
-        convention of :func:`repro.experiments.registry.run_experiment`:
-        derived streams hash ``repr(seed)``, so ``0``, ``"0"``, and
-        ``False`` would silently produce three different trajectories.
-        """
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigurationError(
-                f"seed must be an int, got {type(seed).__name__} {seed!r}"
-            )
-        return FlappingSchedule(
-            self.config(), num_nodes, seed=seed, always_online=always_online
-        )
-
 
 def scenarios_for(figure: str, probabilities=FLAP_PROBABILITIES):
     """All (period, probability) scenarios for a figure's sweep."""

@@ -11,10 +11,9 @@ parked on not-yet-arrived nodes, unreachable until the wave lands.
 
 :class:`JoinStormSchedule` models a ``late_fraction`` of the population as
 absent (offline) from time 0 until the storm hits at ``arrival_time``,
-optionally staggered uniformly over ``[arrival_time, arrival_time +
-stagger)``.  Compose it with a background flapping or churn process via
-:class:`~repro.perturbation.timeline.ScenarioTimeline` to measure recovery
-under adverse conditions.
+when all of them arrive at once.  Compose it with a background flapping or
+churn process via :class:`~repro.perturbation.timeline.ScenarioTimeline`
+to measure recovery under adverse conditions.
 """
 
 from __future__ import annotations
@@ -39,13 +38,10 @@ class JoinStormConfig:
         pre-storm regime).
     late_fraction:
         Fraction of eligible nodes that are absent until the storm.
-    stagger:
-        Width of the arrival window; 0 means strictly simultaneous.
     """
 
     arrival_time: float
     late_fraction: float
-    stagger: float = 0.0
 
     def __post_init__(self) -> None:
         if self.arrival_time <= 0:
@@ -56,15 +52,10 @@ class JoinStormConfig:
             raise ConfigurationError(
                 f"storm late_fraction must be in [0, 1], got {self.late_fraction}"
             )
-        if self.stagger < 0:
-            raise ConfigurationError(f"storm stagger must be >= 0, got {self.stagger}")
 
     @property
     def label(self) -> str:
-        return (
-            f"join-storm({self.late_fraction:.0%} arrive @ {self.arrival_time:g}s"
-            + (f" +{self.stagger:g}s stagger)" if self.stagger else ")")
-        )
+        return f"join-storm({self.late_fraction:.0%} arrive @ {self.arrival_time:g}s)"
 
 
 class JoinStormSchedule(ProcessBase):
@@ -88,12 +79,7 @@ class JoinStormSchedule(ProcessBase):
         count = round(config.late_fraction * len(eligible))
         pick_rng = derive_rng(seed, "join-storm-members", num_nodes, config.label)
         late = sorted(pick_rng.sample(eligible, count)) if count else []
-        stagger_rng = derive_rng(seed, "join-storm-stagger", num_nodes, config.label)
-        self._arrival: dict[int, float] = {
-            node: config.arrival_time
-            + (stagger_rng.uniform(0.0, config.stagger) if config.stagger else 0.0)
-            for node in late
-        }
+        self._arrival: dict[int, float] = dict.fromkeys(late, config.arrival_time)
         self._late_array = np.fromiter(
             self._arrival, dtype=np.int64, count=len(self._arrival)
         )

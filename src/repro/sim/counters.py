@@ -25,8 +25,6 @@ class TrafficCounters:
     messages_sent: int = 0
     duplicates: int = 0
     lost_offline: int = 0
-    replies_sent: int = 0
-    replies_received: int = 0
     retransmissions: int = 0
     drops_hop_limit: int = 0
 

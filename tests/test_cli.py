@@ -869,7 +869,6 @@ class TestStatusAndResume:
         import sqlite3
 
         from repro.experiments import ledger as ledger_module
-        from repro.experiments import store as store_module
 
         assert (
             main(
@@ -887,11 +886,7 @@ class TestStatusAndResume:
             == 0
         )
         capsys.readouterr()
-        monkeypatch.setattr(
-            store_module,
-            "TaskLedger",
-            lambda path: ledger_module.TaskLedger(path, timeout=0.1),
-        )
+        monkeypatch.setattr(ledger_module, "LOCK_TIMEOUT", 0.1)
         blocker = sqlite3.connect(tmp_path / "ledger.sqlite")
         blocker.execute("BEGIN EXCLUSIVE")
         try:

@@ -181,9 +181,9 @@ class TestEmptyStaticCell:
             run_experiment(experiment_id, scale=hollow, seed=0)
 
     def test_a_fractional_count_is_the_same_error(self):
-        hollow = get_scale("smoke").evolve(static_graphs=1.5)
-        with pytest.raises(ExperimentError, match="static_graphs=1.5"):
-            run_experiment("ablation-ds", scale=hollow, seed=0)
+        # refused when the rung is made, before any experiment can see it
+        with pytest.raises(ExperimentError, match="static_graphs must be an integer, got 1.5"):
+            get_scale("smoke").evolve(static_graphs=1.5)
 
 
 class TestServiceExperiments:

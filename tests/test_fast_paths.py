@@ -110,13 +110,12 @@ def reference_decide(
     given_flows,
     rng,
     tie_break="random",
-    local_max_rule="all-neighbors",
 ):
     """The forwarding rule as a scan over *unranked*, aligned id/score
-    sequences: ``(is_local_max, next_hops, budgets, new_flows)``."""
+    sequences: ``(is_local_max, next_hops, budgets, new_flows)``.  The
+    local maximum is tested against every neighbor, visited or not."""
     ids_list = list(neighbor_ids)
     scores_list = list(neighbor_scores)
-    n = len(ids_list)
     best = None
     best_positions: list[int] = []
     for i, neighbor in enumerate(ids_list):
@@ -128,13 +127,7 @@ def reference_decide(
             best_positions = [i]
         elif score == best:
             best_positions.append(i)
-    best_candidate_score = best
-
-    if local_max_rule == "all-neighbors":
-        reference = max(scores_list) if n else None
-    else:
-        reference = best_candidate_score
-    is_local_max = reference is None or self_score >= reference
+    is_local_max = not scores_list or self_score >= max(scores_list)
 
     fanout = allowed_fanout(max_flows, given_flows, len(best_positions))
     if fanout == 0:
@@ -517,7 +510,6 @@ class TestDecideForwardingParity:
                 max_flows=rng.randrange(0, 5),
                 given_flows=rng.randrange(0, 2),
                 tie_break=rng.choice(["random", "lowest-id"]),
-                local_max_rule=rng.choice(["all-neighbors", "unvisited-only"]),
             )
             # the gather hands out numpy-derived lists, the tests bare tuples
             from_arrays = decide_forwarding(
@@ -552,7 +544,6 @@ class TestDecideForwardingParity:
         max_flows=st.integers(0, 5),
         given_flows=st.integers(0, 1),
         tie_break=st.sampled_from(["random", "lowest-id"]),
-        local_max_rule=st.sampled_from(["all-neighbors", "unvisited-only"]),
         seed=st.integers(0, 2**16),
     )
     def test_ranked_decision_is_the_scan_on_any_input(
@@ -564,7 +555,6 @@ class TestDecideForwardingParity:
         max_flows,
         given_flows,
         tie_break,
-        local_max_rule,
         seed,
     ):
         """Same four fields *and* the same RNG state afterwards, over ids in
@@ -587,7 +577,6 @@ class TestDecideForwardingParity:
             given_flows,
             scan_rng,
             tie_break,
-            local_max_rule,
         )
         for excluded in (route, set(route)):
             ranked_rng = random.Random(seed)
@@ -598,7 +587,6 @@ class TestDecideForwardingParity:
                 given_flows,
                 ranked_rng.sample,
                 tie_break,
-                local_max_rule,
             )
             assert decision == scanned
             assert ranked_rng.getstate() == scan_rng.getstate()

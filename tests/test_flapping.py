@@ -169,8 +169,9 @@ class TestScenarios:
     def test_scenarios_for(self):
         scenarios = scenarios_for("fig11", probabilities=(0.5, 1.0))
         assert len(scenarios) == 6
-        schedule = scenarios[0].schedule(10, seed=0)
-        assert schedule.num_nodes == 10
+        first = scenarios[0]
+        config = FlappingConfig.from_label(first.period_label, first.probability)
+        assert FlappingSchedule(config, 10, seed=0).num_nodes == 10
 
     def test_unknown_figure(self):
         with pytest.raises(ConfigurationError):
@@ -178,7 +179,7 @@ class TestScenarios:
 
     def test_scenario_config(self):
         scenario = PerturbationScenario("30:30", 0.4)
-        assert scenario.config().cycle == 60.0
+        assert FlappingConfig.from_label(scenario.period_label, scenario.probability).cycle == 60.0
 
 
 @given(

@@ -5,8 +5,10 @@ row below, except the one two-way edge the document names.  A new upward or
 cyclic import fails here before it can become a second exception.  And the
 graph has no dead end, at module level or at definition level: every module
 under ``src/repro`` is imported, transitively, from something other than a
-test, and every public function, class and method has a reader outside
-``tests/`` unless :data:`TEST_ONLY_API` says why it stays."""
+test, every public function, class and method has a reader outside
+``tests/`` unless :data:`TEST_ONLY_API` says why it stays, and every
+defaulted option is passed by some caller outside ``tests/`` unless
+:data:`TEST_ONLY_OPTIONS` says why it stays."""
 
 from __future__ import annotations
 
@@ -243,10 +245,22 @@ class _Reads(ast.NodeVisitor):
             self.attributes.update(re.split(r"[.:]", node.value))
 
 
-def _decorator_name(decorator: ast.expr) -> str:
-    if isinstance(decorator, ast.Call):
-        decorator = decorator.func
-    return decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+def _name_of(expression: ast.expr) -> str:
+    """The name a decorator or a callee spells: ``x`` of ``x``, ``a.x`` and
+    ``x(...)``."""
+    if isinstance(expression, ast.Call):
+        expression = expression.func
+    if isinstance(expression, ast.Attribute):
+        return expression.attr
+    return getattr(expression, "id", "")
+
+
+def _package_trees():
+    """``(dotted module, parsed source)`` for every module under ``src/repro``."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        yield module, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _unread_public_definitions() -> list[str]:
@@ -260,7 +274,7 @@ def _unread_public_definitions() -> list[str]:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             registered = any(
-                _decorator_name(d) not in _WRAPPERS for d in node.decorator_list
+                _name_of(d) not in _WRAPPERS for d in node.decorator_list
             )
             readers = reads.attributes if in_class else reads.names | reads.attributes
             if not (node.name.startswith("_") or registered or node.name in readers):
@@ -268,10 +282,8 @@ def _unread_public_definitions() -> list[str]:
             if isinstance(node, ast.ClassDef):
                 walk(node.body, f"{qualified}.{node.name}", True)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
-        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        walk(ast.parse(path.read_text(encoding="utf-8")).body, module, False)
+    for module, tree in _package_trees():
+        walk(tree.body, module, False)
     return unread
 
 
@@ -282,6 +294,207 @@ def test_every_public_definition_has_a_reader_outside_tests():
     unread = set(_unread_public_definitions())
     assert sorted(unread - TEST_ONLY_API.keys()) == [], "read only by tests"
     assert sorted(TEST_ONLY_API.keys() - unread) == [], "stale TEST_ONLY_API entries"
+
+
+_FACADE = "public facade argument (README, the api docstring)"
+_MSPASTRY = "MSPastry model parameter: the paper's list (Section 6.2); tests vary it"
+_GENERATOR = "overlay generator parameter: ROADMAP item 6 rewrites the generators"
+_GT_ITM = "GT-ITM transit-stub latency table, kept whole"
+#: the families' processes and configs are built through SCENARIO_FAMILIES
+#: (``entry.process_class(seed=..., always_online=...)``,
+#: ``entry.config(**params)``), which a name match cannot follow
+_FAMILY_TABLE = "passed by keyword through SCENARIO_FAMILIES"
+
+#: defaulted options no call outside ``tests/`` passes, and why each stays
+TEST_ONLY_OPTIONS = {
+    **dict.fromkeys(
+        [
+            f"repro.api.serve({name}=)"
+            for name in ("experiment", "scale", "seed", "rate", "duration", "window")
+        ]
+        + ["repro.api.sweep(max_retries=)", "repro.api.sweep(task_timeout=)"],
+        _FACADE,
+    ),
+    **dict.fromkeys(
+        [
+            f"repro.pastry.config.PastryConfig.{name}"
+            for name in (
+                "digit_bits", "leaf_set_size", "leafset_probe_period",
+                "routing_table_probe_period", "probe_timeout", "probe_retries",
+                "app_retransmissions", "app_retx_interval", "max_route_hops",
+                "failure_eviction_rounds",
+            )
+        ]
+        + ["repro.pastry.protocol.PastryNetwork(config=)"],
+        _MSPASTRY,
+    ),
+    **dict.fromkeys(
+        [
+            "repro.overlay.power_law.power_law_graph(exponent=)",
+            "repro.overlay.power_law.power_law_graph(min_degree=)",
+            "repro.overlay.power_law.power_law_graph(max_degree=)",
+            "repro.overlay.random_graphs.random_regular_graph(max_attempts=)",
+        ],
+        _GENERATOR,
+    ),
+    **dict.fromkeys(
+        [
+            f"repro.overlay.transit_stub.TransitStubParams.{name}"
+            for name in (
+                "transit_transit_latency", "intra_transit_latency",
+                "transit_stub_latency", "intra_stub_latency", "jitter",
+            )
+        ],
+        _GT_ITM,
+    ),
+    **dict.fromkeys(
+        [
+            f"repro.perturbation.{module}({name}=)"
+            for module in (
+                "adversarial.AdversarialRemoval", "churn.ChurnSchedule",
+                "storms.JoinStormSchedule", "waves.ChurnWaveSchedule",
+            )
+            for name in ("seed", "always_online")
+        ]
+        + [
+            "repro.perturbation.outage.RegionalOutage(always_online=)",
+            "repro.perturbation.adversarial.AdversarialRemovalConfig.start",
+            "repro.perturbation.adversarial.AdversarialRemovalConfig.targeting",
+        ],
+        _FAMILY_TABLE,
+    ),
+    "repro.core.network.MPILNetwork.insert(owner=)":
+        "the examples pass it through TimedMPILNetwork.insert_static(**kwargs)",
+    "repro.experiments.base.ExperimentResult.table(float_digits=)":
+        "public rendering precision of a result table, handed to render_table",
+    "repro.experiments.cli.main(argv=)":
+        "the CLI's argument list: tests drive the CLI in-process through it",
+    "repro.experiments.workloads.static_grid(built=)":
+        "a cells stage: the pipeline calls it through the spec, as cells(ctx, built)",
+    "repro.pastry.protocol.PastryNetwork(space=)":
+        "public constructor: the id space of a hand-built ring (tests)",
+    "repro.pastry.protocol.PastryNetwork(ids=)":
+        "public constructor: explicit ids for a hand-built ring, as MPILNetwork(ids=) takes",
+    "repro.telemetry.spans.SpanRecorder.spans(name=)":
+        "public span query by kind: what the protocol and telemetry tests assert on",
+}
+
+
+class _Calls(ast.NodeVisitor):
+    """What the calls of one source pass, as ``(callee, keyword)`` and
+    ``(callee, position)`` pairs added to ``passed``.  The callee is the
+    name a call spells, with an import alias undone, ``cls(...)`` read as
+    the class it is written in, and ``partial(f, ...)`` read as a call of
+    ``f``; positions stop at the first ``*args``."""
+
+    def __init__(self, passed: set):
+        self.passed = passed
+        self.aliases: dict[str, str] = {}
+        self.classes: list[str] = []
+
+    def visit_alias(self, node):
+        if node.asname:
+            self.aliases[node.asname] = node.name.rsplit(".", 1)[-1]
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        func, args = node.func, node.args
+        if _name_of(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        name = _name_of(func)
+        name = self.aliases.get(name, name)
+        if name == "cls" and self.classes:
+            name = self.classes[-1]
+        for position, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):
+                break
+            self.passed.add((name, position))
+        self.passed.update((name, keyword.arg) for keyword in node.keywords if keyword.arg)
+
+
+def _defaulted(function: ast.FunctionDef, bound: bool):
+    """``(parameter, position)`` of each defaulted parameter; ``bound``
+    drops ``self``/``cls`` from the positions, and a keyword-only
+    parameter has none."""
+    arguments = function.args
+    positional = [*arguments.posonlyargs, *arguments.args][1 if bound else 0 :]
+    first = len(positional) - len(arguments.defaults)
+    for position, argument in enumerate(positional[first:], start=first):
+        yield argument.arg, position
+    for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+        if default is not None:
+            yield argument.arg, None
+
+
+def _options():
+    """``(option, callee, position, keyword)`` for every defaulted parameter
+    of a public function, method or constructor under ``src/repro`` and
+    every defaulted field of a public ``*Config``/``*Params`` dataclass —
+    except those of a definition :data:`TEST_ONLY_API` already names."""
+
+    def walk(body, qualified: str, owner: "ast.ClassDef | None"):
+        for node in body:
+            name = f"{qualified}.{node.name}" if hasattr(node, "name") else ""
+            if name in TEST_ONLY_API:
+                continue
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                dataclass = any(_name_of(d) == "dataclass" for d in node.decorator_list)
+                if dataclass and node.name.endswith(("Config", "Params")):
+                    fields = [
+                        statement for statement in node.body
+                        if isinstance(statement, ast.AnnAssign)
+                    ]
+                    for position, field in enumerate(fields):
+                        if field.value is not None:
+                            option = f"{name}.{field.target.id}"
+                            yield option, node.name, position, field.target.id
+                yield from walk(node.body, name, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                constructor = node.name == "__init__" and owner is not None
+                if node.name.startswith("_") and not constructor:
+                    continue
+                static = any(_name_of(d) == "staticmethod" for d in node.decorator_list)
+                callee = owner.name if constructor else node.name
+                label = qualified if constructor else name
+                for parameter, position in _defaulted(node, owner is not None and not static):
+                    yield f"{label}({parameter}=)", callee, position, parameter
+
+    for module, tree in _package_trees():
+        yield from walk(tree.body, module, None)
+
+
+def _unpassed_options() -> set[str]:
+    passed: set = set()
+    for path in (*sorted(PACKAGE.rglob("*.py")), *ENTRY_SCRIPTS):
+        _Calls(passed).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return {
+        option
+        for option, callee, position, keyword in _options()
+        if (callee, keyword) not in passed
+        and (position is None or (callee, position) not in passed)
+    }
+
+
+def test_every_option_has_a_caller_outside_tests():
+    """A defaulted parameter or config field that no call in ``src/``,
+    ``bench/`` or ``examples/`` passes has one value in use: make it a
+    constant (tests patch it), or say in :data:`TEST_ONLY_OPTIONS` why it
+    stays.  An entry that gains a caller or goes leaves the list.
+
+    Calls are matched to definitions by name, so this is a floor, not a
+    proof: a method counts as passed by a call of that name on any object
+    (``PastryNetwork.lookup(availability=)`` and ``MPILNetwork.lookup``
+    share one name), while a call through a variable
+    (``entry.process_class(...)``) or a ``**mapping`` passes nothing this
+    check can see."""
+    unpassed = _unpassed_options()
+    assert sorted(unpassed - TEST_ONLY_OPTIONS.keys()) == [], "no caller outside tests"
+    assert sorted(TEST_ONLY_OPTIONS.keys() - unpassed) == [], "stale TEST_ONLY_OPTIONS entries"
 
 
 def test_third_party_imports_are_declared_dependencies():

@@ -1,9 +1,8 @@
-"""Behavioural tests for the two local-maximum rules end-to-end.
+"""The local-maximum rule end to end.
 
 The paper's pseudo-code tests the current node against "all nodes in
-neighbor list" (including already-visited ones); the ``unvisited-only``
-variant exists as an ablation.  These tests pin the end-to-end consequences
-of the choice.
+neighbor list", including already-visited ones.  This pins the end-to-end
+consequence: a downhill walk stores nowhere but at its start.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.overlay.graph import OverlayGraph
 SPACE = IdSpace(bits=4, digit_bits=1)
 
 
-def _path_network(rule: str) -> MPILNetwork:
+def _path_network() -> MPILNetwork:
     """A 3-node path 0-1-2 with scores 3 > 2 > 1 against object 1111.
 
     Walking downhill from node 0, node 1's only unvisited neighbor (2) is
@@ -28,9 +27,7 @@ def _path_network(rule: str) -> MPILNetwork:
         SPACE.from_digits([1, 0, 0, 0]),  # node 2: 1 common
     ]
     overlay = OverlayGraph.from_edges(3, [(0, 1), (1, 2)])
-    config = MPILConfig(
-        max_flows=1, per_flow_replicas=3, tie_break="lowest-id", local_max_rule=rule
-    )
+    config = MPILConfig(max_flows=1, per_flow_replicas=3, tie_break="lowest-id")
     return MPILNetwork(overlay, space=SPACE, ids=ids, config=config, seed=0)
 
 
@@ -39,28 +36,10 @@ OBJECT = SPACE.from_digits([1, 1, 1, 1])
 
 class TestAllNeighborsRule:
     def test_downhill_nodes_do_not_store(self):
-        net = _path_network("all-neighbors")
+        net = _path_network()
         result = net.insert(0, OBJECT)
         # node 0 is the only local max: walking downhill, node 1 sees the
         # better visited neighbor 0 behind it and node 2 sees the better
         # neighbor 1 — under the paper's rule neither stores.
         assert result.replicas == (0,)
-
-
-class TestUnvisitedOnlyRule:
-    def test_every_downhill_node_becomes_a_maximum(self):
-        net = _path_network("unvisited-only")
-        result = net.insert(0, OBJECT)
-        # with visited neighbors ignored, each node on the downhill walk has
-        # no better unvisited neighbor and stores — until the per-flow
-        # replica budget (3) is spent.
-        assert set(result.replicas) == {0, 1, 2}
-
-    def test_rule_changes_replica_count_not_correctness(self):
-        strict = _path_network("all-neighbors")
-        loose = _path_network("unvisited-only")
-        strict_insert = strict.insert(0, OBJECT)
-        loose_insert = loose.insert(0, OBJECT)
-        assert loose_insert.replica_count >= strict_insert.replica_count
-        assert strict.lookup(2, OBJECT).success
-        assert loose.lookup(2, OBJECT).success
+        assert net.lookup(2, OBJECT).success

@@ -85,9 +85,9 @@ class TestLookup:
         key = SPACE.random_identifier(rng)
         network.insert_static(0, key)
         counters = TrafficCounters()
-        network.lookup(11, key, counters=counters)
+        outcome = network.lookup(11, key, counters=counters)
+        assert outcome.success
         assert counters.messages_sent >= 1
-        assert counters.replies_received == 1
 
     def test_origin_validated(self, network):
         with pytest.raises(RoutingError):

@@ -121,7 +121,7 @@ def build_outage(seed: int, num_nodes: int) -> RegionalOutage:
 
 
 def build_storm(seed: int, num_nodes: int) -> JoinStormSchedule:
-    config = JoinStormConfig(arrival_time=90.0, late_fraction=0.6, stagger=30.0)
+    config = JoinStormConfig(arrival_time=90.0, late_fraction=0.6)
     return JoinStormSchedule(config, num_nodes, seed=seed, always_online={0})
 
 

@@ -77,8 +77,8 @@ def _flapping_completion(adjusted, node, episode):
         node,
         episode,
         recovery,
-        join_contacts=adjusted.join_contacts,
-        max_attempts=adjusted.max_attempts,
+        join_contacts=adjusted.JOIN_CONTACTS,
+        max_attempts=adjusted.MAX_ATTEMPTS,
     )
 
 
@@ -325,7 +325,8 @@ class TestDemandDrivenAttempts:
     def test_pessimistic_cap_interval_model(self):
         # node 0 returns at t=400 into a network whose contacts never are online
         process = _Scripted(5, {0: [(100.0, 400.0)], **{n: [(0.0, math.inf)] for n in range(1, 5)}})
-        adjusted = IntervalRejoinAvailability(process, PastryConfig(), seed=0, max_attempts=5)
+        adjusted = IntervalRejoinAvailability(process, PastryConfig(), seed=0)
+        adjusted.MAX_ATTEMPTS = 5
         cap = 400.0 + 5 * PERIOD
         assert not adjusted.is_online(0, 400.0 + 4 * PERIOD)  # last attempt fails too
         assert not adjusted.is_online(0, math.nextafter(cap, 0.0))
@@ -339,7 +340,8 @@ class TestDemandDrivenAttempts:
                 return node == 0 and super().is_online(node, time)
 
         schedule = OnlyNodeZeroEverOnline(FlappingConfig(300, 300, 1.0), 6, seed=0)
-        adjusted = RejoinAdjustedAvailability(schedule, PastryConfig(), seed=0, max_attempts=4)
+        adjusted = RejoinAdjustedAvailability(schedule, PastryConfig(), seed=0)
+        adjusted.MAX_ATTEMPTS = 4
         recovery = schedule.phase(0) + 600.0
         cap = recovery + 4 * PERIOD
         assert cap == _flapping_completion(adjusted, 0, 0)

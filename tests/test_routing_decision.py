@@ -18,7 +18,6 @@ def _decide(
     max_flows=10,
     given=0,
     tie="lowest-id",
-    rule="all-neighbors",
     seed=0,
 ):
     """The decision with the exclusion given as a set and — the form
@@ -33,7 +32,6 @@ def _decide(
             given_flows=given,
             draw=random.Random(seed).sample,
             tie_break=tie,
-            local_max_rule=rule,
         )
         for container in (set, tuple)
     ]
@@ -62,9 +60,8 @@ class TestCandidateSelection:
         assert decision.new_flows == 0
 
     def test_all_excluded_leaves_no_candidate_to_compare_with(self):
-        # nothing unvisited: "unvisited-only" has no reference score at all,
-        # "all-neighbors" still sees the visited 3 above self
-        assert _decide(1, [10, 11], [3, 1], excluded={10, 11}, rule="unvisited-only").is_local_max
+        # nothing unvisited, but the local-maximum test still sees the
+        # visited 3 above self
         assert not _decide(1, [10, 11], [3, 1], excluded={10, 11}).is_local_max
 
     def test_excluded_top_tiers_fall_through_to_the_next(self):
@@ -91,13 +88,9 @@ class TestLocalMaximum:
     def test_all_neighbors_rule_sees_visited_neighbors(self):
         # Visited neighbor has score 5 > self 4: not a local max under the
         # paper's rule even though it is excluded from forwarding.
-        decision = _decide(4, [10, 11], [5, 1], excluded={10}, rule="all-neighbors")
+        decision = _decide(4, [10, 11], [5, 1], excluded={10})
         assert not decision.is_local_max
         assert decision.next_hops == (11,)
-
-    def test_unvisited_only_rule_ignores_visited(self):
-        decision = _decide(4, [10, 11], [5, 1], excluded={10}, rule="unvisited-only")
-        assert decision.is_local_max
 
     def test_isolated_node_is_local_max(self):
         decision = _decide(0, [], [], max_flows=5)

@@ -226,8 +226,6 @@ class TestResume:
             run_sweep(self.SPEC, store, max_retries=-1)
         with pytest.raises(ExperimentError, match="task-timeout"):
             run_sweep(self.SPEC, store, task_timeout=0.0)
-        with pytest.raises(ExperimentError, match="retry-backoff"):
-            run_sweep(self.SPEC, store, retry_backoff=-0.5)
 
     def test_sweep_records_ledger_states(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.experiments import runtime
 from repro.experiments.registry import register, unregister
 from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.spec import ExperimentSpec, Pipeline
@@ -79,6 +80,12 @@ def faulty_experiment(tmp_path):
         unregister("fault-stub")
 
 
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    """Re-queue a failed attempt at once: these tests wait on the retry."""
+    monkeypatch.setattr(runtime, "RETRY_BACKOFF", 0.0)
+
+
 def _sweep_spec(seeds=(0, 1, 2)):
     return SweepSpec(("fault-stub",), seeds=tuple(seeds), scale="smoke")
 
@@ -92,6 +99,7 @@ def _reference_run(tmp_path, seeds=(0, 1, 2)):
 
 
 class TestWorkerCrash:
+    @pytest.mark.usefixtures("no_backoff")
     def test_sigkilled_worker_is_retried_to_convergence(
         self, tmp_path, faulty_experiment
     ):
@@ -99,7 +107,7 @@ class TestWorkerCrash:
             (faulty_experiment / f"kill_{seed}").touch()
         store = ResultStore(tmp_path / "faulted")
         report = run_sweep(
-            _sweep_spec(), store, jobs=2, max_retries=2, retry_backoff=0.0
+            _sweep_spec(), store, jobs=2, max_retries=2
         )
         assert not report.failures
         assert sorted(o.seed for o in report.outcomes) == [0, 1, 2]
@@ -111,13 +119,14 @@ class TestWorkerCrash:
         assert rows[2].attempts == 2
         assert artifact_bytes(store.root) == _reference_run(tmp_path)
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_raising_worker_exhausts_budget_and_fails(
         self, tmp_path, faulty_experiment
     ):
         (faulty_experiment / "raise_1").touch()
         store = ResultStore(tmp_path / "faulted")
         report = run_sweep(
-            _sweep_spec(), store, jobs=1, max_retries=0, retry_backoff=0.0
+            _sweep_spec(), store, jobs=1, max_retries=0
         )
         (failure,) = report.failures
         assert (failure.seed, failure.attempts) == (1, 1)
@@ -128,7 +137,7 @@ class TestWorkerCrash:
         assert len(report.aggregates) == 1
         # a resume retries the failed task (flag consumed -> now succeeds)
         resumed = run_sweep(
-            _sweep_spec(), store, jobs=1, resume=True, retry_backoff=0.0
+            _sweep_spec(), store, jobs=1, resume=True
         )
         assert not resumed.failures
         assert [o.seed for o in resumed.outcomes] == [1]
@@ -137,6 +146,7 @@ class TestWorkerCrash:
 
 
 class TestHungWorker:
+    @pytest.mark.usefixtures("no_backoff")
     def test_hung_worker_is_killed_and_retried(self, tmp_path, faulty_experiment):
         (faulty_experiment / "hang_1").touch()
         store = ResultStore(tmp_path / "faulted")
@@ -146,13 +156,13 @@ class TestHungWorker:
             jobs=2,
             max_retries=1,
             task_timeout=1.0,
-            retry_backoff=0.0,
         )
         assert not report.failures
         row = store.ledger.row(("fault-stub", "smoke", 1))
         assert (row.state, row.attempts) == ("done", 2)
         assert artifact_bytes(store.root) == _reference_run(tmp_path)
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_forever_hung_task_fails_with_timeout_error(
         self, tmp_path, faulty_experiment
     ):
@@ -166,7 +176,6 @@ class TestHungWorker:
             jobs=1,
             max_retries=0,
             task_timeout=0.5,
-            retry_backoff=0.0,
         )
         (failure,) = report.failures
         assert "timed out" in failure.error
@@ -219,6 +228,7 @@ class TestOrphanedClaims:
 
 
 class TestParityUnderParallelResume:
+    @pytest.mark.usefixtures("no_backoff")
     def test_jobs_n_resume_matches_uninterrupted_jobs_1(
         self, tmp_path, faulty_experiment
     ):
@@ -228,12 +238,12 @@ class TestParityUnderParallelResume:
             (faulty_experiment / f"kill_{seed}").touch()
         store = ResultStore(tmp_path / "faulted")
         first = run_sweep(
-            _sweep_spec(), store, jobs=2, max_retries=0, retry_backoff=0.0
+            _sweep_spec(), store, jobs=2, max_retries=0
         )
         assert {f.seed for f in first.failures} == {0, 1}
 
         resumed = run_sweep(
-            _sweep_spec(), store, jobs=2, resume=True, retry_backoff=0.0
+            _sweep_spec(), store, jobs=2, resume=True
         )
         assert not resumed.failures
         assert sorted(o.seed for o in resumed.outcomes) == [0, 1]
@@ -290,50 +300,36 @@ class TestParentKill:
 
 
 class TestRetryBackoffCap:
-    """Exponential retry backoff is capped (issue satellite): a generous
-    retry budget must never schedule a multi-minute sleep."""
+    """Exponential retry backoff is capped: a generous retry budget must
+    never schedule a multi-minute sleep."""
 
-    def test_delay_doubles_then_caps(self):
-        from repro.experiments.runtime import RuntimeConfig, backoff_delay
+    def test_shipped_pacing(self):
+        assert [runtime.backoff_delay(n) for n in (1, 2, 3)] == [0.1, 0.2, 0.4]
+        assert runtime.backoff_delay(10) == 30.0
 
-        config = RuntimeConfig(retry_backoff=1.0, retry_backoff_cap=30.0)
-        assert [backoff_delay(config, n) for n in (1, 2, 3, 4, 5)] == [
+    def test_delay_doubles_then_caps(self, monkeypatch):
+        monkeypatch.setattr(runtime, "RETRY_BACKOFF", 1.0)
+        assert [runtime.backoff_delay(n) for n in (1, 2, 3, 4, 5)] == [
             1.0,
             2.0,
             4.0,
             8.0,
             16.0,
         ]
-        assert backoff_delay(config, 6) == 30.0  # 32 would exceed the cap
-        assert backoff_delay(config, 50) == 30.0  # no overflow blow-up either
+        assert runtime.backoff_delay(6) == 30.0  # 32 would exceed the cap
+        assert runtime.backoff_delay(50) == 30.0  # no overflow blow-up either
 
-    def test_cap_applies_to_large_bases(self):
-        from repro.experiments.runtime import RuntimeConfig, backoff_delay
+    def test_cap_applies_to_large_bases(self, monkeypatch):
+        monkeypatch.setattr(runtime, "RETRY_BACKOFF", 120.0)
+        assert runtime.backoff_delay(1) == 30.0
 
-        config = RuntimeConfig(retry_backoff=120.0, retry_backoff_cap=30.0)
-        assert backoff_delay(config, 1) == 30.0
-
-    def test_cap_validation(self):
-        from repro.errors import ExperimentError
-        from repro.experiments.runtime import RuntimeConfig
-
-        with pytest.raises(ExperimentError, match="retry-backoff-cap"):
-            RuntimeConfig(retry_backoff_cap=0.0)
-        with pytest.raises(ExperimentError, match="retry-backoff-cap"):
-            RuntimeConfig(retry_backoff_cap=-5.0)
-
-    def test_run_sweep_threads_cap_through(self, tmp_path, faulty_experiment):
+    def test_run_sweep_threads_cap_through(self, tmp_path, faulty_experiment, monkeypatch):
+        monkeypatch.setattr(runtime, "RETRY_BACKOFF", 100.0)  # uncapped: a >100 s sleep
+        monkeypatch.setattr(runtime, "RETRY_BACKOFF_CAP", 0.05)
         (faulty_experiment / "raise_1").touch()
         store = ResultStore(tmp_path / "capped")
         started = time.monotonic()
-        report = run_sweep(
-            _sweep_spec(),
-            store,
-            jobs=1,
-            max_retries=2,
-            retry_backoff=100.0,  # uncapped, the retry would sleep >100s
-            retry_backoff_cap=0.05,
-        )
+        report = run_sweep(_sweep_spec(), store, jobs=1, max_retries=2)
         assert time.monotonic() - started < 60.0
         assert not report.failures
         rows = {r.seed: r for r in store.ledger.rows(experiment_id="fault-stub")}

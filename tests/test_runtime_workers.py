@@ -33,7 +33,7 @@ from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.spec import ExperimentSpec, Pipeline
 from repro.experiments.store import ResultStore
 from test_determinism import GOLDENS, _fingerprint
-from test_runtime_faults import REPO_ROOT, artifact_bytes
+from test_runtime_faults import REPO_ROOT, artifact_bytes, no_backoff  # noqa: F401
 
 
 class Stub:
@@ -166,12 +166,13 @@ class TestReuse:
 
 
 class TestReplacement:
+    @pytest.mark.usefixtures("no_backoff")
     def test_killed_worker_is_the_only_one_replaced(self, tmp_path, stub):
         stub.slow()
         stub.arm("kill", 1)
         store = ResultStore(tmp_path / "store")
         report = run_sweep(
-            _spec(range(8)), store, jobs=2, max_retries=1, retry_backoff=0.0
+            _spec(range(8)), store, jobs=2, max_retries=1
         )
         assert not report.failures and len(report.outcomes) == 8
         died, retried = stub.pids_of(1)
@@ -184,11 +185,12 @@ class TestReplacement:
         # the surviving worker keeps serving tasks after its sibling died
         assert any(pid == survivor for _, pid in attempts[kill_index + 1 :])
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_retry_never_runs_in_the_process_that_raised(self, tmp_path, stub):
         stub.arm("raise", 0)
         store = ResultStore(tmp_path / "store")
         report = run_sweep(
-            _spec(range(3)), store, jobs=1, max_retries=1, retry_backoff=0.0
+            _spec(range(3)), store, jobs=1, max_retries=1
         )
         assert not report.failures
         raised, retried = stub.pids_of(0)
@@ -197,6 +199,7 @@ class TestReplacement:
         assert raised not in [pid for _, pid in stub.attempts()[1:]]
         assert store.ledger.row(("pid-stub", "smoke", 0)).attempts == 2
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_only_the_hung_worker_is_replaced(self, tmp_path, stub):
         # 20 tasks of 50 ms keep the other worker streaming well past the
         # 0.5 s deadline, so the hung worker's slot is needed again
@@ -209,7 +212,6 @@ class TestReplacement:
             jobs=2,
             max_retries=1,
             task_timeout=0.5,
-            retry_backoff=0.0,
         )
         assert not report.failures and len(report.outcomes) == 20
         hung, retried = stub.pids_of(0)

@@ -114,6 +114,20 @@ class TestScaleStructure:
             SMOKE.evolve(warp_factor=9)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(Scale) if f.name not in ("name", "budget")]
+    )
+    @pytest.mark.parametrize("value", ["12", True])
+    def test_every_flat_field_is_type_checked(self, field, value):
+        """A string or a bool in any flat field — a count, a float or a
+        tuple — is one error naming the field, from ``evolve`` and from a
+        hand-built rung ``register_scale`` would be given alike."""
+        with pytest.raises(ExperimentError, match=f"^scale field {field} must be") as info:
+            SMOKE.evolve(**{field: value})
+        assert "\n" not in str(info.value)
+        with pytest.raises(ExperimentError, match=f"^scale field {field} must be"):
+            Scale(**{**dataclasses.asdict(SMOKE), "budget": SMOKE.budget, field: value})
+
     def test_budget_validation(self):
         assert BudgetSpec().unlimited
         assert not BudgetSpec(max_wall_s=1.0).unlimited
@@ -407,7 +421,7 @@ def _mask_processes(n=50, seed=7):
             ChurnWaveConfig(120.0, 60.0, 600.0, 120.0, 4.0), n, seed=seed
         ),
         "storm": JoinStormSchedule(
-            JoinStormConfig(90.0, 0.4, stagger=30.0), n, seed=seed
+            JoinStormConfig(90.0, 0.4), n, seed=seed
         ),
         "outage": RegionalOutage(
             regions, RegionalOutageConfig(60.0, 120.0, 0.5), seed=seed

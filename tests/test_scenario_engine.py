@@ -27,7 +27,6 @@ from repro.perturbation import (
     FlappingSchedule,
     JoinStormConfig,
     JoinStormSchedule,
-    PerturbationScenario,
     RegionalOutage,
     RegionalOutageConfig,
     ScenarioTimeline,
@@ -55,15 +54,6 @@ class TestSeedValidation:
         with pytest.raises(ConfigurationError):
             FlappingSchedule(config, 4, seed=bad)
 
-    @pytest.mark.parametrize("bad", ["0", True, 1.5])
-    def test_scenario_schedule_requires_int(self, bad):
-        scenario = PerturbationScenario("30:30", 0.5)
-        with pytest.raises(ConfigurationError):
-            scenario.schedule(10, seed=bad)
-
-    def test_scenario_schedule_accepts_int(self):
-        schedule = PerturbationScenario("30:30", 0.5).schedule(10, seed=3)
-        assert schedule.num_nodes == 10
 
 
 class TestRegionalOutage:
@@ -114,12 +104,6 @@ class TestRegionalOutage:
                 assert smaller <= larger
             assert down_sets[0] == frozenset()
             assert down_sets[-1] == frozenset(range(5))
-
-    def test_explicit_regions_down(self):
-        config = RegionalOutageConfig(start=10.0, duration=5.0, severity=0.0)
-        outage = RegionalOutage(self.REGIONS, config, regions_down={2})
-        assert not outage.is_online(8, 12.0)
-        assert outage.is_online(0, 12.0)
 
     def test_single_region_rejected(self):
         config = RegionalOutageConfig(start=0.0, duration=1.0, severity=0.5)
@@ -216,16 +200,6 @@ class TestJoinStorm:
             assert storm.is_online(node, 50.0)
             assert storm.offline_intervals(node, 200.0) == []
 
-    def test_stagger_spreads_arrivals(self):
-        storm = JoinStormSchedule(
-            JoinStormConfig(arrival_time=100.0, late_fraction=1.0, stagger=50.0),
-            30,
-            seed=4,
-        )
-        arrivals = {storm.arrival(node) for node in storm.late_joiners}
-        assert len(arrivals) > 1
-        assert all(100.0 <= a < 150.0 for a in arrivals)
-
     def test_exempt_nodes_never_late(self):
         storm = JoinStormSchedule(
             JoinStormConfig(arrival_time=100.0, late_fraction=1.0),
@@ -240,8 +214,6 @@ class TestJoinStorm:
             JoinStormConfig(arrival_time=0.0, late_fraction=0.5)
         with pytest.raises(ConfigurationError):
             JoinStormConfig(arrival_time=10.0, late_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            JoinStormConfig(arrival_time=10.0, late_fraction=0.5, stagger=-1.0)
 
 
 class TestAdversarialRemoval:

@@ -233,7 +233,8 @@ class TestNonFiniteTrafficKnobs:
 
     @pytest.mark.parametrize("knob", ["rate", "duration", "window"])
     def test_api_serve(self, knob):
-        with pytest.raises(ExperimentError, match=f"{knob} must be finite"):
+        # refused by the rung the override makes, before any traffic
+        with pytest.raises(ExperimentError, match=f"service_{knob} must be a finite number"):
             api.serve("svc-steady", scale="smoke", **{knob: float("inf")})
 
     @pytest.mark.parametrize("knob", ["rate", "duration", "window"])
@@ -244,7 +245,7 @@ class TestNonFiniteTrafficKnobs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert f"{knob} must be finite" in captured.err
+        assert f"service_{knob} must be a finite number" in captured.err
 
     @pytest.mark.parametrize("knob", ["rate", "duration", "window"])
     def test_compose_rejects_before_any_testbed_is_built(self, knob, tmp_path, monkeypatch):

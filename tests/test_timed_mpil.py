@@ -110,13 +110,6 @@ class TestPerturbedBehaviour:
             )
         assert rates[0] >= rates[1] >= rates[2] or rates[0] > rates[2]
 
-    def test_deadline_stops_propagation(self):
-        timed, keys = self._setup(0.0)
-        result = timed.lookup_at(0, keys[0], start_time=100.0, deadline=100.0)
-        # nothing can be delivered in zero time except an origin-held replica
-        if not timed.directory.has(0, keys[0]):
-            assert not result.success
-
     def test_origin_validated(self):
         overlay = ring_lattice_graph(10, k=1)
         timed = _timed(overlay)
@@ -246,9 +239,14 @@ class TestStartLookup:
         replay = timed.lookup_at(0, keys[0], start_time=0.0)
         assert replay == first
 
+    def test_hop_cap_is_four_hops_per_digit(self):
+        timed = _timed(ring_lattice_graph(10, k=1))
+        assert timed._max_hops == 4 * SPACE.num_digits == 16
+
     def test_hop_limit_drops_and_traces(self):
         # a ring forces long routes; two hops cannot reach the far side
-        timed = _timed(ring_lattice_graph(40, k=1), seed=4, max_hops=2)
+        timed = _timed(ring_lattice_graph(40, k=1), seed=4)
+        timed._max_hops = 2
         rng = derive_rng(4, "keys")
         telemetry = Telemetry.with_spans()
         dropped = 0

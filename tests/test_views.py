@@ -25,9 +25,14 @@ from repro.pastry.views import ProbedViewOracle
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
 
 
-def _oracle(idle, offline, p, n=6, seed=0, **kwargs):
+def _oracle(idle, offline, p, n=6, seed=0, scan_limit=None):
+    """An oracle over a flapping schedule; ``scan_limit`` patches the
+    oracle's scan window."""
     schedule = FlappingSchedule(FlappingConfig(idle, offline, p), n, seed=seed)
-    return ProbedViewOracle(schedule, PastryConfig(), seed=seed, **kwargs), schedule
+    oracle = ProbedViewOracle(schedule, PastryConfig(), seed=seed)
+    if scan_limit is not None:
+        oracle.SCAN_LIMIT = scan_limit
+    return oracle, schedule
 
 
 def _reference_latest_event(oracle, observer, target, now, kind, incoming):
@@ -37,7 +42,7 @@ def _reference_latest_event(oracle, observer, target, now, kind, incoming):
     if now < phase:
         return None
     max_epoch = int((now - phase) // period)
-    min_epoch = max(0, max_epoch - oracle.scan_limit + 1)
+    min_epoch = max(0, max_epoch - oracle.SCAN_LIMIT + 1)
     for epoch in range(max_epoch, min_epoch - 1, -1):
         start = phase + epoch * period
         if incoming:
@@ -223,11 +228,6 @@ class TestBasics:
         with pytest.raises(ConfigurationError, match="seed root must be an int"):
             ProbedViewOracle(schedule, PastryConfig(), seed=seed)
 
-    def test_scan_limit_validated(self):
-        schedule = FlappingSchedule(FlappingConfig(1, 1, 0.5), 4, seed=0)
-        with pytest.raises(ConfigurationError):
-            ProbedViewOracle(schedule, PastryConfig(), scan_limit=0)
-
     def test_short_flap_bridged_by_probe_retries(self):
         """With 1:1 flapping, a probe that catches a node offline retries 3 s
         later when the node is back: nodes stay believed alive."""
@@ -281,9 +281,11 @@ class _ScriptedPhaseOracle(ProbedViewOracle):
     """An oracle whose probe phases the test chooses, so that one node's
     conclusion times can fall exactly on another's attempt times."""
 
-    def __init__(self, schedule, phases, config=PastryConfig(), **kwargs):
-        super().__init__(schedule, config, **kwargs)
+    def __init__(self, schedule, phases, config=PastryConfig(), scan_limit=None):
+        super().__init__(schedule, config)
         self.phases = phases
+        if scan_limit is not None:
+            self.SCAN_LIMIT = scan_limit
 
     def probe_phase(self, node, kind):
         return self.phases[node]
@@ -432,7 +434,8 @@ class TestAgainstReference:
         schedule = FlappingSchedule(FlappingConfig(*flap), n, seed=seed)
         if rejoin:
             schedule = RejoinAdjustedAvailability(schedule, PastryConfig(), seed=seed)
-        oracle = ProbedViewOracle(schedule, PastryConfig(), seed=seed, scan_limit=scan_limit)
+        oracle = ProbedViewOracle(schedule, PastryConfig(), seed=seed)
+        oracle.SCAN_LIMIT = scan_limit
         horizon = 80 * oracle.probe_period(kind)
         times = [fraction * horizon for fraction in off_lattice] + [
             oracle.probe_phase(node, kind)
