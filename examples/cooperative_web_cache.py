@@ -54,7 +54,7 @@ def main() -> None:
         holder = rng.randrange(NUM_CACHES)
         key = url_key(space, url)
         pastry.insert_static(holder, key)
-        mpil.insert_static(holder, key, owner=holder)
+        mpil.insert(holder, key, owner=holder)
 
     # Perturbation: the Pastry layer additionally suffers MSPastry's
     # eviction/rejoin recovery semantics; MPIL (no maintenance) sees raw
@@ -63,7 +63,6 @@ def main() -> None:
     schedule = FlappingSchedule(FLAP, NUM_CACHES, seed=SEED, always_online={client})
     pastry_avail = RejoinAdjustedAvailability(schedule, pastry.config, seed=SEED)
     views = ProbedViewOracle(pastry_avail, pastry.config, seed=SEED)
-    mpil.availability = schedule
 
     pastry_hits = mpil_hits = 0
     pastry_msgs = mpil_msgs = 0
@@ -75,7 +74,7 @@ def main() -> None:
         )
         pastry_hits += outcome.success
         pastry_msgs += outcome.messages + outcome.retransmissions
-        timed = mpil.lookup_at(client, key, start_time=when)
+        timed = mpil.lookup_at(client, key, start_time=when, availability=schedule)
         mpil_hits += timed.success
         mpil_msgs += timed.counters.messages_sent
 

@@ -66,20 +66,21 @@ def main() -> None:
         sites = rng.sample(range(NUM_SITES), 4)
         providers[keyword] = sites
         for site in sites:
-            grid.insert_static(site, keyword_id(space, keyword), owner=site)
+            grid.insert(site, keyword_id(space, keyword), owner=site)
 
     # Some sites flap (e.g. overloaded clusters): 30 s responsive / 30 s
     # unresponsive, with 60% of cycles going dark.
     flapping = FlappingSchedule(
         FlappingConfig(30, 30, 0.6), NUM_SITES, seed=SEED, always_online={0}
     )
-    grid.availability = flapping
 
     rows = []
     client = 0
     for i, keyword in enumerate(RESOURCE_CLASSES):
         when = 120.0 + 45.0 * i
-        result = grid.lookup_at(client, keyword_id(space, keyword), start_time=when)
+        result = grid.lookup_at(
+            client, keyword_id(space, keyword), start_time=when, availability=flapping
+        )
         rows.append(
             (
                 keyword,

@@ -299,10 +299,11 @@ def compose(
     registry (duplicate ids rejected), so it resolves by id in
     :func:`run` and — within this process — :func:`sweep`; remove it
     again with :func:`unregister`.  Runtime registrations live only in
-    the registering process: sweep composed specs with ``jobs=1``, or on
-    a fork-based platform (Linux), where pool workers inherit them —
-    spawn-based workers (macOS/Windows) re-import the registry and see
-    only the built-ins.
+    the registering process: sweep composed specs without a store and
+    with ``jobs=1`` (the one sweep that runs in this process), or on a
+    fork-based platform (Linux), where workers inherit them — spawn-based
+    workers (macOS/Windows) re-import the registry and see only the
+    built-ins, and a sweep with a store runs even ``jobs=1`` in one.
     """
     if isinstance(source, (str, pathlib.Path)):
         source = load_spec_file(source)

@@ -11,10 +11,10 @@ with the duplicate suppression" under perturbation.
 
 Insertions for the perturbation experiments happen in stage 1 on the static
 overlay ("1000 insertion requests are generated to the static overlay"), so
-this driver wraps a synchronous :class:`~repro.core.network.MPILNetwork`
-for inserts and adds a timed ``lookup_at``.  Both run the one per-message
-step of :mod:`repro.core.protocol`; this module only schedules it: the
-availability check on arrival, per-hop latency, reply delivery and
+this driver is a synchronous :class:`~repro.core.network.MPILNetwork` —
+whose ``insert`` it inherits — with a timed lookup added.  Both run the one
+per-message step of :mod:`repro.core.protocol`; this module only schedules
+it: the availability check on arrival, per-hop latency, reply delivery and
 completion tracking.
 """
 
@@ -43,18 +43,35 @@ def _retired(_item: object) -> None:
     send."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class TimedLookupResult:
-    """Outcome of one timed MPIL lookup."""
+    """One timed MPIL lookup, in flight or complete.
+
+    :meth:`TimedMPILNetwork.start_lookup` returns the record at once; the
+    request's message events then run whenever the caller's scheduler
+    executes them, interleaved with any other in-flight requests — the
+    open-loop service drivers keep hundreds of these live at once.  The
+    lookup is *complete* once every message copy it spawned has been
+    delivered, lost, or suppressed (``outstanding`` reaches zero), at which
+    point ``done`` flips and the optional completion callback fires;
+    :meth:`TimedMPILNetwork.lookup_at` returns it complete.  Two records are
+    equal when their lookups are: the in-flight bookkeeping is not compared.
+    """
 
     object_id: Identifier
     origin: int
     start_time: float
-    success: bool
-    first_reply_time: Optional[float]
-    first_reply_hop: Optional[int]
-    replies: tuple[tuple[int, int], ...]
     counters: TrafficCounters
+    replies: list[tuple[int, int]] = dataclasses.field(default_factory=list)
+    first_reply_time: Optional[float] = None
+    first_reply_hop: Optional[int] = None
+    #: message/reply events posted but not yet executed
+    outstanding: int = dataclasses.field(default=0, compare=False)
+    done: bool = dataclasses.field(default=False, compare=False)
+
+    @property
+    def success(self) -> bool:
+        return bool(self.replies)
 
     @property
     def latency(self) -> Optional[float]:
@@ -63,72 +80,20 @@ class TimedLookupResult:
         return self.first_reply_time - self.start_time
 
 
-class PendingLookup:
-    """One in-flight timed lookup on a (possibly shared) scheduler.
+class TimedMPILNetwork(MPILNetwork):
+    """MPIL over an arbitrary overlay, with per-hop latency.
 
-    :meth:`TimedMPILNetwork.start_lookup` returns the handle immediately;
-    the request's message events then run whenever the caller's scheduler
-    executes them, interleaved with any other in-flight requests — the
-    open-loop service drivers keep hundreds of these live at once.  The
-    request is *complete* once every message copy it spawned has been
-    delivered, lost, or suppressed (``outstanding`` reaches zero), at which
-    point ``done`` flips and the optional completion callback fires.
-    """
-
-    __slots__ = (
-        "object_id",
-        "origin",
-        "start_time",
-        "counters",
-        "replies",
-        "first_reply_time",
-        "first_reply_hop",
-        "outstanding",
-        "done",
-    )
-
-    def __init__(
-        self, object_id: Identifier, origin: int, start_time: float, counters: TrafficCounters
-    ):
-        self.object_id = object_id
-        self.origin = origin
-        self.start_time = start_time
-        self.counters = counters
-        self.replies: list[tuple[int, int]] = []
-        self.first_reply_time: Optional[float] = None
-        self.first_reply_hop: Optional[int] = None
-        #: message/reply events posted but not yet executed
-        self.outstanding = 0
-        self.done = False
-
-    @property
-    def success(self) -> bool:
-        return bool(self.replies)
-
-    def result(self) -> TimedLookupResult:
-        """Snapshot the request as an immutable result (valid any time;
-        :meth:`TimedMPILNetwork.lookup_at` calls it after completion)."""
-        return TimedLookupResult(
-            object_id=self.object_id,
-            origin=self.origin,
-            start_time=self.start_time,
-            success=bool(self.replies),
-            first_reply_time=self.first_reply_time,
-            first_reply_hop=self.first_reply_hop,
-            replies=tuple(self.replies),
-            counters=self.counters,
-        )
-
-
-class TimedMPILNetwork:
-    """MPIL over an arbitrary overlay with per-node availability.
+    Inserts are the inherited synchronous :meth:`MPILNetwork.insert` on the
+    fully online overlay; lookups run in simulated time under the
+    availability model each call passes.
 
     Parameters
     ----------
     overlay:
         Overlay adjacency (may be directed, e.g. Pastry neighbor lists).
-    ids:
-        Node identifiers (shared with any co-simulated protocol).
+    space, ids, seed:
+        As for :class:`MPILNetwork`; ``ids`` may be shared with a
+        co-simulated protocol.
     config:
         MPIL parameters; ``duplicate_suppression`` selects DS / no-DS mode.
     latency:
@@ -144,15 +109,8 @@ class TimedMPILNetwork:
         latency: LatencyModel = ConstantLatency(0.05),
         seed: object = 0,
     ):
-        self.static = MPILNetwork(
-            overlay, space=space, ids=ids, config=config, seed=seed
-        )
-        #: ground-truth availability (e.g. a flapping schedule): everyone is
-        #: online until a driver sets one
-        self.availability: AvailabilityModel = AlwaysOnline()
+        super().__init__(overlay, space=space, ids=ids, config=config, seed=seed)
         self.latency = latency
-        self.config = config
-        self.seed = seed
         self._request_counter = 0
         #: a copy that has travelled this many hops is dropped, not
         #: forwarded: four hops per identifier digit
@@ -160,39 +118,14 @@ class TimedMPILNetwork:
 
     def snapshot(self) -> tuple:
         """The state a borrowed run mutates besides the replica directory:
-        the availability model and both request counters (each request's
-        RNG stream derives from its counter).  Service drivers pass it back
-        to :meth:`restore` so a testbed shared across runs replays identical
-        per-request noise.
+        both request counters (each request's RNG stream derives from its
+        counter).  Service drivers pass it back to :meth:`restore` so a
+        testbed shared across runs replays identical per-request noise.
         """
-        return self.availability, self._request_counter, self.static.next_request_id
+        return self._request_counter, self.next_request_id
 
     def restore(self, snapshot: tuple) -> None:
-        self.availability, self._request_counter, self.static.next_request_id = snapshot
-
-    # Convenience passthroughs ------------------------------------------------
-
-    @property
-    def overlay(self) -> OverlayGraph:
-        return self.static.overlay
-
-    @property
-    def ids(self):
-        return self.static.ids
-
-    @property
-    def directory(self):
-        return self.static.directory
-
-    def random_object_id(self, rng) -> Identifier:
-        """Draw a fresh object identifier from the network's id space."""
-        return self.static.random_object_id(rng)
-
-    def insert_static(self, origin: int, object_id: Identifier, **kwargs):
-        """Stage-1 insertion on the static (fully online) overlay."""
-        return self.static.insert(origin, object_id, **kwargs)
-
-    # Timed lookup -------------------------------------------------------------
+        self._request_counter, self.next_request_id = snapshot
 
     def start_lookup(
         self,
@@ -200,10 +133,11 @@ class TimedMPILNetwork:
         origin: int,
         object_id: Identifier,
         start_time: Optional[float] = None,
+        availability: AvailabilityModel = AlwaysOnline(),
         duplicate_suppression: Optional[bool] = None,
-        on_complete: Optional[Callable[["PendingLookup"], None]] = None,
-    ) -> PendingLookup:
-        """Launch a lookup on a caller-owned scheduler and return its handle.
+        on_complete: Optional[Callable[[TimedLookupResult], None]] = None,
+    ) -> TimedLookupResult:
+        """Launch a lookup on a caller-owned scheduler and return its record.
 
         This is the open-loop entry point: many lookups started on one
         shared ``engine`` stay in flight simultaneously, their message
@@ -211,9 +145,10 @@ class TimedMPILNetwork:
         arrivals this way while a perturbation timeline runs concurrently.
         ``start_time`` defaults to ``engine.now`` and must not precede it
         (nor be ``nan``); the first message fires when the scheduler reaches
-        that time.  ``on_complete(pending)`` is invoked (inside the
-        scheduler run) once every message copy has been delivered, lost, or
-        suppressed.
+        that time.  A copy reaching a node that ``availability`` says is
+        offline at arrival is lost.  ``on_complete(result)`` is invoked
+        (inside the scheduler run) once every message copy has been
+        delivered, lost, or suppressed.
         """
         launch_time = engine.now if start_time is None else float(start_time)
         if not launch_time >= engine.now:
@@ -225,19 +160,20 @@ class TimedMPILNetwork:
         telemetry = current_telemetry()
         metrics = telemetry.metrics
         latency = self.latency.latency
+        is_online = availability.is_online
 
         def finish_event() -> None:
             """Retire one executed message/reply event; the request is
             complete when none remain outstanding."""
-            pending.outstanding -= 1
-            if pending.outstanding == 0 and not pending.done:
-                pending.done = True
+            result.outstanding -= 1
+            if result.outstanding == 0 and not result.done:
+                result.done = True
                 # no copy is left to step: cut the request -> closure ->
                 # request cycle, so the request is freed on its last
                 # reference instead of waiting for a cyclic collection
                 request.forward = request.reply = _retired
                 metrics.inc("timed_lookups_total")
-                if pending.replies:
+                if result.replies:
                     metrics.inc("timed_lookups_success_total")
                 metrics.inc("timed_messages_total", counters.messages_sent)
                 metrics.inc("timed_lost_offline_total", counters.lost_offline)
@@ -250,31 +186,31 @@ class TimedMPILNetwork:
                         start=launch_time,
                         end=engine.now,
                         parent_id=request.root_span,
-                        success=pending.success,
+                        success=result.success,
                         messages=counters.messages_sent,
                     )
                 if on_complete is not None:
-                    on_complete(pending)
+                    on_complete(result)
 
         def send_reply(reply: tuple[int, int]) -> None:
-            pending.outstanding += 1
+            result.outstanding += 1
             engine.post(engine.now + latency(reply[0], origin), on_reply, reply)
 
         def on_reply(reply: tuple[int, int]) -> None:
-            pending.replies.append(reply)
-            if pending.first_reply_time is None:
-                pending.first_reply_time = engine.now
-                pending.first_reply_hop = reply[1]
+            result.replies.append(reply)
+            if result.first_reply_time is None:
+                result.first_reply_time = engine.now
+                result.first_reply_hop = reply[1]
             finish_event()
 
         def send(forwarded: Forwarded) -> None:
             child = forwarded[0]
-            pending.outstanding += 1
+            result.outstanding += 1
             engine.post(engine.now + latency(child.route[-1], child.at), deliver, *forwarded)
 
         def deliver(msg: MPILMessage, parent_span: Optional[int]) -> None:
             now = engine.now
-            if self.availability.is_online(msg.at, now):
+            if is_online(msg.at, now):
                 request.step(msg, now, parent_span)
             else:
                 counters.lost_offline += 1
@@ -283,7 +219,7 @@ class TimedMPILNetwork:
             finish_event()
 
         request = MPILRequest(
-            self.static,
+            self,
             KIND_LOOKUP,
             self._request_counter,
             object_id,
@@ -303,24 +239,26 @@ class TimedMPILNetwork:
         )
         self._request_counter += 1
         counters = request.counters
-        pending = PendingLookup(object_id, origin, launch_time, counters)
-        pending.outstanding += 1
+        result = TimedLookupResult(object_id, origin, launch_time, counters)
+        result.outstanding += 1
         engine.post(
             launch_time,
             deliver,
             request.first_copy(None, None),
             request.root_span,
         )
-        return pending
+        return result
 
     def lookup_at(
         self,
         origin: int,
         object_id: Identifier,
         start_time: float,
+        availability: AvailabilityModel = AlwaysOnline(),
         duplicate_suppression: Optional[bool] = None,
     ) -> TimedLookupResult:
-        """Issue a lookup at simulation time ``start_time``.
+        """Issue a lookup at simulation time ``start_time`` under
+        ``availability`` (everyone online by default).
 
         The request runs to quiescence (all message copies delivered, lost,
         or stopped); replies are direct messages back
@@ -334,12 +272,13 @@ class TimedMPILNetwork:
         directly to keep many lookups in flight on one shared scheduler.
         """
         engine = EventScheduler(start_time=start_time)
-        pending = self.start_lookup(
+        result = self.start_lookup(
             engine,
             origin,
             object_id,
             start_time=start_time,
+            availability=availability,
             duplicate_suppression=duplicate_suppression,
         )
         engine.run()
-        return pending.result()
+        return result

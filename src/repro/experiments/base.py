@@ -55,9 +55,9 @@ class ExperimentResult:
     #: compares equal to the run that produced it)
     metrics: Optional[dict] = dataclasses.field(default=None, compare=False)
 
-    def table(self, float_digits: int = 3) -> str:
+    def table(self) -> str:
         header = f"{self.experiment_id}: {self.title} [scale={self.scale}]"
-        text = render_table(self.columns, self.rows, title=header, float_digits=float_digits)
+        text = render_table(self.columns, self.rows, title=header)
         if self.notes:
             text += f"\nnotes: {self.notes}"
         return text

@@ -18,8 +18,10 @@ partial artifacts behind.
 RSS comes from ``/proc/self/status`` ``VmRSS`` — the *current* resident
 set, which a per-run check needs; ``ru_maxrss`` is the process-lifetime
 peak and would keep tripping a rung forever once any earlier run spiked.
-On platforms without procfs the memory ceiling is simply not enforced
-(``current_rss_mb`` returns ``None``); the wall-clock ceiling always is.
+On platforms without procfs the memory ceiling is not enforced
+(``current_rss_mb`` returns ``None``), and the run's metrics blob and
+manifest entry record ``"memory_budget_enforced": false``; the wall-clock
+ceiling always is.
 """
 
 from __future__ import annotations

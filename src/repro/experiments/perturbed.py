@@ -156,7 +156,7 @@ def build_testbed(
     mpil = make_mpil_over_pastry(pastry, config=mpil_config, seed=seed)
     objects_mpil = [pastry.space.random_identifier(rng) for _ in range(num_inserts)]
     for key in objects_mpil:
-        mpil.insert_static(rng.randrange(num_nodes), key)
+        mpil.insert(rng.randrange(num_nodes), key)
     return PerturbationTestbed(
         pastry=pastry,
         mpil=mpil,
@@ -261,8 +261,6 @@ def iter_stage2_lookups(
             f"lookup(s) over {len(objects)} object(s)"
         )
     is_pastry = variant in PASTRY_VARIANTS
-    if not is_pastry:
-        testbed.mpil.availability = availability
     for i in indices:
         key = objects[i % len(objects)]
         if is_pastry:
@@ -279,6 +277,7 @@ def iter_stage2_lookups(
                 testbed.client,
                 key,
                 start_time=spacing * (i + 1),
+                availability=availability,
                 duplicate_suppression=variant == "mpil-ds",
             )
             if counters is not None:

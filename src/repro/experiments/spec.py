@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.base import DEFAULT_STAT_SUFFIXES, ExperimentResult
-from repro.experiments.budget import BudgetGuard
+from repro.experiments.budget import BudgetGuard, current_rss_mb
 from repro.experiments.scales import Scale, get_scale
 from repro.telemetry import Telemetry, use as telemetry_scope
 
@@ -201,6 +201,9 @@ class ExperimentSpec:
                 "recorded": len(handle.spans),
                 "dropped": handle.spans.dropped,
             }
+        if resolved.budget.max_rss_mb is not None and current_rss_mb() is None:
+            # the guard could not read this process's resident set
+            metrics_blob["memory_budget_enforced"] = False
         return ExperimentResult(
             experiment_id=self.experiment_id,
             title=self.title,

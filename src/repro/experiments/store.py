@@ -179,7 +179,8 @@ class ResultStore:
         never a truncated file; wall-clock and event counts go only to the
         manifest.  ``result.metrics`` (the run's telemetry snapshots —
         sim-derived values only, so deterministic too) is committed the
-        same way to ``seed_<n>.telemetry.json``.
+        same way to ``seed_<n>.telemetry.json``; a run whose memory budget
+        could not be enforced says so in its manifest entry too.
         """
         # read first: a corrupt manifest must fail before any byte is written
         manifest = self.manifest(result.experiment_id, result.scale)
@@ -204,7 +205,7 @@ class ResultStore:
         written_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
         manifest["git_rev"] = self.git_rev
         manifest["updated_at"] = written_at
-        manifest["runs"][f"seed_{seed}"] = {
+        run = manifest["runs"][f"seed_{seed}"] = {
             "seed": seed,
             "wall_clock": round(wall_clock, 6),  # seconds inside the run
             "events_processed": events_processed,
@@ -214,6 +215,8 @@ class ResultStore:
             "rows": len(result.rows),
             "written_at": written_at,
         }
+        if result.metrics and "memory_budget_enforced" in result.metrics:
+            run["memory_budget_enforced"] = result.metrics["memory_budget_enforced"]
         _atomic_write_text(
             self.manifest_path(result.experiment_id, result.scale),
             json.dumps(manifest, sort_keys=True, indent=2) + "\n",

@@ -49,7 +49,7 @@ def make_mpil_over_pastry(
     seed: object = 0,
 ) -> TimedMPILNetwork:
     """A :class:`TimedMPILNetwork` sharing the Pastry overlay's node IDs and
-    latency model, everyone online until a caller sets ``availability``.
+    latency model.
 
     The returned network has its own replica directory (MPIL replicas are
     placed by MPIL insertion, not at Pastry roots).

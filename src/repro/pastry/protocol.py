@@ -20,7 +20,7 @@ querying client).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.replicas import ReplicaDirectory
@@ -86,11 +86,9 @@ class PastryNetwork:
     Parameters
     ----------
     n:
-        Number of nodes (ignored when ``ids`` is given).
+        Number of nodes; their identifiers are drawn from ``seed``.
     space:
         Identifier space; its ``digit_bits`` must match the config's ``b``.
-    ids:
-        Optional explicit node identifiers.
     config:
         :class:`PastryConfig`.
     latency:
@@ -100,9 +98,8 @@ class PastryNetwork:
 
     def __init__(
         self,
-        n: Optional[int] = None,
+        n: int,
         space: IdSpace = IdSpace(),
-        ids: Optional[Sequence[Identifier]] = None,
         config: PastryConfig = PastryConfig(),
         latency: LatencyModel = ConstantLatency(0.05),
         seed: object = 0,
@@ -116,30 +113,20 @@ class PastryNetwork:
         self.config = config
         self.latency = latency
         self.seed = seed
-        if ids is None:
-            if n is None:
-                raise ConfigurationError("provide either n or explicit ids")
-            structure = _STRUCTURE_CACHE.get_or_build(
+        _latency, self.ids, self.ring, self.leaf_sets, self.tables = (
+            _STRUCTURE_CACHE.get_or_build(
                 (repr(seed), n, space, config, id(latency)),
                 lambda: self._build_structure(n),
             )
-            _latency, self.ids, self.ring, self.leaf_sets, self.tables = structure
-        else:
-            _latency, self.ids, self.ring, self.leaf_sets, self.tables = (
-                self._build_structure(None, tuple(ids))
-            )
+        )
         self.directory = ReplicaDirectory()
 
-    def _build_structure(
-        self, n: Optional[int], ids: Optional[tuple[Identifier, ...]] = None
-    ) -> tuple:
+    def _build_structure(self, n: int) -> tuple:
         """(latency, ids, ring, leaf sets, routing tables) — the immutable,
         purely seed-determined part of the network (the cache entry; it
         carries the latency model so the id()-keyed entry pins it)."""
-        if ids is None:
-            assert n is not None
-            rng = derive_rng(self.seed, "pastry-node-ids", n)
-            ids = tuple(self.space.random_unique_identifiers(n, rng))
+        rng = derive_rng(self.seed, "pastry-node-ids", n)
+        ids = tuple(self.space.random_unique_identifiers(n, rng))
         ring = PastryRing(ids)
         leaf_sets = build_leaf_sets(ring, self.config.leaf_set_size)
         tables = build_routing_tables(ring, latency=self.latency, seed=self.seed)

@@ -19,11 +19,11 @@ runs with the same seed produce identical reports.
 
 Inserts issued at service time use the static insertion path (the
 paper's stage-1 method) and are rolled back from the replica directory
-after the run, so a testbed shared across sweep cells is returned to its
-stage-1 state — without that, cell N+1 would find cell N's objects.  The
-MPIL request counters (which feed each request's RNG stream) and
-availability model are likewise restored on exit — also when the run
-raises, because the testbed is memoized and outlives it.
+after the run, so a testbed shared by the cells and variants of one run
+is returned to its stage-1 state — without that, cell N+1 would find cell
+N's objects.  The MPIL request counters (which feed each request's RNG
+stream) are likewise restored on exit — also when the run raises, because
+the testbed outlives it.
 """
 
 from __future__ import annotations
@@ -233,27 +233,27 @@ def run_service(
 
     else:
         directory = mpil.directory
-        mpil.availability = availability
         suppress = variant == "mpil-ds"
 
         def issue_lookup(record: QueryRecord, key_draw: int) -> None:
-            def complete(pending) -> None:
+            def complete(result) -> None:
                 record.completion = engine.now
-                record.success = pending.success
-                if pending.first_reply_time is not None:
-                    record.latency = pending.first_reply_time - record.arrival
+                record.success = result.success
+                if result.first_reply_time is not None:
+                    record.latency = result.first_reply_time - record.arrival
 
             mpil.start_lookup(
                 engine,
                 client,
                 pool[key_draw % len(pool)],
+                availability=availability,
                 duplicate_suppression=suppress,
                 on_complete=complete,
             )
 
         def issue_insert(record: QueryRecord, origin_draw: int, object_id) -> None:
             inserted.append(object_id)
-            mpil.insert_static(origin_draw % mpil.overlay.n, object_id)
+            mpil.insert(origin_draw % mpil.overlay.n, object_id)
             pool.append(object_id)
             record.success = True
             record.completion = record.arrival
@@ -274,8 +274,8 @@ def run_service(
         # arrival windows.
         engine.run()
     finally:
-        # hand the memoized testbed back in its stage-1 state even when
-        # the stream dies mid-run
+        # hand the shared testbed back in its stage-1 state even when the
+        # stream dies mid-run
         for object_id in inserted:
             directory.remove_object(object_id)
         mpil.restore(saved)

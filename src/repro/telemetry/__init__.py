@@ -17,8 +17,9 @@ handle is *ambient*: :meth:`ExperimentSpec.run
 <repro.experiments.spec.ExperimentSpec.run>` installs one via
 :func:`use` and drivers resolve :func:`current` at request entry.  An
 ambient handle (rather than a constructor argument) is deliberate —
-networks and testbeds are memoized in bounded construction caches across
-runs, so a handle captured at construction time would go stale; the
+identifiers, overlays, metric tables and Pastry structure are memoized in
+bounded construction caches across runs, so a handle captured at
+construction time would go stale; the
 ambient lookup always observes the run in progress.
 
 Zero-overhead-when-disabled contract: ``current().spans`` is ``None``

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+#: decimal places of a non-whole float in every rendered table
+FLOAT_DIGITS = 3
 
-def format_float(value: Any, digits: int = 3) -> str:
+
+def format_float(value: Any) -> str:
     """Format numbers compactly; passthrough for non-numerics."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return str(value)
@@ -20,14 +23,13 @@ def format_float(value: Any, digits: int = 3) -> str:
         return "nan"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return f"{value:.{digits}f}"
+    return f"{value:.{FLOAT_DIGITS}f}"
 
 
 def render_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[Any]],
     title: str | None = None,
-    float_digits: int = 3,
 ) -> str:
     """Render an aligned ASCII table.
 
@@ -38,7 +40,7 @@ def render_table(
     | 10 | 0.250 |
     """
     formatted: list[list[str]] = [
-        [format_float(cell, float_digits) for cell in row] for row in rows
+        [format_float(cell) for cell in row] for row in rows
     ]
     widths = [len(str(h)) for h in headers]
     for row in formatted:

@@ -59,15 +59,14 @@ def _timed_network(seed=0, n=60):
     )
     rng = derive_rng(seed, "objects")
     obj = net.random_object_id(rng)
-    net.insert_static(rng.randrange(n), obj)
+    net.insert(rng.randrange(n), obj)
     return net, obj
 
 
 class TestMPILUnderTotalFailure:
     def test_total_blackout_zero_success(self):
         net, obj = _timed_network(seed=1)
-        net.availability = Blackout(allow={0})
-        result = net.lookup_at(0, obj, start_time=10.0)
+        result = net.lookup_at(0, obj, start_time=10.0, availability=Blackout(allow={0}))
         assert not result.success
         # every first-hop send was lost to an offline node
         assert result.counters.lost_offline == result.counters.messages_sent
@@ -76,8 +75,7 @@ class TestMPILUnderTotalFailure:
     def test_only_holders_down_blocks_all_replies(self):
         net, obj = _timed_network(seed=2)
         holders = net.directory.holders(obj)
-        net.availability = HoldersDown(holders)
-        result = net.lookup_at(0, obj, start_time=10.0)
+        result = net.lookup_at(0, obj, start_time=10.0, availability=HoldersDown(holders))
         assert not result.success
         assert result.counters.lost_offline >= 1
 
@@ -87,10 +85,9 @@ class TestMPILUnderTotalFailure:
         if len(holders) < 2:
             return  # nothing to selectively revive
         down = frozenset(holders[1:])
-        net.availability = HoldersDown(down)
         # many client positions; redundancy should find the lone survivor
         successes = sum(
-            net.lookup_at(origin, obj, start_time=10.0).success
+            net.lookup_at(origin, obj, start_time=10.0, availability=HoldersDown(down)).success
             for origin in range(0, 40, 5)
             if origin not in down
         )

@@ -351,8 +351,8 @@ TEST_ONLY_OPTIONS = {
         [
             f"repro.perturbation.{module}({name}=)"
             for module in (
-                "adversarial.AdversarialRemoval", "churn.ChurnSchedule",
-                "storms.JoinStormSchedule", "waves.ChurnWaveSchedule",
+                "adversarial.AdversarialRemoval", "storms.JoinStormSchedule",
+                "waves.ChurnWaveSchedule",
             )
             for name in ("seed", "always_online")
         ]
@@ -363,18 +363,12 @@ TEST_ONLY_OPTIONS = {
         ],
         _FAMILY_TABLE,
     ),
-    "repro.core.network.MPILNetwork.insert(owner=)":
-        "the examples pass it through TimedMPILNetwork.insert_static(**kwargs)",
-    "repro.experiments.base.ExperimentResult.table(float_digits=)":
-        "public rendering precision of a result table, handed to render_table",
     "repro.experiments.cli.main(argv=)":
         "the CLI's argument list: tests drive the CLI in-process through it",
     "repro.experiments.workloads.static_grid(built=)":
         "a cells stage: the pipeline calls it through the spec, as cells(ctx, built)",
     "repro.pastry.protocol.PastryNetwork(space=)":
         "public constructor: the id space of a hand-built ring (tests)",
-    "repro.pastry.protocol.PastryNetwork(ids=)":
-        "public constructor: explicit ids for a hand-built ring, as MPILNetwork(ids=) takes",
     "repro.telemetry.spans.SpanRecorder.spans(name=)":
         "public span query by kind: what the protocol and telemetry tests assert on",
 }
@@ -384,37 +378,60 @@ class _Calls(ast.NodeVisitor):
     """What the calls of one source pass, as ``(callee, keyword)`` and
     ``(callee, position)`` pairs added to ``passed``.  The callee is the
     name a call spells, with an import alias undone, ``cls(...)`` read as
-    the class it is written in, and ``partial(f, ...)`` read as a call of
-    ``f``; positions stop at the first ``*args``."""
+    the class it is written in, ``super().__init__(...)`` as a call of
+    that class's bases, and ``partial(f, ...)`` read as a call of ``f``;
+    positions stop at the first ``*args``."""
 
     def __init__(self, passed: set):
         self.passed = passed
         self.aliases: dict[str, str] = {}
-        self.classes: list[str] = []
+        self.classes: list[ast.ClassDef] = []
 
     def visit_alias(self, node):
         if node.asname:
             self.aliases[node.asname] = node.name.rsplit(".", 1)[-1]
 
     def visit_ClassDef(self, node):
-        self.classes.append(node.name)
+        self.classes.append(node)
         self.generic_visit(node)
         self.classes.pop()
+
+    def _callees(self, func) -> list[str]:
+        name = _name_of(func)
+        if self.classes and name == "cls":
+            return [self.classes[-1].name]
+        if self.classes and name == "__init__" and _name_of(getattr(func, "value", None)) == "super":
+            names = [_name_of(base) for base in self.classes[-1].bases]
+        else:
+            names = [name]
+        return [self.aliases.get(name, name) for name in names]
 
     def visit_Call(self, node):
         self.generic_visit(node)
         func, args = node.func, node.args
         if _name_of(func) == "partial" and args:
             func, args = args[0], args[1:]
-        name = _name_of(func)
-        name = self.aliases.get(name, name)
-        if name == "cls" and self.classes:
-            name = self.classes[-1]
-        for position, arg in enumerate(args):
-            if isinstance(arg, ast.Starred):
-                break
-            self.passed.add((name, position))
-        self.passed.update((name, keyword.arg) for keyword in node.keywords if keyword.arg)
+        for name in self._callees(func):
+            for position, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    break
+                self.passed.add((name, position))
+            self.passed.update((name, keyword.arg) for keyword in node.keywords if keyword.arg)
+
+
+def test_calls_read_super_init_as_a_call_of_the_bases():
+    passed: set = set()
+    source = (
+        "from pkg import Base as Renamed\n"
+        "class Child(Renamed, mixins.Other):\n"
+        "    def __init__(self, overlay, ids=None):\n"
+        "        super().__init__(overlay, ids=ids)\n"
+        "        self.helper.__init__(seed=1)\n"
+    )
+    _Calls(passed).visit(ast.parse(source))
+    assert {("Base", 0), ("Base", "ids"), ("Other", 0), ("Other", "ids")} <= passed
+    assert ("__init__", "ids") not in passed
+    assert ("__init__", "seed") in passed  # not a super() call: read by name
 
 
 def _defaulted(function: ast.FunctionDef, bound: bool):

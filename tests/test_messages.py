@@ -213,8 +213,8 @@ class TestTieBreakStream:
             figure6.overlay, space=tiny_space, ids=figure6.ids, config=config, seed=6
         )
         object_id = tiny_space.from_digits(OBJECT_DIGITS)
-        assert timed.insert_static(index["0001"], object_id).flows_created == 2
-        assert timed.static.lookup(index["0100"], object_id).success
+        assert timed.insert(index["0001"], object_id).flows_created == 2
+        assert timed.lookup(index["0100"], object_id).success
         assert timed.lookup_at(index["0100"], object_id, start_time=0.0).success
         assert derived == []
 

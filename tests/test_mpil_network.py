@@ -178,12 +178,12 @@ class TestAccounting:
             assert all(span.parent_id in ids for span in spans if span.parent_id is not None)
             return result, lambda name: len(spans.spans(name=name))
 
-        inserted, count = traced(lambda: timed.static.insert(0, obj))
+        inserted, count = traced(lambda: timed.insert(0, obj))
         assert inserted.traffic == count("send") > 0
         assert inserted.replica_count == count("store") > 0
         assert inserted.duplicates == count("dup-drop")
 
-        found, count = traced(lambda: timed.static.lookup(0, obj))
+        found, count = traced(lambda: timed.lookup(0, obj))
         assert found.traffic == count("send")
         assert len(found.replies) == count("reply") > 0
 
@@ -206,14 +206,12 @@ class TestAccounting:
         rng = derive_rng(3, "objects")
         keys = [timed.random_object_id(rng) for _ in range(20)]
         for key in keys:
-            timed.insert_static(rng.randrange(n), key)
-        timed.availability = FlappingSchedule(
-            FlappingConfig(30, 30, 0.5), n, seed=4, always_online={0}
-        )
+            timed.insert(rng.randrange(n), key)
+        schedule = FlappingSchedule(FlappingConfig(30, 30, 0.5), n, seed=4, always_online={0})
         telemetry = Telemetry.with_spans()
         with use(telemetry):
             results = [
-                timed.lookup_at(0, key, start_time=100.0 + 60.0 * i)
+                timed.lookup_at(0, key, start_time=100.0 + 60.0 * i, availability=schedule)
                 for i, key in enumerate(keys)
             ]
         spans = telemetry.spans

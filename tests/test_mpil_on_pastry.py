@@ -38,7 +38,7 @@ class TestNeighborOverlay:
         mpil = make_mpil_over_pastry(pastry, seed=3)
         rng = derive_rng(3, "keys")
         key = SPACE.random_identifier(rng)
-        mpil.insert_static(0, key)
+        mpil.insert(0, key)
         assert mpil.directory.replica_count(key) >= 1
         assert pastry.directory.replica_count(key) == 0
 
@@ -53,7 +53,7 @@ class TestStaticBehaviour:
         for _ in range(20):
             key = SPACE.random_identifier(rng)
             origin = rng.randrange(pastry.n)
-            result = mpil.insert_static(origin, key)
+            result = mpil.insert(origin, key)
             assert 1 <= result.replica_count <= config.replica_bound
             outcome = mpil.lookup_at(rng.randrange(pastry.n), key, start_time=0.0)
             successes += outcome.success
@@ -65,13 +65,12 @@ class TestStaticBehaviour:
         rng = derive_rng(5, "keys")
         keys = [SPACE.random_identifier(rng) for _ in range(25)]
         for key in keys:
-            mpil.insert_static(rng.randrange(60), key)
+            mpil.insert(rng.randrange(60), key)
         schedule = FlappingSchedule(
             FlappingConfig(30, 30, 1.0), 60, seed=6, always_online={0}
         )
-        mpil.availability = schedule
         successes = sum(
-            mpil.lookup_at(0, key, start_time=100.0 + 60.0 * i).success
+            mpil.lookup_at(0, key, start_time=100.0 + 60.0 * i, availability=schedule).success
             for i, key in enumerate(keys)
         )
         assert 0 < successes < 25
@@ -82,18 +81,17 @@ class TestStaticBehaviour:
         rng = derive_rng(7, "keys")
         keys = [SPACE.random_identifier(rng) for _ in range(30)]
         for key in keys:
-            mpil.insert_static(rng.randrange(60), key)
+            mpil.insert(rng.randrange(60), key)
         schedule = FlappingSchedule(
             FlappingConfig(30, 30, 0.9), 60, seed=8, always_online={0}
         )
-        mpil.availability = schedule
         ds_msgs = nods_msgs = 0
         for i, key in enumerate(keys):
             t = 100.0 + 60.0 * i
             ds_msgs += mpil.lookup_at(
-                0, key, start_time=t, duplicate_suppression=True
+                0, key, start_time=t, availability=schedule, duplicate_suppression=True
             ).counters.messages_sent
             nods_msgs += mpil.lookup_at(
-                0, key, start_time=t, duplicate_suppression=False
+                0, key, start_time=t, availability=schedule, duplicate_suppression=False
             ).counters.messages_sent
         assert nods_msgs >= ds_msgs  # re-forwarding can only add traffic

@@ -25,10 +25,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             PastryNetwork(n=10, space=IdSpace(bits=16, digit_bits=2), seed=0)
 
-    def test_needs_n_or_ids(self):
-        with pytest.raises(ConfigurationError):
-            PastryNetwork(space=SPACE)
-
     def test_structure_sizes(self, network):
         assert network.n == 60
         assert network.average_leafset_size() == pytest.approx(8.0)

@@ -188,11 +188,11 @@ class TestStage2Loop:
                     counters=direct,
                 )
             else:
-                direct_bed.mpil.availability = schedule
                 outcome = direct_bed.mpil.lookup_at(
                     direct_bed.client,
                     direct_bed.objects_mpil[i % 20],
                     start_time=start,
+                    availability=schedule,
                     duplicate_suppression=variant == "mpil-ds",
                 )
                 direct.merge(outcome.counters)
@@ -348,6 +348,22 @@ class TestStage2Successes:
         assert flags == expected
         assert all(type(flag) is bool for flag in flags)
         assert len(flags) == len(self.INDICES)
+
+    def test_a_stage2_schedule_does_not_outlive_its_lookups(self):
+        """The schedule a variant's stage 2 ran under is an argument of its
+        lookups, not state left on the shared MPIL network: a later lookup
+        that names no availability runs with everyone online.  When stage 2
+        set it as an attribute, these lookups lost copies to nodes the
+        earlier schedule had taken offline."""
+        bed = build_testbed(num_nodes=80, num_inserts=25, seed=1)
+        flapping = bed.process("flapping", (1, "leak"), period="30:30", probability=1.0)
+        flags = stage2_successes(bed, "mpil-ds", flapping, range(25), 60.0, (1, "views"))
+        assert not all(flags)  # the schedule did take nodes offline
+        lost = sum(
+            bed.mpil.lookup_at(bed.client, key, 60.0 * (i + 1)).counters.lost_offline
+            for i, key in enumerate(bed.objects_mpil)
+        )
+        assert lost == 0
 
     def test_no_lookups_is_the_loop_s_one_line_error(self, testbed, schedule):
         with pytest.raises(ExperimentError, match="at least one lookup"):

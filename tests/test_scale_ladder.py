@@ -233,6 +233,28 @@ class TestBudgetEnforcement:
         assert result.rows
         assert result.scale == "roomy"
 
+    def test_a_memory_budget_without_procfs_is_recorded_as_unenforced(
+        self, tmp_path, monkeypatch
+    ):
+        """Without ``/proc/self/status`` the RSS ceiling cannot be checked;
+        the run says so in its metrics blob and its manifest entry instead
+        of passing as if it had been.  An unbudgeted run records nothing."""
+        from repro.experiments import budget
+        from repro.experiments.runner import save_outcome
+        from repro.experiments.runtime import execute_task
+        from repro.experiments.store import ResultStore
+
+        monkeypatch.setattr(budget, "_PROC_STATUS", str(tmp_path / "no-procfs"))
+        store = ResultStore(tmp_path / "store")
+        capped = SMOKE.evolve(name="rss-capped", max_rss_mb=1e6)
+        for scale, seed in ((capped, 0), (SMOKE, 1)):
+            save_outcome(store, execute_task("fig7", scale, seed))
+        assert store.telemetry("fig7", "rss-capped", 0)["memory_budget_enforced"] is False
+        run = store.manifest("fig7", "rss-capped")["runs"]["seed_0"]
+        assert run["memory_budget_enforced"] is False
+        assert "memory_budget_enforced" not in store.telemetry("fig7", "smoke", 1)
+        assert "memory_budget_enforced" not in store.manifest("fig7", "smoke")["runs"]["seed_1"]
+
     def test_large_rung_recipe_runs_inside_its_budget(self, scratch_rungs):
         """A bounded taste of ``large`` (CI's bench job calls this node id):
         the rung's recipe — one graph per family, degree-100 random overlay,

@@ -352,8 +352,8 @@ class TestRunService:
 
     @pytest.mark.parametrize("variant", ["pastry", "mpil-ds", "mpil-nods"])
     def test_exception_mid_stream_leaves_testbed_reusable(self, testbed, variant):
-        """Fault injection: the testbed is memoized across runs, so a run
-        that dies mid-stream must hand it back exactly as a fresh one."""
+        """Fault injection: the variants of one run share its testbed, so
+        a run that dies mid-stream must hand it back exactly as a fresh one."""
 
         class Exploding:
             """Online until the stream is well under way, then raises."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.util import tables
 from repro.util.tables import format_float, render_table
 
 
@@ -10,9 +11,10 @@ class TestFormatFloat:
         assert format_float(7) == "7"
         assert format_float(-3) == "-3"
 
-    def test_floats_fixed_digits(self):
+    def test_floats_fixed_digits(self, monkeypatch):
         assert format_float(2.5) == "2.500"
-        assert format_float(0.25, digits=2) == "0.25"
+        monkeypatch.setattr(tables, "FLOAT_DIGITS", 2)
+        assert format_float(0.25) == "0.25"
 
     def test_whole_floats_compact(self):
         assert format_float(3.0) == "3"

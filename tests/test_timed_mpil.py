@@ -44,13 +44,13 @@ class TestStaticEquivalence:
                 rng = derive_rng(1, "keys", name)
                 keys = [SPACE.random_identifier(rng) for _ in range(15)]
                 for key in keys:
-                    timed.insert_static(rng.randrange(overlay.n), key)
+                    timed.insert(rng.randrange(overlay.n), key)
                 for key in keys:
                     origin = rng.randrange(overlay.n)
-                    static_result = timed.static.lookup(origin, key)
+                    static_result = timed.lookup(origin, key)
                     timed_result = timed.lookup_at(origin, key, start_time=0.0)
                     where = f"{name} suppress={suppress} key={key} origin={origin}"
-                    assert timed_result.replies == static_result.replies, where
+                    assert tuple(timed_result.replies) == static_result.replies, where
                     assert timed_result.first_reply_hop == static_result.first_reply_hop, where
                     assert timed_result.counters.messages_sent == static_result.traffic, where
                     assert timed_result.counters.duplicates == static_result.duplicates, where
@@ -60,7 +60,7 @@ class TestStaticEquivalence:
         timed = _timed(overlay, seed=2)
         rng = derive_rng(2, "keys")
         key = SPACE.random_identifier(rng)
-        timed.insert_static(0, key)
+        timed.insert(0, key)
         result = timed.lookup_at(10, key, start_time=5.0)
         if result.success:
             # reply latency = (hops + 1 direct reply) * 0.05
@@ -76,24 +76,25 @@ class TestPerturbedBehaviour:
         rng = derive_rng(seed, "keys")
         keys = [SPACE.random_identifier(rng) for _ in range(20)]
         for key in keys:
-            timed.insert_static(rng.randrange(n), key)
+            timed.insert(rng.randrange(n), key)
         schedule = FlappingSchedule(
             FlappingConfig(30, 30, p), n, seed=seed + 1, always_online={0}
         )
-        timed.availability = schedule
-        return timed, keys
+        return timed, keys, schedule
 
     def test_no_perturbation_full_success(self):
-        timed, keys = self._setup(0.0)
+        timed, keys, schedule = self._setup(0.0)
         assert all(
-            timed.lookup_at(0, key, start_time=100.0 + 60.0 * i).success
+            timed.lookup_at(0, key, start_time=100.0 + 60.0 * i, availability=schedule).success
             for i, key in enumerate(keys)
         )
 
     def test_offline_losses_counted(self):
-        timed, keys = self._setup(1.0)
+        timed, keys, schedule = self._setup(1.0)
         lost = sum(
-            timed.lookup_at(0, key, start_time=100.0 + 60.0 * i).counters.lost_offline
+            timed.lookup_at(
+                0, key, start_time=100.0 + 60.0 * i, availability=schedule
+            ).counters.lost_offline
             for i, key in enumerate(keys)
         )
         assert lost > 0
@@ -101,10 +102,12 @@ class TestPerturbedBehaviour:
     def test_success_monotonically_degrades(self):
         rates = []
         for p in (0.0, 0.5, 1.0):
-            timed, keys = self._setup(p)
+            timed, keys, schedule = self._setup(p)
             rates.append(
                 sum(
-                    timed.lookup_at(0, key, start_time=100.0 + 60.0 * i).success
+                    timed.lookup_at(
+                        0, key, start_time=100.0 + 60.0 * i, availability=schedule
+                    ).success
                     for i, key in enumerate(keys)
                 )
             )
@@ -117,7 +120,7 @@ class TestPerturbedBehaviour:
             timed.lookup_at(99, SPACE.identifier(0), start_time=0.0)
 
     def test_duplicate_suppression_override(self):
-        timed, keys = self._setup(0.0, seed=5)
+        timed, keys, _schedule = self._setup(0.0, seed=5)
         a = timed.lookup_at(0, keys[0], start_time=0.0, duplicate_suppression=True)
         b = timed.lookup_at(0, keys[0], start_time=0.0, duplicate_suppression=False)
         assert b.counters.messages_sent >= a.counters.messages_sent
@@ -132,7 +135,7 @@ class TestStartLookup:
         rng = derive_rng(seed, "keys")
         keys = [SPACE.random_identifier(rng) for _ in range(10)]
         for key in keys:
-            timed.insert_static(rng.randrange(n), key)
+            timed.insert(rng.randrange(n), key)
         return timed, keys
 
     def test_matches_lookup_at_on_private_engine(self):
@@ -145,15 +148,11 @@ class TestStartLookup:
         results = []
         for key, expected in zip(keys, baseline):
             engine = EventScheduler()
-            pending = timed.start_lookup(engine, 0, key)
+            result = timed.start_lookup(engine, 0, key)
             engine.run()
-            assert pending.done
-            results.append(pending.result())
-            assert pending.success == expected.success
-            assert pending.first_reply_time == expected.first_reply_time
-        assert [r.counters.messages_sent for r in results] == [
-            b.counters.messages_sent for b in baseline
-        ]
+            assert result.done
+            results.append(result)
+        assert results == baseline
 
     def test_overlapping_lookups_share_one_engine(self):
         timed, keys = self._setup()
@@ -228,7 +227,7 @@ class TestStartLookup:
             retried = timed.start_lookup(engine, 0, keys[0], start_time=10.0)
             engine.run()
         timed.restore(before)
-        assert timed.lookup_at(0, keys[0], start_time=10.0) == retried.result()
+        assert timed.lookup_at(0, keys[0], start_time=10.0) == retried
 
     def test_request_counter_snapshot_restores_noise_stream(self):
         timed, keys = self._setup()
