@@ -54,7 +54,7 @@ def main() -> None:
         holder = rng.randrange(NUM_CACHES)
         key = url_key(space, url)
         pastry.insert_static(holder, key)
-        mpil.insert(holder, key, owner=holder)
+        mpil.insert(holder, key)
 
     # Perturbation: the Pastry layer additionally suffers MSPastry's
     # eviction/rejoin recovery semantics; MPIL (no maintenance) sees raw
@@ -73,10 +73,10 @@ def main() -> None:
             client, key, start_time=when, availability=pastry_avail, views=views
         )
         pastry_hits += outcome.success
-        pastry_msgs += outcome.messages + outcome.retransmissions
+        pastry_msgs += outcome.traffic + outcome.retransmissions
         timed = mpil.lookup_at(client, key, start_time=when, availability=schedule)
         mpil_hits += timed.success
-        mpil_msgs += timed.counters.messages_sent
+        mpil_msgs += timed.traffic
 
     maintenance = views.expected_maintenance_messages(
         NUM_PAGES * FLAP.cycle,

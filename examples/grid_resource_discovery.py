@@ -66,7 +66,7 @@ def main() -> None:
         sites = rng.sample(range(NUM_SITES), 4)
         providers[keyword] = sites
         for site in sites:
-            grid.insert(site, keyword_id(space, keyword), owner=site)
+            grid.insert(site, keyword_id(space, keyword))
 
     # Some sites flap (e.g. overloaded clusters): 30 s responsive / 30 s
     # unresponsive, with 60% of cycles going dark.

@@ -32,7 +32,6 @@ from repro.core import (
     LookupResult,
     MPILConfig,
     MPILNetwork,
-    TimedLookupResult,
     TimedMPILNetwork,
 )
 from repro.overlay import (
@@ -62,7 +61,6 @@ __all__ = [
     "PastryConfig",
     "PastryNetwork",
     "ProbedViewOracle",
-    "TimedLookupResult",
     "TimedMPILNetwork",
     "TransitStubUnderlay",
     "complete_graph",

@@ -11,11 +11,10 @@ primitive used to validate the Section 5.1 expected-hops analysis
 (``E[hops to a local maximum] = 1/C``).
 """
 
-from repro.baselines.flooding import BaselineLookupResult, flood_lookup
+from repro.baselines.flooding import flood_lookup
 from repro.baselines.walks import random_walk_lookup, walk_hops_to_local_maximum
 
 __all__ = [
-    "BaselineLookupResult",
     "flood_lookup",
     "random_walk_lookup",
     "walk_hops_to_local_maximum",

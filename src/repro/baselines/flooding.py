@@ -9,27 +9,15 @@ further.  Traffic counts every per-edge send, like the MPIL drivers.
 from __future__ import annotations
 
 import collections
-import dataclasses
 from typing import Optional
 
 from repro.core.identifiers import Identifier
 from repro.core.replicas import ReplicaDirectory
+from repro.core.results import FOUND, NO_REPLICA_REACHABLE, LookupResult
 from repro.errors import RoutingError
 from repro.overlay.graph import OverlayGraph
+from repro.sim.counters import TrafficCounters
 from repro.telemetry import current as current_telemetry
-
-
-@dataclasses.dataclass(frozen=True)
-class BaselineLookupResult:
-    """Outcome of a baseline (flooding / random walk) lookup."""
-
-    object_id: Identifier
-    origin: int
-    success: bool
-    first_reply_hop: Optional[int]
-    replies: tuple[tuple[int, int], ...]
-    traffic: int
-    nodes_contacted: int
 
 
 def flood_lookup(
@@ -38,7 +26,7 @@ def flood_lookup(
     origin: int,
     object_id: Identifier,
     ttl: int = 4,
-) -> BaselineLookupResult:
+) -> LookupResult:
     """Flood a query from ``origin`` with the given TTL (in hops).
 
     >>> # doctest-free: exercised in tests/test_baselines.py
@@ -114,12 +102,11 @@ def flood_lookup(
     replies.sort(key=lambda item: item[1])
     telemetry.metrics.inc("flood_lookups_total")
     telemetry.metrics.inc("flood_messages_total", traffic)
-    return BaselineLookupResult(
-        object_id=object_id,
-        origin=origin,
-        success=bool(replies),
+    return LookupResult(
+        object_id,
+        origin,
+        TrafficCounters(messages_sent=traffic),
+        replies=replies,
         first_reply_hop=replies[0][1] if replies else None,
-        replies=tuple(replies),
-        traffic=traffic,
-        nodes_contacted=len(seen),
+        cause=FOUND if replies else NO_REPLICA_REACHABLE,
     )

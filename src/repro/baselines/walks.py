@@ -17,12 +17,13 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.baselines.flooding import BaselineLookupResult
 from repro.core.identifiers import Identifier
 from repro.core.metric import NeighborMetricTable
 from repro.core.replicas import ReplicaDirectory
+from repro.core.results import FOUND, NO_REPLICA_REACHABLE, LookupResult
 from repro.errors import RoutingError
 from repro.overlay.graph import OverlayGraph
+from repro.sim.counters import TrafficCounters
 from repro.sim.rng import derive_rng
 from repro.telemetry import current as current_telemetry
 
@@ -35,7 +36,7 @@ def random_walk_lookup(
     walkers: int = 8,
     max_steps: int = 64,
     rng: Optional[random.Random] = None,
-) -> BaselineLookupResult:
+) -> LookupResult:
     """Launch independent uniform random walks until a holder is found."""
     if not 0 <= origin < overlay.n:
         raise RoutingError(f"origin {origin} out of range (n={overlay.n})")
@@ -62,7 +63,6 @@ def random_walk_lookup(
 
     replies: list[tuple[int, int]] = []
     traffic = 0
-    contacted = {origin}
     for walker in range(walkers):
         node = origin
         parent_sid = root_sid
@@ -89,7 +89,6 @@ def random_walk_lookup(
             previous = node
             node = rng.choice(neighbors)
             traffic += 1
-            contacted.add(node)
             if spans is not None:
                 parent_sid = spans.emit(
                     trace_id,
@@ -115,14 +114,13 @@ def random_walk_lookup(
     replies.sort(key=lambda item: item[1])
     telemetry.metrics.inc("walk_lookups_total")
     telemetry.metrics.inc("walk_messages_total", traffic)
-    return BaselineLookupResult(
-        object_id=object_id,
-        origin=origin,
-        success=bool(replies),
+    return LookupResult(
+        object_id,
+        origin,
+        TrafficCounters(messages_sent=traffic),
+        replies=replies,
         first_reply_hop=replies[0][1] if replies else None,
-        replies=tuple(replies),
-        traffic=traffic,
-        nodes_contacted=len(contacted),
+        cause=FOUND if replies else NO_REPLICA_REACHABLE,
     )
 
 

@@ -15,6 +15,8 @@ Public surface:
   perturbed overlays (paper Section 6.2).
 - :class:`repro.core.replicas.ReplicaDirectory` — which nodes hold a
   pointer for which object, shared by both drivers.
+- :class:`repro.core.results.LookupResult` — the one lookup record every
+  driver returns (MPIL, Pastry and the baselines), with its ``cause``.
 
 Section 4.4's deletion protocol (replica heartbeats to the owner, explicit
 delete messages) is not modelled: the paper evaluates no deletion.
@@ -32,7 +34,7 @@ from repro.core.metric import (
 from repro.core.network import MPILNetwork
 from repro.core.replicas import ReplicaDirectory
 from repro.core.results import InsertResult, LookupResult
-from repro.core.timed import TimedLookupResult, TimedMPILNetwork
+from repro.core.timed import TimedMPILNetwork
 
 __all__ = [
     "CommonDigitsMetric",
@@ -46,7 +48,6 @@ __all__ = [
     "PrefixLengthMetric",
     "ReplicaDirectory",
     "SuffixLengthMetric",
-    "TimedLookupResult",
     "TimedMPILNetwork",
     "common_digits",
 ]

@@ -2,7 +2,7 @@
 
 A request (insertion or lookup) propagates as :class:`MPILMessage` copies,
 one per flow segment.  What is fixed for the whole request — its kind, id,
-object identifier, origin and owner — lives once on the
+object identifier and origin — lives once on the
 :class:`~repro.core.protocol.MPILRequest` that processes the copies; a copy
 carries only what varies from one copy to the next:
 

@@ -24,7 +24,7 @@ from repro.core.messages import KIND_INSERT, KIND_LOOKUP
 from repro.core.metric import NeighborMetricTable, metric_by_name
 from repro.core.protocol import Forwarded, MPILRequest
 from repro.core.replicas import ReplicaDirectory
-from repro.core.results import InsertResult, LookupResult
+from repro.core.results import FOUND, NO_REPLICA_REACHABLE, InsertResult, LookupResult
 from repro.core.routing import decide_forwarding  # noqa: F401  (bench/tests look it up here)
 from repro.errors import ConfigurationError
 from repro.overlay.graph import OverlayGraph
@@ -129,23 +129,13 @@ class MPILNetwork:
         """Draw a fresh object identifier from the network's id space."""
         return self.space.random_identifier(rng)
 
-    def insert(
-        self,
-        origin: int,
-        object_id: Identifier,
-        owner: Optional[int] = None,
-    ) -> InsertResult:
+    def insert(self, origin: int, object_id: Identifier) -> InsertResult:
         """Insert a pointer for ``object_id`` starting from ``origin``,
-        with the config's flow budget.
-
-        ``owner`` identifies the node that actually holds the object (the
-        pointer target); it defaults to the origin.
-        """
+        with the config's flow budget."""
         request, _ = self._run_request(KIND_INSERT, origin, object_id, None, None)
         return InsertResult(
             object_id=object_id,
             origin=origin,
-            owner=origin if owner is None else owner,
             replicas=tuple(sorted(request.stored)),
             traffic=request.counters.messages_sent,
             duplicates=request.counters.duplicates,
@@ -165,15 +155,14 @@ class MPILNetwork:
             KIND_LOOKUP, origin, object_id, max_flows, per_flow_replicas
         )
         return LookupResult(
-            object_id=object_id,
-            origin=origin,
-            success=bool(replies),
+            object_id,
+            origin,
+            request.counters,
+            replies=replies,
             first_reply_hop=replies[0][1] if replies else None,
-            replies=tuple(replies),
-            traffic=request.counters.messages_sent,
             traffic_at_first_reply=request.traffic_at_first_reply,
-            duplicates=request.counters.duplicates,
             flows_created=request.flows,
+            cause=FOUND if replies else NO_REPLICA_REACHABLE,
         )
 
     def delete(self, object_id: Identifier) -> int:

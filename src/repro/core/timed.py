@@ -20,7 +20,6 @@ completion tracking.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional, Sequence
 
 from repro.core.config import MPILConfig
@@ -28,11 +27,17 @@ from repro.core.identifiers import Identifier, IdSpace
 from repro.core.messages import KIND_LOOKUP, MPILMessage
 from repro.core.network import MPILNetwork
 from repro.core.protocol import Forwarded, MPILRequest
+from repro.core.results import (
+    FOUND,
+    HOP_LIMIT,
+    LOST_OFFLINE,
+    NO_REPLICA_REACHABLE,
+    LookupResult,
+)
 from repro.core.routing import decide_forwarding  # noqa: F401  (bench/tests look it up here)
 from repro.errors import SimulationError
 from repro.overlay.graph import OverlayGraph
 from repro.sim.availability import AlwaysOnline, AvailabilityModel
-from repro.sim.counters import TrafficCounters
 from repro.sim.engine import EventScheduler
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.telemetry import current as current_telemetry
@@ -41,43 +46,6 @@ from repro.telemetry import current as current_telemetry
 def _retired(_item: object) -> None:
     """A completed request's ``forward`` and ``reply``: nothing is left to
     send."""
-
-
-@dataclasses.dataclass(slots=True)
-class TimedLookupResult:
-    """One timed MPIL lookup, in flight or complete.
-
-    :meth:`TimedMPILNetwork.start_lookup` returns the record at once; the
-    request's message events then run whenever the caller's scheduler
-    executes them, interleaved with any other in-flight requests — the
-    open-loop service drivers keep hundreds of these live at once.  The
-    lookup is *complete* once every message copy it spawned has been
-    delivered, lost, or suppressed (``outstanding`` reaches zero), at which
-    point ``done`` flips and the optional completion callback fires;
-    :meth:`TimedMPILNetwork.lookup_at` returns it complete.  Two records are
-    equal when their lookups are: the in-flight bookkeeping is not compared.
-    """
-
-    object_id: Identifier
-    origin: int
-    start_time: float
-    counters: TrafficCounters
-    replies: list[tuple[int, int]] = dataclasses.field(default_factory=list)
-    first_reply_time: Optional[float] = None
-    first_reply_hop: Optional[int] = None
-    #: message/reply events posted but not yet executed
-    outstanding: int = dataclasses.field(default=0, compare=False)
-    done: bool = dataclasses.field(default=False, compare=False)
-
-    @property
-    def success(self) -> bool:
-        return bool(self.replies)
-
-    @property
-    def latency(self) -> Optional[float]:
-        if self.first_reply_time is None:
-            return None
-        return self.first_reply_time - self.start_time
 
 
 class TimedMPILNetwork(MPILNetwork):
@@ -135,8 +103,8 @@ class TimedMPILNetwork(MPILNetwork):
         start_time: Optional[float] = None,
         availability: AvailabilityModel = AlwaysOnline(),
         duplicate_suppression: Optional[bool] = None,
-        on_complete: Optional[Callable[[TimedLookupResult], None]] = None,
-    ) -> TimedLookupResult:
+        on_complete: Optional[Callable[[LookupResult], None]] = None,
+    ) -> LookupResult:
         """Launch a lookup on a caller-owned scheduler and return its record.
 
         This is the open-loop entry point: many lookups started on one
@@ -146,9 +114,10 @@ class TimedMPILNetwork(MPILNetwork):
         ``start_time`` defaults to ``engine.now`` and must not precede it
         (nor be ``nan``); the first message fires when the scheduler reaches
         that time.  A copy reaching a node that ``availability`` says is
-        offline at arrival is lost.  ``on_complete(result)`` is invoked
-        (inside the scheduler run) once every message copy has been
-        delivered, lost, or suppressed.
+        offline at arrival is lost.  The record is complete once every
+        message copy has been delivered, lost, or suppressed: then its
+        ``end_time`` and ``cause`` are set and ``on_complete(result)`` is
+        invoked (inside the scheduler run).
         """
         launch_time = engine.now if start_time is None else float(start_time)
         if not launch_time >= engine.now:
@@ -162,16 +131,29 @@ class TimedMPILNetwork(MPILNetwork):
         latency = self.latency.latency
         is_online = availability.is_online
 
+        outstanding = 1  # message/reply events posted but not yet executed
+
         def finish_event() -> None:
             """Retire one executed message/reply event; the request is
             complete when none remain outstanding."""
-            result.outstanding -= 1
-            if result.outstanding == 0 and not result.done:
-                result.done = True
+            nonlocal outstanding
+            outstanding -= 1
+            if outstanding == 0:
                 # no copy is left to step: cut the request -> closure ->
                 # request cycle, so the request is freed on its last
                 # reference instead of waiting for a cyclic collection
                 request.forward = request.reply = _retired
+                result.end_time = engine.now
+                result.traffic_at_first_reply = request.traffic_at_first_reply
+                result.flows_created = request.flows
+                if result.replies:
+                    result.cause = FOUND
+                elif counters.lost_offline:
+                    result.cause = LOST_OFFLINE
+                elif counters.drops_hop_limit:
+                    result.cause = HOP_LIMIT
+                else:
+                    result.cause = NO_REPLICA_REACHABLE
                 metrics.inc("timed_lookups_total")
                 if result.replies:
                     metrics.inc("timed_lookups_success_total")
@@ -193,7 +175,8 @@ class TimedMPILNetwork(MPILNetwork):
                     on_complete(result)
 
         def send_reply(reply: tuple[int, int]) -> None:
-            result.outstanding += 1
+            nonlocal outstanding
+            outstanding += 1
             engine.post(engine.now + latency(reply[0], origin), on_reply, reply)
 
         def on_reply(reply: tuple[int, int]) -> None:
@@ -204,8 +187,9 @@ class TimedMPILNetwork(MPILNetwork):
             finish_event()
 
         def send(forwarded: Forwarded) -> None:
+            nonlocal outstanding
             child = forwarded[0]
-            result.outstanding += 1
+            outstanding += 1
             engine.post(engine.now + latency(child.route[-1], child.at), deliver, *forwarded)
 
         def deliver(msg: MPILMessage, parent_span: Optional[int]) -> None:
@@ -239,8 +223,7 @@ class TimedMPILNetwork(MPILNetwork):
         )
         self._request_counter += 1
         counters = request.counters
-        result = TimedLookupResult(object_id, origin, launch_time, counters)
-        result.outstanding += 1
+        result = LookupResult(object_id, origin, counters, launch_time)
         engine.post(
             launch_time,
             deliver,
@@ -256,7 +239,7 @@ class TimedMPILNetwork(MPILNetwork):
         start_time: float,
         availability: AvailabilityModel = AlwaysOnline(),
         duplicate_suppression: Optional[bool] = None,
-    ) -> TimedLookupResult:
+    ) -> LookupResult:
         """Issue a lookup at simulation time ``start_time`` under
         ``availability`` (everyone online by default).
 

@@ -19,10 +19,11 @@ stage-1 state, same ground-truth schedules):
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier
+from repro.core.results import MISDELIVERED
 from repro.core.timed import TimedMPILNetwork
 from repro.errors import ExperimentError
 from repro.experiments.spec import BuildStage, CellsStage, RunContext
@@ -241,14 +242,13 @@ def iter_stage2_lookups(
     spacing: float,
     availability,
     views=None,
-    counters: Optional[TrafficCounters] = None,
 ):
     """Yield ``(lookup_index, outcome)`` for one variant's stage-2 lookups.
 
     The one stage-2 loop: lookup ``i`` is issued at ``spacing * (i + 1)``
-    for the ``i``-th stage-1 object, and each lookup's traffic is added to
-    ``counters`` when given.  ``availability``/``views`` are what the
-    variant should see — see :func:`variant_views`.
+    for the ``i``-th stage-1 object; each outcome is the driver's
+    :class:`~repro.core.results.LookupResult`.  ``availability``/``views``
+    are what the variant should see — see :func:`variant_views`.
     """
     if variant not in ALL_VARIANTS:
         raise ExperimentError(f"unknown variant {variant!r}")
@@ -270,7 +270,6 @@ def iter_stage2_lookups(
                 start_time=spacing * (i + 1),
                 availability=availability,
                 views=views,
-                counters=counters,
             )
         else:
             outcome = testbed.mpil.lookup_at(
@@ -280,8 +279,6 @@ def iter_stage2_lookups(
                 availability=availability,
                 duplicate_suppression=variant == "mpil-ds",
             )
-            if counters is not None:
-                counters.merge(outcome.counters)
         yield i, outcome
 
 
@@ -384,20 +381,17 @@ def run_cell(
                 cycle,
                 pastry_availability if is_pastry else schedule,
                 oracle if is_pastry else None,
-                counters,
             )
         ]
+        for outcome in outcomes:
+            counters.merge(outcome.counters)
         if is_pastry:
-            misdeliveries = sum(int(outcome.misdelivered) for outcome in outcomes)
-            drops = sum(int(outcome.dropped) for outcome in outcomes)
             maintenance = oracle.expected_maintenance_messages(
                 duration,
                 testbed.pastry.average_leafset_size(),
                 testbed.pastry.average_table_entries(),
             )
         else:
-            misdeliveries = 0
-            drops = counters.drops_hop_limit
             maintenance = 0.0  # MPIL runs no maintenance
         successes = sum(int(outcome.success) for outcome in outcomes)
         results.append(
@@ -409,8 +403,8 @@ def run_cell(
                 success_rate=100.0 * successes / num_lookups,
                 lookup_messages=counters.messages_sent,
                 retransmissions=counters.retransmissions,
-                misdeliveries=misdeliveries,
-                drops=drops,
+                misdeliveries=sum(outcome.cause == MISDELIVERED for outcome in outcomes),
+                drops=counters.drops_hop_limit,
                 maintenance_messages=maintenance,
                 duration=duration,
             )

@@ -24,6 +24,7 @@ from typing import Optional
 
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.replicas import ReplicaDirectory
+from repro.core.results import FOUND, HOP_LIMIT, MISDELIVERED, LookupResult
 from repro.errors import ConfigurationError, RoutingError
 from repro.pastry.config import PastryConfig
 from repro.pastry.routing import DELIVER, pastry_next_hop, static_route
@@ -60,24 +61,6 @@ class PastryInsertResult:
     path: tuple[int, ...]
     replicas: tuple[int, ...]
     messages: int
-
-
-@dataclasses.dataclass(frozen=True)
-class PastryLookupOutcome:
-    """Outcome of one perturbed lookup."""
-
-    key: Identifier
-    origin: int
-    start_time: float
-    success: bool
-    delivered_node: Optional[int]
-    root: int
-    hops: int
-    messages: int
-    retransmissions: int
-    misdelivered: bool
-    dropped: bool
-    elapsed: float
 
 
 class PastryNetwork:
@@ -218,13 +201,14 @@ class PastryNetwork:
         start_time: float = 0.0,
         availability: AvailabilityModel = AlwaysOnline(),
         views: Optional[ProbedViewOracle] = None,
-        counters: Optional[TrafficCounters] = None,
-    ) -> PastryLookupOutcome:
+    ) -> LookupResult:
         """Route a lookup issued at ``start_time`` under perturbation.
 
         ``availability`` is ground truth; ``views`` supplies each hop's
         beliefs (None = perfect knowledge of the static membership, i.e.
-        every node believed alive).
+        every node believed alive).  The lookup ends :data:`FOUND` at a
+        holder, :data:`MISDELIVERED` at a delivery node that is not one, or
+        at the :data:`HOP_LIMIT` (``max_route_hops``), its only drop.
         """
         self._check_node(origin)
         cfg = self.config
@@ -235,7 +219,8 @@ class PastryNetwork:
         retransmissions = 0
         events = 0
         learned_dead: set[int] = set()
-        root = self.ring.root_of(key)
+        counters = TrafficCounters()
+        result = LookupResult(key, origin, counters, start_time)
 
         def believes(candidate: int, kind: str) -> bool:
             """The deciding hop's belief: asked only inside
@@ -259,20 +244,8 @@ class PastryNetwork:
         while True:
             events += 1
             if hops >= cfg.max_route_hops:
-                outcome = PastryLookupOutcome(
-                    key=key,
-                    origin=origin,
-                    start_time=start_time,
-                    success=False,
-                    delivered_node=None,
-                    root=root,
-                    hops=hops,
-                    messages=messages,
-                    retransmissions=retransmissions,
-                    misdelivered=False,
-                    dropped=True,
-                    elapsed=time - start_time,
-                )
+                result.cause = HOP_LIMIT
+                counters.drops_hop_limit = 1
                 if spans is not None:
                     spans.emit(
                         trace_id,
@@ -297,20 +270,13 @@ class PastryNetwork:
                 has_object = self.directory.has(node, key)
                 if has_object:
                     messages += 1  # direct reply to the querying client
-                outcome = PastryLookupOutcome(
-                    key=key,
-                    origin=origin,
-                    start_time=start_time,
-                    success=has_object,
-                    delivered_node=node,
-                    root=root,
-                    hops=hops,
-                    messages=messages,
-                    retransmissions=retransmissions,
-                    misdelivered=not has_object,
-                    dropped=False,
-                    elapsed=time - start_time,
-                )
+                    result.replies.append((node, hops))
+                    result.first_reply_hop = hops
+                    result.first_reply_time = time
+                    result.traffic_at_first_reply = messages
+                    result.cause = FOUND
+                else:
+                    result.cause = MISDELIVERED
                 if spans is not None:
                     spans.emit(
                         trace_id,
@@ -369,16 +335,14 @@ class PastryNetwork:
         add_events_processed(events + messages + retransmissions)
         metrics = telemetry.metrics
         metrics.inc("pastry_lookups_total")
-        if outcome.success:
+        if result.replies:
             metrics.inc("pastry_lookups_success_total")
         metrics.inc("pastry_messages_total", messages)
         metrics.inc("pastry_retransmissions_total", retransmissions)
-        if counters is not None:
-            counters.messages_sent += messages
-            counters.retransmissions += retransmissions
-            if outcome.dropped:
-                counters.drops_hop_limit += 1
-        return outcome
+        counters.messages_sent = messages
+        counters.retransmissions = retransmissions
+        result.end_time = time
+        return result
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n:

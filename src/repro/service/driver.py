@@ -29,6 +29,7 @@ the testbed outlives it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Iterable, Optional
 
 from repro.errors import ExperimentError
@@ -113,9 +114,10 @@ class QueryRecord:
     """One request's lifecycle in a service run.
 
     ``latency`` is the discovery latency (first reply for MPIL, route
-    completion for Pastry); ``completion`` is when the request released
-    its in-flight slot, which for MPIL is the later quiescence of every
-    message copy.  Both stay ``None`` for failed lookups.
+    completion for Pastry), ``None`` for a failed lookup; ``completion``
+    is when the request released its in-flight slot — the lookup record's
+    ``end_time``, which for MPIL is the later quiescence of every message
+    copy.
     """
 
     arrival: float
@@ -204,23 +206,29 @@ def run_service(
     mpil = testbed.mpil
     saved = mpil.snapshot()  # unchanged by the Pastry variants; restoring is then a no-op
 
+    def complete(record: QueryRecord, result: Any) -> None:
+        """Charge a finished lookup's record (a
+        :class:`~repro.core.results.LookupResult`) to its query."""
+        record.completion = result.end_time
+        record.success = result.success
+        record.latency = result.latency
+
     if variant in PASTRY_VARIANTS:
         pastry = testbed.pastry
         directory = pastry.directory
         replicate = variant == "pastry-rr"
 
         def issue_lookup(record: QueryRecord, key_draw: int) -> None:
-            outcome = pastry.lookup(
-                client,
-                pool[key_draw % len(pool)],
-                start_time=engine.now,
-                availability=availability,
-                views=views,
+            complete(
+                record,
+                pastry.lookup(
+                    client,
+                    pool[key_draw % len(pool)],
+                    start_time=engine.now,
+                    availability=availability,
+                    views=views,
+                ),
             )
-            record.success = bool(outcome.success)
-            record.completion = record.arrival + outcome.elapsed
-            if record.success:
-                record.latency = outcome.elapsed
 
         def issue_insert(record: QueryRecord, origin_draw: int, object_id) -> None:
             inserted.append(object_id)
@@ -236,19 +244,13 @@ def run_service(
         suppress = variant == "mpil-ds"
 
         def issue_lookup(record: QueryRecord, key_draw: int) -> None:
-            def complete(result) -> None:
-                record.completion = engine.now
-                record.success = result.success
-                if result.first_reply_time is not None:
-                    record.latency = result.first_reply_time - record.arrival
-
             mpil.start_lookup(
                 engine,
                 client,
                 pool[key_draw % len(pool)],
                 availability=availability,
                 duplicate_suppression=suppress,
-                on_complete=complete,
+                on_complete=functools.partial(complete, record),
             )
 
         def issue_insert(record: QueryRecord, origin_draw: int, object_id) -> None:

@@ -46,7 +46,7 @@ class TestFlooding:
         result = flood_lookup(net.overlay, net.directory, 0, obj, ttl=6)
         assert result.success
         assert result.first_reply_hop is not None
-        assert result.nodes_contacted > 1
+        assert result.traffic > 0
 
     def test_zero_ttl_only_checks_origin(self):
         net, obj = _inserted_network(seed=2)
@@ -61,11 +61,16 @@ class TestFlooding:
 
     def test_ttl_bounds_reach(self):
         net, obj = _inserted_network(seed=3)
-        small = flood_lookup(net.overlay, net.directory, 0, obj, ttl=1)
-        large = flood_lookup(net.overlay, net.directory, 0, obj, ttl=4)
-        assert small.nodes_contacted <= large.nodes_contacted
-        assert small.traffic <= large.traffic
-        assert small.nodes_contacted <= 1 + net.overlay.degree(0)
+        origin = next(
+            v for v in range(net.overlay.n) if v not in net.directory.holders(obj)
+        )
+        traffic = [
+            flood_lookup(net.overlay, net.directory, origin, obj, ttl=ttl).traffic
+            for ttl in range(5)
+        ]
+        assert traffic == sorted(traffic)
+        # a non-holder's TTL-1 flood is one message to each neighbor
+        assert traffic[:2] == [0, net.overlay.degree(origin)]
 
     def test_flood_traffic_exceeds_mpil(self):
         net, obj = _inserted_network(seed=4)

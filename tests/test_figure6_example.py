@@ -74,7 +74,7 @@ class TestFigure6Lookup:
         result = network.lookup(index["0100"], _object(network))
         assert not result.success
         assert result.first_reply_hop is None
-        assert result.replies == ()
+        assert result.replies == []
 
     def test_lookup_at_holder_is_instant(self, fig6_network):
         network, index, _labels = fig6_network

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.identifiers import IdSpace
+from repro.core.results import FOUND, HOP_LIMIT, MISDELIVERED
 from repro.errors import ConfigurationError, RoutingError
 from repro.pastry.config import PastryConfig
 from repro.pastry.protocol import PastryNetwork
@@ -65,25 +66,26 @@ class TestLookup:
             network.insert_static(rng.randrange(60), key)
             outcome = network.lookup(rng.randrange(60), key)
             assert outcome.success
-            assert outcome.delivered_node == network.root(key)
-            assert not outcome.misdelivered
-            assert not outcome.dropped
+            assert outcome.cause == FOUND
+            assert outcome.replies == [(network.root(key), outcome.first_reply_hop)]
 
     def test_lookup_without_insert_misdelivers(self, network):
         rng = derive_rng(6, "keys")
         key = SPACE.random_identifier(rng)
         outcome = network.lookup(0, key)
         assert not outcome.success
-        assert outcome.misdelivered
+        assert outcome.cause == MISDELIVERED
 
     def test_counters_accumulate(self, network):
         rng = derive_rng(7, "keys")
         key = SPACE.random_identifier(rng)
         network.insert_static(0, key)
         counters = TrafficCounters()
-        outcome = network.lookup(11, key, counters=counters)
-        assert outcome.success
-        assert counters.messages_sent >= 1
+        for _ in range(2):
+            outcome = network.lookup(11, key)
+            assert outcome.success
+            counters.merge(outcome.counters)
+        assert counters.messages_sent == 2 * outcome.traffic >= 2
 
     def test_origin_validated(self, network):
         with pytest.raises(RoutingError):
@@ -103,7 +105,7 @@ class TestLookup:
         outcome = net.lookup(1, key, availability=RootDown())
         assert not outcome.success
         # the lookup had to retransmit toward the dead root before rerouting
-        assert outcome.retransmissions > 0 or outcome.misdelivered
+        assert outcome.retransmissions > 0 or outcome.cause == MISDELIVERED
 
     def test_heavy_flapping_reduces_success(self):
         net = PastryNetwork(n=60, space=SPACE, seed=9)
@@ -129,5 +131,6 @@ class TestLookup:
         for _ in range(30):
             key = SPACE.random_identifier(rng)
             outcome = net.lookup(rng.randrange(60), key)
-            dropped += outcome.dropped
+            dropped += outcome.cause == HOP_LIMIT
+            assert outcome.counters.drops_hop_limit == (outcome.cause == HOP_LIMIT)
         assert dropped > 0

@@ -157,7 +157,6 @@ class TestStage2Loop:
         loop_bed = build_testbed(num_nodes=70, num_inserts=20, seed=0)
         direct_bed = build_testbed(num_nodes=70, num_inserts=20, seed=0)
         seeds = {"views_seed": (0, "harness-views"), "rejoin_seed": (0, "rejoin")}
-        counters = TrafficCounters()
         got = list(
             iter_stage2_lookups(
                 loop_bed,
@@ -165,9 +164,11 @@ class TestStage2Loop:
                 self.INDICES,
                 self.SPACING,
                 *variant_views(loop_bed, variant, schedule, **seeds),
-                counters,
             )
         )
+        counters = TrafficCounters()
+        for _i, outcome in got:
+            counters.merge(outcome.counters)
         availability, views = variant_views(direct_bed, variant, schedule, **seeds)
         direct = TrafficCounters()
         expected = []
@@ -185,7 +186,6 @@ class TestStage2Loop:
                     start_time=start,
                     availability=availability,
                     views=views,
-                    counters=direct,
                 )
             else:
                 outcome = direct_bed.mpil.lookup_at(
@@ -195,7 +195,7 @@ class TestStage2Loop:
                     availability=schedule,
                     duplicate_suppression=variant == "mpil-ds",
                 )
-                direct.merge(outcome.counters)
+            direct.merge(outcome.counters)
             expected.append((i, outcome))
         assert got == expected
         assert counters == direct

@@ -27,7 +27,6 @@ TOP_LEVEL_EXPORTS = [
     "PastryConfig",
     "PastryNetwork",
     "ProbedViewOracle",
-    "TimedLookupResult",
     "TimedMPILNetwork",
     "TransitStubUnderlay",
     "complete_graph",
@@ -54,6 +53,23 @@ def test_top_level_exports_exist():
     for name in TOP_LEVEL_EXPORTS:
         assert hasattr(repro, name), name
         assert name in repro.__all__
+
+
+#: one lookup record (``repro.core.results.LookupResult``) replaced these
+RETIRED_RECORDS = {
+    "repro": ["TimedLookupResult"],
+    "repro.core": ["TimedLookupResult"],
+    "repro.pastry": ["PastryLookupOutcome"],
+    "repro.baselines": ["BaselineLookupResult"],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(RETIRED_RECORDS))
+def test_retired_lookup_records_are_not_exported(module_name):
+    module = importlib.import_module(module_name)
+    for name in RETIRED_RECORDS[module_name]:
+        assert name not in module.__all__
+        assert not hasattr(module, name), f"{module_name}.{name}"
 
 
 def test_version_is_one_value():

@@ -50,7 +50,7 @@ class TestStaticEquivalence:
                     static_result = timed.lookup(origin, key)
                     timed_result = timed.lookup_at(origin, key, start_time=0.0)
                     where = f"{name} suppress={suppress} key={key} origin={origin}"
-                    assert tuple(timed_result.replies) == static_result.replies, where
+                    assert timed_result.replies == static_result.replies, where
                     assert timed_result.first_reply_hop == static_result.first_reply_hop, where
                     assert timed_result.counters.messages_sent == static_result.traffic, where
                     assert timed_result.counters.duplicates == static_result.duplicates, where
