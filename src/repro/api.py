@@ -17,10 +17,7 @@ Four verbs cover the workflow end to end:
 - :func:`telemetry` — run one experiment with span recording on and get
   back the result together with its span stream and metrics snapshot
   (see :mod:`repro.telemetry`); the run itself is byte-identical to an
-  untraced one;
-- :func:`lint` — run the determinism-contract static analyzer
-  (:mod:`repro.lint`) over source trees and return the
-  :class:`~repro.lint.report.LintReport` the CI gate checks.
+  untraced one.
 
 Example::
 
@@ -70,21 +67,17 @@ from repro.experiments.scales import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
-from repro.lint import LintConfig, LintReport, lint_paths as _lint_paths
 from repro.telemetry import SpanRecorder, Telemetry
 
 __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
-    "LintConfig",
-    "LintReport",
     "Scale",
     "SweepReport",
     "TelemetryRun",
     "compose",
     "get",
     "get_scale",
-    "lint",
     "list_experiments",
     "register",
     "register_scale",
@@ -316,26 +309,3 @@ def compose(
 def get(experiment_id: str) -> ExperimentSpec:
     """The registered spec for an id (metadata access without running)."""
     return get_spec(experiment_id)
-
-
-def lint(
-    paths: Iterable[Union[str, pathlib.Path]] = ("src",),
-    config: Optional[LintConfig] = None,
-    rules: Optional[Iterable[str]] = None,
-) -> LintReport:
-    """Run the determinism-contract analyzer, like the CLI ``lint``.
-
-    ``config=None`` auto-discovers the nearest ``pyproject.toml``'s
-    ``[tool.repro-lint]`` allowlists; ``rules`` restricts the pass to the
-    named rule ids.  The returned report is deterministic (sorted
-    violations) and ``report.ok`` is the CI gate condition.
-
-    >>> from repro import api
-    >>> api.lint(["src/repro/sim"]).ok
-    True
-    """
-    return _lint_paths(
-        list(paths),
-        config=config,
-        rules=list(rules) if rules is not None else None,
-    )

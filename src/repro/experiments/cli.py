@@ -1,6 +1,6 @@
-"""Command-line interface: ``mpil-experiments list|scenarios|run|sweep|status|trace|compose|serve|lint``.
+"""Command-line interface: ``mpil-experiments list|scenarios|run|sweep|status|trace|compose|serve``.
 
-Nine commands (``<command> --help`` has each one's options):
+Eight commands (``<command> --help`` has each one's options):
 
 - ``list`` — registered experiment ids and titles, ``--tags``-filtered;
 - ``scenarios`` — the perturbation-scenario catalogue, one family's
@@ -18,17 +18,15 @@ Nine commands (``<command> --help`` has each one's options):
 - ``compose`` — build an experiment from a declarative TOML/JSON spec
   (:mod:`repro.experiments.compose`) and run it, no module required;
 - ``serve`` — a sustained-traffic service experiment: open-loop arrivals,
-  per-window latency percentiles and SLO verdicts (:mod:`repro.service`);
-- ``lint`` — the determinism-contract static analyzer (:mod:`repro.lint`):
-  exit 0 when clean, 1 when any rule fires, 2 on usage errors.
+  per-window latency percentiles and SLO verdicts (:mod:`repro.service`).
 
 This module is argument parsing and printing.  Every replicate that
 ``run``/``compose``/``serve``/``trace`` measure goes through
 :func:`repro.experiments.runtime.execute_task` (the one place a run is timed
 and its events counted) and is recorded by
 :func:`repro.experiments.runner.save_outcome`; each rule shared with
-:mod:`repro.api` (service-tag check, compose + register, ledger rows, the
-lint pass, seeds → ``SweepSpec``) is stated there or in the runner, once.
+:mod:`repro.api` (service-tag check, compose + register, ledger rows,
+seeds → ``SweepSpec``) is stated there or in the runner, once.
 Expected errors are one stderr line and exit 2, never a traceback.
 
 The store layout is ``<out>/<experiment>/<scale>/seed_<n>.json`` with a
@@ -53,9 +51,6 @@ Examples::
     mpil-experiments trace ext-outage --scale smoke --kind lookup --out spans.jsonl
     mpil-experiments compose my-sweep.toml --scale smoke --seed 1
     mpil-experiments serve svc-outage --scale smoke --rate 2 --format json
-    mpil-experiments lint src
-    mpil-experiments lint --explain DET003
-    mpil-experiments lint src --format json --report repro-lint-report.json
 
 (Without an installed entry point, invoke the same CLI as
 ``PYTHONPATH=src python -m repro.experiments.cli ...``.)
@@ -79,7 +74,6 @@ from repro.experiments.runner import SweepSpec, TaskOutcome, run_sweep, save_out
 from repro.experiments.runtime import execute_task
 from repro.experiments.scales import available_scales
 from repro.experiments.store import ResultStore, result_to_csv
-from repro.lint import all_rules, get_rule, load_config
 from repro.perturbation.scenario import get_family, scenario_families, scenarios_for
 from repro.service.driver import SERVICE_COLUMNS
 from repro.telemetry import Span, Telemetry
@@ -333,66 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-window result as a table or as JSON",
     )
     _add_out(serve_parser, "result-store root (same layout as `run --out`)")
-
-    lint_parser = command(
-        "lint", _cmd_lint, "run the determinism-contract static analyzer (repro.lint)"
-    )
-    lint_parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files/directories to analyze (default: src)",
-    )
-    lint_parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report as grep-able lines or as the versioned JSON schema",
-    )
-    lint_parser.add_argument(
-        "--rules",
-        default=None,
-        metavar="RULE[,RULE...]",
-        help="only run these rule ids (default: every registered rule)",
-    )
-    lint_parser.add_argument(
-        "--config",
-        type=pathlib.Path,
-        default=None,
-        metavar="PYPROJECT",
-        help="explicit pyproject.toml holding [tool.repro-lint] "
-        "(default: nearest one at or above the first path)",
-    )
-    lint_parser.add_argument(
-        "--report",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="also write the JSON report here (regardless of --format)",
-    )
-    lint_parser.add_argument(
-        "--explain",
-        default=None,
-        metavar="RULE",
-        help="print one rule's rationale and fix pattern, then exit",
-    )
-    lint_parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list every registered rule id with its one-line title",
-    )
     return parser
 
 
-def _comma_list(text: Optional[str]) -> Optional[list[str]]:
-    """``"a, b,"`` -> ``["a", "b"]``; an option left out stays ``None``."""
-    if text is None:
-        return None
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
-    tags = tuple(_comma_list(args.tags) or ())
+    tags = tuple(part.strip() for part in (args.tags or "").split(",") if part.strip())
     specs = list_experiments(tags)
     if not specs:
         raise ExperimentError(
@@ -725,28 +664,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ]
         _export_spans(spans, recorder.dropped, args.out)
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    if args.explain is not None:
-        print(get_rule(args.explain).explain())
-        return 0
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.rule_id:8s} {rule.title}")
-        return 0
-    config = load_config(pyproject=args.config) if args.config is not None else None
-    # unknown rule ids are the analyzer's one-line error, before any file is read
-    report = api.lint(args.paths, config=config, rules=_comma_list(args.rules))
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(report.to_json(), encoding="utf-8")
-        print(f"report written: {args.report}", file=sys.stderr)
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(report.render_text())
-    return 0 if report.ok else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

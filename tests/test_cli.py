@@ -67,7 +67,8 @@ HELP_AT_PR21 = json.loads(
 )
 class TestHelpOutput:
     """Shared option helpers must not move a byte of any ``--help`` — except
-    the ``run --out`` paragraph, which described the ``.txt`` table."""
+    the ``run --out`` paragraph, which described the ``.txt`` table, and the
+    ``lint`` subcommand, which left the CLI for ``tests/determinism_lint.py``."""
 
     @staticmethod
     def _without_option(text: str, option: str) -> str:
@@ -83,8 +84,8 @@ class TestHelpOutput:
                 kept.append(line)
         return "".join(kept)
 
-    @pytest.mark.parametrize("argv", sorted(HELP_AT_PR21["stdout"]))
-    def test_byte_identical_but_for_run_out(self, argv, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", sorted(set(HELP_AT_PR21["stdout"]) - {"lint --help"}))
+    def test_byte_identical_but_for_run_out_and_lint(self, argv, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as excinfo:
             main(argv.split())
@@ -95,7 +96,16 @@ class TestHelpOutput:
             printed = self._without_option(printed, "--out")
             golden = self._without_option(golden, "--out")
             assert "--trace" in printed and "--seed" in printed
+        if argv == "--help":
+            assert golden.count(",lint}") == 2
+            golden = self._without_option(golden.replace(",lint}", "}"), "  lint")
         assert printed == golden
+
+    def test_lint_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 class TestParser:

@@ -3,7 +3,7 @@ protocol stacks, ``nan`` simulation times against the scheduler, latency
 models and timed driver, and corrupted store files, hostile spec files, a
 hostile ``[scale]`` table, non-finite runtime knobs, budgets and periods,
 non-integer counts and a full span recorder against the CLI and the API,
-and a C locale against ``lint`` and the result store."""
+and a C locale against the determinism lint and the result store."""
 
 from __future__ import annotations
 
@@ -533,11 +533,11 @@ class TestHostileScaleTable:
 
 class TestAsciiLocale:
     """Under a C locale (no UTF-8 mode, no locale coercion) Python's default
-    text encoding is ASCII.  ``lint src`` died in ``UnicodeDecodeError`` on
-    the first docstring with "Erdős–Rényi" in it, and a sweep whose
-    ``[sweep] column`` is not ASCII died in ``UnicodeEncodeError`` writing
-    ``aggregate.csv``, stranding ``aggregate.csv.tmp`` beside an
-    ``aggregate.json`` with no CSV.  Every text file the program writes or
+    text encoding is ASCII.  The determinism lint died in
+    ``UnicodeDecodeError`` on the first docstring with "Erdős–Rényi" in it,
+    and a sweep whose ``[sweep] column`` is not ASCII died in
+    ``UnicodeEncodeError`` writing ``aggregate.csv``, stranding
+    ``aggregate.csv.tmp`` beside an ``aggregate.json`` with no CSV.  Every text file the program writes or
     reads back is UTF-8 whatever the locale."""
 
     REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -556,13 +556,16 @@ class TestAsciiLocale:
         )
 
     def test_lint_reads_non_ascii_sources(self, tmp_path):
-        report = tmp_path / "lint.json"
-        done = self._run(
-            ["-m", "repro.experiments.cli", "lint", "src", "--report", str(report)], tmp_path
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, 'tests')\n"
+            "from determinism_lint import lint\n"
+            "print(lint('.', ['src']))\n"
         )
+        done = self._run(["-c", script], tmp_path)
         assert "Traceback" not in done.stderr, done.stderr
         assert done.returncode == 0, done.stdout + done.stderr
-        assert json.loads(report.read_text(encoding="utf-8"))["counts"] == {}
+        assert done.stdout == "[]\n"
 
     def test_sweep_of_a_non_ascii_column_writes_its_aggregate(self, tmp_path):
         store = tmp_path / "store"

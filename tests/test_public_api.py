@@ -83,7 +83,7 @@ def test_version_is_one_value():
 
 
 @pytest.mark.parametrize(
-    "package", ["service", "experiments", "core", "pastry", "telemetry", "lint", "api"]
+    "package", ["service", "experiments", "core", "pastry", "telemetry", "api"]
 )
 def test_package_imports_first_in_a_fresh_interpreter(package):
     """No package may depend on another having been imported before it

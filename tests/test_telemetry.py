@@ -11,6 +11,7 @@ import pathlib
 import sqlite3
 
 import pytest
+from determinism_lint import RULES, FileContext, lint
 
 from repro import api
 from repro.errors import ConfigurationError, ExperimentError
@@ -19,7 +20,6 @@ from repro.experiments.ledger import TaskLedger
 from repro.experiments.registry import run_experiment
 from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.store import ResultStore
-from repro.lint import LintConfig, lint_paths, load_config
 from repro.sim.engine import (
     add_events_processed,
     events_processed_total,
@@ -307,23 +307,17 @@ class TestLintRegression:
     """Telemetry modules honour the determinism contract (satellite 6)."""
 
     def test_repo_config_keeps_telemetry_clean(self):
-        report = lint_paths(
-            [str(REPO_ROOT / "src" / "repro" / "telemetry")],
-            config=load_config(pyproject=REPO_ROOT / "pyproject.toml"),
-        )
-        assert report.ok, [v.render() for v in report.violations]
+        assert lint(REPO_ROOT, ["src/repro/telemetry"]) == []
 
     def test_only_progress_needs_the_wall_clock_allowance(self):
-        report = lint_paths(
-            [str(REPO_ROOT / "src" / "repro" / "telemetry")],
-            config=LintConfig(root=REPO_ROOT),
-        )
-        det003 = [v for v in report.violations if v.rule_id == "DET003"]
-        assert det003, "expected DET003 hits without the allowlist"
-        assert {v.path for v in det003} == {"src/repro/telemetry/progress.py"}
-        assert not [v for v in report.violations if v.rule_id == "DET004"]
-        others = [v for v in report.violations if v.rule_id != "DET003"]
-        assert not others, [v.render() for v in others]
+        telemetry = REPO_ROOT / "src" / "repro" / "telemetry"
+        flagged = set()
+        for path in sorted(telemetry.rglob("*.py")):
+            rel_path = path.relative_to(REPO_ROOT).as_posix()
+            context = FileContext(rel_path, path.read_text(encoding="utf-8"))
+            if list(RULES["DET003"](context)):
+                flagged.add(rel_path)
+        assert flagged == {"src/repro/telemetry/progress.py"}
 
 
 class TestProgressRendering:
