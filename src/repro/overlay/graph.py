@@ -11,9 +11,10 @@ Undirected graphs are validated for symmetry; directed graphs (used for the
 MPIL-over-Pastry adapter, where a Pastry node's outgoing neighbor list is
 its leaf set plus routing-table entries) skip that check.
 
-Both constructors end in the same arrays and the same vectorised
-validation: the sequence-of-neighbor-lists constructor normalises each list
-(sorted, duplicates dropped) into CSR, and :meth:`from_csr` takes
+Every constructor ends in the same arrays and the same vectorised
+validation: the sequence-of-neighbor-lists constructor and
+:meth:`from_edges` sort their ``(node, neighbor)`` pairs into CSR through
+one function, :func:`_sorted_csr`, and :meth:`from_csr` takes
 already-normalised ``(indptr, indices)`` arrays.  Per-node neighbor tuples
 are materialised from the arrays lazily, on the first :meth:`neighbors`.
 """
@@ -39,16 +40,10 @@ class OverlayGraph:
         name: str = "overlay",
         directed: bool = False,
     ):
-        rows = [sorted({int(v) for v in neighbors}) for neighbors in adjacency]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
-            out=indptr[1:],
-        )
-        indices = np.fromiter(
-            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
-        )
-        self._init_csr(indptr, indices, name, directed)
+        rows = [list(neighbors) for neighbors in adjacency]
+        owners = np.repeat(np.arange(len(rows), dtype=np.int64), [len(row) for row in rows])
+        indices = np.fromiter(itertools.chain.from_iterable(rows), np.int64, owners.shape[0])
+        self._init_csr(*_sorted_csr(len(rows), owners, indices), name, directed)
 
     def _init_csr(
         self, indptr: np.ndarray, indices: np.ndarray, name: str, directed: bool
@@ -103,16 +98,12 @@ class OverlayGraph:
     def from_edges(
         cls, n: int, edges: Iterable[tuple[int, int]], name: str = "overlay"
     ) -> "OverlayGraph":
-        """Build an undirected overlay from an edge list."""
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise OverlayError(f"self-loop edge ({u}, {v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise OverlayError(f"edge ({u}, {v}) out of range for n={n}")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        return cls(adjacency, name=name)
+        """Build an undirected overlay from an edge list (every generator's
+        way in); parallel edges collapse into one."""
+        pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+        sources, targets = pairs.reshape(-1, 2).T
+        both = (np.concatenate((sources, targets)), np.concatenate((targets, sources)))
+        return cls.from_csr(*_sorted_csr(n, *both), name=name)
 
     @classmethod
     def from_csr(
@@ -124,61 +115,13 @@ class OverlayGraph:
     ) -> "OverlayGraph":
         """Build an overlay directly from CSR ``(indptr, indices)`` arrays.
 
-        Rows must be sorted and duplicate-free (:meth:`from_networkx`
+        Rows must be sorted and duplicate-free (:func:`_sorted_csr`
         normalises before calling this).  Validation runs as whole-array
         passes, so constructing a 10^5-node overlay costs milliseconds.
         """
         self = cls.__new__(cls)
         self._init_csr(indptr, indices, name, directed)
         return self
-
-    @classmethod
-    def from_networkx(
-        cls, graph, name: str = "overlay", order: Sequence[int] | None = None
-    ) -> "OverlayGraph":
-        """Convert a networkx graph whose nodes are 0..n-1.
-
-        ``order`` (a permutation of the nodes; default ``range(n)``) relabels
-        on the way: node ``order[i]`` becomes overlay node ``i``.  With
-        ``order=list(graph.nodes)`` the result is that of
-        ``nx.convert_node_labels_to_integers(graph)`` without the copy.
-        """
-        n = graph.number_of_nodes()
-        nodes = set(graph.nodes)
-        if nodes != set(range(n)):
-            raise OverlayError("networkx graph nodes must be exactly 0..n-1")
-        identity = np.arange(n, dtype=np.int64)
-        order = identity if order is None else np.fromiter(order, dtype=np.int64)
-        if not np.array_equal(np.sort(order), identity):
-            raise OverlayError("order must list each of the nodes 0..n-1 once")
-        label = np.empty(n, dtype=np.int64)
-        label[order] = identity
-        adj = graph.adj
-        degrees = np.fromiter(
-            (len(adj[u]) for u in range(n)), dtype=np.int64, count=n
-        )
-        total = int(degrees.sum())
-        indices = np.fromiter(
-            (v for u in range(n) for v in adj[u]), dtype=np.int64, count=total
-        )
-        owners = np.repeat(label, degrees)
-        indices = label[indices]
-        by_edge = np.lexsort((indices, owners))
-        indices = indices[by_edge]
-        owners = owners[by_edge]
-        # drop duplicate stubs (multigraphs); self-loops are rejected below
-        if total:
-            keep = np.empty(total, dtype=bool)
-            keep[0] = True
-            keep[1:] = (owners[1:] != owners[:-1]) | (indices[1:] != indices[:-1])
-            if not keep.all():
-                indices = indices[keep]
-                owners = owners[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
-        return cls.from_csr(
-            indptr, indices, name=name, directed=graph.is_directed()
-        )
 
     def renamed(self, name: str) -> "OverlayGraph":
         """A copy under a new name sharing every frozen structure (the
@@ -310,3 +253,20 @@ class OverlayGraph:
             f"OverlayGraph(name={self.name!r}, n={self.n}, "
             f"edges={self.num_edges}, {kind})"
         )
+
+
+def _sorted_csr(n: int, owners: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the ``owners[i] -> indices[i]`` pairs,
+    rows sorted and repeats dropped: one sort of ``owner * n + neighbor``
+    keys (``np.unique`` does the same far slower under numpy 2.x)."""
+    outside = (indices < 0) | (indices >= n)
+    if outside.any():
+        raise OverlayError(f"node {int(owners[outside][0])} has an out-of-range neighbor")
+    keys = owners * n + indices
+    keys.sort()
+    distinct = np.ones(keys.shape[0], dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    owners, indices = np.divmod(keys[distinct], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+    return indptr, indices

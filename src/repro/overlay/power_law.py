@@ -20,12 +20,15 @@ heavy tail, a dense core — are preserved.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import random
 
 from repro.errors import OverlayError
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.random_graphs import connect_components
-from repro.sim.rng import derive_rng, derive_seed
+from repro.sim.rng import derive_rng, derive_rng32
 
 
 def sample_power_law_degrees(
@@ -52,22 +55,9 @@ def sample_power_law_degrees(
     rng = derive_rng(seed, "power-law-degrees", n, exponent, min_degree, max_degree)
     weights = [d ** (-exponent) for d in range(min_degree, max_degree + 1)]
     total = sum(weights)
-    cdf = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total
-        cdf.append(acc)
-    degrees = []
-    for _ in range(n):
-        u = rng.random()
-        lo, hi = 0, len(cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        degrees.append(min_degree + lo)
+    cdf = list(itertools.accumulate(w / total for w in weights))
+    last = len(cdf) - 1
+    degrees = [min_degree + min(bisect.bisect_left(cdf, rng.random()), last) for _ in range(n)]
     if sum(degrees) % 2 != 0:
         degrees[0] += 1
     return degrees
@@ -86,22 +76,27 @@ def power_law_graph(
     which keeps the hub sizes in the same regime as Inet's AS graphs
     without letting a single node dominate small test topologies.
     """
-    import networkx as nx
-
     if n < 4:
         raise OverlayError(f"power-law graph needs at least 4 nodes, got {n}")
     if max_degree is None:
         max_degree = max(min_degree + 1, round(n ** 0.75))
     max_degree = min(max_degree, n - 1)
     degrees = sample_power_law_degrees(n, exponent, min_degree, max_degree, seed)
-    nx_seed = derive_seed(seed, "power-law-config", n) % (2**32)
-    multigraph = nx.configuration_model(degrees, seed=nx_seed)
-    graph = nx.Graph(multigraph)  # drop parallel edges
-    graph.remove_edges_from(nx.selfloop_edges(graph))
-    overlay = OverlayGraph.from_networkx(graph, name=f"power-law-{exponent}")
+    edges = _configuration_model(degrees, derive_rng32(seed, "power-law-config", n))
+    overlay = OverlayGraph.from_edges(n, edges, name=f"power-law-{exponent}")
     overlay = connect_components(overlay, seed=seed)
     overlay = _patch_min_degree(overlay, min_degree, seed)
     return overlay.renamed(f"power-law-{exponent}")
+
+
+def _configuration_model(degrees: list[int], rng: random.Random) -> list[tuple[int, int]]:
+    """The configuration model's edges without self-loops (``from_edges``
+    collapses the parallel ones): the shuffled stubs' first half paired with
+    the second, draw for draw the reference ``tests/test_overlay_oracle.py`` pins."""
+    stubs = [node for node, degree in enumerate(degrees) for _ in range(degree)]
+    rng.shuffle(stubs)
+    half = len(stubs) // 2
+    return [(u, v) for u, v in zip(stubs[:half], stubs[half:]) if u != v]
 
 
 def _patch_min_degree(

@@ -67,3 +67,9 @@ def derive_seed(seed: object, *labels: object) -> int:
 def derive_rng(seed: object, *labels: object) -> random.Random:
     """Return a ``random.Random`` seeded from ``derive_seed(seed, *labels)``."""
     return random.Random(derive_seed(seed, *labels))
+
+
+def derive_rng32(seed: object, *labels: object) -> random.Random:
+    """:func:`derive_rng` seeded with the derived seed's low 32 bits: the
+    overlay generators' streams, drawn as their graphs were first built."""
+    return random.Random(derive_seed(seed, *labels) % (2**32))

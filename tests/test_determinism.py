@@ -12,10 +12,13 @@ exactly what the sweep runner's jobs-parity guarantee rests on.
 The same bytes are also the repository's specification (ROADMAP aim 2), so
 one of the two runs is compared with ``tests/goldens/smoke_seed1.json``:
 the sha256 of each experiment's canonical JSON at ``smoke`` seed 1.  The
-goldens carry the python/numpy/networkx versions they were taken under
-(graph generation and RNG streams are only pinned per version); elsewhere
-the comparison is skipped with the reason.  After an *intended* change of
-results, regenerate the file as :func:`_golden_document` describes.
+goldens carry the python/numpy versions they were taken under (RNG streams,
+and with them the overlay generators' graphs, are CPython's ``random``; the
+array code is numpy's); elsewhere the comparison is skipped with the
+reason.  The fingerprint still names networkx, which no longer builds any
+graph, only because these goldens and the frozen ``bench/expected.json``
+carry that field.  After an *intended* change of results, regenerate the
+file as :func:`_golden_document` describes.
 
 Beside the bytes, ``tests/goldens/work_counts_smoke_seed0.json`` pins how
 much *work* five experiments do for them — forwarding decisions, derived
@@ -116,6 +119,41 @@ def test_rerun_is_byte_identical(experiment_id):
             f"this is {_fingerprint()}"
         )
     assert hashlib.sha256(first).hexdigest() == GOLDENS["digests"][experiment_id]
+
+
+_SWEEP_WITHOUT_NETWORKX = """
+import hashlib, json, sys
+sys.modules["networkx"] = None  # every import of networkx now raises
+from repro import api
+report = api.sweep(["fig9", "fig10", "tab3"], seeds=[1], scale="smoke", jobs=2, store=None)
+assert not report.failures, report.failures
+print(json.dumps({
+    outcome.experiment_id: hashlib.sha256(
+        json.dumps(outcome.result.to_dict(), sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    for outcome in report.outcomes
+}))
+"""
+
+
+def test_the_library_runs_without_networkx():
+    """networkx is only the overlay generators' test oracle: with every
+    import of it made to fail, in the sweep's parent and in the forked
+    workers that inherit the block, the experiments that build random and
+    power-law overlays run and write the golden bytes."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_WITHOUT_NETWORKX],
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(digests) == ["fig10", "fig9", "tab3"]
+    if GOLDENS["fingerprint"] != _fingerprint():
+        pytest.skip(f"goldens were taken under {GOLDENS['fingerprint']}")
+    assert digests == {key: GOLDENS["digests"][key] for key in digests}
 
 
 def test_goldens_cover_every_registered_experiment():

@@ -180,10 +180,10 @@ TEST_ONLY_API = {
     "repro.experiments.registry.unregister": "public API: inverse of api.register",
     "repro.experiments.scales.unregister_scale": "public API: inverse of api.register_scale",
     "repro.experiments.runner.SweepReport.outcome": "public lookup of one task's outcome",
-    "repro.overlay.graph.OverlayGraph.from_edges":
-        "public constructor for hand-written edge lists",
     "repro.overlay.power_law.estimated_exponent":
         "ROADMAP item 6: the in-repo generators' distribution check will read it",
+    "repro.overlay.random_graphs.gnp_random_graph":
+        "public G(n, p) generator (not used by the paper); the oracle test pins it",
     "repro.overlay.random_graphs.ring_lattice_graph":
         "deterministic overlay for worked examples",
     "repro.overlay.transit_stub.TransitStubUnderlay.transit_nodes":
@@ -337,6 +337,8 @@ TEST_ONLY_OPTIONS = {
         ],
         _GENERATOR,
     ),
+    "repro.overlay.graph.OverlayGraph.from_csr(directed=)":
+        "the CSR entry point's directed form, held to the list constructor's by tests",
     **dict.fromkeys(
         [
             f"repro.overlay.transit_stub.TransitStubParams.{name}"

@@ -60,35 +60,6 @@ class TestOverlayGraph:
         assert sorted(len(c) for c in comps) == [1, 2, 2]
         assert not g.is_connected()
 
-    def test_networkx_order_is_the_integer_relabel(self):
-        """``order=list(graph.nodes)`` gives what
-        ``convert_node_labels_to_integers`` gives, array for array.  The
-        installed networkx builds ``random_regular_graph`` on
-        ``empty_graph(n)``, for which that relabel is the identity, so the
-        scrambled insertion order is constructed by hand."""
-        import networkx as nx
-        import numpy as np
-
-        scrambled = [4, 0, 6, 2, 5, 1, 3]
-        graph = nx.Graph()
-        graph.add_nodes_from(scrambled)
-        graph.add_edges_from([(4, 0), (0, 6), (6, 2), (2, 5), (5, 1), (1, 3), (3, 4), (0, 5)])
-        assert list(graph.nodes) == scrambled
-        relabelled = OverlayGraph.from_networkx(
-            nx.convert_node_labels_to_integers(graph)
-        )
-        ordered = OverlayGraph.from_networkx(graph, order=list(graph.nodes))
-        for got, expected in zip(ordered.adjacency_arrays(), relabelled.adjacency_arrays()):
-            assert np.array_equal(got, expected)
-        assert ordered.neighbors(0) == (1, 6)  # node 4 -> index 0; {0, 3} -> {1, 6}
-        plain = OverlayGraph.from_networkx(graph)
-        assert not np.array_equal(
-            plain.adjacency_arrays()[1], ordered.adjacency_arrays()[1]
-        )
-        for bad in ([0, 1, 2], [0, 0, 1, 2, 3, 4, 5], list(range(1, 8))):
-            with pytest.raises(OverlayError, match="order"):
-                OverlayGraph.from_networkx(graph, order=bad)
-
 
 # ---------------------------------------------------------------------------
 # One constructor path: per-node lists and CSR arrays build the same graph

@@ -256,10 +256,10 @@ class TestBudgetEnforcement:
         assert "memory_budget_enforced" not in store.manifest("fig7", "smoke")["runs"]["seed_1"]
 
     def test_large_rung_recipe_runs_inside_its_budget(self, scratch_rungs):
-        """A bounded taste of ``large`` (CI's bench job calls this node id):
-        the rung's recipe — one graph per family, degree-100 random overlay,
-        the struct-of-arrays core — at a node count that fits a test, under
-        ceilings a regression of the generators or the core would cross."""
+        """A bounded taste of ``large``: the rung's recipe — one graph per
+        family, degree-100 random overlay, the struct-of-arrays core — at a
+        node count that fits a test, under ceilings a regression of the
+        generators or the core would cross."""
         capped = (5_000,)
         api.register_scale(
             api.get_scale("large").evolve(
