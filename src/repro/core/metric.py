@@ -80,9 +80,27 @@ _METRICS = {
 }
 
 
-#: One memo entry of :meth:`NeighborMetricTable.ranked_neighbors`:
-#: ``(self_score, ids_by_rank, tier_ends, tier_scores)``.
+#: What :func:`repro.core.routing.decide_forwarding` reads for one node and
+#: object: ``(self_score, ids_by_rank, tier_ends, tier_scores)``.
 RankedNeighbors = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+class ObjectEntry(dict):
+    """One object's entry in a :class:`NeighborMetricTable`'s cache.
+
+    ``vector`` is the object's score against every node (read-only); the
+    mapping holds ``node → RankedNeighbors`` for the nodes ranked so far,
+    filled from ``vector`` by :meth:`NeighborMetricTable.ranked_neighbors`.
+    Both are pure functions of the (table, object) pair, so an entry the
+    table has evicted stays correct for whoever still holds it.  The entry
+    holds no reference back to its table.
+    """
+
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: np.ndarray):
+        super().__init__()
+        self.vector = vector
 
 
 def rank_by_score(
@@ -135,15 +153,25 @@ class NeighborMetricTable:
     10^5-node populations affordable: building the table is a handful of
     vectorised array operations.
 
-    Scoring is batched per *target*: the first query against a target
-    evaluates the metric over the whole population in one vectorised pass
-    (:meth:`scores_all`); every node's forwarding decision then gathers its
-    ``[self, *neighbors]`` slice from that vector.  Results are integer-exact
-    and byte-identical to scoring each node's matrix separately, because all
-    three metrics are row-wise independent.  What the forwarding decision
-    reads is that slice *ranked* (:meth:`ranked_neighbors`), memoised per
-    ``(node, target)``: the ranking is a pure function of the pair, and the
-    experiments route the same objects through the same nodes many times.
+    The table caches one :class:`ObjectEntry` per object (:meth:`entry`).
+    The first query against an object evaluates the metric over the whole
+    population in one vectorised pass (:meth:`scores_all`); every node's
+    forwarding decision then gathers its ``[self, *neighbors]`` slice from
+    that vector (:meth:`scores_with_self`) and ranks it
+    (:meth:`ranked_neighbors`), and the entry keeps the ranking under the
+    node's id.  Results are integer-exact and byte-identical to scoring each
+    node's matrix separately, because all three metrics are row-wise
+    independent.  The experiments route the same objects through the same
+    nodes many times, so after the first pass every decision is a dict hit.
+
+    The cache is bounded in bytes (:attr:`SCORE_CACHE_BYTES`): a vector
+    costs its ``nbytes``, a ranking :attr:`RANKED_BASE_BYTES` plus 8 B a
+    neighbor and 16 B a score tier.  When the next item would overflow the
+    bound, every entry is dropped at once.  A full cache costs 128 MiB at
+    any n.  At n = 4000 a vector is 16 KB, and a ranking on the nodes
+    copies pass is 536 B on the power-law overlay (mean degree 23) and
+    1.2 KB at degree 100: room for ~250,000 or ~110,000 rankings.  At
+    n = 10^5 a vector is 400 KB: room for ~330 objects' vectors alone.
 
     Parameters
     ----------
@@ -156,13 +184,12 @@ class NeighborMetricTable:
         A metric object (default :class:`CommonDigitsMetric`).
     """
 
-    #: cap on the per-table (node, target) memo of :meth:`ranked_neighbors`.
-    #: An entry is its key and four tuples — 248 B + 8 B a neighbor + 16 B a
-    #: score tier, and ~40 B of dict slot; the ids are ``neighbor_list``'s
-    #: own int objects.  Measured on the 4000-node ``static`` overlays: 536 B
-    #: a mean entry on the power-law graph (copies pass nodes of mean degree
-    #: 23), 1.2 KB at degree 100 — a full memo is ~100 MB and ~245 MB there
-    SCORE_CACHE_LIMIT = 200_000
+    #: bound on the bytes of every cached vector and ranking, together
+    SCORE_CACHE_BYTES = 128 << 20
+    #: a ranking's bytes besides its ids and tiers: the 4-tuple, three empty
+    #: tuples and the entry's dict slot (the ids are ``neighbor_list``'s own
+    #: int objects)
+    RANKED_BASE_BYTES = 256
 
     def __init__(self, overlay, ids: Sequence[Identifier], metric=None):
         n = overlay.n
@@ -184,12 +211,8 @@ class NeighborMetricTable:
         rows.flags.writeable = False
         self.rows_with_self = rows
         self._neighbor_tuples: dict[int, tuple[int, ...]] = {}
-        self._score_cache: dict[tuple[int, int], RankedNeighbors] = {}
-        # Full-population score vectors, keyed by target value.  Each entry
-        # is 4n bytes, so the bound scales inversely with population size to
-        # keep the cache's worst case in the same ballpark as the memo above.
-        self._target_cache: dict[int, np.ndarray] = {}
-        self._max_cached_targets = max(4, self.SCORE_CACHE_LIMIT // max(1, n))
+        self._entries: dict[int, ObjectEntry] = {}
+        self._cached_bytes = 0
 
     def _neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor indices of ``node`` (a CSR slice, no copy)."""
@@ -205,19 +228,33 @@ class NeighborMetricTable:
             self._neighbor_tuples[node] = cached
         return cached
 
-    def scores_all(self, target: Identifier) -> np.ndarray:
-        """Metric scores of *every* node against ``target`` (one vectorised
-        pass over the shared digit matrix, memoised per target).  Callers
-        must treat the returned array as read-only."""
-        vector = self._target_cache.get(target.value)
-        if vector is None:
-            if len(self._target_cache) >= self._max_cached_targets:
-                self._target_cache.clear()
+    def _spend(self, nbytes: int) -> None:
+        """Account for ``nbytes`` about to be cached, first dropping every
+        entry if they would overflow :attr:`SCORE_CACHE_BYTES` (the cache's
+        one eviction site)."""
+        if self._cached_bytes + nbytes > self.SCORE_CACHE_BYTES:
+            self._entries.clear()
+            self._cached_bytes = 0
+        self._cached_bytes += nbytes
+
+    def entry(self, target: Identifier) -> ObjectEntry:
+        """The cache entry of ``target``, scored (one vectorised pass over
+        the shared digit matrix) on a miss."""
+        entry = self._entries.get(target.value)
+        if entry is None:
             vector = self.metric.scores_matrix(
                 np.frombuffer(target.digits, dtype=np.uint8), self.digits
             )
-            self._target_cache[target.value] = vector
-        return vector
+            vector.flags.writeable = False
+            entry = ObjectEntry(vector)
+            self._spend(vector.nbytes)
+            self._entries[target.value] = entry
+        return entry
+
+    def scores_all(self, target: Identifier) -> np.ndarray:
+        """Metric scores of *every* node against ``target``: the cached,
+        read-only vector of its :meth:`entry`."""
+        return self.entry(target).vector
 
     def scores(self, node: int, target: Identifier) -> np.ndarray:
         """Metric scores of every neighbor of ``node`` against ``target``."""
@@ -232,24 +269,20 @@ class NeighborMetricTable:
 
     def ranked_neighbors(self, node: int, target: Identifier) -> RankedNeighbors:
         """``(self_score, ids_by_rank, tier_ends, tier_scores)``: the
-        neighbors of ``node`` ranked by their score against ``target``
-        (:func:`rank_by_score` over :meth:`neighbor_list` and
-        :meth:`scores_with_self`), which is what
-        :func:`repro.core.routing.decide_forwarding` consumes.
-
-        Memoised per ``(node, target)`` because the experiments re-route the
-        same objects across many lookups, scenario cells and protocol
-        variants; the entry is immutable all the way down.
+        neighbors of ``node`` ranked by their score against ``target``,
+        which is what :func:`repro.core.routing.decide_forwarding` consumes.
+        Cached in ``target``'s :meth:`entry` under ``node``, and immutable
+        all the way down; a miss is :func:`rank_by_score` over
+        :meth:`neighbor_list` and :meth:`scores_with_self`.
         """
-        key = (node, target.value)
-        cached = self._score_cache.get(key)
-        if cached is None:
-            if len(self._score_cache) >= self.SCORE_CACHE_LIMIT:
-                self._score_cache.clear()
+        entry = self.entry(target)
+        ranked = entry.get(node)
+        if ranked is None:
             scores = self.scores_with_self(node, target)
-            cached = (scores[0], *rank_by_score(self.neighbor_list(node), scores[1:]))
-            self._score_cache[key] = cached
-        return cached
+            ranked = (scores[0], *rank_by_score(self.neighbor_list(node), scores[1:]))
+            self._spend(self.RANKED_BASE_BYTES + 8 * len(ranked[1]) + 16 * len(ranked[3]))
+            entry[node] = ranked
+        return ranked
 
     def self_score(self, node: int, target: Identifier) -> int:
         """Metric score of ``node`` itself against ``target``."""

@@ -1,7 +1,7 @@
 """The MPIL per-message protocol (paper Figure 5), independent of any schedule.
 
 One :class:`MPILRequest` holds what is fixed for a request — its kind, id,
-object, origin, the network's ranking of neighbors and the label of
+object, origin, the metric table's entry for the object and the label of
 its tie-break stream — and everything the request accumulates while its
 message copies propagate; :meth:`MPILRequest.step` processes one delivered
 copy: check duplicate, answer if holder, pick the best unvisited neighbors,
@@ -75,7 +75,11 @@ class MPILRequest:
             raise RoutingError(f"node index {origin} out of range (n={network.overlay.n})")
         self.config = config = network.config
         self.directory = network.directory
-        self.ranked_neighbors = network.metric_table.ranked_neighbors
+        table = network.metric_table
+        #: the object's cache entry, ``node → RankedNeighbors``; a miss asks
+        #: the table, which ranks the node into its entry for the object
+        self.ranked = table.entry(object_id)
+        self.ranked_neighbors = table.ranked_neighbors
         self.tie_break = config.tie_break
         self.is_lookup = kind == KIND_LOOKUP
         self.request_id = request_id
@@ -184,8 +188,11 @@ class MPILRequest:
         # the nodes no child may go to — "excluding the nodes in M.route and
         # N" — are exactly the route every child carries: one tuple is both
         route += (node,)
+        ranked = self.ranked.get(node)
+        if ranked is None:
+            ranked = self.ranked_neighbors(node, object_id)
         is_local_max, next_hops, budgets, new_flows = decide_forwarding(
-            self.ranked_neighbors(node, object_id),
+            ranked,
             route,
             msg.max_flows,
             1 if hop else 0,  # only the originator's copy has travelled nowhere

@@ -12,10 +12,12 @@ manifest entry is checked.
 from __future__ import annotations
 
 import functools
+import gc
 import inspect
 import operator
 import random
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -25,12 +27,18 @@ from hypothesis import strategies as st
 from repro.core.config import MPILConfig
 from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
 from repro.core.identifiers import IdSpace
-from repro.core.metric import NeighborMetricTable, metric_by_name, rank_by_score
+from repro.core.metric import (
+    CommonDigitsMetric,
+    NeighborMetricTable,
+    metric_by_name,
+    rank_by_score,
+)
 from repro.core.network import MPILNetwork
 from repro.core.routing import decide_forwarding
 from repro.errors import ConfigurationError
 from repro.experiments.store import ResultStore
 from repro.overlay.graph import OverlayGraph
+from repro.overlay.power_law import power_law_graph
 from repro.overlay.random_graphs import gnp_random_graph
 from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry import routing as pastry_routing
@@ -618,7 +626,7 @@ class TestCachedViews:
                 assert combined[0] == table.self_score(node, target)
                 assert combined[1:] == table.scores(node, target).tolist()
                 assert table.neighbor_list(node) == overlay.neighbors(node)
-                # not memoised itself: the one memo holds the ranked form
+                # not cached itself: the object's entry holds the ranked form
                 assert table.scores_with_self(node, target) is not combined
 
     @pytest.mark.parametrize("metric_name", ["common-digits", "prefix", "suffix"])
@@ -638,18 +646,100 @@ class TestCachedViews:
                 assert type(entry) is tuple
                 assert all(type(member) is tuple for member in entry[1:])
 
-    def test_ranked_neighbors_survives_memo_overflow(self, monkeypatch):
+    def test_each_object_is_scored_once_however_many_the_table_routes(self, monkeypatch):
+        """150 objects on a 2,000-node overlay, each inserted and looked up
+        twice, cost one full-population scoring each."""
+        scorings = []
+        scores_matrix = CommonDigitsMetric.scores_matrix
+
+        def counted(metric, target_digits, matrix):
+            scorings.append(target_digits.tobytes())
+            return scores_matrix(metric, target_digits, matrix)
+
+        monkeypatch.setattr(CommonDigitsMetric, "scores_matrix", counted)
+        network = MPILNetwork(power_law_graph(2000, seed=4), seed=4)
+        rng = derive_rng(4, "objects")
+        objects = [network.random_object_id(rng) for _ in range(150)]
+        for object_id in objects:
+            network.insert(rng.randrange(2000), object_id)
+        for _ in range(2):
+            for object_id in objects:
+                network.lookup(rng.randrange(2000), object_id)
+        assert len(set(scorings)) == len(objects)
+        assert len(scorings) == len(objects), f"{len(scorings)} scorings"
+
+    def test_a_tiny_budget_drops_vectors_and_rankings_together(self, monkeypatch):
         overlay = gnp_random_graph(30, 0.2, seed=3)
         network = MPILNetwork(overlay, config=MPILConfig(), seed=3)
+        rng = derive_rng(3, "targets")
+        targets = [network.space.random_identifier(rng) for _ in range(3)]
+        expected = {
+            (node, target): network.metric_table.ranked_neighbors(node, target)
+            for target in targets
+            for node in range(overlay.n)
+        }
+        # room for one vector and a few rankings: every few misses drop all
+        table = NeighborMetricTable(overlay, network.ids)
+        held = table.entry(targets[0])
+        monkeypatch.setattr(
+            NeighborMetricTable, "SCORE_CACHE_BYTES", held.vector.nbytes + 4 * 400
+        )
+        for _ in range(2):
+            for target in targets:
+                for node in range(overlay.n):
+                    assert table.ranked_neighbors(node, target) == expected[node, target]
+        # the first entry went whole: a new one starts with no rankings
+        fresh = table.entry(targets[0])
+        assert fresh is not held and len(fresh) == 0
+        assert np.array_equal(fresh.vector, held.vector)
+        # and the evicted one still answers right for whoever holds it
+        assert held
+        for node, ranked in held.items():
+            assert ranked == expected[node, targets[0]]
+
+    def test_an_insert_whose_entry_is_evicted_mid_request_is_unchanged(self, monkeypatch):
+        overlay = gnp_random_graph(60, 0.1, seed=5)
+        object_id = IdSpace().random_identifier(derive_rng(5, "object"))
+        roomy = MPILNetwork(overlay, seed=5).insert(0, object_id)
+        clear_all_caches()
+        # every vector and every ranking overflows: each miss drops the
+        # entry the request holds, which keeps routing on it
+        monkeypatch.setattr(NeighborMetricTable, "SCORE_CACHE_BYTES", 1)
+        network = MPILNetwork(overlay, seed=5)
+        assert network.insert(0, object_id) == roomy
+        assert roomy.traffic > 1
+
+    def test_a_cached_vector_is_read_only(self):
+        overlay = gnp_random_graph(30, 0.2, seed=3)
+        network = MPILNetwork(overlay, seed=3)
         table = network.metric_table
         target = network.space.random_identifier(derive_rng(3, "targets"))
-        expected = [table.ranked_neighbors(node, target) for node in range(overlay.n)]
-        monkeypatch.setattr(NeighborMetricTable, "SCORE_CACHE_LIMIT", 8)
-        table._score_cache.clear()
-        for _ in range(2):
-            for node in range(overlay.n):
-                assert table.ranked_neighbors(node, target) == expected[node]
-                assert len(table._score_cache) <= 8
+        vector = table.scores_all(target)
+        assert table.entry(target).vector is vector
+        with pytest.raises(ValueError):
+            vector[0] = 99
+        with pytest.raises(ValueError):
+            vector += 1
+        oracle = NeighborMetricTable(overlay, network.ids)
+        for node in range(overlay.n):
+            assert table.ranked_neighbors(node, target) == oracle.ranked_neighbors(node, target)
+
+    def test_clearing_the_caches_frees_a_table_without_a_collection(self):
+        """An entry holding its table would be a cycle: every table
+        ``clear_all_caches`` drops would live on until the cyclic
+        collector ran."""
+        gc.disable()
+        try:
+            network = MPILNetwork(gnp_random_graph(40, 0.2, seed=2), seed=2)
+            object_id = network.random_object_id(derive_rng(2, "object"))
+            network.insert(0, object_id)
+            network.lookup(5, object_id)
+            table = weakref.ref(network.metric_table)
+            del network
+            clear_all_caches()
+            assert table() is None
+        finally:
+            gc.enable()
 
     def test_rank_by_score_keeps_input_order_inside_a_tier(self):
         assert rank_by_score((7, 3, 9, 1, 5), (2, -1, 2, 4, -1)) == (

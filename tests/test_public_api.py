@@ -82,6 +82,18 @@ def test_version_is_one_value():
     assert repro.__version__ == declared
 
 
+def test_the_toml_reader_is_the_stdlib_one_from_3_11_and_tomli_below():
+    """Python 3.10 has no stdlib ``tomllib``: there the one TOML reader
+    resolves through the declared ``tomli`` backport."""
+    from repro.util.toml import tomllib
+
+    if sys.version_info >= (3, 11):
+        import tomllib as expected
+    else:
+        import tomli as expected
+    assert tomllib is expected
+
+
 @pytest.mark.parametrize(
     "package", ["service", "experiments", "core", "pastry", "telemetry", "api"]
 )
