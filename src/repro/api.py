@@ -193,7 +193,7 @@ def sweep(
     ``"7"``) or an iterable of ints; ``store`` may be a
     :class:`~repro.experiments.store.ResultStore`, a directory path, or
     ``None`` to keep results in memory only.  With a store the sweep is
-    durable (sqlite task ledger, up to ``jobs`` crash-tolerant worker
+    durable (an append-only task journal, up to ``jobs`` crash-tolerant worker
     processes that are reused from task to task, atomic artifact
     commits): ``resume=True`` skips verified-complete tasks from an
     earlier interrupted call, ``max_retries``/``task_timeout`` bound
@@ -219,7 +219,7 @@ def sweep_status(
     experiment: Optional[str] = None,
     scale: Optional[str] = None,
 ) -> list[TaskRow]:
-    """A sweep's ledger rows, like the CLI ``status`` (read-only).
+    """A sweep's ledger rows, like the CLI ``status`` (read-only, lock-free).
 
     Each :class:`~repro.experiments.ledger.TaskRow` carries the task's
     state (``pending/running/done/failed``), attempt count, worker id,
@@ -229,12 +229,13 @@ def sweep_status(
     """
     if isinstance(store, (str, pathlib.Path)):
         store = ResultStore(store)
-    if not store.ledger_path.exists():
+    ledger = store.ledger  # an old sqlite ledger is refused here, in one line
+    if not ledger.path.exists():
         raise ExperimentError(
-            f"no sweep ledger at {store.ledger_path}; "
+            f"no sweep ledger at {ledger.path}; "
             f"run `sweep --out {store.root}` first"
         )
-    return store.ledger.rows(experiment_id=experiment, scale=scale)
+    return ledger.rows(experiment_id=experiment, scale=scale)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -41,6 +41,6 @@ class ExperimentError(ReproError):
 
 
 class LedgerError(ExperimentError):
-    """The sweep task ledger rejected a state transition or could not be
-    accessed (e.g. it is locked by another process).  A subclass of
+    """The sweep task ledger rejected a transition or a journal line, or a
+    live sweep holds the store's ``sweep.lock``.  A subclass of
     :class:`ExperimentError` so CLI error handling stays one ``except``."""

@@ -8,11 +8,11 @@ Eight commands (``<command> --help`` has each one's options):
 - ``run`` — experiments at one seed: print their tables, and with ``--out``
   persist each replicate exactly as a sweep's commit does;
 - ``sweep`` — experiments over a *set* of seeds on a crash-tolerant worker
-  pool: per-seed artifacts, a durable sqlite task ledger, one
+  pool: per-seed artifacts, a durable task journal, one
   mean/stdev/ci95 aggregate per experiment; ``--resume`` re-runs only what
   an interrupted sweep left unfinished (:mod:`repro.experiments.runner`);
 - ``status`` — a sweep's ledger progress for one experiment, plus one line
-  from each replicate's ``seed_<n>.telemetry.json``; runs nothing;
+  from each replicate's ``seed_<n>.telemetry.json``; runs and locks nothing;
 - ``trace`` — run with span recording on and print parent-linked hop
   trees; ``--out`` exports the spans as sorted JSONL (:mod:`repro.telemetry`);
 - ``compose`` — build an experiment from a declarative TOML/JSON spec

@@ -7,8 +7,8 @@ topologies.  This module turns that into a first-class workflow: a
 replicate through a :class:`~repro.experiments.store.ResultStore` and
 writing one aggregate (mean/stdev/ci95) table per experiment.
 
-Sweeps that run against a store are *durable*: every task is tracked in a
-sqlite ledger (:mod:`repro.experiments.ledger`) and executed by the
+Sweeps that run against a store are *durable*: every task is tracked in
+the store's task journal (:mod:`repro.experiments.ledger`) and executed by the
 crash-tolerant runtime (:mod:`repro.experiments.runtime`) — up to ``jobs``
 long-lived worker processes fed one task at a time and replaced when they
 die, hang or raise, per-task timeouts, bounded retry with backoff, and
@@ -269,18 +269,21 @@ def run_sweep(
             # a corrupt manifest fails here, before any task is claimed
             store.manifest(experiment_id, spec.scale)
         ledger = store.ledger
-        to_run, skipped = plan_tasks(
-            ledger, tasks, resume=resume, verify=store.verify_artifact
-        )
 
         def commit(outcome: TaskOutcome) -> str:
             # the one hash of the artifact: what the ledger records as done
             # and what a resume verifies the bytes on disk against
             return file_checksum(save_outcome(store, outcome))
 
-        outcomes, failures = drain_ledger(
-            to_run, ledger, config, commit, progress=progress
-        )
+        try:  # the first ledger write takes the store's sweep.lock
+            to_run, skipped = plan_tasks(
+                ledger, tasks, resume=resume, verify=store.verify_artifact
+            )
+            outcomes, failures = drain_ledger(
+                to_run, ledger, config, commit, progress=progress
+            )
+        finally:
+            ledger.close()  # and with it the lock
 
     # Aggregate executed + skipped replicates, in canonical task order, so
     # the aggregate bytes never depend on completion order or on how many

@@ -43,7 +43,8 @@ because
   worker, so no process outlives the sweep and none computes an unclaimed
   task;
 - a parent crash strands ``running`` rows, which the next resume reclaims
-  (``release``) before execution, and orphans the workers, which read EOF
+  (``release``) before execution, and a ``sweep.lock`` naming a dead pid,
+  which the next writer takes over; it orphans the workers, which read EOF
   on their pipes and exit.
 
 Determinism survives worker reuse: a task draws all of its randomness

@@ -21,10 +21,10 @@ Every artifact (seed JSON, manifest, aggregates) is committed atomically:
 the bytes go to a temp file in the same directory and are renamed into
 place with ``os.replace``, so a crash — even SIGKILL — mid-write can never
 leave a truncated ``seed_<n>.json`` behind.  A replicate is recorded once:
-its ``runs`` entry in the cell's manifest.  ``<root>/ledger.sqlite`` is the
-sweep runtime's task ledger (:mod:`repro.experiments.ledger`), opened only
-through :attr:`ResultStore.ledger` — saving a replicate never touches it,
-so a store that no sweep has used has none.
+its ``runs`` entry in the cell's manifest.  ``<root>/tasks.jsonl``, the
+sweep runtime's task journal (:mod:`repro.experiments.ledger`), and its
+``sweep.lock`` are written only through :attr:`ResultStore.ledger` — saving
+a replicate never touches them, so a store no sweep has used has neither.
 
 :func:`aggregate_results` merges replicate rows into a new table where
 every column that varies across seeds is replaced by ``_mean`` / ``_stdev``
@@ -132,12 +132,13 @@ class ResultStore:
 
     @property
     def ledger_path(self) -> pathlib.Path:
-        """The sweep task ledger's sqlite file (absent until a sweep runs)."""
-        return self.root / "ledger.sqlite"
+        """The sweep task ledger's journal (absent until a sweep runs)."""
+        return self.root / "tasks.jsonl"
 
     @property
     def ledger(self) -> TaskLedger:
-        """The store's task ledger, opened (and created) on first access."""
+        """The store's task ledger, folded on first access; it creates no
+        file before its first write."""
         if self._ledger is None:
             self._ledger = TaskLedger(self.ledger_path)
         return self._ledger

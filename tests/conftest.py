@@ -3,6 +3,9 @@ hypothesis settings tuned for a fast, deterministic suite."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -33,6 +36,25 @@ def _isolated_construction_caches():
     clear_all_caches()
     yield
     clear_all_caches()
+
+
+@pytest.fixture()
+def live_pid():
+    """The pid of a live process that is not this one (a sleeping child)."""
+    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(600)"])
+    try:
+        yield child.pid
+    finally:
+        child.kill()
+        child.wait()
+
+
+@pytest.fixture()
+def dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 @pytest.fixture(scope="session")

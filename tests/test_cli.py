@@ -253,13 +253,13 @@ class TestMain:
         """The ledger is a sweep's: one replicate saved is one manifest
         entry, and ``status`` there says no sweep ran — in one line."""
         assert main(["run", "fig7", "--scale", "smoke", "--out", str(tmp_path)]) == 0
-        assert not (tmp_path / "ledger.sqlite").exists()
+        assert not (tmp_path / "tasks.jsonl").exists()
         capsys.readouterr()
         assert main(["status", "fig7", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "no sweep ledger" in captured.err
-        assert not (tmp_path / "ledger.sqlite").exists()
+        assert not (tmp_path / "tasks.jsonl").exists()
 
     def test_run_out_stores_result_and_event_count(self, tmp_path, capsys):
         """``run --out`` used to record ``events_processed: 0``."""
@@ -305,7 +305,7 @@ class TestSweepMain:
             "ext-outage/smoke/aggregate.json",
         ):
             assert (tmp_path / name).is_file(), name
-        assert (tmp_path / "ledger.sqlite").is_file()
+        assert (tmp_path / "tasks.jsonl").is_file()
 
     def test_sweep_table_format(self, tmp_path, capsys):
         assert (
@@ -875,11 +875,10 @@ class TestStatusAndResume:
         assert len(error_lines) == 1
         assert "fig99" in error_lines[0]
 
-    def test_status_locked_ledger(self, tmp_path, capsys, monkeypatch):
-        import sqlite3
-
-        from repro.experiments import ledger as ledger_module
-
+    def test_status_reads_while_a_sweep_holds_the_lock(self, tmp_path, capsys, live_pid):
+        """``status`` takes no lock: with another live process holding
+        ``sweep.lock`` and a half-appended journal line, it prints the rows
+        and exits 0."""
         assert (
             main(
                 [
@@ -896,20 +895,16 @@ class TestStatusAndResume:
             == 0
         )
         capsys.readouterr()
-        monkeypatch.setattr(ledger_module, "LOCK_TIMEOUT", 0.1)
-        blocker = sqlite3.connect(tmp_path / "ledger.sqlite")
-        blocker.execute("BEGIN EXCLUSIVE")
-        try:
-            code = main(["status", "fig7", "--out", str(tmp_path)])
-        finally:
-            blocker.rollback()
-            blocker.close()
-        assert code == 2
+        assert main(["status", "fig7", "--out", str(tmp_path)]) == 0
+        finished = capsys.readouterr().out
+        (tmp_path / "sweep.lock").write_text(f"{live_pid}\n")
+        with (tmp_path / "tasks.jsonl").open("ab") as journal:
+            journal.write(b'{"op":"reset_all","tasks":[["fig7","smoke",0]],"a')
+        assert main(["status", "fig7", "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        error_lines = captured.err.strip().splitlines()
-        assert len(error_lines) == 1
-        assert "locked" in error_lines[0] or "ledger" in error_lines[0]
-        assert "Traceback" not in captured.err
+        assert captured.err == ""
+        assert captured.out == finished
+        assert "fig7/smoke: 0 pending, 0 running, 1 done, 0 failed" in finished
 
     def test_sweep_resume_skips_verified_tasks(self, tmp_path, capsys):
         base = [

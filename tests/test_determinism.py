@@ -156,6 +156,48 @@ def test_the_library_runs_without_networkx():
     assert digests == {key: GOLDENS["digests"][key] for key in digests}
 
 
+_SWEEP_WITHOUT_SQLITE = """
+import hashlib, json, sys
+sys.modules["sqlite3"] = None  # every import of sqlite3 now raises
+from repro import api
+from repro.experiments.cli import main
+store, ids = sys.argv[1], ["fig9", "fig10", "tab3"]
+report = api.sweep(ids, seeds=[1], scale="smoke", jobs=2, store=store)
+assert not report.failures, report.failures
+resumed = api.sweep(ids, seeds=[1], scale="smoke", jobs=2, store=store, resume=True)
+assert not resumed.outcomes and len(resumed.skipped) == 3, resumed
+assert main(["sweep", *ids, "--seeds", "1", "--scale", "smoke", "--out", store,
+             "--resume"]) == 0
+for experiment_id in ids:
+    assert main(["status", experiment_id, "--out", store]) == 0
+print(json.dumps({
+    outcome.experiment_id: hashlib.sha256(
+        json.dumps(outcome.result.to_dict(), sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    for outcome in report.outcomes
+}))
+"""
+
+
+def test_a_durable_sweep_runs_without_sqlite(tmp_path):
+    """The task ledger is a journal, not a database: with every import of
+    sqlite3 made to fail, a durable two-worker sweep, its ``--resume`` and
+    ``status`` all succeed and the replicates carry the golden bytes."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_WITHOUT_SQLITE, str(tmp_path / "store")],
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(digests) == ["fig10", "fig9", "tab3"]
+    if GOLDENS["fingerprint"] != _fingerprint():
+        pytest.skip(f"goldens were taken under {GOLDENS['fingerprint']}")
+    assert digests == {key: GOLDENS["digests"][key] for key in digests}
+
+
 def test_goldens_cover_every_registered_experiment():
     assert sorted(GOLDENS["digests"]) == sorted(all_experiment_ids())
 

@@ -209,7 +209,7 @@ class TestCorruptStoreFiles:
 
     def _fails_in_one_line(self, argv, root, capsys) -> str:
         """Run ``argv``; assert exit 2, one stderr line, store unchanged
-        (ledger.sqlite included: no row added, claimed or released)."""
+        (tasks.jsonl included: no row added, claimed or released)."""
         before = self._snapshot(root)
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -218,13 +218,42 @@ class TestCorruptStoreFiles:
         return err
 
     def test_garbage_ledger(self, swept, capsys):
-        ledger = swept / "ledger.sqlite"
+        ledger = swept / "tasks.jsonl"
         ledger.write_text("garbage\n")
         for argv in (
             ["status", "fig7", "--out", str(swept)],
             self._sweep(swept, "0..1", "--resume"),
         ):
             assert str(ledger) in self._fails_in_one_line(argv, swept, capsys)
+
+    def test_garbage_middle_line_in_the_journal(self, swept, capsys):
+        ledger = swept / "tasks.jsonl"
+        first, *rest = ledger.read_bytes().splitlines(keepends=True)
+        ledger.write_bytes(b"".join([first, b"garbage\n", *rest]))
+        for argv in (
+            ["status", "fig7", "--out", str(swept)],
+            self._sweep(swept, "0..1", "--resume"),
+            self._sweep(swept, "0..1"),
+        ):
+            err = self._fails_in_one_line(argv, swept, capsys)
+            assert f"{ledger}:2: not a ledger record" in err
+
+    def test_old_sqlite_ledger_is_refused(self, swept, capsys):
+        """A store an older version swept holds ``ledger.sqlite`` and no
+        journal: one line says what to do, from every command that would
+        read it, and nothing is written."""
+        (swept / "tasks.jsonl").unlink()
+        old = swept / "ledger.sqlite"
+        old.write_bytes(b"SQLite format 3\x00")
+        for argv in (
+            ["status", "fig7", "--out", str(swept)],
+            self._sweep(swept, "0..1", "--resume"),
+            self._sweep(swept, "0..1"),
+        ):
+            err = self._fails_in_one_line(argv, swept, capsys)
+            assert str(old) in err
+            assert "artifacts beside it are kept" in err
+            assert "delete it and run `sweep` without `--resume`" in err
 
     def test_truncated_manifest_stops_sweep_before_any_claim(self, swept, capsys):
         manifest = swept / "fig7" / "smoke" / "manifest.json"

@@ -9,14 +9,23 @@ runtime's invariants:
 - attempt counters are monotone non-decreasing;
 - terminal states are absorbing under executor events (``done`` forever,
   ``failed`` until an explicit resume reset);
-- rejected transitions change nothing (the row is byte-identical);
+- rejected transitions change nothing (the row is byte-identical, and so
+  are the journal's bytes);
+- the journal is the whole state: a ledger opened fresh on it after any
+  event reads the same rows as the live one;
 - a resumed sweep plans exactly the non-``done`` task set, in canonical
   order, and leaves every planned task ``pending``.
+
+Each example gets its own journal in a temporary directory made inside the
+``@given`` body (hypothesis rejects function-scoped fixtures).
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
+import tempfile
+from typing import Iterator
 
 from hypothesis import given, strategies as st
 
@@ -41,6 +50,15 @@ event_lists = st.lists(
 )
 
 
+@contextlib.contextmanager
+def _fresh_ledger() -> Iterator[TaskLedger]:
+    """An ensured ledger over a journal of its own."""
+    with tempfile.TemporaryDirectory() as root:
+        with TaskLedger(pathlib.Path(root) / "tasks.jsonl") as ledger:
+            ledger.ensure(TASKS)
+            yield ledger
+
+
 def _apply(ledger: TaskLedger, event: str, task) -> None:
     if event == "claim":
         ledger.claim(task, worker="property")
@@ -56,8 +74,7 @@ def _apply(ledger: TaskLedger, event: str, task) -> None:
 
 @given(events=event_lists)
 def test_any_interleaving_upholds_invariants(events):
-    with TaskLedger(pathlib.Path(":memory:")) as ledger:
-        ledger.ensure(TASKS)
+    with _fresh_ledger() as ledger:
         state = {task: "pending" for task in TASKS}
         attempts = {task: 0 for task in TASKS}
         completions = {task: 0 for task in TASKS}
@@ -65,6 +82,7 @@ def test_any_interleaving_upholds_invariants(events):
         for event, index in events:
             task = TASKS[index]
             before = ledger.row(task)
+            journal = ledger.path.read_bytes()
             allowed_from, to_state = EVENTS[event]
             legal = state[task] == allowed_from
             if legal:
@@ -83,8 +101,9 @@ def test_any_interleaving_upholds_invariants(events):
                     raise AssertionError(
                         f"{event} on {state[task]!r} task {task} was accepted"
                     )
-                # a rejected event must leave the row untouched
+                # a rejected event must leave the row and the journal untouched
                 assert ledger.row(task) == before
+                assert ledger.path.read_bytes() == journal
 
             row = ledger.row(task)
             # the ledger tracks the reference state machine exactly
@@ -94,6 +113,8 @@ def test_any_interleaving_upholds_invariants(events):
             assert row.attempts >= before.attempts
             # no task is ever done twice
             assert completions[task] <= 1
+            # the journal alone rebuilds the live state
+            assert TaskLedger(ledger.path).rows() == ledger.rows()
 
         # terminal 'done' rows kept their first checksum through every
         # later (rejected) event
@@ -104,8 +125,7 @@ def test_any_interleaving_upholds_invariants(events):
 
 @given(events=event_lists)
 def test_resume_plans_exactly_the_non_done_set(events):
-    with TaskLedger(pathlib.Path(":memory:")) as ledger:
-        ledger.ensure(TASKS)
+    with _fresh_ledger() as ledger:
         state = {task: "pending" for task in TASKS}
         for event, index in events:
             task = TASKS[index]
@@ -131,8 +151,7 @@ def test_resume_plans_exactly_the_non_done_set(events):
 
 @given(events=event_lists)
 def test_fresh_run_resets_everything(events):
-    with TaskLedger(pathlib.Path(":memory:")) as ledger:
-        ledger.ensure(TASKS)
+    with _fresh_ledger() as ledger:
         state = {task: "pending" for task in TASKS}
         for event, index in events:
             task = TASKS[index]

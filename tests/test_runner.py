@@ -227,6 +227,26 @@ class TestResume:
         with pytest.raises(ExperimentError, match="task-timeout"):
             run_sweep(self.SPEC, store, task_timeout=0.0)
 
+    def test_sweep_releases_the_store_lock(self, tmp_path, monkeypatch):
+        """The lock lives as long as the sweep: gone after one that
+        returns, and after one that raises out of ``commit``."""
+        from repro import api
+
+        api.sweep(["fig7"], seeds="0..1", scale="smoke", jobs=2, store=tmp_path)
+        assert (tmp_path / "tasks.jsonl").is_file()
+        assert not (tmp_path / "sweep.lock").exists()
+        store = ResultStore(tmp_path)
+        boom = OSError(28, "No space left on device")
+
+        def full_disk(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(store, "save", full_disk)
+        with pytest.raises(OSError) as caught:
+            api.sweep(["fig7"], seeds="0..1", scale="smoke", jobs=2, store=store)
+        assert caught.value is boom
+        assert not (tmp_path / "sweep.lock").exists()
+
     def test_sweep_records_ledger_states(self, tmp_path):
         store = ResultStore(tmp_path)
         run_sweep(self.SPEC, store, jobs=2)

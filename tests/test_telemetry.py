@@ -8,7 +8,6 @@ import hashlib
 import io
 import json
 import pathlib
-import sqlite3
 
 import pytest
 from determinism_lint import RULES, FileContext, lint
@@ -16,7 +15,6 @@ from determinism_lint import RULES, FileContext, lint
 from repro import api
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.cli import main
-from repro.experiments.ledger import TaskLedger
 from repro.experiments.registry import run_experiment
 from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.store import ResultStore
@@ -261,46 +259,6 @@ class TestSweepTelemetry:
                 key.startswith("mpil_requests_total") for key in blob["final"]
             )
         assert store.telemetry("fig9", "smoke", 99) == {}
-
-
-class TestLedgerMigration:
-    def test_database_with_a_results_table_opens_renders_and_resumes(
-        self, tmp_path, capsys
-    ):
-        """A store written before the results index went: its ``ledger.sqlite``
-        still has the table (with the ``metrics`` column or without).  Nothing
-        reads it, nothing trips over it."""
-        sweep = ["sweep", "fig7", "--scale", "smoke", "--out", str(tmp_path)]
-        assert main(sweep + ["--seeds", "0..1"]) == 0
-        conn = sqlite3.connect(tmp_path / "ledger.sqlite")
-        with conn:
-            conn.executescript(
-                """
-                CREATE TABLE results (
-                    experiment_id TEXT NOT NULL, scale TEXT NOT NULL,
-                    seed INTEGER NOT NULL, path TEXT NOT NULL,
-                    checksum TEXT NOT NULL, rows INTEGER NOT NULL,
-                    wall_clock REAL NOT NULL, events_processed INTEGER NOT NULL,
-                    written_at TEXT NOT NULL,
-                    PRIMARY KEY (experiment_id, scale, seed)
-                );
-                CREATE INDEX idx_results_cell ON results (experiment_id, scale);
-                INSERT INTO results VALUES
-                    ('fig7', 'smoke', 0, 'fig7/smoke/seed_0.json',
-                     'sha256:abc', 3, 1.5, 100, '2026-01-01T00:00:00+00:00');
-                """
-            )
-        conn.close()
-        with TaskLedger(tmp_path / "ledger.sqlite") as ledger:
-            assert [row.state for row in ledger.rows()] == ["done", "done"]
-        capsys.readouterr()
-        assert main(["status", "fig7", "--out", str(tmp_path)]) == 0
-        assert "2 done" in capsys.readouterr().out
-        assert main(sweep + ["--seeds", "0..2", "--resume"]) == 0
-        assert "swept 1 tasks, skipped 2, failed 0" in capsys.readouterr().err
-        conn = sqlite3.connect(tmp_path / "ledger.sqlite")
-        assert conn.execute("SELECT COUNT(*) FROM results").fetchone() == (1,)
-        conn.close()
 
 
 class TestLintRegression:
