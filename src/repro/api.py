@@ -63,7 +63,6 @@ from repro.experiments.scales import (
     get_scale,
     register_scale,
     unregister_scale,
-    with_service_overrides,
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
@@ -146,9 +145,12 @@ def service_run(
             f"{spec.experiment_id!r} is not a service-mode experiment; pick one "
             f"tagged 'service' (`list --tags service`, api.list_experiments(('service',)))"
         )
-    return spec, with_service_overrides(
-        scale, rate=rate, duration=duration, window=window
-    )
+    overrides = {
+        f"service_{knob}": float(value)
+        for knob, value in (("rate", rate), ("duration", duration), ("window", window))
+        if value is not None
+    }
+    return spec, get_scale(scale).evolve(**overrides)
 
 
 def serve(
@@ -200,7 +202,11 @@ def sweep(
     crashed and hung workers.  Retries and timeouts apply only with a
     store: without one a ``task_timeout`` is an error.  Workers are forked
     where the platform forks, so scales and specs registered in this
-    process reach them.
+    process reach them.  The :class:`SweepReport` holds one
+    :class:`~repro.experiments.runtime.TaskOutcome` per executed task (its
+    ``result`` is the replicate) and the ledger's
+    :class:`~repro.experiments.ledger.TaskRow` for each skipped or failed
+    task.
     """
     if isinstance(store, (str, pathlib.Path)):
         store = ResultStore(store)

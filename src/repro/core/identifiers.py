@@ -22,11 +22,10 @@ import numpy as np
 
 from repro.errors import IdSpaceError
 
-#: translation tables for the C-speed digit decompositions below: a hex
-#: (or binary) rendering of the value *is* the digit string, modulo mapping
-#: each ASCII digit character to its numeric value
+#: translation table for the C-speed digit decomposition below: a hex
+#: rendering of the value *is* the digit string, modulo mapping each ASCII
+#: digit character to its numeric value
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-_BIN_DIGITS = bytes.maketrans(b"01", bytes((0, 1)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,15 +154,11 @@ class Identifier:
         self._space = space
         num_digits = space.num_digits
         digit_bits = space.digit_bits
-        # Decompose into digits at C speed where the digit width lines up
-        # with a printable base (the scale-ladder rungs mint 10^5-10^6 ids,
-        # so the per-id Python digit loop was a measurable setup cost).
+        # Decompose hex digits (every library space) at C speed: the
+        # scale-ladder rungs mint 10^5-10^6 ids, so the per-id Python digit
+        # loop was a measurable setup cost.
         if digit_bits == 4:
             self._digits = format(value, "0%dx" % num_digits).encode("ascii").translate(_HEX_DIGITS)
-        elif digit_bits == 8:
-            self._digits = value.to_bytes(num_digits, "big")
-        elif digit_bits == 1:
-            self._digits = format(value, "0%db" % num_digits).encode("ascii").translate(_BIN_DIGITS)
         else:
             digits = bytearray(num_digits)
             v = value

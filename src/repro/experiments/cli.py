@@ -455,7 +455,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(line, file=sys.stderr)
     if args.format == "json":
         # pure JSON on stdout so scripted callers can parse it directly
-        print(json.dumps(outcome.payload, sort_keys=True, indent=2))
+        print(json.dumps(outcome.result.to_dict(), sort_keys=True, indent=2))
     else:
         print(outcome.result.table())
     print(
@@ -522,16 +522,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 130
-    for entry in report.skipped:
+    for row in report.skipped:
         print(
-            f"[{entry.experiment_id} seed={entry.seed}] skipped "
+            f"[{row.experiment_id} seed={row.seed}] skipped "
             f"(complete, checksum verified)",
             file=sys.stderr,
         )
-    for failure in report.failures:
+    for row in report.failures:  # attempts as `status` counts them
         print(
-            f"[{failure.experiment_id} seed={failure.seed}] FAILED after "
-            f"{failure.attempts} attempts: {failure.error}",
+            f"[{row.experiment_id} seed={row.seed}] FAILED after "
+            f"{row.attempts} attempts: {row.error}",
             file=sys.stderr,
         )
     for aggregate in report.aggregates:

@@ -14,10 +14,16 @@ long-lived worker processes fed one task at a time and replaced when they
 die, hang or raise, per-task timeouts, bounded retry with backoff, and
 atomic write-then-rename artifact commits.  ``resume=True`` makes an
 interrupted sweep pick up where it stopped: verified-``done`` tasks are
-skipped (reported in :attr:`SweepReport.skipped`), orphaned ``running``
-claims are reclaimed, and ``failed`` tasks get a fresh retry budget.
-Storeless sweeps (``store=None``) run on the same workers without the
-ledger, or in this process with ``jobs=1``.
+skipped, orphaned ``running`` claims are reclaimed, and ``failed`` tasks
+get a fresh retry budget.  A :class:`SweepReport` describes each task
+with a record that already exists: an executed task by its
+:class:`~repro.experiments.runtime.TaskOutcome` (which holds the
+replicate's :class:`~repro.experiments.base.ExperimentResult`), a skipped
+or permanently failed one by its ledger row
+(:class:`~repro.experiments.ledger.TaskRow`).  The sweep holds the
+store's ``sweep.lock`` from its first ledger write until its last
+aggregate is written.  Storeless sweeps (``store=None``) run on the same
+workers without the ledger, or in this process with ``jobs=1``.
 
 Determinism is preserved under parallelism, retries, and resumption: each
 task re-derives all of its randomness from its own ``(experiment_id,
@@ -54,12 +60,10 @@ from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
-from repro.experiments.ledger import TaskKey, file_checksum
+from repro.experiments.ledger import TaskKey, TaskRow, file_checksum
 from repro.experiments.registry import get_spec
 from repro.experiments.runtime import (
     RuntimeConfig,
-    SkippedTask,
-    TaskFailure,
     TaskOutcome,
     drain_ledger,
     execute_task,
@@ -67,6 +71,7 @@ from repro.experiments.runtime import (
     run_in_workers,
 )
 from repro.experiments.scales import get_scale
+from repro.experiments.spec import validate_seed
 from repro.experiments.store import ResultStore, aggregate_results
 
 __all__ = [
@@ -129,8 +134,7 @@ class SweepSpec:
         if not self.seeds:
             raise ExperimentError("sweep needs at least one seed")
         for seed in self.seeds:
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ExperimentError(f"seed must be an int, got {seed!r}")
+            validate_seed(seed)
         object.__setattr__(self, "seeds", tuple(dict.fromkeys(self.seeds)))
         for experiment_id in self.experiment_ids:
             get_spec(experiment_id)  # raises on unknown ids
@@ -164,19 +168,21 @@ class SweepReport:
     """Everything one :func:`run_sweep` call produced.
 
     ``outcomes`` holds the tasks *executed* by this call (completion
-    order); a resumed sweep additionally reports the verified-done tasks
-    it skipped and, when retry budgets ran out, the permanent failures.
-    ``aggregates`` covers executed *and* skipped replicates — one entry
-    per experiment id in spec order, omitting experiments whose every
-    task failed.
+    order), each with its :class:`ExperimentResult`.  ``skipped`` and
+    ``failures`` are ledger rows (:class:`TaskRow`): the verified ``done``
+    rows a resumed sweep did not re-run and, when retry budgets ran out,
+    the ``failed`` rows, whose ``attempts`` and ``error`` are what
+    ``status`` shows.  ``aggregates`` covers executed *and* skipped
+    replicates — one entry per experiment id in spec order, omitting
+    experiments whose every task failed.
     """
 
     spec: SweepSpec
     outcomes: list[TaskOutcome]
     aggregates: list[ExperimentResult]
     wall_clock: float  #: end-to-end sweep time in the parent
-    skipped: list[SkippedTask] = dataclasses.field(default_factory=list)
-    failures: list[TaskFailure] = dataclasses.field(default_factory=list)
+    skipped: list[TaskRow] = dataclasses.field(default_factory=list)
+    failures: list[TaskRow] = dataclasses.field(default_factory=list)
 
     def outcome(self, experiment_id: str, seed: int) -> TaskOutcome:
         for outcome in self.outcomes:
@@ -219,6 +225,39 @@ def _run_sweep_in_memory(
     return outcomes
 
 
+def _aggregate(
+    spec: SweepSpec,
+    outcomes: list[TaskOutcome],
+    skipped: list[TaskRow],
+    store: Optional[ResultStore],
+) -> list[ExperimentResult]:
+    """Aggregate executed + skipped replicates per experiment, writing each
+    aggregate to ``store`` if there is one.  Replicates are taken in
+    canonical task order, so the aggregate bytes never depend on
+    completion order or on how many runs it took to converge."""
+    results_by_task: dict[TaskKey, ExperimentResult] = {
+        outcome.task: outcome.result for outcome in outcomes
+    }
+    for row in skipped:
+        assert store is not None  # skipped tasks only exist with a store
+        results_by_task[row.key] = store.load(*row.key)
+    tasks = spec.tasks()
+    aggregates: list[ExperimentResult] = []
+    for experiment_id in spec.experiment_ids:
+        cell = [
+            (task, results_by_task[task])
+            for task in tasks
+            if task[0] == experiment_id and task in results_by_task
+        ]
+        if not cell:
+            continue  # every replicate failed; reported in failures
+        aggregate = aggregate_results([result for _, result in cell])
+        aggregates.append(aggregate)
+        if store is not None:
+            store.write_aggregate(aggregate, [task[2] for task, _ in cell])
+    return aggregates
+
+
 def run_sweep(
     spec: SweepSpec,
     store: Optional[ResultStore] = None,
@@ -251,8 +290,8 @@ def run_sweep(
     config = RuntimeConfig(jobs=jobs, max_retries=max_retries, task_timeout=task_timeout)
     started = time.perf_counter()
     tasks = spec.tasks()
-    skipped: list[SkippedTask] = []
-    failures: list[TaskFailure] = []
+    skipped: list[TaskRow] = []
+    failures: list[TaskRow] = []
 
     if store is None:
         if resume:
@@ -264,6 +303,7 @@ def run_sweep(
                 "task_timeout needs a result store; without one no task is timed out"
             )
         outcomes = _run_sweep_in_memory(tasks, jobs, progress)
+        aggregates = _aggregate(spec, outcomes, [], None)
     else:
         for experiment_id in spec.experiment_ids:
             # a corrupt manifest fails here, before any task is claimed
@@ -282,33 +322,9 @@ def run_sweep(
             outcomes, failures = drain_ledger(
                 to_run, ledger, config, commit, progress=progress
             )
+            aggregates = _aggregate(spec, outcomes, skipped, store)
         finally:
-            ledger.close()  # and with it the lock
-
-    # Aggregate executed + skipped replicates, in canonical task order, so
-    # the aggregate bytes never depend on completion order or on how many
-    # runs it took to converge.
-    results_by_task: dict[TaskKey, ExperimentResult] = {
-        outcome.task: outcome.result for outcome in outcomes
-    }
-    for entry in skipped:
-        assert store is not None  # skipped tasks only exist with a store
-        results_by_task[entry.task] = store.load(
-            entry.experiment_id, entry.scale, entry.seed
-        )
-    aggregates: list[ExperimentResult] = []
-    for experiment_id in spec.experiment_ids:
-        cell = [
-            (task, results_by_task[task])
-            for task in tasks
-            if task[0] == experiment_id and task in results_by_task
-        ]
-        if not cell:
-            continue  # every replicate failed; reported in failures
-        aggregate = aggregate_results([result for _, result in cell])
-        aggregates.append(aggregate)
-        if store is not None:
-            store.write_aggregate(aggregate, [task[2] for task, _ in cell])
+            ledger.close()  # and with it the lock, after the last aggregate
 
     return SweepReport(
         spec=spec,

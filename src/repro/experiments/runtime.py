@@ -5,18 +5,21 @@ half is :mod:`repro.experiments.ledger`).  It provides:
 
 - :func:`execute_task` — the one measured run: zero the process-wide
   event total, run one replicate, time it, read the event total and
-  package the outcome.  The sweep workers, the in-process sweep and the
-  CLI's ``run``/``compose``/``serve``/``trace`` all go through it;
+  return a :class:`TaskOutcome` holding the replicate's
+  :class:`~repro.experiments.base.ExperimentResult`.  The sweep workers,
+  the in-process sweep and the CLI's ``run``/``compose``/``serve``/``trace``
+  all go through it;
 - :func:`plan_tasks` — the resume planner: decide, from ledger states and
   artifact checksums, which tasks still need to run and which verified
-  ``done`` tasks can be skipped;
+  ``done`` tasks can be skipped (reported as their ledger rows);
 - :class:`WorkerPool` — the worker mechanics: at most ``jobs`` long-lived
   worker processes, each looping *receive task → run → send result* on its
   own pipe, spawned on demand and replaced when they die, overrun a
   deadline or report an exception.  It knows nothing about ledgers;
 - :func:`drain_ledger` — the durable policy over a pool: claim in the
   ledger, send, commit the result, complete; per-task timeouts and bounded
-  retry with exponential backoff;
+  retry with exponential backoff, a task out of retries reported as its
+  ``failed`` ledger row;
 - :func:`run_in_workers` — the storeless policy over the same pool: no
   ledger, no retry, the first failure raises.
 
@@ -75,7 +78,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ExperimentError, LedgerError
 from repro.experiments.base import ExperimentResult
-from repro.experiments.ledger import TaskKey, TaskLedger
+from repro.experiments.ledger import TaskKey, TaskLedger, TaskRow
 from repro.experiments.registry import run_experiment
 from repro.experiments.scales import Scale
 from repro.experiments.spec import ExperimentSpec
@@ -86,54 +89,25 @@ from repro.util.cache import clear_all_caches
 
 @dataclasses.dataclass(frozen=True)
 class TaskOutcome:
-    """One completed (experiment, seed) task, as returned by a worker."""
+    """One completed (experiment, seed) task, as returned by a worker.
 
-    experiment_id: str
-    scale: str
+    ``result`` carries the run's telemetry snapshots on ``result.metrics``
+    (sim-derived values only, so the blob is byte-identical across reruns
+    and worker counts).
+    """
+
     seed: int
-    payload: dict  #: ExperimentResult.to_dict() output
+    result: ExperimentResult
     wall_clock: float
     events_processed: int
-    #: per-cell metrics snapshots from the run's telemetry registry
-    #: (``ExperimentResult.metrics``); sim-derived values only, so the blob
-    #: is byte-identical across reruns and worker counts
-    metrics: dict = dataclasses.field(default_factory=dict)
 
     @property
-    def result(self) -> ExperimentResult:
-        """The replicate, its telemetry blob back where ``ExperimentSpec.run`` put it."""
-        result = ExperimentResult.from_dict(self.payload)
-        result.metrics = self.metrics or None
-        return result
+    def experiment_id(self) -> str:
+        return self.result.experiment_id
 
     @property
-    def task(self) -> TaskKey:
-        return (self.experiment_id, self.scale, self.seed)
-
-
-@dataclasses.dataclass(frozen=True)
-class SkippedTask:
-    """A verified-done task a resumed sweep did not re-run."""
-
-    experiment_id: str
-    scale: str
-    seed: int
-    checksum: str
-
-    @property
-    def task(self) -> TaskKey:
-        return (self.experiment_id, self.scale, self.seed)
-
-
-@dataclasses.dataclass(frozen=True)
-class TaskFailure:
-    """A task whose retry budget ran out; its ledger row is ``failed``."""
-
-    experiment_id: str
-    scale: str
-    seed: int
-    attempts: int  #: attempts consumed in this executor run
-    error: str
+    def scale(self) -> str:
+        return self.result.scale
 
     @property
     def task(self) -> TaskKey:
@@ -204,15 +178,7 @@ def execute_task(
     started = time.perf_counter()
     result = run_experiment(experiment, scale=scale, seed=seed, telemetry=telemetry)
     wall_clock = time.perf_counter() - started
-    return TaskOutcome(
-        experiment_id=result.experiment_id,
-        scale=result.scale,
-        seed=seed,
-        payload=result.to_dict(),
-        wall_clock=wall_clock,
-        events_processed=events_processed_total(),
-        metrics=result.metrics or {},
-    )
+    return TaskOutcome(seed, result, wall_clock, events_processed_total())
 
 
 def plan_tasks(
@@ -220,7 +186,7 @@ def plan_tasks(
     tasks: list[TaskKey],
     resume: bool,
     verify: Callable[[TaskKey, str], bool],
-) -> tuple[list[TaskKey], list[SkippedTask]]:
+) -> tuple[list[TaskKey], list[TaskRow]]:
     """Decide which tasks a sweep must execute, updating the ledger.
 
     Without ``resume`` the sweep is semantically a fresh run: every task is
@@ -235,21 +201,21 @@ def plan_tasks(
     - ``pending`` rows simply run.
 
     Returns ``(to_run, skipped)`` with ``to_run`` in the sweep's canonical
-    task order — a resumed sweep executes exactly the non-verified-done
-    set, never a verified-done task.
+    task order and ``skipped`` the verified ``done`` rows — a resumed sweep
+    executes exactly the non-verified-done set, never a verified-done task.
     """
     ledger.ensure(tasks)
     if not resume:
         ledger.reset_all(tasks)
         return list(tasks), []
     to_run: list[TaskKey] = []
-    skipped: list[SkippedTask] = []
+    skipped: list[TaskRow] = []
     for task in tasks:
         row = ledger.row(task)
         assert row is not None  # ensure() above inserted it
         if row.state == "done":
             if row.checksum is not None and verify(task, row.checksum):
-                skipped.append(SkippedTask(*task, checksum=row.checksum))
+                skipped.append(row)
                 continue
             ledger.reopen_done(task, "artifact missing or failed checksum")
             to_run.append(task)
@@ -462,7 +428,7 @@ def drain_ledger(
     config: RuntimeConfig,
     commit: Callable[[TaskOutcome], str],
     progress: Optional[Callable[[TaskOutcome], None]] = None,
-) -> tuple[list[TaskOutcome], list[TaskFailure]]:
+) -> tuple[list[TaskOutcome], list[TaskRow]]:
     """Execute ``tasks`` through a crash-tolerant worker pool.
 
     The claim/commit/retry policy over a :class:`WorkerPool`: a task is
@@ -472,8 +438,9 @@ def drain_ledger(
     checksum — only then is the task marked ``done``.  Attempts that
     raise, die or overrun ``config.task_timeout`` are retried up to
     ``config.max_retries`` times with exponential backoff, then marked
-    ``failed``.  Returns completion-ordered outcomes plus permanent
-    failures; with ``jobs=1`` tasks launch strictly in the given order.
+    ``failed``.  Returns completion-ordered outcomes plus the ``failed``
+    rows of permanent failures; with ``jobs=1`` tasks launch strictly in
+    the given order.
 
     An exception out of the ledger or ``commit`` propagates unchanged
     after every worker has been retired.  ``KeyboardInterrupt``
@@ -485,7 +452,7 @@ def drain_ledger(
     attempts_used: dict[TaskKey, int] = {}
     claimed: set[TaskKey] = set()  #: claim attempted, not yet done/released/failed
     outcomes: list[TaskOutcome] = []
-    failures: list[TaskFailure] = []
+    failures: list[TaskRow] = []
 
     def next_eligible(now: float) -> Optional[TaskKey]:
         """Pop the first task not backing off, rotating past those that are."""
@@ -501,7 +468,9 @@ def drain_ledger(
         used = attempts_used[task]
         if used > config.max_retries:
             ledger.fail(task, error)
-            failures.append(TaskFailure(*task, attempts=used, error=error))
+            row = ledger.row(task)
+            assert row is not None  # claimed above
+            failures.append(row)
         else:
             ledger.release(task, error)
             not_before[task] = time.monotonic() + backoff_delay(used)

@@ -311,27 +311,3 @@ def get_scale(scale: str | Scale) -> Scale:
             f"unknown scale {scale!r}; choose from {list(available_scales())}"
         )
     return found
-
-
-def with_service_overrides(
-    scale: str | Scale,
-    rate: float | None = None,
-    duration: float | None = None,
-    window: float | None = None,
-) -> Scale:
-    """A scale with its service-traffic knobs selectively overridden.
-
-    The ``serve`` CLI command and :func:`repro.api.serve` use this to dial
-    the open-loop workload without defining a whole new preset; ``None``
-    keeps the preset's value.  Range validation happens in
-    :class:`repro.service.driver.ServiceConfig` when the run starts.
-    """
-    resolved = get_scale(scale)
-    overrides: dict[str, float] = {}
-    if rate is not None:
-        overrides["service_rate"] = float(rate)
-    if duration is not None:
-        overrides["service_duration"] = float(duration)
-    if window is not None:
-        overrides["service_window"] = float(window)
-    return resolved.evolve(**overrides) if overrides else resolved

@@ -25,7 +25,7 @@ from typing import Optional
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.replicas import ReplicaDirectory
 from repro.core.results import FOUND, HOP_LIMIT, MISDELIVERED, LookupResult
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError, IdSpaceError, RoutingError
 from repro.pastry.config import PastryConfig
 from repro.pastry.routing import DELIVER, pastry_next_hop, static_route
 from repro.pastry.state import (
@@ -134,7 +134,7 @@ class PastryNetwork:
 
     def route_static(self, origin: int, key: Identifier) -> list[int]:
         """The static route from ``origin`` to the delivery node."""
-        self._check_node(origin)
+        self._check_request(origin, key)
         return static_route(
             origin,
             key,
@@ -210,7 +210,7 @@ class PastryNetwork:
         holder, :data:`MISDELIVERED` at a delivery node that is not one, or
         at the :data:`HOP_LIMIT` (``max_route_hops``), its only drop.
         """
-        self._check_node(origin)
+        self._check_request(origin, key)
         cfg = self.config
         node = origin
         time = float(start_time)
@@ -344,6 +344,10 @@ class PastryNetwork:
         result.end_time = time
         return result
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.n:
-            raise RoutingError(f"node index {node} out of range (n={self.n})")
+    def _check_request(self, origin: int, key: Identifier) -> None:
+        if not 0 <= origin < self.n:
+            raise RoutingError(f"node index {origin} out of range (n={self.n})")
+        if key.space != self.space:
+            raise IdSpaceError(
+                f"key {key} belongs to {key.space}, not this ring's {self.space}"
+            )

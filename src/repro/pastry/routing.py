@@ -80,8 +80,8 @@ def pastry_next_hop(
     is not asked again.
 
     This is the inner loop of every lookup: ring offsets and circular
-    distances are computed inline on the ring's cached raw values, and the
-    shared-prefix digit decomposition goes through the ring's memo
+    distances are computed inline on the ring's cached raw values, and so
+    is the shared-prefix length, one XOR
     (:meth:`~repro.pastry.state.PastryRing.prefix_len`).
     """
     if not leaf_set:

@@ -32,14 +32,9 @@ class PastryRing:
     """Sorted ring over node identifiers with root/leaf-set queries.
 
     Besides the sorted order, the ring caches each node's raw identifier
-    value (``values``) and memoises shared-prefix lengths per
-    ``(node, key)`` — the digit decomposition at the core of every routing
-    step — so repeated lookups of the same objects never recompute them.
+    value (``values``), from which :meth:`prefix_len` — the digit
+    decomposition at the core of every routing step — is one XOR.
     """
-
-    #: cap on the shared-prefix memo (ints in, ints out — tiny entries, but
-    #: unbounded key streams exist in principle)
-    PREFIX_CACHE_LIMIT = 1_000_000
 
     def __init__(self, ids: Sequence[Identifier]):
         if not ids:
@@ -56,7 +51,6 @@ class PastryRing:
         #: raw identifier value per node index (hot-path view; avoids an
         #: attribute hop through ``ids[node].value`` per routing step)
         self.values: tuple[int, ...] = tuple(values)
-        self._prefix_cache: dict[tuple[int, int], int] = {}
         self._digit_matrix: np.ndarray | None = None
 
     @property
@@ -68,16 +62,11 @@ class PastryRing:
         return self._digit_matrix
 
     def prefix_len(self, node: int, key: Identifier) -> int:
-        """Memoised ``ids[node].prefix_match_len(key)`` (the per-hop digit
-        decomposition of the Pastry routing rule)."""
-        cache_key = (node, key.value)
-        cached = self._prefix_cache.get(cache_key)
-        if cached is None:
-            if len(self._prefix_cache) >= self.PREFIX_CACHE_LIMIT:
-                self._prefix_cache.clear()
-            cached = self.ids[node].prefix_match_len(key)
-            self._prefix_cache[cache_key] = cached
-        return cached
+        """``ids[node].prefix_match_len(key)`` (the per-hop digit
+        decomposition of the Pastry routing rule) for a key of the ring's
+        space, which the lookup entry points check once."""
+        space = self.space
+        return (space.bits - (self.values[node] ^ key.value).bit_length()) // space.digit_bits
 
     @property
     def n(self) -> int:

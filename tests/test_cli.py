@@ -959,6 +959,37 @@ class TestStatusAndResume:
         assert "FAILED after 1 attempts" in captured.err
         assert "RuntimeError" in captured.err
 
+    def test_resumed_failure_counts_attempts_as_status_does(self, tmp_path, capsys):
+        """A task that fails again on ``--resume`` reports every attempt
+        the ledger counted, the number ``status`` prints for that seed."""
+        from repro.experiments.registry import register, unregister
+        from repro.experiments.spec import ExperimentSpec, Pipeline
+
+        def measure(ctx, built, cell):
+            raise RuntimeError("always broken")
+
+        register(
+            ExperimentSpec(
+                experiment_id="cli-always-fails",
+                title="cli failure stub",
+                pipeline=Pipeline(columns=("seed",), measure=measure),
+            )
+        )
+        sweep = ["sweep", "cli-always-fails", "--seeds", "0", "--scale", "smoke",
+                 "--max-retries", "0", "--out", str(tmp_path)]
+        try:
+            assert main(sweep) == 1
+            assert main(sweep + ["--resume"]) == 1
+            capsys.readouterr()
+            assert main(sweep + ["--resume"]) == 1
+            failed = capsys.readouterr().err
+            assert main(["status", "cli-always-fails", "--out", str(tmp_path)]) == 0
+            status = capsys.readouterr().out
+        finally:
+            unregister("cli-always-fails")
+        assert "[cli-always-fails seed=0] FAILED after 3 attempts" in failed
+        assert "attempts=3 " in status
+
     def test_jobs_n_resume_parity_with_jobs_1(self, tmp_path, capsys):
         """Regression: a sweep interrupted and resumed with --jobs 2 must
         produce the same bytes as one uninterrupted --jobs 1 run."""

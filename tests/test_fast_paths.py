@@ -406,15 +406,15 @@ class TestOptimizedRoutingMatchesReference:
         with pytest.raises(ConfigurationError, match="node 4 to node 9"):
             build_routing_tables(ring, latency=OneBadPair(), seed=6)
 
-    def test_prefix_len_memo_matches_identifier(self):
+    def test_prefix_len_matches_identifier(self):
         ring = _random_ring(12, seed=7)
         rng = derive_rng(7, "keys")
         for _ in range(40):
             node = rng.randrange(ring.n)
             key = ring.space.random_identifier(rng)
             assert ring.prefix_len(node, key) == ring.ids[node].prefix_match_len(key)
-            # second call hits the memo
-            assert ring.prefix_len(node, key) == ring.ids[node].prefix_match_len(key)
+        for node in range(ring.n):  # a key equal to the node's own id
+            assert ring.prefix_len(node, ring.ids[node]) == ring.space.num_digits
 
 
 class TwoValuedLatency:

@@ -72,6 +72,14 @@ class TestIdSpace:
         assert SMALL.digit_of(0xBEEF, 3) == 0xF
         with pytest.raises(IdSpaceError):
             SMALL.digit_of(0xBEEF, 4)
+        # an identifier's digit string is digit_of at every width
+        rng = random.Random(3)
+        for digit_bits in (1, 2, 4, 8):
+            space = IdSpace(bits=24, digit_bits=digit_bits)
+            for value in [0, space.max_value] + [rng.randrange(space.size) for _ in range(50)]:
+                assert list(space.identifier(value).digits) == [
+                    space.digit_of(value, index) for index in range(space.num_digits)
+                ]
 
 
 class TestIdentifier:

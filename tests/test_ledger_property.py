@@ -139,14 +139,14 @@ def test_resume_plans_exactly_the_non_done_set(events):
         )
         # exactly the non-done set, in canonical task order
         assert to_run == [task for task in TASKS if state[task] != "done"]
-        assert [entry.task for entry in skipped] == [
+        assert [row.key for row in skipped] == [
             task for task in TASKS if state[task] == "done"
         ]
         # planning normalised every runnable task back to pending
         for task in to_run:
             assert ledger.row(task).state == "pending"
-        for entry in skipped:
-            assert ledger.row(entry.task).state == "done"
+        for row in skipped:
+            assert ledger.row(row.key).state == "done"
 
 
 @given(events=event_lists)

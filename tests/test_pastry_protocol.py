@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.identifiers import IdSpace
 from repro.core.results import FOUND, HOP_LIMIT, MISDELIVERED
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError, IdSpaceError, RoutingError
 from repro.pastry.config import PastryConfig
 from repro.pastry.protocol import PastryNetwork
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
@@ -90,6 +90,18 @@ class TestLookup:
     def test_origin_validated(self, network):
         with pytest.raises(RoutingError):
             network.lookup(60, SPACE.identifier(0))
+
+    @pytest.mark.parametrize("space", [IdSpace(bits=16, digit_bits=2), IdSpace(bits=32)])
+    def test_a_key_of_another_space_is_refused(self, network, space):
+        """Every key of another space is refused at both entry points,
+        before a hop is routed: none routes silently."""
+        rng = derive_rng(9, "foreign-keys")
+        for _ in range(50):
+            key = space.random_identifier(rng)
+            with pytest.raises(IdSpaceError, match="not this ring's"):
+                network.lookup(0, key)
+            with pytest.raises(IdSpaceError, match="not this ring's"):
+                network.route_static(0, key)
 
     def test_offline_root_causes_failure(self):
         net = PastryNetwork(n=40, space=SPACE, seed=8)

@@ -3,6 +3,8 @@ determinism under reruns and worker pools, and seed tightening."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -246,6 +248,26 @@ class TestResume:
             api.sweep(["fig7"], seeds="0..1", scale="smoke", jobs=2, store=store)
         assert caught.value is boom
         assert not (tmp_path / "sweep.lock").exists()
+
+    def test_the_lock_covers_the_aggregate_writes(self, tmp_path, monkeypatch):
+        """Every aggregate is written while ``sweep.lock`` names this
+        process — in a fresh sweep and in a resume that re-runs a task —
+        and the lock is gone after."""
+        lock = tmp_path / "sweep.lock"
+        holders = []
+        write_aggregate = ResultStore.write_aggregate
+
+        def checked(store, *args, **kwargs):
+            holders.append(lock.read_text(encoding="utf-8").strip())
+            return write_aggregate(store, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "write_aggregate", checked)
+        spec = SweepSpec(("fig7", "fig10"), seeds=(0, 1), scale="smoke")
+        run_sweep(spec, ResultStore(tmp_path), jobs=2)
+        ResultStore(tmp_path).seed_path("fig10", "smoke", 1).unlink()
+        run_sweep(spec, ResultStore(tmp_path), jobs=2, resume=True)
+        assert holders == [str(os.getpid())] * 4
+        assert not lock.exists()
 
     def test_sweep_records_ledger_states(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -244,7 +244,7 @@ class TestWarmWorkerBytes:
             pytest.skip(f"goldens were taken under {GOLDENS['fingerprint']}")
         digests = {
             outcome.experiment_id: hashlib.sha256(
-                json.dumps(outcome.payload, sort_keys=True).encode("utf-8")
+                json.dumps(outcome.result.to_dict(), sort_keys=True).encode("utf-8")
             ).hexdigest()
             for outcome in report.outcomes
         }
@@ -342,7 +342,9 @@ class TestStorelessWorkers:
     def test_matches_in_process_results(self, stub):
         pooled = run_sweep(_spec(range(4)), store=None, jobs=2)
         inline = run_sweep(_spec(range(4)), store=None, jobs=1)
-        assert [o.payload for o in pooled.outcomes] == [o.payload for o in inline.outcomes]
+        assert [o.result.to_dict() for o in pooled.outcomes] == [
+            o.result.to_dict() for o in inline.outcomes
+        ]
         assert pooled.aggregates == inline.aggregates
 
 
