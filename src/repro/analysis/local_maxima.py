@@ -19,33 +19,61 @@ replicas on the complete topology is ``N * sum_k A(k) * D(k)^(N-1)``
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from repro.core.identifiers import IdSpace
 from repro.errors import ConfigurationError
 
 
-def _digit_match_distribution(space: IdSpace):
-    """The Binomial(M, 1/2^b) distribution of shared-digit counts."""
-    return stats.binom(space.num_digits, 1.0 / space.base)
+@functools.lru_cache(maxsize=None)
+def _digit_match_table(num_digits: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial(M, 1/2^b) pmf and cdf at k = -1..M+1, read at ``k + 1``.
+
+    Both are ratios of integers, ``C(M,k) (2^b-1)^(M-k) / 2^(bM)`` and its
+    running sum, so each entry is correctly rounded and the cdf is exactly
+    1 from k = M on.
+    """
+    counts = [
+        math.comb(num_digits, k) * (base - 1) ** (num_digits - k)
+        for k in range(num_digits + 1)
+    ]
+    total = base**num_digits
+    pmf = np.array([0.0, *(count / total for count in counts), 0.0])
+    cdf = np.array([0.0, *(part / total for part in itertools.accumulate(counts)), 1.0])
+    pmf.flags.writeable = cdf.flags.writeable = False
+    return pmf, cdf
+
+
+def _read(space: IdSpace, k, cumulative: bool) -> np.ndarray | float:
+    """The pmf (0 off the integers) or the cdf at ``k``, a number or an array."""
+    pmf, cdf = _digit_match_table(space.num_digits, space.base)
+    k = np.asarray(k, dtype=float)
+    below = np.floor(k)
+    index = np.clip(below, -1, space.num_digits + 1).astype(int) + 1
+    values = (cdf if cumulative else pmf)[index]
+    if not cumulative:
+        values = np.where(below == k, values, 0.0)
+    return values[()]
 
 
 def prob_k_common(space: IdSpace, k) -> np.ndarray | float:
     """A(k): probability a random ID shares exactly ``k`` digits."""
-    return _digit_match_distribution(space).pmf(k)
+    return _read(space, k, cumulative=False)
 
 
 def prob_less_than_k_common(space: IdSpace, k) -> np.ndarray | float:
     """B(k): probability a random ID shares strictly fewer than ``k`` digits."""
-    return _digit_match_distribution(space).cdf(np.asarray(k) - 1)
+    return _read(space, np.asarray(k) - 1, cumulative=True)
 
 
 def prob_at_most_k_common(space: IdSpace, k) -> np.ndarray | float:
     """D(k): probability a random ID shares at most ``k`` digits."""
-    return _digit_match_distribution(space).cdf(k)
+    return _read(space, k, cumulative=True)
 
 
 def prob_no_common_digits(space: IdSpace) -> float:

@@ -546,7 +546,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"(swept {len(report.outcomes)} tasks, skipped {len(report.skipped)}, "
         f"failed {len(report.failures)} "
         f"[{len(spec.experiment_ids)} experiments x {len(spec.seeds)} seeds] "
-        f"in {report.wall_clock:.1f}s with jobs={args.jobs}; "
+        f"in {report.wall_clock:.1f}s with jobs={args.jobs}, "
+        f"{report.cache_clears} cache clears; "
         f"artifacts under {args.out}/)",
         file=sys.stderr,
     )

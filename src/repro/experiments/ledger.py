@@ -23,11 +23,12 @@ did not happen (a crash mid-append), cut by the next writer; any other
 line that does not parse or that the state machine rejects is a one-line
 ``LedgerError`` naming the file and the line.
 
-The first write takes ``<store root>/sweep.lock`` (``O_CREAT | O_EXCL``,
-holding the writer's pid) and :meth:`TaskLedger.close` removes it, so one
-sweep writes a store at a time: a lock naming another live process is a
-one-line ``LedgerError``, one naming a dead process (what ``kill -9``
-leaves) is taken over.  Reads take no lock; ``status`` works mid-sweep.
+The first legal write, whether or not it changes a row, takes
+``<store root>/sweep.lock`` (``O_CREAT | O_EXCL``, holding the writer's
+pid) and :meth:`TaskLedger.close` removes it, so one sweep writes a store
+at a time: a lock naming another live process is a one-line
+``LedgerError``, one naming a dead process (what ``kill -9`` leaves) is
+taken over.  Reads take no lock; ``status`` works mid-sweep.
 """
 
 from __future__ import annotations
@@ -212,12 +213,15 @@ class TaskLedger:
 
     def _write(self, op: str, tasks: Iterable[TaskKey], **fields: Optional[str]) -> None:
         """Check one transition against the folded state, then journal the
-        tasks it changes (none: nothing is written)."""
+        tasks it changes (none: nothing is written).  The first legal
+        transition takes the lock even if it changes nothing, so a resume
+        that finds every task ``done`` still writes its aggregates locked."""
         self._catch_up()
         record = {name: value for name, value in fields.items() if value is not None}
         record["at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         keys = list(tasks)
-        if self._fd is None and self._next_rows(op, keys, record):
+        if self._fd is None:
+            self._next_rows(op, keys, record)  # a rejected transition takes no lock
             self.path.parent.mkdir(parents=True, exist_ok=True)
             _take_lock(self._lock)
             self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)

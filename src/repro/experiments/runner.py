@@ -174,7 +174,9 @@ class SweepReport:
     the ``failed`` rows, whose ``attempts`` and ``error`` are what
     ``status`` shows.  ``aggregates`` covers executed *and* skipped
     replicates — one entry per experiment id in spec order, omitting
-    experiments whose every task failed.
+    experiments whose every task failed.  ``cache_clears`` counts the
+    tasks that reached a worker holding another ``(scale, seed)``, each
+    of which emptied that worker's construction caches (0 in-process).
     """
 
     spec: SweepSpec
@@ -183,6 +185,7 @@ class SweepReport:
     wall_clock: float  #: end-to-end sweep time in the parent
     skipped: list[TaskRow] = dataclasses.field(default_factory=list)
     failures: list[TaskRow] = dataclasses.field(default_factory=list)
+    cache_clears: int = 0
 
     def outcome(self, experiment_id: str, seed: int) -> TaskOutcome:
         for outcome in self.outcomes:
@@ -207,9 +210,10 @@ def _run_sweep_in_memory(
     tasks: list[TaskKey],
     jobs: int,
     progress: Optional[Callable[[TaskOutcome], None]],
-) -> list[TaskOutcome]:
+) -> tuple[list[TaskOutcome], int]:
     """The storeless path: no ledger, no durability, results in memory,
-    consumed in task order whatever the worker count."""
+    consumed in task order whatever the worker count.  Returns them with
+    the workers' cache clears."""
     outcomes: list[TaskOutcome] = []
 
     def consume(outcome: TaskOutcome) -> None:
@@ -220,9 +224,8 @@ def _run_sweep_in_memory(
     if jobs == 1:
         for task in tasks:
             consume(execute_task(*task))
-    else:
-        run_in_workers(tasks, jobs, consume)
-    return outcomes
+        return outcomes, 0
+    return outcomes, run_in_workers(tasks, jobs, consume)
 
 
 def _aggregate(
@@ -302,7 +305,7 @@ def run_sweep(
             raise ExperimentError(
                 "task_timeout needs a result store; without one no task is timed out"
             )
-        outcomes = _run_sweep_in_memory(tasks, jobs, progress)
+        outcomes, cache_clears = _run_sweep_in_memory(tasks, jobs, progress)
         aggregates = _aggregate(spec, outcomes, [], None)
     else:
         for experiment_id in spec.experiment_ids:
@@ -319,7 +322,7 @@ def run_sweep(
             to_run, skipped = plan_tasks(
                 ledger, tasks, resume=resume, verify=store.verify_artifact
             )
-            outcomes, failures = drain_ledger(
+            outcomes, failures, cache_clears = drain_ledger(
                 to_run, ledger, config, commit, progress=progress
             )
             aggregates = _aggregate(spec, outcomes, skipped, store)
@@ -333,4 +336,5 @@ def run_sweep(
         wall_clock=time.perf_counter() - started,
         skipped=skipped,
         failures=failures,
+        cache_clears=cache_clears,
     )

@@ -15,7 +15,12 @@ half is :mod:`repro.experiments.ledger`).  It provides:
 - :class:`WorkerPool` — the worker mechanics: at most ``jobs`` long-lived
   worker processes, each looping *receive task → run → send result* on its
   own pipe, spawned on demand and replaced when they die, overrun a
-  deadline or report an exception.  It knows nothing about ledgers;
+  deadline or report an exception.  It records the ``(scale, seed)`` each
+  worker holds and counts the assigns that change it.  It knows nothing
+  about ledgers;
+- :func:`pick_task` — seed affinity, the one dispatch rule of both
+  policies: an idle worker gets the next task of the ``(scale, seed)`` it
+  already holds, else one no busy worker holds, else the next task;
 - :func:`drain_ledger` — the durable policy over a pool: claim in the
   ledger, send, commit the result, complete; per-task timeouts and bounded
   retry with exponential backoff, a task out of retries reported as its
@@ -56,15 +61,17 @@ from RNGs derived from its own ``(experiment_id, scale, seed)``,
 start, and the only other state a worker carries from task to task is the
 construction caches, which are keyed by seed, hold pure functions of their
 keys, and are emptied whenever the next task's ``(scale, seed)`` differs
-from the last.  So retries, worker counts and the task → worker history
-change *when* and *where* a replicate is computed, never its bytes.  A
-retry after a reported exception still gets a fresh process: the worker
-that raised is retired.
+from the last.  A cache hit skips construction, never counted work, so a
+warm task's artifact and telemetry are a cold one's.  Seed affinity only
+makes those hits likelier: it orders *claims*, and no claim order reaches
+an artifact.  So retries, worker counts, dispatch order and the task →
+worker history change *when* and *where* a replicate is computed, never
+its bytes.  A retry after a reported exception still gets a fresh
+process: the worker that raised is retired.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import math
@@ -74,7 +81,7 @@ import signal
 import time
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Collection, Mapping, Optional, Sequence, Union
 
 from repro.errors import ExperimentError, LedgerError
 from repro.experiments.base import ExperimentResult
@@ -230,6 +237,33 @@ def plan_tasks(
     return to_run, skipped
 
 
+#: ``(scale, seed)``: what a worker's construction caches hold
+SeedKey = tuple[str, int]
+
+
+def pick_task(
+    pending: Sequence[TaskKey],
+    held: Optional[SeedKey],
+    busy: Collection[SeedKey],
+    not_before: Mapping[TaskKey, float],
+    now: float,
+) -> Optional[TaskKey]:
+    """The task an idle worker whose caches hold ``held`` runs next, or
+    None when every pending task is backing off (``not_before[task] > now``).
+
+    Seed affinity: of the eligible tasks, in the given (canonical) order,
+    the first of the worker's own ``(scale, seed)``; else the first whose
+    ``(scale, seed)`` no ``busy`` worker holds; else the first.  Each other
+    choice costs the worker a ``clear_all_caches()`` and a cold rebuild.
+    """
+
+    def rank(task: TaskKey) -> int:
+        return 0 if task[1:] == held else 1 if task[1:] not in busy else 2
+
+    eligible = (task for task in pending if not_before.get(task, 0.0) <= now)
+    return min(eligible, key=rank, default=None)
+
+
 def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
     """Worker-process entry: serve tasks from ``conn`` until it closes.
 
@@ -275,6 +309,7 @@ class _Worker:
     conn: Connection  #: the parent's end of the worker's duplex pipe
     task: Optional[TaskKey] = None  #: the task in flight; None while idle
     deadline: Optional[float] = None  #: monotonic time the task must beat
+    held: Optional[SeedKey] = None  #: the ``(scale, seed)`` its caches hold
 
 
 class WorkerPool:
@@ -296,6 +331,9 @@ class WorkerPool:
         self._jobs = jobs
         self._task_timeout = task_timeout
         self._workers: list[_Worker] = []
+        #: assigns that changed a worker's ``(scale, seed)``: each is one
+        #: ``clear_all_caches()`` in that worker
+        self.cache_clears = 0
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -306,6 +344,10 @@ class WorkerPool:
     @property
     def busy(self) -> bool:
         return any(worker.task is not None for worker in self._workers)
+
+    def busy_seeds(self) -> set[SeedKey]:
+        """The ``(scale, seed)`` each busy worker holds."""
+        return {w.held for w in self._workers if w.task is not None and w.held is not None}
 
     def acquire(self) -> Optional[_Worker]:
         """An idle worker — spawned only if none is idle and fewer than
@@ -329,8 +371,12 @@ class WorkerPool:
         return worker
 
     def assign(self, worker: _Worker, task: TaskKey) -> None:
-        """Send ``task`` to an idle worker and start its deadline clock."""
+        """Send ``task`` to an idle worker and start its deadline clock;
+        the worker now holds the task's ``(scale, seed)``."""
         worker.task = task
+        if task[1:] != worker.held:
+            self.cache_clears += 1
+            worker.held = task[1:]
         if self._task_timeout is not None:
             worker.deadline = time.monotonic() + self._task_timeout
         worker.conn.send(task)
@@ -400,19 +446,24 @@ class WorkerPool:
 
 def run_in_workers(
     tasks: list[TaskKey], jobs: int, consume: Callable[[TaskOutcome], None]
-) -> None:
+) -> int:
     """The ledger-less policy over a :class:`WorkerPool`: run ``tasks`` on
-    up to ``jobs`` workers and hand each outcome to ``consume`` in task
-    order.  Nothing is retried: the first reported exception or dead worker
-    raises one :class:`ExperimentError` naming the task.
+    up to ``jobs`` workers, each handed its next task by :func:`pick_task`,
+    and hand each outcome to ``consume`` in task order.  Nothing is
+    retried: the first reported exception or dead worker raises one
+    :class:`ExperimentError` naming the task.  Returns the pool's
+    ``cache_clears``.
     """
     done: dict[TaskKey, TaskOutcome] = {}
-    unsent = collections.deque(tasks)
+    unsent = list(tasks)
     consumed = 0
     with WorkerPool(jobs) as pool:
         while consumed < len(tasks):
             while unsent and (worker := pool.acquire()) is not None:
-                pool.assign(worker, unsent.popleft())
+                task = pick_task(unsent, worker.held, pool.busy_seeds(), {}, 0.0)
+                assert task is not None  # nothing backs off here
+                unsent.remove(task)
+                pool.assign(worker, task)
             for kind, task, body in pool.wait():
                 if kind != "ok":
                     raise ExperimentError(f"task {task!r} failed: {body}")
@@ -420,6 +471,7 @@ def run_in_workers(
             while consumed < len(tasks) and tasks[consumed] in done:
                 consume(done.pop(tasks[consumed]))
                 consumed += 1
+    return pool.cache_clears
 
 
 def drain_ledger(
@@ -428,7 +480,7 @@ def drain_ledger(
     config: RuntimeConfig,
     commit: Callable[[TaskOutcome], str],
     progress: Optional[Callable[[TaskOutcome], None]] = None,
-) -> tuple[list[TaskOutcome], list[TaskRow]]:
+) -> tuple[list[TaskOutcome], list[TaskRow], int]:
     """Execute ``tasks`` through a crash-tolerant worker pool.
 
     The claim/commit/retry policy over a :class:`WorkerPool`: a task is
@@ -438,30 +490,25 @@ def drain_ledger(
     checksum — only then is the task marked ``done``.  Attempts that
     raise, die or overrun ``config.task_timeout`` are retried up to
     ``config.max_retries`` times with exponential backoff, then marked
-    ``failed``.  Returns completion-ordered outcomes plus the ``failed``
-    rows of permanent failures; with ``jobs=1`` tasks launch strictly in
-    the given order.
+    ``failed``.  Each free worker is handed the task :func:`pick_task`
+    chooses from those not backing off, so with ``jobs=1`` tasks launch
+    grouped by ``(scale, seed)``, in the given order within a group; no
+    worker is spawned while every pending task is backing off.  Returns
+    completion-ordered outcomes, the ``failed`` rows of permanent
+    failures and the pool's ``cache_clears``.
 
     An exception out of the ledger or ``commit`` propagates unchanged
     after every worker has been retired.  ``KeyboardInterrupt``
     additionally releases the in-flight claims (``"sweep interrupted"``),
     so an interrupted sweep strands no ``running`` row.
     """
-    pending: "collections.deque[TaskKey]" = collections.deque(tasks)
+    order = {task: index for index, task in enumerate(tasks)}
+    pending = list(tasks)  #: kept in canonical (given) order
     not_before: dict[TaskKey, float] = {}
     attempts_used: dict[TaskKey, int] = {}
     claimed: set[TaskKey] = set()  #: claim attempted, not yet done/released/failed
     outcomes: list[TaskOutcome] = []
     failures: list[TaskRow] = []
-
-    def next_eligible(now: float) -> Optional[TaskKey]:
-        """Pop the first task not backing off, rotating past those that are."""
-        for _ in range(len(pending)):
-            task = pending.popleft()
-            if not_before.get(task, 0.0) <= now:
-                return task
-            pending.append(task)
-        return None
 
     def retry_or_fail(task: TaskKey, error: str) -> None:
         """After a raised/crashed/hung attempt: re-queue or mark failed."""
@@ -475,21 +522,25 @@ def drain_ledger(
             ledger.release(task, error)
             not_before[task] = time.monotonic() + backoff_delay(used)
             pending.append(task)
+            pending.sort(key=order.__getitem__)
 
     with WorkerPool(config.jobs, config.task_timeout) as pool:
         try:
             while pending or pool.busy:
-                # -- assign: eligible tasks, in queue order, to free workers
+                # -- assign: to each free worker, the task pick_task chooses
                 wake = None  # when the first backing-off task falls due
-                while True:
-                    task = next_eligible(time.monotonic())
-                    if task is None:
-                        wake = min((not_before[t] for t in pending), default=None)
+                while pending:
+                    now = time.monotonic()
+                    due = min(not_before.get(task, 0.0) for task in pending)
+                    if due > now:  # every pending task is backing off
+                        wake = due
                         break
                     worker = pool.acquire()
                     if worker is None:
-                        pending.appendleft(task)
                         break
+                    task = pick_task(pending, worker.held, pool.busy_seeds(), not_before, now)
+                    assert task is not None  # one is due
+                    pending.remove(task)
                     claimed.add(task)
                     ledger.claim(task, worker=f"pid:{worker.process.pid}")
                     attempts_used[task] = attempts_used.get(task, 0) + 1
@@ -514,4 +565,4 @@ def drain_ledger(
                 with contextlib.suppress(LedgerError):
                     ledger.release(task, "sweep interrupted")
             raise
-    return outcomes, failures
+    return outcomes, failures, pool.cache_clears

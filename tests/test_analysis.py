@@ -28,6 +28,24 @@ SMALL = IdSpace(bits=12, digit_bits=2)  # M=6 digits, base 4
 
 
 class TestDistributions:
+    @pytest.mark.parametrize("space", [PAPER, BASE4, IdSpace(bits=64, digit_bits=1)],
+                             ids=["M=40,base=16", "M=80,base=4", "M=64,base=2"])
+    def test_the_table_is_scipys_binomial(self, space):
+        """scipy is the oracle, off the support included: A is the pmf, B
+        the cdf one below, D the cdf."""
+        stats = pytest.importorskip("scipy.stats")
+        oracle = stats.binom(space.num_digits, 1.0 / space.base)
+        ks = np.arange(-2, space.num_digits + 3)
+        for ours, theirs in (
+            (prob_k_common(space, ks), oracle.pmf(ks)),
+            (prob_less_than_k_common(space, ks), oracle.cdf(ks - 1)),
+            (prob_at_most_k_common(space, ks), oracle.cdf(ks)),
+        ):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0)
+        for k in (-1, 0, 3, space.num_digits, space.num_digits + 1):
+            assert prob_k_common(space, k) == pytest.approx(oracle.pmf(k), rel=1e-12)
+            assert prob_at_most_k_common(space, k) == pytest.approx(oracle.cdf(k), rel=1e-12)
+
     def test_pmf_sums_to_one(self):
         ks = np.arange(0, SMALL.num_digits + 1)
         assert float(np.sum(prob_k_common(SMALL, ks))) == pytest.approx(1.0)

@@ -156,6 +156,37 @@ def test_the_library_runs_without_networkx():
     assert digests == {key: GOLDENS["digests"][key] for key in digests}
 
 
+_SECTION_5_WITHOUT_SCIPY = """
+import hashlib, json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises
+from repro import api
+print(json.dumps({
+    experiment_id: hashlib.sha256(json.dumps(
+        api.run(experiment_id, scale="smoke", seed=1).to_dict(), sort_keys=True
+    ).encode("utf-8")).hexdigest()
+    for experiment_id in ("fig7", "fig8")
+}))
+"""
+
+
+def test_section_5_runs_without_scipy():
+    """scipy is only the binomial table's test oracle: with every import of
+    it made to fail, Figures 7 and 8 run and give the golden bytes."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SECTION_5_WITHOUT_SCIPY],
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(digests) == ["fig7", "fig8"]
+    if GOLDENS["fingerprint"] != _fingerprint():
+        pytest.skip(f"goldens were taken under {GOLDENS['fingerprint']}")
+    assert digests == {key: GOLDENS["digests"][key] for key in digests}
+
+
 _SWEEP_WITHOUT_SQLITE = """
 import hashlib, json, sys
 sys.modules["sqlite3"] = None  # every import of sqlite3 now raises

@@ -526,3 +526,33 @@ def test_third_party_imports_are_declared_dependencies():
     imported = {name.split(".")[0] for _parts, name in _imported_modules()}
     third_party = imported - set(sys.stdlib_module_names) - {"repro", "tomllib"}
     assert third_party == declared
+
+
+def _import_time_modules(tree: ast.Module):
+    """The modules an import of ``tree``'s module loads itself: every
+    import statement outside a function body (class bodies and module-level
+    ``if``/``try`` blocks run at import time too)."""
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_import_time():
+    """Importing ``scipy.stats`` dominated the library's start-up time and
+    memory; Section 5 reads an exact binomial table instead.  The two calls that still need scipy (a sweep
+    aggregate's ``ci95``, the underlay's shortest paths) import it inside
+    the function that calls it."""
+    eager = sorted(
+        f"{module}: {name}"
+        for module, tree in _package_trees()
+        for name in _import_time_modules(tree)
+        if name.split(".")[0] == "scipy"
+    )
+    assert eager == []

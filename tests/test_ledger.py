@@ -439,6 +439,31 @@ class TestOneWriterPerStore:
             assert f"{store / 'sweep.lock'} is held by pid {live_pid}" in err
             assert _snapshot(store) == before
 
+    def test_a_resume_with_nothing_to_run_is_refused_too(
+        self, tmp_path, finished, live_pid, capsys
+    ):
+        """A resume that finds every task verified ``done`` changes no
+        ledger row, yet rewrites the aggregates: it takes the lock all the
+        same, and leaves the files of the sweep that holds it alone."""
+        store = tmp_path / "store"
+        shutil.copytree(finished, store)
+        (store / "sweep.lock").write_text(f"{live_pid}\n")
+        aggregates = sorted(store.rglob("aggregate.*"))
+        assert [path.name for path in aggregates] == ["aggregate.csv", "aggregate.json"]
+
+        def stamps():
+            return [(path.stat().st_ino, path.stat().st_mtime_ns) for path in aggregates]
+
+        before, files = stamps(), _snapshot(store)
+        argv = ["sweep", "fig7", "--seeds", "0..1", "--scale", "smoke",
+                "--out", str(store), "--resume"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{store / 'sweep.lock'} is held by pid {live_pid}" in err
+        assert stamps() == before
+        assert _snapshot(store) == files
+
     def test_dead_holder_is_reclaimed_and_resume_converges(self, tmp_path, finished, dead_pid):
         """What ``kill -9`` of a sweep leaves: a ``running`` row and a lock
         naming a dead pid."""

@@ -28,10 +28,13 @@ import pytest
 
 from repro.errors import ExperimentError, LedgerError
 from repro.experiments import all_experiment_ids
+from repro.experiments.cli import main
 from repro.experiments.registry import register, unregister
-from repro.experiments.runner import SweepSpec, run_sweep
+from repro.experiments.runner import SweepSpec, run_sweep, save_outcome
+from repro.experiments.runtime import execute_task, pick_task
 from repro.experiments.spec import ExperimentSpec, Pipeline
 from repro.experiments.store import ResultStore
+from repro.util.cache import clear_all_caches
 from test_determinism import GOLDENS, _fingerprint
 from test_runtime_faults import REPO_ROOT, artifact_bytes, no_backoff  # noqa: F401
 
@@ -249,6 +252,80 @@ class TestWarmWorkerBytes:
             for outcome in report.outcomes
         }
         assert digests == GOLDENS["digests"]
+
+
+class TestSeedAffinity:
+    """A free worker is handed the next task of the ``(scale, seed)`` it
+    already holds, so it empties its caches once per seed, not per task."""
+
+    TASKS = [(e, "smoke", seed) for e in ("fig7", "tab3") for seed in (0, 1, 2)]
+
+    def test_pick_task_rank_order_and_tie_breaks(self):
+        tasks = self.TASKS
+        # 1. the worker's own (scale, seed), first in canonical order, even
+        #    behind a task of a seed nobody holds
+        assert pick_task(tasks, ("smoke", 1), set(), {}, 0.0) == ("fig7", "smoke", 1)
+        assert pick_task(tasks[2:], ("smoke", 1), set(), {}, 0.0) == ("tab3", "smoke", 1)
+        assert pick_task(tasks[1:], ("smoke", 2), set(), {}, 0.0) == ("fig7", "smoke", 2)
+        # a scale is part of the key: ("default", 1) holds nothing here
+        assert pick_task(tasks[2:], ("default", 1), set(), {}, 0.0) == ("fig7", "smoke", 2)
+        # 2. else the first seed no busy worker holds; a fresh worker alike
+        assert pick_task(tasks, ("smoke", 9), {("smoke", 0)}, {}, 0.0) == ("fig7", "smoke", 1)
+        busy = {("smoke", 0), ("smoke", 1)}
+        assert pick_task(tasks, None, busy, {}, 0.0) == ("fig7", "smoke", 2)
+        # 3. else the first task
+        busy = {("smoke", seed) for seed in (0, 1, 2)}
+        assert pick_task(tasks, None, busy, {}, 0.0) == ("fig7", "smoke", 0)
+        assert pick_task([], None, set(), {}, 0.0) is None
+
+    def test_pick_task_skips_tasks_backing_off(self):
+        tasks = self.TASKS
+        backing_off = {("fig7", "smoke", 1): 5.0, ("fig7", "smoke", 2): 5.0}
+        assert pick_task(tasks, ("smoke", 1), set(), backing_off, 4.0) == ("tab3", "smoke", 1)
+        assert pick_task(tasks, ("smoke", 1), set(), backing_off, 5.0) == ("fig7", "smoke", 1)
+        busy = {("smoke", 0), ("smoke", 1)}
+        assert pick_task(tasks, None, busy, backing_off, 4.0) == ("tab3", "smoke", 2)
+        everything = {task: 1.0 for task in tasks}
+        assert pick_task(tasks, ("smoke", 0), set(), everything, 0.5) is None
+
+    def test_one_worker_clears_its_caches_once_per_seed(self, tmp_path, capsys):
+        """The ``sweep-smoke`` task list: experiment-major dispatch cleared
+        the caches before each of the 16 tasks."""
+        argv = ["sweep", "fig7", "fig8", "fig10", "tab3", "--seeds", "0..3",
+                "--scale", "smoke", "--jobs", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert "swept 16 tasks" in summary and "4 cache clears" in summary
+
+    @pytest.mark.parametrize("durable", [True, False], ids=["store", "storeless"])
+    def test_warm_tasks_are_cold_tasks_byte_for_byte(self, tmp_path, durable):
+        """A cache hit may skip construction, never counted work: every
+        replicate of a two-worker sweep, telemetry included, is what the
+        same task writes run cold in this process."""
+        spec = SweepSpec(("fig10", "tab3"), seeds=(0, 1, 2), scale="smoke")
+        store = ResultStore(tmp_path / "swept") if durable else None
+        report = run_sweep(spec, store, jobs=2)
+        assert not report.failures and len(report.outcomes) == 6
+        # two workers start on two seeds; the third seed is one clear more,
+        # or two when the worker holding it is still busy with it
+        assert 3 <= report.cache_clears <= 4
+        cold, reference = ResultStore(tmp_path / "cold"), {}
+        for task in spec.tasks():
+            clear_all_caches()
+            reference[task] = execute_task(*task)
+            save_outcome(cold, reference[task])
+        if durable:
+            ours = {
+                name: data
+                for name, data in artifact_bytes(store.root).items()
+                if name.rsplit("/", 1)[1].startswith("seed_")
+            }
+            assert len(ours) == 12  # seed_<n>.json and seed_<n>.telemetry.json
+            assert ours == artifact_bytes(cold.root)
+        for outcome in report.outcomes:
+            expected = reference[outcome.task].result
+            assert outcome.result.to_dict() == expected.to_dict()
+            assert outcome.result.metrics == expected.metrics
 
 
 class TestParentSideFailure:
