@@ -215,7 +215,7 @@ class OverlayGraph:
             ends = indptr[frontier + 1]
             gathered = [indices[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
             neighbors = np.concatenate(gathered) if gathered else indices[:0]
-            fresh = np.unique(neighbors[~visited[neighbors]])
+            fresh = _sorted_distinct(neighbors[~visited[neighbors]])
             visited[fresh] = True
             reached += fresh.shape[0]
             frontier = fresh
@@ -255,18 +255,24 @@ class OverlayGraph:
         )
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``values``' distinct entries in ascending order, sorting ``values``
+    in place: ``np.unique``'s result, which under numpy 2.x it computes far
+    slower and only after importing ``numpy.ma`` on its first call."""
+    values.sort()
+    distinct = np.ones(values.shape[0], dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    return values[distinct]
+
+
 def _sorted_csr(n: int, owners: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of the ``owners[i] -> indices[i]`` pairs,
     rows sorted and repeats dropped: one sort of ``owner * n + neighbor``
-    keys (``np.unique`` does the same far slower under numpy 2.x)."""
+    keys."""
     outside = (indices < 0) | (indices >= n)
     if outside.any():
         raise OverlayError(f"node {int(owners[outside][0])} has an out-of-range neighbor")
-    keys = owners * n + indices
-    keys.sort()
-    distinct = np.ones(keys.shape[0], dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    owners, indices = np.divmod(keys[distinct], n)
+    owners, indices = np.divmod(_sorted_distinct(owners * n + indices), n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
     return indptr, indices

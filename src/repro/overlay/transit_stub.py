@@ -191,9 +191,11 @@ class TransitStubUnderlay:
     def edge_list(self) -> list[tuple[int, int, float]]:
         return list(self._edges)
 
-    def _ensure_latencies(self) -> None:
+    def latency_matrix(self) -> np.ndarray:
+        """One-way shortest-path latencies between all underlay nodes, as
+        one read-only float64 array, computed on the first call."""
         if self._latency_matrix is not None:
-            return
+            return self._latency_matrix
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import shortest_path
 
@@ -207,18 +209,9 @@ class TransitStubUnderlay:
         matrix = shortest_path(graph, method="D", directed=False)
         if np.isinf(matrix).any():
             raise OverlayError("generated transit-stub underlay is disconnected")
+        matrix.flags.writeable = False
         self._latency_matrix = matrix
-
-    def pairwise_latency(self, u: int, v: int) -> float:
-        """One-way shortest-path latency between two underlay nodes."""
-        self._ensure_latencies()
-        assert self._latency_matrix is not None
-        return float(self._latency_matrix[u, v])
-
-    def latency_matrix(self) -> np.ndarray:
-        self._ensure_latencies()
-        assert self._latency_matrix is not None
-        return self._latency_matrix
+        return matrix
 
     def random_attachment(self, overlay_nodes: int, seed: object = 0) -> list[int]:
         """Attach overlay nodes to distinct stub nodes (falling back to

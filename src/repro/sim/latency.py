@@ -3,7 +3,8 @@
 The static MPIL experiments are message-level and hop-counted, so latency is
 irrelevant there.  The perturbation experiments (paper Sections 3 and 6.2)
 run over a GT-ITM-style transit-stub underlay; overlay hops inherit the
-underlay's shortest-path delay between the endpoints' attachment points.
+underlay's shortest-path delay between the endpoints' attachment points,
+read from the underlay's one all-pairs matrix without a copy.
 """
 
 from __future__ import annotations
@@ -65,19 +66,19 @@ class UniformRandomLatency:
 
 
 class UnderlayLatency:
-    """Overlay latency derived from an underlay's all-pairs delays.
+    """Overlay latency read from an underlay's all-pairs delay matrix.
 
-    The overlay-level matrix is never held: :meth:`latency_block` gathers a
-    rectangle of it as an array for the routing-table builder, and
-    :meth:`latency_row` / :meth:`latency` fill a per-source row the first
-    time that source sends a message.
+    Nothing is copied out of the underlay's matrix: :meth:`latency_block`
+    gathers a rectangle of it as an array for the routing-table builder,
+    and :meth:`latency` indexes a read-only ``memoryview`` of the sender's
+    underlay row, one per attached node, so a per-message query returns a
+    plain ``float`` without a numpy scalar.
 
     Parameters
     ----------
     underlay:
-        Object exposing ``pairwise_latency(u, v) -> float`` and, optionally,
-        ``latency_matrix() -> ndarray`` (see
-        :class:`repro.overlay.transit_stub.TransitStubUnderlay`).
+        Object exposing ``num_nodes`` and ``latency_matrix() -> ndarray``
+        (see :class:`repro.overlay.transit_stub.TransitStubUnderlay`).
     attachment:
         Sequence mapping overlay node index -> underlay node index.
     """
@@ -92,53 +93,31 @@ class UnderlayLatency:
                     f"attachment point {a} outside underlay of size {n_under}"
                 )
         self._attached = np.array(self.attachment, dtype=np.intp)
-        #: lazily materialised per-source rows of the overlay-level latency
-        #: matrix, as plain float lists (dict/list indexing beats a numpy
-        #: scalar read per message by an order of magnitude)
-        self._rows: dict[int, list[float]] = {}
+        self._matrix = underlay.latency_matrix()
+        # slices of one flat view: a row costs one small object, no numpy array
+        flat = memoryview(self._matrix).cast("B").cast("d")
+        self._sources = [flat[a * n_under:(a + 1) * n_under] for a in self.attachment]
+        self._size = len(self.attachment)
 
     def _check_range(self, start: int, stop: int, n: int) -> None:
-        attached = len(self.attachment)
+        attached = self._size
         if not (0 <= start <= stop <= attached and 0 <= n <= attached):
             raise ConfigurationError(
                 f"latencies from overlay nodes [{start}, {stop}) to the first {n} "
                 f"requested, but {attached} nodes are attached to the underlay"
             )
 
-    def latency_row(self, src: int, n: int) -> list[float]:
-        """Latencies from overlay node ``src`` to overlay nodes ``0..n-1``.
-
-        ``src`` and ``n`` must lie within the attachment; rows are cached
-        for the per-message hot path.
-        """
-        self._check_range(src, src + 1, n)
-        row = self._rows.get(src)
-        if row is None:
-            matrix = getattr(self.underlay, "latency_matrix", None)
-            if matrix is not None:
-                row = matrix()[self.attachment[src], self._attached].tolist()
-            else:
-                pairwise = self.underlay.pairwise_latency
-                source = self.attachment[src]
-                row = [pairwise(source, a) for a in self.attachment]
-            self._rows[src] = row
-        return row[:n] if n < len(row) else row
-
     def latency_block(self, start: int, stop: int, n: int) -> np.ndarray:
         """Latencies from overlay nodes ``start..stop-1`` to overlay nodes
         ``0..n-1`` as one ``(stop - start, n)`` array: the stacked
-        :meth:`latency_row`s, gathered without materialising them."""
+        :meth:`latency` reads, gathered in one indexing step."""
         self._check_range(start, stop, n)
-        matrix = getattr(self.underlay, "latency_matrix", None)
-        if matrix is None:
-            rows = [self.latency_row(src, n) for src in range(start, stop)]
-            return np.array(rows, dtype=np.float64).reshape(stop - start, n)
-        return matrix()[np.ix_(self._attached[start:stop], self._attached[:n])]
+        return self._matrix[np.ix_(self._attached[start:stop], self._attached[:n])]
 
     def latency(self, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
-        row = self._rows.get(src)
-        if row is None:
-            row = self.latency_row(src, len(self.attachment))
-        return row[dst]
+        if not 0 <= src < self._size > dst >= 0:
+            raise ConfigurationError(
+                f"latency from overlay node {src} to {dst} requested, "
+                f"but {self._size} nodes are attached to the underlay"
+            )
+        return self._sources[src][self.attachment[dst]]

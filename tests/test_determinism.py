@@ -64,9 +64,11 @@ import sys
 import pytest
 
 import repro.core.protocol
+import repro.experiments.base
 import repro.sim.rng
 from repro import api
 from repro.experiments import all_experiment_ids, run_experiment
+from repro.experiments.store import ResultStore, aggregate_results
 from repro.pastry.rejoin import IntervalRejoinAvailability, RejoinAdjustedAvailability
 from repro.pastry.views import ProbedViewOracle
 from repro.sim.engine import events_processed_total
@@ -160,26 +162,44 @@ _SECTION_5_WITHOUT_SCIPY = """
 import hashlib, json, sys
 sys.modules["scipy"] = None  # every import of scipy now raises
 from repro import api
-print(json.dumps({
+digests = {
     experiment_id: hashlib.sha256(json.dumps(
         api.run(experiment_id, scale="smoke", seed=1).to_dict(), sort_keys=True
     ).encode("utf-8")).hexdigest()
     for experiment_id in ("fig7", "fig8")
-}))
+}
+report = api.sweep(["fig7", "fig9"], seeds=[1, 2, 3], scale="smoke", jobs=1, store=sys.argv[1])
+assert not report.failures, report.failures
+print(json.dumps(digests))
 """
 
 
-def test_section_5_runs_without_scipy():
-    """scipy is only the binomial table's test oracle: with every import of
-    it made to fail, Figures 7 and 8 run and give the golden bytes."""
+def test_section_5_runs_without_scipy(tmp_path, monkeypatch):
+    """scipy is only a test oracle for the library's statistics: with every
+    import of it made to fail, Figures 7 and 8 run and give the golden
+    bytes, and a durable sweep writes the aggregates that scipy's own
+    Student-t quantile gives for the same replicates."""
+    store_dir = tmp_path / "store"
     done = subprocess.run(
-        [sys.executable, "-c", _SECTION_5_WITHOUT_SCIPY],
+        [sys.executable, "-c", _SECTION_5_WITHOUT_SCIPY, str(store_dir)],
         env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src")),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    stats = pytest.importorskip("scipy.stats")
+    monkeypatch.setattr(
+        repro.experiments.base, "t_critical_95", lambda dof: float(stats.t.ppf(0.975, dof))
+    )
+    store, oracle = ResultStore(store_dir), ResultStore(tmp_path / "oracle")
+    for experiment_id in ("fig7", "fig9"):
+        seeds = store.seeds(experiment_id, "smoke")
+        assert seeds == [1, 2, 3]
+        replicates = [store.load(experiment_id, "smoke", seed) for seed in seeds]
+        ours = store.result_dir(experiment_id, "smoke")
+        for theirs in oracle.write_aggregate(aggregate_results(replicates), seeds):
+            assert (ours / theirs.name).read_bytes() == theirs.read_bytes()
     digests = json.loads(done.stdout.splitlines()[-1])
     assert sorted(digests) == ["fig7", "fig8"]
     if GOLDENS["fingerprint"] != _fingerprint():

@@ -4,9 +4,9 @@ The rewritten ``pastry_next_hop``, ``decide_forwarding``, and
 ``build_routing_tables`` are pinned against straightforward reference
 implementations (the pre-optimisation algorithms, kept verbatim here) on
 seeded random instances; the cached views (ranked neighbors, degrees, CSR
-adjacency), the batched latency rows and :class:`BoundedCache` are pinned
-against their unbatched counterparts; and the result store's events/sec
-manifest entry is checked.
+adjacency) and :class:`BoundedCache` are pinned against their unbatched
+counterparts; the underlay latency model is pinned against the underlay's
+matrix; and the result store's events/sec manifest entry is checked.
 """
 
 from __future__ import annotations
@@ -767,55 +767,77 @@ class TestCachedViews:
         assert overlay.total_degrees == (1, 3, 2)
 
 
-class TestUnderlayLatencyRows:
-    def test_row_matches_pairwise_and_validates_size(self):
+class TestUnderlayLatencyReads:
+    """``UnderlayLatency`` reads the underlay's one matrix: no row is
+    copied out of it, per-message or per-block."""
+
+    @staticmethod
+    def _model(overlay_nodes):
+        # more overlay nodes than stubs: attachment points repeat
         underlay = TransitStubUnderlay.for_size(60, seed=1)
-        attachment = underlay.random_attachment(10, seed=2)
-        model = UnderlayLatency(underlay, attachment)
-        row = model.latency_row(3, 10)
-        assert len(row) == 10
-        for dst in range(10):
-            if dst != 3:
-                assert row[dst] == pytest.approx(model.latency(3, dst))
-        with pytest.raises(ConfigurationError, match="attached"):
-            model.latency_row(0, 11)
+        return underlay, UnderlayLatency(
+            underlay, underlay.random_attachment(overlay_nodes, seed=2)
+        )
 
-    @pytest.mark.parametrize("matrix", [True, False])
-    def test_block_is_the_stacked_rows_bit_for_bit(self, matrix):
-        """Before any row was materialised and after all were — over an
-        underlay with a ``latency_matrix`` and one exposing only
-        ``pairwise_latency``."""
+    @pytest.mark.parametrize("overlay_nodes", [10, 80])
+    def test_every_read_is_the_matrix_entry_bit_for_bit(self, overlay_nodes):
+        underlay, model = self._model(overlay_nodes)
+        matrix, att = underlay.latency_matrix(), model.attachment
+        shared = len(set(att)) < overlay_nodes
+        assert shared == (overlay_nodes > len(underlay.stub_nodes))
+        for src in range(overlay_nodes):
+            for dst in range(overlay_nodes):
+                value = model.latency(src, dst)
+                assert type(value) is float
+                assert value.hex() == float(matrix[att[src], att[dst]]).hex()
+            assert model.latency(src, src).hex() == (0.0).hex()
 
-        class PairwiseOnly:
-            def __init__(self, underlay):
-                self.num_nodes = underlay.num_nodes
-                self.pairwise_latency = underlay.pairwise_latency
-
-        underlay = TransitStubUnderlay.for_size(60, seed=1)
-        attachment = underlay.random_attachment(10, seed=2)
-        model = UnderlayLatency(underlay if matrix else PairwiseOnly(underlay), attachment)
-        ranges = [(0, 10, 10), (3, 7, 10), (2, 9, 6), (4, 4, 10), (0, 10, 0)]
-        before = [model.latency_block(*r) for r in ranges]
-        assert (len(model._rows) == 0) == matrix  # the matrix gather fills no row
-        for (start, stop, n), block in zip(ranges, before):
-            rows = [model.latency_row(src, n) for src in range(start, stop)]
+    def test_block_is_the_stacked_reads(self):
+        _underlay, model = self._model(10)
+        for start, stop, n in [(0, 10, 10), (3, 7, 10), (2, 9, 6), (4, 4, 10), (0, 10, 0)]:
+            block = model.latency_block(start, stop, n)
             assert block.shape == (stop - start, n)
             assert block.dtype == np.float64
-            assert block.tolist() == rows
-        assert len(model._rows) == 10
-        for r, block in zip(ranges, before):
-            assert np.array_equal(model.latency_block(*r), block)
+            reads = [[model.latency(src, dst) for dst in range(n)] for src in range(start, stop)]
+            assert block.tolist() == reads
 
-    def test_source_or_width_out_of_range_is_a_configuration_error(self):
-        underlay = TransitStubUnderlay.for_size(60, seed=1)
-        model = UnderlayLatency(underlay, underlay.random_attachment(3, seed=2))
-        for src, n in [(7, 3), (3, 3), (-1, 3), (0, -1), (0, 4)]:
+    def test_out_of_range_is_a_configuration_error(self):
+        _underlay, model = self._model(3)
+        # (0, -1) read the last node's latency, (0, 3) was a bare IndexError
+        for src, dst in [(0, -1), (-1, 0), (0, 3), (3, 0), (7, 7)]:
             with pytest.raises(ConfigurationError, match="attached"):
-                model.latency_row(src, n)  # (7, 3) was an IndexError, (0, -1) a short row
+                model.latency(src, dst)
         for start, stop, n in [(0, 4, 3), (2, 1, 3), (-1, 2, 3), (0, 3, -1), (0, 3, 4)]:
             with pytest.raises(ConfigurationError, match="attached"):
                 model.latency_block(start, stop, n)
-        assert not model._rows
+
+    def test_reading_every_pair_leaves_almost_no_memory_behind(self):
+        """Building the model and reading all n² pairs of a 200-node
+        overlay keeps a few dozen KiB, not a row of floats per sender."""
+        import tracemalloc
+
+        underlay = TransitStubUnderlay.for_size(200, seed=1)
+        attachment = underlay.random_attachment(200, seed=2)
+        underlay.latency_matrix()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = UnderlayLatency(underlay, attachment)
+            for src in range(200):
+                for dst in range(200):
+                    model.latency(src, dst)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
+
+    def test_the_matrix_refuses_writes(self):
+        underlay, model = self._model(10)
+        matrix = underlay.latency_matrix()
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 1] = 0.0
+        assert model.latency_block(0, 2, 2).flags.writeable  # a gather is a copy
 
 
 class TestBoundedCache:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -76,6 +77,13 @@ class TestStudentTCI:
 
     def test_converges_to_normal_for_large_dof(self):
         assert t_critical_95(10_000) == pytest.approx(1.96, abs=1e-2)
+
+    def test_the_quantile_is_scipys(self):
+        """scipy is the oracle: ``t.ppf(0.975, dof)`` over dof 1-1000."""
+        stats = pytest.importorskip("scipy.stats")
+        dofs = np.arange(1, 1001)
+        ours = np.array([t_critical_95(int(dof)) for dof in dofs])
+        np.testing.assert_allclose(ours, stats.t.ppf(0.975, dofs), rtol=1e-12, atol=0)
 
     def test_ci95_uses_t_not_normal(self):
         from repro.experiments.base import ci95, stdev
