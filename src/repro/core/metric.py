@@ -28,6 +28,20 @@ def common_digits(a: Identifier, b: Identifier) -> int:
     return a.common_digits(b)
 
 
+def _score_dtype(matrix: np.ndarray) -> np.dtype:
+    """The smallest unsigned dtype holding every score of an ``(n, M)``
+    digit matrix, 0..M: ``uint8`` for the paper's 40 digits."""
+    return np.min_scalar_type(matrix.shape[1])
+
+
+def _leading_matches(mismatch: np.ndarray) -> np.ndarray:
+    """Per row, the matching columns before the first mismatch (all M
+    when there is none)."""
+    first = mismatch.argmax(axis=1)
+    first[~mismatch.any(axis=1)] = mismatch.shape[1]
+    return first.astype(_score_dtype(mismatch))
+
+
 class CommonDigitsMetric:
     """The MPIL routing metric: matching digits in matching positions."""
 
@@ -38,7 +52,7 @@ class CommonDigitsMetric:
 
     def scores_matrix(self, target_digits: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         """Vectorised scores of every row of ``matrix`` against the target."""
-        return (matrix == target_digits).sum(axis=1, dtype=np.int32)
+        return (matrix == target_digits).sum(axis=1, dtype=_score_dtype(matrix))
 
 
 class PrefixLengthMetric:
@@ -50,11 +64,7 @@ class PrefixLengthMetric:
         return target.prefix_match_len(candidate)
 
     def scores_matrix(self, target_digits: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        mismatch = matrix != target_digits
-        any_mismatch = mismatch.any(axis=1)
-        first = mismatch.argmax(axis=1).astype(np.int32)
-        full = np.int32(matrix.shape[1])
-        return np.where(any_mismatch, first, full)
+        return _leading_matches(matrix != target_digits)
 
 
 class SuffixLengthMetric:
@@ -66,11 +76,7 @@ class SuffixLengthMetric:
         return target.suffix_match_len(candidate)
 
     def scores_matrix(self, target_digits: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        mismatch = (matrix != target_digits)[:, ::-1]
-        any_mismatch = mismatch.any(axis=1)
-        first = mismatch.argmax(axis=1).astype(np.int32)
-        full = np.int32(matrix.shape[1])
-        return np.where(any_mismatch, first, full)
+        return _leading_matches((matrix != target_digits)[:, ::-1])
 
 
 _METRICS = {
@@ -168,16 +174,22 @@ class NeighborMetricTable:
     costs its ``nbytes``, a ranking :attr:`RANKED_BASE_BYTES` plus 8 B a
     neighbor and 16 B a score tier.  When the next item would overflow the
     bound, every entry is dropped at once.  A full cache costs 128 MiB at
-    any n.  At n = 4000 a vector is 16 KB, and a ranking on the nodes
-    copies pass is 536 B on the power-law overlay (mean degree 23) and
-    1.2 KB at degree 100: room for ~250,000 or ~110,000 rankings.  At
-    n = 10^5 a vector is 400 KB: room for ~330 objects' vectors alone.
+    any n.  A vector holds one score per node in the smallest unsigned
+    dtype that holds the digit count (:func:`_score_dtype`; one byte for
+    the paper's 40 digits).  At n = 4000 a vector is 4 KB, and a ranking on
+    the nodes copies pass is 536 B on the power-law overlay (mean degree 23)
+    and 1.2 KB at degree 100: room for ~250,000 or ~110,000 rankings.  At
+    n = 10^5 a vector is 100 KB: room for ~1,340 objects' vectors alone.
+
+    Every neighbor tuple and ranking holds the overlay's one Python int per
+    node (:attr:`repro.overlay.graph.OverlayGraph.node_ints`), so the
+    per-node tuples cost a pointer a neighbor, not a boxed int.
 
     Parameters
     ----------
     overlay:
         An :class:`repro.overlay.graph.OverlayGraph` (or anything exposing
-        ``n`` and ``adjacency_arrays()``).
+        ``n``, ``adjacency_arrays()`` and ``node_ints``).
     ids:
         Sequence of :class:`Identifier`, one per overlay node.
     metric:
@@ -199,6 +211,7 @@ class NeighborMetricTable:
         self.metric = metric if metric is not None else CommonDigitsMetric()
         self.digits = pack_digit_matrix(self.ids)
         self._indptr, self._indices = overlay.adjacency_arrays()
+        self._node_ints = overlay.node_ints
         # node u's [self, *neighbors] rows are
         # rows_with_self[indptr_ws[u]:indptr_ws[u + 1]]: the CSR offsets
         # shifted by one slot per node, self indices scattered into the gaps
@@ -220,11 +233,12 @@ class NeighborMetricTable:
 
     def neighbor_list(self, node: int) -> tuple[int, ...]:
         """Neighbor indices of ``node`` as plain Python ints (what
-        :meth:`ranked_neighbors` ranks; every entry of a node shares these
-        int objects).  Materialised lazily per node from the CSR slice."""
+        :meth:`ranked_neighbors` ranks).  Materialised lazily per node by
+        gathering the CSR slice from the overlay's ``node_ints``, so every
+        tuple and ranking shares one int object per node."""
         cached = self._neighbor_tuples.get(node)
         if cached is None:
-            cached = tuple(self._neighbors(node).tolist())
+            cached = tuple(self._node_ints[self._neighbors(node)].tolist())
             self._neighbor_tuples[node] = cached
         return cached
 

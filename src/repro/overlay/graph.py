@@ -15,8 +15,12 @@ Every constructor ends in the same arrays and the same vectorised
 validation: the sequence-of-neighbor-lists constructor and
 :meth:`from_edges` sort their ``(node, neighbor)`` pairs into CSR through
 one function, :func:`_sorted_csr`, and :meth:`from_csr` takes
-already-normalised ``(indptr, indices)`` arrays.  Per-node neighbor tuples
-are materialised from the arrays lazily, on the first :meth:`neighbors`.
+already-normalised ``(indptr, indices)`` arrays.  The generators hand their
+edges over as arrays (:func:`undirected_csr`, then :meth:`from_csr`);
+:meth:`from_edges` serves hand-written pair lists.  Per-node neighbor
+tuples are materialised from the arrays lazily, on the first
+:meth:`neighbors`, out of :attr:`OverlayGraph.node_ints`: one Python int
+per node, shared by every tuple that names it.
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ class OverlayGraph:
         #: re-rank nodes by degree)
         self._degrees: tuple[int, ...] = tuple(degrees.tolist())
         self._total_degrees: tuple[int, ...] | None = None
+        self._node_ints: np.ndarray | None = None
         self._rows: tuple[tuple[int, ...], ...] | None = None
 
     # -- construction -------------------------------------------------------
@@ -98,12 +103,10 @@ class OverlayGraph:
     def from_edges(
         cls, n: int, edges: Iterable[tuple[int, int]], name: str = "overlay"
     ) -> "OverlayGraph":
-        """Build an undirected overlay from an edge list (every generator's
-        way in); parallel edges collapse into one."""
+        """Build an undirected overlay from a hand-written edge list;
+        parallel edges collapse into one."""
         pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
-        sources, targets = pairs.reshape(-1, 2).T
-        both = (np.concatenate((sources, targets)), np.concatenate((targets, sources)))
-        return cls.from_csr(*_sorted_csr(n, *both), name=name)
+        return cls.from_csr(*undirected_csr(n, *pairs.reshape(-1, 2).T), name=name)
 
     @classmethod
     def from_csr(
@@ -137,12 +140,23 @@ class OverlayGraph:
         return self._n
 
     @property
+    def node_ints(self) -> np.ndarray:
+        """Read-only object array whose entry ``u`` is the one Python int
+        for node ``u``: gathering from it (``node_ints[indices].tolist()``)
+        yields shared ints where ``indices.tolist()`` would box fresh ones."""
+        if self._node_ints is None:
+            ints = np.arange(self._n).astype(object)
+            ints.flags.writeable = False
+            self._node_ints = ints
+        return self._node_ints
+
+    @property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
         """Per-node sorted neighbor tuples, materialised from the CSR arrays
-        on first use (one ``tolist`` pass, plain Python ints)."""
+        on first use (one gather from :attr:`node_ints`)."""
         if self._rows is None:
             indptr, indices = self._csr
-            flat = indices.tolist()
+            flat = self.node_ints[indices].tolist()
             offsets = indptr.tolist()
             self._rows = tuple(
                 tuple(flat[offsets[u]:offsets[u + 1]]) for u in range(self._n)
@@ -263,6 +277,17 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     distinct = np.ones(values.shape[0], dtype=bool)
     distinct[1:] = values[1:] != values[:-1]
     return values[distinct]
+
+
+def undirected_csr(
+    n: int, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the undirected edges
+    ``sources[i] -- targets[i]``: both directions through :func:`_sorted_csr`,
+    so parallel edges collapse into one."""
+    return _sorted_csr(
+        n, np.concatenate((sources, targets)), np.concatenate((targets, sources))
+    )
 
 
 def _sorted_csr(n: int, owners: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,10 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from repro.errors import OverlayError
-from repro.overlay.graph import OverlayGraph
+from repro.overlay.graph import OverlayGraph, undirected_csr
 from repro.overlay.random_graphs import connect_components
 from repro.sim.rng import derive_rng, derive_rng32
 
@@ -82,21 +84,27 @@ def power_law_graph(
         max_degree = max(min_degree + 1, round(n ** 0.75))
     max_degree = min(max_degree, n - 1)
     degrees = sample_power_law_degrees(n, exponent, min_degree, max_degree, seed)
-    edges = _configuration_model(degrees, derive_rng32(seed, "power-law-config", n))
-    overlay = OverlayGraph.from_edges(n, edges, name=f"power-law-{exponent}")
+    pairs = _configuration_model(degrees, derive_rng32(seed, "power-law-config", n))
+    sources, targets = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    overlay = OverlayGraph.from_csr(
+        *undirected_csr(n, sources, targets), name=f"power-law-{exponent}"
+    )
     overlay = connect_components(overlay, seed=seed)
     overlay = _patch_min_degree(overlay, min_degree, seed)
     return overlay.renamed(f"power-law-{exponent}")
 
 
-def _configuration_model(degrees: list[int], rng: random.Random) -> list[tuple[int, int]]:
-    """The configuration model's edges without self-loops (``from_edges``
-    collapses the parallel ones): the shuffled stubs' first half paired with
-    the second, draw for draw the reference ``tests/test_overlay_oracle.py`` pins."""
+def _configuration_model(degrees: list[int], rng: random.Random) -> np.ndarray:
+    """The configuration model's edges without self-loops, as an ``(m, 2)``
+    array (the CSR sort collapses the parallel ones): the shuffled stubs'
+    first half paired with the second, draw for draw the reference
+    ``tests/test_overlay_oracle.py`` pins."""
     stubs = [node for node, degree in enumerate(degrees) for _ in range(degree)]
     rng.shuffle(stubs)
     half = len(stubs) // 2
-    return [(u, v) for u, v in zip(stubs[:half], stubs[half:]) if u != v]
+    shuffled = np.array(stubs, dtype=np.int64)
+    pairs = np.stack((shuffled[:half], shuffled[half:2 * half]), axis=1)
+    return pairs[pairs[:, 0] != pairs[:, 1]]
 
 
 def _patch_min_degree(

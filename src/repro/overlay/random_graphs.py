@@ -10,11 +10,12 @@ and examples.
 
 from __future__ import annotations
 
-import itertools
 import random
 
+import numpy as np
+
 from repro.errors import OverlayError
-from repro.overlay.graph import OverlayGraph
+from repro.overlay.graph import OverlayGraph, undirected_csr
 from repro.sim.rng import derive_rng, derive_rng32
 
 
@@ -33,7 +34,11 @@ def random_regular_graph(
         raise OverlayError(f"n*degree must be even, got n={n}, degree={degree}")
     for attempt in range(max_attempts):
         edges = _pairing_model(n, degree, derive_rng32(seed, "random-regular", n, degree, attempt))
-        overlay = OverlayGraph.from_edges(n, edges, name=f"random-regular-{degree}")
+        sources, targets = np.divmod(np.fromiter(edges, np.int64, len(edges)), n)
+        del edges  # freed before the CSR sort allocates
+        overlay = OverlayGraph.from_csr(
+            *undirected_csr(n, sources, targets), name=f"random-regular-{degree}"
+        )
         if overlay.is_connected():
             return overlay
     raise OverlayError(
@@ -42,13 +47,14 @@ def random_regular_graph(
     )
 
 
-def _pairing_model(n: int, degree: int, rng: random.Random) -> set[tuple[int, int]]:
+def _pairing_model(n: int, degree: int, rng: random.Random) -> set[int]:
     """The edges of one simple d-regular sample (Steger and Wormald): pair
     shuffled stubs off, re-shuffle those that would make a self-loop or a
     parallel edge, start over when none can pair.  Draw for draw the reference
-    ``tests/test_overlay_oracle.py`` pins it to, so overlays keep their bytes."""
+    ``tests/test_overlay_oracle.py`` pins it to, so overlays keep their bytes.
+    Edge ``u -- v`` (``u < v``) is held as the one int ``u * n + v``."""
     while True:
-        edges: set[tuple[int, int]] = set()
+        edges: set[int] = set()
         stubs = list(range(n)) * degree
         while stubs:
             unpaired: dict[int, int] = {}
@@ -57,29 +63,31 @@ def _pairing_model(n: int, degree: int, rng: random.Random) -> set[tuple[int, in
             for s1, s2 in zip(pairs, pairs):
                 if s1 > s2:
                     s1, s2 = s2, s1
-                if s1 != s2 and (s1, s2) not in edges:
-                    edges.add((s1, s2))
+                code = s1 * n + s2
+                if s1 != s2 and code not in edges:
+                    edges.add(code)
                 else:
                     unpaired[s1] = unpaired.get(s1, 0) + 1
                     unpaired[s2] = unpaired.get(s2, 0) + 1
-            if unpaired and not _can_pair(edges, unpaired):
+            if unpaired and not _can_pair(edges, unpaired, n):
                 break
             stubs = [node for node, count in unpaired.items() for _ in range(count)]
         else:
             return edges
 
 
-def _can_pair(edges: set[tuple[int, int]], unpaired: dict[int, int]) -> bool:
-    """Whether the next round can still pair ``unpaired`` (not empty): the
-    reference's check as written, whose swap rebinds ``s1`` and so skips
-    some pairs; which pairs it checks decides when a sample starts over."""
+def _can_pair(edges: set[int], unpaired: dict[int, int], n: int) -> bool:
+    """Whether the next round can still pair ``unpaired`` (not empty), with
+    ``edges`` coded as in :func:`_pairing_model`: the reference's check as
+    written, whose swap rebinds ``s1`` and so skips some pairs; which pairs
+    it checks decides when a sample starts over."""
     for s1 in unpaired:
         for s2 in unpaired:
             if s1 == s2:
                 break
             if s1 > s2:
                 s1, s2 = s2, s1
-            if (s1, s2) not in edges:
+            if s1 * n + s2 not in edges:
                 return True
     return False
 
@@ -97,8 +105,12 @@ def gnp_random_graph(n: int, p: float, seed: object = 0) -> OverlayGraph:
     if not 0 <= p <= 1:
         raise OverlayError(f"edge probability must be in [0, 1], got {p}")
     rng = derive_rng32(seed, "gnp", n, p)
-    edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
-    return OverlayGraph.from_edges(n, edges, name=f"gnp-{p}")
+    sources, targets = np.triu_indices(n, 1)  # combinations(range(n), 2) order
+    pairs = sources.shape[0]
+    kept = np.fromiter((rng.random() < p for _ in range(pairs)), bool, pairs)
+    return OverlayGraph.from_csr(
+        *undirected_csr(n, sources[kept], targets[kept]), name=f"gnp-{p}"
+    )
 
 
 def ring_lattice_graph(n: int, k: int = 1) -> OverlayGraph:

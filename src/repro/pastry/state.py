@@ -162,6 +162,9 @@ def build_routing_tables(
     arange_n = np.arange(n, dtype=np.int64)
     sentinel = num_digits * base  # parks each owner's self row off-table
     latency_block = getattr(latency, "latency_block", None)
+    # one (r, c) key per cell and one int per node, shared by every table
+    cell_keys = [divmod(cell, base) for cell in range(sentinel)]
+    node_ints = list(range(n))
     tables: list[dict[tuple[int, int], int]] = []
     for start in range(0, n, block):
         stop = min(n, start + block)
@@ -202,10 +205,10 @@ def build_routing_tables(
         first = first.reshape(width, sentinel + 1)[:, :sentinel]
         owners, filled = np.nonzero(first < width * n)
         block_tables: list[dict[tuple[int, int], int]] = [{} for _ in range(width)]
-        for owner, cell, flat in zip(
-            owners.tolist(), filled.tolist(), first[owners, filled].tolist()
+        for owner, cell, node in zip(
+            owners.tolist(), filled.tolist(), (first[owners, filled] % n).tolist()
         ):
-            block_tables[owner][divmod(cell, base)] = flat % n
+            block_tables[owner][cell_keys[cell]] = node_ints[node]
         tables.extend(block_tables)
     return tables
 

@@ -3,8 +3,11 @@ hypothesis settings tuned for a fast, deterministic suite."""
 
 from __future__ import annotations
 
+import gc
 import subprocess
 import sys
+import tracemalloc
+from typing import Callable
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -22,6 +25,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def traced_memory(build: Callable[[], object]) -> tuple[int, int]:
+    """``(held, peak)``: the bytes ``tracemalloc`` counts as still allocated
+    when ``build()`` returns (its result alive), and their high-water mark
+    while it ran.  Garbage is collected first, so earlier tests' leftovers
+    neither count nor get freed mid-trace."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()  # noqa: F841 - alive while ``held`` is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak
 
 
 @pytest.fixture(autouse=True)

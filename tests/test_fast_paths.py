@@ -6,7 +6,8 @@ implementations (the pre-optimisation algorithms, kept verbatim here) on
 seeded random instances; the cached views (ranked neighbors, degrees, CSR
 adjacency) and :class:`BoundedCache` are pinned against their unbatched
 counterparts; the underlay latency model is pinned against the underlay's
-matrix; and the result store's events/sec manifest entry is checked.
+matrix; the cold-built structures' memory is guarded with ``tracemalloc``;
+and the result store's events/sec manifest entry is checked.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import traced_memory
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +41,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.store import ResultStore
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.power_law import power_law_graph
-from repro.overlay.random_graphs import gnp_random_graph
+from repro.overlay.random_graphs import fixed_degree_random_graph, gnp_random_graph
 from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry import routing as pastry_routing
 from repro.pastry import state as pastry_state
@@ -814,21 +816,18 @@ class TestUnderlayLatencyReads:
     def test_reading_every_pair_leaves_almost_no_memory_behind(self):
         """Building the model and reading all n² pairs of a 200-node
         overlay keeps a few dozen KiB, not a row of floats per sender."""
-        import tracemalloc
-
         underlay = TransitStubUnderlay.for_size(200, seed=1)
         attachment = underlay.random_attachment(200, seed=2)
         underlay.latency_matrix()
-        gc.collect()
-        tracemalloc.start()
-        try:
+
+        def build_and_read():
             model = UnderlayLatency(underlay, attachment)
             for src in range(200):
                 for dst in range(200):
                     model.latency(src, dst)
-            held, _peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return model
+
+        held, _peak = traced_memory(build_and_read)
         assert held < 64 * 1024
 
     def test_the_matrix_refuses_writes(self):
@@ -838,6 +837,63 @@ class TestUnderlayLatencyReads:
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 1] = 0.0
         assert model.latency_block(0, 2, 2).flags.writeable  # a gather is a copy
+
+
+class TestOneObjectPerValue:
+    """The cold-built structures hold each value once: edge codes in the
+    pairing model, one int per node in neighbor tuples and routing tables,
+    one key tuple per routing-table cell, one byte per paper-space score."""
+
+    def test_the_paper_overlay_builds_under_28_mib(self):
+        """The pairing model keeps one int per edge, not a tuple (41 MiB)."""
+        _held, peak = traced_memory(lambda: fixed_degree_random_graph(4000, 100))
+        assert peak < 28 << 20
+
+    def test_neighbor_tuples_share_one_int_per_node(self):
+        overlay = fixed_degree_random_graph(4000, 100)
+        table = MPILNetwork(overlay, seed=0).metric_table
+        n, slots = overlay.n, overlay.adjacency_arrays()[1].shape[0]
+        held, _peak = traced_memory(lambda: [table.neighbor_list(u) for u in range(n)])
+        # a pointer per CSR slot; per node a tuple header, the cache's dict
+        # slot and key, and the returned list's pointer (boxing a fresh int
+        # per slot held ~40 B a slot)
+        assert held <= 8 * slots + 160 * n
+        ints = table._node_ints
+        for u in range(n):
+            assert all(member is ints[v] for member, v in zip(
+                table.neighbor_list(u), table._neighbors(u).tolist()
+            ))
+        # the overlay's own tuples gather from the same ints
+        assert all(v is ints[v] for u in range(0, n, 97) for v in overlay.neighbors(u))
+
+    def test_routing_tables_share_cell_keys_and_node_ints(self, paper_space):
+        ids = paper_space.random_unique_identifiers(600, derive_rng(5, "ids"))
+        tables = build_routing_tables(PastryRing(ids), seed=5)
+        keys = [key for table in tables for key in table]
+        values = [node for table in tables for node in table.values()]
+        assert len({id(key) for key in keys}) == len(set(keys)) > 16
+        assert len({id(node) for node in values}) == len(set(values)) > 257
+
+    @pytest.mark.parametrize("metric_name", ["common-digits", "prefix", "suffix"])
+    def test_paper_space_scores_are_one_byte(self, paper_space, metric_name):
+        overlay = gnp_random_graph(40, 0.2, seed=2)
+        ids = paper_space.random_unique_identifiers(40, derive_rng(2, "ids"))
+        table = NeighborMetricTable(overlay, ids, metric=metric_by_name(metric_name))
+        vector = table.scores_all(ids[3])
+        assert vector.dtype == np.uint8
+        assert vector[3] == 40
+
+    @pytest.mark.parametrize("metric_name", ["common-digits", "prefix", "suffix"])
+    def test_512_digits_score_512(self, metric_name):
+        """The digit count is not bounded by a byte: 512 binary digits."""
+        space = IdSpace(bits=512, digit_bits=1)
+        overlay = gnp_random_graph(12, 0.3, seed=1)
+        ids = space.random_unique_identifiers(12, derive_rng(1, "ids"))
+        metric = metric_by_name(metric_name)
+        vector = NeighborMetricTable(overlay, ids, metric=metric).scores_all(ids[0])
+        assert vector[0] == 512 == metric.score(ids[0], ids[0])
+        assert vector.dtype == np.uint16
+        assert vector.tolist() == [metric.score(ids[0], other) for other in ids]
 
 
 class TestBoundedCache:

@@ -183,6 +183,8 @@ TEST_ONLY_API = {
     "repro.experiments.registry.unregister": "public API: inverse of api.register",
     "repro.experiments.scales.unregister_scale": "public API: inverse of api.register_scale",
     "repro.experiments.runner.SweepReport.outcome": "public lookup of one task's outcome",
+    "repro.overlay.graph.OverlayGraph.from_edges":
+        "public constructor for hand-written edge lists (worked examples, tests)",
     "repro.overlay.power_law.estimated_exponent":
         "ROADMAP item 6: the in-repo generators' distribution check will read it",
     "repro.overlay.random_graphs.gnp_random_graph":

@@ -72,6 +72,16 @@ def regular_sizes(draw, max_n: int):
     return n, degree
 
 
+def _coded(pairs, n: int) -> set[int]:
+    """The pairing model's edge codes of ``pairs``: ``u * n + v``, ``u < v``."""
+    return {min(u, v) * n + max(u, v) for u, v in pairs}
+
+
+def _decoded(codes: set[int], n: int) -> list[tuple[int, int]]:
+    """The ``(u, v)`` pairs of the pairing model's edge codes."""
+    return [divmod(code, n) for code in codes]
+
+
 class TestStartOver:
     """First in the file: a wrong start-over check can make the pairing
     model loop forever, so it is pinned here before any sample is drawn."""
@@ -81,10 +91,12 @@ class TestStartOver:
         loop and goes on from the smaller node.  With 0, 1, 2 unpaired in
         that order and 0 adjacent to both others, it never looks at the free
         pair (1, 2), so the sample starts over."""
-        assert not random_graphs._can_pair({(0, 1), (0, 2)}, {0: 1, 1: 1, 2: 1})
-        assert random_graphs._can_pair({(0, 1)}, {0: 1, 1: 1, 2: 1})
-        assert not random_graphs._can_pair({(3, 5)}, {5: 1, 3: 1})
-        assert not random_graphs._can_pair(set(), {4: 2})
+        can_pair = random_graphs._can_pair
+        for n in (6, 7, 1000):
+            assert not can_pair(_coded({(0, 1), (0, 2)}, n), {0: 1, 1: 1, 2: 1}, n)
+            assert can_pair(_coded({(0, 1)}, n), {0: 1, 1: 1, 2: 1}, n)
+            assert not can_pair(_coded({(3, 5)}, n), {5: 1, 3: 1}, n)
+            assert not can_pair(set(), {4: 2}, n)
 
     def test_an_explicit_example_starts_over(self):
         """The oracle reaches the start-over path: on ``(9, 6)``, seed 0
@@ -92,8 +104,8 @@ class TestStartOver:
         verdicts = []
         real = random_graphs._can_pair
 
-        def recording(edges, unpaired):
-            verdicts.append(real(edges, unpaired))
+        def recording(edges, unpaired, n):
+            verdicts.append(real(edges, unpaired, n))
             return verdicts[-1]
 
         with unittest.mock.patch.object(random_graphs, "_can_pair", recording):
@@ -123,7 +135,10 @@ class TestRandomRegular:
         """Below the connectivity retry: every sample, connected or not."""
         n, degree = size
         graph = nx.random_regular_graph(degree, n, seed=seed)
-        edges = random_graphs._pairing_model(n, degree, random.Random(seed))
+        codes = random_graphs._pairing_model(n, degree, random.Random(seed))
+        edges = _decoded(codes, n)
+        assert all(0 <= u < v < n for u, v in edges)
+        assert len(edges) == n * degree // 2
         _assert_same_arrays(
             OverlayGraph.from_edges(n, edges, name="sample"), _converted(graph, "sample")
         )
