@@ -15,6 +15,7 @@ in Python.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -87,8 +88,9 @@ _METRICS = {
 
 
 #: What :func:`repro.core.routing.decide_forwarding` reads for one node and
-#: object: ``(self_score, ids_by_rank, tier_ends, tier_scores)``.
-RankedNeighbors = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+#: object: ``(is_local_max, top, neighbors, order)``, laid out by
+#: :func:`compact_ranking`.
+RankedNeighbors = tuple[bool, tuple[int, ...], tuple[int, ...], bytes | memoryview]
 
 
 class ObjectEntry(dict):
@@ -137,6 +139,39 @@ def rank_by_score(
     return tuple(ranked), tuple(ends), tier_scores
 
 
+def compact_ranking(
+    self_score: int, neighbors: tuple[int, ...], scores: Sequence[int]
+) -> RankedNeighbors:
+    """``(is_local_max, top, neighbors, order)``: a node's neighbors ranked
+    by their aligned ``scores``, in the layout
+    :func:`repro.core.routing.decide_forwarding` reads.
+
+    ``is_local_max`` says whether ``self_score`` is at least the best
+    neighbor score (always, with no neighbors); ``top`` is the best tier's
+    ids, taken from ``neighbors`` itself; ``order`` is :func:`rank_by_score`
+    over positions into ``neighbors``: the ``d = len(neighbors)`` positions
+    in rank order, then the tier ends.  It is ``bytes`` below degree 256
+    and otherwise a read-only ``memoryview`` of the narrowest unsigned
+    width that holds ``d``; either way indexing gives a Python int.
+
+    >>> compact_ranking(3, (10, 11, 12, 13), (2, 5, 2, -1))
+    (False, (11,), (10, 11, 12, 13), b'\\x01\\x00\\x02\\x03\\x01\\x03\\x04')
+    """
+    degree = len(neighbors)
+    positions, ends, tier_scores = rank_by_score(range(degree), scores)
+    if not ends:
+        return True, (), neighbors, b""
+    top = tuple([neighbors[p] for p in positions[: ends[0]]])
+    codes = positions + ends
+    order: bytes | memoryview
+    if degree < 256:
+        order = bytes(codes)
+    else:
+        wide = np.min_scalar_type(degree)
+        order = memoryview(np.array(codes, dtype=wide).tobytes()).cast(wide.char)
+    return self_score >= tier_scores[0], top, neighbors, order
+
+
 def metric_by_name(name: str):
     """Instantiate a metric from its configuration name."""
     try:
@@ -172,18 +207,22 @@ class NeighborMetricTable:
 
     The cache is bounded in bytes (:attr:`SCORE_CACHE_BYTES`): a vector
     costs its ``nbytes``, a ranking :attr:`RANKED_BASE_BYTES` plus 8 B a
-    neighbor and 16 B a score tier.  When the next item would overflow the
-    bound, every entry is dropped at once.  A full cache costs 128 MiB at
-    any n.  A vector holds one score per node in the smallest unsigned
-    dtype that holds the digit count (:func:`_score_dtype`; one byte for
-    the paper's 40 digits).  At n = 4000 a vector is 4 KB, and a ranking on
-    the nodes copies pass is 536 B on the power-law overlay (mean degree 23)
-    and 1.2 KB at degree 100: room for ~250,000 or ~110,000 rankings.  At
-    n = 10^5 a vector is 100 KB: room for ~1,340 objects' vectors alone.
+    top-tier neighbor plus its ``order`` buffer (one byte a neighbor and a
+    tier below degree 256).  When the next item would overflow the bound,
+    every entry is dropped at once.  A full cache costs 128 MiB at any n.
+    A vector holds one score per node in the smallest unsigned dtype that
+    holds the digit count (:func:`_score_dtype`; one byte for the paper's
+    40 digits).  At n = 4000 a vector is 4 KB, and a ranking holds ~204 B
+    on the power-law overlay (mean degree 23) and ~306 B at degree 100
+    (``tracemalloc``, every node against one object): room for ~650,000
+    or ~440,000 rankings.  At n = 10^5 a vector is 100 KB: room for
+    ~1,340 objects' vectors alone.
 
     Every neighbor tuple and ranking holds the overlay's one Python int per
     node (:attr:`repro.overlay.graph.OverlayGraph.node_ints`), so the
-    per-node tuples cost a pointer a neighbor, not a boxed int.
+    per-node tuples cost a pointer a neighbor, not a boxed int; a ranking
+    keeps its node's neighbor tuple itself, and below its top tier only
+    positions into it.
 
     Parameters
     ----------
@@ -198,10 +237,10 @@ class NeighborMetricTable:
 
     #: bound on the bytes of every cached vector and ranking, together
     SCORE_CACHE_BYTES = 128 << 20
-    #: a ranking's bytes besides its ids and tiers: the 4-tuple, three empty
-    #: tuples and the entry's dict slot (the ids are ``neighbor_list``'s own
-    #: int objects)
-    RANKED_BASE_BYTES = 256
+    #: a ranking's bytes besides its top-tier pointers and ``order``: the
+    #: 4-tuple (72 B), the top tuple's header (40 B) and the entry's dict
+    #: slot (~40 B); the ids and the neighbor tuple are shared
+    RANKED_BASE_BYTES = 152
 
     def __init__(self, overlay, ids: Sequence[Identifier], metric=None):
         n = overlay.n
@@ -282,19 +321,25 @@ class NeighborMetricTable:
         return self.scores_all(target)[rows].tolist()
 
     def ranked_neighbors(self, node: int, target: Identifier) -> RankedNeighbors:
-        """``(self_score, ids_by_rank, tier_ends, tier_scores)``: the
-        neighbors of ``node`` ranked by their score against ``target``,
-        which is what :func:`repro.core.routing.decide_forwarding` consumes.
-        Cached in ``target``'s :meth:`entry` under ``node``, and immutable
-        all the way down; a miss is :func:`rank_by_score` over
-        :meth:`neighbor_list` and :meth:`scores_with_self`.
+        """``(is_local_max, top, neighbors, order)``: the neighbors of
+        ``node`` ranked by their score against ``target``, which is what
+        :func:`repro.core.routing.decide_forwarding` consumes.  Cached in
+        ``target``'s :meth:`entry` under ``node``, and immutable all the way
+        down; a miss is :func:`compact_ranking` of :meth:`neighbor_list` by
+        :meth:`scores_with_self`.
         """
         entry = self.entry(target)
         ranked = entry.get(node)
         if ranked is None:
             scores = self.scores_with_self(node, target)
-            ranked = (scores[0], *rank_by_score(self.neighbor_list(node), scores[1:]))
-            self._spend(self.RANKED_BASE_BYTES + 8 * len(ranked[1]) + 16 * len(ranked[3]))
+            ranked = compact_ranking(scores[0], self.neighbor_list(node), scores[1:])
+            order = ranked[3]
+            # the shared ints and neighbor tuple are not charged; a wide
+            # order is a view over bytes of its own
+            held = sys.getsizeof(order)
+            if type(order) is memoryview:
+                held += sys.getsizeof(order.obj)
+            self._spend(self.RANKED_BASE_BYTES + 8 * len(ranked[1]) + held)
             entry[node] = ranked
         return ranked
 

@@ -45,10 +45,11 @@ def decide_forwarding(
     Parameters
     ----------
     ranked:
-        ``(self_score, ids_by_rank, tier_ends, tier_scores)`` — the current
-        node's metric value against the object ID and its neighbors grouped
-        into equal-score tiers, best first, in the layout of
-        :func:`repro.core.metric.rank_by_score`
+        ``(is_local_max, top, neighbors, order)`` — the current node's
+        local-maximum verdict against the object ID, its best-scoring
+        neighbors' ids, its neighbor tuple, and every neighbor's position
+        in that tuple grouped into equal-score tiers, best first, in the
+        layout of :func:`repro.core.metric.compact_ranking`
         (:meth:`~repro.core.metric.NeighborMetricTable.ranked_neighbors`
         keeps one per ``(node, object)``).
     excluded:
@@ -71,30 +72,30 @@ def decide_forwarding(
 
     The node is a local maximum when no neighbor, visited or not, scores
     higher (the pseudo-code's "all nodes in neighbor list"): when its own
-    score is at least the top tier's.
+    score is at least the top tier's.  The ranking carries that verdict.
     """
-    self_score, ids_by_rank, tier_ends, tier_scores = ranked
+    is_local_max, top, neighbors, order = ranked
     # next_hop_list is the best tier that still has an unvisited member.  A
     # route holds the few nodes this copy visited, so that is nearly always
-    # the first tier; the candidates keep the tier's stored order, which
-    # fixes what ``draw`` picks.
-    candidates: Sequence[int] = ()
-    start = 0
-    for end in tier_ends:
-        if end - start == 1:
-            # the top tier is one neighbor in about two decisions of three:
-            # test it where it lies, no slice and no list
-            peer = ids_by_rank[start]
-            if peer not in excluded:
-                candidates = (peer,)
-                break
-        else:
-            candidates = [peer for peer in ids_by_rank[start:end] if peer not in excluded]
+    # the top tier, kept as ids; a lower tier is read from ``order`` as
+    # positions into ``neighbors``.  The candidates keep the tier's stored
+    # order, which fixes what ``draw`` picks.
+    candidates: Sequence[int]
+    if len(top) == 1:
+        # the top tier is one neighbor in about two decisions of three:
+        # test it where it lies, no list
+        candidates = () if top[0] in excluded else top
+    else:
+        candidates = [peer for peer in top if peer not in excluded]
+    if not candidates:
+        start = len(top)
+        # order[degree] ends the top tier; the lower tiers' ends follow
+        for end in order[len(neighbors) + 1:]:
+            tier = [neighbors[p] for p in order[start:end]]
+            candidates = [peer for peer in tier if peer not in excluded]
             if candidates:
                 break
-        start = end
-
-    is_local_max = not tier_scores or self_score >= tier_scores[0]
+            start = end
 
     fanout, budgets, new_flows = fan_out(max_flows, given_flows, len(candidates))
     if fanout < len(candidates):

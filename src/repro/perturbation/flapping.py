@@ -119,7 +119,10 @@ class FlappingSchedule(ProcessBase):
         self.num_nodes = num_nodes
         self.seed = seed
         self.always_online = frozenset(always_online)
-        phase_rng = derive_rng(seed, "flap-phases", num_nodes, config.label)
+        #: the config's label, formatted once: every "flap-decisions" derive
+        #: reads it
+        self._label = config.label
+        phase_rng = derive_rng(seed, "flap-phases", num_nodes, self._label)
         self._phases = [phase_rng.uniform(0.0, config.cycle) for _ in range(num_nodes)]
         #: node -> its "flap-decisions" stream, derived on the first draw
         self._decision_rngs: dict[int, random.Random] = {}
@@ -145,7 +148,7 @@ class FlappingSchedule(ProcessBase):
             rng = self._decision_rngs.get(node)
             if rng is None:
                 rng = self._decision_rngs[node] = derive_rng(
-                    self.seed, "flap-decisions", node, self.config.label
+                    self.seed, "flap-decisions", node, self._label
                 )
             p = self.config.probability
             while len(decisions) <= cycle_index:

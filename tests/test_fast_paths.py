@@ -32,6 +32,7 @@ from repro.core.identifiers import IdSpace
 from repro.core.metric import (
     CommonDigitsMetric,
     NeighborMetricTable,
+    compact_ranking,
     metric_by_name,
     rank_by_score,
 )
@@ -503,7 +504,16 @@ class TestRoutingTableSelection:
 
 
 def _ranked(self_score, neighbor_ids, neighbor_scores):
-    return (self_score, *rank_by_score(neighbor_ids, neighbor_scores))
+    return compact_ranking(self_score, tuple(neighbor_ids), neighbor_scores)
+
+
+def _decoded(ranked):
+    """``(is_local_max, top, ids_by_rank, tier_ends)`` of a compact ranking:
+    its positions read back through its neighbor tuple."""
+    is_local_max, top, neighbors, order = ranked
+    degree = len(neighbors)
+    ids_by_rank = tuple(neighbors[p] for p in order[:degree])
+    return is_local_max, top, ids_by_rank, tuple(order[degree:])
 
 
 class TestDecideForwardingParity:
@@ -601,6 +611,30 @@ class TestDecideForwardingParity:
             assert decision == scanned
             assert ranked_rng.getstate() == scan_rng.getstate()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_wide_ranking_decides_as_the_scan(self, seed):
+        """Degree 300, so ``order`` is a ``uint16`` view: routes that cover
+        the top tiers send the walk through the positions."""
+        rng = derive_rng(seed, "wide")
+        neighbor_ids = rng.sample(range(10_000), 300)
+        neighbor_scores = [rng.randrange(0, 8) for _ in neighbor_ids]
+        ranked = _ranked(4, neighbor_ids, neighbor_scores)
+        assert type(ranked[3]) is memoryview and ranked[3].format == "H"
+        by_score = sorted(zip(neighbor_scores, neighbor_ids), reverse=True)
+        for covered in (0, 1, 30, 60, 299, 300):
+            route = (*(peer for _, peer in by_score[:covered]), 10_001)
+            for max_flows, tie_break in ((3, "random"), (0, "random"), (2, "lowest-id")):
+                scan_rng, ranked_rng = random.Random(seed), random.Random(seed)
+                scanned = reference_decide(
+                    4, neighbor_ids, neighbor_scores, set(route), max_flows, 1,
+                    scan_rng, tie_break,
+                )
+                decision = decide_forwarding(
+                    ranked, route, max_flows, 1, ranked_rng.sample, tie_break
+                )
+                assert decision == scanned
+                assert ranked_rng.getstate() == scan_rng.getstate()
+
     def test_negative_scores_still_select_a_candidate(self):
         # custom metrics may return negative scores; the tier walk must not
         # treat them as worse-than-no-candidate
@@ -646,7 +680,8 @@ class TestCachedViews:
                 # memoised: the same immutable entry comes back
                 assert table.ranked_neighbors(node, target) is entry
                 assert type(entry) is tuple
-                assert all(type(member) is tuple for member in entry[1:])
+                assert type(entry[1]) is type(entry[2]) is tuple
+                assert type(entry[3]) is bytes
 
     def test_each_object_is_scored_once_however_many_the_table_routes(self, monkeypatch):
         """150 objects on a 2,000-node overlay, each inserted and looked up
@@ -742,6 +777,46 @@ class TestCachedViews:
             assert table() is None
         finally:
             gc.enable()
+
+    @given(
+        scores=st.lists(st.integers(-6, 6), max_size=40),
+        score_span=st.sampled_from([1, 3, 13]),
+        self_score=st.integers(-6, 6),
+    )
+    def test_a_compact_ranking_decodes_to_the_ranked_tiers(
+        self, scores, score_span, self_score
+    ):
+        """Positions read back through the neighbor tuple are
+        ``rank_by_score``'s ids and tier ends; the top tier and the verdict
+        are its first tier and ``self_score >= `` its best score.  Covers no
+        neighbors and all-equal scores."""
+        scores = [score % score_span for score in scores]
+        neighbors = tuple(range(500, 500 + 7 * len(scores), 7))
+        ids_by_rank, tier_ends, tier_scores = rank_by_score(neighbors, scores)
+        ranked = compact_ranking(self_score, neighbors, scores)
+        assert ranked[2] is neighbors
+        assert type(ranked[3]) is bytes
+        top = ids_by_rank[: tier_ends[0]] if tier_ends else ()
+        is_local_max = not tier_scores or self_score >= tier_scores[0]
+        assert _decoded(ranked) == (is_local_max, top, ids_by_rank, tier_ends)
+
+    @pytest.mark.parametrize("degree", [255, 256, 700])
+    def test_the_order_buffer_widens_at_degree_256(self, degree):
+        rng = derive_rng(degree, "scores")
+        scores = [rng.randrange(0, 40) for _ in range(degree)]
+        neighbors = tuple(rng.sample(range(10**5), degree))
+        ranked = compact_ranking(0, neighbors, scores)
+        ids_by_rank, tier_ends, tier_scores = rank_by_score(neighbors, scores)
+        assert _decoded(ranked) == (
+            0 >= tier_scores[0], ids_by_rank[: tier_ends[0]], ids_by_rank, tier_ends
+        )
+        order = ranked[3]
+        if degree < 256:
+            assert type(order) is bytes
+        else:
+            assert order.readonly and order.format == "H"
+            assert order.nbytes == 2 * (degree + len(tier_ends))
+            assert all(type(position) is int for position in order[:3])
 
     def test_rank_by_score_keeps_input_order_inside_a_tier(self):
         assert rank_by_score((7, 3, 9, 1, 5), (2, -1, 2, 4, -1)) == (
@@ -865,6 +940,60 @@ class TestOneObjectPerValue:
             ))
         # the overlay's own tuples gather from the same ints
         assert all(v is ints[v] for u in range(0, n, 97) for v in overlay.neighbors(u))
+
+    def test_rankings_share_the_neighbor_tuple_and_node_ints(self):
+        overlay = power_law_graph(4000, seed=0)
+        table = MPILNetwork(overlay, seed=0).metric_table
+        target = table.ids[0].space.random_identifier(derive_rng(0, "target"))
+        ints = table._node_ints
+        wide = 0
+        for u in range(overlay.n):
+            _verdict, top, neighbors, order = table.ranked_neighbors(u, target)
+            assert neighbors is table.neighbor_list(u)
+            assert all(member is ints[member] for member in top)
+            wide += type(order) is memoryview
+        # the power-law overlay's hubs take the wide buffer
+        assert wide == sum(degree >= 256 for degree in overlay.degrees) > 0
+
+    def test_a_ranking_at_degree_100_holds_under_400_bytes(self):
+        """Every node of ``fixed_degree_random_graph(4000, 100)`` ranked
+        against two objects: the new rankings, and nothing else, under
+        ``tracemalloc`` (ids tuple, tier ends and tier scores held ~1,160 B
+        a ranking)."""
+        table, nodes, targets = self._warm_degree_100_table()
+        held, _peak = traced_memory(
+            lambda: [table.ranked_neighbors(u, t) for t in targets for u in nodes]
+        )
+        rankings = len(targets) * len(nodes)
+        # less the returned list's pointer to each ranking
+        assert (held - 8 * rankings) / rankings < 400
+
+    def test_the_charge_is_the_held_bytes_within_10_percent(self):
+        """``_spend`` is charged what a ranking holds, within a tolerance
+        (10 %) fixed before this test first ran."""
+        table, nodes, targets = self._warm_degree_100_table()
+        charged_before = table._cached_bytes
+        held, _peak = traced_memory(
+            lambda: [table.ranked_neighbors(u, t) for t in targets for u in nodes]
+        )
+        held -= 8 * len(targets) * len(nodes)
+        charged = table._cached_bytes - charged_before
+        assert abs(charged - held) <= 0.10 * held, (charged, held)
+
+    @staticmethod
+    def _warm_degree_100_table():
+        """A degree-100 table with every neighbor tuple and two objects'
+        vectors cached, and its nodes as the shared ints the routing
+        drivers key rankings by."""
+        table = MPILNetwork(fixed_degree_random_graph(4000, 100), seed=0).metric_table
+        nodes = table._node_ints.tolist()
+        for u in nodes:
+            table.neighbor_list(u)
+        rng = derive_rng(0, "targets")
+        targets = [table.ids[0].space.random_identifier(rng) for _ in range(2)]
+        for target in targets:
+            table.entry(target)
+        return table, nodes, targets
 
     def test_routing_tables_share_cell_keys_and_node_ints(self, paper_space):
         ids = paper_space.random_unique_identifiers(600, derive_rng(5, "ids"))

@@ -159,6 +159,24 @@ class TestDecisionStreamsOnFirstUse:
         assert not schedule.is_online(2, schedule.phase(2) + 91.0)  # same stream again
         assert derived[1:] == [("flap-decisions", 2, "30:30")]
 
+    def test_the_label_is_formatted_once_per_schedule(self, monkeypatch):
+        """Each node's stream derives under the same label, formatted at
+        construction and not again per derive."""
+        derived = self._derived(monkeypatch)
+        formatted = []
+        label = FlappingConfig.label
+
+        def counted(config):
+            formatted.append(config)
+            return label.fget(config)
+
+        monkeypatch.setattr(FlappingConfig, "label", property(counted))
+        schedule = FlappingSchedule(FlappingConfig(30, 30, 1.0), 6, seed=14)
+        for node in range(6):
+            assert schedule.goes_offline(node, 3)
+        assert len(formatted) == 1
+        assert [labels[-1] for labels in derived] == ["30:30"] * 7
+
 
 class TestScenarios:
     def test_period_configs_match_paper(self):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.metric import rank_by_score
+from repro.core.metric import compact_ranking
 from repro.core.routing import ForwardDecision, decide_forwarding
 
 
@@ -23,7 +23,7 @@ def _decide(
     """The decision with the exclusion given as a set and — the form
     ``MPILRequest.step`` passes, the route itself — as a tuple; only
     membership is asked of it, so the two must agree."""
-    ranked = (self_score, *rank_by_score(ids, scores))
+    ranked = compact_ranking(self_score, tuple(ids), scores)
     decisions = [
         decide_forwarding(
             ranked,
