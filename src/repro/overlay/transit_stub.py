@@ -13,7 +13,7 @@ three-level structure:
 Link latencies follow the usual GT-ITM classing: transit-transit
 (inter-domain) links are slowest, intra-transit next, transit-stub next,
 intra-stub fastest, each with multiplicative jitter.  Pairwise latency is
-the shortest-path delay, computed once with SciPy and cached.
+the shortest-path delay, computed once in numpy and cached.
 """
 
 from __future__ import annotations
@@ -194,24 +194,13 @@ class TransitStubUnderlay:
     def latency_matrix(self) -> np.ndarray:
         """One-way shortest-path latencies between all underlay nodes, as
         one read-only float64 array, computed on the first call."""
-        if self._latency_matrix is not None:
-            return self._latency_matrix
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import shortest_path
-
-        n = self.num_nodes
-        rows, cols, vals = [], [], []
-        for u, v, w in self._edges:
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((w, w))
-        graph = coo_matrix((vals, (rows, cols)), shape=(n, n))
-        matrix = shortest_path(graph, method="D", directed=False)
-        if np.isinf(matrix).any():
-            raise OverlayError("generated transit-stub underlay is disconnected")
-        matrix.flags.writeable = False
-        self._latency_matrix = matrix
-        return matrix
+        if self._latency_matrix is None:
+            matrix = _shortest_paths(self.params, self._edges)
+            if np.isinf(matrix).any():
+                raise OverlayError("generated transit-stub underlay is disconnected")
+            matrix.flags.writeable = False
+            self._latency_matrix = matrix
+        return self._latency_matrix
 
     def random_attachment(self, overlay_nodes: int, seed: object = 0) -> list[int]:
         """Attach overlay nodes to distinct stub nodes (falling back to
@@ -221,3 +210,121 @@ class TransitStubUnderlay:
         if overlay_nodes <= len(stubs):
             return rng.sample(stubs, overlay_nodes)
         return [rng.choice(stubs) for _ in range(overlay_nodes)]
+
+
+def _relax(block: np.ndarray, links: list[tuple[int, int, float]]) -> None:
+    """Gauss-Seidel Bellman-Ford in place: ``block[v, s]`` is the delay
+    from source ``s`` to target ``v``, and each undirected link ``(u, v,
+    w)`` relaxes ``u -> v`` and then ``v -> u`` for every source at once.
+    Sweeps alternate between the links' order and its reverse until one
+    changes nothing."""
+    rows = list(block)
+    step = np.empty(block.shape[1])
+    while True:
+        before = block.copy()
+        for u, v, w in links:
+            np.minimum(rows[v], np.add(rows[u], w, out=step), out=rows[v])
+            np.minimum(rows[u], np.add(rows[v], w, out=step), out=rows[u])
+        if np.array_equal(block, before):
+            return
+        links = links[::-1]
+
+
+def _relax_domains(block: np.ndarray, steps: list) -> None:
+    """:func:`_relax` for many independent graphs at once: each step
+    ``(u, v, w)`` holds one link of every graph, ``u`` and ``v`` as arrays
+    of rows and ``w`` as a column of delays."""
+    while True:
+        before = block.copy()
+        for u, v, w in steps:
+            block[v] = np.minimum(block[v], block[u] + w)
+            block[u] = np.minimum(block[u], block[v] + w)
+        if np.array_equal(block, before):
+            return
+        steps = steps[::-1]
+
+
+def _shortest_paths(
+    params: TransitStubParams, edges: list[tuple[int, int, float]]
+) -> np.ndarray:
+    """All-pairs shortest-path delays, ``matrix[s, v]`` from ``s`` to ``v``.
+
+    Every stub domain meets the rest of the underlay only at its gateway
+    (its first node) through one uplink, so no path between two other
+    nodes crosses it.  Three stages then give every pair: each domain's
+    own table, every source to the transit nodes (entering the core from
+    a stub through the gateway), and each domain filled from its gateway
+    with every source's delay there.  A delay is accumulated link by link
+    from the source and IEEE addition is monotone, so the relaxation's
+    fixed point is bit for bit the matrix Dijkstra computes.
+    """
+    transit_count = params.transit_domains * params.transit_nodes_per_domain
+    size = params.stub_nodes_per_domain
+    domains = transit_count * params.stub_domains_per_transit
+    n = params.total_nodes
+    # A stub domain's chords may draw a link it already has.  Such a link
+    # weighs the sum of its draws, added in draw order.  That is a defect,
+    # but every result so far rests on it: keeping one draw instead (which
+    # changes results) is a change of this one line.
+    weights: dict[tuple[int, int], float] = {}
+    for u, v, w in edges:
+        key = (min(u, v), max(u, v))
+        weights[key] = weights.get(key, 0.0) + w
+    core: list[tuple[int, int, float]] = []
+    uplinks: list[tuple[int, float]] = [(0, 0.0)] * domains
+    local: list[list[tuple[int, int, float]]] = [[] for _ in range(domains)]
+    for (u, v), w in weights.items():
+        if v < transit_count:
+            core.append((u, v, w))
+        elif u < transit_count:
+            uplinks[(v - transit_count) // size] = (u, w)
+        else:
+            domain, a = divmod(u - transit_count, size)
+            local[domain].append((a, v - transit_count - domain * size, w))
+
+    # Every domain's own table at once, row ``domain * size + node``: step
+    # k relaxes the k-th link of each domain, and a domain with fewer
+    # links takes an infinite self-loop, which changes nothing.  A node's
+    # parent in the random tree precedes it, so links taken by their
+    # later end from the last node back carry every delay up the tree in
+    # the first sweep and down in the second.
+    count = max(map(len, local))
+    padded = np.array(
+        [
+            sorted(links, key=lambda link: -link[1]) + [(0, 0, np.inf)] * (count - len(links))
+            for links in local
+        ]
+    ).reshape(domains, count, 3)
+    ends = padded[..., :2].astype(np.intp) + (np.arange(domains) * size)[:, None, None]
+    tables = np.full((domains, size, size), np.inf)
+    tables[:, np.arange(size), np.arange(size)] = 0.0
+    _relax_domains(
+        tables.reshape(domains * size, size),
+        list(zip(ends[..., 0].T, ends[..., 1].T, padded[..., 2].T[..., None])),
+    )
+
+    transit = np.full((transit_count, n), np.inf)
+    np.fill_diagonal(transit[:, :transit_count], 0.0)
+    for domain, (node, up) in enumerate(uplinks):
+        start = transit_count + domain * size
+        transit[node, start:start + size] = tables[domain, 0] + up
+    _relax(transit, core)
+
+    matrix = np.empty((n, n))
+    matrix[:, :transit_count] = transit.T
+    block = np.empty((size, n))
+    for domain, (node, up) in enumerate(uplinks):
+        start = transit_count + domain * size
+        block.fill(np.inf)
+        np.add(transit[node], up, out=block[0])
+        block[:, start:start + size] = tables[domain]
+        # nearest link first, each from its nearer end, as seen from the
+        # gateway: the first sweep then usually reaches the fixed point
+        gate = tables[domain, :, 0]
+        links = sorted(
+            ((u, v, w) if gate[u] <= gate[v] else (v, u, w) for u, v, w in local[domain]),
+            key=lambda link: gate[link[1]],
+        )
+        _relax(block, links)
+        matrix[:, start:start + size] = block.T
+    return matrix

@@ -533,35 +533,20 @@ def test_third_party_imports_are_declared_dependencies():
     assert third_party == declared
 
 
-def _import_time_modules(tree: ast.Module):
-    """The modules an import of ``tree``'s module loads itself: every
-    import statement outside a function body (class bodies and module-level
-    ``if``/``try`` blocks run at import time too)."""
-    stack: list[ast.AST] = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.module
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def test_no_module_imports_scipy_at_import_time():
-    """Importing ``scipy.stats`` dominated the library's start-up time and
-    memory; Section 5 reads an exact binomial table and ``ci95`` an in-repo
-    Student-t quantile instead.  The one call that still needs scipy, the
-    underlay's shortest paths, imports it inside the function that calls
-    it."""
-    eager = sorted(
-        f"{module}: {name}"
-        for module, tree in _package_trees()
-        for name in _import_time_modules(tree)
+    """No module under ``src/repro`` imports scipy, at import time or
+    inside a function body.  Importing ``scipy.stats`` dominated the
+    library's start-up time and memory; Section 5 reads an exact binomial
+    table and ``ci95`` an in-repo Student-t quantile instead.  The last
+    call, the underlay's shortest paths, became a numpy relaxation, and
+    ``scipy.sparse.csgraph`` alone had cost about 27 MiB of RSS.  scipy is
+    an oracle of the tests only."""
+    imports = sorted(
+        f"{'.'.join(parts)}: {name}"
+        for parts, name in _imported_modules()
         if name.split(".")[0] == "scipy"
     )
-    assert eager == []
+    assert imports == []
 
 
 _SWEEP_MODULES = """
@@ -587,3 +572,26 @@ def test_a_sweep_with_a_store_leaves_scipy_stats_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "store" / "tab1" / "smoke" / "aggregate.json").exists()
     assert "scipy.stats" not in json.loads(done.stdout.splitlines()[-1])
+
+
+_PASTRY_RUN_MODULES = """
+import json, sys
+from repro import api
+api.run("fig12", scale="smoke")
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_a_pastry_run_never_loads_scipy():
+    """``fig12`` builds the transit-stub underlay and its all-pairs
+    latencies, the last work that ran on scipy; a whole run leaves no
+    ``scipy`` module loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PASTRY_RUN_MODULES],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []

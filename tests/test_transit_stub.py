@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.overlay.transit_stub import TransitStubParams, TransitStubUnderlay
@@ -68,6 +73,77 @@ class TestLatencies:
         a = TransitStubUnderlay.for_size(100, seed=6)
         b = TransitStubUnderlay.for_size(100, seed=6)
         assert a.edge_list() == b.edge_list()
+
+
+def _dijkstra(underlay: TransitStubUnderlay) -> np.ndarray:
+    """scipy's Dijkstra over the draw list as a sparse matrix, whose build
+    sums a link drawn more than once in draw order."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rows, cols, vals = [], [], []
+    for u, v, w in underlay.edge_list():
+        rows.extend((u, v))
+        cols.extend((v, u))
+        vals.extend((w, w))
+    n = underlay.num_nodes
+    graph = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    return csgraph.shortest_path(graph, method="D", directed=False)
+
+
+def _assert_bitwise_dijkstra(underlay: TransitStubUnderlay) -> None:
+    got = underlay.latency_matrix()
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert not got.flags.writeable
+    want = _dijkstra(underlay)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestShortestPathsAreDijkstras:
+    """The structured relaxation in numpy equals scipy's Dijkstra bit for
+    bit: 10 and 50 nodes take the small and one-node-stub shapes, 90 is
+    ``smoke``, 410 ``default`` and 1,010 ``paper``."""
+
+    @pytest.mark.parametrize("approx_nodes", [10, 50, 90, 410, 1010])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_for_size(self, approx_nodes, seed):
+        _assert_bitwise_dijkstra(TransitStubUnderlay.for_size(approx_nodes, seed=seed))
+
+    @pytest.mark.parametrize("approx_nodes, seed", [(410, 7), (410, 24), (410, 30), (1010, 35)])
+    def test_a_link_drawn_three_times_sums_in_draw_order(self, approx_nodes, seed):
+        """On these seeds ``(a + b) + c`` and ``a + (b + c)`` of a thrice
+        drawn link differ, and the difference reaches the matrix."""
+        underlay = TransitStubUnderlay.for_size(approx_nodes, seed=seed)
+        draws = Counter((min(u, v), max(u, v)) for u, v, _w in underlay.edge_list())
+        assert max(draws.values()) == 3
+        _assert_bitwise_dijkstra(underlay)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"transit_nodes_per_domain": 1},
+            {"transit_nodes_per_domain": 2},
+            {"transit_nodes_per_domain": 3},  # a ring without a chord
+            {"transit_nodes_per_domain": 4},
+            {"stub_nodes_per_domain": 1},
+            {"transit_domains": 1},
+            {"transit_domains": 3, "stub_domains_per_transit": 1},
+        ],
+    )
+    def test_hand_built_shapes(self, shape):
+        params = TransitStubParams(**{"stub_nodes_per_domain": 6, **shape})
+        _assert_bitwise_dijkstra(TransitStubUnderlay(params, seed=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        transit_domains=st.integers(1, 3),
+        transit_nodes_per_domain=st.integers(1, 6),
+        stub_domains_per_transit=st.integers(1, 3),
+        stub_nodes_per_domain=st.integers(1, 16),
+        jitter=st.floats(0.0, 0.9),
+        seed=st.integers(0, 10_000),
+    )
+    def test_drawn_small_params(self, seed, **shape):
+        _assert_bitwise_dijkstra(TransitStubUnderlay(TransitStubParams(**shape), seed=seed))
 
 
 class TestAttachment:
