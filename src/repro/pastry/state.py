@@ -21,11 +21,12 @@ from repro.core.identifiers import Identifier, pack_digit_matrix
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_rng
 
-#: bytes of ``(B, n, M)`` mismatch tensor per table-build pass; 2 MiB keeps
-#: a block's temporaries in cache (3000 nodes: 0.56 s, 167 MiB peak; 1.5 s,
-#: 316 MiB at 48 MiB).  Results are identical for any value >= 1 (tests
-#: shrink it to force multi-block runs)
-_BUILD_BLOCK_BYTES = 2 << 20
+#: bytes of one ``(B, n)`` int64 row array per table-build pass: it sets
+#: the owners per block B, and a block's handful of such rows is the
+#: build's transient (traced above the tables it returns: 1.7 MiB at 1000
+#: nodes, 1.4 MiB at 5000).  Results are identical for any value >= 1
+#: (tests shrink it to force multi-block runs)
+_BUILD_BLOCK_BYTES = 256 << 10
 
 
 class PastryRing:
@@ -140,11 +141,15 @@ def build_routing_tables(
     candidate, the lowest node index among equals — an ascending scan that
     replaces on strict ``<``.
 
-    Owners are processed in blocks sized to a fixed broadcast budget.  One
-    ``(B, n, M)`` comparison against the shared digit matrix yields every
-    candidate's cell; one scatter-min over the block's ``(B, n)`` costs
-    finds each ``(owner, cell)``'s lowest cost, and a second, over the flat
-    positions that attain it, the lowest index.  Costs come from
+    Owners are processed in blocks sized so that one ``(B, n)`` int64 row
+    array takes ``_BUILD_BLOCK_BYTES``.  A block's shared-prefix lengths
+    come from a scan of the digit matrix's columns: one ``(B, n)`` "still
+    equal" mask, ANDed with one column a step and added into the prefix
+    lengths, until no pair matches (about ``log_base(n) + 1`` columns, at
+    most ``M``).  One scatter-min over the block's ``(B, n)`` costs finds
+    each ``(owner, cell)``'s lowest cost, and a second, over the flat
+    positions that attain it, the lowest index (1000 nodes take 44–53 ms
+    and 5000 nodes 0.6–1.0 s on 2 cores).  Costs come from
     ``latency.latency_block(start, stop, n)`` where the model has one, else
     from per-pair ``latency(i, j)``; one that is not finite is a
     :class:`ConfigurationError`.  Shuffle draws happen in owner order, and
@@ -156,9 +161,8 @@ def build_routing_tables(
     base = ring.space.base
     digit_matrix = ring.digit_matrix
     num_digits = digit_matrix.shape[1] if n else 0
-    # owners per broadcast pass, sized so the (B, n, M) mismatch tensor
-    # stays around _BUILD_BLOCK_BYTES however large the ring is
-    block = max(1, min(n, _BUILD_BLOCK_BYTES // max(1, n * num_digits)))
+    block = max(1, min(n, _BUILD_BLOCK_BYTES // max(1, 8 * n)))
+    prefix_dtype = np.min_scalar_type(num_digits)
     arange_n = np.arange(n, dtype=np.int64)
     sentinel = num_digits * base  # parks each owner's self row off-table
     latency_block = getattr(latency, "latency_block", None)
@@ -188,12 +192,22 @@ def build_routing_tables(
                 f"latency from node {start + k} to node {j} is "
                 f"{costs[k, j]}; routing tables need finite latencies"
             )
-        mismatch = digit_matrix[None, :, :] != digit_matrix[start:stop, None, :]
-        prefix = mismatch.argmax(axis=2)  # identifiers are unique, so every
-        # j != owner has a mismatch; each owner's own row is all-False
-        # (prefix 0) and is parked on the sentinel cell below
-        cells = prefix * np.int64(base) + digit_matrix[arange_n[None, :], prefix]
-        cells[np.arange(width), np.arange(start, stop)] = sentinel
+        # ``equal`` holds the (owner, j) pairs that still match.  Each
+        # owner's own column is masked up front (prefix 0, parked on the
+        # sentinel cell below); identifiers are unique, so no other pair
+        # matches through column M - 1 and ``prefix`` indexes a digit
+        owner_rows = np.arange(width)
+        equal = np.ones((width, n), dtype=bool)
+        equal[owner_rows, owner_rows + start] = False
+        prefix = np.zeros((width, n), dtype=prefix_dtype)
+        for column in digit_matrix.T:
+            equal &= column[start:stop, None] == column
+            if not equal.any():
+                break
+            prefix += equal
+        cells = np.multiply(prefix, base, dtype=np.int64)
+        cells += digit_matrix[arange_n[None, :], prefix]
+        cells[owner_rows, owner_rows + start] = sentinel
         keys = (cells + np.int64(sentinel + 1) * np.arange(width)[:, None]).ravel()
         flat_costs = costs.ravel()
         best = np.full(width * (sentinel + 1), np.inf)

@@ -479,8 +479,9 @@ class TestRoutingTableSelection:
         bits, digit_bits = id_bits
         space = IdSpace(bits=bits, digit_bits=digit_bits)
         ring = PastryRing(space.random_unique_identifiers(n, derive_rng(seed, "ids")))
-        # from one owner per (B, n, M) pass up to the whole ring in one
-        block_bytes = min(owners_per_block, n) * n * space.num_digits
+        # from one owner per pass up to the whole ring in one: a pass costs
+        # one int64 per (owner, node)
+        block_bytes = min(owners_per_block, n) * 8 * n
         saved = pastry_state._BUILD_BLOCK_BYTES
         pastry_state._BUILD_BLOCK_BYTES = block_bytes
         try:
@@ -501,6 +502,71 @@ class TestRoutingTableSelection:
         with pytest.raises(AssertionError):
             assert_tables_are_the_scan(last_on_ties, ring, latency, 6)
         assert_tables_are_the_scan(build_routing_tables, ring, latency, 6)
+
+
+def _deep_prefix_ring(space: IdSpace, seed: int) -> PastryRing:
+    """A comb of ids around a root id (node 0): for every prefix length
+    ``d`` below M − 1 (a sample of them in a 512-digit space), two ids that
+    copy the root's first ``d`` digits and differ at digit ``d``, and at
+    M − 1 every other last digit.  Random ids stop the column scan after
+    about log_base(n) + 1 columns; these pairs keep it going to M − 1."""
+    rng = derive_rng(seed, "deep-prefix-ids")
+    num_digits, base = space.num_digits, space.base
+    root = [rng.randrange(base) for _ in range(num_digits)]
+    depths = range(num_digits - 1)
+    if num_digits > 64:
+        depths = sorted({*rng.sample(range(num_digits - 2), 40), num_digits - 2})
+    digit_strings = set()
+    for depth in depths:
+        for _ in range(2):
+            other = rng.choice([c for c in range(base) if c != root[depth]])
+            suffix = [rng.randrange(base) for _ in range(num_digits - depth - 1)]
+            digit_strings.add((*root[:depth], other, *suffix))
+    digit_strings.update((*root[:-1], c) for c in range(base) if c != root[-1])
+    others = sorted(digit_strings - {tuple(root)})
+    return PastryRing([space.from_digits(d) for d in [root, *others]])
+
+
+class TestPrefixColumnScan:
+    """The shared-prefix column scan: against the per-owner scan on rings
+    whose ids share up to M − 1 leading digits, in the 16-bit test space,
+    the paper's 160-bit space and a 512-digit binary space (two-byte prefix
+    lengths); and the memory a ``paper``-sized build holds besides its
+    tables."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            IdSpace(bits=16, digit_bits=4),
+            IdSpace(bits=160, digit_bits=4),
+            IdSpace(bits=512, digit_bits=1),
+        ],
+        ids=["16-bit", "160-bit", "512-digit"],
+    )
+    @pytest.mark.parametrize("kind", ["shuffle", "constant", "underlay"])
+    @pytest.mark.parametrize("owners_per_block", [1, 7, None])
+    def test_tables_are_the_scan(self, monkeypatch, space, kind, owners_per_block):
+        seed = space.num_digits
+        ring = _deep_prefix_ring(space, seed)
+        n, num_digits = ring.n, space.num_digits
+        assert max(ring.prefix_len(0, key) for key in ring.ids[1:]) == num_digits - 1
+        if owners_per_block is not None:
+            monkeypatch.setattr(pastry_state, "_BUILD_BLOCK_BYTES", owners_per_block * 8 * n)
+        assert_tables_are_the_scan(
+            build_routing_tables, ring, _tie_forcing_latency(kind, n, seed), seed
+        )
+
+    def test_a_1000_node_underlay_build_stays_under_3_5_mib_transient(self, paper_space):
+        """Tables of a 1000-node ring with underlay latencies, as a
+        ``paper``-rung Pastry network builds them: the build's traced peak
+        above the tables it returns (a ``(B, n, M)`` digit tensor per block
+        took 6.5 MiB)."""
+        underlay = TransitStubUnderlay.for_size(1000, seed=0)
+        latency = UnderlayLatency(underlay, underlay.random_attachment(1000, seed=0))
+        ring = PastryRing(paper_space.random_unique_identifiers(1000, derive_rng(0, "ids")))
+        ring.digit_matrix  # the ring's own, built before the trace
+        held, peak = traced_memory(lambda: build_routing_tables(ring, latency=latency, seed=0))
+        assert peak - held < 3.5 * (1 << 20), (held, peak)
 
 
 def _ranked(self_score, neighbor_ids, neighbor_scores):
