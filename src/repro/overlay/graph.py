@@ -14,7 +14,7 @@ its leaf set plus routing-table entries) skip that check.
 Every constructor ends in the same arrays and the same vectorised
 validation: the sequence-of-neighbor-lists constructor and
 :meth:`from_edges` sort their ``(node, neighbor)`` pairs into CSR through
-one function, :func:`_sorted_csr`, and :meth:`from_csr` takes
+one function, :func:`_keys_to_csr`, and :meth:`from_csr` takes
 already-normalised ``(indptr, indices)`` arrays.  The generators hand their
 edges over as arrays (:func:`undirected_csr`, then :meth:`from_csr`);
 :meth:`from_edges` serves hand-written pair lists.  Per-node neighbor
@@ -70,19 +70,25 @@ class OverlayGraph:
             if int(indices.min()) < 0 or int(indices.max()) >= n:
                 bad = int(owners[(indices < 0) | (indices >= n)][0])
                 raise OverlayError(f"node {bad} has an out-of-range neighbor")
-            if (indices == owners).any():
-                bad = int(owners[indices == owners][0])
-                raise OverlayError(f"node {bad} has a self-loop")
-            same_row = owners[1:] == owners[:-1]
-            if (same_row & (indices[1:] <= indices[:-1])).any():
-                bad = int(owners[1:][same_row & (indices[1:] <= indices[:-1])][0])
-                raise OverlayError(
-                    f"node {bad} has unsorted or duplicate neighbors"
-                )
+            loops = indices == owners
+            if loops.any():
+                raise OverlayError(f"node {int(owners[loops.argmax()])} has a self-loop")
+            del loops
             if not directed:
-                forward = owners * n + indices
-                backward = indices * n + owners
-                forward.sort()
+                backward = indices * n
+                backward += owners
+            # the forward keys ``owner * n + neighbor``, in place of the
+            # owners: strictly ascending exactly when every row is sorted
+            # and duplicate-free, so they need no sort
+            forward = owners
+            forward *= n
+            forward += indices
+            descents = forward[1:] <= forward[:-1]
+            if descents.any():
+                bad = int(forward[descents.argmax() + 1]) // n
+                raise OverlayError(f"node {bad} has unsorted or duplicate neighbors")
+            del descents
+            if not directed:
                 backward.sort()
                 if not np.array_equal(forward, backward):
                     raise OverlayError("undirected overlay is asymmetric")
@@ -283,21 +289,49 @@ def undirected_csr(
     n: int, sources: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of the undirected edges
-    ``sources[i] -- targets[i]``: both directions through :func:`_sorted_csr`,
-    so parallel edges collapse into one."""
-    return _sorted_csr(
-        n, np.concatenate((sources, targets)), np.concatenate((targets, sources))
-    )
+    ``sources[i] -- targets[i]``: both directions' keys in one buffer, sorted
+    as :func:`_sorted_csr` sorts, so parallel edges collapse into one."""
+    _check_neighbors(n, sources, targets)
+    _check_neighbors(n, targets, sources)
+    edges = sources.shape[0]
+    keys = np.empty(2 * edges, dtype=np.int64)
+    np.multiply(sources, n, out=keys[:edges])
+    keys[:edges] += targets
+    np.multiply(targets, n, out=keys[edges:])
+    keys[edges:] += sources
+    return _keys_to_csr(n, keys)
 
 
 def _sorted_csr(n: int, owners: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of the ``owners[i] -> indices[i]`` pairs,
     rows sorted and repeats dropped: one sort of ``owner * n + neighbor``
     keys."""
-    outside = (indices < 0) | (indices >= n)
+    _check_neighbors(n, owners, indices)
+    keys = owners * n
+    keys += indices
+    return _keys_to_csr(n, keys)
+
+
+def _check_neighbors(n: int, owners: np.ndarray, indices: np.ndarray) -> None:
+    """Reject the first pair whose neighbor is no node of ``0..n-1``."""
+    outside = indices < 0
+    outside |= indices >= n
     if outside.any():
-        raise OverlayError(f"node {int(owners[outside][0])} has an out-of-range neighbor")
-    owners, indices = np.divmod(_sorted_distinct(owners * n + indices), n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
-    return indptr, indices
+        raise OverlayError(f"node {int(owners[outside.argmax()])} has an out-of-range neighbor")
+
+
+def _keys_to_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the int64 ``owner * n + neighbor`` ``keys``, reusing their
+    buffer: sorted in place, repeats dropped (a copy only when there are
+    some), each row's start found by a binary search for ``u * n``, and
+    the keys reduced ``%= n`` in place to the neighbors."""
+    keys.sort()
+    repeats = keys[1:] == keys[:-1]
+    if repeats.any():
+        np.logical_not(repeats, out=repeats)
+        keys = keys[np.concatenate(([True], repeats))]
+    del repeats
+    indptr = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
+    if n:
+        keys %= n
+    return indptr, keys

@@ -111,17 +111,37 @@ def _patch_min_degree(
     overlay: OverlayGraph, min_degree: int, seed: object
 ) -> OverlayGraph:
     """Add random edges so no node falls below ``min_degree`` (the paper
-    uses 0% degree-1 nodes, i.e. minimum degree 2)."""
-    rng = derive_rng(seed, "power-law-patch", overlay.n)
-    adjacency = [set(overlay.neighbors(u)) for u in range(overlay.n)]
-    deficient = [u for u in range(overlay.n) if len(adjacency[u]) < min_degree]
-    for u in deficient:
-        while len(adjacency[u]) < min_degree:
-            v = rng.randrange(overlay.n)
-            if v != u and v not in adjacency[u]:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-    return OverlayGraph(adjacency, name=overlay.name)
+    uses 0% degree-1 nodes, i.e. minimum degree 2).
+
+    Only the nodes an added edge touches get a neighbor set (read from the
+    CSR row); the new edges are merged with the old through
+    :func:`undirected_csr`."""
+    n = overlay.n
+    rng = derive_rng(seed, "power-law-patch", n)
+    indptr, indices = overlay.adjacency_arrays()
+    touched: dict[int, set[int]] = {}
+
+    def neighbors(u: int) -> set[int]:
+        if u not in touched:
+            touched[u] = set(indices[indptr[u]:indptr[u + 1]].tolist())
+        return touched[u]
+
+    added: list[int] = []
+    for u in [u for u, degree in enumerate(overlay.degrees) if degree < min_degree]:
+        adjacent = neighbors(u)
+        while len(adjacent) < min_degree:
+            v = rng.randrange(n)
+            if v != u and v not in adjacent:
+                adjacent.add(v)
+                neighbors(v).add(u)
+                added += (u, v)
+    if not added:
+        return overlay
+    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    upper = owners < indices
+    sources = np.concatenate((owners[upper], added[0::2]))
+    targets = np.concatenate((indices[upper], added[1::2]))
+    return OverlayGraph.from_csr(*undirected_csr(n, sources, targets), name=overlay.name)
 
 
 def estimated_exponent(overlay: OverlayGraph) -> float:

@@ -34,11 +34,12 @@ def random_regular_graph(
         raise OverlayError(f"n*degree must be even, got n={n}, degree={degree}")
     for attempt in range(max_attempts):
         edges = _pairing_model(n, degree, derive_rng32(seed, "random-regular", n, degree, attempt))
-        sources, targets = np.divmod(np.fromiter(edges, np.int64, len(edges)), n)
-        del edges  # freed before the CSR sort allocates
-        overlay = OverlayGraph.from_csr(
-            *undirected_csr(n, sources, targets), name=f"random-regular-{degree}"
-        )
+        sources, targets = np.divmod(edges, n)
+        del edges  # each stage's input is freed before the next allocates
+        csr = undirected_csr(n, sources, targets)
+        del sources, targets
+        overlay = OverlayGraph.from_csr(*csr, name=f"random-regular-{degree}")
+        del csr
         if overlay.is_connected():
             return overlay
     raise OverlayError(
@@ -47,28 +48,48 @@ def random_regular_graph(
     )
 
 
-def _pairing_model(n: int, degree: int, rng: random.Random) -> set[int]:
+def _pairing_model(n: int, degree: int, rng: random.Random) -> np.ndarray:
     """The edges of one simple d-regular sample (Steger and Wormald): pair
     shuffled stubs off, re-shuffle those that would make a self-loop or a
     parallel edge, start over when none can pair.  Draw for draw the reference
     ``tests/test_overlay_oracle.py`` pins it to, so overlays keep their bytes.
-    Edge ``u -- v`` (``u < v``) is held as the one int ``u * n + v``."""
+    Edge ``u -- v`` (``u < v``) is held as the int ``u * n + v``; the sample
+    is their sorted int64 array.
+
+    Only ``rng.shuffle`` runs per stub.  A round's pairs are judged in numpy
+    as the reference judges them one by one: in code order (a stable sort),
+    a pair is kept when it is no self-loop (``u * (n + 1)``), its code is no
+    edge of an earlier round, and it is the first of its code.  The rejected
+    pairs, back in draw order, fill the reference's ``unpaired`` counts,
+    whose order sets the next round's stubs."""
     while True:
-        edges: set[int] = set()
+        edges = np.empty(0, dtype=np.int64)
         stubs = list(range(n)) * degree
         while stubs:
-            unpaired: dict[int, int] = {}
             rng.shuffle(stubs)
-            pairs = iter(stubs)
-            for s1, s2 in zip(pairs, pairs):
-                if s1 > s2:
-                    s1, s2 = s2, s1
-                code = s1 * n + s2
-                if s1 != s2 and code not in edges:
-                    edges.add(code)
-                else:
-                    unpaired[s1] = unpaired.get(s1, 0) + 1
-                    unpaired[s2] = unpaired.get(s2, 0) + 1
+            ends = np.array(stubs, dtype=np.int64)
+            del stubs
+            first, second = ends[0::2], ends[1::2]
+            codes = np.minimum(first, second)
+            codes *= n
+            codes += np.maximum(first, second)
+            del ends, first, second
+            order = codes.argsort(kind="stable")
+            codes = codes[order]
+            # ``u * n + v`` is ``u * (n + 1) + (v - u)``, so its remainder
+            # is ``v - u``: 0 only for a self-loop
+            kept = codes % (n + 1) != 0
+            kept[1:] &= codes[1:] != codes[:-1]
+            if edges.size:
+                kept &= ~_contains(edges, codes)
+            edges = _merged(edges, codes[kept])
+            np.logical_not(kept, out=kept)
+            rejected = codes[kept][order[kept].argsort()]
+            del order, codes, kept
+            unpaired: dict[int, int] = {}
+            for code in rejected.tolist():
+                for node in divmod(code, n):
+                    unpaired[node] = unpaired.get(node, 0) + 1
             if unpaired and not _can_pair(edges, unpaired, n):
                 break
             stubs = [node for node, count in unpaired.items() for _ in range(count)]
@@ -76,18 +97,45 @@ def _pairing_model(n: int, degree: int, rng: random.Random) -> set[int]:
             return edges
 
 
-def _can_pair(edges: set[int], unpaired: dict[int, int], n: int) -> bool:
+def _contains(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` found in the non-empty ascending
+    ``sorted_values``."""
+    at = sorted_values.searchsorted(values)
+    np.minimum(at, sorted_values.shape[0] - 1, out=at)
+    return sorted_values[at] == values
+
+
+def _merged(edges: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The ascending union of the disjoint ascending ``edges`` and
+    ``fresh``, by placing each array's entries rather than sorting both."""
+    if not edges.size:
+        return fresh
+    at = edges.searchsorted(fresh)
+    at += np.arange(fresh.shape[0])
+    merged = np.empty(edges.shape[0] + fresh.shape[0], dtype=np.int64)
+    merged[at] = fresh
+    new = np.zeros(merged.shape[0], dtype=bool)
+    new[at] = True
+    merged[~new] = edges
+    return merged
+
+
+def _can_pair(edges: np.ndarray, unpaired: dict[int, int], n: int) -> bool:
     """Whether the next round can still pair ``unpaired`` (not empty), with
-    ``edges`` coded as in :func:`_pairing_model`: the reference's check as
-    written, whose swap rebinds ``s1`` and so skips some pairs; which pairs
-    it checks decides when a sample starts over."""
+    ``edges`` the sorted codes of :func:`_pairing_model`: the reference's
+    check as written, whose swap rebinds ``s1`` and so skips some pairs;
+    which pairs it checks decides when a sample starts over.  A code's
+    membership is one binary search."""
+    size = edges.shape[0]
     for s1 in unpaired:
         for s2 in unpaired:
             if s1 == s2:
                 break
             if s1 > s2:
                 s1, s2 = s2, s1
-            if s1 * n + s2 not in edges:
+            code = s1 * n + s2
+            at = int(edges.searchsorted(code))
+            if at == size or edges[at] != code:
                 return True
     return False
 

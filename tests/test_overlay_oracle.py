@@ -72,14 +72,15 @@ def regular_sizes(draw, max_n: int):
     return n, degree
 
 
-def _coded(pairs, n: int) -> set[int]:
-    """The pairing model's edge codes of ``pairs``: ``u * n + v``, ``u < v``."""
-    return {min(u, v) * n + max(u, v) for u, v in pairs}
+def _coded(pairs, n: int) -> np.ndarray:
+    """The pairing model's edge codes of ``pairs``: ``u * n + v``, ``u < v``,
+    as its sorted int64 array."""
+    return np.array(sorted({min(u, v) * n + max(u, v) for u, v in pairs}), dtype=np.int64)
 
 
-def _decoded(codes: set[int], n: int) -> list[tuple[int, int]]:
+def _decoded(codes: np.ndarray, n: int) -> list[tuple[int, int]]:
     """The ``(u, v)`` pairs of the pairing model's edge codes."""
-    return [divmod(code, n) for code in codes]
+    return [divmod(code, n) for code in codes.tolist()]
 
 
 class TestStartOver:
@@ -96,7 +97,7 @@ class TestStartOver:
             assert not can_pair(_coded({(0, 1), (0, 2)}, n), {0: 1, 1: 1, 2: 1}, n)
             assert can_pair(_coded({(0, 1)}, n), {0: 1, 1: 1, 2: 1}, n)
             assert not can_pair(_coded({(3, 5)}, n), {5: 1, 3: 1}, n)
-            assert not can_pair(set(), {4: 2}, n)
+            assert not can_pair(_coded(set(), n), {4: 2}, n)
 
     def test_an_explicit_example_starts_over(self):
         """The oracle reaches the start-over path: on ``(9, 6)``, seed 0
@@ -136,6 +137,8 @@ class TestRandomRegular:
         n, degree = size
         graph = nx.random_regular_graph(degree, n, seed=seed)
         codes = random_graphs._pairing_model(n, degree, random.Random(seed))
+        assert codes.dtype == np.int64
+        assert (codes[1:] > codes[:-1]).all()
         edges = _decoded(codes, n)
         assert all(0 <= u < v < n for u, v in edges)
         assert len(edges) == n * degree // 2

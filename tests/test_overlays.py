@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OverlayError
+from repro.overlay import power_law
 from repro.overlay.complete import complete_graph
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.power_law import (
@@ -24,6 +26,7 @@ from repro.overlay.random_graphs import (
     random_regular_graph,
     ring_lattice_graph,
 )
+from repro.sim.rng import derive_rng
 
 
 class TestOverlayGraph:
@@ -159,16 +162,89 @@ class TestOneConstructorPath:
             assume(strangers)
             bad = data.draw(st.sampled_from(strangers))
         rows[u] = sorted(rows[u] + [bad])
-        with pytest.raises(OverlayError):
+        message = {
+            "self-loop": rf"^node {u} has a self-loop$",
+            "too-large": rf"^node {u} has an out-of-range neighbor$",
+            "negative": rf"^node {u} has an out-of-range neighbor$",
+            "asymmetric": r"^undirected overlay is asymmetric$",
+        }[defect]
+        with pytest.raises(OverlayError, match=message):
             OverlayGraph(rows, directed=directed)
-        with pytest.raises(OverlayError):
+        with pytest.raises(OverlayError, match=message):
             OverlayGraph.from_csr(*_csr_of(rows), directed=directed)
+
+    @pytest.mark.parametrize("defect", ["duplicate", "unsorted"])
+    @pytest.mark.parametrize("directed", [False, True])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_a_row_out_of_order_is_rejected_by_from_csr(self, defect, directed, data):
+        """One row with a neighbor repeated, or two neighbors swapped: the
+        CSR entry point names that row's node, while the lists entry point
+        normalises the same rows."""
+        rows = [sorted(set(row)) for row in data.draw(neighbor_lists(directed))]
+        shortest = 1 if defect == "duplicate" else 2
+        long_enough = [u for u, row in enumerate(rows) if len(row) >= shortest]
+        assume(long_enough)
+        u = data.draw(st.sampled_from(long_enough))
+        if defect == "duplicate":
+            rows[u] = sorted(rows[u] + [data.draw(st.sampled_from(rows[u]))])
+        else:
+            i = data.draw(st.integers(0, len(rows[u]) - 2))
+            rows[u][i], rows[u][i + 1] = rows[u][i + 1], rows[u][i]
+        with pytest.raises(OverlayError, match=rf"^node {u} has unsorted or duplicate neighbors$"):
+            OverlayGraph.from_csr(*_csr_of(rows), directed=directed)
+        normalised = OverlayGraph(rows, directed=directed)
+        assert list(normalised.neighbors(u)) == sorted(set(rows[u]))
+
+    @pytest.mark.parametrize(
+        "indptr, indices, message",
+        [
+            ([1, 1, 2], [1, 0], "indptr does not span the indices array"),  # starts at 1
+            ([0, 1, 2], [1, 0, 1], "indptr does not span the indices array"),  # stops short
+            ([0, 1, 3], [1, 0], "indptr does not span the indices array"),  # runs past
+            ([0, 2, 1, 3], [1, 2, 0], "indptr offsets must be non-decreasing"),
+            ([], [], r"indptr must be a 1-d array of n \+ 1 offsets"),
+            ([[0, 0]], [], r"indptr must be a 1-d array of n \+ 1 offsets"),
+        ],
+    )
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_bad_offsets_are_rejected_by_from_csr(self, indptr, indices, message, directed):
+        with pytest.raises(OverlayError, match=f"^{message}$"):
+            OverlayGraph.from_csr(
+                np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+                directed=directed,
+            )
 
     def test_complete_graph_is_validated_csr(self):
         g = complete_graph(5)
         assert g.neighbors(2) == (0, 1, 3, 4)
         assert g.num_edges == 10
         _assert_same_graph(g, OverlayGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u)]))
+
+
+def _csr_sha256(overlay: OverlayGraph) -> str:
+    indptr, indices = overlay.adjacency_arrays()
+    return hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
+
+
+class TestBytesAtTheBenchmarkSize:
+    """The generators' CSR bytes at the 4000 nodes the ``static`` benchmark
+    builds, beyond the networkx oracle's sizes."""
+
+    def test_the_random_100_overlay(self):
+        assert _csr_sha256(fixed_degree_random_graph(4000, 100)) == (
+            "b2fca286c84b6f9a0cbfb906700ee3b01696c8002e7a1273981c2f51e591a326"
+        )
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "d6794f91624ffb9952f87a4ecd91c153f1c97b92b547c46bc973abeff0fb5642"),
+            (1, "65dad8d3e0a260a7f3351cbb011ca4b12388276ccdc6fc93401d164946f86037"),
+        ],
+    )
+    def test_the_power_law_overlay(self, seed, digest):
+        assert _csr_sha256(power_law_graph(4000, seed=seed)) == digest
 
 
 class TestGenerators:
@@ -215,7 +291,38 @@ class TestGenerators:
         assert 1 in connected.neighbors(0)
 
 
+def _reference_patch(overlay: OverlayGraph, min_degree: int, seed: object) -> OverlayGraph:
+    """The set-per-node ``_patch_min_degree`` that the lazy one replaced,
+    verbatim: the same draws and membership tests over every node's set."""
+    rng = derive_rng(seed, "power-law-patch", overlay.n)
+    adjacency = [set(overlay.neighbors(u)) for u in range(overlay.n)]
+    deficient = [u for u in range(overlay.n) if len(adjacency[u]) < min_degree]
+    for u in deficient:
+        while len(adjacency[u]) < min_degree:
+            v = rng.randrange(overlay.n)
+            if v != u and v not in adjacency[u]:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    return OverlayGraph(adjacency, name=overlay.name)
+
+
 class TestPowerLaw:
+    @settings(max_examples=80)
+    @given(
+        n=st.integers(4, 12),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+        min_degree=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_the_patch_is_the_set_per_node_reference(self, n, pairs, min_degree, seed):
+        """Sparse graphs where most nodes fall short, so deficient nodes
+        draw each other."""
+        overlay = OverlayGraph.from_edges(n, [(u, v) for u, v in pairs if u != v and v < n > u])
+        _assert_same_graph(
+            power_law._patch_min_degree(overlay, min_degree, seed),
+            _reference_patch(overlay, min_degree, seed),
+        )
+
     def test_minimum_degree_respected(self):
         g = power_law_graph(300, min_degree=2, seed=4)
         assert min(g.degree(i) for i in range(300)) >= 2
