@@ -186,19 +186,18 @@ class NeighborMetricTable:
     """Struct-of-arrays metric table: batched scoring over one shared matrix.
 
     The table reads the overlay's CSR adjacency
-    (:meth:`repro.overlay.graph.OverlayGraph.adjacency_arrays`) and owns
-    two arrays of its own: the population's ``(n, M)`` digit matrix
-    (:func:`repro.core.identifiers.pack_digit_matrix`) and a
-    ``[self, *neighbors]`` row index per node.  There are no per-node
-    matrix copies and no per-node construction loop, which is what makes
-    10^5-node populations affordable: building the table is a handful of
-    vectorised array operations.
+    (:meth:`repro.overlay.graph.OverlayGraph.adjacency_arrays`) and its
+    neighbor tuples, and owns one array of its own: the population's
+    ``(n, M)`` digit matrix (:func:`repro.core.identifiers.pack_digit_matrix`).
+    There are no per-node matrix copies and no per-node construction loop,
+    which is what makes 10^5-node populations affordable: building the
+    table is one vectorised pack of the identifiers.
 
     The table caches one :class:`ObjectEntry` per object (:meth:`entry`).
     The first query against an object evaluates the metric over the whole
     population in one vectorised pass (:meth:`scores_all`); every node's
-    forwarding decision then gathers its ``[self, *neighbors]`` slice from
-    that vector (:meth:`scores_with_self`) and ranks it
+    forwarding decision then gathers its own score and its CSR slice's
+    from that vector (:meth:`scores_with_self`) and ranks them
     (:meth:`ranked_neighbors`), and the entry keeps the ranking under the
     node's id.  Results are integer-exact and byte-identical to scoring each
     node's matrix separately, because all three metrics are row-wise
@@ -218,17 +217,16 @@ class NeighborMetricTable:
     or ~440,000 rankings.  At n = 10^5 a vector is 100 KB: room for
     ~1,340 objects' vectors alone.
 
-    Every neighbor tuple and ranking holds the overlay's one Python int per
-    node (:attr:`repro.overlay.graph.OverlayGraph.node_ints`), so the
-    per-node tuples cost a pointer a neighbor, not a boxed int; a ranking
-    keeps its node's neighbor tuple itself, and below its top tier only
+    Every ranking holds the overlay's one Python int per node
+    (:attr:`repro.overlay.graph.OverlayGraph.node_ints`): it keeps its
+    node's neighbor tuple, the overlay's own, and below its top tier only
     positions into it.
 
     Parameters
     ----------
     overlay:
         An :class:`repro.overlay.graph.OverlayGraph` (or anything exposing
-        ``n``, ``adjacency_arrays()`` and ``node_ints``).
+        ``n``, ``adjacency_arrays()`` and ``neighbors(node)``).
     ids:
         Sequence of :class:`Identifier`, one per overlay node.
     metric:
@@ -249,20 +247,8 @@ class NeighborMetricTable:
         self.ids = tuple(ids)
         self.metric = metric if metric is not None else CommonDigitsMetric()
         self.digits = pack_digit_matrix(self.ids)
+        self._overlay = overlay
         self._indptr, self._indices = overlay.adjacency_arrays()
-        self._node_ints = overlay.node_ints
-        # node u's [self, *neighbors] rows are
-        # rows_with_self[indptr_ws[u]:indptr_ws[u + 1]]: the CSR offsets
-        # shifted by one slot per node, self indices scattered into the gaps
-        self.indptr_ws = self._indptr + np.arange(n + 1, dtype=np.int64)
-        rows = np.empty(self._indices.shape[0] + n, dtype=np.int64)
-        rows[self.indptr_ws[:-1]] = np.arange(n, dtype=np.int64)
-        neighbor_slots = np.ones(rows.shape[0], dtype=bool)
-        neighbor_slots[self.indptr_ws[:-1]] = False
-        rows[neighbor_slots] = self._indices
-        rows.flags.writeable = False
-        self.rows_with_self = rows
-        self._neighbor_tuples: dict[int, tuple[int, ...]] = {}
         self._entries: dict[int, ObjectEntry] = {}
         self._cached_bytes = 0
 
@@ -272,14 +258,10 @@ class NeighborMetricTable:
 
     def neighbor_list(self, node: int) -> tuple[int, ...]:
         """Neighbor indices of ``node`` as plain Python ints (what
-        :meth:`ranked_neighbors` ranks).  Materialised lazily per node by
-        gathering the CSR slice from the overlay's ``node_ints``, so every
-        tuple and ranking shares one int object per node."""
-        cached = self._neighbor_tuples.get(node)
-        if cached is None:
-            cached = tuple(self._node_ints[self._neighbors(node)].tolist())
-            self._neighbor_tuples[node] = cached
-        return cached
+        :meth:`ranked_neighbors` ranks): the overlay's own tuple
+        (:meth:`repro.overlay.graph.OverlayGraph.neighbors`), shared by
+        every table over it."""
+        return self._overlay.neighbors(node)
 
     def _spend(self, nbytes: int) -> None:
         """Account for ``nbytes`` about to be cached, first dropping every
@@ -317,8 +299,8 @@ class NeighborMetricTable:
         """``[self_score, *neighbor_scores]`` as a fresh Python list, aligned
         with ``[node, *neighbor_list(node)]`` and gathered from the batched
         per-target vector (:meth:`scores_all`)."""
-        rows = self.rows_with_self[self.indptr_ws[node]:self.indptr_ws[node + 1]]
-        return self.scores_all(target)[rows].tolist()
+        vector = self.scores_all(target)
+        return [vector.item(node), *vector[self._neighbors(node)].tolist()]
 
     def ranked_neighbors(self, node: int, target: Identifier) -> RankedNeighbors:
         """``(is_local_max, top, neighbors, order)``: the neighbors of

@@ -17,10 +17,11 @@ validation: the sequence-of-neighbor-lists constructor and
 one function, :func:`_keys_to_csr`, and :meth:`from_csr` takes
 already-normalised ``(indptr, indices)`` arrays.  The generators hand their
 edges over as arrays (:func:`undirected_csr`, then :meth:`from_csr`);
-:meth:`from_edges` serves hand-written pair lists.  Per-node neighbor
-tuples are materialised from the arrays lazily, on the first
+:meth:`from_edges` serves hand-written pair lists.  A node's neighbor
+tuple is materialised from the arrays lazily, on that node's first
 :meth:`neighbors`, out of :attr:`OverlayGraph.node_ints`: one Python int
-per node, shared by every tuple that names it.
+per node, shared by every tuple that names it, and one tuple per node,
+shared by every caller.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class OverlayGraph:
         self._degrees: tuple[int, ...] = tuple(degrees.tolist())
         self._total_degrees: tuple[int, ...] | None = None
         self._node_ints: np.ndarray | None = None
-        self._rows: tuple[tuple[int, ...], ...] | None = None
+        #: node ``u``'s neighbor tuple once :meth:`neighbors` built it
+        self._rows: list[tuple[int, ...] | None] = [None] * n
 
     # -- construction -------------------------------------------------------
 
@@ -133,11 +135,28 @@ class OverlayGraph:
         return self
 
     def renamed(self, name: str) -> "OverlayGraph":
-        """A copy under a new name sharing every frozen structure (the
-        generators' final rename used to re-normalise all n neighbor lists)."""
+        """A copy under a new name sharing every frozen structure."""
         clone = copy.copy(self)
         clone.name = name
         return clone
+
+    def with_edges(self, sources: Sequence[int], targets: Sequence[int]) -> "OverlayGraph":
+        """This undirected overlay plus the edges ``sources[i] -- targets[i]``:
+        the old edges read from the CSR's upper triangle and merged with the
+        new through :func:`undirected_csr`."""
+        if self.directed:
+            raise OverlayError("with_edges adds undirected edges to an undirected overlay")
+        indptr, indices = self._csr
+        owners = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(indptr))
+        upper = owners < indices
+        return self.from_csr(
+            *undirected_csr(
+                self._n,
+                np.concatenate((owners[upper], np.asarray(sources, dtype=np.int64))),
+                np.concatenate((indices[upper], np.asarray(targets, dtype=np.int64))),
+            ),
+            name=self.name,
+        )
 
     # -- accessors ----------------------------------------------------------
 
@@ -156,21 +175,16 @@ class OverlayGraph:
             self._node_ints = ints
         return self._node_ints
 
-    @property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per-node sorted neighbor tuples, materialised from the CSR arrays
-        on first use (one gather from :attr:`node_ints`)."""
-        if self._rows is None:
-            indptr, indices = self._csr
-            flat = self.node_ints[indices].tolist()
-            offsets = indptr.tolist()
-            self._rows = tuple(
-                tuple(flat[offsets[u]:offsets[u + 1]]) for u in range(self._n)
-            )
-        return self._rows
-
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._adj[node]
+        """The sorted neighbors of ``node``, gathered from :attr:`node_ints`
+        the first time the node is asked for and then kept: every caller
+        shares one tuple per node."""
+        row = self._rows[node]
+        if row is None:
+            indptr, indices = self._csr
+            row = tuple(self.node_ints[indices[indptr[node]:indptr[node + 1]]].tolist())
+            self._rows[node] = row
+        return row
 
     def degree(self, node: int) -> int:
         return self._degrees[node]
@@ -245,10 +259,10 @@ class OverlayGraph:
         """Connected components (undirected view), largest first."""
         seen: set[int] = set()
         components: list[list[int]] = []
-        undirected: list[set[int]] = [set(ns) for ns in self._adj]
+        undirected: list[set[int]] = [set(self.neighbors(u)) for u in range(self.n)]
         if self.directed:
             for u in range(self.n):
-                for v in self._adj[u]:
+                for v in self.neighbors(u):
                     undirected[v].add(u)
         for start in range(self.n):
             if start in seen:

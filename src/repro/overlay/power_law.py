@@ -114,8 +114,8 @@ def _patch_min_degree(
     uses 0% degree-1 nodes, i.e. minimum degree 2).
 
     Only the nodes an added edge touches get a neighbor set (read from the
-    CSR row); the new edges are merged with the old through
-    :func:`undirected_csr`."""
+    CSR row); the new edges are merged with the old by
+    :meth:`OverlayGraph.with_edges`."""
     n = overlay.n
     rng = derive_rng(seed, "power-law-patch", n)
     indptr, indices = overlay.adjacency_arrays()
@@ -137,11 +137,7 @@ def _patch_min_degree(
                 added += (u, v)
     if not added:
         return overlay
-    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    upper = owners < indices
-    sources = np.concatenate((owners[upper], added[0::2]))
-    targets = np.concatenate((indices[upper], added[1::2]))
-    return OverlayGraph.from_csr(*undirected_csr(n, sources, targets), name=overlay.name)
+    return overlay.with_edges(added[0::2], added[1::2])
 
 
 def estimated_exponent(overlay: OverlayGraph) -> float:

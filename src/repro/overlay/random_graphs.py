@@ -177,16 +177,12 @@ def ring_lattice_graph(n: int, k: int = 1) -> OverlayGraph:
 
 def connect_components(overlay: OverlayGraph, seed: object = 0) -> OverlayGraph:
     """Return a connected copy by adding one random edge between each
-    smaller component and the giant component."""
-    components = overlay.components()
-    if len(components) <= 1:
+    smaller component and the giant component (``overlay`` itself when it
+    is connected already)."""
+    if overlay.is_connected():
         return overlay
+    components = overlay.components()
     rng = derive_rng(seed, "connect-components", overlay.n)
-    adjacency = [set(overlay.neighbors(u)) for u in range(overlay.n)]
     giant = components[0]
-    for component in components[1:]:
-        u = rng.choice(component)
-        v = rng.choice(giant)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return OverlayGraph(adjacency, name=overlay.name)
+    added = [(rng.choice(component), rng.choice(giant)) for component in components[1:]]
+    return overlay.with_edges(*zip(*added))

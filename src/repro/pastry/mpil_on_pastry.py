@@ -29,12 +29,11 @@ def pastry_neighbor_overlay(pastry: PastryNetwork) -> OverlayGraph:
     """The directed overlay of Pastry neighbor lists (leaf set ∪ table)."""
 
     def build():
-        adjacency = []
-        for node in range(pastry.n):
-            neighbors = set(pastry.leaf_sets[node])
-            neighbors.update(pastry.tables[node].values())
-            neighbors.discard(node)
-            adjacency.append(sorted(neighbors))
+        # the constructor's one sort of every row drops the repeats
+        adjacency = [
+            [v for v in (*pastry.leaf_sets[node], *pastry.tables[node].values()) if v != node]
+            for node in range(pastry.n)
+        ]
         overlay = OverlayGraph(adjacency, name="pastry-neighbors", directed=True)
         return (pastry.leaf_sets, pastry.tables, overlay)
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 from repro.core.config import MPILConfig
 from repro.core.identifiers import IdSpace
 from repro.pastry.mpil_on_pastry import make_mpil_over_pastry, pastry_neighbor_overlay
@@ -27,6 +30,21 @@ class TestNeighborOverlay:
             )
             expected.discard(node)
             assert set(overlay.neighbors(node)) == expected
+
+    @pytest.mark.parametrize("n", [80, 400, 1000])
+    def test_csr_matches_the_set_based_reference(self, n):
+        """The rows are the sorted, self-free union of leaf set and table,
+        array for array, in the paper's identifier space."""
+        pastry = PastryNetwork(n=n, seed=0)
+        reference = []
+        for node in range(n):
+            neighbors = set(pastry.leaf_sets[node])
+            neighbors.update(pastry.tables[node].values())
+            neighbors.discard(node)
+            reference.append(sorted(neighbors))
+        indptr, indices = pastry_neighbor_overlay(pastry).adjacency_arrays()
+        assert indptr.tolist() == np.cumsum([0] + [len(row) for row in reference]).tolist()
+        assert indices.tolist() == [v for row in reference for v in row]
 
     def test_shares_node_ids(self):
         pastry = _pastry()

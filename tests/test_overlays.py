@@ -290,6 +290,15 @@ class TestGenerators:
         # existing edges preserved
         assert 1 in connected.neighbors(0)
 
+    def test_with_edges_refuses_a_directed_overlay(self):
+        """Only the upper triangle of the old edges is read, which holds
+        every edge of an undirected overlay and not of a directed one."""
+        directed = OverlayGraph([[1], [0, 2], []], directed=True)
+        with pytest.raises(OverlayError, match="undirected"):
+            directed.with_edges([0], [2])
+        grown = OverlayGraph([[1], [0, 2], [1]]).with_edges([0], [2])
+        assert [grown.neighbors(u) for u in range(3)] == [(1, 2), (0, 2), (0, 1)]
+
 
 def _reference_patch(overlay: OverlayGraph, min_degree: int, seed: object) -> OverlayGraph:
     """The set-per-node ``_patch_min_degree`` that the lazy one replaced,
@@ -306,7 +315,37 @@ def _reference_patch(overlay: OverlayGraph, min_degree: int, seed: object) -> Ov
     return OverlayGraph(adjacency, name=overlay.name)
 
 
+def _reference_connect(overlay: OverlayGraph, seed: object) -> OverlayGraph:
+    """The set-per-node ``connect_components`` that the CSR merge replaced,
+    verbatim: the same components, draws and added edges."""
+    components = overlay.components()
+    if len(components) <= 1:
+        return overlay
+    rng = derive_rng(seed, "connect-components", overlay.n)
+    adjacency = [set(overlay.neighbors(u)) for u in range(overlay.n)]
+    giant = components[0]
+    for component in components[1:]:
+        u = rng.choice(component)
+        v = rng.choice(giant)
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return OverlayGraph(adjacency, name=overlay.name)
+
+
 class TestPowerLaw:
+    @settings(max_examples=80)
+    @given(
+        n=st.integers(1, 12),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_connecting_is_the_set_per_node_reference(self, n, pairs, seed):
+        overlay = OverlayGraph.from_edges(n, [(u, v) for u, v in pairs if u != v and v < n > u])
+        connected = connect_components(overlay, seed)
+        _assert_same_graph(connected, _reference_connect(overlay, seed))
+        assert connected.is_connected()
+        assert (connected is overlay) == overlay.is_connected()
+
     @settings(max_examples=80)
     @given(
         n=st.integers(4, 12),

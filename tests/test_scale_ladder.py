@@ -29,8 +29,11 @@ from repro.experiments.scales import (
     register_scale,
     unregister_scale,
 )
+from repro.overlay.graph import OverlayGraph
 from repro.overlay.random_graphs import fixed_degree_random_graph
 from repro.pastry import state as pastry_state
+from repro.pastry.mpil_on_pastry import pastry_neighbor_overlay
+from repro.pastry.protocol import PastryNetwork
 from repro.perturbation.adversarial import AdversarialRemoval, AdversarialRemovalConfig
 from repro.perturbation.churn import ChurnConfig, ChurnSchedule
 from repro.perturbation.flapping import FlappingConfig, FlappingSchedule
@@ -372,16 +375,34 @@ class TestPopulationArrays:
             assert bytes(row.tolist()) == identifier.digits
         assert pack_digit_matrix([]).shape == (0, 0)
 
-    def test_metric_table_rows_with_self(self):
-        overlay, ids = _arrays_fixture()
+    @pytest.mark.parametrize("kind", ["undirected", "pastry-neighbors", "isolated-node"])
+    def test_metric_table_scores_self_then_neighbors(self, kind):
+        """``scores_with_self(u, t)`` is ``[vector[u], *vector[neighbors]]``
+        for every node, aligned with ``[node, *neighbor_list(node)]``."""
+        if kind == "undirected":
+            overlay, ids = _arrays_fixture()
+        elif kind == "pastry-neighbors":
+            pastry = PastryNetwork(n=60, space=IdSpace(bits=16, digit_bits=4), seed=3)
+            overlay, ids = pastry_neighbor_overlay(pastry), pastry.ids
+            assert overlay.directed
+        else:
+            overlay = OverlayGraph([[1, 2], [0], [0], []])
+            ids = IdSpace(bits=16, digit_bits=4).random_unique_identifiers(
+                4, derive_rng(3, "ladder-soa-ids")
+            )
         table = NeighborMetricTable(overlay, ids)
         assert np.array_equal(table.digits, pack_digit_matrix(ids))
-        assert not table.rows_with_self.flags.writeable
-        for node in range(overlay.n):
-            start, end = table.indptr_ws[node], table.indptr_ws[node + 1]
-            rows = table.rows_with_self[start:end].tolist()
-            assert rows == [node, *overlay.neighbors(node)]
-            assert table.neighbor_list(node) == overlay.neighbors(node)
+        rng = derive_rng(3, "ladder-soa-targets")
+        for target in ids[0].space.random_unique_identifiers(3, rng):
+            vector = table.scores_all(target)
+            for node in range(overlay.n):
+                neighbors = overlay.neighbors(node)
+                assert table.neighbor_list(node) == neighbors
+                scores = table.scores_with_self(node, target)
+                assert scores == [int(vector[node]), *(int(vector[v]) for v in neighbors)]
+                assert all(type(score) is int for score in scores)
+        if kind == "isolated-node":
+            assert table.scores_with_self(3, target) == [int(vector[3])]
 
 
 class TestMetricTableParity:
