@@ -13,17 +13,29 @@ three-level structure:
 Link latencies follow the usual GT-ITM classing: transit-transit
 (inter-domain) links are slowest, intra-transit next, transit-stub next,
 intra-stub fastest, each with multiplicative jitter.  Pairwise latency is
-the shortest-path delay, computed once in numpy and cached.
+the shortest-path delay, computed once in numpy and kept in parts — every
+source's delay to the transit nodes, each stub domain's own table, and each
+stub node's path from its domain's transit node — so no all-pairs matrix is
+ever held (:class:`UnderlayDelays`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from repro.errors import ConfigurationError, OverlayError
 from repro.sim.rng import derive_rng
+
+
+_LINK_LATENCIES = (
+    "transit_transit_latency",
+    "intra_transit_latency",
+    "transit_stub_latency",
+    "intra_stub_latency",
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,6 +63,10 @@ class TransitStubParams:
             raise ConfigurationError("all transit-stub structure counts must be >= 1")
         if not 0 <= self.jitter < 1:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
+        for name in _LINK_LATENCIES:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # nan fails too
+                raise ConfigurationError(f"{name} must be non-negative and finite, got {value}")
 
     @property
     def total_nodes(self) -> int:
@@ -153,7 +169,7 @@ class TransitStubUnderlay:
                 )
 
         self._edges = edges
-        self._latency_matrix: np.ndarray | None = None
+        self._delays: UnderlayDelays | None = None
 
     @property
     def transit_nodes(self) -> range:
@@ -191,16 +207,12 @@ class TransitStubUnderlay:
     def edge_list(self) -> list[tuple[int, int, float]]:
         return list(self._edges)
 
-    def latency_matrix(self) -> np.ndarray:
-        """One-way shortest-path latencies between all underlay nodes, as
-        one read-only float64 array, computed on the first call."""
-        if self._latency_matrix is None:
-            matrix = _shortest_paths(self.params, self._edges)
-            if np.isinf(matrix).any():
-                raise OverlayError("generated transit-stub underlay is disconnected")
-            matrix.flags.writeable = False
-            self._latency_matrix = matrix
-        return self._latency_matrix
+    def delays(self) -> "UnderlayDelays":
+        """One-way shortest-path delays between all underlay nodes, computed
+        on the first call."""
+        if self._delays is None:
+            self._delays = _shortest_paths(self.params, self._edges)
+        return self._delays
 
     def random_attachment(self, overlay_nodes: int, seed: object = 0) -> list[int]:
         """Attach overlay nodes to distinct stub nodes (falling back to
@@ -211,6 +223,122 @@ class TransitStubUnderlay:
             return rng.sample(stubs, overlay_nodes)
         return [rng.choice(stubs) for _ in range(overlay_nodes)]
 
+
+class UnderlayDelays:
+    """One-way shortest-path delays between underlay nodes, held in parts.
+
+    A stub domain meets the rest of the underlay only at its gateway, so
+    a delay into a domain from outside it is the source's delay to the
+    domain's transit node followed by the target's *path* from there: the
+    uplink, then the links of its branch in the gateway's shortest-path
+    tree, added one at a time, ``((t + up) + w1) + ...``.  Each target
+    reads from an *anchor* row of delays from every source: its domain's
+    transit node, itself if it is a transit node, or its own relaxed
+    column where the path sum differs from the relaxation for some source
+    (a near tie that rounding breaks the other way; that target then has
+    an empty path).  Pairs inside one domain read the domain's own table.
+    Every delay is therefore the one Dijkstra computes, bit for bit.
+
+    :meth:`delay` reads one pair through a per-target tuple and
+    ``memoryview`` rows.  :meth:`block` makes the same additions in tree
+    order, one tree level of every domain at a time, so a node's sum is
+    its parent's plus one link.
+    """
+
+    def __init__(
+        self,
+        transit: np.ndarray,
+        tables: np.ndarray,
+        uplinks: list[tuple[int, float]],
+        trees: list[list[tuple[int, int, float]]],
+        kept: dict[int, np.ndarray],
+    ):
+        """``uplinks[d]`` is stub domain ``d``'s transit node and uplink
+        weight, and ``trees[d]`` its gateway's tree as ``(node, parent,
+        weight)`` in breadth-first order, nodes numbered within the
+        domain."""
+        transit_count, n = transit.shape
+        size = tables.shape[1]
+        self._transit_count = transit_count
+        self._size = size
+        #: the targets that read their own relaxed column
+        self.kept_columns = tuple(sorted(kept))
+        self._anchors = np.vstack([transit, *(kept[v] for v in self.kept_columns)])
+        self._anchors.flags.writeable = False
+        self._tables = tables
+        self._tables.flags.writeable = False
+        self._cells = memoryview(tables).cast("B").cast("d")
+        # each stub node's parent, link weight and depth below the transit
+        # nodes: a gateway hangs from its transit node by the uplink, and
+        # so does a node no tree reaches (its column is kept)
+        parent = np.arange(n)
+        weight = np.zeros(n)
+        depth = [0] * n
+        paths: list[tuple[float, ...]] = [()] * n
+        for domain, ((node, up), tree) in enumerate(zip(uplinks, trees)):
+            start = transit_count + domain * size
+            parent[start:start + size] = node
+            weight[start:start + size] = up
+            depth[start:start + size] = [1] * size
+            paths[start:start + size] = [(up,)] * size
+            for v, p, w in tree:
+                parent[start + v] = start + p
+                weight[start + v] = w
+                depth[start + v] = depth[start + p] + 1
+                paths[start + v] = paths[start + p] + (w,)
+        # :meth:`block`'s columns hold the nodes level by level, so each
+        # level is one slice computed from a gather of the one before
+        order = np.argsort(depth, kind="stable")
+        self._position = np.empty(n, dtype=np.intp)
+        self._position[order] = np.arange(n)
+        ends = np.cumsum(np.bincount(depth))
+        self._levels = [
+            (lo, hi, self._position[parent[order[lo:hi]]], weight[order[lo:hi]])
+            for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist())
+        ]
+        self._kept_positions = self._position[list(self.kept_columns)]
+        flat = memoryview(self._anchors).cast("B").cast("d")
+        rows = [flat[a * n:(a + 1) * n] for a in range(len(self._anchors))]
+        self._reads = [(rows[t], (), 0, 0, 0) for t in range(transit_count)]
+        for domain, (node, _up) in enumerate(uplinks):
+            start = transit_count + domain * size
+            # a source in the domain reads cells[offset + source]
+            offset = domain * size * size - start
+            self._reads.extend(
+                (rows[node], paths[start + local], start, start + size, offset + local * size)
+                for local in range(size)
+            )
+        for anchor, target in enumerate(self.kept_columns, transit_count):
+            self._reads[target] = (rows[anchor], ()) + self._reads[target][2:]
+
+    def delay(self, source: int, target: int) -> float:
+        """The delay from underlay node ``source`` to ``target``."""
+        row, path, start, stop, offset = self._reads[target]
+        if start <= source < stop:
+            return self._cells[offset + source]
+        value = row[source]
+        for weight in path:
+            value += weight
+        return value
+
+    def block(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Delays from each of ``sources`` (rows) to each of ``targets``
+        (columns), as :meth:`delay` computes them."""
+        transit_count, size = self._transit_count, self._size
+        sums = np.empty((len(sources), len(self._position)))
+        sums[:, :transit_count] = self._anchors[:transit_count, sources].T
+        for lo, hi, parents, weights in self._levels:
+            np.add(np.take(sums, parents, axis=1), weights, out=sums[:, lo:hi])
+        # a kept column replaces a path sum once the node's children have
+        # theirs, and a source's own domain reads the domain's table
+        sums[:, self._kept_positions] = self._anchors[transit_count:, sources].T
+        inside = np.flatnonzero(sources >= transit_count)
+        domains, local = np.divmod(sources[inside, None] - transit_count, size)
+        members = transit_count + domains * size + np.arange(size)
+        sums[inside[:, None], self._position[members]] = self._tables[
+            domains, np.arange(size), local
+        ]
+        return np.take(sums, self._position[targets], axis=1)
 
 def _relax(block: np.ndarray, links: list[tuple[int, int, float]]) -> None:
     """Gauss-Seidel Bellman-Ford in place: ``block[v, s]`` is the delay
@@ -244,19 +372,46 @@ def _relax_domains(block: np.ndarray, steps: list) -> None:
         steps = steps[::-1]
 
 
+def _gateway_tree(
+    delay: list[float], links: list[tuple[int, int, float]]
+) -> list[tuple[int, int, float]]:
+    """A stub domain's shortest-path tree from its gateway (node 0), as
+    ``(node, parent, weight)`` breadth first.  A link joins the tree where
+    the gateway's ``delay`` to its near end plus its weight is exactly the
+    delay to its far end, so a branch summed from zero down the tree is
+    the domain table's delay bit for bit.  A node no such chain reaches is
+    left out, and the build's check then keeps its column."""
+    adjacent: list[list[tuple[int, float]]] = [[] for _ in delay]
+    for u, v, w in links:
+        adjacent[u].append((v, w))
+        adjacent[v].append((u, w))
+    reached = [True] + [False] * (len(delay) - 1)
+    tree = []
+    queue = [0]
+    for u in queue:
+        for v, w in adjacent[u]:
+            if not reached[v] and delay[u] + w == delay[v]:
+                reached[v] = True
+                tree.append((v, u, w))
+                queue.append(v)
+    return tree
+
+
 def _shortest_paths(
     params: TransitStubParams, edges: list[tuple[int, int, float]]
-) -> np.ndarray:
-    """All-pairs shortest-path delays, ``matrix[s, v]`` from ``s`` to ``v``.
+) -> UnderlayDelays:
+    """All-pairs shortest-path delays, as :class:`UnderlayDelays` parts.
 
     Every stub domain meets the rest of the underlay only at its gateway
     (its first node) through one uplink, so no path between two other
     nodes crosses it.  Three stages then give every pair: each domain's
     own table, every source to the transit nodes (entering the core from
-    a stub through the gateway), and each domain filled from its gateway
-    with every source's delay there.  A delay is accumulated link by link
-    from the source and IEEE addition is monotone, so the relaxation's
-    fixed point is bit for bit the matrix Dijkstra computes.
+    a stub through the gateway), and each domain relaxed from its gateway
+    with every source's delay there, one ``(size, n)`` block at a time.
+    The third stage keeps nothing but the columns where a target's path
+    sum differs from it.  A delay is accumulated link by link from the
+    source and IEEE addition is monotone, so the relaxation's fixed point
+    is bit for bit what Dijkstra computes.
     """
     transit_count = params.transit_domains * params.transit_nodes_per_domain
     size = params.stub_nodes_per_domain
@@ -310,9 +465,10 @@ def _shortest_paths(
         transit[node, start:start + size] = tables[domain, 0] + up
     _relax(transit, core)
 
-    matrix = np.empty((n, n))
-    matrix[:, :transit_count] = transit.T
+    trees = [_gateway_tree(tables[d, :, 0].tolist(), links) for d, links in enumerate(local)]
+    kept: dict[int, np.ndarray] = {}
     block = np.empty((size, n))
+    sums = np.empty((size, n))
     for domain, (node, up) in enumerate(uplinks):
         start = transit_count + domain * size
         block.fill(np.inf)
@@ -326,5 +482,14 @@ def _shortest_paths(
             key=lambda link: gate[link[1]],
         )
         _relax(block, links)
-        matrix[:, start:start + size] = block.T
-    return matrix
+        # every path sum from every source, with the additions a read
+        # makes, down the tree; a node the tree misses stays infinite, and
+        # the domain's own sources read its table
+        sums.fill(np.inf)
+        np.add(transit[node], up, out=sums[0])
+        for v, parent, w in trees[domain]:
+            np.add(sums[parent], w, out=sums[v])
+        sums[:, start:start + size] = tables[domain]
+        for target in np.flatnonzero((sums != block).any(axis=1)).tolist():
+            kept[start + target] = block[target].copy()
+    return UnderlayDelays(transit, tables, uplinks, trees, kept)

@@ -4,7 +4,7 @@ The static MPIL experiments are message-level and hop-counted, so latency is
 irrelevant there.  The perturbation experiments (paper Sections 3 and 6.2)
 run over a GT-ITM-style transit-stub underlay; overlay hops inherit the
 underlay's shortest-path delay between the endpoints' attachment points,
-read from the underlay's one all-pairs matrix without a copy.
+computed from the parts the underlay keeps instead of an all-pairs matrix.
 """
 
 from __future__ import annotations
@@ -66,19 +66,20 @@ class UniformRandomLatency:
 
 
 class UnderlayLatency:
-    """Overlay latency read from an underlay's all-pairs delay matrix.
+    """Overlay latency read from an underlay's shortest-path delays.
 
-    Nothing is copied out of the underlay's matrix: :meth:`latency_block`
-    gathers a rectangle of it as an array for the routing-table builder,
-    and :meth:`latency` indexes a read-only ``memoryview`` of the sender's
-    underlay row, one per attached node, so a per-message query returns a
-    plain ``float`` without a numpy scalar.
+    The underlay holds no all-pairs matrix: :meth:`latency` asks it for
+    one pair, which it computes from its parts as a plain ``float``, and
+    :meth:`latency_block` for a rectangle as one array, for the
+    routing-table builder.  Nothing is kept per sender.
 
     Parameters
     ----------
     underlay:
-        Object exposing ``num_nodes`` and ``latency_matrix() -> ndarray``
-        (see :class:`repro.overlay.transit_stub.TransitStubUnderlay`).
+        Object exposing ``num_nodes`` and ``delays()``, whose result has
+        ``delay(source, target)`` and ``block(sources, targets)`` over
+        underlay nodes (see
+        :class:`repro.overlay.transit_stub.TransitStubUnderlay`).
     attachment:
         Sequence mapping overlay node index -> underlay node index.
     """
@@ -93,10 +94,8 @@ class UnderlayLatency:
                     f"attachment point {a} outside underlay of size {n_under}"
                 )
         self._attached = np.array(self.attachment, dtype=np.intp)
-        self._matrix = underlay.latency_matrix()
-        # slices of one flat view: a row costs one small object, no numpy array
-        flat = memoryview(self._matrix).cast("B").cast("d")
-        self._sources = [flat[a * n_under:(a + 1) * n_under] for a in self.attachment]
+        self._delays = underlay.delays()
+        self._delay = self._delays.delay
         self._size = len(self.attachment)
 
     def _check_range(self, start: int, stop: int, n: int) -> None:
@@ -110,9 +109,9 @@ class UnderlayLatency:
     def latency_block(self, start: int, stop: int, n: int) -> np.ndarray:
         """Latencies from overlay nodes ``start..stop-1`` to overlay nodes
         ``0..n-1`` as one ``(stop - start, n)`` array: the stacked
-        :meth:`latency` reads, gathered in one indexing step."""
+        :meth:`latency` reads, computed in one vectorised pass."""
         self._check_range(start, stop, n)
-        return self._matrix[np.ix_(self._attached[start:stop], self._attached[:n])]
+        return self._delays.block(self._attached[start:stop], self._attached[:n])
 
     def latency(self, src: int, dst: int) -> float:
         if not 0 <= src < self._size > dst >= 0:
@@ -120,4 +119,4 @@ class UnderlayLatency:
                 f"latency from overlay node {src} to {dst} requested, "
                 f"but {self._size} nodes are attached to the underlay"
             )
-        return self._sources[src][self.attachment[dst]]
+        return self._delay(self.attachment[src], self.attachment[dst])

@@ -42,6 +42,22 @@ def traced_memory(build: Callable[[], object]) -> tuple[int, int]:
     return held, peak
 
 
+def dijkstra_latencies(underlay):
+    """scipy's Dijkstra over an underlay's draw list as a sparse matrix,
+    whose build sums a link drawn more than once in draw order: the
+    all-pairs oracle, ``[source, target]``, of the underlay's delays."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rows, cols, vals = [], [], []
+    for u, v, w in underlay.edge_list():
+        rows.extend((u, v))
+        cols.extend((v, u))
+        vals.extend((w, w))
+    n = underlay.num_nodes
+    graph = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    return csgraph.shortest_path(graph, method="D", directed=False)
+
+
 @pytest.fixture(autouse=True)
 def _isolated_construction_caches():
     """Empty the process-level construction caches around every test.

@@ -22,7 +22,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import traced_memory
+from conftest import dijkstra_latencies, traced_memory
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +40,7 @@ from repro.core.metric import (
 from repro.core.network import MPILNetwork
 from repro.core.routing import decide_forwarding
 from repro.errors import ConfigurationError
+from repro.experiments import perturbed
 from repro.experiments.scales import get_scale
 from repro.experiments.store import ResultStore
 from repro.overlay import random_graphs
@@ -914,8 +915,8 @@ class TestCachedViews:
 
 
 class TestUnderlayLatencyReads:
-    """``UnderlayLatency`` reads the underlay's one matrix: no row is
-    copied out of it, per-message or per-block."""
+    """``UnderlayLatency`` computes each read from the underlay's parts:
+    no all-pairs matrix is held, and no row is kept per sender."""
 
     @staticmethod
     def _model(overlay_nodes):
@@ -926,16 +927,16 @@ class TestUnderlayLatencyReads:
         )
 
     @pytest.mark.parametrize("overlay_nodes", [10, 80])
-    def test_every_read_is_the_matrix_entry_bit_for_bit(self, overlay_nodes):
+    def test_every_read_is_dijkstras_bit_for_bit(self, overlay_nodes):
         underlay, model = self._model(overlay_nodes)
-        matrix, att = underlay.latency_matrix(), model.attachment
+        oracle, att = dijkstra_latencies(underlay), model.attachment
         shared = len(set(att)) < overlay_nodes
         assert shared == (overlay_nodes > len(underlay.stub_nodes))
         for src in range(overlay_nodes):
             for dst in range(overlay_nodes):
                 value = model.latency(src, dst)
                 assert type(value) is float
-                assert value.hex() == float(matrix[att[src], att[dst]]).hex()
+                assert value.hex() == float(oracle[att[src], att[dst]]).hex()
             assert model.latency(src, src).hex() == (0.0).hex()
 
     def test_block_is_the_stacked_reads(self):
@@ -957,30 +958,30 @@ class TestUnderlayLatencyReads:
             with pytest.raises(ConfigurationError, match="attached"):
                 model.latency_block(start, stop, n)
 
-    def test_reading_every_pair_leaves_almost_no_memory_behind(self):
-        """Building the model and reading all n² pairs of a 200-node
-        overlay keeps a few dozen KiB, not a row of floats per sender."""
-        underlay = TransitStubUnderlay.for_size(200, seed=1)
-        attachment = underlay.random_attachment(200, seed=2)
-        underlay.latency_matrix()
+    def test_the_paper_underlay_holds_under_1_5_mib(self):
+        """Everything the perturbed testbed keeps for a 1,000-node overlay
+        (underlay, attachment, latency model, regions), after reading
+        every pair from 50 senders, and the build's peak: the dense
+        all-pairs matrix alone was 8.2 MB (1,010² float64)."""
 
         def build_and_read():
-            model = UnderlayLatency(underlay, attachment)
-            for src in range(200):
-                for dst in range(200):
-                    model.latency(src, dst)
-            return model
+            parts = perturbed._underlay_parts(1000, 0)
+            latency = parts[2].latency
+            for src in range(0, 1000, 20):
+                for dst in range(1000):
+                    latency(src, dst)
+            return parts
 
-        held, _peak = traced_memory(build_and_read)
-        assert held < 64 * 1024
+        held, peak = traced_memory(build_and_read)
+        assert held < 1.5 * (1 << 20), held
+        assert peak < 3 * (1 << 20), peak
 
-    def test_the_matrix_refuses_writes(self):
-        underlay, model = self._model(10)
-        matrix = underlay.latency_matrix()
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 1] = 0.0
-        assert model.latency_block(0, 2, 2).flags.writeable  # a gather is a copy
+    def test_a_block_is_a_copy(self):
+        _underlay, model = self._model(10)
+        block = model.latency_block(0, 10, 10)
+        block[:] = -1.0
+        assert model.latency(0, 1) > 0.0
+        assert (model.latency_block(0, 10, 10) >= 0.0).all()
 
 
 class TestOneObjectPerValue:

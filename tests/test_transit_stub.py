@@ -6,11 +6,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import dijkstra_latencies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.overlay.transit_stub import TransitStubParams, TransitStubUnderlay
+from repro.sim.latency import UnderlayLatency
 
 
 class TestStructure:
@@ -38,6 +40,23 @@ class TestStructure:
         with pytest.raises(ConfigurationError):
             TransitStubParams(jitter=1.5)
 
+    @pytest.mark.parametrize("value", [-0.001, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "transit_transit_latency",
+            "intra_transit_latency",
+            "transit_stub_latency",
+            "intra_stub_latency",
+        ],
+    )
+    def test_a_link_latency_must_be_non_negative_and_finite(self, field, value):
+        """A negative or nan latency made the relaxation loop forever, and
+        an infinite one read as a disconnected underlay."""
+        with pytest.raises(ConfigurationError, match=f"^{field} must be") as raised:
+            TransitStubParams(stub_nodes_per_domain=3, **{field: value})
+        assert "\n" not in str(raised.value)
+
     def test_transit_and_stub_partition(self):
         underlay = TransitStubUnderlay.for_size(200, seed=2)
         transit = set(underlay.transit_nodes)
@@ -46,16 +65,24 @@ class TestStructure:
         assert len(transit) + len(stub) == underlay.num_nodes
 
 
+def _all_pairs(underlay: TransitStubUnderlay) -> np.ndarray:
+    """Every pair's latency, ``[source, target]``, through a model that
+    attaches overlay node ``i`` to underlay node ``i``."""
+    n = underlay.num_nodes
+    return UnderlayLatency(underlay, range(n)).latency_block(0, n, n)
+
+
 class TestLatencies:
     def test_connected_all_pairs_finite(self):
         underlay = TransitStubUnderlay.for_size(120, seed=3)
-        matrix = underlay.latency_matrix()
+        matrix = _all_pairs(underlay)
         assert matrix.shape == (underlay.num_nodes, underlay.num_nodes)
+        assert np.isfinite(matrix).all()
         assert (matrix[~(matrix == 0)] > 0).all()
 
     def test_symmetric(self):
         underlay = TransitStubUnderlay.for_size(120, seed=4)
-        matrix = underlay.latency_matrix()
+        matrix = _all_pairs(underlay)
         assert matrix[3, 40] == pytest.approx(matrix[40, 3])
 
     def test_intra_stub_cheaper_than_cross_transit(self):
@@ -64,7 +91,7 @@ class TestLatencies:
         stub_start = len(list(underlay.transit_nodes))
         # two nodes in the same stub domain vs nodes attached to different
         # transit domains (first and last stub domains)
-        matrix = underlay.latency_matrix()
+        matrix = _all_pairs(underlay)
         same_stub = matrix[stub_start, stub_start + 1]
         far = matrix[stub_start, underlay.num_nodes - 1]
         assert same_stub < far
@@ -87,31 +114,24 @@ class TestLatencies:
         weights: dict[tuple[int, int], float] = {}
         for u, v, w in underlay.edge_list():
             weights.setdefault((min(u, v), max(u, v)), w)
-        matrix = underlay.latency_matrix()
-        assert [link for link, w in weights.items() if matrix[link] > w] == []
-
-
-def _dijkstra(underlay: TransitStubUnderlay) -> np.ndarray:
-    """scipy's Dijkstra over the draw list as a sparse matrix, whose build
-    sums a link drawn more than once in draw order."""
-    sparse = pytest.importorskip("scipy.sparse")
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
-    rows, cols, vals = [], [], []
-    for u, v, w in underlay.edge_list():
-        rows.extend((u, v))
-        cols.extend((v, u))
-        vals.extend((w, w))
-    n = underlay.num_nodes
-    graph = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return csgraph.shortest_path(graph, method="D", directed=False)
+        model = UnderlayLatency(underlay, range(underlay.num_nodes))
+        assert [link for link, w in weights.items() if model.latency(*link) > w] == []
 
 
 def _assert_bitwise_dijkstra(underlay: TransitStubUnderlay) -> None:
-    got = underlay.latency_matrix()
-    assert got.dtype == np.float64 and got.flags.c_contiguous
-    assert not got.flags.writeable
-    want = _dijkstra(underlay)
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    """Every pair the model serves, as one block, is scipy's Dijkstra bit
+    for bit, and so is every read (from every fourth source above 500
+    nodes, to keep the 1,010-node cases near a quarter second)."""
+    n = underlay.num_nodes
+    want = dijkstra_latencies(underlay).view(np.uint64)
+    model = UnderlayLatency(underlay, range(n))
+    block = model.latency_block(0, n, n)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    np.testing.assert_array_equal(block.view(np.uint64), want)
+    latency = model.latency
+    sources = range(0, n, 1 if n <= 500 else 4)
+    reads = np.array([[latency(src, dst) for dst in range(n)] for src in sources])
+    np.testing.assert_array_equal(reads.view(np.uint64), want[sources])
 
 
 class TestShortestPathsAreDijkstras:
@@ -148,6 +168,29 @@ class TestShortestPathsAreDijkstras:
     def test_hand_built_shapes(self, shape):
         params = TransitStubParams(**{"stub_nodes_per_domain": 6, **shape})
         _assert_bitwise_dijkstra(TransitStubUnderlay(params, seed=3))
+
+    def test_a_branch_sum_that_rounds_the_other_way_keeps_the_relaxed_column(self):
+        """Without jitter every stub link weighs 2 ms, and in stub domain 5
+        (nodes 70–81, gateway 70) links 70–72 and 74–77 are drawn twice and
+        weigh 4 ms.  Node 77 is then 6 ms from the gateway both as 2 + 4
+        ms (through 74) and as 4 + 2 ms (through 72), and from a source
+        whose delay to the gateway is ``g`` the two sums differ in the last
+        bit for some ``g``: whichever branch the tree took, it loses for
+        some source, so node 77 reads its relaxed column, the minimum."""
+        params = TransitStubParams(stub_nodes_per_domain=12, jitter=0.0)
+        underlay = TransitStubUnderlay(params, seed=9)
+        draws = Counter((min(u, v), max(u, v)) for u, v, _w in underlay.edge_list())
+        assert draws[70, 72] == draws[74, 77] == 2
+        assert underlay.delays().kept_columns == (77,)
+        model = UnderlayLatency(underlay, range(underlay.num_nodes))
+        split = 0
+        for source in [*range(70), *range(82, underlay.num_nodes)]:
+            g = model.latency(source, 70)
+            through_74, through_72 = (g + 0.002) + 0.004, (g + 0.004) + 0.002
+            assert model.latency(source, 77) == min(through_74, through_72)
+            split += through_74 != through_72
+        assert split > 0
+        _assert_bitwise_dijkstra(underlay)
 
     @settings(max_examples=40, deadline=None)
     @given(
