@@ -30,7 +30,7 @@ from repro.core.identifiers import IdSpace
 from repro.errors import ConfigurationError
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _digit_match_table(num_digits: int, base: int) -> tuple[np.ndarray, np.ndarray]:
     """Binomial(M, 1/2^b) pmf and cdf at k = -1..M+1, read at ``k + 1``.
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.identifiers import Identifier, pack_digit_matrix
 from repro.errors import ConfigurationError, RoutingError
+from repro.util.cache import nbytes, spend
 
 
 def common_digits(a: Identifier, b: Identifier) -> int:
@@ -204,18 +205,17 @@ class NeighborMetricTable:
     independent.  The experiments route the same objects through the same
     nodes many times, so after the first pass every decision is a dict hit.
 
-    The cache is bounded in bytes (:attr:`SCORE_CACHE_BYTES`): a vector
-    costs its ``nbytes``, a ranking :attr:`RANKED_BASE_BYTES` plus 8 B a
-    top-tier neighbor plus its ``order`` buffer (one byte a neighbor and a
-    tier below degree 256).  When the next item would overflow the bound,
-    every entry is dropped at once.  A full cache costs 128 MiB at any n.
-    A vector holds one score per node in the smallest unsigned dtype that
-    holds the digit count (:func:`_score_dtype`; one byte for the paper's
-    40 digits).  At n = 4000 a vector is 4 KB, and a ranking holds ~204 B
-    on the power-law overlay (mean degree 23) and ~306 B at degree 100
-    (``tracemalloc``, every node against one object): room for ~650,000
-    or ~440,000 rankings.  At n = 10^5 a vector is 100 KB: room for
-    ~1,340 objects' vectors alone.
+    The cache is charged to the process's one construction budget
+    (:data:`repro.util.cache.CACHE_BYTES`, through :meth:`_spend`): a
+    vector costs its ``nbytes``, a ranking :attr:`RANKED_BASE_BYTES` plus
+    8 B a top-tier neighbor plus its ``order`` buffer (one byte a neighbor
+    and a tier below degree 256).  When this table alone would overflow
+    the budget, every entry is dropped at once.  A vector holds one score
+    per node in the smallest unsigned dtype that holds the digit count
+    (:func:`_score_dtype`; one byte for the paper's 40 digits).  At
+    n = 4000 a vector is 4 KB, and a ranking holds ~204 B on the power-law
+    overlay (mean degree 23) and ~306 B at degree 100 (``tracemalloc``,
+    every node against one object).
 
     Every ranking holds the overlay's one Python int per node
     (:attr:`repro.overlay.graph.OverlayGraph.node_ints`): it keeps its
@@ -233,8 +233,6 @@ class NeighborMetricTable:
         A metric object (default :class:`CommonDigitsMetric`).
     """
 
-    #: bound on the bytes of every cached vector and ranking, together
-    SCORE_CACHE_BYTES = 128 << 20
     #: a ranking's bytes besides its top-tier pointers and ``order``: the
     #: 4-tuple (72 B), the top tuple's header (40 B) and the entry's dict
     #: slot (~40 B); the ids and the neighbor tuple are shared
@@ -251,6 +249,14 @@ class NeighborMetricTable:
         self._indptr, self._indices = overlay.adjacency_arrays()
         self._entries: dict[int, ObjectEntry] = {}
         self._cached_bytes = 0
+        #: the digit matrix and what the table pins: its overlay and ids
+        self._pinned_bytes = nbytes((self.digits, overlay, self.ids))
+
+    @property
+    def nbytes(self) -> int:
+        """What a construction cache charges this table: its digit matrix,
+        its overlay and ids (which it keeps alive), and its memo so far."""
+        return self._pinned_bytes + self._cached_bytes
 
     def _neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor indices of ``node`` (a CSR slice, no copy)."""
@@ -263,14 +269,15 @@ class NeighborMetricTable:
         every table over it."""
         return self._overlay.neighbors(node)
 
-    def _spend(self, nbytes: int) -> None:
-        """Account for ``nbytes`` about to be cached, first dropping every
-        entry if they would overflow :attr:`SCORE_CACHE_BYTES` (the cache's
-        one eviction site)."""
-        if self._cached_bytes + nbytes > self.SCORE_CACHE_BYTES:
+    def _spend(self, charge: int) -> None:
+        """Charge ``charge`` bytes about to be cached to the one budget
+        (:func:`repro.util.cache.spend`), first dropping every entry if it
+        says this table alone would overflow it."""
+        if spend(self, charge):
+            spend(self, -self._cached_bytes)
             self._entries.clear()
             self._cached_bytes = 0
-        self._cached_bytes += nbytes
+        self._cached_bytes += charge
 
     def entry(self, target: Identifier) -> ObjectEntry:
         """The cache entry of ``target``, scored (one vectorised pass over

@@ -31,36 +31,16 @@ from repro.overlay.graph import OverlayGraph
 from repro.sim.engine import add_events_processed
 from repro.sim.rng import derive_rng
 from repro.telemetry import current as current_telemetry
-from repro.util.cache import BoundedCache
-
-#: node identifiers are a pure function of (seed, n, space); sweeps and
-#: repeated runs over the same cell share one tuple
-_IDS_CACHE: BoundedCache[tuple] = BoundedCache(maxsize=32)
-#: neighbor metric tables are pure functions of (overlay, ids, metric);
-#: keyed by identity of objects the entry itself keeps alive
-_METRIC_TABLE_CACHE: BoundedCache[tuple] = BoundedCache(maxsize=12)
+from repro.util.cache import get_or_build
 
 
 def _cached_node_ids(space: IdSpace, n: int, seed: object) -> tuple[Identifier, ...]:
-    return _IDS_CACHE.get_or_build(
-        (repr(seed), n, space),
+    # node identifiers are a pure function of (seed, n, space); sweeps and
+    # repeated runs over the same cell share one tuple
+    return get_or_build(
+        ("node-ids", repr(seed), n, space),
         lambda: tuple(space.random_unique_identifiers(n, derive_rng(seed, "node-ids", n))),
     )
-
-
-def _cached_metric_table(
-    overlay: OverlayGraph, ids: tuple[Identifier, ...], metric_name: str
-) -> NeighborMetricTable:
-    # the entry holds the overlay and ids so the id()-based key stays valid
-    # for exactly as long as the entry lives
-    return _METRIC_TABLE_CACHE.get_or_build(
-        (id(overlay), id(ids), metric_name),
-        lambda: (
-            overlay,
-            ids,
-            NeighborMetricTable(overlay, ids, metric=metric_by_name(metric_name)),
-        ),
-    )[2]
 
 
 class MPILNetwork:
@@ -95,30 +75,24 @@ class MPILNetwork:
         self.config = config
         self.seed = seed
         if ids is None:
-            self.ids: tuple[Identifier, ...] = _cached_node_ids(space, overlay.n, seed)
-            share_table = True
-        else:
-            if len(ids) != overlay.n:
-                raise ConfigurationError(
-                    f"{len(ids)} identifiers supplied for {overlay.n} nodes"
-                )
-            for identifier in ids:
-                if identifier.space != space:
-                    raise ConfigurationError(
-                        "explicit identifiers must live in the network's id space"
-                    )
-            # identity-keyed sharing only helps callers that reuse one ids
-            # tuple (e.g. mpil_on_pastry passing the cached Pastry ids); a
-            # fresh list/tuple per construction would guarantee misses while
-            # churning useful entries out of the bounded cache
-            share_table = isinstance(ids, tuple)
-            self.ids = ids if share_table else tuple(ids)
-        if share_table:
-            self.metric_table = _cached_metric_table(overlay, self.ids, config.metric)
-        else:
-            self.metric_table = NeighborMetricTable(
-                overlay, self.ids, metric=metric_by_name(config.metric)
+            ids = _cached_node_ids(space, overlay.n, seed)
+        elif len(ids) != overlay.n:
+            raise ConfigurationError(f"{len(ids)} identifiers supplied for {overlay.n} nodes")
+        elif any(identifier.space != space for identifier in ids):
+            raise ConfigurationError("explicit identifiers must live in the network's id space")
+        self.ids: tuple[Identifier, ...] = tuple(ids)
+        metric = metric_by_name(config.metric)
+        if self.ids is ids:
+            # shared by identity of a tuple callers reuse (the cached ids,
+            # or mpil_on_pastry's Pastry ids); the table pins the overlay
+            # and ids, so the id()-based key stays valid while it lives
+            self.metric_table = get_or_build(
+                ("metric-table", id(overlay), id(self.ids), config.metric),
+                lambda: NeighborMetricTable(overlay, self.ids, metric=metric),
             )
+        else:
+            # a fresh tuple per construction would only churn the cache
+            self.metric_table = NeighborMetricTable(overlay, self.ids, metric=metric)
         self.directory = ReplicaDirectory()
         #: monotonic request id; each request's RNG stream derives from it
         self.next_request_id = 0

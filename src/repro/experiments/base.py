@@ -189,7 +189,7 @@ def _t_two_sided_tail(t: float, dof: int) -> float:
     return 1.0 - _beta_fraction(b, a, y, x)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def t_critical_95(dof: int) -> float:
     """Two-sided 95% Student-t critical value for ``dof >= 1`` degrees of
     freedom.

@@ -39,7 +39,7 @@ from repro.perturbation.scenario import get_family, scenarios_for
 from repro.sim.counters import TrafficCounters
 from repro.sim.latency import UnderlayLatency
 from repro.sim.rng import derive_rng
-from repro.util.cache import BoundedCache
+from repro.util.cache import get_or_build
 
 #: MPIL parameters for the MSPastry-overlay experiments (paper Section 6.2)
 MPIL_MAX_FLOWS = 10
@@ -107,13 +107,10 @@ class PerturbationTestbed:
         )
 
 
-#: the underlay, attachment, latency model, and region map are pure
-#: functions of (num_nodes, seed); stable latency identity here is also
-#: what lets the PastryNetwork structure cache hit across runs
-_UNDERLAY_CACHE: BoundedCache[tuple] = BoundedCache(maxsize=8)
-
-
 def _underlay_parts(num_nodes: int, seed: object):
+    # the underlay, attachment, latency model, and region map are pure
+    # functions of (num_nodes, seed); stable latency identity here is also
+    # what lets the PastryNetwork structure cache hit across runs
     def build():
         underlay = TransitStubUnderlay.for_size(num_nodes, seed=seed)
         attachment = underlay.random_attachment(num_nodes, seed=seed)
@@ -121,7 +118,7 @@ def _underlay_parts(num_nodes: int, seed: object):
         regions = regions_from_attachment(underlay, attachment)
         return (underlay, attachment, latency, regions)
 
-    return _UNDERLAY_CACHE.get_or_build((num_nodes, repr(seed)), build)
+    return get_or_build(("underlay", num_nodes, repr(seed)), build)
 
 
 def build_testbed(

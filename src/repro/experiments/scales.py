@@ -228,10 +228,11 @@ SCALES: dict[str, Scale] = {
         service_loads=(0.5, 1.0, 2.0, 4.0),
     ),
     # -- the scale ladder (10^5 nodes on one machine), with an enforced
-    #    budget; generation cost is the pure-Python pairing model, linear
-    #    in edges (fixed_degree_random_graph(20_000, 100, seed=0): 2.7-3.0 s
-    #    and 250 MiB peak RSS on a 2-core x86-64 box running CPython 3.11),
-    #    everything after it runs on the struct-of-arrays core.
+    #    budget; generation is linear in edges, its pairing rounds judged
+    #    in numpy (fixed_degree_random_graph(20_000, 100, seed=0): 1.3-1.8 s
+    #    and 90 MiB peak RSS, whole process, on a 2-core x86-64 box running
+    #    CPython 3.11 and numpy 2.4), everything after it runs on the
+    #    struct-of-arrays core.
     "large": Scale(
         name="large",
         static_node_counts=(100_000,),

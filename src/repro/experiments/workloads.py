@@ -22,7 +22,7 @@ from repro.overlay.graph import OverlayGraph
 from repro.overlay.power_law import power_law_graph
 from repro.overlay.random_graphs import fixed_degree_random_graph
 from repro.sim.rng import derive_rng
-from repro.util.cache import BoundedCache
+from repro.util.cache import get_or_build
 
 #: the paper's insertion parameters for all static experiments
 INSERT_MAX_FLOWS = 30
@@ -43,15 +43,12 @@ FAMILIES: dict[str, Callable[[int, object], OverlayGraph]] = {
 }
 
 
-#: sample graphs are immutable and purely seed-determined; fig9/fig10 and
-#: Tables 1-3 all draw the same cells, so one process builds each graph once
-_OVERLAY_CACHE: BoundedCache[OverlayGraph] = BoundedCache(maxsize=12)
-
-
 def make_overlay(family: str, n: int, graph_index: int, seed: object) -> OverlayGraph:
-    """One of the family's sample graphs (paper: 10 per setting)."""
-    return _OVERLAY_CACHE.get_or_build(
-        (family, n, graph_index, repr(seed)),
+    """One of the family's sample graphs (paper: 10 per setting).  Sample
+    graphs are immutable and purely seed-determined, and fig9/fig10 and
+    Tables 1-3 all draw the same cells, so one process builds each once."""
+    return get_or_build(
+        ("overlay", family, n, graph_index, repr(seed)),
         lambda: FAMILIES[family](n, (seed, family, n, graph_index)),
     )
 
@@ -93,14 +90,7 @@ def run_inserts(
         object_id = network.random_object_id(rng)
         objects.append(object_id)
         insert_results.append(network.insert(origin, object_id))
-    return StaticRun(
-        family=family,
-        n=n,
-        graph_index=graph_index,
-        network=network,
-        objects=objects,
-        insert_results=insert_results,
-    )
+    return StaticRun(family, n, graph_index, network, objects, insert_results)
 
 
 def run_lookups(
@@ -113,18 +103,15 @@ def run_lookups(
     rng = derive_rng(
         seed, "lookups", run.family, run.n, run.graph_index, max_flows, per_flow_replicas
     )
-    results = []
-    for object_id in run.objects:
-        origin = rng.randrange(run.network.overlay.n)
-        results.append(
-            run.network.lookup(
-                origin,
-                object_id,
-                max_flows=max_flows,
-                per_flow_replicas=per_flow_replicas,
-            )
+    return [
+        run.network.lookup(
+            rng.randrange(run.network.overlay.n),
+            object_id,
+            max_flows=max_flows,
+            per_flow_replicas=per_flow_replicas,
         )
-    return results
+        for object_id in run.objects
+    ]
 
 
 def static_sizes(ctx: RunContext) -> tuple[int, ...]:

@@ -121,20 +121,14 @@ class TransitStubUnderlay:
         transit_count = p.transit_domains * per_domain
         for t in range(p.transit_domains):
             base = t * per_domain
-            members = list(range(base, base + per_domain))
-            # ring
-            if per_domain > 1:
-                for i in range(per_domain):
-                    u = members[i]
-                    v = members[(i + 1) % per_domain]
-                    if per_domain == 2 and i == 1:
-                        break  # avoid duplicating the single edge
-                    edges.append((u, v, jittered(p.intra_transit_latency)))
+            # ring (two nodes share one edge, a lone node has none)
+            for i in range(per_domain if per_domain > 2 else per_domain - 1):
+                edges.append(
+                    (base + i, base + (i + 1) % per_domain, jittered(p.intra_transit_latency))
+                )
             # a chord for resilience in larger domains
             if per_domain >= 4:
-                edges.append(
-                    (members[0], members[per_domain // 2], jittered(p.intra_transit_latency))
-                )
+                edges.append((base, base + per_domain // 2, jittered(p.intra_transit_latency)))
         # inter-domain links: connect every pair of transit domains through
         # a random representative pair (full mesh of domains).
         for t1 in range(p.transit_domains):
@@ -145,21 +139,17 @@ class TransitStubUnderlay:
 
         # stub domains
         next_node = transit_count
-        self._stub_of: dict[int, int] = {}
         for transit_node in range(transit_count):
             for _ in range(p.stub_domains_per_transit):
                 members = list(range(next_node, next_node + p.stub_nodes_per_domain))
                 next_node += p.stub_nodes_per_domain
-                for node in members:
-                    self._stub_of[node] = transit_node
                 # connected random stub: a path plus a few random chords
                 for i in range(1, len(members)):
                     j = rng.randrange(i)
                     edges.append(
                         (members[i], members[j], jittered(p.intra_stub_latency))
                     )
-                extra = max(0, len(members) // 4)
-                for _ in range(extra):
+                for _ in range(len(members) // 4):
                     u, v = rng.sample(members, 2)
                     edges.append((u, v, jittered(p.intra_stub_latency)))
                 # uplink: the stub domain's gateway connects to its transit node
@@ -193,11 +183,13 @@ class TransitStubUnderlay:
             raise OverlayError(
                 f"underlay node {node} out of range (n={self.num_nodes})"
             )
-        per_domain = self.params.transit_nodes_per_domain
-        transit_count = self.params.transit_domains * per_domain
-        if node < transit_count:
-            return node // per_domain
-        return self._stub_of[node] // per_domain
+        p = self.params
+        transit_count = p.transit_domains * p.transit_nodes_per_domain
+        if node >= transit_count:
+            # stub domains follow the transit nodes in order, each
+            # transit node's stub domains together
+            node = (node - transit_count) // (p.stub_domains_per_transit * p.stub_nodes_per_domain)
+        return node // p.transit_nodes_per_domain
 
     @property
     def stub_nodes(self) -> range:
@@ -345,16 +337,19 @@ def _relax(block: np.ndarray, links: list[tuple[int, int, float]]) -> None:
     from source ``s`` to target ``v``, and each undirected link ``(u, v,
     w)`` relaxes ``u -> v`` and then ``v -> u`` for every source at once.
     Sweeps alternate between the links' order and its reverse until one
-    changes nothing."""
+    changes nothing: until no step is below the row it feeds."""
     rows = list(block)
     step = np.empty(block.shape[1])
-    while True:
-        before = block.copy()
+    changed = True
+    while changed:
+        changed = False
         for u, v, w in links:
-            np.minimum(rows[v], np.add(rows[u], w, out=step), out=rows[v])
-            np.minimum(rows[u], np.add(rows[v], w, out=step), out=rows[u])
-        if np.array_equal(block, before):
-            return
+            np.add(rows[u], w, out=step)
+            changed = changed or bool((step < rows[v]).any())
+            np.minimum(rows[v], step, out=rows[v])
+            np.add(rows[v], w, out=step)
+            changed = changed or bool((step < rows[u]).any())
+            np.minimum(rows[u], step, out=rows[u])
         links = links[::-1]
 
 
@@ -362,13 +357,17 @@ def _relax_domains(block: np.ndarray, steps: list) -> None:
     """:func:`_relax` for many independent graphs at once: each step
     ``(u, v, w)`` holds one link of every graph, ``u`` and ``v`` as arrays
     of rows and ``w`` as a column of delays."""
-    while True:
-        before = block.copy()
+    changed = True
+    while changed:
+        changed = False
         for u, v, w in steps:
-            block[v] = np.minimum(block[v], block[u] + w)
-            block[u] = np.minimum(block[u], block[v] + w)
-        if np.array_equal(block, before):
-            return
+            near, far = block[u], block[v]
+            step = near + w
+            changed = changed or bool((step < far).any())
+            block[v] = far = np.minimum(far, step, out=far)
+            step = far + w
+            changed = changed or bool((step < near).any())
+            block[u] = np.minimum(near, step, out=near)
         steps = steps[::-1]
 
 

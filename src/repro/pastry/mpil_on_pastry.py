@@ -17,12 +17,7 @@ from repro.core.config import MPILConfig
 from repro.core.timed import TimedMPILNetwork
 from repro.overlay.graph import OverlayGraph
 from repro.pastry.protocol import PastryNetwork
-from repro.util.cache import BoundedCache
-
-#: the neighbor overlay is a pure function of the Pastry structure; keyed
-#: by identity of the (cached, entry-pinned) leaf sets and tables so every
-#: run over one structure shares a single OverlayGraph
-_NEIGHBOR_OVERLAY_CACHE: BoundedCache[tuple] = BoundedCache(maxsize=8)
+from repro.util.cache import get_or_build
 
 
 def pastry_neighbor_overlay(pastry: PastryNetwork) -> OverlayGraph:
@@ -35,11 +30,12 @@ def pastry_neighbor_overlay(pastry: PastryNetwork) -> OverlayGraph:
             for node in range(pastry.n)
         ]
         overlay = OverlayGraph(adjacency, name="pastry-neighbors", directed=True)
-        return (pastry.leaf_sets, pastry.tables, overlay)
+        return (pastry.structure, overlay)
 
-    return _NEIGHBOR_OVERLAY_CACHE.get_or_build(
-        (id(pastry.leaf_sets), id(pastry.tables)), build
-    )[2]
+    # a pure function of the Pastry structure, keyed by identity of the
+    # (cached, entry-pinned) structure: every run over one structure
+    # shares a single OverlayGraph
+    return get_or_build(("pastry-neighbors", id(pastry.structure)), build)[1]
 
 
 def make_mpil_over_pastry(

@@ -41,14 +41,7 @@ from repro.sim.engine import add_events_processed
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.rng import derive_rng
 from repro.telemetry import current as current_telemetry
-from repro.util.cache import BoundedCache
-
-#: ring + leaf sets + routing tables are a pure function of
-#: (seed, n, space, config, latency); scenario experiments rebuild the
-#: same structure for every run at one scale, so memoise it per process.
-#: Entries hold the latency model so the id()-based key component stays
-#: valid while the entry lives.
-_STRUCTURE_CACHE: BoundedCache[tuple] = BoundedCache(maxsize=8)
+from repro.util.cache import get_or_build
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,12 +89,14 @@ class PastryNetwork:
         self.config = config
         self.latency = latency
         self.seed = seed
-        _latency, self.ids, self.ring, self.leaf_sets, self.tables = (
-            _STRUCTURE_CACHE.get_or_build(
-                (repr(seed), n, space, config, id(latency)),
-                lambda: self._build_structure(n),
-            )
+        # ring + leaf sets + routing tables are a pure function of (seed,
+        # n, space, config, latency); scenario experiments rebuild the same
+        # structure for every run at one scale, so memoise it per process
+        self.structure = get_or_build(
+            ("pastry-structure", repr(seed), n, space, config, id(latency)),
+            lambda: self._build_structure(n),
         )
+        _latency, self.ids, self.ring, self.leaf_sets, self.tables = self.structure
         self.directory = ReplicaDirectory()
 
     def _build_structure(self, n: int) -> tuple:

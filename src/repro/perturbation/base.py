@@ -31,7 +31,7 @@ convention (simulations start at 0).
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -74,11 +74,15 @@ class ProcessBase:
         equivalent (same floats, same lazy RNG draws).  Callers must treat
         the returned array as read-only.
         """
-        return np.fromiter(
-            (self.is_online(node, time) for node in range(self.num_nodes)),
-            dtype=bool,
-            count=self.num_nodes,
-        )
+        return point_query_mask(self.is_online, self.num_nodes, time)
+
+
+def point_query_mask(
+    is_online: Callable[[int, float], bool], num_nodes: int, time: float
+) -> np.ndarray:
+    """``is_online(node, time)`` of nodes ``0..num_nodes-1`` as one boolean
+    bitmap, one point query a node."""
+    return np.fromiter((is_online(node, time) for node in range(num_nodes)), bool, num_nodes)
 
 
 def merge_intervals(intervals: Sequence[Interval]) -> list[Interval]:

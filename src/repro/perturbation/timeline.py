@@ -26,7 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perturbation.base import AvailabilityProcess, ProcessBase, merge_intervals
+from repro.perturbation.base import (
+    AvailabilityProcess,
+    ProcessBase,
+    merge_intervals,
+    point_query_mask,
+)
 
 
 class ScenarioTimeline(ProcessBase):
@@ -49,10 +54,13 @@ class ScenarioTimeline(ProcessBase):
         )
 
     def online_mask(self, time: float) -> np.ndarray:
-        """Bulk bitmap: AND of the component bitmaps."""
-        mask = _component_mask(self.processes[0], time, self.num_nodes)
-        for process in self.processes[1:]:
-            mask &= _component_mask(process, time, self.num_nodes)
+        """Bulk bitmap: AND of the component bitmaps.  A component that
+        implements only the :class:`AvailabilityProcess` protocol is read
+        node by node (:func:`~repro.perturbation.base.point_query_mask`)."""
+        mask = np.ones(self.num_nodes, dtype=bool)
+        for process in self.processes:
+            bulk = getattr(process, "online_mask", None)
+            mask &= bulk(time) if bulk else point_query_mask(process.is_online, len(mask), time)
         return mask
 
     def is_online(self, node: int, time: float) -> bool:
@@ -73,15 +81,3 @@ class ScenarioTimeline(ProcessBase):
         inner = ", ".join(type(p).__name__ for p in self.processes)
         return f"ScenarioTimeline([{inner}], n={self.num_nodes})"
 
-
-def _component_mask(process, time: float, num_nodes: int) -> np.ndarray:
-    """A component's bulk bitmap; point-query fallback for processes that
-    implement only the :class:`AvailabilityProcess` protocol."""
-    bulk = getattr(process, "online_mask", None)
-    if bulk is not None:
-        return np.array(bulk(time), dtype=bool, copy=True)
-    return np.fromiter(
-        (process.is_online(node, time) for node in range(num_nodes)),
-        dtype=bool,
-        count=num_nodes,
-    )

@@ -4,14 +4,16 @@ The rewritten ``pastry_next_hop``, ``decide_forwarding``, and
 ``build_routing_tables`` are pinned against straightforward reference
 implementations (the pre-optimisation algorithms, kept verbatim here) on
 seeded random instances; the cached views (ranked neighbors, degrees, CSR
-adjacency) and :class:`BoundedCache` are pinned against their unbatched
-counterparts; the underlay latency model is pinned against the underlay's
-matrix; the cold-built structures' memory is guarded with ``tracemalloc``;
-and the result store's events/sec manifest entry is checked.
+adjacency) are pinned against their unbatched counterparts, and the one
+construction cache against its byte budget; the underlay latency model is
+pinned against the underlay's matrix; the cold-built structures' memory is
+guarded with ``tracemalloc``; and the result store's events/sec manifest
+entry is checked.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import inspect
@@ -27,6 +29,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.core import network as core_network
 from repro.core.config import MPILConfig
 from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
 from repro.core.identifiers import IdSpace
@@ -40,8 +43,8 @@ from repro.core.metric import (
 from repro.core.network import MPILNetwork
 from repro.core.routing import decide_forwarding
 from repro.errors import ConfigurationError
-from repro.experiments import perturbed
-from repro.experiments.scales import get_scale
+from repro.experiments import perturbed, workloads
+from repro.experiments.scales import get_scale, register_scale, unregister_scale
 from repro.experiments.store import ResultStore
 from repro.overlay import random_graphs
 from repro.overlay.graph import OverlayGraph, undirected_csr
@@ -50,11 +53,14 @@ from repro.overlay.random_graphs import fixed_degree_random_graph, gnp_random_gr
 from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry import routing as pastry_routing
 from repro.pastry import state as pastry_state
+from repro.pastry.mpil_on_pastry import pastry_neighbor_overlay
+from repro.pastry.protocol import PastryNetwork
 from repro.pastry.routing import pastry_next_hop
 from repro.pastry.state import PastryRing, build_leaf_sets, build_routing_tables
 from repro.sim.latency import ConstantLatency, UnderlayLatency, UniformRandomLatency
 from repro.sim.rng import derive_rng, derive_rng32
-from repro.util.cache import BoundedCache, clear_all_caches
+from repro.util import cache
+from repro.util.cache import clear_all_caches, get_or_build
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +791,11 @@ class TestCachedViews:
             for target in targets
             for node in range(overlay.n)
         }
-        # room for one vector and a few rankings: every few misses drop all
+        # room for the table, one vector and a few rankings: every few
+        # misses drop all
         table = NeighborMetricTable(overlay, network.ids)
         held = table.entry(targets[0])
-        monkeypatch.setattr(
-            NeighborMetricTable, "SCORE_CACHE_BYTES", held.vector.nbytes + 4 * 400
-        )
+        monkeypatch.setattr(cache, "CACHE_BYTES", table.nbytes + 4 * 400)
         for _ in range(2):
             for target in targets:
                 for node in range(overlay.n):
@@ -811,7 +816,7 @@ class TestCachedViews:
         clear_all_caches()
         # every vector and every ranking overflows: each miss drops the
         # entry the request holds, which keeps routing on it
-        monkeypatch.setattr(NeighborMetricTable, "SCORE_CACHE_BYTES", 1)
+        monkeypatch.setattr(cache, "CACHE_BYTES", 1)
         network = MPILNetwork(overlay, seed=5)
         assert network.insert(0, object_id) == roomy
         assert roomy.traffic > 1
@@ -1188,39 +1193,189 @@ class TestBoundedConstruction:
         assert peak < 8 << 20
 
 
+class Sized:
+    """A cache value that reports its own ``nbytes``."""
+
+    def __init__(self, nbytes: int):
+        self._nbytes = nbytes
+
+    @property
+    def nbytes(self) -> int:
+        return self._nbytes
+
+
 class TestBoundedCache:
-    def test_lru_eviction_and_refresh(self):
-        cache: BoundedCache[int] = BoundedCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a" to most-recent
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert len(cache) == 2
+    """The one process-wide LRU and its byte budget."""
 
-    def test_maxsize_validated(self):
-        with pytest.raises(ConfigurationError):
-            BoundedCache(maxsize=0)
+    MIB = 1 << 20
 
-    def test_clear_all_caches_empties_instances(self):
-        cache: BoundedCache[int] = BoundedCache(maxsize=4)
-        cache.put("x", 1)
+    def _build(self, key, megabytes, built):
+        def build():
+            built.append(key)
+            return Sized(megabytes * self.MIB)
+
+        return get_or_build(key, build)
+
+    def test_lru_order_spans_every_cache(self, monkeypatch):
+        monkeypatch.setattr(cache, "CACHE_BYTES", int(3.5 * self.MIB))
+        built = []
+        for key in (("overlay", 1), ("node-ids", 1), ("underlay", 1)):
+            self._build(key, 1, built)
+        self._build(("overlay", 1), 1, built)  # a hit refreshes it
+        self._build(("metric-table", 1), 1, built)  # evicts the ids
+        self._build(("overlay", 1), 1, built)
+        self._build(("node-ids", 1), 1, built)
+        assert built == [
+            ("overlay", 1),
+            ("node-ids", 1),
+            ("underlay", 1),
+            ("metric-table", 1),
+            ("node-ids", 1),
+        ]
+        assert list(cache._lru) == [("metric-table", 1), ("overlay", 1), ("node-ids", 1)]
+
+    def test_eviction_is_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(cache, "CACHE_BYTES", int(3.5 * self.MIB))
+        built = []
+        self._build(("big", 0), 3, built)
+        self._build(("small", 0), 1, built)  # over: the big one goes
+        for index in (1, 2):
+            self._build(("small", index), 1, built)
+        assert list(cache._lru) == [("small", 0), ("small", 1), ("small", 2)]
+        assert cache.held == sum(charge for _key, charge in cache._charges.values())
+        assert 3 * self.MIB < cache.held <= cache.CACHE_BYTES
+        # a value over the budget alone stays while it is the newest
+        self._build(("huge", 0), 4, built)
+        assert list(cache._lru) == [("huge", 0)]
+        assert cache.held > cache.CACHE_BYTES
+
+    def test_a_growing_table_memo_is_charged(self):
+        network = MPILNetwork(gnp_random_graph(80, 0.1, seed=6), seed=6)
+        table = network.metric_table
+        charged = cache._charges[id(table)][1]
+        held = cache.held
+        rng = derive_rng(6, "objects")
+        for _ in range(5):
+            network.insert(rng.randrange(80), network.random_object_id(rng))
+        assert table._cached_bytes > 0
+        assert cache._charges[id(table)][1] == charged + table._cached_bytes
+        assert cache.held == held + table._cached_bytes
+
+    def test_clear_all_caches_empties_the_lru(self):
+        built = []
+        self._build(("overlay", 1), 1, built)
+        MPILNetwork(gnp_random_graph(30, 0.2, seed=1), seed=1)
+        assert len(cache._lru) == 3 and cache.held > self.MIB
         clear_all_caches()
-        assert cache.get("x") is None
+        assert len(cache._lru) == 0 and not cache._charges and cache.held == 0
+        self._build(("overlay", 1), 1, built)
+        assert built == [("overlay", 1)] * 2
 
     def test_get_or_build_calls_factory_once(self):
-        cache: BoundedCache[int] = BoundedCache(maxsize=4)
         calls = []
 
-        def factory() -> int:
+        def factory() -> Sized:
             calls.append(1)
-            return 42
+            return Sized(42)
 
-        assert cache.get_or_build("k", factory) == 42
-        assert cache.get_or_build("k", factory) == 42
+        assert get_or_build(("k",), factory) is get_or_build(("k",), factory)
         assert len(calls) == 1
+
+    def test_fig9_then_fig10_builds_each_overlay_once(self, monkeypatch):
+        """18 graphs a seed (3 sizes x 3 graphs x 2 families), more than
+        the old 12-entry overlay cache held: fig10 reads every graph fig9
+        built."""
+        builds = collections.Counter()
+        for family, generate in list(workloads.FAMILIES.items()):
+
+            def counted(n, seed, family=family, generate=generate):
+                builds[family, n, seed] += 1
+                return generate(n, seed)
+
+            monkeypatch.setitem(workloads.FAMILIES, family, counted)
+        register_scale(
+            get_scale("smoke").evolve(
+                name="cache-rung",
+                static_node_counts=(100, 200, 300),
+                static_graphs=3,
+                static_ops=5,
+            )
+        )
+        try:
+            for experiment in ("fig9", "fig10"):
+                api.run(experiment, scale="cache-rung", seed=0)
+        finally:
+            unregister_scale("cache-rung")
+        assert len(builds) == 18
+        assert set(builds.values()) == {1}
+
+
+class TestTheBudgetBoundsTheProcess:
+    """Each cached kind is charged at least the bytes its build leaves
+    alive (``tracemalloc``, free lists emptied), so the budget bounds what
+    the caches hold.  Each kind is built once at another size first, so
+    first-call module state is not counted."""
+
+    @staticmethod
+    def _charge_and_held(build, key_name):
+        def built():
+            value = build()
+            gc.collect()  # empty the free lists the build left filled
+            return value
+
+        held, _peak = traced_memory(built)
+        (charge,) = [
+            charge for key, charge in cache._charges.values() if key[0] == key_name
+        ]
+        return charge, held
+
+    @pytest.mark.parametrize("n", [90, 410])
+    def test_underlay_parts_pastry_structure_and_neighbor_overlay(self, n):
+        warm = PastryNetwork(60, latency=perturbed._underlay_parts(60, 1)[2], seed=1)
+        pastry_neighbor_overlay(warm)
+        clear_all_caches()
+        charge, held = self._charge_and_held(lambda: perturbed._underlay_parts(n, 0), "underlay")
+        assert charge >= held > 0
+        latency = perturbed._underlay_parts(n, 0)[2]
+        pastries = []
+        charge, held = self._charge_and_held(
+            lambda: pastries.append(PastryNetwork(n, latency=latency, seed=0)),
+            "pastry-structure",
+        )
+        assert charge >= held > 0
+
+        def neighbors():
+            overlay = pastry_neighbor_overlay(pastries[0])
+            for u in range(overlay.n):
+                overlay.neighbors(u)
+            return overlay.total_degrees
+
+        charge, held = self._charge_and_held(neighbors, "pastry-neighbors")
+        assert charge >= held > 0
+
+    @pytest.mark.parametrize("family", ["random", "power-law"])
+    def test_ids_overlay_with_every_tuple_and_metric_table(self, family):
+        MPILNetwork(workloads.make_overlay(family, 300, 0, 1), seed=1)
+        clear_all_caches()
+        n = 4000
+        charge, held = self._charge_and_held(
+            lambda: core_network._cached_node_ids(IdSpace(), n, 0), "node-ids"
+        )
+        assert charge >= held > 0
+
+        def overlay():
+            graph = workloads.make_overlay(family, n, 0, 0)
+            for u in range(n):
+                graph.neighbors(u)
+            return graph.total_degrees
+
+        charge, held = self._charge_and_held(overlay, "overlay")
+        assert charge >= held > 0
+        graph = workloads.make_overlay(family, n, 0, 0)
+        charge, held = self._charge_and_held(
+            lambda: MPILNetwork(graph, seed=0).metric_table, "metric-table"
+        )
+        assert charge >= held > 0
 
 
 class TestEventsPerSecPlumbing:

@@ -324,6 +324,33 @@ class TestScenarioTimeline:
         with pytest.raises(ConfigurationError):
             ScenarioTimeline([])
 
+    def test_a_protocol_only_process_joins_the_bulk_mask(self):
+        """A component with ``is_online`` and no ``online_mask`` is read
+        node by node; the mask is the conjunction of the point queries."""
+
+        class EvenNodesOnline:
+            num_nodes = 6
+            always_online = frozenset()
+
+            def is_online(self, node, time):
+                return node % 2 == 0 or time > 50.0
+
+            def offline_intervals(self, node, until):
+                return [] if node % 2 == 0 else [(0.0, min(50.0, until))]
+
+        outage = RegionalOutage(
+            [0, 0, 0, 1, 1, 1],
+            RegionalOutageConfig(start=5.0, duration=10.0, severity=1.0),
+            seed=0,
+        )
+        timeline = ScenarioTimeline([EvenNodesOnline(), outage])
+        for t in (0.0, 7.0, 60.0):
+            mask = timeline.online_mask(t)
+            assert mask.dtype == bool
+            assert mask.tolist() == [timeline.is_online(node, t) for node in range(6)]
+        assert timeline.online_mask(0.0).tolist() == [True, False] * 3
+        assert not timeline.online_mask(7.0).any()
+
     def test_timelines_nest(self):
         a = JoinStormSchedule(JoinStormConfig(10.0, 0.5), 4, seed=0)
         b = JoinStormSchedule(JoinStormConfig(20.0, 0.5), 4, seed=1)
