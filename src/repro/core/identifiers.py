@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -184,12 +183,6 @@ class Identifier:
 
     def digit(self, index: int) -> int:
         return self._digits[index]
-
-    @property
-    def nbytes(self) -> int:
-        """What this identifier holds, as a construction cache charges it:
-        itself, its value and its digits (its space is shared)."""
-        return sys.getsizeof(self) + sys.getsizeof(self._value) + sys.getsizeof(self._digits)
 
     # -- distances ---------------------------------------------------------
 

@@ -15,14 +15,13 @@ in Python.
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.identifiers import Identifier, pack_digit_matrix
 from repro.errors import ConfigurationError, RoutingError
-from repro.util.cache import nbytes, spend
+from repro.util.cache import make_room
 
 
 def common_digits(a: Identifier, b: Identifier) -> int:
@@ -205,14 +204,13 @@ class NeighborMetricTable:
     independent.  The experiments route the same objects through the same
     nodes many times, so after the first pass every decision is a dict hit.
 
-    The cache is charged to the process's one construction budget
-    (:data:`repro.util.cache.CACHE_BYTES`, through :meth:`_spend`): a
-    vector costs its ``nbytes``, a ranking :attr:`RANKED_BASE_BYTES` plus
-    8 B a top-tier neighbor plus its ``order`` buffer (one byte a neighbor
-    and a tier below degree 256).  When this table alone would overflow
-    the budget, every entry is dropped at once.  A vector holds one score
-    per node in the smallest unsigned dtype that holds the digit count
-    (:func:`_score_dtype`; one byte for the paper's 40 digits).  At
+    The memo lives under the process's one construction bound
+    (:data:`repro.util.cache.CACHE_BYTES`, a resident-set ceiling): each
+    new vector first makes room (:func:`repro.util.cache.make_room`), and
+    when the process is still over the ceiling with nothing else cached
+    left to drop, every entry is dropped at once.  A vector holds one
+    score per node in the smallest unsigned dtype that holds the digit
+    count (:func:`_score_dtype`; one byte for the paper's 40 digits).  At
     n = 4000 a vector is 4 KB, and a ranking holds ~204 B on the power-law
     overlay (mean degree 23) and ~306 B at degree 100 (``tracemalloc``,
     every node against one object).
@@ -233,11 +231,6 @@ class NeighborMetricTable:
         A metric object (default :class:`CommonDigitsMetric`).
     """
 
-    #: a ranking's bytes besides its top-tier pointers and ``order``: the
-    #: 4-tuple (72 B), the top tuple's header (40 B) and the entry's dict
-    #: slot (~40 B); the ids and the neighbor tuple are shared
-    RANKED_BASE_BYTES = 152
-
     def __init__(self, overlay, ids: Sequence[Identifier], metric=None):
         n = overlay.n
         if len(ids) != n:
@@ -248,15 +241,6 @@ class NeighborMetricTable:
         self._overlay = overlay
         self._indptr, self._indices = overlay.adjacency_arrays()
         self._entries: dict[int, ObjectEntry] = {}
-        self._cached_bytes = 0
-        #: the digit matrix and what the table pins: its overlay and ids
-        self._pinned_bytes = nbytes((self.digits, overlay, self.ids))
-
-    @property
-    def nbytes(self) -> int:
-        """What a construction cache charges this table: its digit matrix,
-        its overlay and ids (which it keeps alive), and its memo so far."""
-        return self._pinned_bytes + self._cached_bytes
 
     def _neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor indices of ``node`` (a CSR slice, no copy)."""
@@ -269,19 +253,9 @@ class NeighborMetricTable:
         every table over it."""
         return self._overlay.neighbors(node)
 
-    def _spend(self, charge: int) -> None:
-        """Charge ``charge`` bytes about to be cached to the one budget
-        (:func:`repro.util.cache.spend`), first dropping every entry if it
-        says this table alone would overflow it."""
-        if spend(self, charge):
-            spend(self, -self._cached_bytes)
-            self._entries.clear()
-            self._cached_bytes = 0
-        self._cached_bytes += charge
-
     def entry(self, target: Identifier) -> ObjectEntry:
         """The cache entry of ``target``, scored (one vectorised pass over
-        the shared digit matrix) on a miss."""
+        the shared digit matrix) on a miss, after making room for it."""
         entry = self._entries.get(target.value)
         if entry is None:
             vector = self.metric.scores_matrix(
@@ -289,7 +263,8 @@ class NeighborMetricTable:
             )
             vector.flags.writeable = False
             entry = ObjectEntry(vector)
-            self._spend(vector.nbytes)
+            if make_room(self):
+                self._entries.clear()
             self._entries[target.value] = entry
         return entry
 
@@ -322,13 +297,6 @@ class NeighborMetricTable:
         if ranked is None:
             scores = self.scores_with_self(node, target)
             ranked = compact_ranking(scores[0], self.neighbor_list(node), scores[1:])
-            order = ranked[3]
-            # the shared ints and neighbor tuple are not charged; a wide
-            # order is a view over bytes of its own
-            held = sys.getsizeof(order)
-            if type(order) is memoryview:
-                held += sys.getsizeof(order.obj)
-            self._spend(self.RANKED_BASE_BYTES + 8 * len(ranked[1]) + held)
             entry[node] = ranked
         return ranked
 

@@ -15,11 +15,11 @@ Nothing is persisted before a run completes (the result store writes a
 replicate only after ``run()`` returns), so a budget abort leaves no
 partial artifacts behind.
 
-RSS comes from ``/proc/self/status`` ``VmRSS`` — the *current* resident
-set, which a per-run check needs; ``ru_maxrss`` is the process-lifetime
-peak and would keep tripping a rung forever once any earlier run spiked.
-On platforms without procfs the memory ceiling is not enforced
-(``current_rss_mb`` returns ``None``), and the run's metrics blob and
+RSS comes from :func:`repro.util.rss.resident_bytes` — the *current*
+resident set, which a per-run check needs; ``ru_maxrss`` is the
+process-lifetime peak and would keep tripping a rung forever once any
+earlier run spiked.  On platforms without procfs the memory ceiling is not
+enforced (the reader returns ``None``), and the run's metrics blob and
 manifest entry record ``"memory_budget_enforced": false``; the wall-clock
 ceiling always is.
 """
@@ -30,20 +30,7 @@ import time
 
 from repro.errors import ExperimentError
 from repro.experiments.scales import BudgetSpec
-
-_PROC_STATUS = "/proc/self/status"
-
-
-def current_rss_mb() -> float | None:
-    """This process's current resident set in MiB, or ``None`` off-Linux."""
-    try:
-        with open(_PROC_STATUS) as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) / 1024.0  # kB -> MiB
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
+from repro.util.rss import resident_bytes
 
 
 class BudgetGuard:
@@ -76,10 +63,10 @@ class BudgetGuard:
                     f"{budget.max_wall_s:g}s"
                 )
         if budget.max_rss_mb is not None:
-            rss = current_rss_mb()
-            if rss is not None and rss > budget.max_rss_mb:
+            rss = resident_bytes()
+            if rss is not None and rss > budget.max_rss_mb * (1 << 20):
                 raise ExperimentError(
                     f"scale {self.scale_name!r} memory budget exceeded "
-                    f"after {stage}: {rss:.1f} MiB resident > max_rss_mb="
+                    f"after {stage}: {rss / (1 << 20):.1f} MiB resident > max_rss_mb="
                     f"{budget.max_rss_mb:g} MiB"
                 )

@@ -186,16 +186,6 @@ class OverlayGraph:
             self._rows[node] = row
         return row
 
-    @property
-    def nbytes(self) -> int:
-        """The bytes this overlay holds once every lazy structure is built,
-        which is what a construction cache charges it, so the charge never
-        changes after insertion: the CSR, 8 B a neighbor in the neighbor
-        tuples, 1 KiB for the object, and 168 B a node (its tuple's 40 B
-        header, its 8 B slot in the rows list, and a pointer and a 32 B int
-        in each of ``node_ints``, ``degrees`` and ``total_degrees``)."""
-        return self._csr[0].nbytes + 2 * self._csr[1].nbytes + 168 * self._n + 1024
-
     def degree(self, node: int) -> int:
         return self._degrees[node]
 

@@ -31,11 +31,13 @@ def traced_memory(build: Callable[[], object]) -> tuple[int, int]:
     """``(held, peak)``: the bytes ``tracemalloc`` counts as still allocated
     when ``build()`` returns (its result alive), and their high-water mark
     while it ran.  Garbage is collected first, so earlier tests' leftovers
-    neither count nor get freed mid-trace."""
+    neither count nor get freed mid-trace, and again once ``build()``
+    returns, so the free lists it left filled do not count as held."""
     gc.collect()
     tracemalloc.start()
     try:
         result = build()  # noqa: F841 - alive while ``held`` is read
+        gc.collect()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

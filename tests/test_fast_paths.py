@@ -5,10 +5,10 @@ The rewritten ``pastry_next_hop``, ``decide_forwarding``, and
 implementations (the pre-optimisation algorithms, kept verbatim here) on
 seeded random instances; the cached views (ranked neighbors, degrees, CSR
 adjacency) are pinned against their unbatched counterparts, and the one
-construction cache against its byte budget; the underlay latency model is
-pinned against the underlay's matrix; the cold-built structures' memory is
-guarded with ``tracemalloc``; and the result store's events/sec manifest
-entry is checked.
+construction cache against its resident-set ceiling; the underlay latency
+model is pinned against the underlay's matrix; the cold-built structures'
+memory is guarded with ``tracemalloc``; and the result store's events/sec
+manifest entry is checked.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import collections
 import functools
 import gc
+import hashlib
 import inspect
+import json
 import operator
 import random
 import textwrap
@@ -29,7 +31,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.core import network as core_network
 from repro.core.config import MPILConfig
 from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
 from repro.core.identifiers import IdSpace
@@ -53,8 +54,6 @@ from repro.overlay.random_graphs import fixed_degree_random_graph, gnp_random_gr
 from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry import routing as pastry_routing
 from repro.pastry import state as pastry_state
-from repro.pastry.mpil_on_pastry import pastry_neighbor_overlay
-from repro.pastry.protocol import PastryNetwork
 from repro.pastry.routing import pastry_next_hop
 from repro.pastry.state import PastryRing, build_leaf_sets, build_routing_tables
 from repro.sim.latency import ConstantLatency, UnderlayLatency, UniformRandomLatency
@@ -791,11 +790,10 @@ class TestCachedViews:
             for target in targets
             for node in range(overlay.n)
         }
-        # room for the table, one vector and a few rankings: every few
-        # misses drop all
+        # no room at all: every new vector drops every entry
         table = NeighborMetricTable(overlay, network.ids)
         held = table.entry(targets[0])
-        monkeypatch.setattr(cache, "CACHE_BYTES", table.nbytes + 4 * 400)
+        monkeypatch.setattr(cache, "CACHE_BYTES", 0)
         for _ in range(2):
             for target in targets:
                 for node in range(overlay.n):
@@ -814,9 +812,18 @@ class TestCachedViews:
         object_id = IdSpace().random_identifier(derive_rng(5, "object"))
         roomy = MPILNetwork(overlay, seed=5).insert(0, object_id)
         clear_all_caches()
-        # every vector and every ranking overflows: each miss drops the
-        # entry the request holds, which keeps routing on it
-        monkeypatch.setattr(cache, "CACHE_BYTES", 1)
+        # each ranking miss first scores another object, as an overlapping
+        # request would; with no room, that drops the entry this request
+        # holds, which keeps routing on it
+        monkeypatch.setattr(cache, "CACHE_BYTES", 0)
+        others = derive_rng(5, "others")
+        scores_with_self = NeighborMetricTable.scores_with_self
+
+        def overlapped(table, node, target):
+            table.entry(IdSpace().random_identifier(others))
+            return scores_with_self(table, node, target)
+
+        monkeypatch.setattr(NeighborMetricTable, "scores_with_self", overlapped)
         network = MPILNetwork(overlay, seed=5)
         assert network.insert(0, object_id) == roomy
         assert roomy.traffic > 1
@@ -1042,18 +1049,6 @@ class TestOneObjectPerValue:
         # less the returned list's pointer to each ranking
         assert (held - 8 * rankings) / rankings < 400
 
-    def test_the_charge_is_the_held_bytes_within_10_percent(self):
-        """``_spend`` is charged what a ranking holds, within a tolerance
-        (10 %) fixed before this test first ran."""
-        table, nodes, targets = self._warm_degree_100_table()
-        charged_before = table._cached_bytes
-        held, _peak = traced_memory(
-            lambda: [table.ranked_neighbors(u, t) for t in targets for u in nodes]
-        )
-        held -= 8 * len(targets) * len(nodes)
-        charged = table._cached_bytes - charged_before
-        assert abs(charged - held) <= 0.10 * held, (charged, held)
-
     @staticmethod
     def _warm_degree_100_table():
         """A degree-100 table with every neighbor tuple and two objects'
@@ -1193,90 +1188,110 @@ class TestBoundedConstruction:
         assert peak < 8 << 20
 
 
-class Sized:
-    """A cache value that reports its own ``nbytes``."""
-
-    def __init__(self, nbytes: int):
-        self._nbytes = nbytes
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
-
-
 class TestBoundedCache:
-    """The one process-wide LRU and its byte budget."""
+    """The one process-wide LRU and its resident-set ceiling."""
 
-    MIB = 1 << 20
-
-    def _build(self, key, megabytes, built):
+    def _build(self, key, built):
         def build():
             built.append(key)
-            return Sized(megabytes * self.MIB)
+            return object()
 
         return get_or_build(key, build)
 
-    def test_lru_order_spans_every_cache(self, monkeypatch):
-        monkeypatch.setattr(cache, "CACHE_BYTES", int(3.5 * self.MIB))
+    def test_lru_order_spans_every_cache(self):
         built = []
         for key in (("overlay", 1), ("node-ids", 1), ("underlay", 1)):
-            self._build(key, 1, built)
-        self._build(("overlay", 1), 1, built)  # a hit refreshes it
-        self._build(("metric-table", 1), 1, built)  # evicts the ids
-        self._build(("overlay", 1), 1, built)
-        self._build(("node-ids", 1), 1, built)
-        assert built == [
-            ("overlay", 1),
-            ("node-ids", 1),
+            self._build(key, built)
+        self._build(("overlay", 1), built)  # a hit refreshes it
+        self._build(("metric-table", 1), built)
+        self._build(("node-ids", 1), built)
+        assert built == [("overlay", 1), ("node-ids", 1), ("underlay", 1), ("metric-table", 1)]
+        assert list(cache._lru) == [
             ("underlay", 1),
+            ("overlay", 1),
             ("metric-table", 1),
             ("node-ids", 1),
         ]
-        assert list(cache._lru) == [("metric-table", 1), ("overlay", 1), ("node-ids", 1)]
 
-    def test_eviction_is_by_bytes(self, monkeypatch):
-        monkeypatch.setattr(cache, "CACHE_BYTES", int(3.5 * self.MIB))
+    def test_a_zero_ceiling_keeps_only_the_newest_entry(self, monkeypatch):
+        """Every insert evicts all others, and a hit evicts nothing."""
+        monkeypatch.setattr(cache, "CACHE_BYTES", 0)
         built = []
-        self._build(("big", 0), 3, built)
-        self._build(("small", 0), 1, built)  # over: the big one goes
-        for index in (1, 2):
-            self._build(("small", index), 1, built)
-        assert list(cache._lru) == [("small", 0), ("small", 1), ("small", 2)]
-        assert cache.held == sum(charge for _key, charge in cache._charges.values())
-        assert 3 * self.MIB < cache.held <= cache.CACHE_BYTES
-        # a value over the budget alone stays while it is the newest
-        self._build(("huge", 0), 4, built)
-        assert list(cache._lru) == [("huge", 0)]
-        assert cache.held > cache.CACHE_BYTES
+        for key in (("overlay", 1), ("node-ids", 1), ("underlay", 1)):
+            self._build(key, built)
+            assert list(cache._lru) == [key]
+        self._build(("underlay", 1), built)
+        self._build(("overlay", 1), built)
+        assert built == [("overlay", 1), ("node-ids", 1), ("underlay", 1), ("overlay", 1)]
+        assert list(cache._lru) == [("overlay", 1)]
 
-    def test_a_growing_table_memo_is_charged(self):
-        network = MPILNetwork(gnp_random_graph(80, 0.1, seed=6), seed=6)
-        table = network.metric_table
-        charged = cache._charges[id(table)][1]
-        held = cache.held
-        rng = derive_rng(6, "objects")
-        for _ in range(5):
-            network.insert(rng.randrange(80), network.random_object_id(rng))
-        assert table._cached_bytes > 0
-        assert cache._charges[id(table)][1] == charged + table._cached_bytes
-        assert cache.held == held + table._cached_bytes
+    def test_a_lone_value_over_the_ceiling_stays_and_says_so(self, monkeypatch):
+        """The answer that tells a metric table to drop its memo: over the
+        ceiling with nothing else left to drop."""
+        built = []
+        value = self._build(("overlay", 1), built)
+        assert cache.make_room(value) is False
+        monkeypatch.setattr(cache, "CACHE_BYTES", 0)
+        assert cache.make_room(value) is True
+        assert list(cache._lru) == [("overlay", 1)]
+        assert self._build(("overlay", 1), built) is value
+        assert built == [("overlay", 1)]
+
+    def test_eviction_rereads_the_resident_set_after_each_drop(self, monkeypatch):
+        """A process whose resident set falls 1 MiB an entry dropped stops
+        dropping as soon as it is under the ceiling."""
+        monkeypatch.setattr(cache, "CACHE_BYTES", 5 << 20)
+        monkeypatch.setattr(cache, "resident_bytes", lambda: (len(cache._lru) + 2) << 20)
+        built = []
+        for index in range(6):
+            self._build(("overlay", index), built)
+        assert list(cache._lru) == [("overlay", 3), ("overlay", 4), ("overlay", 5)]
+
+    def test_without_a_resident_set_nothing_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(cache, "CACHE_BYTES", 0)
+        monkeypatch.setattr(cache, "resident_bytes", lambda: None)
+        built = []
+        for index in range(4):
+            self._build(("overlay", index), built)
+        network = MPILNetwork(gnp_random_graph(30, 0.2, seed=1), seed=1)
+        rng = derive_rng(1, "objects")
+        for _ in range(3):
+            network.insert(rng.randrange(30), network.random_object_id(rng))
+        assert len(cache._lru) == 6
+        assert len(network.metric_table._entries) == 3
+
+    @pytest.mark.parametrize("experiment", ["fig9", "fig10", "fig11"])
+    def test_eviction_never_reaches_a_byte(self, experiment, monkeypatch):
+        """Under a zero ceiling every insert evicts every other entry and
+        every new vector drops its table's memo; the results are a roomy
+        run's, byte for byte."""
+
+        def digest():
+            result = api.run(experiment, scale="smoke", seed=1)
+            payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+            return hashlib.sha256(payload).hexdigest()
+
+        roomy = digest()
+        clear_all_caches()
+        monkeypatch.setattr(cache, "CACHE_BYTES", 0)
+        assert digest() == roomy
 
     def test_clear_all_caches_empties_the_lru(self):
         built = []
-        self._build(("overlay", 1), 1, built)
+        self._build(("overlay", 1), built)
         MPILNetwork(gnp_random_graph(30, 0.2, seed=1), seed=1)
-        assert len(cache._lru) == 3 and cache.held > self.MIB
+        assert len(cache._lru) == 3
         clear_all_caches()
-        assert len(cache._lru) == 0 and not cache._charges and cache.held == 0
-        self._build(("overlay", 1), 1, built)
+        assert len(cache._lru) == 0
+        self._build(("overlay", 1), built)
         assert built == [("overlay", 1)] * 2
 
     def test_get_or_build_calls_factory_once(self):
         calls = []
 
-        def factory() -> Sized:
+        def factory() -> object:
             calls.append(1)
-            return Sized(42)
+            return object()
 
         assert get_or_build(("k",), factory) is get_or_build(("k",), factory)
         assert len(calls) == 1
@@ -1308,74 +1323,6 @@ class TestBoundedCache:
             unregister_scale("cache-rung")
         assert len(builds) == 18
         assert set(builds.values()) == {1}
-
-
-class TestTheBudgetBoundsTheProcess:
-    """Each cached kind is charged at least the bytes its build leaves
-    alive (``tracemalloc``, free lists emptied), so the budget bounds what
-    the caches hold.  Each kind is built once at another size first, so
-    first-call module state is not counted."""
-
-    @staticmethod
-    def _charge_and_held(build, key_name):
-        def built():
-            value = build()
-            gc.collect()  # empty the free lists the build left filled
-            return value
-
-        held, _peak = traced_memory(built)
-        (charge,) = [
-            charge for key, charge in cache._charges.values() if key[0] == key_name
-        ]
-        return charge, held
-
-    @pytest.mark.parametrize("n", [90, 410])
-    def test_underlay_parts_pastry_structure_and_neighbor_overlay(self, n):
-        warm = PastryNetwork(60, latency=perturbed._underlay_parts(60, 1)[2], seed=1)
-        pastry_neighbor_overlay(warm)
-        clear_all_caches()
-        charge, held = self._charge_and_held(lambda: perturbed._underlay_parts(n, 0), "underlay")
-        assert charge >= held > 0
-        latency = perturbed._underlay_parts(n, 0)[2]
-        pastries = []
-        charge, held = self._charge_and_held(
-            lambda: pastries.append(PastryNetwork(n, latency=latency, seed=0)),
-            "pastry-structure",
-        )
-        assert charge >= held > 0
-
-        def neighbors():
-            overlay = pastry_neighbor_overlay(pastries[0])
-            for u in range(overlay.n):
-                overlay.neighbors(u)
-            return overlay.total_degrees
-
-        charge, held = self._charge_and_held(neighbors, "pastry-neighbors")
-        assert charge >= held > 0
-
-    @pytest.mark.parametrize("family", ["random", "power-law"])
-    def test_ids_overlay_with_every_tuple_and_metric_table(self, family):
-        MPILNetwork(workloads.make_overlay(family, 300, 0, 1), seed=1)
-        clear_all_caches()
-        n = 4000
-        charge, held = self._charge_and_held(
-            lambda: core_network._cached_node_ids(IdSpace(), n, 0), "node-ids"
-        )
-        assert charge >= held > 0
-
-        def overlay():
-            graph = workloads.make_overlay(family, n, 0, 0)
-            for u in range(n):
-                graph.neighbors(u)
-            return graph.total_degrees
-
-        charge, held = self._charge_and_held(overlay, "overlay")
-        assert charge >= held > 0
-        graph = workloads.make_overlay(family, n, 0, 0)
-        charge, held = self._charge_and_held(
-            lambda: MPILNetwork(graph, seed=0).metric_table, "metric-table"
-        )
-        assert charge >= held > 0
 
 
 class TestEventsPerSecPlumbing:

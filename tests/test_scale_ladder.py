@@ -221,9 +221,9 @@ class TestBudgetEnforcement:
         assert "tiny-wall" in str(info.value)
 
     def test_rss_budget_aborts_with_one_line_error(self):
-        from repro.experiments.budget import current_rss_mb
+        from repro.util.rss import resident_bytes
 
-        if current_rss_mb() is None:
+        if resident_bytes() is None:
             pytest.skip("no procfs RSS on this platform")
         capped = SMOKE.evolve(name="tiny-rss", max_rss_mb=0.5)
         with pytest.raises(ExperimentError, match="memory budget") as info:
@@ -239,15 +239,15 @@ class TestBudgetEnforcement:
     def test_a_memory_budget_without_procfs_is_recorded_as_unenforced(
         self, tmp_path, monkeypatch
     ):
-        """Without ``/proc/self/status`` the RSS ceiling cannot be checked;
+        """Without ``/proc/self/statm`` the RSS ceiling cannot be checked;
         the run says so in its metrics blob and its manifest entry instead
         of passing as if it had been.  An unbudgeted run records nothing."""
-        from repro.experiments import budget
         from repro.experiments.runner import save_outcome
         from repro.experiments.runtime import execute_task
         from repro.experiments.store import ResultStore
+        from repro.util import rss
 
-        monkeypatch.setattr(budget, "_PROC_STATUS", str(tmp_path / "no-procfs"))
+        monkeypatch.setattr(rss, "_PROC_STATM", str(tmp_path / "no-procfs"))
         store = ResultStore(tmp_path / "store")
         capped = SMOKE.evolve(name="rss-capped", max_rss_mb=1e6)
         for scale, seed in ((capped, 0), (SMOKE, 1)):
