@@ -194,15 +194,16 @@ def sweep(
     ``seeds`` accepts the CLI's spec syntax (``"0..9"``, ``"0,2,5"``,
     ``"7"``) or an iterable of ints; ``store`` may be a
     :class:`~repro.experiments.store.ResultStore`, a directory path, or
-    ``None`` to keep results in memory only.  With a store the sweep is
-    durable (an append-only task journal, up to ``jobs`` crash-tolerant worker
-    processes that are reused from task to task, atomic artifact
-    commits): ``resume=True`` skips verified-complete tasks from an
-    earlier interrupted call, ``max_retries``/``task_timeout`` bound
-    crashed and hung workers.  Retries and timeouts apply only with a
-    store: without one a ``task_timeout`` is an error.  Workers are forked
-    where the platform forks, so scales and specs registered in this
-    process reach them.  The :class:`SweepReport` holds one
+    ``None`` to keep results in the returned report only.  Every sweep is
+    durable (an append-only task journal, up to ``jobs`` crash-tolerant
+    worker processes that are reused from task to task, atomic artifact
+    commits), ``max_retries``/``task_timeout`` bound crashed and hung
+    workers, and a task out of retries is reported, not raised.  Without a
+    store all of it runs on a scratch directory removed before the call
+    returns; with one, ``resume=True`` skips verified-complete tasks from
+    an earlier interrupted call.  Workers are forked on Linux, so scales
+    and specs registered in this process reach them.  The
+    :class:`SweepReport` holds one
     :class:`~repro.experiments.runtime.TaskOutcome` per executed task (its
     ``result`` is the replicate) and the ledger's
     :class:`~repro.experiments.ledger.TaskRow` for each skipped or failed
@@ -299,11 +300,10 @@ def compose(
     registry (duplicate ids rejected), so it resolves by id in
     :func:`run` and — within this process — :func:`sweep`; remove it
     again with :func:`unregister`.  Runtime registrations live only in
-    the registering process: sweep composed specs without a store and
-    with ``jobs=1`` (the one sweep that runs in this process), or on a
-    fork-based platform (Linux), where workers inherit them — spawn-based
-    workers (macOS/Windows) re-import the registry and see only the
-    built-ins, and a sweep with a store runs even ``jobs=1`` in one.
+    the registering process: sweep workers inherit them on Linux, where
+    they are forked; spawned workers (macOS/Windows) re-import the
+    registry and see only the built-ins, so there run a composed spec per
+    seed with :func:`run`.
     """
     if isinstance(source, (str, pathlib.Path)):
         source = load_spec_file(source)

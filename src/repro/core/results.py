@@ -13,7 +13,8 @@ random walks — returns one :class:`LookupResult`, whose ``counters`` are
 the lookup's own :class:`~repro.sim.counters.TrafficCounters` and whose
 ``cause`` says, once the lookup completes, why it ended: one of
 :data:`FOUND`, :data:`NO_REPLICA_REACHABLE`, :data:`LOST_OFFLINE`,
-:data:`HOP_LIMIT` or :data:`MISDELIVERED`.
+:data:`HOP_LIMIT` or :data:`MISDELIVERED`.  Every insert driver, MPIL
+and Pastry, returns one :class:`InsertResult`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ MISDELIVERED = "misdelivered"
 
 @dataclasses.dataclass(frozen=True)
 class InsertResult:
-    """Outcome of one MPIL insertion."""
+    """Outcome of one insertion, MPIL or Pastry (one route, one flow)."""
 
     object_id: Identifier
     origin: int

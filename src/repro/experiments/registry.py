@@ -5,7 +5,7 @@ decorator instead of being enumerated in a hand-maintained dict::
 
     @experiment(id="fig9", title="...", tags=("figure", "static"), figure="Figure 9")
     def fig9() -> Pipeline:
-        return Pipeline(columns=..., cells=..., measure=...)
+        return Pipeline(columns=..., key_columns=..., cells=..., measure=...)
 
     fig9.run(scale="smoke")  # the decorated name is the registered ExperimentSpec
 

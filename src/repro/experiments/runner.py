@@ -7,8 +7,8 @@ topologies.  This module turns that into a first-class workflow: a
 replicate through a :class:`~repro.experiments.store.ResultStore` and
 writing one aggregate (mean/stdev/ci95) table per experiment.
 
-Sweeps that run against a store are *durable*: every task is tracked in
-the store's task journal (:mod:`repro.experiments.ledger`) and executed by the
+Every sweep is *durable*: every task is tracked in the store's task
+journal (:mod:`repro.experiments.ledger`) and executed by the
 crash-tolerant runtime (:mod:`repro.experiments.runtime`) — up to ``jobs``
 long-lived worker processes fed one task at a time and replaced when they
 die, hang or raise, per-task timeouts, bounded retry with backoff, and
@@ -22,8 +22,8 @@ replicate's :class:`~repro.experiments.base.ExperimentResult`), a skipped
 or permanently failed one by its ledger row
 (:class:`~repro.experiments.ledger.TaskRow`).  The sweep holds the
 store's ``sweep.lock`` from its first ledger write until its last
-aggregate is written.  Storeless sweeps (``store=None``) run on the same
-workers without the ledger, or in this process with ``jobs=1``.
+aggregate is written.  A storeless sweep (``store=None``) is the same
+sweep over a private scratch store, removed before it returns or raises.
 
 Determinism is preserved under parallelism, retries, and resumption: each
 task re-derives all of its randomness from its own ``(experiment_id,
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
+import tempfile
 import time
 from typing import Callable, Iterable, Optional, Union
 
@@ -66,9 +67,7 @@ from repro.experiments.runtime import (
     RuntimeConfig,
     TaskOutcome,
     drain_ledger,
-    execute_task,
     plan_tasks,
-    run_in_workers,
 )
 from repro.experiments.scales import get_scale
 from repro.experiments.spec import validate_seed
@@ -176,7 +175,7 @@ class SweepReport:
     replicates — one entry per experiment id in spec order, omitting
     experiments whose every task failed.  ``cache_clears`` counts the
     tasks that reached a worker holding another ``(scale, seed)``, each
-    of which emptied that worker's construction caches (0 in-process).
+    of which emptied that worker's construction caches.
     """
 
     spec: SweepSpec
@@ -206,43 +205,20 @@ def save_outcome(store: ResultStore, outcome: TaskOutcome) -> pathlib.Path:
     )
 
 
-def _run_sweep_in_memory(
-    tasks: list[TaskKey],
-    jobs: int,
-    progress: Optional[Callable[[TaskOutcome], None]],
-) -> tuple[list[TaskOutcome], int]:
-    """The storeless path: no ledger, no durability, results in memory,
-    consumed in task order whatever the worker count.  Returns them with
-    the workers' cache clears."""
-    outcomes: list[TaskOutcome] = []
-
-    def consume(outcome: TaskOutcome) -> None:
-        outcomes.append(outcome)
-        if progress is not None:
-            progress(outcome)
-
-    if jobs == 1:
-        for task in tasks:
-            consume(execute_task(*task))
-        return outcomes, 0
-    return outcomes, run_in_workers(tasks, jobs, consume)
-
-
 def _aggregate(
     spec: SweepSpec,
     outcomes: list[TaskOutcome],
     skipped: list[TaskRow],
-    store: Optional[ResultStore],
+    store: ResultStore,
 ) -> list[ExperimentResult]:
     """Aggregate executed + skipped replicates per experiment, writing each
-    aggregate to ``store`` if there is one.  Replicates are taken in
-    canonical task order, so the aggregate bytes never depend on
-    completion order or on how many runs it took to converge."""
+    aggregate to ``store``.  Replicates are taken in canonical task order,
+    so the aggregate bytes never depend on completion order or on how many
+    runs it took to converge."""
     results_by_task: dict[TaskKey, ExperimentResult] = {
         outcome.task: outcome.result for outcome in outcomes
     }
     for row in skipped:
-        assert store is not None  # skipped tasks only exist with a store
         results_by_task[row.key] = store.load(*row.key)
     tasks = spec.tasks()
     aggregates: list[ExperimentResult] = []
@@ -256,8 +232,7 @@ def _aggregate(
             continue  # every replicate failed; reported in failures
         aggregate = aggregate_results([result for _, result in cell])
         aggregates.append(aggregate)
-        if store is not None:
-            store.write_aggregate(aggregate, [task[2] for task, _ in cell])
+        store.write_aggregate(aggregate, [task[2] for task, _ in cell])
     return aggregates
 
 
@@ -272,62 +247,52 @@ def run_sweep(
 ) -> SweepReport:
     """Execute a sweep, persist replicates, and aggregate each experiment.
 
-    With a store, tasks run through the durable ledger runtime: at most
-    ``jobs`` worker processes (``jobs=1`` is one worker, not this
-    process), each task claimed in the ledger before a worker receives
-    it, crashed/hung/raising attempts retried up to ``max_retries`` times
-    (``task_timeout`` bounds each attempt) on a replacement worker,
-    artifacts committed atomically, and — with ``resume=True`` —
-    verified-complete tasks skipped instead of recomputed.  Tasks whose
-    retry budget runs out are recorded as ``failed`` in the ledger and
-    reported in :attr:`SweepReport.failures` rather than raised, so one
-    poisoned seed cannot discard an otherwise-complete sweep.
+    Tasks run through the durable ledger runtime: at most ``jobs`` worker
+    processes (``jobs=1`` is one worker, not this process), each task
+    claimed in the ledger before a worker receives it, crashed/hung/raising
+    attempts retried up to ``max_retries`` times (``task_timeout`` bounds
+    each attempt) on a replacement worker, artifacts committed atomically,
+    and — with ``resume=True`` — verified-complete tasks skipped instead of
+    recomputed.  Tasks whose retry budget runs out are recorded as
+    ``failed`` in the ledger and reported in :attr:`SweepReport.failures`
+    rather than raised, so one poisoned seed cannot discard an
+    otherwise-complete sweep.
 
-    Retries and timeouts apply only with a store.  Without one there is
-    nothing to resume from (``resume=True`` is rejected) and nothing to
-    bound (so is ``task_timeout``): tasks run in this process (``jobs=1``,
-    exceptions propagate as raised) or on the same kind of workers with no
-    ledger and no retry, where the first raising or dying task stops the
-    sweep with an :class:`~repro.errors.ExperimentError` naming it.
+    Without a store the sweep runs the same way on a scratch store in a
+    temporary directory, removed before this returns or raises; the
+    report holds the outcomes and aggregates.  There is nothing to resume
+    from, so ``resume=True`` is rejected.
     """
     config = RuntimeConfig(jobs=jobs, max_retries=max_retries, task_timeout=task_timeout)
-    started = time.perf_counter()
-    tasks = spec.tasks()
-    skipped: list[TaskRow] = []
-    failures: list[TaskRow] = []
-
     if store is None:
         if resume:
-            raise ExperimentError(
-                "resume=True needs a result store to resume from"
+            raise ExperimentError("resume=True needs a result store to resume from")
+        with tempfile.TemporaryDirectory(prefix="sweep-") as scratch:
+            return run_sweep(
+                spec, ResultStore(scratch), jobs, progress,
+                max_retries=max_retries, task_timeout=task_timeout,
             )
-        if task_timeout is not None:
-            raise ExperimentError(
-                "task_timeout needs a result store; without one no task is timed out"
-            )
-        outcomes, cache_clears = _run_sweep_in_memory(tasks, jobs, progress)
-        aggregates = _aggregate(spec, outcomes, [], None)
-    else:
-        for experiment_id in spec.experiment_ids:
-            # a corrupt manifest fails here, before any task is claimed
-            store.manifest(experiment_id, spec.scale)
-        ledger = store.ledger
+    started = time.perf_counter()
+    for experiment_id in spec.experiment_ids:
+        # a corrupt manifest fails here, before any task is claimed
+        store.manifest(experiment_id, spec.scale)
+    ledger = store.ledger
 
-        def commit(outcome: TaskOutcome) -> str:
-            # the one hash of the artifact: what the ledger records as done
-            # and what a resume verifies the bytes on disk against
-            return file_checksum(save_outcome(store, outcome))
+    def commit(outcome: TaskOutcome) -> str:
+        # the one hash of the artifact: what the ledger records as done
+        # and what a resume verifies the bytes on disk against
+        return file_checksum(save_outcome(store, outcome))
 
-        try:  # the first ledger write takes the store's sweep.lock
-            to_run, skipped = plan_tasks(
-                ledger, tasks, resume=resume, verify=store.verify_artifact
-            )
-            outcomes, failures, cache_clears = drain_ledger(
-                to_run, ledger, config, commit, progress=progress
-            )
-            aggregates = _aggregate(spec, outcomes, skipped, store)
-        finally:
-            ledger.close()  # and with it the lock, after the last aggregate
+    try:  # the first ledger write takes the store's sweep.lock
+        to_run, skipped = plan_tasks(
+            ledger, spec.tasks(), resume=resume, verify=store.verify_artifact
+        )
+        outcomes, failures, cache_clears = drain_ledger(
+            to_run, ledger, config, commit, progress=progress
+        )
+        aggregates = _aggregate(spec, outcomes, skipped, store)
+    finally:
+        ledger.close()  # and with it the lock, after the last aggregate
 
     return SweepReport(
         spec=spec,

@@ -6,9 +6,8 @@ half is :mod:`repro.experiments.ledger`).  It provides:
 - :func:`execute_task` — the one measured run: zero the process-wide
   event total, run one replicate, time it, read the event total and
   return a :class:`TaskOutcome` holding the replicate's
-  :class:`~repro.experiments.base.ExperimentResult`.  The sweep workers,
-  the in-process sweep and the CLI's ``run``/``compose``/``serve``/``trace``
-  all go through it;
+  :class:`~repro.experiments.base.ExperimentResult`.  The sweep workers
+  and the CLI's ``run``/``compose``/``serve``/``trace`` all go through it;
 - :func:`plan_tasks` — the resume planner: decide, from ledger states and
   artifact checksums, which tasks still need to run and which verified
   ``done`` tasks can be skipped (reported as their ledger rows);
@@ -18,15 +17,14 @@ half is :mod:`repro.experiments.ledger`).  It provides:
   deadline or report an exception.  It records the ``(scale, seed)`` each
   worker holds and counts the assigns that change it.  It knows nothing
   about ledgers;
-- :func:`pick_task` — seed affinity, the one dispatch rule of both
-  policies: an idle worker gets the next task of the ``(scale, seed)`` it
-  already holds, else one no busy worker holds, else the next task;
-- :func:`drain_ledger` — the durable policy over a pool: claim in the
-  ledger, send, commit the result, complete; per-task timeouts and bounded
-  retry with exponential backoff, a task out of retries reported as its
-  ``failed`` ledger row;
-- :func:`run_in_workers` — the storeless policy over the same pool: no
-  ledger, no retry, the first failure raises.
+- :func:`pick_task` — seed affinity, the dispatch rule: an idle worker
+  gets the next task of the ``(scale, seed)`` it already holds, else one
+  no busy worker holds, else the next task;
+- :func:`drain_ledger` — the one policy over a pool, for every sweep
+  (a storeless one drains a scratch store's ledger): claim in the ledger,
+  send, commit the result, complete; per-task timeouts and bounded retry
+  with exponential backoff, a task out of retries reported as its
+  ``failed`` ledger row.
 
 Fault model
 -----------
@@ -78,6 +76,7 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import signal
+import sys
 import time
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
@@ -316,18 +315,23 @@ class WorkerPool:
     """At most ``jobs`` long-lived worker processes, fed tasks over pipes.
 
     The mechanics only — spawn, assign, wait, retire, close; which task
-    runs next and what its outcome means (claim, commit, retry, raise) is
-    the caller's policy: :func:`drain_ledger` or :func:`run_in_workers`.
-    A pool lives inside one ``with`` block; leaving it — normally or by
-    exception — retires every worker, killing the busy ones.
+    runs next and what its outcome means (claim, commit, retry) is the
+    caller's policy, :func:`drain_ledger`.  A pool lives inside one
+    ``with`` block; leaving it — normally or by exception — retires every
+    worker, killing the busy ones.
 
-    Workers come from ``multiprocessing.get_context().Process`` so a
-    forked worker inherits runtime registrations (``register(...)``,
-    ``api.register_scale``) made in the parent.
+    Workers are forked on Linux, whatever the interpreter's default start
+    method, so they inherit runtime registrations (``register(...)``,
+    ``api.register_scale``) made in the parent; :func:`_worker_main`'s
+    pipe handling is written for forked children.  Elsewhere they come
+    from the platform's default context and see only what importing the
+    package registers.
     """
 
     def __init__(self, jobs: int, task_timeout: Optional[float] = None):
-        self._ctx = multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context(
+            "fork" if sys.platform.startswith("linux") else None
+        )
         self._jobs = jobs
         self._task_timeout = task_timeout
         self._workers: list[_Worker] = []
@@ -442,36 +446,6 @@ class WorkerPool:
             worker.conn.close()  # all first, so the idle workers exit together
         for worker in list(self._workers):
             self._retire(worker, kill=worker.task is not None)
-
-
-def run_in_workers(
-    tasks: list[TaskKey], jobs: int, consume: Callable[[TaskOutcome], None]
-) -> int:
-    """The ledger-less policy over a :class:`WorkerPool`: run ``tasks`` on
-    up to ``jobs`` workers, each handed its next task by :func:`pick_task`,
-    and hand each outcome to ``consume`` in task order.  Nothing is
-    retried: the first reported exception or dead worker raises one
-    :class:`ExperimentError` naming the task.  Returns the pool's
-    ``cache_clears``.
-    """
-    done: dict[TaskKey, TaskOutcome] = {}
-    unsent = list(tasks)
-    consumed = 0
-    with WorkerPool(jobs) as pool:
-        while consumed < len(tasks):
-            while unsent and (worker := pool.acquire()) is not None:
-                task = pick_task(unsent, worker.held, pool.busy_seeds(), {}, 0.0)
-                assert task is not None  # nothing backs off here
-                unsent.remove(task)
-                pool.assign(worker, task)
-            for kind, task, body in pool.wait():
-                if kind != "ok":
-                    raise ExperimentError(f"task {task!r} failed: {body}")
-                done[task] = body
-            while consumed < len(tasks) and tasks[consumed] in done:
-                consume(done.pop(tasks[consumed]))
-                consumed += 1
-    return pool.cache_clears
 
 
 def drain_ledger(

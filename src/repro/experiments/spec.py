@@ -93,17 +93,20 @@ def _single_cell(ctx: RunContext, built: Any) -> Iterable[Any]:
 class Pipeline:
     """The pluggable stage bundle of one experiment.
 
-    Only ``columns`` and ``measure`` are mandatory: an experiment with no
-    shared state skips ``build``, and one without a sweep axis runs its
-    single implicit cell.
+    Only ``columns``, ``measure`` and ``key_columns`` are mandatory: an
+    experiment with no shared state skips ``build``, and one without a
+    sweep axis runs its single implicit cell.  ``key_columns`` name the
+    columns that identify a row across replicates; aggregation passes
+    them through and expands every other numeric column into statistics,
+    so an aggregate's schema never depends on what the seeds drew.
     """
 
     columns: tuple[str, ...]
     measure: MeasureStage
+    key_columns: tuple[str, ...]
     build: BuildStage = _build_nothing
     cells: CellsStage = _single_cell
     notes: NotesStage = ""
-    key_columns: tuple[str, ...] = ()
     #: aggregation statistics derived per varying numeric column when
     #: replicates of this experiment are merged (see
     #: :func:`repro.experiments.store.aggregate_results`); service-mode
@@ -113,6 +116,8 @@ class Pipeline:
     def __post_init__(self) -> None:
         if not self.columns:
             raise ExperimentError("a pipeline needs at least one result column")
+        if not self.key_columns:
+            raise ExperimentError("a pipeline needs key_columns: the columns naming a row")
         unknown = set(self.key_columns) - set(self.columns)
         if unknown:
             raise ExperimentError(

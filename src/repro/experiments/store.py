@@ -317,18 +317,15 @@ def aggregate_results(replicates: Sequence[ExperimentResult]) -> ExperimentResul
     """Merge replicate tables into one mean/stdev/CI table.
 
     Replicates must share experiment id, scale, columns, and row count (the
-    runner guarantees this: same spec, different seeds).  When the result
-    declares ``key_columns`` (every registered experiment does), those
-    columns pass through unchanged and *every other numeric column* is
-    replaced by a stat column group — so the aggregate schema depends only
-    on the experiment, never on which values the sampled seeds happened to
-    produce.  The group is the result's ``stat_suffixes`` (default
+    runner guarantees this: same spec, different seeds), and must declare
+    ``key_columns`` (every pipeline does).  Those columns pass through
+    unchanged and *every other numeric column* is replaced by a stat
+    column group — so the aggregate schema depends only on the experiment,
+    never on which values the sampled seeds happened to produce.  The
+    group is the result's ``stat_suffixes`` (default
     ``_mean``/``_stdev``/``_ci95``; service experiments add
-    ``_p50``/``_p95``/``_p99`` for cross-seed tail statistics).  Results
-    without ``key_columns`` fall back to a heuristic: columns identical
-    across all replicates pass through, varying numeric columns get the
-    stat group.  ``_ci95`` is the half-width of the Student-t 95%
-    confidence interval.
+    ``_p50``/``_p95``/``_p99`` for cross-seed tail statistics).  ``_ci95``
+    is the half-width of the Student-t 95% confidence interval.
     """
     if not replicates:
         raise ExperimentError("cannot aggregate zero replicates")
@@ -357,24 +354,17 @@ def aggregate_results(replicates: Sequence[ExperimentResult]) -> ExperimentResul
         all(_is_number(r.rows[i][j]) for r in replicates for i in range(num_rows))
         for j in range(num_cols)
     ]
-    if first.key_columns:
-        unknown = set(first.key_columns) - set(first.columns)
-        if unknown:
-            raise ExperimentError(
-                f"key_columns {sorted(unknown)} not in columns of "
-                f"{first.experiment_id}"
-            )
-        is_key = [name in first.key_columns for name in first.columns]
-    else:
-        # Heuristic fallback: a column is a key column iff every row agrees
-        # across all replicates.
-        is_key = [
-            all(
-                all(r.rows[i][j] == first.rows[i][j] for r in replicates)
-                for i in range(num_rows)
-            )
-            for j in range(num_cols)
-        ]
+    if not first.key_columns:
+        raise ExperimentError(
+            f"cannot aggregate {first.experiment_id}: it declares no key_columns"
+        )
+    unknown = set(first.key_columns) - set(first.columns)
+    if unknown:
+        raise ExperimentError(
+            f"key_columns {sorted(unknown)} not in columns of "
+            f"{first.experiment_id}"
+        )
+    is_key = [name in first.key_columns for name in first.columns]
 
     columns: list[str] = []
     for j, name in enumerate(first.columns):

@@ -21,12 +21,11 @@ published algorithm plus those mechanisms:
 
 from repro.pastry.config import PastryConfig
 from repro.pastry.mpil_on_pastry import make_mpil_over_pastry, pastry_neighbor_overlay
-from repro.pastry.protocol import PastryInsertResult, PastryNetwork
+from repro.pastry.protocol import PastryNetwork
 from repro.pastry.views import ProbedViewOracle
 
 __all__ = [
     "PastryConfig",
-    "PastryInsertResult",
     "PastryNetwork",
     "ProbedViewOracle",
     "make_mpil_over_pastry",

@@ -19,12 +19,11 @@ querying client).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.replicas import ReplicaDirectory
-from repro.core.results import FOUND, HOP_LIMIT, MISDELIVERED, LookupResult
+from repro.core.results import FOUND, HOP_LIMIT, MISDELIVERED, InsertResult, LookupResult
 from repro.errors import ConfigurationError, IdSpaceError, RoutingError
 from repro.pastry.config import PastryConfig
 from repro.pastry.routing import DELIVER, pastry_next_hop, static_route
@@ -42,18 +41,6 @@ from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.rng import derive_rng
 from repro.telemetry import current as current_telemetry
 from repro.util.cache import get_or_build
-
-
-@dataclasses.dataclass(frozen=True)
-class PastryInsertResult:
-    """Outcome of a static-stage insertion."""
-
-    key: Identifier
-    origin: int
-    root: int
-    path: tuple[int, ...]
-    replicas: tuple[int, ...]
-    messages: int
 
 
 class PastryNetwork:
@@ -141,8 +128,9 @@ class PastryNetwork:
 
     def insert_static(
         self, origin: int, key: Identifier, replicate_on_route: bool = False
-    ) -> PastryInsertResult:
-        """Insert on the fully-online overlay (stage 1)."""
+    ) -> InsertResult:
+        """Insert on the fully-online overlay (stage 1): one message per
+        hop of one route, so ``traffic`` and ``max_hop`` are its hops."""
         path = self.route_static(origin, key)
         add_events_processed(len(path))
         delivery = path[-1]
@@ -178,13 +166,15 @@ class PastryNetwork:
                 replicas=len(replicas),
             )
         telemetry.metrics.inc("pastry_inserts_total")
-        return PastryInsertResult(
-            key=key,
+        hops = len(path) - 1
+        return InsertResult(
+            object_id=key,
             origin=origin,
-            root=delivery,
-            path=tuple(path),
             replicas=replicas,
-            messages=max(0, len(path) - 1),
+            traffic=hops,
+            duplicates=0,
+            flows_created=1,
+            max_hop=hops,
         )
 
     # -- perturbed lookup -------------------------------------------------------

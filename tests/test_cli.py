@@ -934,7 +934,7 @@ class TestStatusAndResume:
             ExperimentSpec(
                 experiment_id="cli-always-fails",
                 title="cli failure stub",
-                pipeline=Pipeline(columns=("seed",), measure=measure),
+                pipeline=Pipeline(columns=("seed",), measure=measure, key_columns=("seed",)),
             )
         )
         try:
@@ -972,7 +972,7 @@ class TestStatusAndResume:
             ExperimentSpec(
                 experiment_id="cli-always-fails",
                 title="cli failure stub",
-                pipeline=Pipeline(columns=("seed",), measure=measure),
+                pipeline=Pipeline(columns=("seed",), measure=measure, key_columns=("seed",)),
             )
         )
         sweep = ["sweep", "cli-always-fails", "--seeds", "0", "--scale", "smoke",

@@ -37,17 +37,17 @@ class TestStaticInsert:
         rng = derive_rng(2, "keys")
         key = SPACE.random_identifier(rng)
         result = network.insert_static(5, key)
+        assert result.object_id == key and result.origin == 5
         assert result.replicas == (network.root(key),)
-        assert result.root == network.root(key)
-        assert result.path[0] == 5
-        assert result.path[-1] == result.root
-        assert network.directory.has(result.root, key)
+        assert network.directory.has(network.root(key), key)
 
     def test_rr_insert_stores_along_route(self, network):
         rng = derive_rng(3, "keys")
         key = SPACE.random_identifier(rng)
         result = network.insert_static(7, key, replicate_on_route=True)
-        assert set(result.replicas) == set(dict.fromkeys(result.path))
+        route = network.route_static(7, key)
+        assert route[-1] == network.root(key)
+        assert result.replicas == tuple(dict.fromkeys(route))
         for node in result.replicas:
             assert network.directory.has(node, key)
 
@@ -55,7 +55,9 @@ class TestStaticInsert:
         rng = derive_rng(4, "keys")
         key = SPACE.random_identifier(rng)
         result = network.insert_static(9, key)
-        assert result.messages == len(result.path) - 1
+        hops = len(network.route_static(9, key)) - 1
+        assert result.traffic == result.max_hop == hops
+        assert result.duplicates == 0 and result.flows_created == 1
 
 
 class TestLookup:

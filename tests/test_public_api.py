@@ -55,11 +55,12 @@ def test_top_level_exports_exist():
         assert name in repro.__all__
 
 
-#: one lookup record (``repro.core.results.LookupResult``) replaced these
+#: one lookup record (``repro.core.results.LookupResult``) and one insert
+#: record (``repro.core.results.InsertResult``) replaced these
 RETIRED_RECORDS = {
     "repro": ["TimedLookupResult"],
     "repro.core": ["TimedLookupResult"],
-    "repro.pastry": ["PastryLookupOutcome"],
+    "repro.pastry": ["PastryLookupOutcome", "PastryInsertResult"],
     "repro.baselines": ["BaselineLookupResult"],
 }
 

@@ -153,24 +153,21 @@ class TestRunSweep:
         assert len(report.aggregates) == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_storeless_sweep_rejects_task_timeout(self, jobs, monkeypatch):
-        """Without a store no task is retried or timed out, so a
-        ``task_timeout`` there used to be validated and then ignored.  Now
-        it is one line from both entry points, before any task runs."""
+    def test_storeless_sweep_takes_the_stored_options(self, jobs, tmp_path):
+        """``max_retries`` and ``task_timeout`` mean what they mean with a
+        store, from both entry points; a storeless sweep once refused a
+        ``task_timeout``."""
         from repro import api
-        from repro.experiments import runner
 
-        def no_task_may_run(*args, **kwargs):
-            raise AssertionError("a storeless sweep ran with a task_timeout")
-
-        monkeypatch.setattr(runner, "_run_sweep_in_memory", no_task_may_run)
+        stored = run_sweep(self.SPEC, ResultStore(tmp_path), jobs=jobs)
         for sweep in (
-            lambda: run_sweep(self.SPEC, store=None, jobs=jobs, task_timeout=5.0),
-            lambda: api.sweep("fig7", seeds=[0], scale="smoke", jobs=jobs, task_timeout=5.0),
+            lambda: run_sweep(self.SPEC, store=None, jobs=jobs, max_retries=0, task_timeout=60.0),
+            lambda: api.sweep("fig7", seeds=[0, 1], scale="smoke", jobs=jobs,
+                              max_retries=0, task_timeout=60.0),
         ):
-            with pytest.raises(ExperimentError, match="task_timeout needs a result store") as info:
-                sweep()
-            assert "\n" not in str(info.value)
+            report = sweep()
+            assert not report.failures
+            assert report.aggregates == stored.aggregates
 
 
 class TestResume:

@@ -22,11 +22,12 @@ import pathlib
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
 
-from repro.errors import ExperimentError, LedgerError
+from repro.errors import LedgerError
 from repro.experiments import all_experiment_ids
 from repro.experiments.cli import main
 from repro.experiments.registry import register, unregister
@@ -163,7 +164,7 @@ class TestReuse:
 
     def test_storeless_sweep_reuses_workers_too(self, stub):
         report = run_sweep(_spec(range(6)), store=None, jobs=2)
-        assert [o.seed for o in report.outcomes] == list(range(6))
+        assert sorted(o.seed for o in report.outcomes) == list(range(6))
         assert 1 <= len(stub.pids()) <= 2
         assert os.getpid() not in stub.pids()
 
@@ -390,39 +391,113 @@ class TestParentSideFailure:
 
 
 class TestStorelessWorkers:
-    def test_outcomes_and_progress_in_task_order(self, stub):
+    """A storeless sweep is the durable sweep on a scratch store: the same
+    workers, retries, timeouts and ``failed`` rows, and the same bytes."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_hung_task_is_killed_and_reported_failed(self, stub, jobs):
+        stub.arm("hang", 1)
+        report = run_sweep(
+            _spec(range(3)), store=None, jobs=jobs, max_retries=0, task_timeout=0.5
+        )
+        (row,) = report.failures
+        assert row.key == ("pid-stub", "smoke", 1) and row.state == "failed"
+        assert row.error == "timed out after 0.5s (worker killed)"
+        assert sorted(o.seed for o in report.outcomes) == [0, 2]
+        assert _gone(stub.pids_of(1)[0])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "kind, error",
+        [("raise", "RuntimeError: armed failure for seed 2"),
+         ("kill", "worker died (exit code -9)")],
+    )
+    def test_a_failing_task_is_its_failed_row(self, stub, kind, error):
+        stub.arm(kind, 2)
+        report = run_sweep(_spec(range(4)), store=None, jobs=2, max_retries=0)
+        (row,) = report.failures
+        assert row.key == ("pid-stub", "smoke", 2) and row.attempts == 1
+        assert row.error == error
+        assert sorted(o.seed for o in report.outcomes) == [0, 1, 3]
+        # the aggregate covers the replicates that made it
+        (aggregate,) = report.aggregates
+        assert "aggregate of 3 replicates" in aggregate.notes
+        assert multiprocessing.active_children() == []
+
+    def test_outcomes_match_a_stored_sweep_by_task(self, tmp_path, stub):
+        """Outcomes arrive in completion order; by task they hold the bytes
+        a stored sweep writes, and the aggregates are the stored ones."""
         stub.slow()
         seen = []
-        report = run_sweep(
-            _spec(range(6)), store=None, jobs=3, progress=lambda o: seen.append(o.seed)
+        stored = ResultStore(tmp_path / "stored")
+        reference = run_sweep(_spec(range(6)), stored, jobs=3)
+        for jobs in (1, 3):
+            report = run_sweep(
+                _spec(range(6)), store=None, jobs=jobs,
+                progress=lambda o: seen.append(o.seed),
+            )
+            assert seen == [o.seed for o in report.outcomes]
+            assert sorted(seen) == list(range(6))
+            seen.clear()
+            replay = ResultStore(tmp_path / f"replay-{jobs}")
+            for outcome in report.outcomes:
+                save_outcome(replay, outcome)
+            for aggregate in report.aggregates:
+                replay.write_aggregate(aggregate, list(range(6)))
+            assert artifact_bytes(replay.root) == artifact_bytes(stored.root)
+            assert report.aggregates == reference.aggregates
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("ending", ["return", "failed task", "interrupt"])
+    def test_no_scratch_directory_outlives_the_sweep(self, tmp_path, stub, monkeypatch, ending):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        held = []
+
+        def progress(outcome):
+            held.extend(scratch.iterdir())  # the sweep's store, while it runs
+            if ending == "interrupt":
+                raise KeyboardInterrupt
+
+        if ending == "failed task":
+            stub.arm("raise", 1)
+        if ending == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep(_spec(range(3)), store=None, jobs=1, progress=progress)
+        else:
+            report = run_sweep(
+                _spec(range(3)), store=None, jobs=1, progress=progress, max_retries=0
+            )
+            assert len(report.failures) == (ending == "failed task")
+        assert held and all(path.parent == scratch for path in held)
+        assert list(scratch.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+class TestStartMethod:
+    def test_workers_see_runtime_registrations_under_forkserver(self, tmp_path):
+        """Python 3.14 makes ``forkserver`` the Linux default, and a worker
+        it starts re-imports the package: a scale registered at runtime
+        would be unknown there.  The pool forks on Linux whatever the
+        default."""
+        if not sys.platform.startswith("linux"):
+            pytest.skip("workers are forked on Linux only")
+        script = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            "from repro import api\n"
+            "api.register_scale(api.get_scale('smoke').evolve(name='tiny-probe'))\n"
+            "report = api.sweep('fig7', seeds=[0], scale='tiny-probe', jobs=1,\n"
+            "                   store=sys.argv[1])\n"
+            "print(len(report.outcomes), [row.error for row in report.failures])\n"
         )
-        assert seen == [o.seed for o in report.outcomes] == list(range(6))
-        assert multiprocessing.active_children() == []
-
-    def test_first_exception_raises_naming_the_task(self, stub):
-        stub.arm("raise", 2)
-        with pytest.raises(ExperimentError) as caught:
-            run_sweep(_spec(range(6)), store=None, jobs=2)
-        message = str(caught.value)
-        assert "('pid-stub', 'smoke', 2)" in message
-        assert "RuntimeError: armed failure for seed 2" in message
-        assert multiprocessing.active_children() == []
-
-    def test_dead_worker_raises_naming_the_task(self, stub):
-        stub.arm("kill", 1)
-        with pytest.raises(ExperimentError) as caught:
-            run_sweep(_spec(range(4)), store=None, jobs=2)
-        assert "('pid-stub', 'smoke', 1)" in str(caught.value)
-        assert "worker died (exit code -9)" in str(caught.value)
-        assert multiprocessing.active_children() == []
-
-    def test_matches_in_process_results(self, stub):
-        pooled = run_sweep(_spec(range(4)), store=None, jobs=2)
-        inline = run_sweep(_spec(range(4)), store=None, jobs=1)
-        assert [o.result.to_dict() for o in pooled.outcomes] == [
-            o.result.to_dict() for o in inline.outcomes
-        ]
-        assert pooled.aggregates == inline.aggregates
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=_cli_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 []\n"
 
 
 def _cli(out: pathlib.Path, *extra: str) -> list[str]:

@@ -67,6 +67,7 @@ class TestExperimentSpec:
             title="Staged",
             pipeline=Pipeline(
                 columns=("v",),
+                key_columns=("v",),
                 build=build,
                 cells=lambda ctx, built: (built.upper(),),
                 measure=lambda ctx, built, cell: [(f"{built}:{cell}",)],
@@ -98,7 +99,12 @@ class TestExperimentSpec:
 
     def test_empty_columns_rejected(self):
         with pytest.raises(ExperimentError, match="at least one result column"):
-            Pipeline(columns=(), measure=lambda ctx, built, cell: [])
+            Pipeline(columns=(), measure=lambda ctx, built, cell: [], key_columns=())
+
+    def test_key_columns_are_required(self):
+        with pytest.raises(ExperimentError, match="needs key_columns") as info:
+            Pipeline(columns=("a",), measure=lambda ctx, built, cell: [], key_columns=())
+        assert "\n" not in str(info.value)
 
     def test_key_columns_must_be_columns(self):
         with pytest.raises(ExperimentError, match="key_columns"):

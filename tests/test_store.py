@@ -22,7 +22,7 @@ from repro.experiments.store import (
 def make_result(
     seed_value: float = 1.0,
     experiment_id: str = "figx",
-    key_columns: tuple = (),
+    key_columns: tuple = ("family", "nodes"),
 ) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=experiment_id,
@@ -172,9 +172,16 @@ class TestAggregation:
 
     def test_single_replicate_has_zero_spread(self):
         aggregate = aggregate_results([make_result(1.0)])
-        # one replicate, no declared keys: every value is identical across
-        # "all" replicates, so the heuristic passes every column through
-        assert aggregate.columns == ("family", "nodes", "metric")
+        # one replicate: the schema is still the declared one, spread 0
+        assert aggregate.columns == (
+            "family", "nodes", "metric_mean", "metric_stdev", "metric_ci95"
+        )
+        assert aggregate.rows[0][2:] == (1.0, 0.0, 0.0)
+
+    def test_missing_key_columns_rejected(self):
+        with pytest.raises(ExperimentError, match="declares no key_columns") as info:
+            aggregate_results([make_result(key_columns=())] * 2)
+        assert "\n" not in str(info.value)
 
     def test_declared_key_columns_give_stable_schema(self):
         # metric coincides across replicates, but a declared key set means
