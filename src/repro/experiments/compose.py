@@ -110,6 +110,8 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.base import success_percent
 from repro.experiments.perturbed import (
+    COMPARED_VARIANTS,
+    LOOKUP_SPACING,
     VARIANT_LABELS,
     PerturbationTestbed,
     build_stage,
@@ -127,9 +129,6 @@ from repro.service.driver import (
 )
 from repro.service.windows import SLOPolicy
 from repro.util.toml import tomllib
-
-DEFAULT_VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
-DEFAULT_SPACING = 60.0
 
 
 #: the [service] table's parameter schema; every parameter is optional
@@ -392,7 +391,7 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
     variants = tuple(
         str(v)
         for v in _require_list(
-            variants_table.get("names", DEFAULT_VARIANTS), "variants.names"
+            variants_table.get("names", COMPARED_VARIANTS), "variants.names"
         )
     )
     if not variants:
@@ -415,7 +414,7 @@ def compose_spec(source: Mapping[str, Any]) -> ExperimentSpec:
     if not isinstance(workload, Mapping):
         raise ExperimentError("[workload] must be a table")
     spacing = _require_float(
-        workload.get("spacing", DEFAULT_SPACING), "workload spacing"
+        workload.get("spacing", LOOKUP_SPACING), "workload spacing"
     )
     if spacing <= 0:
         raise ExperimentError(f"workload spacing must be positive, got {spacing:g}")

@@ -52,6 +52,8 @@ from repro.errors import ExperimentError
 from repro.experiments.base import success_percent
 from repro.experiments.perturbed import (
     BACKGROUND_PERIOD,
+    COMPARED_VARIANTS,
+    LOOKUP_SPACING,
     MPIL_MAX_FLOWS,
     MPIL_PER_FLOW_REPLICAS,
     VARIANT_LABELS,
@@ -65,9 +67,7 @@ from repro.experiments.registry import experiment
 from repro.experiments.spec import Pipeline, RunContext
 from repro.perturbation.timeline import ScenarioTimeline
 
-VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
-LABELS = tuple(VARIANT_LABELS[variant] for variant in VARIANTS)
-LOOKUP_SPACING = 60.0
+LABELS = tuple(VARIANT_LABELS[variant] for variant in COMPARED_VARIANTS)
 MPIL_AT = f"MPIL at ({MPIL_MAX_FLOWS}, {MPIL_PER_FLOW_REPLICAS})"
 
 #: ext-churn: mean session lengths swept (seconds); downtime matches the
@@ -95,12 +95,13 @@ def _flags(
     views_seed: object,
     rejoin_seed: object = None,
 ) -> list[list[bool]]:
-    """Per-lookup success flags of each of :data:`VARIANTS`, in that order."""
+    """Per-lookup success flags of each of :data:`COMPARED_VARIANTS`, in
+    that order."""
     return [
         stage2_successes(
             testbed, variant, schedule, indices, LOOKUP_SPACING, views_seed, rejoin_seed
         )
-        for variant in VARIANTS
+        for variant in COMPARED_VARIANTS
     ]
 
 

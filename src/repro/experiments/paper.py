@@ -26,6 +26,7 @@ from repro.core.identifiers import IdSpace
 from repro.experiments.base import mean, success_percent
 from repro.experiments.perturbed import (
     ALL_VARIANTS,
+    COMPARED_VARIANTS,
     VARIANT_LABELS,
     PerturbationTestbed,
     build_stage,
@@ -310,14 +311,11 @@ def fig11() -> Pipeline:
     )
 
 
-FIG12_VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
-
-
 def _measure_fig12(
     ctx: RunContext, testbed: PerturbationTestbed, probability: float
 ) -> Iterable[tuple]:
     results = run_cell(
-        testbed, "30:30", probability, ctx.scale.perturbed_lookups, FIG12_VARIANTS
+        testbed, "30:30", probability, ctx.scale.perturbed_lookups, COMPARED_VARIANTS
     )
     return [
         (

@@ -51,6 +51,12 @@ BACKGROUND_PERIOD = "30:30"
 PASTRY_VARIANTS = ("pastry", "pastry-rr")
 MPIL_VARIANTS = ("mpil-ds", "mpil-nods")
 ALL_VARIANTS = PASTRY_VARIANTS + MPIL_VARIANTS
+#: the three-way comparison (Figure 12, the ``ext-*`` sweeps, composed
+#: specs, service traffic): MSPastry against both MPIL modes
+COMPARED_VARIANTS = ("pastry", *MPIL_VARIANTS)
+
+#: seconds between consecutive lookups of the ``ext-*`` and composed specs
+LOOKUP_SPACING = 60.0
 
 VARIANT_LABELS = {
     "pastry": "MSPastry",

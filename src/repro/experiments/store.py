@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import io
 import json
 import os
@@ -77,10 +78,13 @@ STAT_FUNCTIONS = {
 }
 
 
+@functools.cache
 def git_revision(cwd: Union[str, pathlib.Path, None] = None) -> str:
     """The commit hash of the checkout holding ``cwd`` — by default this
     package's own directory, not the process's working directory, which
-    may sit in some other repository — or ``"unknown"`` outside a checkout."""
+    may sit in some other repository — or ``"unknown"`` outside a checkout.
+    Resolved once per process and directory: the checkout cannot change
+    under a running sweep, and ``rev-parse`` is a subprocess."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -119,16 +123,7 @@ class ResultStore:
 
     def __init__(self, root: Union[str, pathlib.Path]):
         self.root = pathlib.Path(root)
-        self._git_rev: Optional[str] = None
         self._ledger: Optional[TaskLedger] = None
-
-    @property
-    def git_rev(self) -> str:
-        """The checkout's commit hash, resolved once per store instance
-        (it cannot change mid-sweep, and ``rev-parse`` is a subprocess)."""
-        if self._git_rev is None:
-            self._git_rev = git_revision()
-        return self._git_rev
 
     @property
     def ledger_path(self) -> pathlib.Path:
@@ -204,7 +199,7 @@ class ResultStore:
                 "runs": {},
             }
         written_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        manifest["git_rev"] = self.git_rev
+        manifest["git_rev"] = git_revision()
         manifest["updated_at"] = written_at
         run = manifest["runs"][f"seed_{seed}"] = {
             "seed": seed,

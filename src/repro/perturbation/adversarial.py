@@ -17,11 +17,9 @@ import dataclasses
 import math
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.perturbation.base import ProcessBase
-from repro.sim.rng import derive_rng, validate_seed
+from repro.sim.rng import derive_rng
 
 TARGETING_MODES = ("degree", "random")
 
@@ -84,14 +82,10 @@ class AdversarialRemoval(ProcessBase):
         seed: int | tuple = 0,
         always_online: frozenset[int] | set[int] = frozenset(),
     ):
-        validate_seed(seed)
         self.degrees = tuple(int(d) for d in degrees)
         if not self.degrees:
             raise ConfigurationError("adversarial removal needs at least one node")
-        self.num_nodes = len(self.degrees)
-        self.config = config
-        self.seed = seed
-        self.always_online = frozenset(always_online)
+        super().__init__(config, len(self.degrees), seed, always_online)
         eligible = [n for n in range(self.num_nodes) if n not in self.always_online]
         count = round(config.fraction * len(eligible))
         if config.targeting == "degree":
@@ -102,22 +96,12 @@ class AdversarialRemoval(ProcessBase):
             rng = derive_rng(seed, "adversarial-random", self.num_nodes, config.label)
             removed = rng.sample(eligible, count) if count else []
         self.removed = frozenset(removed)
-        self._removed_array = np.fromiter(
-            sorted(self.removed), dtype=np.int64, count=len(self.removed)
-        )
 
     def is_online(self, node: int, time: float) -> bool:
         """Removed nodes are gone for good once the attack starts."""
         if node not in self.removed:
             return True
         return time < self.config.start
-
-    def online_mask(self, time: float) -> np.ndarray:
-        """Bulk bitmap: one scatter over the removed-node index array."""
-        mask = np.ones(self.num_nodes, dtype=bool)
-        if time >= self.config.start:
-            mask[self._removed_array] = False
-        return mask
 
     def offline_intervals(self, node: int, until: float) -> list[tuple[float, float]]:
         """One unbounded window ``[start, inf)`` per removed node."""

@@ -18,6 +18,11 @@ must keep the two views consistent: for ``0 <= t < until``,
 ``is_online(node, t)`` is False iff ``t`` falls inside one of
 ``offline_intervals(node, until)``.
 
+:class:`ProcessBase` holds the rest, once for every family: the
+constructor (population size check, seed validation, the config, seed and
+exemptions) and ``online_mask(t)``, the point query asked of every node.
+A family writes its two queries and nothing else.
+
 Interval semantics
 ------------------
 
@@ -31,9 +36,12 @@ convention (simulations start at 0).
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.sim.rng import validate_seed
 
 Interval = tuple[float, float]
 
@@ -55,34 +63,41 @@ class AvailabilityProcess(Protocol):
 
 
 class ProcessBase:
-    """Shared bulk view for availability processes.
+    """What every availability process shares: its population, its seed,
+    its exemptions, and the bulk view of its point query.
 
-    Subclasses provide ``num_nodes`` and ``is_online``; this base adds
-    :meth:`online_mask`, every node's availability at one instant.
+    A family subclasses this and writes only its point query
+    (``is_online``) and its interval query (``offline_intervals``).
     """
 
-    num_nodes: int
+    def __init__(
+        self,
+        config,
+        num_nodes: int,
+        seed: int | tuple,
+        always_online: frozenset[int] | set[int],
+    ):
+        if num_nodes < 1:
+            raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
+        validate_seed(seed)
+        self.config = config
+        self.num_nodes = num_nodes
+        self.seed = seed
+        self.always_online = frozenset(always_online)
 
     def is_online(self, node: int, time: float) -> bool:  # pragma: no cover
         raise NotImplementedError
 
     def online_mask(self, time: float) -> np.ndarray:
-        """Availability of *every* node at ``time`` as one boolean bitmap.
-
-        This default evaluates the point query per node; subclasses
-        override it with vectorised implementations that are exactly
-        equivalent (same floats, same lazy RNG draws).  Callers must treat
-        the returned array as read-only.
-        """
-        return point_query_mask(self.is_online, self.num_nodes, time)
-
-
-def point_query_mask(
-    is_online: Callable[[int, float], bool], num_nodes: int, time: float
-) -> np.ndarray:
-    """``is_online(node, time)`` of nodes ``0..num_nodes-1`` as one boolean
-    bitmap, one point query a node."""
-    return np.fromiter((is_online(node, time) for node in range(num_nodes)), bool, num_nodes)
+        """Availability of *every* node at ``time`` as one boolean bitmap:
+        ``is_online(node, time)`` of nodes ``0..num_nodes-1``, one point
+        query a node.  No driver reads it; the benchmark's per-layer probes
+        time it."""
+        return np.fromiter(
+            (self.is_online(node, time) for node in range(self.num_nodes)),
+            bool,
+            self.num_nodes,
+        )
 
 
 def merge_intervals(intervals: Sequence[Interval]) -> list[Interval]:

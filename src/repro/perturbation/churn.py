@@ -22,7 +22,7 @@ import dataclasses
 
 from repro.errors import ConfigurationError
 from repro.perturbation.base import ProcessBase
-from repro.sim.rng import derive_rng, validate_seed
+from repro.sim.rng import derive_rng
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,13 +64,7 @@ class ChurnSchedule(ProcessBase):
         seed: int | tuple = 0,
         always_online: frozenset[int] | set[int] = frozenset(),
     ):
-        if num_nodes < 1:
-            raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
-        validate_seed(seed)
-        self.config = config
-        self.num_nodes = num_nodes
-        self.seed = seed
-        self.always_online = frozenset(always_online)
+        super().__init__(config, num_nodes, seed, always_online)
         self._rngs = [
             derive_rng(seed, "churn", node, config.mean_session, config.mean_downtime)
             for node in range(num_nodes)

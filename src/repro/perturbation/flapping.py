@@ -23,11 +23,9 @@ import dataclasses
 import math
 import random
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.perturbation.base import ProcessBase
-from repro.sim.rng import derive_rng, validate_seed
+from repro.sim.rng import derive_rng
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,13 +110,7 @@ class FlappingSchedule(ProcessBase):
         seed: int | tuple = 0,
         always_online: frozenset[int] | set[int] = frozenset(),
     ):
-        if num_nodes < 1:
-            raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
-        validate_seed(seed)
-        self.config = config
-        self.num_nodes = num_nodes
-        self.seed = seed
-        self.always_online = frozenset(always_online)
+        super().__init__(config, num_nodes, seed, always_online)
         #: the config's label, formatted once: every "flap-decisions" derive
         #: reads it
         self._label = config.label
@@ -133,7 +125,6 @@ class FlappingSchedule(ProcessBase):
         self._cycle = config.cycle
         self._idle = config.idle_period
         self._probability = config.probability
-        self._phases_array = np.asarray(self._phases, dtype=np.float64)
 
     def phase(self, node: int) -> float:
         """Time at which ``node`` first enters its flapping period."""
@@ -172,24 +163,6 @@ class FlappingSchedule(ProcessBase):
         if cycle_index < len(decisions):
             return not decisions[cycle_index]
         return not self.goes_offline(node, cycle_index)
-
-    def online_mask(self, time: float) -> np.ndarray:
-        """Bulk bitmap: the cycle arithmetic runs vectorised over all
-        phases; only nodes inside an offline part need their (lazily drawn,
-        per-node-stream) Bernoulli decision, so the Python work per refresh
-        is proportional to the flapping fraction, not the population."""
-        mask = np.ones(self.num_nodes, dtype=bool)
-        if self._probability != 0.0:
-            offset = time - self._phases_array
-            cycle_indices = (offset / self._cycle).astype(np.int64)
-            in_offline_part = (offset >= 0) & (
-                offset - cycle_indices * self._cycle >= self._idle
-            )
-            for node in np.nonzero(in_offline_part)[0].tolist():
-                mask[node] = not self.goes_offline(node, int(cycle_indices[node]))
-        if self.always_online:
-            mask[list(self.always_online)] = True
-        return mask
 
     def offline_intervals(self, node: int, until: float) -> list[tuple[float, float]]:
         """Maximal offline windows ``[start, end)`` with ``start < until``.

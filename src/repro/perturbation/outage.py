@@ -24,11 +24,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.perturbation.base import ProcessBase
-from repro.sim.rng import derive_rng, validate_seed
+from repro.sim.rng import derive_rng
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,14 +94,10 @@ class RegionalOutage(ProcessBase):
         seed: int | tuple = 0,
         always_online: frozenset[int] | set[int] = frozenset(),
     ):
-        validate_seed(seed)
         self.regions = tuple(int(r) for r in regions)
         if not self.regions:
             raise ConfigurationError("regional outage needs at least one node")
-        self.num_nodes = len(self.regions)
-        self.config = config
-        self.seed = seed
-        self.always_online = frozenset(always_online)
+        super().__init__(config, len(self.regions), seed, always_online)
         distinct = sorted(set(self.regions))
         if len(distinct) < 2:
             raise ConfigurationError(
@@ -128,9 +122,6 @@ class RegionalOutage(ProcessBase):
         )
         self._start = config.start
         self._end = config.end
-        self._affected_array = np.fromiter(
-            sorted(self._affected), dtype=np.int64, count=len(self._affected)
-        )
 
     def affects(self, node: int) -> bool:
         """Whether ``node`` sits in an affected region (exemptions aside)."""
@@ -142,13 +133,6 @@ class RegionalOutage(ProcessBase):
         if node in self._affected:
             return not (self._start <= time < self._end)
         return True
-
-    def online_mask(self, time: float) -> np.ndarray:
-        """Bulk bitmap: one scatter over the affected-node index array."""
-        mask = np.ones(self.num_nodes, dtype=bool)
-        if self._start <= time < self._end:
-            mask[self._affected_array] = False
-        return mask
 
     def offline_intervals(self, node: int, until: float) -> list[tuple[float, float]]:
         """The single outage window, for affected nodes that see it."""

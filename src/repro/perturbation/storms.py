@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.perturbation.base import ProcessBase
-from repro.sim.rng import derive_rng, validate_seed
+from repro.sim.rng import derive_rng
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,24 +66,12 @@ class JoinStormSchedule(ProcessBase):
         seed: int | tuple = 0,
         always_online: frozenset[int] | set[int] = frozenset(),
     ):
-        if num_nodes < 1:
-            raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
-        validate_seed(seed)
-        self.config = config
-        self.num_nodes = num_nodes
-        self.seed = seed
-        self.always_online = frozenset(always_online)
+        super().__init__(config, num_nodes, seed, always_online)
         eligible = [n for n in range(num_nodes) if n not in self.always_online]
         count = round(config.late_fraction * len(eligible))
         pick_rng = derive_rng(seed, "join-storm-members", num_nodes, config.label)
         late = sorted(pick_rng.sample(eligible, count)) if count else []
         self._arrival: dict[int, float] = dict.fromkeys(late, config.arrival_time)
-        self._late_array = np.fromiter(
-            self._arrival, dtype=np.int64, count=len(self._arrival)
-        )
-        self._arrival_array = np.fromiter(
-            self._arrival.values(), dtype=np.float64, count=len(self._arrival)
-        )
 
     @property
     def late_joiners(self) -> frozenset[int]:
@@ -102,13 +88,6 @@ class JoinStormSchedule(ProcessBase):
         if arrival is None or time < 0:
             return True
         return time >= arrival
-
-    def online_mask(self, time: float) -> np.ndarray:
-        """Bulk bitmap: one scatter of the not-yet-arrived late joiners."""
-        mask = np.ones(self.num_nodes, dtype=bool)
-        if time >= 0:
-            mask[self._late_array[self._arrival_array > time]] = False
-        return mask
 
     def offline_intervals(self, node: int, until: float) -> list[tuple[float, float]]:
         """One absence window ``[0, arrival)`` for each late joiner."""

@@ -11,6 +11,9 @@ online sets and unions the offline windows).
 
 The timeline is itself an ``AvailabilityProcess``, so it plugs into every
 timed driver, view oracle, and rejoin model unchanged — and timelines nest.
+It answers the point and interval queries only; its ``online_mask`` is
+:class:`~repro.perturbation.base.ProcessBase`'s, its own point query asked
+node by node, so a component needs nothing beyond the protocol.
 
 Example::
 
@@ -23,15 +26,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.perturbation.base import (
-    AvailabilityProcess,
-    ProcessBase,
-    merge_intervals,
-    point_query_mask,
-)
+from repro.perturbation.base import AvailabilityProcess, ProcessBase, merge_intervals
 
 
 class ScenarioTimeline(ProcessBase):
@@ -52,16 +48,6 @@ class ScenarioTimeline(ProcessBase):
         self.always_online = frozenset.intersection(
             *(frozenset(p.always_online) for p in self.processes)
         )
-
-    def online_mask(self, time: float) -> np.ndarray:
-        """Bulk bitmap: AND of the component bitmaps.  A component that
-        implements only the :class:`AvailabilityProcess` protocol is read
-        node by node (:func:`~repro.perturbation.base.point_query_mask`)."""
-        mask = np.ones(self.num_nodes, dtype=bool)
-        for process in self.processes:
-            bulk = getattr(process, "online_mask", None)
-            mask &= bulk(time) if bulk else point_query_mask(process.is_online, len(mask), time)
-        return mask
 
     def is_online(self, node: int, time: float) -> bool:
         """Online iff online under every composed process."""

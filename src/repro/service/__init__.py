@@ -23,7 +23,6 @@ from repro.service.arrivals import fixed_arrivals, generate_arrivals, poisson_ar
 from repro.service.driver import (
     SERVICE_COLUMNS,
     SERVICE_STAT_SUFFIXES,
-    SERVICE_VARIANTS,
     QueryRecord,
     ServiceConfig,
     ServiceReport,
@@ -36,7 +35,6 @@ __all__ = [
     "QueryRecord",
     "SERVICE_COLUMNS",
     "SERVICE_STAT_SUFFIXES",
-    "SERVICE_VARIANTS",
     "SLOPolicy",
     "ServiceConfig",
     "ServiceReport",

@@ -36,6 +36,7 @@ from repro.errors import ExperimentError
 from repro.experiments.base import DEFAULT_STAT_SUFFIXES, PERCENTILE_STAT_SUFFIXES
 from repro.experiments.perturbed import (
     ALL_VARIANTS,
+    COMPARED_VARIANTS,
     PASTRY_VARIANTS,
     VARIANT_LABELS,
     variant_views,
@@ -45,10 +46,6 @@ from repro.service.windows import SLOPolicy, WindowStats, summarize_windows
 from repro.sim.engine import EventScheduler
 from repro.sim.rng import derive_rng
 from repro.telemetry import current as current_telemetry
-
-#: variants under sustained traffic: the maintenance-backed baseline plus
-#: both MPIL duplicate-suppression modes
-SERVICE_VARIANTS = ("pastry", "mpil-ds", "mpil-nods")
 
 #: per-window result columns shared by every service-mode experiment
 #: (prefixed by the experiment's own sweep column)
@@ -336,7 +333,7 @@ def service_rows(
     config: ServiceConfig,
     seed: object,
     rejoin_seed: object,
-    variants: Iterable[str] = SERVICE_VARIANTS,
+    variants: Iterable[str] = COMPARED_VARIANTS,
 ) -> list[tuple]:
     """One ``variant x window`` row block (:data:`SERVICE_COLUMNS`-shaped)
     for one service cell.

@@ -174,6 +174,8 @@ TEST_ONLY_API = {
         "public id constructor for the paper's Figure 3-6 digit strings",
     "repro.core.identifiers.IdSpace.digit_of":
         "raw-value digit access, the oracle of the cached digit strings",
+    "repro.core.identifiers.Identifier.circular_distance":
+        "the tests' oracle for ring distance (the ring computes it on raw values)",
     "repro.core.identifiers.Identifier.common_digits_via_xor":
         "Section 4.1's XOR formulation, a second implementation of the metric",
     "repro.core.replicas.ReplicaDirectory.holders":
@@ -222,11 +224,24 @@ _DOTTED_NAME = re.compile(r"[A-Za-z_][\w.:]*")
 class _Reads(ast.NodeVisitor):
     """What a source reads: loaded names and attributes, names imported
     under another name, and the parts of dotted-name strings (``getattr``
-    targets, the benchmark's boundary paths).  ``__all__`` is not a read."""
+    targets, the benchmark's boundary paths).  ``__all__`` is not a read.
+
+    A ``self.<name>`` or ``cls.<name>`` read inside a class body is kept
+    apart, in ``own[name]``, as the names of the classes it was read in:
+    it reads that class's hierarchy, not every definition of the name."""
 
     def __init__(self):
         self.names: set[str] = set()
         self.attributes: set[str] = set()
+        self.own: dict[str, set[str]] = {}
+        self.bases: dict[str, set[str]] = {}
+        self._classes: list[str] = []
+
+    def visit_ClassDef(self, node):
+        self.bases.setdefault(node.name, set()).update(_name_of(b) for b in node.bases)
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
 
     def visit_Assign(self, node):
         if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -238,8 +253,26 @@ class _Reads(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
-            self.attributes.add(node.attr)
+            if self._classes and _name_of(node.value) in ("self", "cls"):
+                self.own.setdefault(node.attr, set()).add(self._classes[-1])
+            else:
+                self.attributes.add(node.attr)
         self.generic_visit(node)
+
+    def hierarchy(self, cls: str) -> set[str]:
+        """``cls``, its bases and its subclasses, transitively, by name."""
+        related = {cls}
+        for step in (
+            lambda name: self.bases.get(name, ()),
+            lambda name: [sub for sub, bases in self.bases.items() if name in bases],
+        ):
+            frontier = [cls]
+            while frontier:
+                for other in step(frontier.pop()):
+                    if other not in related:
+                        related.add(other)
+                        frontier.append(other)
+        return related
 
     def visit_alias(self, node):
         if node.asname:
@@ -274,22 +307,44 @@ def _unread_public_definitions() -> list[str]:
         reads.visit(ast.parse(path.read_text(encoding="utf-8")))
     unread = []
 
-    def walk(body, qualified: str, in_class: bool):
+    def walk(body, qualified: str, owner: "str | None"):
         for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             registered = any(
                 _name_of(d) not in _WRAPPERS for d in node.decorator_list
             )
-            readers = reads.attributes if in_class else reads.names | reads.attributes
-            if not (node.name.startswith("_") or registered or node.name in readers):
+            if owner is None:
+                read = node.name in reads.names | reads.attributes
+            else:
+                read = node.name in reads.attributes or bool(
+                    reads.own.get(node.name, set()) & reads.hierarchy(owner)
+                )
+            if not (node.name.startswith("_") or registered or read):
                 unread.append(f"{qualified}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                walk(node.body, f"{qualified}.{node.name}", True)
+                walk(node.body, f"{qualified}.{node.name}", node.name)
 
     for module, tree in _package_trees():
-        walk(tree.body, module, False)
+        walk(tree.body, module, None)
     return unread
+
+
+def test_a_self_read_reads_only_its_own_class_hierarchy():
+    reads = _Reads()
+    reads.visit(ast.parse(
+        "class Base: pass\n"
+        "class Ring(Base):\n"
+        "    def f(self):\n"
+        "        return self.distance, cls.width, other.size\n"
+        "class Leaf(Ring): pass\n"
+        "class Unrelated: pass\n"
+    ))
+    assert reads.own == {"distance": {"Ring"}, "width": {"Ring"}}
+    assert "size" in reads.attributes and "distance" not in reads.attributes
+    assert reads.hierarchy("Base") == {"Base", "Ring", "Leaf"}
+    assert reads.hierarchy("Leaf") == {"Base", "Ring", "Leaf"}
+    assert reads.hierarchy("Unrelated") == {"Unrelated"}
 
 
 def test_every_public_definition_has_a_reader_outside_tests():

@@ -19,8 +19,11 @@ from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.pastry.config import PastryConfig
 from repro.pastry.rejoin import IntervalRejoinAvailability
 from repro.perturbation import (
+    SCENARIO_FAMILIES,
     AdversarialRemoval,
     AdversarialRemovalConfig,
+    ChurnConfig,
+    ChurnSchedule,
     ChurnWaveConfig,
     ChurnWaveSchedule,
     FlappingConfig,
@@ -34,7 +37,42 @@ from repro.perturbation import (
     regions_from_attachment,
     scenario_families,
 )
+from repro.perturbation.base import ProcessBase
 from repro.sim.rng import validate_seed
+
+#: family -> (build(num_nodes, seed), what an empty population raises)
+_BUILD = {
+    "flapping": (
+        lambda n, seed: FlappingSchedule(FlappingConfig(30.0, 30.0, 0.5), n, seed=seed),
+        "num_nodes must be >= 1, got 0",
+    ),
+    "churn": (
+        lambda n, seed: ChurnSchedule(ChurnConfig(100.0, 100.0), n, seed=seed),
+        "num_nodes must be >= 1, got 0",
+    ),
+    "regional-outage": (
+        lambda n, seed: RegionalOutage(
+            [node % 2 for node in range(n)], RegionalOutageConfig(0.0, 1.0, 0.5), seed=seed
+        ),
+        "regional outage needs at least one node",
+    ),
+    "churn-wave": (
+        lambda n, seed: ChurnWaveSchedule(
+            ChurnWaveConfig(100.0, 100.0, 60.0, 10.0, 2.0), n, seed=seed
+        ),
+        "num_nodes must be >= 1, got 0",
+    ),
+    "join-storm": (
+        lambda n, seed: JoinStormSchedule(JoinStormConfig(10.0, 0.5), n, seed=seed),
+        "num_nodes must be >= 1, got 0",
+    ),
+    "adversarial-removal": (
+        lambda n, seed: AdversarialRemoval(
+            list(range(n)), AdversarialRemovalConfig(0.5), seed=seed
+        ),
+        "adversarial removal needs at least one node",
+    ),
+}
 
 
 class TestSeedValidation:
@@ -49,10 +87,18 @@ class TestSeedValidation:
             validate_seed(bad)
 
     @pytest.mark.parametrize("bad", ["0", True, 1.5])
-    def test_schedules_reject_bad_seeds(self, bad):
-        config = FlappingConfig(30.0, 30.0, 0.5)
+    @pytest.mark.parametrize("family", sorted(SCENARIO_FAMILIES))
+    def test_schedules_reject_bad_seeds(self, family, bad):
+        build, _ = _BUILD[family]
+        assert type(build(4, 0)) is SCENARIO_FAMILIES[family].process_class
         with pytest.raises(ConfigurationError):
-            FlappingSchedule(config, 4, seed=bad)
+            build(4, bad)
+
+    @pytest.mark.parametrize("family", sorted(SCENARIO_FAMILIES))
+    def test_schedules_reject_an_empty_population(self, family):
+        build, message = _BUILD[family]
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            build(0, 0)
 
 
 
@@ -441,6 +487,13 @@ class TestScenarioCatalogue:
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
             get_family("meteor-strike")
+
+    def test_every_process_has_the_one_online_mask(self):
+        """The bulk view is the point query asked node by node, defined
+        once: no family or composition keeps a vectorised copy."""
+        classes = [family.process_class for family in scenario_families()]
+        for cls in (*classes, ScenarioTimeline):
+            assert cls.online_mask is ProcessBase.online_mask, cls.__name__
 
     def test_the_table_is_single(self):
         """What ``scenarios`` prints, what ``compose`` accepts and what

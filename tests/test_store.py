@@ -151,6 +151,28 @@ class TestStoreLayout:
         here = pathlib.Path(__file__).resolve().parent
         assert recorded == git("rev-parse", "HEAD", cwd=here)
 
+    def test_two_stores_in_one_process_ask_git_at_most_once(self, tmp_path, monkeypatch):
+        """Every sweep opens a store (a storeless one a scratch store), and
+        each used to run ``git rev-parse`` again."""
+        import subprocess
+
+        real_run = subprocess.run
+        git_calls = []
+
+        def counting_run(argv, *args, **kwargs):
+            if argv[0] == "git":
+                git_calls.append(argv)
+            return real_run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        for name in ("a", "b"):
+            ResultStore(tmp_path / name).save(make_result(), seed=0)
+        assert len(git_calls) <= 1
+        assert (
+            ResultStore(tmp_path / "a").manifest("figx", "smoke")["git_rev"]
+            == ResultStore(tmp_path / "b").manifest("figx", "smoke")["git_rev"]
+        )
+
 
 class TestAggregation:
     def test_key_columns_pass_through_and_stats_expand(self):
